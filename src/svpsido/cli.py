@@ -13,7 +13,14 @@ import sys
 from fractions import Fraction
 
 from .ring import GaussRat
-from .suites import SUITE_NAMES, VerifyConfig, report_json, report_text, run_suites
+from .suites import (
+    SUITE_NAMES,
+    VerifyConfig,
+    check_floor_depth,
+    report_json,
+    report_text,
+    run_suites,
+)
 from .textio import eval_expr, parse_floor, parse_rational, symbol_str
 
 
@@ -113,11 +120,15 @@ def _run_verify(args) -> int:
 
 def _run_eval(args) -> int:
     try:
+        if args.floor is not None:
+            check_floor_depth(args.floor)
         result = eval_expr(args.expr, floor=args.floor)
+        text = symbol_str(result)  # the canonical form carries its own trust tag
     except (ValueError, ZeroDivisionError) as exc:
+        # rendering can fail too, e.g. on Python's int-to-str digit limit
         print(f"svpsido: {exc}", file=sys.stderr)
         return 2
-    print(symbol_str(result))  # the canonical form carries its own trust tag
+    print(text)
     return 0
 
 

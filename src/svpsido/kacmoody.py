@@ -6,6 +6,14 @@ alpha(t).  The dual point is a triple (v, V, a) pairing against it by
 
     <(v, V, a), (w, W, alpha)> = res_t [ v w + Tr(V o W) + a alpha ].
 
+Only the order -1 slot of V o W enters the trace, so with V = sum f_a d^a
+and W = sum g_b d^b the pairing is the bilinear residue sum
+
+    [t^-1](v w + a alpha)
+      + sum_{a, b, j = a+b+1 >= 0} binom(a, j) [t^-1 x^-1](f_a d_x^j g_b),
+
+read off coefficient by coefficient without composing the symbols.
+
 The invariant slice kept by the coadjoint action consists of points with
 V = V_-2(t,r) d^-2 + V_0(t): free-evolution multiples plus a potential,
 with the d^0 part spatially constant.
@@ -26,18 +34,18 @@ Conventions fixed once:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .halfint import EXACT, HalfInt, h, hmax
 from .psido import (
     R,
     XI,
     Symbol,
-    adler_trace,
+    binom_half,
     cap_order,
     eq_trusted,
     sym_add,
     sym_bracket,
-    sym_mul,
     sym_scale,
     sym_sub,
     time_deriv,
@@ -63,6 +71,7 @@ __all__ = [
 ]
 
 _ONE = h(1)
+_MINUS_ONE = h(-1)
 _MINUS_TWO = h(-2)
 
 
@@ -192,22 +201,51 @@ def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
     return GElement(w, W, alpha)
 
 
-def _t_residue(c: CoeffFn) -> Scalar:
-    """res_t of a loop function, as a plain scalar."""
-    res = c.residue("T")
-    if not res.is_t_only() or not res.is_x_only():
-        # residue in t of an r-dependent value is not a scalar
-        raise ValueError("pairing integrand kept r-dependence")
-    return res.terms.get((0, 0), Scalar.zero())
+def _residue_coupling(f: CoeffFn, g: CoeffFn, j: int, e: int) -> Scalar:
+    """[t^-1 x^e] (f * d_x^j g), one dict lookup per monomial of f.
+
+    The monomial t^p x^q of f meets the t^(-1-p) x^(e+j-q) monomial of g,
+    whose j-th x-derivative carries the falling factorial
+    (e+j-q)(e+j-q-1)...(e+1-q).
+    """
+    out = Scalar.zero()
+    for (p, q), c in f.terms.items():
+        d = g.terms.get((-1 - p, e + j - q))
+        if d is not None:
+            ff = prod(range(e + 1 - q, e + j - q + 1))
+            if ff:
+                out = out + (c * d if ff == 1 else c * d * ff)
+    return out
 
 
 def pairing(mu: GDual, A: GElement) -> Scalar:
-    """res_t [ v w + Tr(V o W) + a alpha ]."""
-    integrand = mu.v * A.w + mu.a * A.alpha
-    if not mu.V.is_zero() and not A.W.is_zero():
-        prod = sym_mul(mu.V, A.W, h(-1))
-        integrand = integrand + adler_trace(prod)
-    return _t_residue(integrand)
+    """res_t [ v w + Tr(V o W) + a alpha ], as a bilinear residue sum.
+
+    Tr(V o W) is res_x of the order -1 coefficient of V o W, to which only
+    the Leibniz terms j = a + b + 1 >= 0 contribute:
+
+        pairing = [t^-1](v w + a alpha)
+                  + sum_{a in V, b in W, j = a+b+1 >= 0}
+                        binom(a, j) [t^-1 x^-1](f_a d_x^j g_b).
+
+    Orders of W below its floor are unknown; they reach order -1 of the
+    product once W.floor + top(V) > -1, and then the trace is refused.
+    """
+    out = _residue_coupling(mu.v, A.w, 0, 0) + _residue_coupling(mu.a, A.alpha, 0, 0)
+    V, W = mu.V, A.W
+    if V.is_zero():
+        return out
+    if W.floor is not EXACT and W.floor + V.top() > _MINUS_ONE:
+        raise ValueError("trace not determined at this truncation")
+    for a, f in V.terms.items():
+        for b, g in W.terms.items():
+            j = (a.twice + b.twice) // 2 + 1  # orders on the space side are integers
+            if j < 0:
+                continue
+            coef = binom_half(a, j)
+            if not coef.is_zero():
+                out = out + _residue_coupling(f, g, j, -1) * coef
+    return out
 
 
 # ----------------------------------------------------------------- embedding

@@ -22,7 +22,8 @@ output order below A.floor + B.top, so
     result.floor = max(req_floor, A.floor + B.top, B.floor + A.top)
 
 with EXACT acting as -infinity.  Orders at or above the result floor are
-computed in full and are exact.
+computed in full and are exact.  A zero operand counts with its floor in
+place of its top: only an EXACT zero annihilates the product.
 
 The variable tag is "R" (integer orders only) or "XI" (half-integer orders
 allowed).  Symbols are immutable; every operation is pure.
@@ -224,6 +225,11 @@ def binom_half(a: HalfInt, j: int) -> GaussRat:
     return _binom_cached(a.twice, j)
 
 
+def _hi(X: Symbol) -> HalfInt:
+    """Highest order X may carry: its top term, or its floor when it has none."""
+    return X.top() if X.terms else X.floor
+
+
 def sym_mul(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
     """Compose A o B, trusted down to the derived floor.
 
@@ -232,15 +238,16 @@ def sym_mul(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
     infinite tail with no req_floor raises instead of silently cutting.
     """
     _check_var(A, B)
-    if A.is_zero() or B.is_zero():
+    if (A.is_zero() and A.floor is EXACT) or (B.is_zero() and B.floor is EXACT):
         return Symbol.zero(A.var)
     req_floor = h(req_floor) if req_floor is not None else EXACT
 
+    # a zero operand with a floor still stands for unknown orders below it
     bound = EXACT
     if A.floor is not EXACT:
-        bound = hmax(bound, A.floor + B.top())
+        bound = hmax(bound, A.floor + _hi(B))
     if B.floor is not EXACT:
-        bound = hmax(bound, B.floor + A.top())
+        bound = hmax(bound, B.floor + _hi(A))
     floor = hmax(req_floor, bound)
 
     out: dict = {}

@@ -71,6 +71,7 @@ __all__ = [
     "SuiteReport",
     "SUITE_NAMES",
     "VerifyConfig",
+    "check_floor_depth",
     "nu_scan",
     "report_json",
     "report_text",
@@ -82,6 +83,18 @@ __all__ = [
 
 def _default_floor() -> HalfInt:
     return h("-7/2")
+
+
+# Leibniz tails grow factorially with depth and transform images cost more
+# than linearly in it, so the front door refuses floors below the depth at
+# which the calculator references are checked.
+DEEPEST_FLOOR = h(-16)
+
+
+def check_floor_depth(floor: HalfInt) -> None:
+    """Refuse a floor below DEEPEST_FLOOR with a ValueError."""
+    if floor < DEEPEST_FLOOR:
+        raise ValueError(f"the floor must sit at or above {DEEPEST_FLOOR}")
 
 
 @dataclass(frozen=True)
@@ -105,6 +118,7 @@ def validate_config(cfg: VerifyConfig) -> None:
     floor = h(cfg.floor)
     if floor > h(-1):
         raise ValueError("the floor must sit at or below -1 so traces stay trusted")
+    check_floor_depth(floor)
     if not 1 <= cfg.index_range <= 5:
         raise ValueError("index range out of bounds (want 1 <= n <= 5)")
     if cfg.random_cases < 0:

@@ -49,6 +49,21 @@ class TestEval:
             main(["eval", "xi", "--floor", "best-effort"])
         assert exc.value.code == 2
 
+    def test_floor_below_the_deepest_exits_2(self, capsys):
+        code, out, err = run_cli(["eval", "mul(d_r^-1, r^-1)", "--floor", "-2000"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("svpsido:") and err.count("\n") == 1
+
+    def test_deepest_floor_is_accepted(self, capsys):
+        code, out, _ = run_cli(["eval", "mul(d_r^-1, r^-1)", "--floor", "-16"], capsys)
+        assert code == 0 and out.strip().endswith("| floor=-16")
+
+    def test_unprintable_result_exits_2(self, capsys):
+        # 2^20000 has more digits than Python will convert to text
+        code, out, err = run_cli(["eval", "2^20000*xi"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("svpsido:") and err.count("\n") == 1
+
     def test_fractional_negative_flag_values_parse(self, capsys):
         # argparse must accept "-7/2" as a value, not read it as a flag
         code, out, _ = run_cli(["eval", "xi", "--floor", "-7/2"], capsys)
@@ -123,6 +138,11 @@ class TestVerify:
     def test_out_of_bounds_range_exits_2(self, capsys):
         code, _, err = run_cli(["verify", "--suite", "lemma33", "--range", "12"], capsys)
         assert code == 2 and "index range" in err
+
+    def test_floor_below_the_deepest_exits_2(self, capsys):
+        code, out, err = run_cli(["verify", "--suite", "lemma33", "--floor", "-2001/2"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("svpsido:") and err.count("\n") == 1
 
     def test_zero_threads_exits_2(self, capsys):
         code, _, err = run_cli(["verify", "--suite", "lemma33", "--threads", "0"], capsys)

@@ -10,6 +10,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svpsido.halfint import EXACT, h
 from svpsido.kacmoody import (
@@ -24,7 +26,16 @@ from svpsido.kacmoody import (
     pairing,
     quotient_nullity_defect,
 )
-from svpsido.psido import R, XI, Symbol, max_trusted_order, sym_bracket, sym_sub
+from svpsido.psido import (
+    R,
+    XI,
+    Symbol,
+    adler_trace,
+    max_trusted_order,
+    sym_bracket,
+    sym_mul,
+    sym_sub,
+)
 from svpsido.ring import CoeffFn, GaussRat, Scalar
 from svpsido.svaction import SchrodPoint, d_sigma_tilde
 from svpsido.svalgebra import SvElement, phase_mode, shift_mode, sv_basis, time_mode
@@ -166,6 +177,50 @@ class TestPairing:
         mu = npoint(v=CoeffFn.t_pow(2))
         assert pairing(mu, GElement(w=CoeffFn.t_pow(1))).is_zero()
         assert pairing(mu, GElement(w=CoeffFn.t_pow(-3))) == Scalar.one()
+
+
+def composed_pairing(mu, A):
+    """Oracle: compose V o W down to order -1 and take the Adler trace."""
+    integrand = mu.v * A.w + mu.a * A.alpha + adler_trace(sym_mul(mu.V, A.W, h(-1)))
+    return integrand.residue("T").terms.get((0, 0), Scalar.zero())
+
+
+gauss = st.builds(GaussRat, st.integers(-3, 3), st.sampled_from([0, 1, Fraction(-1, 2)]))
+scalars = st.dictionaries(st.integers(-1, 2), gauss, min_size=1, max_size=2).map(Scalar)
+
+
+def coeff_fns(tpows, xpows, min_size=0):
+    keys = st.tuples(st.integers(*tpows), st.integers(*xpows))
+    return st.dictionaries(keys, scalars, min_size=min_size, max_size=6).map(CoeffFn)
+
+
+# narrow power ranges, so that most draws meet a t^-1 x^-1 monomial
+loops = coeff_fns((-3, 2), (0, 0))
+space_coeffs = coeff_fns((-1, 0), (-2, 2), min_size=2)
+dual_symbols = st.dictionaries(st.integers(-2, 2), space_coeffs, min_size=1, max_size=3)
+dual_points = st.one_of(
+    st.builds(npoint, v=loops, vm2=space_coeffs, v0=loops, a=loops),
+    st.builds(GDual, loops, dual_symbols.map(lambda d: Symbol(R, d)), loops),
+)
+elements = st.builds(
+    lambda w, terms, floor, alpha: GElement(w, Symbol(R, terms, floor), alpha),
+    loops,
+    st.dictionaries(st.integers(-3, 1), space_coeffs, min_size=1, max_size=3),
+    st.one_of(st.none(), st.integers(-5, 1)),
+    loops,
+)
+
+
+@given(dual_points, elements)
+@settings(max_examples=200, deadline=None)
+def test_pairing_matches_the_composed_trace(mu, A):
+    try:
+        want = composed_pairing(mu, A)
+    except ValueError:
+        with pytest.raises(ValueError, match="trace not determined"):
+            pairing(mu, A)
+        return
+    assert pairing(mu, A) == want
 
 
 class TestEmbedding:

@@ -186,6 +186,16 @@ def test_product_with_zero_is_exact_zero():
     assert sym_mul(A, Symbol.zero(XI)).is_zero()
 
 
+def test_product_with_a_truncated_zero_keeps_its_floor():
+    # the unknown orders below -3 meet d^5 and reach up to order 2
+    z = Symbol(R, {}, h(-3))
+    d5 = Symbol.monomial(R, h(5), CoeffFn.one())
+    assert sym_mul(z, d5).floor == h(2)
+    assert sym_mul(d5, z, h(-10)).floor == h(2)
+    assert sym_mul(z, z).floor == h(-6)
+    assert sym_mul(z, Symbol.zero(R)).floor is EXACT
+
+
 # ---- scaling, projections, trace -----------------------------------------------
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from svpsido import transforms
 from svpsido.halfint import EXACT, h
 from svpsido.psido import R, XI, Symbol
 from svpsido.ring import CoeffFn, GaussRat, Scalar
@@ -78,6 +79,20 @@ class TestEvalExpr:
     def test_round_trip_through_both_transforms(self):
         start = eval_expr("xi^3*d_xi^-1")
         assert eval_expr("theta_inv(theta(xi^3*d_xi^-1))") == start
+
+    def test_deeper_round_trip_after_shallow_ones(self, monkeypatch):
+        # a deeper request refills the inverse-image cache on top of
+        # shallow entries; no wrong term may enter the trusted window
+        monkeypatch.setattr(transforms, "_inv_memo", {})
+        monkeypatch.setattr(transforms, "_forward_caches", {})
+        src = "theta_inv(theta(1/2*xi^-3))"
+        for floor in ("-1", "-3/2", "-2", "-5/2", "-3"):
+            eval_expr(src, floor=h(floor))
+        got = eval_expr(src, floor=h("-7/2"))
+        # the round trip is the identity; its floor may still sit above the
+        # request (it reads -3), but no stray term may appear
+        assert got.terms == eval_expr("1/2*xi^-3").terms
+        assert got.floor <= h(-3)
 
     def test_half_power_of_the_derivative(self):
         got = eval_expr("d_xi^1/2")
