@@ -9,12 +9,17 @@ terms is identically zero (written EXACT in text form).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 __all__ = ["HalfInt", "EXACT", "h", "hmax", "hmin"]
 
 # Floor sentinel: all orders below the stored support are exactly zero.
 EXACT = None
+
+# Numeric hashes reduce modulo this prime; 1/2 hashes as its inverse of 2.
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_HALF = (_HASH_MODULUS + 1) // 2
 
 
 class HalfInt:
@@ -130,8 +135,15 @@ class HalfInt:
         return NotImplemented if k is None else self.twice >= k
 
     def __hash__(self):
-        # collides with the int/Fraction of equal value, matching __eq__
-        return hash(Fraction(self.twice, 2))
+        # equals hash(Fraction(twice, 2)), so a HalfInt key finds the entry
+        # of the int or Fraction of equal value, matching __eq__
+        t = self.twice
+        if not t & 1:
+            return hash(t >> 1)
+        if t > 0:
+            return t % _HASH_MODULUS * _HASH_HALF % _HASH_MODULUS
+        # hash() turns a -1 from here into -2, as Fraction does by hand
+        return -(-t % _HASH_MODULUS * _HASH_HALF % _HASH_MODULUS)
 
     def __str__(self):
         if self.twice % 2 == 0:

@@ -2,7 +2,12 @@
 
 Three layers, all immutable and float-free:
 
-* ``GaussRat``      -- Gaussian rationals re + i*im over stdlib Fractions.
+* ``GaussRat``      -- Gaussian rationals (a + i*b)/d, stored as a reduced
+                       integer triple: d > 0 and gcd(a, b, d) = 1, so equal
+                       values have equal triples.  Every operation works on
+                       Python ints and normalises its result with one gcd
+                       (Knuth, TAOCP vol. 2, 4.5.1).  ``re`` and ``im`` are
+                       read-only views that return Fractions.
 * ``Scalar``        -- Laurent polynomials in the formal mass parameter M
                        with GaussRat coefficients.  Units are the nonzero
                        monomials c*M^k; only those may be divided by.
@@ -10,6 +15,9 @@ Three layers, all immutable and float-free:
                        x stands for the space variable of whichever symbol
                        algebra the value lives in; the enclosing object
                        carries the variable tag.
+
+Binary operations test the operand's class first and coerce ints,
+Fractions and lower layers only when it differs.
 
 Derivatives are term-wise monomial derivations and residues extract the
 coefficient of (variable)^-1, so res(d(f)) = 0 holds identically.  Every
@@ -20,71 +28,120 @@ plain residue extraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 __all__ = ["GaussRat", "Scalar", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I"]
 
+_new = object.__new__
+
+
+def _gauss(a: int, b: int, d: int) -> "GaussRat":
+    """(a + i*b)/d for d > 0, reduced by the common gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    out = _new(GaussRat)
+    out._a = a
+    out._b = b
+    out._d = d
+    return out
+
 
 class GaussRat:
-    """A Gaussian rational re + i*im, with exact Fraction parts."""
+    """A Gaussian rational (a + i*b)/d with d > 0 and gcd(a, b, d) = 1.
 
-    __slots__ = ("re", "im")
+    The triple lives in private slots; like Fraction, instances are never
+    changed after construction.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if re.__class__ is not int or im.__class__ is not int:
+            re = Fraction(re)
+            im = Fraction(im)
+            rd = re.denominator
+            idn = im.denominator
+            d = rd * idn // gcd(rd, idn)
+            # over the lcm of two reduced denominators the triple is reduced
+            self._a = re.numerator * (d // rd)
+            self._b = im.numerator * (d // idn)
+            self._d = d
+        else:
+            self._a = re
+            self._b = im
+            self._d = 1
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRat is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # ---- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not (self._a or self._b)
 
     def is_one(self) -> bool:
-        return self.re == 1 and not self.im
+        return self._a == 1 and not self._b and self._d == 1
 
     # ---- ring ops ---------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussRat:
+            other = _as_gauss(other)
+            if other is None:
+                return NotImplemented
+        d = self._d
+        e = other._d
+        if d == e:
+            return _gauss(self._a + other._a, self._b + other._b, d)
+        return _gauss(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        out = _new(GaussRat)
+        out._a = -self._a
+        out._b = -self._b
+        out._d = self._d
+        return out
 
     def __sub__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(self.re - other.re, self.im - other.im)
+        if other.__class__ is not GaussRat:
+            other = _as_gauss(other)
+            if other is None:
+                return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         other = _as_gauss(other)
         if other is None:
             return NotImplemented
-        return GaussRat(other.re - self.re, other.im - self.im)
+        return other - self
 
     def __mul__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussRat:
+            other = _as_gauss(other)
+            if other is None:
+                return NotImplemented
+        a, b = self._a, self._b
+        c, e = other._a, other._b
+        return _gauss(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inv(self) -> "GaussRat":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("inverse of zero GaussRat")
-        return GaussRat(self.re / n, -self.im / n)
+        return _gauss(a * d, -b * d, n)
 
     def __truediv__(self, other):
         other = _as_gauss(other)
@@ -104,10 +161,11 @@ class GaussRat:
     # ---- identity ----------------------------------------------------------
 
     def __eq__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is not GaussRat:
+            other = _as_gauss(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -189,12 +247,14 @@ class Scalar:
     # ---- ring ops ------------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _as_scalar(other)
+            if other is None:
+                return NotImplemented
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k, GR_ZERO) + v
+            s = out.get(k)
+            s = v if s is None else s + v
             if s.is_zero():
                 out.pop(k, None)
             else:
@@ -219,14 +279,17 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _as_scalar(other)
+            if other is None:
+                return NotImplemented
         out: dict = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 k = k1 + k2
-                s = out.get(k, GR_ZERO) + v1 * v2
+                prod = v1 * v2
+                s = out.get(k)
+                s = prod if s is None else s + prod
                 if s.is_zero():
                     out.pop(k, None)
                 else:
@@ -269,9 +332,10 @@ class Scalar:
     # ---- identity -----------------------------------------------------------------
 
     def __eq__(self, other):
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _as_scalar(other)
+            if other is None:
+                return NotImplemented
         return self.terms == other.terms
 
     __hash__ = None
@@ -291,8 +355,13 @@ def _scalar_raw(terms: dict) -> Scalar:
     return s
 
 
+def _scalar_times_int(v: Scalar, n: int) -> Scalar:
+    """v * n for a nonzero int n."""
+    return _scalar_raw({k: _gauss(g._a * n, g._b * n, g._d) for k, g in v.terms.items()})
+
+
 def _as_scalar(v):
-    if isinstance(v, Scalar):
+    if v.__class__ is Scalar:
         return v
     g = _as_gauss(v)
     if g is not None:
@@ -376,9 +445,10 @@ class CoeffFn:
     # ---- ring ops ----------------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_coeff(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not CoeffFn:
+            other = _as_coeff(other)
+            if other is None:
+                return NotImplemented
         out = dict(self.terms)
         for k, v in other.terms.items():
             s = out.get(k)
@@ -407,9 +477,10 @@ class CoeffFn:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _as_coeff(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not CoeffFn:
+            other = _as_coeff(other)
+            if other is None:
+                return NotImplemented
         out: dict = {}
         for (p1, q1), v1 in self.terms.items():
             for (p2, q2), v2 in other.terms.items():
@@ -433,47 +504,28 @@ class CoeffFn:
 
     # ---- calculus ---------------------------------------------------------------
 
+    # Both maps below send distinct monomials to distinct monomials, so no
+    # two terms ever meet and nothing cancels.
+
     def deriv(self, var: str) -> "CoeffFn":
         """Monomial derivative d/dt (var='T') or d/dx (var='X')."""
-        out: dict = {}
-        for (p, q), v in self.terms.items():
-            if var == "T":
-                if p == 0:
-                    continue
-                k, c = (p - 1, q), p
-            elif var == "X":
-                if q == 0:
-                    continue
-                k, c = (p, q - 1), q
-            else:
-                raise ValueError(f"unknown variable {var!r}")
-            s = out.get(k, _S_ZERO) + v * Scalar.of(c)
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return _coeff_raw(out)
+        if var == "T":
+            return _coeff_raw(
+                {(p - 1, q): _scalar_times_int(v, p) for (p, q), v in self.terms.items() if p}
+            )
+        if var == "X":
+            return _coeff_raw(
+                {(p, q - 1): _scalar_times_int(v, q) for (p, q), v in self.terms.items() if q}
+            )
+        raise ValueError(f"unknown variable {var!r}")
 
     def residue(self, var: str) -> "CoeffFn":
         """Coefficient of var^-1; the result no longer depends on var."""
-        out: dict = {}
-        for (p, q), v in self.terms.items():
-            if var == "T":
-                if p != -1:
-                    continue
-                k = (0, q)
-            elif var == "X":
-                if q != -1:
-                    continue
-                k = (p, 0)
-            else:
-                raise ValueError(f"unknown variable {var!r}")
-            s = out.get(k, _S_ZERO) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return _coeff_raw(out)
+        if var == "T":
+            return _coeff_raw({(0, q): v for (p, q), v in self.terms.items() if p == -1})
+        if var == "X":
+            return _coeff_raw({(p, 0): v for (p, q), v in self.terms.items() if q == -1})
+        raise ValueError(f"unknown variable {var!r}")
 
     # ---- substitutions (all monomial, hence exact) ---------------------------------
 
@@ -531,9 +583,10 @@ class CoeffFn:
     # ---- identity -------------------------------------------------------------------
 
     def __eq__(self, other):
-        other = _as_coeff(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not CoeffFn:
+            other = _as_coeff(other)
+            if other is None:
+                return NotImplemented
         return self.terms == other.terms
 
     __hash__ = None
@@ -554,7 +607,7 @@ def _coeff_raw(terms: dict) -> CoeffFn:
 
 
 def _as_coeff(v):
-    if isinstance(v, CoeffFn):
+    if v.__class__ is CoeffFn:
         return v
     s = _as_scalar(v)
     if s is not None:

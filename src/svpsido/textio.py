@@ -46,19 +46,19 @@ def _frac_str(q: Fraction) -> str:
 
 
 def gauss_str(g: GaussRat) -> str:
-    if not g.im:
-        return _frac_str(g.re)
-    if not g.re:
-        if g.im == 1:
+    real, imag = g.re, g.im
+    if not imag:
+        return _frac_str(real)
+    if not real:
+        if imag == 1:
             return "i"
-        if g.im == -1:
+        if imag == -1:
             return "-i"
-        return f"{_frac_str(g.im)}*i"
-    im = g.im
-    sign = "+" if im > 0 else "-"
-    mag = abs(im)
+        return f"{_frac_str(imag)}*i"
+    sign = "+" if imag > 0 else "-"
+    mag = abs(imag)
     imtxt = "i" if mag == 1 else f"{_frac_str(mag)}*i"
-    return f"({_frac_str(g.re)} {sign} {imtxt})"
+    return f"({_frac_str(real)} {sign} {imtxt})"
 
 
 def _gauss_is_bare(g: GaussRat) -> bool:

@@ -43,6 +43,8 @@ from .ring import (
 from .svalgebra import SvElement
 
 __all__ = [
+    "DEEPEST_IMAGE_FLOOR",
+    "MAX_IMAGE_POWER",
     "ThetaImageCache",
     "theta",
     "theta_inv",
@@ -65,6 +67,57 @@ def default_depth(req_floor) -> int:
 
 
 # ---------------------------------------------------------------- image cache
+
+# Bounds on what an image cache builds.  The image of a power is one
+# composition away from its neighbour's, each composition grows with the
+# power, and a negative power asks its neighbour for a deeper floor, so
+# the cost climbs steeply with both.  The default suites stay above -10.
+MAX_IMAGE_POWER = 64
+DEEPEST_IMAGE_FLOOR = h(-48)
+
+
+def _check_power(k: int) -> None:
+    if abs(k) > MAX_IMAGE_POWER:
+        raise ValueError(f"generator powers are bounded by {MAX_IMAGE_POWER} in absolute value")
+
+
+def _covers(floor, want) -> bool:
+    return floor is EXACT or (want is not EXACT and floor <= want)
+
+
+def _fill(memo: dict, k: int, want, deepen, build) -> Symbol:
+    """Image of the k-th power, trusted at least down to want.
+
+    Walks from k towards 0 until a memo entry covers the floor wanted at
+    that power (a negative power wants its neighbour `deepen` deeper),
+    then builds back out to k one power at a time with
+    build(power, floor, image of the neighbour), storing every step.
+    Images of nonnegative powers are finite compositions and always exact.
+    """
+    if k >= 0:
+        want = EXACT
+    chain = []
+    sym = None
+    while True:
+        entry = memo.get(k)
+        if entry is not None and _covers(entry[0], want):
+            sym = entry[1]
+            break
+        if want is not EXACT and want < DEEPEST_IMAGE_FLOOR:
+            raise ValueError(f"generator images are built down to order {DEEPEST_IMAGE_FLOOR} at most")
+        chain.append((k, want))
+        if k == 0:
+            break
+        if k > 0:
+            k -= 1
+        else:
+            k += 1
+            if want is not EXACT:
+                want = want - deepen
+    for k, want in reversed(chain):
+        sym = build(k, want, sym)
+        memo[k] = (sym.floor, sym)
+    return sym
 
 
 class ThetaImageCache:
@@ -119,42 +172,25 @@ class ThetaImageCache:
 
     def image(self, k: int, req_floor=EXACT) -> Symbol:
         """Image of xi^k, trusted at least down to req_floor."""
+        _check_power(k)
         want = h(req_floor) if req_floor is not EXACT else EXACT
+        if k < 0 and want is EXACT and not self.nu.is_zero():
+            raise ValueError("deformed inverse image is a series; give a floor")
+        # a negative power deepens its neighbour's request by one, so that
+        # left-composition with the order-(+1) inverse base cannot expose
+        # untrusted orders
         with self._lock:
-            entry = self._memo.get(k)
-            if entry is not None:
-                floor, sym = entry
-                if floor is EXACT or (want is not EXACT and floor <= want):
-                    return sym
-            sym = self._compute(k, want)
-            self._memo[k] = (sym.floor, sym)
-            return sym
+            return _fill(self._memo, k, want, 1, self._build)
 
-    def _compute(self, k: int, want) -> Symbol:
+    def _build(self, k: int, want, prev: Symbol) -> Symbol:
         if k == 0:
             return Symbol.function(R, CoeffFn.one())
         if k > 0:
-            prev = self._inner(k - 1, want)
             return sym_mul(prev, self._pos_base)
-        # negative powers: deepen the request so that left-composition with
-        # the order-(+1) inverse base cannot expose untrusted orders
-        need = want if want is EXACT else want - 1
-        if not self.nu.is_zero() and want is EXACT:
-            raise ValueError("deformed inverse image is a series; give a floor")
-        base = self._neg_base(want)
-        prev = self._inner(k + 1, need)
-        out = sym_mul(prev, base, want)
-        return out
-
-    def _inner(self, k: int, want):
-        entry = self._memo.get(k)
-        if entry is not None:
-            floor, sym = entry
-            if floor is EXACT or (want is not EXACT and floor <= want):
-                return sym
-        sym = self._compute(k, want)
-        self._memo[k] = (sym.floor, sym)
-        return sym
+        # the base's missing tail meets the highest order prev may carry
+        hi = prev.top() if prev.terms else prev.floor
+        base = self._neg_base(want if want is EXACT else want - hi)
+        return sym_mul(prev, base, want)
 
 
 _forward_caches: dict = {}
@@ -209,8 +245,10 @@ def theta(D: Symbol, req_floor=None, nu: GaussRat = GR_ZERO, cache=None) -> Symb
     total = Symbol.zero(R)
     for kappa, c in D.terms.items():
         delta = kappa + kappa  # order doubling, stays on the integer grid
+        # the shift moves the image's floor by delta, so ask delta deeper
+        want = req if req is EXACT else req - delta
         for (p, q), s in c.terms.items():
-            img = cache.image(q, req if req is not EXACT else EXACT)
+            img = cache.image(q, want)
             if img.floor is not EXACT and req is EXACT:
                 raise ValueError("deformed inverse image is a series; give a floor")
             term = _shift_orders(img, delta)
@@ -223,38 +261,29 @@ def theta(D: Symbol, req_floor=None, nu: GaussRat = GR_ZERO, cache=None) -> Symb
 
 _inv_cache_lock = threading.Lock()
 _inv_memo: dict = {}
+_HALF = h("1/2")
 
 
 def _inv_image(n: int, want) -> Symbol:
     """Image of r^n under the inverse map, trusted down to want."""
+    _check_power(n)
+    if n < 0 and want is EXACT:
+        raise ValueError("inverse image of r^-1 is a series; give a floor")
     with _inv_cache_lock:
-        return _inv_image_locked(n, want)
+        return _fill(_inv_memo, n, want, _HALF, _inv_build)
 
 
-def _inv_image_locked(n: int, want) -> Symbol:
-    entry = _inv_memo.get(n)
-    if entry is not None:
-        floor, sym = entry
-        if floor is EXACT or (want is not EXACT and floor <= want):
-            return sym
+def _inv_build(n: int, want, prev: Symbol) -> Symbol:
     if n == 0:
-        sym = Symbol.function(XI, CoeffFn.one())
-    elif n > 0:
-        base = Symbol.monomial(XI, h("1/2"), CoeffFn.x_pow(1, 2))  # 2 xi d^(1/2)
-        prev = _inv_image_locked(n - 1, want)
-        sym = sym_mul(prev, base, want)
-    else:
-        if want is EXACT:
-            raise ValueError("inverse image of r^-1 is a series; give a floor")
-        base = sym_mul(
-            Symbol.monomial(XI, h("-1/2"), CoeffFn.const(Fraction(1, 2))),
-            Symbol.function(XI, CoeffFn.x_pow(-1)),
-            want - h("1/2"),
-        )
-        prev = _inv_image_locked(n + 1, want - h("1/2"))
-        sym = sym_mul(prev, base, want)
-    _inv_memo[n] = (sym.floor, sym)
-    return sym
+        return Symbol.function(XI, CoeffFn.one())
+    if n > 0:
+        return sym_mul(prev, Symbol.monomial(XI, _HALF, CoeffFn.x_pow(1, 2)))  # 2 xi d^(1/2)
+    base = sym_mul(
+        Symbol.monomial(XI, -_HALF, CoeffFn.const(Fraction(1, 2))),
+        Symbol.function(XI, CoeffFn.x_pow(-1)),
+        want - _HALF,
+    )
+    return sym_mul(prev, base, want)
 
 
 def theta_inv(D: Symbol, req_floor=None) -> Symbol:
@@ -269,8 +298,9 @@ def theta_inv(D: Symbol, req_floor=None) -> Symbol:
         delta = HalfInt(k.twice // 2) if k.twice % 2 == 0 else None
         if delta is None:
             raise ValueError("space symbols live on the integer grid")
+        want = req if req is EXACT else req - delta
         for (p, q), s in c.terms.items():
-            img = _inv_image(q, req)
+            img = _inv_image(q, want)
             term = _shift_orders(img, delta)
             piece = sym_scale(term, CoeffFn.t_pow(p, s))
             total = sym_add(total, piece)

@@ -7,6 +7,7 @@ SystemExit(2); errors detected later return 2; both paths appear here.
 """
 
 import json
+import time
 
 import pytest
 
@@ -61,6 +62,22 @@ class TestEval:
     def test_unprintable_result_exits_2(self, capsys):
         # 2^20000 has more digits than Python will convert to text
         code, out, err = run_cli(["eval", "2^20000*xi"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("svpsido:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theta(xi^2000)"],
+            ["theta(xi^-1200)", "--floor", "-2"],
+            ["theta_inv(r^-1200)", "--floor", "-2"],
+            ["theta_inv(r^-64*d_r^16)", "--floor", "-16"],
+        ],
+    )
+    def test_oversized_generator_images_exit_2_quickly(self, capsys, argv):
+        start = time.monotonic()
+        code, out, err = run_cli(["eval", *argv], capsys)
+        assert time.monotonic() - start < 10
         assert code == 2 and out == ""
         assert err.startswith("svpsido:") and err.count("\n") == 1
 

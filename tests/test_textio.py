@@ -89,10 +89,9 @@ class TestEvalExpr:
         for floor in ("-1", "-3/2", "-2", "-5/2", "-3"):
             eval_expr(src, floor=h(floor))
         got = eval_expr(src, floor=h("-7/2"))
-        # the round trip is the identity; its floor may still sit above the
-        # request (it reads -3), but no stray term may appear
+        # the round trip is the identity, on exactly the requested window
         assert got.terms == eval_expr("1/2*xi^-3").terms
-        assert got.floor <= h(-3)
+        assert got.floor == h("-7/2")
 
     def test_half_power_of_the_derivative(self):
         got = eval_expr("d_xi^1/2")

@@ -187,6 +187,74 @@ class TestInverse:
         assert eq_trusted(sym_mul(b, a, floor), ONE_XI)
 
 
+def _round_trip(floor):
+    return tr.theta_inv(tr.theta(xi_mono(-3, kappa=3)), floor)
+
+
+def _deformed_image(floor):
+    return tr.theta(xi_mono(-2, kappa=2), floor, nu=GaussRat(Fraction(1, 2)))
+
+
+class TestRequestedFloor:
+    """Answers honour the requested floor whatever the caches hold."""
+
+    @staticmethod
+    def _fresh_caches(monkeypatch):
+        monkeypatch.setattr(tr, "_inv_memo", {})
+        monkeypatch.setattr(tr, "_forward_caches", {})
+
+    @pytest.mark.parametrize(
+        "compute, req",
+        [(_round_trip, h("-7/2")), (_deformed_image, h(-4))],
+        ids=["theta_inv-theta", "deformed-theta"],
+    )
+    def test_cold_warm_and_deep_agree(self, monkeypatch, compute, req):
+        self._fresh_caches(monkeypatch)
+        cold = compute(req)
+        compute(h(-14))
+        warm = compute(req)
+        self._fresh_caches(monkeypatch)
+        deep = compute(h(-14))
+        cut = Symbol(deep.var, {k: c for k, c in deep.terms.items() if k >= req}, req)
+        assert cold.floor == req
+        assert cold == warm == cut
+
+    def test_round_trip_is_the_identity_at_the_request(self, monkeypatch):
+        self._fresh_caches(monkeypatch)
+        assert _round_trip(h("-7/2")) == Symbol(XI, xi_mono(-3, kappa=3).terms, h("-7/2"))
+
+    def test_images_asked_above_the_request(self, monkeypatch):
+        # negative orders shift the images down, so the images are asked
+        # for at floors above the request: up to 2 and 5 here
+        self._fresh_caches(monkeypatch)
+        D = xi_mono(3, kappa=-1, coeff=Scalar.m_pow(1, Fraction(-3, 4)))
+        assert tr.theta_inv(tr.theta(D), h("-3/2")) == D
+        nu = GaussRat(Fraction(1, 2))
+        assert tr.theta(xi_mono(-2, kappa=-3), h(-1), nu=nu) == Symbol(R, {}, h(-1))
+
+
+class TestImageBounds:
+    def test_largest_power_is_built_without_recursion(self, monkeypatch):
+        monkeypatch.setattr(tr, "_forward_caches", {})
+        img = tr.theta(xi_mono(tr.MAX_IMAGE_POWER))
+        assert img.floor is EXACT
+        assert img.top() == h(-tr.MAX_IMAGE_POWER)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_powers_beyond_the_bound_are_refused(self, sign):
+        with pytest.raises(ValueError, match="bounded"):
+            tr.theta(xi_mono(sign * (tr.MAX_IMAGE_POWER + 1)))
+        with pytest.raises(ValueError, match="bounded"):
+            tr.theta_inv(Symbol(R, {h(0): CoeffFn.x_pow(sign * (tr.MAX_IMAGE_POWER + 1))}), h(-2))
+
+    def test_fills_below_the_deepest_image_floor_are_refused(self):
+        # each negative power asks its neighbour half an order deeper, so
+        # r^-4 at one order above the bound needs r^-1 half an order below
+        floor = tr.DEEPEST_IMAGE_FLOOR + 1
+        with pytest.raises(ValueError, match="built down to"):
+            tr.theta_inv(Symbol(R, {h(0): CoeffFn.x_pow(-4)}), floor)
+
+
 class TestLoopShift:
     def test_square_expansion(self):
         got = tr.time_shift(CoeffFn.x_pow(2), 8)
