@@ -81,7 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="extra random soak cases per suite")
     verify.add_argument("--seed", type=int, default=0, help="seed for the soak cases")
     verify.add_argument("--threads", type=int, default=None,
-                        help="worker pool size, default SVPSIDO_THREADS or the CPU count")
+                        help="worker processes that share each suite's cases, default "
+                             "SVPSIDO_THREADS or the usable CPU count (at most 8)")
 
     ev = sub.add_parser("eval", help="evaluate a calculator expression")
     ev._negative_number_matcher = _NEGATIVE_VALUE

@@ -92,6 +92,16 @@ class Symbol:
     def __setattr__(self, name, value):
         raise AttributeError("Symbol is immutable")
 
+    @classmethod
+    def _raw(cls, var: str, terms: dict, floor) -> "Symbol":
+        """Wrap a dict that is already clean, without copying it: HalfInt
+        keys fit for var, nonzero CoeffFn values, no order below floor."""
+        sym = object.__new__(cls)
+        object.__setattr__(sym, "var", var)
+        object.__setattr__(sym, "terms", terms)
+        object.__setattr__(sym, "floor", floor)
+        return sym
+
     # ---- constructors ----------------------------------------------------
 
     @staticmethod
@@ -177,7 +187,7 @@ def sym_add(A: Symbol, B: Symbol) -> Symbol:
 
 
 def sym_neg(A: Symbol) -> Symbol:
-    return Symbol(A.var, {k: -c for k, c in A.terms.items()}, A.floor)
+    return Symbol._raw(A.var, {k: -c for k, c in A.terms.items()}, A.floor)
 
 
 def sym_sub(A: Symbol, B: Symbol) -> Symbol:
@@ -293,7 +303,7 @@ def sym_mul(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
         floor = req_floor
     elif bound is EXACT and not cut and A.floor is EXACT and B.floor is EXACT:
         floor = EXACT
-    return Symbol(A.var, out, floor)
+    return Symbol._raw(A.var, out, floor)
 
 
 def sym_bracket(A: Symbol, B: Symbol, req_floor=None) -> Symbol:

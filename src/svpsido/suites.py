@@ -4,18 +4,18 @@ Each suite enumerates a fixed monomial box, checks one family of
 identities case by case, and reports the first divergences verbatim.
 All arithmetic is exact and the case order is fixed, so two runs with
 the same configuration produce identical reports apart from the wall
-clock field.  Cases are pure functions of prebuilt immutable inputs; a
-thread pool may evaluate them concurrently and the aggregation loop is
-the only synchronization point.
+clock field.  Cases are pure functions of prebuilt immutable inputs, so
+forked worker processes may each run a strided share of them; the parent
+puts the outcomes back in case order before aggregating.
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -151,30 +151,45 @@ class SuiteReport:
 _FAILURE_CAP = 50
 
 
-def _thread_count(cfg: VerifyConfig) -> int:
+def _worker_count(cfg: VerifyConfig) -> int:
     if cfg.threads:
         return cfg.threads
     env = os.environ.get("SVPSIDO_THREADS", "").strip()
     if env.isdigit() and int(env) > 0:
         return int(env)
-    return min(8, os.cpu_count() or 1)
+    # one process per CPU this process may run on; more only oversubscribe
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(8, cpus or 1)
+
+
+def _call(case):
+    try:
+        return case[1]()
+    except Exception as exc:  # a crashed case is a failure, not a crashed run
+        return (f"raised {type(exc).__name__}: {exc}", "a finished check")
+
+
+# The case list of the suite being sharded.  Forked workers inherit it, so
+# the case closures are never pickled and no worker rebuilds its suite.
+_shard_cases: list = []
+
+
+def _run_shard(k: int, n: int) -> list:
+    """Outcomes of cases k, k + n, k + 2n, ... of the shared case list."""
+    return [_call(case) for case in _shard_cases[k::n]]
 
 
 def _run_cases(name: str, cases: list, cfg: VerifyConfig, notes=None) -> SuiteReport:
     start = time.monotonic()
-
-    def call(case):
-        try:
-            return case[1]()
-        except Exception as exc:  # a crashed case is a failure, not a crashed run
-            return (f"raised {type(exc).__name__}: {exc}", "a finished check")
-
-    workers = _thread_count(cfg)
-    if workers > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(call, cases, chunksize=32))
+    workers = min(_worker_count(cfg), len(cases))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        _shard_cases[:] = cases
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            shards = pool.starmap(_run_shard, [(k, workers) for k in range(workers)])
+        _shard_cases.clear()
+        outcomes = [shards[i % workers][i // workers] for i in range(len(cases))]
     else:
-        outcomes = [call(c) for c in cases]
+        outcomes = [_call(c) for c in cases]
 
     failures = []
     bad = 0
@@ -227,12 +242,8 @@ def _half_orders(n: int):
     return [HalfInt.half(k) for k in range(-2 * n, 2 * n + 1)]
 
 
-def _mode_label(kind: str, idx) -> str:
-    return f"{kind}[{idx}]"
-
-
 def _labeled_basis(n: int):
-    return [(_mode_label(kind, idx), X) for kind, idx, X in sv_basis(n)]
+    return [(f"{kind}[{idx}]", X) for kind, idx, X in sv_basis(n)]
 
 
 def _random_symbol(rng: random.Random, var: str, n: int) -> Symbol:

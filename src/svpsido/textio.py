@@ -437,8 +437,13 @@ def eval_expr(src: str, floor=None, nu=None):
 
     def fn_tshift(a: _SymExpr):
         sym = a._retag(a.var or XI).sym
-        depth = abs(floor.twice) + 4 if floor is not EXACT else 8
-        return _SymExpr(XI, transforms.time_shift_symbol(sym, depth))
+        # xi^-k shifts into an infinite ascending series; the x-degree at
+        # which it would be cut is not a symbol order, so no floor could
+        # say what the cut lost
+        if any((c.min_x_degree() or 0) < 0 for c in sym.terms.values()):
+            raise ValueError("tshift needs nonnegative momentum powers: "
+                             "an inverse power shifts into an infinite series")
+        return _SymExpr(XI, transforms.time_shift_symbol(sym, 0))  # the depth cuts nothing here
 
     def fn_bracket(a: _SymExpr, b: _SymExpr):
         x, y, var = _SymExpr._merge(a, b)

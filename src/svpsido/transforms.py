@@ -26,11 +26,10 @@ polynomial.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from .halfint import EXACT, HalfInt, h, hmax
-from .psido import R, XI, Symbol, binom_half, cap_order, sym_add, sym_mul, sym_scale
+from .psido import R, XI, Symbol, binom_half, sym_add, sym_mul, sym_scale
 from .ring import (
     CoeffFn,
     GR_ZERO,
@@ -125,14 +124,12 @@ class ThetaImageCache:
 
     Entries keep the deepest floor computed so far; a shallower request is
     served from the stored symbol directly (extra low-order terms are
-    sound, the floor annotation guarantees more than asked).  Fills are
-    serialized by a lock so suites can share one instance across workers.
+    sound, the floor annotation guarantees more than asked).
     """
 
     def __init__(self, nu: GaussRat = GR_ZERO):
         self.nu = nu
         self._memo: dict = {}
-        self._lock = threading.Lock()
         self._pos_base = Symbol(
             R,
             {
@@ -167,8 +164,7 @@ class ThetaImageCache:
             total = sym_add(total, scaled)
             k += 1
         d = Symbol.monomial(R, h(1), CoeffFn.const(2))
-        out = sym_mul(d, sym_mul(total, Symbol.function(R, CoeffFn.x_pow(-1)), req_floor - 1), req_floor)
-        return out
+        return sym_mul(d, sym_mul(total, Symbol.function(R, CoeffFn.x_pow(-1)), req_floor - 1), req_floor)
 
     def image(self, k: int, req_floor=EXACT) -> Symbol:
         """Image of xi^k, trusted at least down to req_floor."""
@@ -179,8 +175,7 @@ class ThetaImageCache:
         # a negative power deepens its neighbour's request by one, so that
         # left-composition with the order-(+1) inverse base cannot expose
         # untrusted orders
-        with self._lock:
-            return _fill(self._memo, k, want, 1, self._build)
+        return _fill(self._memo, k, want, 1, self._build)
 
     def _build(self, k: int, want, prev: Symbol) -> Symbol:
         if k == 0:
@@ -194,17 +189,13 @@ class ThetaImageCache:
 
 
 _forward_caches: dict = {}
-_forward_lock = threading.Lock()
 
 
 def _forward_cache(nu: GaussRat) -> ThetaImageCache:
-    key = (nu.re, nu.im)
-    with _forward_lock:
-        cache = _forward_caches.get(key)
-        if cache is None:
-            cache = ThetaImageCache(nu)
-            _forward_caches[key] = cache
-        return cache
+    cache = _forward_caches.get(nu)
+    if cache is None:
+        cache = _forward_caches[nu] = ThetaImageCache(nu)
+    return cache
 
 
 # ---------------------------------------------------------------- forward map
@@ -259,7 +250,6 @@ def theta(D: Symbol, req_floor=None, nu: GaussRat = GR_ZERO, cache=None) -> Symb
 
 # ---------------------------------------------------------------- inverse map
 
-_inv_cache_lock = threading.Lock()
 _inv_memo: dict = {}
 _HALF = h("1/2")
 
@@ -269,8 +259,7 @@ def _inv_image(n: int, want) -> Symbol:
     _check_power(n)
     if n < 0 and want is EXACT:
         raise ValueError("inverse image of r^-1 is a series; give a floor")
-    with _inv_cache_lock:
-        return _fill(_inv_memo, n, want, _HALF, _inv_build)
+    return _fill(_inv_memo, n, want, _HALF, _inv_build)
 
 
 def _inv_build(n: int, want, prev: Symbol) -> Symbol:

@@ -81,6 +81,20 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("svpsido:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("floor", ["-2", "-4", "-6"])
+    def test_shift_of_an_inverse_momentum_power_exits_2(self, capsys, floor):
+        # its series would be cut at a floor-dependent x-degree no floor records
+        code, out, err = run_cli(["eval", "tshift(xi^-1)", "--floor", floor], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("svpsido:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("floor", ["-2", "-6"])
+    def test_shift_of_nonnegative_momentum_powers_stays_exact(self, capsys, floor):
+        code, out, _ = run_cli(["eval", "tshift(xi^2*d_xi + 3*xi)", "--floor", floor], capsys)
+        assert code == 0
+        shifted = "(xi^2 + i*M^-1*t*xi - 1/4*M^-2*t^2)*d_xi + 3*xi + 3/2*i*M^-1*t"
+        assert out.strip() == shifted + " | exact"
+
     def test_fractional_negative_flag_values_parse(self, capsys):
         # argparse must accept "-7/2" as a value, not read it as a flag
         code, out, _ = run_cli(["eval", "xi", "--floor", "-7/2"], capsys)

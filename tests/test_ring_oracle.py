@@ -12,7 +12,7 @@ from math import gcd
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svpsido.halfint import EXACT, HalfInt
@@ -210,8 +210,16 @@ def leibniz_sp(A: Symbol, B: Symbol, floor: HalfInt) -> dict:
 
 @settings(max_examples=40, deadline=None)
 @given(momentum_symbols, momentum_symbols, st.integers(min_value=-6, max_value=-2).map(HalfInt))
+@example(  # the order-0 terms cancel: (d - x^-1) o x = x d
+    Symbol(XI, {HalfInt(2): CoeffFn.one(), HalfInt(0): -CoeffFn.x_pow(-1)}),
+    Symbol(XI, {HalfInt(0): CoeffFn.x_pow(1)}),
+    HalfInt(-4),
+)
 def test_sym_mul_matches_the_leibniz_sum(A, B, req):
     P = sym_mul(A, B, req)
+    # the product skips the constructor's checks, so it must already pass them
+    assert P == Symbol(P.var, P.terms, P.floor)
+    assert all(type(k) is HalfInt and type(c) is CoeffFn for k, c in P.terms.items())
     trusted = req if P.floor is EXACT else P.floor
     want = leibniz_sp(A, B, trusted)
     for order in set(P.terms) | set(want):

@@ -8,6 +8,8 @@ directly so the bookkeeping paths are exercised without burning time
 on real algebra.
 """
 
+import multiprocessing
+import os
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from svpsido.suites import (
     SUITE_NAMES,
     VerifyConfig,
     _run_cases,
+    _worker_count,
     nu_scan,
     report_json,
     report_text,
@@ -104,6 +107,61 @@ class TestRunner:
         rep = _run_cases("synthetic", cases, VerifyConfig())
         assert [f.inputs for f in rep.failures] == ["first", "last"]
 
+    @staticmethod
+    def mixed_cases():
+        """107 cases: 36 pass, 57 fail and 14 raise; 107 is not a multiple of 2 or 3."""
+
+        def boom(k):
+            raise ValueError(f"case {k} blew up")
+
+        cases = []
+        for k in range(107):
+            if k % 3 == 0:
+                cases.append((f"case {k}", lambda: None))
+            elif k % 5 == 0:
+                cases.append((f"case {k}", lambda k=k: boom(k)))
+            else:
+                cases.append((f"case {k}", lambda k=k: (f"lhs {k}", f"rhs {k}")))
+        return cases
+
+    def test_sharded_runs_aggregate_like_the_in_process_run(self):
+        cases = self.mixed_cases()
+        one, two, three = (
+            _run_cases("synthetic", cases, VerifyConfig(threads=n), notes=["a note"])
+            for n in (1, 2, 3)
+        )
+        assert (one.cases, one.passed, len(one.failures)) == (107, 36, 50)
+        assert one.failures[3].lhs == "raised ValueError: case 5 blew up"
+        for rep in (two, three):
+            assert (rep.cases, rep.passed, rep.failures, rep.notes) == (
+                one.cases, one.passed, one.failures, one.notes
+            )
+
+    def test_fewer_cases_than_workers(self):
+        one = nu_scan(VerifyConfig(threads=1))
+        eight = nu_scan(VerifyConfig(threads=8))
+        assert one.cases == 5
+        assert (eight.cases, eight.passed, eight.failures, eight.notes) == (
+            one.cases, one.passed, one.failures, one.notes
+        )
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+    def test_cases_run_in_forked_workers(self):
+        cases = [(f"case {k}", lambda: (str(os.getpid()), "")) for k in range(4)]
+        rep = _run_cases("synthetic", cases, VerifyConfig(threads=2))
+        assert len(rep.failures) == 4
+        assert str(os.getpid()) not in {f.lhs for f in rep.failures}
+
+    def test_default_worker_count_follows_the_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("SVPSIDO_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _worker_count(VerifyConfig()) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert _worker_count(VerifyConfig()) == 8
+        monkeypatch.setenv("SVPSIDO_THREADS", "3")
+        assert _worker_count(VerifyConfig()) == 3
+        assert _worker_count(VerifyConfig(threads=5)) == 5
+
     def test_selection_dedupes_and_keeps_first_appearance_order(self):
         reports = run_suites(["lemma33", "lemma26", "lemma33"], VerifyConfig())
         assert [r.suite for r in reports] == ["lemma33", "lemma26"]
@@ -136,6 +194,17 @@ class TestReports:
         text = report_text(reports)
         assert "suite lemma33: 41/41 passed" in text
         assert text.rstrip().endswith("overall: PASS")
+
+    def test_text_report_is_the_same_with_one_or_two_workers(self):
+        import re
+
+        names = ["psido-axioms", "dpi-rep"]
+        one, two = (
+            re.sub(r"\(\d+ ms\)", "(N ms)", report_text(run_suites(names, VerifyConfig(threads=n))))
+            for n in (1, 2)
+        )
+        assert one == two
+        assert "suite psido-axioms: 3124/3124 passed (N ms)" in one
 
 
 class TestNuScan:
