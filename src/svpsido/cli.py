@@ -112,6 +112,9 @@ def _run_verify(args) -> int:
     except ValueError as exc:
         print(f"svpsido: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a worker process died
+        print(f"svpsido: {exc}", file=sys.stderr)
+        return 1
     if args.report == "json":
         print(report_json(reports))
     else:

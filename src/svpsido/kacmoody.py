@@ -12,7 +12,11 @@ and W = sum g_b d^b the pairing is the bilinear residue sum
     [t^-1](v w + a alpha)
       + sum_{a, b, j = a+b+1 >= 0} binom(a, j) [t^-1 x^-1](f_a d_x^j g_b),
 
-read off coefficient by coefficient without composing the symbols.
+read off coefficient by coefficient without composing the symbols.  A
+DualFamily files the monomials of a fixed list of points by slot and
+exponent once; pairing an element against all of them is then one walk
+over the element's monomials, each looked up in that index, and
+pairing(mu, A) is the one-point case.
 
 The invariant slice kept by the coadjoint action consists of points with
 V = V_-2(t,r) d^-2 + V_0(t): free-evolution multiples plus a potential,
@@ -61,6 +65,7 @@ __all__ = [
     "GElement",
     "GDual",
     "g_bracket",
+    "DualFamily",
     "pairing",
     "embed_I",
     "embed_momentum_symbol",
@@ -201,21 +206,70 @@ def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
     return GElement(w, W, alpha)
 
 
-def _residue_coupling(f: CoeffFn, g: CoeffFn, j: int, e: int) -> Scalar:
-    """[t^-1 x^e] (f * d_x^j g), one dict lookup per monomial of f.
+class DualFamily:
+    """A fixed list of dual points, indexed once for pairing in one pass.
 
-    The monomial t^p x^q of f meets the t^(-1-p) x^(e+j-q) monomial of g,
-    whose j-th x-derivative carries the falling factorial
-    (e+j-q)(e+j-q-1)...(e+1-q).
+    The monomials of every point are filed by slot (v, a, and each order
+    of V) under their (t, x) exponents.  pair(A) then walks the monomials
+    of A once and looks up, for each, the point monomials it meets: the
+    loop monomial t^p of w or alpha meets t^(-1-p) of v or a, and the
+    monomial t^p x^q of g_b meets the t^(-1-p) x^(j-1-q) monomial of f_a,
+    for j = a + b + 1 >= 0, with the factor binom(a, j) times the falling
+    factorial q(q-1)...(q-j+1) that d_x^j puts on x^q.
     """
-    out = Scalar.zero()
-    for (p, q), c in f.terms.items():
-        d = g.terms.get((-1 - p, e + j - q))
-        if d is not None:
-            ff = prod(range(e + 1 - q, e + j - q + 1))
-            if ff:
-                out = out + (c * d if ff == 1 else c * d * ff)
-    return out
+
+    __slots__ = ("_tops", "_v", "_a", "_orders")
+
+    def __init__(self, points):
+        points = list(points)
+        self._tops = [mu.V.top() for mu in points]  # None where V is zero
+        self._v: dict = {}
+        self._a: dict = {}
+        orders: dict = {}
+        for m, mu in enumerate(points):
+            for index, f in ((self._v, mu.v), (self._a, mu.a)):
+                for key, c in f.terms.items():
+                    index.setdefault(key, []).append((m, c))
+            for a, f in mu.V.terms.items():
+                index = orders.setdefault(a, {})
+                for key, c in f.terms.items():
+                    index.setdefault(key, []).append((m, c))
+        self._orders = list(orders.items())
+
+    def pair(self, A: GElement) -> list:
+        """pairing(mu, A) for every point mu, in order; None where the
+        trace is not determined at A's truncation."""
+        out = [Scalar.zero()] * len(self._tops)
+        for index, g in ((self._v, A.w), (self._a, A.alpha)):
+            for (p, q), d in g.terms.items():
+                for m, c in index.get((-1 - p, -q), ()):
+                    out[m] = out[m] + c * d
+        for b, g in A.W.terms.items():
+            for a, index in self._orders:
+                j = (a.twice + b.twice) // 2 + 1  # orders on the space side are integers
+                if j < 0:
+                    continue
+                coef = binom_half(a, j)
+                if coef.is_zero():
+                    continue
+                for (p, q), d in g.terms.items():
+                    hits = index.get((-1 - p, j - 1 - q))
+                    if hits is None:
+                        continue
+                    ff = prod(range(q - j + 1, q + 1))
+                    if not ff:
+                        continue
+                    d_ff = d * (coef * ff)
+                    for m, c in hits:
+                        out[m] = out[m] + c * d_ff
+        floor = A.W.floor
+        if floor is not EXACT:
+            # orders of W below its floor are unknown; they reach order -1
+            # of V o W once floor + top(V) > -1
+            for m, top in enumerate(self._tops):
+                if top is not None and floor + top > _MINUS_ONE:
+                    out[m] = None
+        return out
 
 
 def pairing(mu: GDual, A: GElement) -> Scalar:
@@ -228,23 +282,14 @@ def pairing(mu: GDual, A: GElement) -> Scalar:
                   + sum_{a in V, b in W, j = a+b+1 >= 0}
                         binom(a, j) [t^-1 x^-1](f_a d_x^j g_b).
 
-    Orders of W below its floor are unknown; they reach order -1 of the
-    product once W.floor + top(V) > -1, and then the trace is refused.
+    The sum is read off a one-point DualFamily: each monomial of A is
+    looked up in the monomial index of mu.  Orders of W below its floor
+    are unknown; they reach order -1 of the product once
+    W.floor + top(V) > -1, and then the trace is refused.
     """
-    out = _residue_coupling(mu.v, A.w, 0, 0) + _residue_coupling(mu.a, A.alpha, 0, 0)
-    V, W = mu.V, A.W
-    if V.is_zero():
-        return out
-    if W.floor is not EXACT and W.floor + V.top() > _MINUS_ONE:
+    (out,) = DualFamily((mu,)).pair(A)
+    if out is None:
         raise ValueError("trace not determined at this truncation")
-    for a, f in V.terms.items():
-        for b, g in W.terms.items():
-            j = (a.twice + b.twice) // 2 + 1  # orders on the space side are integers
-            if j < 0:
-                continue
-            coef = binom_half(a, j)
-            if not coef.is_zero():
-                out = out + _residue_coupling(f, g, j, -1) * coef
     return out
 
 

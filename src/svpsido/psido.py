@@ -85,9 +85,9 @@ class Symbol:
             if c.is_zero():
                 continue
             clean[k] = c
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "floor", floor)
+        _set_var(self, var)
+        _set_terms(self, clean)
+        _set_floor(self, floor)
 
     def __setattr__(self, name, value):
         raise AttributeError("Symbol is immutable")
@@ -97,9 +97,9 @@ class Symbol:
         """Wrap a dict that is already clean, without copying it: HalfInt
         keys fit for var, nonzero CoeffFn values, no order below floor."""
         sym = object.__new__(cls)
-        object.__setattr__(sym, "var", var)
-        object.__setattr__(sym, "terms", terms)
-        object.__setattr__(sym, "floor", floor)
+        _set_var(sym, var)
+        _set_terms(sym, terms)
+        _set_floor(sym, floor)
         return sym
 
     # ---- constructors ----------------------------------------------------
@@ -160,6 +160,13 @@ class Symbol:
     def __repr__(self):
         fl = "EXACT" if self.floor is EXACT else str(self.floor)
         return f"<Symbol {self.var} {len(self.terms)} terms floor={fl}>"
+
+
+# The slots' own setters: they skip the guard in __setattr__, and cost far
+# less per call than object.__setattr__.
+_set_var = Symbol.__dict__["var"].__set__
+_set_terms = Symbol.__dict__["terms"].__set__
+_set_floor = Symbol.__dict__["floor"].__set__
 
 
 def _floor_eq(a, b) -> bool:

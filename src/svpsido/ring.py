@@ -202,9 +202,7 @@ class Scalar:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        object.__setattr__(
-            self, "terms", {k: v for k, v in terms.items() if not v.is_zero()}
-        )
+        _set_scalar_terms(self, {k: v for k, v in terms.items() if not v.is_zero()})
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -349,9 +347,14 @@ class Scalar:
         return f"Scalar({self.terms!r})"
 
 
+# The slot's own setter: it skips the guard in __setattr__, and costs far
+# less per call than object.__setattr__.
+_set_scalar_terms = Scalar.__dict__["terms"].__set__
+
+
 def _scalar_raw(terms: dict) -> Scalar:
-    s = Scalar.__new__(Scalar)
-    object.__setattr__(s, "terms", terms)
+    s = _new(Scalar)
+    _set_scalar_terms(s, terms)
     return s
 
 
@@ -384,9 +387,7 @@ class CoeffFn:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        object.__setattr__(
-            self, "terms", {k: v for k, v in terms.items() if not v.is_zero()}
-        )
+        _set_coeff_terms(self, {k: v for k, v in terms.items() if not v.is_zero()})
 
     def __setattr__(self, name, value):
         raise AttributeError("CoeffFn is immutable")
@@ -600,9 +601,12 @@ class CoeffFn:
         return f"CoeffFn({self.terms!r})"
 
 
+_set_coeff_terms = CoeffFn.__dict__["terms"].__set__
+
+
 def _coeff_raw(terms: dict) -> CoeffFn:
-    c = CoeffFn.__new__(CoeffFn)
-    object.__setattr__(c, "terms", terms)
+    c = _new(CoeffFn)
+    _set_coeff_terms(c, terms)
     return c
 
 

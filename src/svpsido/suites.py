@@ -24,6 +24,7 @@ from .cocycles import CocycleId, cocycle_identity_defect, eval_cocycle
 from .diffop2 import DiffOp2, d_pi, dop_bracket, dop_from_r_symbol, dop_mul, free_evolution_op
 from .halfint import EXACT, HalfInt, h
 from .kacmoody import (
+    DualFamily,
     GDual,
     GElement,
     coadjoint,
@@ -174,9 +175,65 @@ def _call(case):
 _shard_cases: list = []
 
 
-def _run_shard(k: int, n: int) -> list:
-    """Outcomes of cases k, k + n, k + 2n, ... of the shared case list."""
-    return [_call(case) for case in _shard_cases[k::n]]
+def _run_shard(k: int, n: int, conn) -> None:
+    """Send the outcomes of cases k, k + n, k + 2n, ... of the shared case
+    list to the parent."""
+    conn.send([_call(case) for case in _shard_cases[k::n]])
+    conn.close()
+
+
+def _run_shards(n: int) -> list:
+    """The outcome lists of n shards of the shared case list, each run in
+    its own forked process.
+
+    The parent waits on each worker's pipe and its exit at once, so a
+    worker that dies without sending its list (killed by a signal, or a
+    case calling os._exit) ends the run instead of leaving it waiting.
+    """
+    from multiprocessing.connection import wait  # only runs that fork pay its import
+
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for k in range(n):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_run_shard, args=(k, n, send), daemon=True)
+            proc.start()
+            send.close()  # the worker holds the only write end
+            procs.append(proc)
+            conns.append(recv)
+        shards = [None] * n
+        waiting = dict(enumerate(conns))
+        while waiting:
+            ready = wait([*waiting.values(), *(procs[k].sentinel for k in waiting)])
+            for k, conn in list(waiting.items()):
+                # receive before joining: an outcome list can outgrow the
+                # pipe buffer, and its worker cannot exit until it is read.
+                # A worker writes its list before it exits, so a sentinel
+                # is never ready ahead of the pipe of a list that was sent.
+                if conn in ready:
+                    try:
+                        shards[k] = conn.recv()
+                    except EOFError:  # the write end closed with nothing sent
+                        pass
+                    else:
+                        del waiting[k]
+                        continue
+                elif procs[k].sentinel not in ready:
+                    continue
+                procs[k].join()
+                raise RuntimeError(
+                    f"verify worker {k + 1} of {n} exited with code "
+                    f"{procs[k].exitcode} before returning its cases"
+                )
+        return shards
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+        for conn in conns:
+            conn.close()
 
 
 def _run_cases(name: str, cases: list, cfg: VerifyConfig, notes=None) -> SuiteReport:
@@ -184,9 +241,10 @@ def _run_cases(name: str, cases: list, cfg: VerifyConfig, notes=None) -> SuiteRe
     workers = min(_worker_count(cfg), len(cases))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         _shard_cases[:] = cases
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            shards = pool.starmap(_run_shard, [(k, workers) for k in range(workers)])
-        _shard_cases.clear()
+        try:
+            shards = _run_shards(workers)
+        finally:
+            _shard_cases.clear()
         outcomes = [shards[i % workers][i // workers] for i in range(len(cases))]
     else:
         outcomes = [_call(c) for c in cases]
@@ -833,16 +891,34 @@ def _suite_theorem61(cfg: VerifyConfig) -> list:
 
             cases.append((f"free family match: X = {lx}, {lm}", check))
 
+    # every case pairs one element against all points at once
+    ptab = DualFamily(mu for _, mu in points)
+    atab = [DualFamily(row) for row in adstar]
+    labels = [lm for lm, _ in points]
+
+    def first_nonzero(values):
+        """(label, value) of the first nonzero entry, raising at the first
+        undetermined one, as pairing the points one by one would."""
+        for lm, s in zip(labels, values):
+            if s is None:
+                raise ValueError("trace not determined at this truncation")
+            if not s.is_zero():
+                return lm, s
+        return None
+
     probes = _duality_probes(n)
     lifts = [embed_I(X, F) for _, X in basis]
     for i, (lx, X) in enumerate(basis):
         for ly, Y in probes:
             def check(i=i, Y=Y):
-                br = g_bracket(lifts[i], Y, c, F)
-                for m, (lm, mu) in enumerate(points):
-                    d = pairing(adstar[i][m], Y) + pairing(mu, br)
-                    if not d.is_zero():
-                        return (f"defect {_fmt_scalar(cfg, d)} at {lm}", "0")
+                left = atab[i].pair(Y)
+                right = ptab.pair(g_bracket(lifts[i], Y, c, F))
+                found = first_nonzero(
+                    None if a is None or b is None else a + b for a, b in zip(left, right)
+                )
+                if found is not None:
+                    lm, d = found
+                    return (f"defect {_fmt_scalar(cfg, d)} at {lm}", "0")
                 return None
 
             cases.append((f"duality: X = {lx}, probe {ly}", check))
@@ -855,11 +931,10 @@ def _suite_theorem61(cfg: VerifyConfig) -> list:
             lifted = embed_momentum_symbol(E, F)
             for ly, Y in probes:
                 def check(lifted=lifted, Y=Y):
-                    br = g_bracket(lifted, Y, c, F)
-                    for lm, mu in points:
-                        s = pairing(mu, br)
-                        if not s.is_zero():
-                            return (f"pairing {_fmt_scalar(cfg, s)} at {lm}", "0")
+                    found = first_nonzero(ptab.pair(g_bracket(lifted, Y, c, F)))
+                    if found is not None:
+                        lm, s = found
+                        return (f"pairing {_fmt_scalar(cfg, s)} at {lm}", "0")
                     return None
 
                 cases.append((f"quotient nullity: f = t^{k}, order {kap}, probe {ly}", check))

@@ -10,11 +10,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svpsido.halfint import EXACT, h
 from svpsido.kacmoody import (
+    DualFamily,
     GDual,
     GElement,
     coadjoint,
@@ -37,6 +38,7 @@ from svpsido.psido import (
     sym_sub,
 )
 from svpsido.ring import CoeffFn, GaussRat, Scalar
+from svpsido.suites import VerifyConfig, run_suites
 from svpsido.svaction import SchrodPoint, d_sigma_tilde
 from svpsido.svalgebra import SvElement, phase_mode, shift_mode, sv_basis, time_mode
 
@@ -221,6 +223,44 @@ def test_pairing_matches_the_composed_trace(mu, A):
             pairing(mu, A)
         return
     assert pairing(mu, A) == want
+
+
+# repeats come from drawing with replacement out of a small pool, and the
+# narrow power ranges make distinct points share monomials
+dual_families = st.lists(dual_points, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6)
+)
+
+
+@given(dual_families, elements)
+@example(
+    # a repeated point, and an order 0 slot that floor 0 leaves undetermined
+    [npoint(vm2=CoeffFn.one()), npoint(vm2=CoeffFn.one(), v0=CoeffFn.t_pow(1)),
+     npoint(vm2=CoeffFn.one())],
+    GElement(W=Symbol(R, {h(1): CoeffFn.mono(-1, -1)}, h(0)), alpha=1),
+)
+@settings(max_examples=100, deadline=None)
+def test_family_pairs_every_point_like_the_composed_trace(points, A):
+    got = DualFamily(points).pair(A)
+    assert len(got) == len(points)
+    for mu, value in zip(points, got):
+        try:
+            want = composed_pairing(mu, A)
+        except ValueError:
+            assert value is None
+        else:
+            assert value == want
+
+
+def test_theorem61_names_the_first_undetermined_trace():
+    # floor -1 is too shallow for some brackets against the order -2
+    # points; pinned from the one-point-at-a-time pairing loop
+    (rep,) = run_suites(["theorem61"], VerifyConfig(floor=h(-1), index_range=2, threads=1))
+    assert (rep.cases, rep.passed) == (4311, 4061)
+    first = rep.failures[0]
+    assert first.inputs == "duality: X = time[-2], probe W = t^-2*r^-2*d_r | exact"
+    assert first.lhs == "raised ValueError: trace not determined at this truncation"
+    assert first.rhs == "a finished check"
 
 
 class TestEmbedding:

@@ -72,6 +72,26 @@ def test_gauss_immutable():
         GR_ONE.re = F(2)
 
 
+def test_slots_refuse_assignment_after_construction():
+    # the fast constructors set the slots through their own setters; plain
+    # assignment must still be refused
+    from svpsido.halfint import h
+    from svpsido.psido import R, Symbol
+    from svpsido.ring import _coeff_raw, _scalar_raw
+
+    for obj, slot in (
+        (_scalar_raw({}), "terms"),
+        (Scalar.one(), "terms"),
+        (_coeff_raw({}), "terms"),
+        (CoeffFn.one(), "terms"),
+        (h(1), "twice"),
+        (Symbol(R, {}), "terms"),
+        (Symbol._raw(R, {}, None), "floor"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(obj, slot, {})
+
+
 @given(gauss, gauss, gauss)
 def test_gauss_ring_axioms(a, b, c):
     assert a + b == b + a

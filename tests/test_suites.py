@@ -152,6 +152,42 @@ class TestRunner:
         assert len(rep.failures) == 4
         assert str(os.getpid()) not in {f.lhs for f in rep.failures}
 
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+    def test_a_dead_worker_ends_the_run(self):
+        # in a subprocess with a timeout, so that a runner that waits for
+        # the dead worker fails here instead of hanging the test session
+        import subprocess
+        import sys
+
+        import svpsido
+
+        script = (
+            "import os, sys\n"
+            "from svpsido import cli, suites\n"
+            "ok = lambda: None\n"
+            "suites._SUITE_BUILDERS['lemma33'] = lambda cfg: "
+            "[('a', ok), ('b', lambda: os._exit(3)), ('c', ok)]\n"
+            "sys.exit(cli.main(['verify', '--suite', 'lemma33', '--threads', '2']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(svpsido.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=20, env=env
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == (
+            "svpsido: verify worker 2 of 2 exited with code 3 before returning its cases\n"
+        )
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+    def test_outcome_lists_larger_than_a_pipe_buffer(self):
+        # each worker sends far more than the 64 KiB a pipe holds
+        big = "x" * 4096
+        cases = [(f"case {k}", lambda k=k: (f"{k} {big}", "")) for k in range(120)]
+        one = _run_cases("synthetic", cases, VerifyConfig(threads=1))
+        two = _run_cases("synthetic", cases, VerifyConfig(threads=2))
+        assert (two.cases, two.passed, two.failures) == (one.cases, one.passed, one.failures)
+
     def test_default_worker_count_follows_the_usable_cpus(self, monkeypatch):
         monkeypatch.delenv("SVPSIDO_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
