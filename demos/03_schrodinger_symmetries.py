@@ -15,7 +15,7 @@ from fractions import Fraction
 from svpsido.diffop2 import DiffOp2, d_pi, dop_bracket, dop_from_r_symbol, dop_mul, free_evolution_op
 from svpsido.halfint import h
 from svpsido.psido import differential_part
-from svpsido.ring import CoeffFn, Scalar
+from svpsido.ring import TWO_I_M, CoeffFn
 from svpsido.svalgebra import phase_mode, shift_mode, sv_bracket, time_mode
 from svpsido.transforms import j_map, schrodinger_invariance_defect
 from svpsido.textio import symbol_str
@@ -50,7 +50,8 @@ print()
 
 # Projecting to second-order operators gives the weighted family d_pi.
 # It is a true representation: operator brackets match algebra brackets.
-mu = Scalar.of(Fraction(1, 4))
+# The weight is any constant, or a value in the mass alone.
+mu = Fraction(1, 4)
 lhs = dop_bracket(d_pi(mu, L), d_pi(mu, Y))
 rhs = d_pi(mu, sv_bracket(L, Y))
 assert lhs == rhs
@@ -59,12 +60,10 @@ print("d_pi bracket compatibility at weight 1/4:", lhs == rhs)
 # Bridge between the pictures: scaling the weightless operator family
 # by 2iM matches multiplication by f against the free operator, up to
 # the differential part of the embedded time generator.
-from svpsido.ring import GaussRat
 from svpsido.transforms import x_generator
 
-two_i_m = Scalar.m_pow(1, GaussRat(0, 2))
 f = CoeffFn.t_pow(2)
-lhs = d_pi(Scalar.zero(), time_mode(1)).scale(two_i_m)
+lhs = d_pi(0, time_mode(1)).scale(TWO_I_M)
 plus = dop_from_r_symbol(differential_part(x_generator(f, 1, F)))
 rhs = dop_mul(DiffOp2.function(f), free_evolution_op()) - plus
 assert lhs == rhs

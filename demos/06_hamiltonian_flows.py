@@ -29,7 +29,7 @@ from svpsido.poisson import (
     variational_derivative,
 )
 from svpsido.psido import R, Symbol
-from svpsido.ring import CoeffFn, GaussRat, Scalar
+from svpsido.ring import CoeffFn, GaussRat, M
 from svpsido.svalgebra import SvElement, sv_bracket
 from svpsido.textio import scalar_str
 
@@ -76,9 +76,9 @@ print("on the slice:   {F_X, F_Y} == F_[X,Y]")
 loose = npoint(v0=CoeffFn.mono(-2, -1))
 lhs = poisson_bracket(lemma71_functional(X), lemma71_functional(Y), mu=loose, c=C2)
 rhs = evaluate(lemma71_functional(sv_bracket(X, Y)), loose)
-iq = Scalar.m_pow(1, GaussRat(0, Fraction(1, 4)))
+iq = GaussRat(0, Fraction(1, 4)) * M
 fdd = X.f.deriv("T").deriv("T")
-defect = LocalFunctional.monomial(-(Y.g * fdd).scale(iq), jet(FIELD_V0))
+defect = LocalFunctional.monomial(-(Y.g * fdd * iq), jet(FIELD_V0))
 print("off the slice:  {F_X, F_Y} - F_[X,Y] =", scalar_str(lhs - rhs))
 assert lhs - rhs == evaluate(defect, loose)
 assert not (lhs - rhs).is_zero()

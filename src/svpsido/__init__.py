@@ -14,7 +14,7 @@ the `svpsido` command with `verify` (property suites) and `eval`
 """
 
 from .halfint import EXACT, HalfInt, h, hmax, hmin
-from .ring import CoeffFn, GaussRat, Scalar
+from .ring import CoeffFn, GaussRat
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,6 @@ __all__ = [
     "hmax",
     "hmin",
     "GaussRat",
-    "Scalar",
     "CoeffFn",
     "__version__",
 ]

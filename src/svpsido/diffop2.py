@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .halfint import h
-from .ring import CoeffFn, GaussRat, I_M, MINUS_2I_M, Scalar, _as_scalar
+from .ring import CoeffFn, GaussRat, I_M, M, MINUS_2I_M
 from .svalgebra import SvElement
 
 __all__ = [
@@ -41,7 +41,7 @@ class DiffOp2:
             if i < 0 or j < 0:
                 raise ValueError("derivative powers must be nonnegative")
             if not isinstance(c, CoeffFn):
-                c = CoeffFn.const(_as_scalar(c))
+                c = CoeffFn.const(c)
             if not c.is_zero():
                 clean[(i, j)] = c
         object.__setattr__(self, "terms", clean)
@@ -99,7 +99,7 @@ class DiffOp2:
         return self + (-other)
 
     def scale(self, s) -> "DiffOp2":
-        return DiffOp2({k: c.scale(s) for k, c in self.terms.items()})
+        return DiffOp2({k: c * s for k, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, DiffOp2):
@@ -158,7 +158,7 @@ def dop_mul(A: DiffOp2, B: DiffOp2) -> DiffOp2:
                     coeff = comb(i, p) * comb(j, q)
                     term = c * dq
                     if coeff != 1:
-                        term = term.scale(Scalar.of(coeff))
+                        term = term * coeff
                     key = (i + k - p, j + l - q)
                     s = out.get(key)
                     s = term if s is None else s + term
@@ -176,7 +176,7 @@ def dop_bracket(A: DiffOp2, B: DiffOp2) -> DiffOp2:
 def free_evolution_op() -> DiffOp2:
     """-2iM*d_t - d_r^2, the operator whose kernel the symmetries preserve."""
     return DiffOp2(
-        {(1, 0): CoeffFn.const(MINUS_2I_M), (0, 2): CoeffFn.const(GaussRat(-1))}
+        {(1, 0): MINUS_2I_M, (0, 2): CoeffFn.const(-1)}
     )
 
 
@@ -187,9 +187,8 @@ def d_pi(mu, X: SvElement) -> DiffOp2:
     From the shift part g:  -g d_r + iM g' r
     From the phase part h:  iM h
     """
-    mu = _as_scalar(mu)
-    if mu is None:
-        raise TypeError("mu must be a scalar")
+    if not isinstance(mu, CoeffFn):
+        mu = CoeffFn.const(mu)
     f, g, hh = X.f, X.g, X.h
     out = DiffOp2.zero()
     if not f.is_zero():
@@ -199,17 +198,17 @@ def d_pi(mu, X: SvElement) -> DiffOp2:
         out = out + DiffOp2(
             {
                 (1, 0): -f,
-                (0, 1): -(df * CoeffFn.x_pow(1)).scale(_HALF),
-                (0, 0): (ddf * r2).scale(_QUART_I_M) - df.scale(mu),
+                (0, 1): -(df * CoeffFn.x_pow(1) * _HALF),
+                (0, 0): ddf * r2 * _QUART_I_M - df * mu,
             }
         )
     if not g.is_zero():
         dg = g.deriv("T")
         out = out + DiffOp2(
-            {(0, 1): -g, (0, 0): (dg * CoeffFn.x_pow(1)).scale(I_M)}
+            {(0, 1): -g, (0, 0): dg * CoeffFn.x_pow(1) * I_M}
         )
     if not hh.is_zero():
-        out = out + DiffOp2({(0, 0): hh.scale(I_M)})
+        out = out + DiffOp2({(0, 0): hh * I_M})
     return out
 
 
@@ -223,5 +222,5 @@ def dop_from_r_symbol(D) -> DiffOp2:
     return DiffOp2(out)
 
 
-_HALF = Scalar.of(Fraction(1, 2))
-_QUART_I_M = Scalar.m_pow(1, GaussRat(0, Fraction(1, 4)))  # iM/4
+_HALF = CoeffFn.const(Fraction(1, 2))
+_QUART_I_M = GaussRat(0, Fraction(1, 4)) * M  # iM/4

@@ -54,7 +54,7 @@ from .psido import (
     sym_sub,
     time_deriv,
 )
-from .ring import CoeffFn, GaussRat, MINUS_2I_M, Scalar, TWO_I_M, I_HALF_OVER_M
+from .ring import CoeffFn, GaussRat, I_HALF_OVER_M, M, MINUS_2I_M, TWO_I_M
 from .svalgebra import SvElement, sv_bracket
 from .textio import coeff_str, symbol_str
 from . import transforms
@@ -185,12 +185,6 @@ def in_invariant_slice(mu: GDual) -> bool:
     return True
 
 
-def _central_charge(c) -> Scalar:
-    if isinstance(c, Scalar):
-        return c
-    return Scalar.of(c)
-
-
 def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
     """Bracket of the extended algebra at central charge c."""
     from .cocycles import CocycleId, eval_cocycle
@@ -202,7 +196,7 @@ def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
     W = sym_sub(W, sym_scale(time_deriv(A.W), B.w))
     alpha = A.w * B.alpha.deriv("T") - B.w * A.alpha.deriv("T")
     central = eval_cocycle(CocycleId.C3, A.W, B.W)
-    alpha = alpha + central.scale(_central_charge(c))
+    alpha = alpha + central * c
     return GElement(w, W, alpha)
 
 
@@ -210,12 +204,13 @@ class DualFamily:
     """A fixed list of dual points, indexed once for pairing in one pass.
 
     The monomials of every point are filed by slot (v, a, and each order
-    of V) under their (t, x) exponents.  pair(A) then walks the monomials
-    of A once and looks up, for each, the point monomials it meets: the
-    loop monomial t^p of w or alpha meets t^(-1-p) of v or a, and the
-    monomial t^p x^q of g_b meets the t^(-1-p) x^(j-1-q) monomial of f_a,
-    for j = a + b + 1 >= 0, with the factor binom(a, j) times the falling
-    factorial q(q-1)...(q-j+1) that d_x^j puts on x^q.
+    of V) under their (t, x) exponents, each with its M-power.  pair(A)
+    then walks the monomials of A once and looks up, for each, the point
+    monomials it meets: the loop monomial t^p of w or alpha meets
+    t^(-1-p) of v or a, and the monomial t^p x^q of g_b meets the
+    t^(-1-p) x^(j-1-q) monomial of f_a, for j = a + b + 1 >= 0, with the
+    factor binom(a, j) times the falling factorial q(q-1)...(q-j+1) that
+    d_x^j puts on x^q.  The M-powers of the two monomials add.
     """
 
     __slots__ = ("_tops", "_v", "_a", "_orders")
@@ -226,24 +221,21 @@ class DualFamily:
         self._v: dict = {}
         self._a: dict = {}
         orders: dict = {}
-        for m, mu in enumerate(points):
+        for n, mu in enumerate(points):
             for index, f in ((self._v, mu.v), (self._a, mu.a)):
-                for key, c in f.terms.items():
-                    index.setdefault(key, []).append((m, c))
+                _file(index, n, f)
             for a, f in mu.V.terms.items():
-                index = orders.setdefault(a, {})
-                for key, c in f.terms.items():
-                    index.setdefault(key, []).append((m, c))
+                _file(orders.setdefault(a, {}), n, f)
         self._orders = list(orders.items())
 
     def pair(self, A: GElement) -> list:
         """pairing(mu, A) for every point mu, in order; None where the
         trace is not determined at A's truncation."""
-        out = [Scalar.zero()] * len(self._tops)
+        sums: dict = {}  # point -> M-power -> coefficient
         for index, g in ((self._v, A.w), (self._a, A.alpha)):
-            for (p, q), d in g.terms.items():
-                for m, c in index.get((-1 - p, -q), ()):
-                    out[m] = out[m] + c * d
+            for (p, q, e), d in g.terms.items():
+                for n, m, c in index.get((-1 - p, -q), ()):
+                    _collect(sums, n, m + e, c * d)
         for b, g in A.W.terms.items():
             for a, index in self._orders:
                 j = (a.twice + b.twice) // 2 + 1  # orders on the space side are integers
@@ -252,7 +244,7 @@ class DualFamily:
                 coef = binom_half(a, j)
                 if coef.is_zero():
                     continue
-                for (p, q), d in g.terms.items():
+                for (p, q, e), d in g.terms.items():
                     hits = index.get((-1 - p, j - 1 - q))
                     if hits is None:
                         continue
@@ -260,19 +252,38 @@ class DualFamily:
                     if not ff:
                         continue
                     d_ff = d * (coef * ff)
-                    for m, c in hits:
-                        out[m] = out[m] + c * d_ff
+                    for n, m, c in hits:
+                        _collect(sums, n, m + e, c * d_ff)
+        out = [CoeffFn.zero()] * len(self._tops)
+        for n, row in sums.items():
+            out[n] = CoeffFn({(0, 0, m): c for m, c in row.items()})
         floor = A.W.floor
         if floor is not EXACT:
             # orders of W below its floor are unknown; they reach order -1
             # of V o W once floor + top(V) > -1
-            for m, top in enumerate(self._tops):
+            for n, top in enumerate(self._tops):
                 if top is not None and floor + top > _MINUS_ONE:
-                    out[m] = None
+                    out[n] = None
         return out
 
 
-def pairing(mu: GDual, A: GElement) -> Scalar:
+def _file(index: dict, n: int, f: CoeffFn) -> None:
+    """File the monomials of point n's slot value f under (t, x)."""
+    for (p, q, m), c in f.terms.items():
+        index.setdefault((p, q), []).append((n, m, c))
+
+
+def _collect(sums: dict, n: int, m: int, c: GaussRat) -> None:
+    """Add c*M^m to the running sum of point n."""
+    row = sums.get(n)
+    if row is None:
+        sums[n] = {m: c}
+        return
+    s = row.get(m)
+    row[m] = c if s is None else s + c
+
+
+def pairing(mu: GDual, A: GElement) -> CoeffFn:
     """res_t [ v w + Tr(V o W) + a alpha ], as a bilinear residue sum.
 
     Tr(V o W) is res_x of the order -1 coefficient of V o W, to which only
@@ -314,7 +325,7 @@ def embed_momentum_symbol(E: Symbol, req_floor, nu=None) -> GElement:
         w = CoeffFn.zero()
     else:
         # recover the loop function: w = -2iM e1(xi -> it/2M)
-        w = -e1.x_to_t(I_HALF_OVER_M).scale(TWO_I_M)
+        w = -e1.x_to_t(I_HALF_OVER_M) * TWO_I_M
     if nu is None:
         nu = GaussRat(0)
     W = cap_order(transforms.theta_t(E, floor, nu=nu), _ONE)
@@ -328,10 +339,10 @@ def embed_I(X: SvElement, req_floor, nu=None) -> GElement:
 
 # ----------------------------------------------------------------- coadjoint
 
-_I_M_QUARTER = Scalar.m_pow(1, GaussRat(0, Fraction(1, 4)))
-_M2_QUARTER = Scalar.m_pow(2, Fraction(1, 4))
-_M2 = Scalar.m_pow(2, 1)
-_HALF = Scalar.of(Fraction(1, 2))
+_I_M_QUARTER = GaussRat(0, Fraction(1, 4)) * M
+_M2_QUARTER = Fraction(1, 4) * M ** 2
+_M2 = M ** 2
+_HALF = CoeffFn.const(Fraction(1, 2))
 
 
 def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
@@ -343,7 +354,6 @@ def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
     """
     if not in_invariant_slice(mu):
         raise ValueError("coadjoint is defined on the invariant slice only")
-    cs = _central_charge(c)
     v, a = mu.v, mu.a
     vm2 = mu.V.coeff(_MINUS_TWO)
     v0 = mu.V.coeff(h(0))
@@ -360,14 +370,14 @@ def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
         fd = f.deriv("T")
         fdd = fd.deriv("T")
         fddd = fdd.deriv("T")
-        out_v = out_v - (fdd * (r1 * vm2).residue("X")).scale(_HALF) - (f * v.deriv("T") + (fd * v).scale(2))
+        out_v = out_v - fdd * (r1 * vm2).residue("X") * _HALF - (f * v.deriv("T") + fd * v * 2)
         out_vm2 = (
             out_vm2
             - f * vm2.deriv("T")
-            - (fd * (r1 * vm2.deriv("X") + vm2.scale(4))).scale(_HALF)
-            + (a * (fdd.scale(_I_M_QUARTER) - (fddd * r2).scale(_M2_QUARTER))).scale(cs)
+            - fd * (r1 * vm2.deriv("X") + vm2 * 4) * _HALF
+            + a * (fdd * _I_M_QUARTER - fddd * r2 * _M2_QUARTER) * c
         )
-        out_v0 = out_v0 - f * v0.deriv("T") - fd * v0 + (a * fd).scale(cs * _HALF)
+        out_v0 = out_v0 - f * v0.deriv("T") - fd * v0 + a * fd * (c * _HALF)
         out_a = out_a - (a * fd + f * a.deriv("T"))
 
     g = X.g
@@ -375,11 +385,11 @@ def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
         gd = g.deriv("T")
         gdd = gd.deriv("T")
         out_v = out_v - gd * vm2.residue("X")
-        out_vm2 = out_vm2 - g * vm2.deriv("X") - (a * gdd * r1).scale(cs * _M2)
+        out_vm2 = out_vm2 - g * vm2.deriv("X") - a * gdd * r1 * (c * _M2)
 
     hh = X.h
     if not hh.is_zero():
-        out_vm2 = out_vm2 - (a * hh.deriv("T")).scale(cs * _M2)
+        out_vm2 = out_vm2 - a * hh.deriv("T") * (c * _M2)
 
     terms: dict = {}
     if not out_vm2.is_zero():
@@ -389,14 +399,14 @@ def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
     return GDual(out_v, Symbol(R, terms), out_a)
 
 
-def coadjoint_duality_defect(X: SvElement, mu: GDual, testY: GElement, c, req_floor) -> Scalar:
+def coadjoint_duality_defect(X: SvElement, mu: GDual, testY: GElement, c, req_floor) -> CoeffFn:
     """pairing(ad*_X mu, Y) + pairing(mu, [I(X), Y]); zero when dual."""
     lhs = pairing(coadjoint(X, mu, c), testY)
     rhs = pairing(mu, g_bracket(embed_I(X, req_floor), testY, c, req_floor))
     return lhs + rhs
 
 
-def quotient_nullity_defect(f: CoeffFn, kappa, mu: GDual, testY: GElement, req_floor) -> Scalar:
+def quotient_nullity_defect(f: CoeffFn, kappa, mu: GDual, testY: GElement, req_floor) -> CoeffFn:
     """Coupling of an embedded low-order symbol against the slice.
 
     Elements f(-2iM xi) d_xi^kappa with kappa <= -1/2 embed with no d_t

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .halfint import h
 from .kacmoody import GDual
 from .psido import R, Symbol
-from .ring import CoeffFn, GaussRat, Scalar
+from .ring import CoeffFn, GaussRat, M
 from .svalgebra import SvElement
 from .textio import coeff_str
 
@@ -112,7 +112,7 @@ def _monomial_class(jets) -> str:
 def _as_coeff(c) -> CoeffFn:
     if isinstance(c, CoeffFn):
         return c
-    return CoeffFn.one().scale(Scalar.of(c))
+    return CoeffFn.const(c)
 
 
 class LocalFunctional:
@@ -172,9 +172,7 @@ class LocalFunctional:
         return self.add(other.neg())
 
     def scale(self, s) -> "LocalFunctional":
-        s = s if isinstance(s, Scalar) else Scalar.of(s)
-        return LocalFunctional([(jets, c.scale(s))
-                                for jets, c in self.terms.items()])
+        return LocalFunctional([(jets, c * s) for jets, c in self.terms.items()])
 
     def __eq__(self, other):
         if not isinstance(other, LocalFunctional):
@@ -228,7 +226,7 @@ def _partial(F: LocalFunctional, J: JetVar) -> LocalFunctional:
         if not m:
             continue
         k = jets.index(J)
-        out.append((jets[:k] + jets[k + 1:], coeff.scale(Scalar.of(m))))
+        out.append((jets[:k] + jets[k + 1:], coeff * m))
     return LocalFunctional(out)
 
 
@@ -276,20 +274,19 @@ def substitute(F: LocalFunctional, mu: GDual) -> CoeffFn:
     return total
 
 
-def _t_residue(c: CoeffFn) -> Scalar:
-    res = c.residue("T")
-    return res.terms.get((0, 0), Scalar.zero())
+def _t_residue(c: CoeffFn) -> CoeffFn:
+    return c.residue("T").x_slice(0)
 
 
-def _double_residue(c: CoeffFn) -> Scalar:
+def _double_residue(c: CoeffFn) -> CoeffFn:
     return _t_residue(c.residue("X"))
 
 
-def evaluate(F: LocalFunctional, mu: GDual) -> Scalar:
+def evaluate(F: LocalFunctional, mu: GDual) -> CoeffFn:
     """Integrate the substituted monomials: double residue for the pair
     class, single time residue for the loop classes.  Jet-free monomials
     count as pair class."""
-    total = Scalar.zero()
+    total = CoeffFn.zero()
     for jets, coeff in F.terms.items():
         piece = substitute(LocalFunctional([(jets, coeff)]), mu)
         if _monomial_class(jets) == "pair":
@@ -301,10 +298,10 @@ def evaluate(F: LocalFunctional, mu: GDual) -> Scalar:
 
 # ------------------------------------------------------------- generators
 
-_I_M_QUARTER = Scalar.m_pow(1, GaussRat(0, Fraction(1, 4)))
-_M2_TWELFTH = Scalar.m_pow(2, Fraction(1, 12))
-_M2_HALF = Scalar.m_pow(2, Fraction(1, 2))
-_M2 = Scalar.m_pow(2, 1)
+_I_M_QUARTER = GaussRat(0, Fraction(1, 4)) * M
+_M2_TWELFTH = Fraction(1, 12) * M ** 2
+_M2_HALF = Fraction(1, 2) * M ** 2
+_M2 = M ** 2
 _R = CoeffFn.mono(0, 1)
 _R3 = CoeffFn.mono(0, 3)
 
@@ -327,15 +324,14 @@ def lemma71_functional(X: SvElement) -> LocalFunctional:
         fdd = fd.deriv("T")
         fddd = fdd.deriv("T")
         out.append(((jet(FIELD_V),), -f))
-        out.append(((jet(FIELD_VM2),), -(_R * fd).scale(Scalar.of(Fraction(1, 2)))))
-        out.append(((jet(FIELD_V0),),
-                    -((_R * fdd).scale(_I_M_QUARTER) - (_R3 * fddd).scale(_M2_TWELFTH))))
+        out.append(((jet(FIELD_VM2),), -(_R * fd * Fraction(1, 2))))
+        out.append(((jet(FIELD_V0),), -(_R * fdd * _I_M_QUARTER - _R3 * fddd * _M2_TWELFTH)))
     if not g.is_zero():
         gdd = g.deriv("T").deriv("T")
         out.append(((jet(FIELD_VM2),), -g))
-        out.append(((jet(FIELD_V0),), (CoeffFn.mono(0, 2) * gdd).scale(_M2_HALF)))
+        out.append(((jet(FIELD_V0),), CoeffFn.mono(0, 2) * gdd * _M2_HALF))
     if not u.is_zero():
-        out.append(((jet(FIELD_V0),), (_R * u.deriv("T")).scale(_M2)))
+        out.append(((jet(FIELD_V0),), _R * u.deriv("T") * _M2))
     return LocalFunctional(out)
 
 
@@ -348,22 +344,17 @@ def _pair_data(F: LocalFunctional, mu: GDual):
     return P, Q
 
 
-def _central_scalar(c) -> Scalar:
-    return c if isinstance(c, Scalar) else Scalar.of(c)
-
-
 def poisson_bracket(F: LocalFunctional, G: LocalFunctional,
-                    mu: GDual, c) -> Scalar:
+                    mu: GDual, c) -> CoeffFn:
     """Evaluate the displayed bracket formulas at the point mu.
 
     Dispatch is bilinear over the class decomposition; the two loop
     classes do not couple to the pair class except through the loop
     coordinate v, and the central class couples to v alone.
     """
-    cs = _central_scalar(c)
     vm2 = mu.V.coeff(h(-2))
     v0 = mu.V.coeff(h(0))
-    total = Scalar.zero()
+    total = CoeffFn.zero()
 
     Fp, Fv, Fa = F.part("pair"), F.part("v"), F.part("a")
     Gp, Gv, Ga = G.part("pair"), G.part("v"), G.part("a")
@@ -373,7 +364,7 @@ def poisson_bracket(F: LocalFunctional, G: LocalFunctional,
         Pg, Qg = _pair_data(Gp, mu)
         integrand = (vm2 * (Pg.deriv("X") * Pf - Pf.deriv("X") * Pg)
                      + v0 * (Qg * Pf - Pg * Qf).deriv("X")
-                     + (mu.a * (Qf.deriv("X") * Pg + Pf.deriv("X") * Qg)).scale(cs))
+                     + mu.a * (Qf.deriv("X") * Pg + Pf.deriv("X") * Qg) * c)
         total = total + _double_residue(integrand)
 
     if not Fv.is_zero() and not Gv.is_zero():
@@ -402,7 +393,6 @@ def poisson_bracket(F: LocalFunctional, G: LocalFunctional,
 
 def hamiltonian_vector(F: LocalFunctional, mu: GDual, c) -> GDual:
     """The point derivative matching the bracket: dG(H_F) = {G, F}."""
-    cs = _central_scalar(c)
     vm2 = mu.V.coeff(h(-2))
     v0 = mu.V.coeff(h(0))
     out_v = CoeffFn.zero()
@@ -415,15 +405,15 @@ def hamiltonian_vector(F: LocalFunctional, mu: GDual, c) -> GDual:
     if not Fp.is_zero():
         P, Q = _pair_data(Fp, mu)
         out_v = out_v + (vm2 * P.deriv("T") + v0 * Q.deriv("T")).residue("X")
-        out_vm2 = out_vm2 + ((vm2 * P.deriv("X")).scale(Scalar.of(2))
+        out_vm2 = out_vm2 + (vm2 * P.deriv("X") * 2
                              + vm2.deriv("X") * P
-                             - (mu.a * Q.deriv("X")).scale(cs)
+                             - mu.a * Q.deriv("X") * c
                              - v0.deriv("X") * Q)
-        out_v0 = out_v0 + (v0.deriv("X") * P - (mu.a * P.deriv("X")).scale(cs))
+        out_v0 = out_v0 + (v0.deriv("X") * P - mu.a * P.deriv("X") * c)
 
     if not Fv.is_zero():
         phi = substitute(variational_derivative(Fv, FIELD_V), mu)
-        out_v = out_v + (mu.v * phi.deriv("T")).scale(Scalar.of(2)) + mu.v.deriv("T") * phi
+        out_v = out_v + mu.v * phi.deriv("T") * 2 + mu.v.deriv("T") * phi
         out_vm2 = out_vm2 + (vm2 * phi).deriv("T")
         out_v0 = out_v0 + (v0 * phi).deriv("T")
         out_a = out_a + (mu.a * phi).deriv("T")
@@ -457,7 +447,7 @@ def n_preservation_check(F: LocalFunctional) -> bool:
         if len(deep) > 1:
             return False
         J = deep[0]
-        for (_, xpow) in coeff.terms:
+        for (_, xpow, _) in coeff.terms:
             if xpow < 0 or xpow > J.j + 1:
                 return False
         if any(K.field == FIELD_V0 and (K.i or K.j) for K in jets):

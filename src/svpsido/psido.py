@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .halfint import EXACT, HalfInt, h, hmax
-from .ring import CoeffFn, GaussRat, Scalar
+from .ring import CoeffFn, GaussRat
 
 __all__ = [
     "R",
@@ -80,8 +80,8 @@ class Symbol:
                 raise ValueError("half-integer order in an R-variable symbol")
             if floor is not EXACT and k < floor:
                 continue
-            if isinstance(c, (int, Fraction, GaussRat, Scalar)):
-                c = CoeffFn.const(Scalar.of(c) if not isinstance(c, Scalar) else c)
+            if isinstance(c, (int, Fraction, GaussRat)):
+                c = CoeffFn.const(c)
             if c.is_zero():
                 continue
             clean[k] = c
@@ -202,18 +202,16 @@ def sym_sub(A: Symbol, B: Symbol) -> Symbol:
 
 
 def sym_scale(A: Symbol, c) -> Symbol:
-    """Multiply every coefficient by a Scalar or a central CoeffFn.
+    """Multiply every coefficient by a constant or a central CoeffFn.
 
-    A CoeffFn multiplier must not involve x: functions of t alone commute
-    with the whole algebra, so this is an exact module operation.
+    A CoeffFn multiplier must not involve x: functions of t and M alone
+    commute with the whole algebra, so this is an exact module operation.
     """
-    if isinstance(c, CoeffFn):
-        if not c.is_t_only():
-            raise ValueError("sym_scale multiplier must not depend on x")
-        return Symbol(A.var, {k: v * c for k, v in A.terms.items()}, A.floor)
-    if not isinstance(c, Scalar):
-        c = Scalar.of(c)
-    return Symbol(A.var, {k: v.scale(c) for k, v in A.terms.items()}, A.floor)
+    if not isinstance(c, CoeffFn):
+        c = CoeffFn.const(c)
+    elif not c.is_t_only():
+        raise ValueError("sym_scale multiplier must not depend on x")
+    return Symbol(A.var, {k: v * c for k, v in A.terms.items()}, A.floor)
 
 
 def _check_var(A: Symbol, B: Symbol):
@@ -292,7 +290,7 @@ def sym_mul(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
                 if floor is not EXACT and order < floor:
                     cut = True
                     break
-                term = f * gj.scale(Scalar.of(coef)) if not coef.is_one() else f * gj
+                term = f * (gj * coef) if not coef.is_one() else f * gj
                 if not term.is_zero():
                     s = out.get(order)
                     s = term if s is None else s + term

@@ -62,7 +62,7 @@ from .psido import (
     sym_mul,
     sym_sub,
 )
-from .ring import CoeffFn, GaussRat, I_M, MINUS_2I_M, Scalar, TWO_I_M
+from .ring import CoeffFn, GaussRat, I_M, M, MINUS_2I_M, TWO_I_M
 from .svaction import SchrodPoint, d_sigma_affine, d_sigma_tilde
 from .svalgebra import SvElement, phase_mode, shift_mode, sv_basis, sv_bracket, time_mode
 from .textio import coeff_str, gauss_str, scalar_str, symbol_str
@@ -272,7 +272,7 @@ def _fmt_coeff(cfg: VerifyConfig, c: CoeffFn, xname: str = "r") -> str:
     return coeff_str(c, xname)
 
 
-def _fmt_scalar(cfg: VerifyConfig, s: Scalar) -> str:
+def _fmt_scalar(cfg: VerifyConfig, s: CoeffFn) -> str:
     if cfg.normalize_mass:
         s = s.subs_m(_M_NORMALIZED)
     return scalar_str(s)
@@ -496,7 +496,7 @@ def _suite_theta(cfg: VerifyConfig) -> list:
             img = tr.theta(A, floor_arg, nu=nu, cache=cache_nu)
             want = 2 * (Fraction(p) - k.as_fraction())
             for kk, c in img.terms.items():
-                for (_, jx), _s in c.terms.items():
+                for (_, jx, _) in c.terms:
                     got = Fraction(jx) - kk.as_fraction()
                     if got != want:
                         return (
@@ -507,7 +507,7 @@ def _suite_theta(cfg: VerifyConfig) -> list:
 
         cases.append((f"grading of {names[id(A)]}", check))
 
-    two = CoeffFn.const(Scalar.of(2))
+    two = CoeffFn.const(2)
     minus_one = h(-1)
     for k, p, A in xi_box:
         def check(A=A, k=k, p=p):
@@ -713,8 +713,8 @@ def _suite_lemma33(cfg: VerifyConfig) -> list:
 
             cases.append((f"f = t^{k}, weight {jv}", check))
 
-    m2h = Scalar.m_pow(2, Fraction(1, 2))
-    i6m3 = Scalar.m_pow(3, GaussRat(0, Fraction(1, 6)))
+    m2h = Fraction(1, 2) * M ** 2
+    i6m3 = GaussRat(0, Fraction(1, 6)) * M ** 3
     for k in (0, 1, 2, 3):
         def check(k=k):
             f = CoeffFn.t_pow(k)
@@ -725,12 +725,9 @@ def _suite_lemma33(cfg: VerifyConfig) -> list:
                 R,
                 {
                     h(2): -f,
-                    h(1): (fd * CoeffFn.x_pow(1)).scale(I_M),
-                    h(0): (fdd * CoeffFn.x_pow(2)).scale(m2h),
-                    h(-1): -(
-                        (fdd * CoeffFn.x_pow(1)).scale(m2h)
-                        + (fddd * CoeffFn.x_pow(3)).scale(i6m3)
-                    ),
+                    h(1): fd * CoeffFn.x_pow(1) * I_M,
+                    h(0): fdd * CoeffFn.x_pow(2) * m2h,
+                    h(-1): -(fdd * CoeffFn.x_pow(1) * m2h + fddd * CoeffFn.x_pow(3) * i6m3),
                 },
                 h(-1),
             )
@@ -750,8 +747,8 @@ def _suite_lemma33(cfg: VerifyConfig) -> list:
                 R,
                 {
                     h(1): -g,
-                    h(0): (gd * CoeffFn.x_pow(1)).scale(I_M),
-                    h(-1): (gdd * CoeffFn.x_pow(2)).scale(m2h),
+                    h(0): gd * CoeffFn.x_pow(1) * I_M,
+                    h(-1): gdd * CoeffFn.x_pow(2) * m2h,
                 },
                 h(-1),
             )
@@ -772,7 +769,7 @@ def _suite_lemma33(cfg: VerifyConfig) -> list:
 
         cases.append((f"weightless family leading term at h = t^{k}", check))
 
-    mu0 = Scalar.zero()
+    mu0 = CoeffFn.zero()
     evo = free_evolution_op()
     for k in (0, 1, 2, 3):
         def check(k=k):
@@ -797,7 +794,7 @@ def _suite_lemma33(cfg: VerifyConfig) -> list:
 
         cases.append((f"shift bridge at g = t^{k}", check))
 
-    minus_im = Scalar.of(-1) * I_M
+    minus_im = -I_M
     for k in (0, 1, 2):
         def check(k=k):
             hf = CoeffFn.t_pow(k)
@@ -973,7 +970,7 @@ def _suite_dpi_rep(cfg: VerifyConfig) -> list:
     basis = _labeled_basis(n)
     cases = []
     for w in _weights(cfg):
-        scal = Scalar.of(w)
+        scal = CoeffFn.const(w)
         ops = [d_pi(scal, X) for _, X in basis]
         for (i, (la, Xa)), (j, (lb, Xb)) in itertools.combinations(enumerate(basis), 2):
             def check(i=i, j=j, Xa=Xa, Xb=Xb, scal=scal, ops=ops):
@@ -1048,15 +1045,15 @@ def _suite_dsigma_rep(cfg: VerifyConfig) -> list:
 
 def _lemma71_defect(X: SvElement, Y: SvElement) -> LocalFunctional:
     """The two measured exceptional terms of the bracket homomorphism."""
-    iq = Scalar.m_pow(1, GaussRat(0, Fraction(1, 4)))
-    m2 = Scalar.m_pow(2, 1)
+    iq = GaussRat(0, Fraction(1, 4)) * M
+    m2 = M ** 2
     if not X.f.is_zero() and not Y.g.is_zero():
         fdd = X.f.deriv("T").deriv("T")
-        return LocalFunctional.monomial(-(Y.g * fdd).scale(iq), jet(FIELD_V0))
+        return LocalFunctional.monomial(-(Y.g * fdd * iq), jet(FIELD_V0))
     if not X.g.is_zero() and not Y.f.is_zero():
         return _lemma71_defect(Y, X).neg()
     if not X.g.is_zero() and not Y.h.is_zero():
-        return LocalFunctional.monomial(-(Y.h.deriv("T") * X.g).scale(m2), jet(FIELD_V0))
+        return LocalFunctional.monomial(-(Y.h.deriv("T") * X.g * m2), jet(FIELD_V0))
     if not X.h.is_zero() and not Y.g.is_zero():
         return _lemma71_defect(Y, X).neg()
     return LocalFunctional.zero()
@@ -1203,10 +1200,15 @@ _SCAN_PROBES = (
 )
 
 
-def _scan_read(cfg: VerifyConfig, lifted: GElement, probe: GElement) -> Scalar:
+def _scan_read(cfg: VerifyConfig, lifted: GElement, probe: GElement) -> CoeffFn:
     """One coadjoint coefficient at the unit point, read through the pairing."""
     mu = GDual(a=CoeffFn.one())
     return -pairing(mu, g_bracket(lifted, probe, cfg.c, h(cfg.floor)))
+
+
+def _tx_coeff(c: CoeffFn, p: int, q: int) -> CoeffFn:
+    """The coefficient of t^p x^q in c, a value in M alone."""
+    return CoeffFn({(0, 0, m): v for (pp, qq, m), v in c.terms.items() if (pp, qq) == (p, q)})
 
 
 def _scan_at(cfg: VerifyConfig, nu: GaussRat):
@@ -1226,8 +1228,8 @@ def _scan_at(cfg: VerifyConfig, nu: GaussRat):
 
     # the quadratic family exposes the weight through its constant curvature term
     s = vrow("time[1]", 0, 0)
-    extra = {k: v for k, v in s.terms.items() if k != 1}
-    lead = s.terms.get(1)
+    extra = {k: v for k, v in s.terms.items() if k != (0, 0, 1)}
+    lead = s.terms.get((0, 0, 1))  # the coefficient of M
     if extra or (lead is not None and lead.re != 0):
         return None
     y = lead.im if lead is not None else Fraction(0)
@@ -1238,12 +1240,9 @@ def _scan_at(cfg: VerifyConfig, nu: GaussRat):
         expect = d_sigma_tilde(mu_val, X, SchrodPoint(a=aone))
         for alpha in range(0, 3):
             for beta in range(0, 3):
-                want = expect.V.terms.get((alpha, beta))
-                got = vrow(name, alpha, beta)
-                if got != (want if want is not None else Scalar.zero()):
+                if vrow(name, alpha, beta) != _tx_coeff(expect.V, alpha, beta):
                     return None
-            want = expect.a.terms.get((alpha, 0))
-            if arow(name, alpha) != (want if want is not None else Scalar.zero()):
+            if arow(name, alpha) != _tx_coeff(expect.a, alpha, 0):
                 return None
             if not wrow(name, alpha).is_zero():
                 return None

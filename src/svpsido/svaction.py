@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import CoeffFn, GaussRat, Scalar
+from .ring import CoeffFn, I_M, M
 from .svalgebra import SvElement
 
 __all__ = ["SchrodPoint", "d_sigma_tilde", "d_sigma_affine"]
@@ -64,18 +64,12 @@ class SchrodPoint:
         return SchrodPoint(self.a - other.a, self.V - other.V)
 
 
-_HALF = Scalar.of(Fraction(1, 2))
-_M2_HALF = Scalar.m_pow(2, Fraction(1, 2))
-_TWO_M2 = Scalar.m_pow(2, 2)
+_HALF = CoeffFn.const(Fraction(1, 2))
+_M2_HALF = Fraction(1, 2) * M ** 2
+_TWO_M2 = 2 * M ** 2
 
 
-def _mu_scalar(mu) -> Scalar:
-    if isinstance(mu, Scalar):
-        return mu
-    return Scalar.of(mu)
-
-
-def _action(mu, X: SvElement, P: SchrodPoint, v_transport: Scalar, a_transport: bool) -> SchrodPoint:
+def _action(mu, X: SvElement, P: SchrodPoint, v_transport: int, a_transport: bool) -> SchrodPoint:
     """Both actions share every row except two time-family switches:
     the weight of the f'V transport term and whether f' drags a."""
     a_row = CoeffFn.zero()
@@ -86,31 +80,31 @@ def _action(mu, X: SvElement, P: SchrodPoint, v_transport: Scalar, a_transport: 
         fdd = fd.deriv("T")
         fddd = fdd.deriv("T")
         # -2i(mu - 1/4) M f'' = (1/2 - 2 mu) iM f''
-        wt = Scalar.m_pow(1, GaussRat(0, 1)) * (_HALF - _mu_scalar(mu) * Scalar.of(2))
+        wt = I_M * (_HALF - mu * 2)
         a_row = a_row - f * P.a.deriv("T")
         if a_transport:
             a_row = a_row - fd * P.a
         v_row = (
             v_row
             - f * P.V.deriv("T")
-            - (fd * CoeffFn.x_pow(1) * P.V.deriv("X")).scale(_HALF)
-            + P.a * (fdd.scale(wt) - (fddd * CoeffFn.x_pow(2)).scale(_M2_HALF))
-            - (fd * P.V).scale(v_transport)
+            - fd * CoeffFn.x_pow(1) * P.V.deriv("X") * _HALF
+            + P.a * (fdd * wt - fddd * CoeffFn.x_pow(2) * _M2_HALF)
+            - fd * P.V * v_transport
         )
     g = X.g
     if not g.is_zero():
         gdd = g.deriv("T").deriv("T")
-        v_row = v_row - g * P.V.deriv("X") - (P.a * gdd * CoeffFn.x_pow(1)).scale(_TWO_M2)
+        v_row = v_row - g * P.V.deriv("X") - P.a * gdd * CoeffFn.x_pow(1) * _TWO_M2
     if not X.h.is_zero():
-        v_row = v_row - (P.a * X.h.deriv("T")).scale(_TWO_M2)
+        v_row = v_row - P.a * X.h.deriv("T") * _TWO_M2
     return SchrodPoint(a_row, v_row)
 
 
 def d_sigma_tilde(mu, X: SvElement, P: SchrodPoint) -> SchrodPoint:
     """Weight-mu action on the full linear space of operator data."""
-    return _action(mu, X, P, v_transport=Scalar.of(2), a_transport=True)
+    return _action(mu, X, P, v_transport=2, a_transport=True)
 
 
 def d_sigma_affine(mu, X: SvElement, P: SchrodPoint) -> SchrodPoint:
     """Affine variant: fixes the a = const slices, lighter V transport."""
-    return _action(mu, X, P, v_transport=Scalar.one(), a_transport=False)
+    return _action(mu, X, P, v_transport=1, a_transport=False)

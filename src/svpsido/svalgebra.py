@@ -26,9 +26,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .halfint import HalfInt, h
-from .ring import CoeffFn, Scalar
+from .ring import CoeffFn
 
-_HALF = Scalar.of(Fraction(1, 2))
+_HALF = CoeffFn.const(Fraction(1, 2))
 
 __all__ = [
     "SvElement",
@@ -69,7 +69,7 @@ class SvElement:
         return SvElement(-self.f, -self.g, -self.h)
 
     def scale(self, c) -> "SvElement":
-        return SvElement(self.f.scale(c), self.g.scale(c), self.h.scale(c))
+        return SvElement(self.f * c, self.g * c, self.h * c)
 
     def __eq__(self, other):
         if not isinstance(other, SvElement):
@@ -133,6 +133,6 @@ def sv_bracket(X: SvElement, Y: SvElement) -> SvElement:
     df1, dg1, dh1 = f1.deriv("T"), g1.deriv("T"), h1.deriv("T")
     df2, dg2, dh2 = f2.deriv("T"), g2.deriv("T"), h2.deriv("T")
     f_out = df1 * f2 - f1 * df2
-    g_out = (df1 * g2).scale(_HALF) - f1 * dg2 - (df2 * g1).scale(_HALF) + f2 * dg1
+    g_out = df1 * g2 * _HALF - f1 * dg2 - df2 * g1 * _HALF + f2 * dg1
     h_out = dg1 * g2 - g1 * dg2 - f1 * dh2 + f2 * dh1
     return SvElement(f_out, g_out, h_out)

@@ -3,11 +3,13 @@
 Printing rules, fixed so that reports are reproducible byte-for-byte:
 
 * Gaussian rationals: ``3/2``, ``i``, ``-1/2*i``, ``(3/2 + 1/2*i)``.
-* Scalars: M-powers ascending, e.g. ``(2 + M^2)``; a one-term scalar
-  prints without the outer parentheses.
+* Values free of t and x (``scalar_str``): M-powers ascending, e.g.
+  ``2 + M^2``.
 * Coefficient functions: terms sorted by (t-power, x-power), each term
   ``<scalar>*t^p*<x>^q`` with power-one exponents and unit coefficients
-  elided, e.g. ``1/2*r``, ``-t^2*x^-1``.
+  elided, e.g. ``1/2*r``, ``-t^2*x^-1``.  The M-terms that share a
+  (t, x) monomial form its scalar, parenthesized when there are several:
+  ``(2 + M^2)*t``.
 * Symbols: orders descending, derivative factor ``d_r`` / ``d_xi`` with
   integer or half-integer exponent (``d_xi^1/2``), then the trust marker
   `` | exact`` or `` | floor=-7/2``.
@@ -25,7 +27,9 @@ import re
 from fractions import Fraction
 
 from .halfint import EXACT, HalfInt, h
-from .ring import CoeffFn, GaussRat, Scalar
+from .ring import GR_ONE, CoeffFn, GaussRat, M
+
+_MINUS_ONE = GaussRat(-1)
 
 __all__ = [
     "gauss_str",
@@ -61,17 +65,10 @@ def gauss_str(g: GaussRat) -> str:
     return f"({_frac_str(real)} {sign} {imtxt})"
 
 
-def _gauss_is_bare(g: GaussRat) -> bool:
-    # printable without parentheses in a product context
-    return not (g.re and g.im)
-
-
-def scalar_str(s: Scalar) -> str:
-    if s.is_zero():
-        return "0"
+def _mass_str(terms: list) -> str:
+    """A sum of g*M^k, given as (k, g) pairs in ascending k."""
     parts = []
-    for k in sorted(s.terms):
-        g = s.terms[k]
+    for k, g in terms:
         gtxt = gauss_str(g)
         if k == 0:
             parts.append(gtxt)
@@ -79,52 +76,45 @@ def scalar_str(s: Scalar) -> str:
             mp = "M" if k == 1 else f"M^{k}"
             if g.is_one():
                 parts.append(mp)
-            elif g == GaussRat(-1):
+            elif g == _MINUS_ONE:
                 parts.append(f"-{mp}")
             else:
                 parts.append(f"{gtxt}*{mp}")
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def _scalar_factor_str(s: Scalar):
-    """(text, is_plain_one, is_plain_minus_one) for use in a product."""
-    txt = scalar_str(s)
-    if len(s.terms) > 1:
-        return f"({txt})", False, False
-    ((k, g),) = s.terms.items()
-    if k == 0:
-        if g.is_one():
-            return "", True, False
-        if g == GaussRat(-1):
-            return "", False, True
-        if not _gauss_is_bare(g):
-            return txt, False, False  # gauss_str already parenthesized
-        return txt, False, False
-    if not _gauss_is_bare(g):
-        # e.g. (1 + i)*M^2 is already unambiguous
-        return txt, False, False
-    return txt, False, False
+def scalar_str(s: CoeffFn) -> str:
+    """A value free of t and x, as a sum of M-powers."""
+    if any(p or q for p, q, _ in s.terms):
+        raise ValueError(f"not a scalar: {s!r}")
+    if s.is_zero():
+        return "0"
+    return _mass_str([(k[2], s.terms[k]) for k in sorted(s.terms)])
 
 
 def coeff_str(c: CoeffFn, xname: str = "x") -> str:
     if c.is_zero():
         return "0"
+    groups: dict = {}  # (t-power, x-power) -> its (M-power, coefficient) pairs
+    for p, q, m in sorted(c.terms):
+        groups.setdefault((p, q), []).append((m, c.terms[(p, q, m)]))
     parts = []
-    for (p, q) in sorted(c.terms):
-        s = c.terms[(p, q)]
-        stxt, is_one, is_neg_one = _scalar_factor_str(s)
+    for (p, q), terms in groups.items():
+        stxt = _mass_str(terms)
+        if len(terms) > 1:
+            stxt = f"({stxt})"
         factors = []
         if p:
             factors.append("t" if p == 1 else f"t^{p}")
         if q:
             factors.append(xname if q == 1 else f"{xname}^{q}")
         if not factors:
-            parts.append(scalar_str(s) if len(s.terms) == 1 else f"({scalar_str(s)})")
+            parts.append(stxt)
             continue
         body = "*".join(factors)
-        if is_one:
+        if terms == [(0, GR_ONE)]:
             parts.append(body)
-        elif is_neg_one:
+        elif terms == [(0, _MINUS_ONE)]:
             parts.append(f"-{body}")
         else:
             parts.append(f"{stxt}*{body}")
@@ -155,7 +145,7 @@ def symbol_str(D) -> str:
                 parts.append(dp)
             elif ctxt == "-1":
                 parts.append(f"-{dp}")
-            elif len(c.terms) > 1:
+            elif len({(p, q) for p, q, _ in c.terms}) > 1:
                 parts.append(f"({ctxt})*{dp}")
             else:
                 parts.append(f"{ctxt}*{dp}")
@@ -311,7 +301,7 @@ class _SymExpr:
     def constant(g: GaussRat):
         from .psido import R, Symbol
 
-        return _SymExpr(None, Symbol.function(R, CoeffFn.const(Scalar.of(g))))
+        return _SymExpr(None, Symbol.function(R, CoeffFn.const(g)))
 
     @staticmethod
     def atom(name: str):
@@ -320,7 +310,7 @@ class _SymExpr:
         if name == "i":
             return _SymExpr.constant(GaussRat(0, 1))
         if name == "M":
-            return _SymExpr(None, Symbol.function(R, CoeffFn.const(Scalar.m_pow(1))))
+            return _SymExpr(None, Symbol.function(R, M))
         if name == "t":
             return _SymExpr(None, Symbol.function(R, CoeffFn.t_pow(1)))
         if name == "xi":
@@ -397,14 +387,9 @@ class _SymExpr:
                 )
             if k.twice == 0 and len(c.terms) == 1 and q.denominator == 1:
                 # monomial function base with an integer exponent
-                ((tp, xq), s) = next(iter(c.terms.items()))
-                n = q.numerator
-                sq = s ** n if (n >= 0 or s.is_unit()) else None
-                if sq is not None:
-                    coeff = CoeffFn.mono(tp * n, xq * n, GaussRat(1)).scale(sq)
-                    return _SymExpr(
-                        self.var, Symbol.function(self.sym.var, coeff)
-                    )
+                return _SymExpr(
+                    self.var, Symbol.function(self.sym.var, c ** q.numerator)
+                )
         if q.denominator == 1 and q >= 0:
             out = _SymExpr(self.var, Symbol.function(self.sym.var, CoeffFn.one()))
             for _ in range(q.numerator):

@@ -30,15 +30,7 @@ from fractions import Fraction
 
 from .halfint import EXACT, HalfInt, h, hmax
 from .psido import R, XI, Symbol, binom_half, sym_add, sym_mul, sym_scale
-from .ring import (
-    CoeffFn,
-    GR_ZERO,
-    GaussRat,
-    I_HALF_OVER_M,
-    I_M,
-    MINUS_2I_M,
-    Scalar,
-)
+from .ring import CoeffFn, GR_ZERO, GaussRat, I_HALF_OVER_M, I_M, M, MINUS_2I_M
 from .svalgebra import SvElement
 
 __all__ = [
@@ -134,7 +126,7 @@ class ThetaImageCache:
             R,
             {
                 h(-1): CoeffFn.x_pow(1, Fraction(1, 2)),
-                h(-2): CoeffFn.const(Scalar.of(nu)),
+                h(-2): CoeffFn.const(nu),
             },
         )
 
@@ -152,7 +144,7 @@ class ThetaImageCache:
         )
         total = Symbol.function(R, CoeffFn.one())
         power = total
-        factor = Scalar.of(GaussRat(-2) * self.nu)
+        factor = GaussRat(-2) * self.nu
         k = 1
         while True:
             power = sym_mul(power, rinv_dinv, req_floor - 1)
@@ -212,6 +204,11 @@ def _at_requested_floor(D: Symbol, req) -> Symbol:
     return Symbol(D.var, {k: c for k, c in D.terms.items() if k >= req}, req)
 
 
+def _x_powers(c: CoeffFn):
+    """The distinct x-powers of c, in the order its terms first meet them."""
+    return dict.fromkeys(k[1] for k in c.terms)
+
+
 def _shift_orders(D: Symbol, delta: HalfInt) -> Symbol:
     """Right-compose with a pure derivative power: orders translate."""
     floor = D.floor if D.floor is EXACT else D.floor + delta
@@ -238,12 +235,12 @@ def theta(D: Symbol, req_floor=None, nu: GaussRat = GR_ZERO, cache=None) -> Symb
         delta = kappa + kappa  # order doubling, stays on the integer grid
         # the shift moves the image's floor by delta, so ask delta deeper
         want = req if req is EXACT else req - delta
-        for (p, q), s in c.terms.items():
+        for q in _x_powers(c):
             img = cache.image(q, want)
             if img.floor is not EXACT and req is EXACT:
                 raise ValueError("deformed inverse image is a series; give a floor")
             term = _shift_orders(img, delta)
-            piece = sym_scale(term, CoeffFn.t_pow(p, s))
+            piece = sym_scale(term, c.x_slice(q))
             total = sym_add(total, piece)
     return _at_requested_floor(total, req)
 
@@ -288,10 +285,10 @@ def theta_inv(D: Symbol, req_floor=None) -> Symbol:
         if delta is None:
             raise ValueError("space symbols live on the integer grid")
         want = req if req is EXACT else req - delta
-        for (p, q), s in c.terms.items():
+        for q in _x_powers(c):
             img = _inv_image(q, want)
             term = _shift_orders(img, delta)
-            piece = sym_scale(term, CoeffFn.t_pow(p, s))
+            piece = sym_scale(term, c.x_slice(q))
             total = sym_add(total, piece)
     return _at_requested_floor(total, req)
 
@@ -310,7 +307,7 @@ def time_shift(f: CoeffFn, depth: int) -> CoeffFn:
     if not f.is_x_only():
         raise ValueError("the loop shift applies to momentum-only values")
     out = CoeffFn.zero()
-    for (_, q), s in f.terms.items():
+    for q in _x_powers(f):
         if q >= 0:
             top = q
         else:
@@ -323,9 +320,8 @@ def time_shift(f: CoeffFn, depth: int) -> CoeffFn:
                 break
             # (i t / 2M)^(q - m) xi^m
             shift_pow = q - m
-            coeff = CoeffFn.t_pow(shift_pow, (I_HALF_OVER_M ** shift_pow) * Scalar.of(cf))
-            acc = acc + coeff * CoeffFn.x_pow(m)
-        out = out + acc.scale(s)
+            acc = acc + CoeffFn.mono(shift_pow, m, I_HALF_OVER_M ** shift_pow * cf)
+        out = out + acc * f.x_slice(q)
     return out
 
 
@@ -400,7 +396,7 @@ def schrodinger_invariance_defect(f: CoeffFn, j, req_floor) -> Symbol:
         raise ValueError("the generator datum is a loop function")
     depth = default_depth(h(req_floor) if req_floor is not None else EXACT)
     c = time_shift(f.t_to_x(MINUS_2I_M), depth)
-    defect = c.deriv("T").scale(MINUS_2I_M) - c.deriv("X")
+    defect = c.deriv("T") * MINUS_2I_M - c.deriv("X")
     if (f.t_to_x(MINUS_2I_M).min_x_degree() or 0) < 0:
         defect = defect.drop_x_from(depth)
     return Symbol(XI, {h(j): defect})
@@ -408,7 +404,7 @@ def schrodinger_invariance_defect(f: CoeffFn, j, req_floor) -> Symbol:
 
 # ---------------------------------------------------------------- momentum embed
 
-_MINUS_I_HALF_OVER_M = Scalar.m_pow(-1, GaussRat(0, Fraction(-1, 2)))
+_MINUS_I_HALF_OVER_M = GaussRat(0, Fraction(-1, 2)) * M ** -1
 
 
 def j_map(X: SvElement) -> Symbol:
@@ -420,9 +416,9 @@ def j_map(X: SvElement) -> Symbol:
     """
     terms: dict = {}
     if not X.f.is_zero():
-        terms[h(1)] = X.f.t_to_x(MINUS_2I_M).scale(_MINUS_I_HALF_OVER_M)
+        terms[h(1)] = X.f.t_to_x(MINUS_2I_M) * _MINUS_I_HALF_OVER_M
     if not X.g.is_zero():
         terms[h("1/2")] = -X.g.t_to_x(MINUS_2I_M)
     if not X.h.is_zero():
-        terms[h(0)] = X.h.t_to_x(MINUS_2I_M).scale(I_M)
+        terms[h(0)] = X.h.t_to_x(MINUS_2I_M) * I_M
     return Symbol(XI, terms)

@@ -12,7 +12,7 @@ import pytest
 from svpsido.cocycles import CocycleId, cocycle_identity_defect, eval_cocycle
 from svpsido.halfint import h
 from svpsido.psido import R, XI, Symbol, sym_bracket
-from svpsido.ring import CoeffFn, Scalar
+from svpsido.ring import CoeffFn
 
 
 def slot_symbol(**slots):
@@ -25,7 +25,7 @@ def slot_symbol(**slots):
 
 
 def t_mono(power, value):
-    return CoeffFn.t_pow(power).scale(Scalar.of(value))
+    return CoeffFn.t_pow(power, value)
 
 
 class TestCuratedValues:

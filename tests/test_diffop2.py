@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from svpsido.halfint import h
 from svpsido.psido import R, Symbol
-from svpsido.ring import CoeffFn, GaussRat, I_M, Scalar
+from svpsido.ring import CoeffFn, GaussRat, I_M, M
 from svpsido.diffop2 import (
     DiffOp2,
     d_pi,
@@ -49,7 +49,7 @@ def test_negative_slots_rejected():
 
 def test_free_evolution_op_shape():
     op = free_evolution_op()
-    assert op.coeff(1, 0) == CoeffFn.const(Scalar.m_pow(1, GaussRat(0, -2)))
+    assert op.coeff(1, 0) == GaussRat(0, -2) * M
     assert op.coeff(0, 2) == CoeffFn.const(-1)
 
 
@@ -86,16 +86,16 @@ class TestOperatorAction:
 
     def test_shift_pair_closes_on_phase(self):
         # the bracket of the two lowest shift operators is the constant iM
-        mu = Scalar.zero()
+        mu = CoeffFn.zero()
         a = d_pi(mu, SvElement(g=CoeffFn.t_pow(1)))
         b = d_pi(mu, SvElement(g=CoeffFn.one()))
         got = dop_bracket(a, b)
-        assert got == DiffOp2({(0, 0): CoeffFn.const(I_M)})
+        assert got == DiffOp2({(0, 0): I_M})
         assert got == d_pi(mu, phase_mode(0))
 
     @pytest.mark.parametrize("mu", [Fraction(0), Fraction(1, 4), Fraction(1)])
     def test_representation_property(self, mu):
-        mus = Scalar.of(mu)
+        mus = CoeffFn.const(mu)
         basis = [
             time_mode(-1),
             time_mode(0),
@@ -112,9 +112,9 @@ class TestOperatorAction:
 
     def test_mu_term_present(self):
         # the weight enters only through the time part
-        mu = Scalar.of(Fraction(1, 4))
+        mu = CoeffFn.const(Fraction(1, 4))
         op = d_pi(mu, time_mode(1))  # f = t^2, f' = 2t
-        zero_wt = d_pi(Scalar.zero(), time_mode(1))
+        zero_wt = d_pi(CoeffFn.zero(), time_mode(1))
         diff = op - zero_wt
         assert diff == DiffOp2({(0, 0): CoeffFn.t_pow(1, Fraction(-1, 2))})
 

@@ -37,7 +37,7 @@ from svpsido.psido import (
     sym_mul,
     sym_sub,
 )
-from svpsido.ring import CoeffFn, GaussRat, Scalar
+from svpsido.ring import CoeffFn, GaussRat, I_M, M
 from svpsido.suites import VerifyConfig, run_suites
 from svpsido.svaction import SchrodPoint, d_sigma_tilde
 from svpsido.svalgebra import SvElement, phase_mode, shift_mode, sv_basis, time_mode
@@ -45,8 +45,7 @@ from svpsido.svalgebra import SvElement, phase_mode, shift_mode, sv_basis, time_
 REQ = h("-7/2")
 C2 = GaussRat(2)
 
-I_M = Scalar.m_pow(1, GaussRat(0, 1))
-M2 = Scalar.m_pow(2, 1)
+M2 = M ** 2
 
 
 def npoint(v=None, vm2=None, v0=None, a=None):
@@ -61,7 +60,7 @@ def npoint(v=None, vm2=None, v0=None, a=None):
 class TestContainers:
     def test_loop_coercion(self):
         A = GElement(w=3)
-        assert A.w == CoeffFn.one().scale(Scalar.of(3))
+        assert A.w == CoeffFn.const(3)
         assert A.W.is_zero() and A.alpha.is_zero()
 
     def test_space_dependence_rejected(self):
@@ -103,7 +102,7 @@ class TestBracket:
         A = GElement(w=CoeffFn.t_pow(2))
         B = GElement(w=CoeffFn.t_pow(-1))
         out = g_bracket(A, B, C2, REQ)
-        assert out.w == CoeffFn.one().scale(Scalar.of(-3))
+        assert out.w == CoeffFn.const(-3)
         assert out.W.is_zero() and out.alpha.is_zero()
 
     def test_transport_row(self):
@@ -111,16 +110,16 @@ class TestBracket:
         B = GElement(W=Symbol(R, {h(0): CoeffFn.t_pow(2)}))
         out = g_bracket(A, B, C2, REQ)
         assert out.w.is_zero()
-        assert out.W.coeff(h(0)) == CoeffFn.t_pow(2).scale(Scalar.of(2))
+        assert out.W.coeff(h(0)) == CoeffFn.t_pow(2, 2)
 
     def test_central_row(self):
         A = GElement(W=Symbol(R, {h(1): CoeffFn.mono(0, 2)}))
         B = GElement(W=Symbol(R, {h(-1): CoeffFn.mono(0, -2)}))
         out = g_bracket(A, B, C2, REQ)
         # the pairing of the order 1 and order -1 slots feeds the center
-        assert out.alpha == CoeffFn.one().scale(Scalar.of(4))
+        assert out.alpha == CoeffFn.const(4)
         out1 = g_bracket(A, B, GaussRat(1), REQ)
-        assert out1.alpha == CoeffFn.one().scale(Scalar.of(2))
+        assert out1.alpha == CoeffFn.const(2)
 
     def test_antisymmetry(self):
         els = [
@@ -142,7 +141,7 @@ class TestBracket:
         out = g_bracket(B, A, C2, REQ)
         # only the transport of the central coordinate survives
         assert out.W.is_zero()
-        assert out.alpha == CoeffFn.t_pow(3).scale(Scalar.of(3))
+        assert out.alpha == CoeffFn.t_pow(3, 3)
 
     def test_jacobi_spot(self):
         els = [
@@ -164,36 +163,39 @@ class TestBracket:
 
 class TestPairing:
     def test_loop_coupling(self):
-        assert pairing(npoint(v=CoeffFn.t_pow(-1)), GElement(w=1)) == Scalar.one()
+        assert pairing(npoint(v=CoeffFn.t_pow(-1)), GElement(w=1)) == CoeffFn.one()
 
     def test_symbol_coupling(self):
         mu = npoint(vm2=CoeffFn.one())
         A = GElement(W=Symbol(R, {h(1): CoeffFn.mono(-1, -1)}))
-        assert pairing(mu, A) == Scalar.one()
+        assert pairing(mu, A) == CoeffFn.one()
 
     def test_central_coupling(self):
         mu = npoint(a=CoeffFn.t_pow(-1))
-        assert pairing(mu, GElement(alpha=1)) == Scalar.one()
+        assert pairing(mu, GElement(alpha=1)) == CoeffFn.one()
 
     def test_residue_selects_single_mode(self):
         mu = npoint(v=CoeffFn.t_pow(2))
         assert pairing(mu, GElement(w=CoeffFn.t_pow(1))).is_zero()
-        assert pairing(mu, GElement(w=CoeffFn.t_pow(-3))) == Scalar.one()
+        assert pairing(mu, GElement(w=CoeffFn.t_pow(-3))) == CoeffFn.one()
 
 
 def composed_pairing(mu, A):
     """Oracle: compose V o W down to order -1 and take the Adler trace."""
     integrand = mu.v * A.w + mu.a * A.alpha + adler_trace(sym_mul(mu.V, A.W, h(-1)))
-    return integrand.residue("T").terms.get((0, 0), Scalar.zero())
+    return integrand.residue("T").x_slice(0)
 
 
 gauss = st.builds(GaussRat, st.integers(-3, 3), st.sampled_from([0, 1, Fraction(-1, 2)]))
-scalars = st.dictionaries(st.integers(-1, 2), gauss, min_size=1, max_size=2).map(Scalar)
+# the M-terms of one (t, x) monomial: M-power -> coefficient
+masses = st.dictionaries(st.integers(-1, 2), gauss, min_size=1, max_size=2)
 
 
 def coeff_fns(tpows, xpows, min_size=0):
     keys = st.tuples(st.integers(*tpows), st.integers(*xpows))
-    return st.dictionaries(keys, scalars, min_size=min_size, max_size=6).map(CoeffFn)
+    return st.dictionaries(keys, masses, min_size=min_size, max_size=6).map(
+        lambda d: CoeffFn({(p, q, m): g for (p, q), row in d.items() for m, g in row.items()})
+    )
 
 
 # narrow power ranges, so that most draws meet a t^-1 x^-1 monomial
@@ -272,8 +274,8 @@ class TestEmbedding:
 
     def test_phase_image_is_exact(self):
         E = embed_I(SvElement(h=CoeffFn.t_pow(1)), REQ)
-        expected = Symbol(R, {h(0): CoeffFn.t_pow(1).scale(I_M),
-                              h(-1): CoeffFn.mono(0, 1).scale(M2)})
+        expected = Symbol(R, {h(0): CoeffFn.t_pow(1, I_M),
+                              h(-1): CoeffFn.mono(0, 1, M2)})
         assert E.W.floor is EXACT
         assert E.W == expected
         assert E.w.is_zero()
@@ -281,7 +283,7 @@ class TestEmbedding:
     def test_shift_image_is_exact(self):
         E = embed_I(SvElement(g=CoeffFn.t_pow(1)), REQ)
         expected = Symbol(R, {h(1): -CoeffFn.t_pow(1),
-                              h(0): CoeffFn.mono(0, 1).scale(I_M)})
+                              h(0): CoeffFn.mono(0, 1, I_M)})
         assert E.W == expected
         assert E.w.is_zero()
 
@@ -328,20 +330,18 @@ class TestCoadjoint:
                     v0=CoeffFn.t_pow(2), a=CoeffFn.t_pow(1))
         out = coadjoint(SvElement(f=f), mu, C2)
         t = CoeffFn.t_pow
-        assert out.v == -t(1) - t(2).scale(Scalar.of(5))
-        assert out.V.coeff(h(-2)) == (-CoeffFn.mono(2, -2).scale(Scalar.of(3))
-                                      + t(1).scale(I_M))
-        assert out.V.coeff(h(0)) == -t(3).scale(Scalar.of(4)) + t(2).scale(Scalar.of(2))
-        assert out.a == -t(2).scale(Scalar.of(3))
+        assert out.v == -t(1) - t(2, 5)
+        assert out.V.coeff(h(-2)) == -CoeffFn.mono(2, -2, 3) + t(1, I_M)
+        assert out.V.coeff(h(0)) == -t(3, 4) + t(2, 2)
+        assert out.a == -t(2, 3)
 
     def test_shift_rows(self):
         g = CoeffFn.t_pow(2)
         vm2 = CoeffFn.mono(1, -1) + CoeffFn.mono(0, 2)
         mu = npoint(vm2=vm2, a=CoeffFn.t_pow(1))
         out = coadjoint(SvElement(g=g), mu, C2)
-        assert out.v == -CoeffFn.t_pow(2).scale(Scalar.of(2))
-        expected = (CoeffFn.mono(3, -2) - CoeffFn.mono(2, 1).scale(Scalar.of(2))
-                    - CoeffFn.mono(1, 1).scale(Scalar.m_pow(2, 4)))
+        assert out.v == -CoeffFn.t_pow(2, 2)
+        expected = CoeffFn.mono(3, -2) - CoeffFn.mono(2, 1, 2) - CoeffFn.mono(1, 1, 4 * M2)
         assert out.V.coeff(h(-2)) == expected
         assert out.V.coeff(h(0)).is_zero() and out.a.is_zero()
 
@@ -350,7 +350,7 @@ class TestCoadjoint:
         mu = npoint(vm2=CoeffFn.mono(1, 1), a=CoeffFn.t_pow(1))
         out = coadjoint(SvElement(h=hf), mu, C2)
         assert out.v.is_zero() and out.a.is_zero()
-        assert out.V.coeff(h(-2)) == -CoeffFn.mono(2, 0).scale(Scalar.m_pow(2, 4))
+        assert out.V.coeff(h(-2)) == -CoeffFn.mono(2, 0, 4 * M2)
 
     def test_slice_guard(self):
         mu = GDual(V=Symbol(R, {h(-1): CoeffFn.one()}))

@@ -31,12 +31,12 @@ from svpsido.poisson import (
     variational_derivative,
 )
 from svpsido.psido import R, Symbol
-from svpsido.ring import CoeffFn, GaussRat, Scalar
+from svpsido.ring import CoeffFn, GaussRat, M
 from svpsido.svalgebra import SvElement, sv_basis, sv_bracket
 
 C2 = GaussRat(2)
-I_M_QUARTER = Scalar.m_pow(1, GaussRat(0, Fraction(1, 4)))
-M2 = Scalar.m_pow(2, 1)
+I_M_QUARTER = GaussRat(0, Fraction(1, 4)) * M
+M2 = M ** 2
 
 
 def npoint(v=None, vm2=None, v0=None, a=None):
@@ -118,7 +118,7 @@ class TestVariationalDerivative:
         # d/dV of int c * dt(V) is -dc/dt
         F = LocalFunctional.monomial(CoeffFn.t_pow(3), jet(FIELD_V, 1))
         assert variational_derivative(F, FIELD_V) == \
-            LocalFunctional.monomial(-CoeffFn.t_pow(2).scale(Scalar.of(3)))
+            LocalFunctional.monomial(-CoeffFn.t_pow(2, 3))
 
     @pytest.mark.parametrize("var", ["T", "X"])
     def test_total_derivatives_die(self, var):
@@ -142,11 +142,11 @@ class TestEvaluation:
         # int int t^-2 r V-2 at V-2 = t r^-2: residues in both variables
         F = LocalFunctional.monomial(CoeffFn.mono(-2, 1), jet(FIELD_VM2))
         mu = npoint(vm2=CoeffFn.mono(1, -2))
-        assert evaluate(F, mu) == Scalar.one()
+        assert evaluate(F, mu) == CoeffFn.one()
 
     def test_loop_class_single_residue(self):
         F = LocalFunctional.monomial(CoeffFn.t_pow(-2), jet(FIELD_V))
-        assert evaluate(F, self.mu) == Scalar.one()
+        assert evaluate(F, self.mu) == CoeffFn.one()
 
     def test_quotient_semantics(self):
         base = LocalFunctional.monomial(CoeffFn.mono(-1, 0),
@@ -160,14 +160,14 @@ class TestEvaluation:
     def test_substitute_applies_jets(self):
         F = LocalFunctional.monomial(CoeffFn.one(), jet(FIELD_VM2, 1, 1))
         got = substitute(F, npoint(vm2=CoeffFn.mono(2, 2)))
-        assert got == CoeffFn.mono(1, 1).scale(Scalar.of(4))
+        assert got == CoeffFn.mono(1, 1, 4)
 
 
 class TestGeneratorFunctionals:
     def test_phase_shape(self):
         F = lemma71_functional(SvElement(h=CoeffFn.t_pow(2)))
         assert F == LocalFunctional.monomial(
-            CoeffFn.mono(1, 1).scale(Scalar.m_pow(2, 2)), jet(FIELD_V0))
+            CoeffFn.mono(1, 1, 2 * M2), jet(FIELD_V0))
 
     def test_constant_phase_gives_zero(self):
         assert lemma71_functional(SvElement(h=CoeffFn.one())).is_zero()
@@ -183,8 +183,7 @@ class TestGeneratorFunctionals:
         assert variational_derivative(F, FIELD_VM2) == \
             LocalFunctional.monomial(-CoeffFn.mono(1, 1))
         assert variational_derivative(F, FIELD_V0) == \
-            LocalFunctional.monomial(-CoeffFn.mono(0, 1).scale(
-                Scalar.m_pow(1, GaussRat(0, Fraction(1, 2)))))
+            LocalFunctional.monomial(-CoeffFn.mono(0, 1, GaussRat(0, Fraction(1, 2)) * M))
 
     def test_functionals_are_momentum_pairings(self):
         pts = [npoint(v=CoeffFn.t_pow(-1)), npoint(vm2=CoeffFn.mono(-2, 1)),
@@ -218,7 +217,7 @@ class TestLoopClassRows:
     def test_loop_field(self):
         f = CoeffFn.t_pow(2)
         H = hamiltonian_vector(LocalFunctional.monomial(f, jet(FIELD_V)), self.mu, C2)
-        assert H.v == (self.mu.v * f.deriv("T")).scale(Scalar.of(2)) + self.mu.v.deriv("T") * f
+        assert H.v == self.mu.v * f.deriv("T") * 2 + self.mu.v.deriv("T") * f
         assert H.V.coeff(h(-2)) == (self.mu.V.coeff(h(-2)) * f).deriv("T")
         assert H.V.coeff(h(0)) == (self.mu.V.coeff(h(0)) * f).deriv("T")
         assert H.a == (self.mu.a * f).deriv("T")
@@ -266,11 +265,11 @@ def _defect(X, Y):
     -iM/4 int int g f'' V0, (shift, phase) pairs -M^2 int int u' g V0."""
     if not X.f.is_zero() and not Y.g.is_zero():
         fdd = X.f.deriv("T").deriv("T")
-        return LocalFunctional.monomial(-(Y.g * fdd).scale(I_M_QUARTER), jet(FIELD_V0))
+        return LocalFunctional.monomial(-(Y.g * fdd * I_M_QUARTER), jet(FIELD_V0))
     if not X.g.is_zero() and not Y.f.is_zero():
         return _defect(Y, X).neg()
     if not X.g.is_zero() and not Y.h.is_zero():
-        return LocalFunctional.monomial(-(Y.h.deriv("T") * X.g).scale(M2), jet(FIELD_V0))
+        return LocalFunctional.monomial(-(Y.h.deriv("T") * X.g * M2), jet(FIELD_V0))
     if not X.h.is_zero() and not Y.g.is_zero():
         return _defect(Y, X).neg()
     return LocalFunctional.zero()

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svpsido.halfint import EXACT, HalfInt, h
-from svpsido.ring import CoeffFn, GaussRat, Scalar
+from svpsido.ring import CoeffFn, GaussRat
 from svpsido.psido import (
     R,
     XI,

@@ -1,5 +1,5 @@
-"""Ground-ring arithmetic: Gaussian rationals, mass-Laurent scalars, and
-bivariate coefficient functions."""
+"""Ground-ring arithmetic: Gaussian rationals and the (t, x, M) Laurent
+coefficient functions, including the scalars free of t and x."""
 
 from fractions import Fraction
 
@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svpsido.ring import CoeffFn, GR_I, GR_ONE, GR_ZERO, GaussRat, Scalar
+from svpsido.ring import CoeffFn, GR_I, GR_ONE, GR_ZERO, GaussRat, M
+from svpsido.textio import scalar_str
 
 F = Fraction
 
@@ -22,18 +23,19 @@ small_fracs = st.builds(
 
 gauss = st.builds(GaussRat, small_fracs, small_fracs)
 
-scalars = st.dictionaries(
-    st.integers(min_value=-2, max_value=2), gauss, max_size=3
-).map(Scalar)
+# M-power -> coefficient, for one (t, x) monomial or for a scalar
+masses = st.dictionaries(st.integers(min_value=-2, max_value=2), gauss, max_size=3)
+
+scalars = masses.map(lambda d: CoeffFn({(0, 0, m): g for m, g in d.items()}))
 
 coeffs = st.dictionaries(
     st.tuples(
         st.integers(min_value=-2, max_value=2),
         st.integers(min_value=-2, max_value=2),
     ),
-    scalars,
+    masses,
     max_size=4,
-).map(CoeffFn)
+).map(lambda d: CoeffFn({(p, q, m): g for (p, q), row in d.items() for m, g in row.items()}))
 
 
 # ---- GaussRat ------------------------------------------------------------
@@ -77,11 +79,9 @@ def test_slots_refuse_assignment_after_construction():
     # assignment must still be refused
     from svpsido.halfint import h
     from svpsido.psido import R, Symbol
-    from svpsido.ring import _coeff_raw, _scalar_raw
+    from svpsido.ring import _coeff_raw
 
     for obj, slot in (
-        (_scalar_raw({}), "terms"),
-        (Scalar.one(), "terms"),
         (_coeff_raw({}), "terms"),
         (CoeffFn.one(), "terms"),
         (h(1), "twice"),
@@ -106,35 +106,37 @@ def test_gauss_inverse_when_nonzero(a):
         assert a * a.inv() == GR_ONE
 
 
-# ---- Scalar ---------------------------------------------------------------
+# ---- scalars: values free of t and x ----------------------------------------
 
 
 def test_scalar_normalizes_away_zeros():
-    s = Scalar({0: GaussRat(1), 2: GR_ZERO})
-    assert s.terms == {0: GR_ONE}
+    s = CoeffFn({(0, 0, 0): GaussRat(1), (0, 0, 2): GR_ZERO})
+    assert s.terms == {(0, 0, 0): GR_ONE}
 
 
 def test_scalar_monomial_unit_inverse():
-    s = Scalar.m_pow(3, GaussRat(0, 2))  # 2i*M^3
-    assert s * s.unit_inv() == Scalar.one()
-    assert s.unit_inv() == Scalar.m_pow(-3, GaussRat(0, F(-1, 2)))
+    s = GaussRat(0, 2) * M ** 3  # 2i*M^3
+    assert s * s ** -1 == CoeffFn.one()
+    assert s ** -1 == GaussRat(0, F(-1, 2)) * M ** -3
 
 
 def test_scalar_non_monomial_division_rejected():
-    s = Scalar.one() + Scalar.m_pow(1)
-    with pytest.raises(ZeroDivisionError):
-        s.unit_inv()
+    s = CoeffFn.one() + M
+    with pytest.raises(ValueError):
+        s ** -1
+    with pytest.raises(ValueError):
+        s ** 2
 
 
 def test_scalar_negative_power_of_unit():
-    s = Scalar.m_pow(1, 2)
-    assert s ** -2 == Scalar.m_pow(-2, F(1, 4))
+    s = 2 * M
+    assert s ** -2 == F(1, 4) * M ** -2
 
 
 def test_scalar_subs_m():
     # (1 + M^2) at M = 2i gives 1 - 4
-    s = Scalar.one() + Scalar.m_pow(2)
-    assert s.subs_m(GaussRat(0, 2)) == Scalar.of(-3)
+    s = CoeffFn.one() + M ** 2
+    assert s.subs_m(GaussRat(0, 2)) == CoeffFn.const(-3)
 
 
 @given(scalars, scalars, scalars)
@@ -180,24 +182,18 @@ def test_coeff_leibniz_rule(a, b):
     assert lhs == rhs
 
 
-def test_scale_x_substitution():
-    c = CoeffFn.x_pow(-2)
-    two_m = Scalar.m_pow(1, 2)
-    assert c.scale_x(two_m) == CoeffFn.x_pow(-2).scale(Scalar.m_pow(-2, F(1, 4)))
-
-
 def test_x_to_t_requires_t_free():
     ok = CoeffFn.x_pow(3)
-    assert ok.x_to_t(Scalar.of(2)) == CoeffFn.t_pow(3, 8)
+    assert ok.x_to_t(2) == CoeffFn.t_pow(3, 8)
     with pytest.raises(ValueError):
-        (CoeffFn.t_pow(1) + CoeffFn.x_pow(1)).x_to_t(Scalar.one())
+        (CoeffFn.t_pow(1) + CoeffFn.x_pow(1)).x_to_t(1)
 
 
 def test_t_to_x_requires_x_free():
     ok = CoeffFn.t_pow(2)
-    assert ok.t_to_x(Scalar.of(-1)) == CoeffFn.x_pow(2)
+    assert ok.t_to_x(-1) == CoeffFn.x_pow(2)
     with pytest.raises(ValueError):
-        CoeffFn.mono(1, 1).t_to_x(Scalar.one())
+        CoeffFn.mono(1, 1).t_to_x(1)
 
 
 def test_x_slice_and_drop():
@@ -209,7 +205,7 @@ def test_x_slice_and_drop():
 
 
 def test_coeff_subs_m():
-    c = CoeffFn.mono(1, 1, Scalar.m_pow(2))
+    c = CoeffFn.mono(1, 1, M ** 2)
     assert c.subs_m(GaussRat(0, 1)) == CoeffFn.mono(1, 1, -1)
 
 
@@ -225,13 +221,20 @@ def test_gauss_printing():
 
 
 def test_scalar_printing():
-    assert str(Scalar.of(2) + Scalar.m_pow(2)) == "2 + M^2"
-    assert str(Scalar.m_pow(-1, GaussRat(0, -2))) == "-2*i*M^-1"
-    assert str(Scalar.zero()) == "0"
+    assert scalar_str(CoeffFn.const(2) + M ** 2) == "2 + M^2"
+    assert scalar_str(GaussRat(0, -2) * M ** -1) == "-2*i*M^-1"
+    assert scalar_str(CoeffFn.zero()) == "0"
+    # several M-powers, ascending, with signs folded into the joins
+    assert scalar_str(GR_I * M ** -1 - 1 + F(1, 2) * M ** 2 - M ** 3) == "i*M^-1 - 1 + 1/2*M^2 - M^3"
+    with pytest.raises(ValueError):
+        scalar_str(CoeffFn.t_pow(1))
 
 
 def test_coeff_printing_matches_canonical_grammar():
-    c = CoeffFn.mono(2, -1, GaussRat(F(3, 2), F(1, 2))).scale(Scalar.m_pow(-1))
+    c = CoeffFn.mono(2, -1, GaussRat(F(3, 2), F(1, 2))) * M ** -1
     assert str(c) == "(3/2 + 1/2*i)*M^-1*t^2*x^-1"
     assert str(CoeffFn.x_pow(1, F(1, 2))) == "1/2*x"
     assert str(CoeffFn.t_pow(2, -1) + CoeffFn.one()) == "1 - t^2"
+    # M-powers that share a (t, x) monomial print as one parenthesized scalar
+    assert str(CoeffFn.t_pow(1, 2 + M ** 2)) == "(2 + M^2)*t"
+    assert str(CoeffFn.mono(0, 1, -M) + M - M ** 2 + 3) == "(3 + M - M^2) - M*x"

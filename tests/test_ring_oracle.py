@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from svpsido.halfint import EXACT, HalfInt
 from svpsido.psido import XI, Symbol, sym_mul
-from svpsido.ring import CoeffFn, GaussRat, Scalar
+from svpsido.ring import CoeffFn, GaussRat, M
 
-T, X, M = sp.symbols("t x M")
+T, X, MASS = sp.symbols("t x M")
 
 
 # ---- conversions to sympy ---------------------------------------------------
@@ -31,12 +31,8 @@ def gauss_sp(g: GaussRat):
     )
 
 
-def scalar_sp(s: Scalar):
-    return sp.Add(*[gauss_sp(v) * M**k for k, v in s.terms.items()])
-
-
 def coeff_sp(c: CoeffFn):
-    return sp.Add(*[scalar_sp(v) * T**p * X**q for (p, q), v in c.terms.items()])
+    return sp.Add(*[gauss_sp(v) * T**p * X**q * MASS**m for (p, q, m), v in c.terms.items()])
 
 
 def same(a, b) -> bool:
@@ -76,13 +72,29 @@ fracs = st.builds(
 )
 gauss = st.builds(GaussRat, fracs, fracs)
 nonzero_gauss = gauss.filter(lambda g: not g.is_zero())
-scalars = st.dictionaries(st.integers(min_value=-2, max_value=2), gauss, max_size=3).map(Scalar)
-units = st.builds(Scalar.m_pow, st.integers(min_value=-3, max_value=3), nonzero_gauss)
-coeffs = st.dictionaries(
-    st.tuples(st.integers(min_value=-2, max_value=2), st.integers(min_value=-2, max_value=2)),
-    scalars,
-    max_size=3,
-).map(CoeffFn)
+powers = st.integers(min_value=-2, max_value=2)
+# M-power -> coefficient, for one (t, x) monomial or for a scalar
+masses = st.dictionaries(powers, gauss, max_size=3)
+scalars = masses.map(lambda d: CoeffFn({(0, 0, m): g for m, g in d.items()}))
+units = st.builds(lambda k, g: g * M**k, st.integers(min_value=-3, max_value=3), nonzero_gauss)
+monomials = st.builds(
+    lambda p, q, m, g: CoeffFn({(p, q, m): g}), powers, powers, powers, nonzero_gauss
+)
+
+
+def flat(d: dict) -> CoeffFn:
+    """A CoeffFn from (t, x) -> {M-power: coefficient}."""
+    return CoeffFn({(p, q, m): g for (p, q), row in d.items() for m, g in row.items()})
+
+
+def coeffs_in(tpows, xpows):
+    keys = st.tuples(st.integers(*tpows), st.integers(*xpows))
+    return st.dictionaries(keys, masses, max_size=3).map(flat)
+
+
+coeffs = coeffs_in((-2, 2), (-2, 2))
+t_free = coeffs_in((0, 0), (-2, 2))
+x_free = coeffs_in((-2, 2), (0, 0))
 
 
 def reduced(g: GaussRat) -> bool:
@@ -132,29 +144,53 @@ def test_gauss_keeps_the_fraction_constructor(re, im):
     assert GaussRat(re) == re and GaussRat(re).is_zero() == (re == 0)
 
 
-# ---- Scalar ------------------------------------------------------------------------
+# a small pool, so that equal values of different types are drawn often
+small_fracs = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+numbers = st.one_of(
+    st.integers(-3, 3),
+    small_fracs,
+    small_fracs.map(GaussRat),
+    st.builds(GaussRat, small_fracs, small_fracs),
+)
+
+
+@given(numbers, numbers)
+@example(GaussRat(1), 1)
+@example(GaussRat(F(-1, 2)), F(-1, 2))
+@example(GaussRat(F(1, 2), 1), GaussRat(0, 1) + F(1, 2))
+def test_equal_values_hash_equal(x, y):
+    # ints, Fractions and GaussRats that are equal must hash equal, so
+    # that any of them finds the others in a dict
+    if x == y:
+        assert hash(x) == hash(y)
+        assert {x: "found"}.get(y) == "found"
+
+
+# ---- scalars: values free of t and x ----------------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
 @given(scalars, scalars)
 def test_scalar_ops_match_sympy(a, b):
-    sa, sb = scalar_sp(a), scalar_sp(b)
-    assert same(scalar_sp(a + b), sa + sb)
-    assert same(scalar_sp(a - b), sa - sb)
-    assert same(scalar_sp(a * b), sa * sb)
+    sa, sb = coeff_sp(a), coeff_sp(b)
+    assert same(coeff_sp(a + b), sa + sb)
+    assert same(coeff_sp(a - b), sa - sb)
+    assert same(coeff_sp(a * b), sa * sb)
     assert (a == b) == same(sa, sb)
 
 
 @settings(max_examples=60, deadline=None)
 @given(units, scalars)
 def test_scalar_unit_inverse_matches_sympy(u, s):
-    assert same(scalar_sp(u.unit_inv()), sp.radsimp(1 / scalar_sp(u)))
-    assert same(scalar_sp(s / u), scalar_sp(s) * sp.radsimp(1 / scalar_sp(u)))
+    assert same(coeff_sp(u**-1), sp.radsimp(1 / coeff_sp(u)))
+    assert same(coeff_sp(s * u**-1), coeff_sp(s) * sp.radsimp(1 / coeff_sp(u)))
 
 
 def test_scalar_unit_inverse_refuses_non_monomials():
-    with pytest.raises(ZeroDivisionError):
-        (Scalar.one() + Scalar.m_pow(1)).unit_inv()
+    for c in (CoeffFn.one() + M, CoeffFn.t_pow(1) + CoeffFn.x_pow(1), CoeffFn.zero()):
+        for k in (-1, 2):
+            with pytest.raises(ValueError):
+                c**k
 
 
 # ---- CoeffFn -----------------------------------------------------------------------
@@ -171,6 +207,13 @@ def test_coeff_ops_match_sympy(f, g):
 
 
 @settings(max_examples=60, deadline=None)
+@given(monomials, st.integers(min_value=-3, max_value=3))
+def test_monomial_powers_match_sympy(c, k):
+    assert same(coeff_sp(c**k), sp.radsimp(coeff_sp(c) ** k))
+    assert c**k * c**-k == CoeffFn.one()
+
+
+@settings(max_examples=60, deadline=None)
 @given(coeffs)
 def test_coeff_calculus_matches_sympy(f):
     sf = sp.expand(coeff_sp(f))
@@ -178,6 +221,31 @@ def test_coeff_calculus_matches_sympy(f):
     assert same(coeff_sp(f.deriv("X")), sp.diff(sf, X))
     assert same(coeff_sp(f.residue("T")), sf.coeff(T, -1))
     assert same(coeff_sp(f.residue("X")), sf.coeff(X, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs, nonzero_gauss, st.integers(min_value=-2, max_value=3))
+def test_coeff_slices_and_mass_values_match_sympy(f, value, qmin):
+    sf = sp.expand(coeff_sp(f))
+    for q in range(-2, 3):
+        assert same(coeff_sp(f.x_slice(q)), sf.coeff(X, q))
+    kept = sp.Add(*[sf.coeff(X, q) * X**q for q in range(-2, qmin)])
+    assert same(coeff_sp(f.drop_x_from(qmin)), kept)
+    assert same(coeff_sp(f.subs_m(value)), sf.subs(MASS, gauss_sp(value)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(t_free, x_free, units)
+def test_coeff_substitutions_match_sympy(f, g, u):
+    su = coeff_sp(u)
+    assert same(coeff_sp(f.x_to_t(u)), coeff_sp(f).subs(X, su * T))
+    assert same(coeff_sp(g.t_to_x(u)), coeff_sp(g).subs(T, su * X))
+    if not f.is_t_only():
+        with pytest.raises(ValueError):
+            f.t_to_x(u)
+    if not g.is_x_only():
+        with pytest.raises(ValueError):
+            g.x_to_t(u)
 
 
 # ---- sym_mul against the Leibniz sum ------------------------------------------------------

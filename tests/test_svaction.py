@@ -10,11 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from svpsido.ring import CoeffFn, GaussRat, Scalar
+from svpsido.ring import CoeffFn, I_M, M
 from svpsido.svaction import SchrodPoint, d_sigma_affine, d_sigma_tilde
 from svpsido.svalgebra import SvElement, sv_basis, sv_bracket
 
-I_M = Scalar.m_pow(1, GaussRat(0, 1))
 
 WEIGHTS = (Fraction(0), Fraction(1, 4), Fraction(1))
 
@@ -48,16 +47,15 @@ class TestCuratedRows:
         out = d_sigma_tilde(Fraction(0), SvElement(f=f), self.P)
         # -f V. - f'/2 r V' - 2 f' V contribute (-1 - 2 - 4) t^2 r^2,
         # and the amplitude feeds i M f'' a / 2 = i M t
-        expected_v = (-CoeffFn.mono(2, 2).scale(Scalar.of(7))
-                      + CoeffFn.t_pow(1).scale(I_M))
+        expected_v = -CoeffFn.mono(2, 2, 7) + CoeffFn.t_pow(1, I_M)
         assert out.V == expected_v
-        assert out.a == -CoeffFn.t_pow(2) - CoeffFn.t_pow(2).scale(Scalar.of(2))
+        assert out.a == -CoeffFn.t_pow(2) - CoeffFn.t_pow(2, 2)
 
     def test_weight_quarter_kills_curvature_term(self):
         f = CoeffFn.t_pow(2)
         out0 = d_sigma_tilde(Fraction(0), SvElement(f=f), self.P)
         out4 = d_sigma_tilde(Fraction(1, 4), SvElement(f=f), self.P)
-        assert out0.V - out4.V == CoeffFn.t_pow(1).scale(I_M)
+        assert out0.V - out4.V == CoeffFn.t_pow(1, I_M)
         assert out0.a == out4.a
 
     def test_cubic_tail(self):
@@ -65,20 +63,19 @@ class TestCuratedRows:
         P = SchrodPoint(a=CoeffFn.one(), V=CoeffFn.zero())
         out = d_sigma_tilde(Fraction(1, 4), SvElement(f=f), P)
         # only the -M^2 r^2 f''' a / 2 tail survives at weight 1/4
-        assert out.V == -CoeffFn.mono(0, 2).scale(Scalar.m_pow(2, 3))
-        assert out.a == -CoeffFn.t_pow(2).scale(Scalar.of(3))
+        assert out.V == -CoeffFn.mono(0, 2, 3 * M ** 2)
+        assert out.a == -CoeffFn.t_pow(2, 3)
 
     def test_shift_row(self):
         g = CoeffFn.t_pow(2)
         out = d_sigma_tilde(Fraction(0), SvElement(g=g), self.P)
-        assert out.V == (-CoeffFn.mono(3, 1).scale(Scalar.of(2))
-                         - CoeffFn.mono(1, 1).scale(Scalar.m_pow(2, 4)))
+        assert out.V == -CoeffFn.mono(3, 1, 2) - CoeffFn.mono(1, 1, 4 * M ** 2)
         assert out.a.is_zero()
 
     def test_phase_row(self):
         hf = CoeffFn.t_pow(2)
         out = d_sigma_tilde(Fraction(0), SvElement(h=hf), self.P)
-        assert out.V == -CoeffFn.mono(2, 0).scale(Scalar.m_pow(2, 4))
+        assert out.V == -CoeffFn.mono(2, 0, 4 * M ** 2)
         assert out.a.is_zero()
 
 

@@ -13,7 +13,7 @@ import pytest
 from svpsido import transforms
 from svpsido.halfint import EXACT, h
 from svpsido.psido import R, XI, Symbol
-from svpsido.ring import CoeffFn, GaussRat, Scalar
+from svpsido.ring import CoeffFn, I_M
 from svpsido.textio import eval_expr, parse_floor, parse_rational, symbol_str
 
 
@@ -47,14 +47,12 @@ class TestEvalExpr:
 
     def test_sum_with_constants(self):
         # one order-0 slot holding  2*xi + i*M*t^2
-        coeff = CoeffFn.x_pow(1, 2) + CoeffFn.t_pow(2).scale(
-            Scalar.m_pow(1, GaussRat(0, 1))
-        )
+        coeff = CoeffFn.x_pow(1, 2) + CoeffFn.t_pow(2, I_M)
         assert eval_expr("2*xi + i*M*t^2") == Symbol.function(XI, coeff)
 
     def test_terminating_product(self):
         # d^-1 r = r d^-1 - d^-2, the Leibniz tail stops at the second term
-        want = Symbol(R, {h(-1): CoeffFn.x_pow(1), h(-2): CoeffFn.const(Scalar.of(-1))})
+        want = Symbol(R, {h(-1): CoeffFn.x_pow(1), h(-2): CoeffFn.const(-1)})
         assert eval_expr("mul(d_r^-1, r)") == want
 
     def test_infinite_tail_uses_the_floor(self):
@@ -129,9 +127,18 @@ class TestRendering:
     def test_zero_symbol(self):
         assert symbol_str(eval_expr("trace(r^2*d_r^-1)")) == "0 | exact"
 
+    def test_integer_powers_of_a_function(self):
+        assert eval_expr("((2 + M)*t)^2") == eval_expr("(4 + 4*M + M^2)*t^2")
+        assert eval_expr("(2*M*t)^-1") == eval_expr("1/2*M^-1*t^-1")
+        # only monomials are units
+        with pytest.raises(ValueError, match="single-generator"):
+            eval_expr("((2 + M)*t)^-1")
+
     def test_render_parse_fixed_point(self):
-        # exact symbols survive a render/parse cycle verbatim
-        for src in ("xi^3*d_xi^-1", "2*xi + i*M*t^2", "r*d_r^-1 - d_r^-2"):
+        # exact symbols survive a render/parse cycle verbatim; the M-terms
+        # of one (t, r) monomial print as one scalar factor
+        for src in ("xi^3*d_xi^-1", "2*xi + i*M*t^2", "r*d_r^-1 - d_r^-2",
+                    "(2 + M^2)*t*d_r + M*r + (2 + M^2)*t"):
             sym = eval_expr(src)
             body, tag = symbol_str(sym).rsplit(" | ", 1)
             assert tag == "exact"
