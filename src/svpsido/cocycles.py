@@ -29,7 +29,13 @@ from .halfint import EXACT, h
 from .psido import R, Symbol, sym_bracket
 from .ring import CoeffFn
 
-__all__ = ["CocycleId", "eval_cocycle", "cocycle_identity_defect"]
+__all__ = [
+    "CocycleId",
+    "eval_cocycle",
+    "quotient_bracket",
+    "cyclic_defect",
+    "cocycle_identity_defect",
+]
 
 
 class CocycleId(enum.Enum):
@@ -84,17 +90,24 @@ def eval_cocycle(cid: CocycleId, A: Symbol, B: Symbol) -> CoeffFn:
     return expr.residue("X")
 
 
-def cocycle_identity_defect(cid: CocycleId, A: Symbol, B: Symbol, C: Symbol) -> CoeffFn:
-    """c([A,B],C) + c([B,C],A) + c([C,A],B); zero for a genuine 2-cocycle.
+def quotient_bracket(A: Symbol, B: Symbol) -> Symbol:
+    """[A, B] in the capped quotient.
 
-    Brackets are taken in the capped quotient: the full commutator floored
-    at order -1 has the same three slots, lower orders never enter.
+    The full commutator floored at order -1 has the same three slots;
+    lower orders never enter.
     """
-    ab = sym_bracket(A, B, _MINUS_ONE)
-    bc = sym_bracket(B, C, _MINUS_ONE)
-    ca = sym_bracket(C, A, _MINUS_ONE)
-    return (
-        eval_cocycle(cid, ab, C)
-        + eval_cocycle(cid, bc, A)
-        + eval_cocycle(cid, ca, B)
-    )
+    return sym_bracket(A, B, _MINUS_ONE)
+
+
+def cyclic_defect(
+    cid: CocycleId, A: Symbol, B: Symbol, C: Symbol, ab: Symbol, bc: Symbol, ca: Symbol
+) -> CoeffFn:
+    """c([A,B],C) + c([B,C],A) + c([C,A],B), given the quotient brackets
+    ab = [A,B], bc = [B,C] and ca = [C,A]; zero for a genuine 2-cocycle."""
+    return eval_cocycle(cid, ab, C) + eval_cocycle(cid, bc, A) + eval_cocycle(cid, ca, B)
+
+
+def cocycle_identity_defect(cid: CocycleId, A: Symbol, B: Symbol, C: Symbol) -> CoeffFn:
+    """c([A,B],C) + c([B,C],A) + c([C,A],B); zero for a genuine 2-cocycle."""
+    ab, bc, ca = quotient_bracket(A, B), quotient_bracket(B, C), quotient_bracket(C, A)
+    return cyclic_defect(cid, A, B, C, ab, bc, ca)

@@ -40,14 +40,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .halfint import EXACT, HalfInt, h, hmax
+from .halfint import EXACT, h
 from .psido import (
     R,
     XI,
     Symbol,
     binom_half,
     cap_order,
-    eq_trusted,
     sym_add,
     sym_bracket,
     sym_scale,

@@ -7,10 +7,18 @@ the same configuration produce identical reports apart from the wall
 clock field.  Cases are pure functions of prebuilt immutable inputs, so
 forked worker processes may each run a strided share of them; the parent
 puts the outcomes back in case order before aggregating.
+
+A sub-result that several cases share (a bracket of two box elements, an
+inner product, an action on a basis element, a transform image) comes
+from a lazy table keyed by box indices: it is computed by the first case
+that asks for it, never by the build, so each forked worker fills its own
+copy and nothing is pickled.  A failed entry is not stored, so every case
+that reads it fails the same way.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
@@ -20,9 +28,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import transforms as tr
-from .cocycles import CocycleId, cocycle_identity_defect, eval_cocycle
+from .cocycles import (
+    CocycleId,
+    cocycle_identity_defect,
+    cyclic_defect,
+    eval_cocycle,
+    quotient_bracket,
+)
 from .diffop2 import DiffOp2, d_pi, dop_bracket, dop_from_r_symbol, dop_mul, free_evolution_op
-from .halfint import EXACT, HalfInt, h
+from .halfint import EXACT, HalfInt, h, hmin
 from .kacmoody import (
     DualFamily,
     GDual,
@@ -381,10 +395,19 @@ def _suite_psido_axioms(cfg: VerifyConfig) -> list:
         for p in (-2, 0, 1)
     ]
     spot_names = [symbol_str(D) for D in spot]
+
+    @functools.cache
+    def product(i: int, j: int) -> Symbol:
+        return sym_mul(spot[i], spot[j], deep)
+
+    @functools.cache
+    def bracket(i: int, j: int) -> Symbol:
+        return sym_bracket(spot[i], spot[j], deep)
+
     for (i, A), (j, B), (k, C) in itertools.product(enumerate(spot), repeat=3):
-        def check(A=A, B=B, C=C):
-            lhs = sym_mul(sym_mul(A, B, deep), C, F)
-            rhs = sym_mul(A, sym_mul(B, C, deep), F)
+        def check(A=A, C=C, i=i, j=j, k=k):
+            lhs = sym_mul(product(i, j), C, F)
+            rhs = sym_mul(A, product(j, k), F)
             if eq_trusted(lhs, rhs):
                 return None
             return (_fmt_symbol(cfg, lhs), _fmt_symbol(cfg, rhs))
@@ -393,13 +416,13 @@ def _suite_psido_axioms(cfg: VerifyConfig) -> list:
         cases.append((label, check))
 
     for (i, A), (j, B), (k, C) in itertools.combinations(enumerate(spot), 3):
-        def check(A=A, B=B, C=C):
+        def check(A=A, B=B, C=C, i=i, j=j, k=k):
             total = sym_add(
                 sym_add(
-                    sym_bracket(A, sym_bracket(B, C, deep), F),
-                    sym_bracket(B, sym_bracket(C, A, deep), F),
+                    sym_bracket(A, bracket(j, k), F),
+                    sym_bracket(B, bracket(k, i), F),
                 ),
-                sym_bracket(C, sym_bracket(A, B, deep), F),
+                sym_bracket(C, bracket(i, j), F),
             )
             if _trusted_zero(total):
                 return None
@@ -446,9 +469,13 @@ def _suite_theta(cfg: VerifyConfig) -> list:
     ]
     names = {id(A): symbol_str(A) for _, _, A in xi_box}
 
-    for k, p, A in xi_box:
-        def check(A=A):
-            back = tr.theta_inv(tr.theta(A, cache=cache0), F)
+    @functools.cache
+    def image(i: int) -> Symbol:
+        return tr.theta(xi_box[i][2], cache=cache0)
+
+    for i, (k, p, A) in enumerate(xi_box):
+        def check(A=A, i=i):
+            back = tr.theta_inv(image(i), F)
             if eq_trusted(back, A):
                 return None
             return (_fmt_symbol(cfg, back), _fmt_symbol(cfg, A))
@@ -469,21 +496,22 @@ def _suite_theta(cfg: VerifyConfig) -> list:
 
     zero_h = h(0)
     double_floor = h(F.twice)  # image orders double, so the window does too
-    for ka, pa, A in xi_box:
+    for a, (ka, pa, A) in enumerate(xi_box):
         left_poly = ka.is_integer and ka >= zero_h
-        for kb, pb, B in xi_box:
+        for b, (kb, pb, B) in enumerate(xi_box):
             if not (left_poly or pb >= 0):
                 continue  # the composition would not terminate exactly
 
-            def check(A=A, B=B):
+            def check(A=A, B=B, a=a, b=b):
                 lhs = tr.theta(sym_mul(A, B), cache=cache0)
-                tA = tr.theta(A, cache=cache0)
-                tB = tr.theta(B, cache=cache0)
+                tA, tB = image(a), image(b)
                 try:
                     rhs = sym_mul(tA, tB)
                     ok = lhs == rhs
                 except ValueError:
-                    rhs = sym_mul(tA, tB, double_floor)
+                    # a series: compare down to the doubled floor, or deeper
+                    # when every order of lhs sits below it
+                    rhs = sym_mul(tA, tB, hmin(double_floor, lhs.top()))
                     ok = eq_trusted(lhs, rhs)
                 if ok:
                     return None
@@ -509,9 +537,9 @@ def _suite_theta(cfg: VerifyConfig) -> list:
 
     two = CoeffFn.const(2)
     minus_one = h(-1)
-    for k, p, A in xi_box:
-        def check(A=A, k=k, p=p):
-            got = adler_trace(tr.theta(A, cache=cache0))
+    for i, (k, p, A) in enumerate(xi_box):
+        def check(i=i, k=k, p=p):
+            got = adler_trace(image(i))
             want = two if (k == minus_one and p == -1) else CoeffFn.zero()
             if got == want:
                 return None
@@ -614,10 +642,14 @@ def _suite_cocycles(cfg: VerifyConfig) -> list:
 
             cases.append((f"{cid.name} antisymmetry on A = {names[i]}, B = {names[j]}", check))
 
+    @functools.cache
+    def bracket(i: int, j: int) -> Symbol:
+        return quotient_bracket(box[i], box[j])
+
     for cid in ids:
         for (i, A), (j, B), (k, C) in itertools.combinations(enumerate(box), 3):
-            def check(cid=cid, A=A, B=B, C=C):
-                d = cocycle_identity_defect(cid, A, B, C)
+            def check(cid=cid, A=A, B=B, C=C, i=i, j=j, k=k):
+                d = cyclic_defect(cid, A, B, C, bracket(i, j), bracket(j, k), bracket(k, i))
                 if d.is_zero():
                     return None
                 return (_fmt_coeff(cfg, d), "0")
@@ -995,13 +1027,18 @@ def _suite_dsigma_rep(cfg: VerifyConfig) -> list:
         SchrodPoint(a=CoeffFn.t_pow(-1), V=CoeffFn.mono(-2, 3) + CoeffFn.t_pow(3)),
     ]
     variants = (("shifted", d_sigma_tilde), ("affine", d_sigma_affine))
+
+    @functools.cache
+    def acted(act, w: Fraction, i: int, p: int) -> SchrodPoint:
+        return act(w, basis[i][1], pts[p])
+
     for vname, act in variants:
         for w in _weights(cfg):
             for (i, (la, Xa)), (j, (lb, Xb)) in itertools.combinations(enumerate(basis), 2):
-                def check(act=act, w=w, Xa=Xa, Xb=Xb):
-                    for P in pts:
-                        first = act(w, Xa, act(w, Xb, P))
-                        second = act(w, Xb, act(w, Xa, P))
+                def check(act=act, w=w, Xa=Xa, Xb=Xb, i=i, j=j):
+                    for p, P in enumerate(pts):
+                        first = act(w, Xa, acted(act, w, j, p))
+                        second = act(w, Xb, acted(act, w, i, p))
                         want = act(w, sv_bracket(Xa, Xb), P)
                         if first.a - second.a != want.a:
                             return (_fmt_coeff(cfg, first.a - second.a), _fmt_coeff(cfg, want.a))

@@ -9,10 +9,15 @@ module reads as the acceptance report.
 
 import time
 
-from svpsido.ring import GaussRat
 from svpsido.suites import VerifyConfig, run_suites
 
 DEFAULTS = VerifyConfig()
+
+# Budgets only tighten.  The benchmark's run_s medians fell from BENCH_2 to
+# BENCH_5 (duality, where theorem61 and poisson-lemma71 run: 42.3 -> 4.8
+# reference s; algebra-pooled, where cocycles runs: 22.6 -> 1.9), and the
+# slowest criterion (6) now takes about 3.6 s, so no criterion keeps more
+# than 60 s.
 
 
 def check(number, budget_s, names, cfg=DEFAULTS):
@@ -51,12 +56,12 @@ def test_criterion_04_invariance_and_expansions():
 
 
 def test_criterion_05_momentum_homomorphism():
-    check(5, 120, ["theorem51"])
+    check(5, 60, ["theorem51"])
 
 
 def test_criterion_06_coadjoint_slice():
     # includes the built-in negative control at the wrong central charge
-    reports = check(6, 300, ["theorem61"])
+    reports = check(6, 60, ["theorem61"])
     labels = [f.inputs for f in reports[0].failures]
     assert labels == [], labels
 
@@ -66,15 +71,15 @@ def test_criterion_07_weighted_representations():
 
 
 def test_criterion_08_hamiltonian_layer():
-    check(8, 300, ["poisson-lemma71"])
+    check(8, 60, ["poisson-lemma71"])
 
 
 def test_criterion_09_central_term_suite():
-    check(9, 120, ["cocycles"])
+    check(9, 60, ["cocycles"])
 
 
 def test_criterion_10_deformation_scan():
-    reports = check(10, 120, ["nu-scan"])
+    reports = check(10, 60, ["nu-scan"])
     notes = reports[0].notes
     # the table itself is the artifact: a header plus one row per grid point,
     # each row either a fitted weight or an explicit NO-FIT

@@ -31,7 +31,6 @@ from svpsido.psido import (
     sym_add,
     sym_bracket,
     sym_mul,
-    sym_neg,
     sym_scale,
     sym_sub,
     time_deriv,

@@ -4,7 +4,7 @@ coefficient functions, including the scalars free of t and x."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from svpsido.ring import CoeffFn, GR_I, GR_ONE, GR_ZERO, GaussRat, M

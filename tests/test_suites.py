@@ -10,15 +10,22 @@ on real algebra.
 
 import multiprocessing
 import os
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from svpsido.halfint import EXACT, h
-from svpsido.ring import GaussRat
+from svpsido import cocycles, psido, suites, svaction, transforms
+from svpsido.halfint import EXACT, h, hmax
+from svpsido.psido import R, Symbol
+from svpsido.ring import CoeffFn, GaussRat
+from svpsido.textio import symbol_str
 from svpsido.suites import (
+    _SUITE_BUILDERS,
     SUITE_NAMES,
     VerifyConfig,
+    _call,
     _run_cases,
     _worker_count,
     nu_scan,
@@ -213,6 +220,131 @@ class TestRunner:
         plain = run_suites(["lemma26"], VerifyConfig())[0]
         soaked = run_suites(["lemma26"], VerifyConfig(random_cases=9))[0]
         assert plain.cases == soaked.cases
+
+
+def _wrap_everywhere(mp, owner, attr, wrap):
+    """Replace owner.attr by wrap(original) in every svpsido module that
+    holds it by name, so calls from inside the package go through it."""
+    original = getattr(owner, attr)
+    wrapper = wrap(original)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "svpsido":
+            continue
+        for key, value in list(vars(module).items()):
+            if value is original:
+                mp.setattr(module, key, wrapper)
+
+
+def _counted(calls, key):
+    def wrap(fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    return wrap
+
+
+# the layers whose calls are counted: (owner, attribute, counter)
+_LAYERS = (
+    (psido, "sym_mul", "sym_mul"),
+    (psido, "sym_bracket", "sym_bracket"),
+    (svaction, "d_sigma_tilde", "d_sigma"),
+    (svaction, "d_sigma_affine", "d_sigma"),
+    (transforms, "theta", "theta"),
+)
+_TABLED = ("cocycles", "psido-axioms", "dsigma-rep", "theta")
+
+
+@pytest.fixture(scope="module")
+def tabled_runs():
+    """Build and run each tabled suite at one worker, counting layer calls
+    in the build and in the cases apart, and recording the case label and
+    both sides of every eq_trusted comparison."""
+    calls = Counter()
+    compared = []
+    current = [None]  # the label of the running case
+
+    def record(fn):
+        def eq(A, B):
+            compared.append((current[0], A, B))
+            return fn(A, B)
+
+        return eq
+
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, attr, key in _LAYERS:
+            _wrap_everywhere(mp, owner, attr, _counted(calls, key))
+        mp.setattr(suites, "eq_trusted", record(suites.eq_trusted))
+        for name in _TABLED:
+            calls.clear()
+            cases = _SUITE_BUILDERS[name](VerifyConfig(threads=1))
+            built = Counter(calls)
+            calls.clear()
+            outcomes = []
+            for case in cases:
+                current[0] = case[0]
+                outcomes.append(_call(case))
+            runs[name] = (built, Counter(calls), outcomes)
+    return runs, compared
+
+
+class TestSharedTables:
+    """Sub-results that cases share are computed once, on first use."""
+
+    @pytest.mark.parametrize("name", _TABLED)
+    def test_the_build_makes_no_layer_calls(self, tabled_runs, name):
+        built, _, outcomes = tabled_runs[0][name]
+        assert sum(built.values()) == 0
+        assert outcomes and all(out is None for out in outcomes)
+
+    @pytest.mark.parametrize(
+        "name, layer, budget",
+        [
+            # parent counts before the tables: 23,994, 11,904, 11,454, 17,773
+            ("cocycles", "sym_bracket", 453),
+            ("psido-axioms", "sym_mul", 7512),
+            ("dsigma-rep", "d_sigma", 7134),
+            ("theta", "theta", 6216),
+        ],
+    )
+    def test_cases_stay_within_their_call_budget(self, tabled_runs, name, layer, budget):
+        _, ran, _ = tabled_runs[0][name]
+        assert 0 < ran[layer] <= budget
+
+    def test_every_floored_image_comparison_sees_an_order_of_lhs(self, tabled_runs):
+        # image cases compare with eq_trusted only where theta(A) o theta(B) is a series
+        windows = [(A, B) for label, A, B in tabled_runs[1] if label.startswith("image of")]
+        assert len(windows) == 234
+        for lhs, rhs in windows:
+            floor = hmax(lhs.floor, rhs.floor)
+            assert any(floor is EXACT or k >= floor for k in lhs.terms), (str(lhs), str(rhs))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_raising_entry_fails_every_case_that_reads_it(self, monkeypatch, threads):
+        # the index-range-1 box starts x^-1 d_r^-1, d_r^-1, x d_r^-1, ...
+        first = Symbol(R, {h(-1): CoeffFn.x_pow(-1)})
+        second = Symbol(R, {h(-1): CoeffFn.one()})
+        bracket = cocycles.sym_bracket
+
+        def failing(A, B, floor=None):
+            if A == first and B == second:
+                raise RuntimeError("bracket refused")
+            return bracket(A, B, floor)
+
+        monkeypatch.setattr(cocycles, "sym_bracket", failing)
+        cfg = VerifyConfig(index_range=1, threads=threads)
+        cases = _SUITE_BUILDERS["cocycles"](cfg)
+        rep = _run_cases("cocycles", cases, cfg)
+        pair = f"A = {symbol_str(first)}, B = {symbol_str(second)}, C = "
+        readers = [label for label, _ in cases if " identity on " in label and pair in label]
+        # C runs over the 7 later box elements, for each of the 6 cocycles
+        assert len(readers) == 42
+        assert [f.inputs for f in rep.failures] == readers
+        assert all(f.lhs == "raised RuntimeError: bracket refused" for f in rep.failures)
+        assert rep.passed == rep.cases - 42
 
 
 class TestReports:
