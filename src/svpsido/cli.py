@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0, help="seed for the soak cases")
     verify.add_argument("--threads", type=int, default=None,
                         help="worker processes that share each suite's cases, default "
-                             "SVPSIDO_THREADS or the usable CPU count (at most 8)")
+                             "the usable CPU count (at most 8)")
 
     ev = sub.add_parser("eval", help="evaluate a calculator expression")
     ev._negative_number_matcher = _NEGATIVE_VALUE
@@ -131,6 +131,9 @@ def _run_eval(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         # rendering can fail too, e.g. on Python's int-to-str digit limit
         print(f"svpsido: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # the parser descends once per nesting level
+        print("svpsido: expression nests too deeply", file=sys.stderr)
         return 2
     print(text)
     return 0

@@ -42,11 +42,6 @@ class HalfInt:
         return HalfInt(2 * n)
 
     @staticmethod
-    def half(k: int) -> "HalfInt":
-        """k/2 as a HalfInt."""
-        return HalfInt(k)
-
-    @staticmethod
     def parse(text: str) -> "HalfInt":
         """Accepts '3', '-2', '1/2', '-7/2'."""
         s = text.strip()

@@ -133,9 +133,6 @@ class Symbol:
     def coeff(self, order) -> CoeffFn:
         return self.terms.get(h(order), CoeffFn.zero())
 
-    def orders(self):
-        return sorted(self.terms, key=lambda k: k.twice)
-
     def trusted(self, order) -> bool:
         return self.floor is EXACT or h(order) >= self.floor
 

@@ -153,10 +153,16 @@ class GaussRat:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
+        # square and multiply: about log2|k| products instead of |k|
         base = self if k >= 0 else self.inv()
+        k = abs(k)
         out = GR_ONE
-        for _ in range(abs(k)):
-            out = out * base
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     # ---- identity ----------------------------------------------------------

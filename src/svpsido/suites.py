@@ -169,9 +169,6 @@ _FAILURE_CAP = 50
 def _worker_count(cfg: VerifyConfig) -> int:
     if cfg.threads:
         return cfg.threads
-    env = os.environ.get("SVPSIDO_THREADS", "").strip()
-    if env.isdigit() and int(env) > 0:
-        return int(env)
     # one process per CPU this process may run on; more only oversubscribe
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(8, cpus or 1)
@@ -311,7 +308,7 @@ def _degrees(n: int):
 
 
 def _half_orders(n: int):
-    return [HalfInt.half(k) for k in range(-2 * n, 2 * n + 1)]
+    return [HalfInt(k) for k in range(-2 * n, 2 * n + 1)]
 
 
 def _labeled_basis(n: int):
@@ -322,7 +319,7 @@ def _random_symbol(rng: random.Random, var: str, n: int) -> Symbol:
     terms = {}
     for _ in range(rng.randint(1, 3)):
         if var == XI:
-            k = HalfInt.half(rng.randint(-2 * n, 2 * n))
+            k = HalfInt(rng.randint(-2 * n, 2 * n))
         else:
             k = h(rng.randint(-n, n))
         c = CoeffFn.zero()
@@ -457,9 +454,7 @@ def _suite_psido_axioms(cfg: VerifyConfig) -> list:
 def _suite_theta(cfg: VerifyConfig) -> list:
     n, F = cfg.index_range, h(cfg.floor)
     cases = []
-    cache0 = tr.ThetaImageCache()
     nu = cfg.nu
-    cache_nu = cache0 if nu.is_zero() else tr.ThetaImageCache(nu)
     floor_arg = None if nu.is_zero() else F
 
     xi_box = [
@@ -471,7 +466,7 @@ def _suite_theta(cfg: VerifyConfig) -> list:
 
     @functools.cache
     def image(i: int) -> Symbol:
-        return tr.theta(xi_box[i][2], cache=cache0)
+        return tr.theta(xi_box[i][2])
 
     for i, (k, p, A) in enumerate(xi_box):
         def check(A=A, i=i):
@@ -487,7 +482,7 @@ def _suite_theta(cfg: VerifyConfig) -> list:
             B = Symbol(R, {h(m): CoeffFn.x_pow(q)})
 
             def check(B=B):
-                back = tr.theta(tr.theta_inv(B), cache=cache0)
+                back = tr.theta(tr.theta_inv(B))
                 if back == B:
                     return None
                 return (_fmt_symbol(cfg, back), _fmt_symbol(cfg, B))
@@ -503,7 +498,7 @@ def _suite_theta(cfg: VerifyConfig) -> list:
                 continue  # the composition would not terminate exactly
 
             def check(A=A, B=B, a=a, b=b):
-                lhs = tr.theta(sym_mul(A, B), cache=cache0)
+                lhs = tr.theta(sym_mul(A, B))
                 tA, tB = image(a), image(b)
                 try:
                     rhs = sym_mul(tA, tB)
@@ -521,7 +516,7 @@ def _suite_theta(cfg: VerifyConfig) -> list:
 
     for k, p, A in xi_box:
         def check(A=A, k=k, p=p):
-            img = tr.theta(A, floor_arg, nu=nu, cache=cache_nu)
+            img = tr.theta(A, floor_arg, nu=nu)
             want = 2 * (Fraction(p) - k.as_fraction())
             for kk, c in img.terms.items():
                 for (_, jx, _) in c.terms:
@@ -553,7 +548,7 @@ def _suite_theta(cfg: VerifyConfig) -> list:
             A = _random_symbol(rng, XI, n)
 
             def check(A=A):
-                back = tr.theta_inv(tr.theta(A, cache=cache0), F)
+                back = tr.theta_inv(tr.theta(A), F)
                 if eq_trusted(back, A):
                     return None
                 return (_fmt_symbol(cfg, back), _fmt_symbol(cfg, A))

@@ -118,7 +118,7 @@ def sv_basis(index_bound: int):
     out = []
     for n in range(-index_bound, index_bound + 1):
         out.append(("time", HalfInt.of(n), time_mode(n)))
-    m = HalfInt.half(-2 * index_bound + 1)
+    m = HalfInt(-2 * index_bound + 1)
     while m <= index_bound:
         out.append(("shift", m, shift_mode(m)))
         m = m + 1

@@ -26,7 +26,19 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from . import transforms
 from .halfint import EXACT, HalfInt, h
+from .psido import (
+    R,
+    XI,
+    Symbol,
+    adler_trace,
+    differential_part,
+    sym_add,
+    sym_bracket,
+    sym_mul,
+    sym_neg,
+)
 from .ring import GR_ONE, CoeffFn, GaussRat, M
 
 _MINUS_ONE = GaussRat(-1)
@@ -45,24 +57,20 @@ __all__ = [
 # ---------------------------------------------------------------- printing
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def gauss_str(g: GaussRat) -> str:
     real, imag = g.re, g.im
     if not imag:
-        return _frac_str(real)
+        return str(real)
     if not real:
         if imag == 1:
             return "i"
         if imag == -1:
             return "-i"
-        return f"{_frac_str(imag)}*i"
+        return f"{str(imag)}*i"
     sign = "+" if imag > 0 else "-"
     mag = abs(imag)
-    imtxt = "i" if mag == 1 else f"{_frac_str(mag)}*i"
-    return f"({_frac_str(real)} {sign} {imtxt})"
+    imtxt = "i" if mag == 1 else f"{str(mag)}*i"
+    return f"({str(real)} {sign} {imtxt})"
 
 
 def _mass_str(terms: list) -> str:
@@ -121,13 +129,7 @@ def coeff_str(c: CoeffFn, xname: str = "x") -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def _halfint_pow_str(k: HalfInt) -> str:
-    return str(k)
-
-
 def symbol_str(D) -> str:
-    from .psido import XI
-
     xname = "xi" if D.var == XI else "r"
     dname = "d_xi" if D.var == XI else "d_r"
     if D.is_zero():
@@ -140,7 +142,7 @@ def symbol_str(D) -> str:
             if k.twice == 0:
                 parts.append(ctxt)
                 continue
-            dp = dname if k.twice == 2 else f"{dname}^{_halfint_pow_str(k)}"
+            dp = dname if k.twice == 2 else f"{dname}^{k}"
             if ctxt == "1":
                 parts.append(dp)
             elif ctxt == "-1":
@@ -196,12 +198,17 @@ def _tokenize(src: str):
 
 class _Parser:
     """Recursive descent over: expr := term (+|- term)*; term := signed factor
-    ('*' signed factor)*; factor := atom ['^' signed-rational]."""
+    ('*' signed factor)*; factor := atom ['^' signed-rational].
 
-    def __init__(self, tokens, env):
+    A value is a CoeffFn until an r or xi atom gives it an algebra; from
+    then on it is a psido.Symbol.  Products whose Leibniz tail does not
+    terminate, and the functions that need a window, are cut at floor.
+    """
+
+    def __init__(self, tokens, floor):
         self.toks = tokens
         self.i = 0
-        self.env = env  # maps function names to callables on parsed values
+        self.floor = floor
 
     def peek(self):
         return self.toks[self.i]
@@ -227,14 +234,14 @@ class _Parser:
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             _, op = self.take()
             w = self.term()
-            v = v + w if op == "+" else v - w
+            v = _add(v, w if op == "+" else _neg(w))
         return v
 
     def term(self):
         v = self.signed_factor()
         while self.peek() == ("op", "*"):
             self.take()
-            v = v * self.signed_factor()
+            v = self.mul(v, self.signed_factor())
         return v
 
     def signed_factor(self):
@@ -243,7 +250,7 @@ class _Parser:
             if self.take()[1] == "-":
                 neg = not neg
         v = self.factor()
-        return -v if neg else v
+        return _neg(v) if neg else v
 
     def factor(self):
         v = self.atom()
@@ -256,14 +263,13 @@ class _Parser:
             kind, val = self.take()
             if kind != "num":
                 raise ValueError("exponent must be a rational literal")
-            q = Fraction(val) * sign
-            v = v.pow_rational(q)
+            v = self.power(v, Fraction(val) * sign)
         return v
 
     def atom(self):
         kind, val = self.take()
         if kind == "num":
-            return _SymExpr.constant(GaussRat(Fraction(val)))
+            return CoeffFn.const(Fraction(val))
         if kind == "op" and val == "(":
             v = self.expr()
             self.expect(")")
@@ -276,104 +282,35 @@ class _Parser:
                     self.take()
                     args.append(self.expr())
                 self.expect(")")
-                fn = self.env.get(val)
+                fn = _FUNCTIONS.get(val)
                 if fn is None:
                     raise ValueError(f"unknown function {val!r}")
-                return fn(*args)
-            return _SymExpr.atom(val)
+                return fn(self, *args)
+            atom = _ATOMS.get(val)
+            if atom is None:
+                raise ValueError(f"unknown name {val!r}")
+            return atom
         raise ValueError(f"unexpected token {val!r}")
 
-
-class _SymExpr:
-    """Calculator value: a symbol in an optional variable (None until an
-    r/xi-flavored atom appears)."""
-
-    __slots__ = ("var", "sym")
-
-    def __init__(self, var, sym):
-        self.var = var
-        self.sym = sym  # a psido.Symbol over var (or over R when var None)
-
-    # Construction uses var R as the carrier for variable-free values; the
-    # tag is fixed the first time a true r/xi atom enters a product or sum.
-
-    @staticmethod
-    def constant(g: GaussRat):
-        from .psido import R, Symbol
-
-        return _SymExpr(None, Symbol.function(R, CoeffFn.const(g)))
-
-    @staticmethod
-    def atom(name: str):
-        from .psido import R, XI, Symbol
-
-        if name == "i":
-            return _SymExpr.constant(GaussRat(0, 1))
-        if name == "M":
-            return _SymExpr(None, Symbol.function(R, M))
-        if name == "t":
-            return _SymExpr(None, Symbol.function(R, CoeffFn.t_pow(1)))
-        if name == "xi":
-            return _SymExpr(XI, Symbol.function(XI, CoeffFn.x_pow(1)))
-        if name == "r":
-            return _SymExpr(R, Symbol.function(R, CoeffFn.x_pow(1)))
-        if name == "d_xi":
-            return _SymExpr(XI, Symbol.monomial(XI, h(1), CoeffFn.one()))
-        if name == "d_r":
-            return _SymExpr(R, Symbol.monomial(R, h(1), CoeffFn.one()))
-        raise ValueError(f"unknown name {name!r}")
-
-    def _retag(self, var):
-        from .psido import Symbol
-
-        if self.var is not None:
-            if var is not None and self.var != var:
-                raise ValueError("expression mixes the r and xi algebras")
-            return self
-        if var is None:
-            return self
-        return _SymExpr(var, Symbol(var, self.sym.terms, self.sym.floor))
-
-    @staticmethod
-    def _merge(a: "_SymExpr", b: "_SymExpr"):
-        var = a.var if a.var is not None else b.var
-        return a._retag(var), b._retag(var), var
-
-    def __add__(self, other):
-        from .psido import sym_add
-
-        a, b, var = _SymExpr._merge(self, other)
-        return _SymExpr(var, sym_add(a.sym, b.sym))
-
-    def __sub__(self, other):
-        from .psido import sym_sub
-
-        a, b, var = _SymExpr._merge(self, other)
-        return _SymExpr(var, sym_sub(a.sym, b.sym))
-
-    def __neg__(self):
-        from .psido import sym_neg
-
-        return _SymExpr(self.var, sym_neg(self.sym))
-
-    def __mul__(self, other):
-        from .psido import sym_mul
-
-        a, b, var = _SymExpr._merge(self, other)
-        floor = _EVAL_FLOOR[0]
+    def mul(self, a, b):
+        a, b = _same_algebra(a, b)
+        if isinstance(a, CoeffFn):
+            return a * b
         try:
-            return _SymExpr(var, sym_mul(a.sym, b.sym))
+            return sym_mul(a, b)
         except ValueError:
-            return _SymExpr(var, sym_mul(a.sym, b.sym, floor))
+            return sym_mul(a, b, self.floor)
 
-    def pow_rational(self, q: Fraction):
-        from .psido import Symbol
-
+    def power(self, v, q: Fraction):
         if q.denominator not in (1, 2):
             raise ValueError("exponents must lie in (1/2)Z")
-        terms = self.sym.terms
-        if len(terms) == 1:
-            ((k, c),) = terms.items()
+        if isinstance(v, CoeffFn):
+            if v == CoeffFn.one():
+                return v
+            if len(v.terms) == 1 and q.denominator == 1:
+                return v ** q.numerator
+        elif len(v.terms) == 1:
+            ((k, c),) = v.terms.items()
             if c == CoeffFn.one():
                 # pure derivative power: d^k ^ q = d^(k*q), must stay in (1/2)Z
                 newtw = k.twice * q.numerator
@@ -381,80 +318,103 @@ class _SymExpr:
                     if newtw % 2:
                         raise ValueError("resulting order is not a half-integer")
                     newtw //= 2
-                return _SymExpr(
-                    self.var,
-                    Symbol.monomial(self.sym.var, HalfInt(newtw), CoeffFn.one()),
-                )
+                return Symbol.monomial(v.var, HalfInt(newtw), CoeffFn.one())
             if k.twice == 0 and len(c.terms) == 1 and q.denominator == 1:
                 # monomial function base with an integer exponent
-                return _SymExpr(
-                    self.var, Symbol.function(self.sym.var, c ** q.numerator)
-                )
+                return Symbol.function(v.var, c ** q.numerator)
         if q.denominator == 1 and q >= 0:
-            out = _SymExpr(self.var, Symbol.function(self.sym.var, CoeffFn.one()))
+            out = CoeffFn.one()
             for _ in range(q.numerator):
-                out = out * self
+                out = self.mul(out, v)
             return out
         raise ValueError("this exponent needs a single-generator base")
 
+    # ---- calculator functions; a CoeffFn argument is a multiplication
+    # operator, whose bracket and trace vanish
 
-_EVAL_FLOOR = [h(-4)]
+    def fn_theta(self, a):
+        return transforms.theta(_as_symbol(a, XI))
 
+    def fn_theta_inv(self, a):
+        return transforms.theta_inv(_as_symbol(a, R), self.floor)
 
-def eval_expr(src: str, floor=None, nu=None):
-    """Evaluate a calculator expression; returns a psido.Symbol."""
-    from . import transforms
-    from .psido import R, XI, sym_bracket, sym_mul, differential_part
-
-    if floor is None:
-        floor = h(-4)
-    _EVAL_FLOOR[0] = floor
-    if nu is None:
-        nu = GaussRat(0)
-
-    def fn_theta(a: _SymExpr):
-        sym = a._retag(a.var or XI).sym
-        return _SymExpr(R, transforms.theta(sym, nu=nu))
-
-    def fn_theta_inv(a: _SymExpr):
-        sym = a._retag(a.var or R).sym
-        return _SymExpr(XI, transforms.theta_inv(sym, floor))
-
-    def fn_tshift(a: _SymExpr):
-        sym = a._retag(a.var or XI).sym
+    def fn_tshift(self, a):
+        sym = _as_symbol(a, XI)
         # xi^-k shifts into an infinite ascending series; the x-degree at
         # which it would be cut is not a symbol order, so no floor could
         # say what the cut lost
         if any((c.min_x_degree() or 0) < 0 for c in sym.terms.values()):
             raise ValueError("tshift needs nonnegative momentum powers: "
                              "an inverse power shifts into an infinite series")
-        return _SymExpr(XI, transforms.time_shift_symbol(sym, 0))  # the depth cuts nothing here
+        return transforms.time_shift_symbol(sym, 0)  # the depth cuts nothing here
 
-    def fn_bracket(a: _SymExpr, b: _SymExpr):
-        x, y, var = _SymExpr._merge(a, b)
-        return _SymExpr(var, sym_bracket(x.sym, y.sym, floor))
+    def fn_bracket(self, a, b):
+        a, b = _same_algebra(a, b)
+        if isinstance(a, CoeffFn):
+            return CoeffFn.zero()
+        return sym_bracket(a, b, self.floor)
 
-    def fn_mul(a: _SymExpr, b: _SymExpr):
-        x, y, var = _SymExpr._merge(a, b)
-        return _SymExpr(var, sym_mul(x.sym, y.sym, floor))
+    def fn_mul(self, a, b):
+        a, b = _same_algebra(a, b)
+        if isinstance(a, CoeffFn):
+            return a * b
+        return sym_mul(a, b, self.floor)
 
-    def fn_trace(a: _SymExpr):
-        from .psido import adler_trace, Symbol as Sym
+    def fn_trace(self, a):
+        if isinstance(a, CoeffFn):
+            return CoeffFn.zero()
+        return Symbol.function(a.var, adler_trace(a))
 
-        tr = adler_trace(a.sym)
-        return _SymExpr(a.var, Sym.function(a.sym.var, tr))
+    def fn_dpart(self, a):
+        return a if isinstance(a, CoeffFn) else differential_part(a)
 
-    def fn_dpart(a: _SymExpr):
-        return _SymExpr(a.var, differential_part(a.sym))
 
-    env = {
-        "theta": fn_theta,
-        "theta_inv": fn_theta_inv,
-        "tshift": fn_tshift,
-        "bracket": fn_bracket,
-        "mul": fn_mul,
-        "trace": fn_trace,
-        "dpart": fn_dpart,
-    }
-    value = _Parser(_tokenize(src), env).parse()
-    return value.sym
+_FUNCTIONS = {
+    "theta": _Parser.fn_theta,
+    "theta_inv": _Parser.fn_theta_inv,
+    "tshift": _Parser.fn_tshift,
+    "bracket": _Parser.fn_bracket,
+    "mul": _Parser.fn_mul,
+    "trace": _Parser.fn_trace,
+    "dpart": _Parser.fn_dpart,
+}
+
+_ATOMS = {
+    "i": CoeffFn.const(GaussRat(0, 1)),
+    "M": M,
+    "t": CoeffFn.t_pow(1),
+    "xi": Symbol.function(XI, CoeffFn.x_pow(1)),
+    "r": Symbol.function(R, CoeffFn.x_pow(1)),
+    "d_xi": Symbol.monomial(XI, h(1), CoeffFn.one()),
+    "d_r": Symbol.monomial(R, h(1), CoeffFn.one()),
+}
+
+
+def _as_symbol(v, var: str) -> Symbol:
+    """v itself if it is a symbol, else the multiplication operator v in var."""
+    return v if isinstance(v, Symbol) else Symbol.function(var, v)
+
+
+def _same_algebra(a, b):
+    """a and b as two CoeffFns, or as two symbols of one algebra."""
+    if isinstance(a, CoeffFn) and isinstance(b, CoeffFn):
+        return a, b
+    var = a.var if isinstance(a, Symbol) else b.var
+    if isinstance(b, Symbol) and b.var != var:
+        raise ValueError("expression mixes the r and xi algebras")
+    return _as_symbol(a, var), _as_symbol(b, var)
+
+
+def _add(a, b):
+    a, b = _same_algebra(a, b)
+    return a + b if isinstance(a, CoeffFn) else sym_add(a, b)
+
+
+def _neg(v):
+    return -v if isinstance(v, CoeffFn) else sym_neg(v)
+
+
+def eval_expr(src: str, floor=None) -> Symbol:
+    """Evaluate a calculator expression; returns a psido.Symbol."""
+    value = _Parser(_tokenize(src), h(-4) if floor is None else floor).parse()
+    return _as_symbol(value, R)

@@ -215,7 +215,24 @@ def _shift_orders(D: Symbol, delta: HalfInt) -> Symbol:
     return Symbol(D.var, {k + delta: c for k, c in D.terms.items()}, floor)
 
 
-def theta(D: Symbol, req_floor=None, nu: GaussRat = GR_ZERO, cache=None) -> Symbol:
+def _map_monomials(D: Symbol, req, var: str, delta_of, image) -> Symbol:
+    """Sum the images of the monomials of D in the algebra of var.
+
+    Each order k of D shifts its images by delta_of(k); image(q, want)
+    gives the image of the q-th generator power trusted down to want.
+    """
+    total = Symbol.zero(var)
+    for k, c in D.terms.items():
+        delta = delta_of(k)
+        # the shift moves the image's floor by delta, so ask delta deeper
+        want = req if req is EXACT else req - delta
+        for q in _x_powers(c):
+            piece = sym_scale(_shift_orders(image(q, want), delta), c.x_slice(q))
+            total = sym_add(total, piece)
+    return _at_requested_floor(total, req)
+
+
+def theta(D: Symbol, req_floor=None, nu: GaussRat = GR_ZERO) -> Symbol:
     """Map a momentum symbol to a space symbol, generator by generator.
 
     The input must be exact: a truncated momentum symbol with unknown
@@ -228,21 +245,8 @@ def theta(D: Symbol, req_floor=None, nu: GaussRat = GR_ZERO, cache=None) -> Symb
     if D.floor is not EXACT:
         raise ValueError("theta needs an exact input; truncated tails are unsound here")
     req = h(req_floor) if req_floor is not None else EXACT
-    if cache is None:
-        cache = _forward_cache(nu)
-    total = Symbol.zero(R)
-    for kappa, c in D.terms.items():
-        delta = kappa + kappa  # order doubling, stays on the integer grid
-        # the shift moves the image's floor by delta, so ask delta deeper
-        want = req if req is EXACT else req - delta
-        for q in _x_powers(c):
-            img = cache.image(q, want)
-            if img.floor is not EXACT and req is EXACT:
-                raise ValueError("deformed inverse image is a series; give a floor")
-            term = _shift_orders(img, delta)
-            piece = sym_scale(term, c.x_slice(q))
-            total = sym_add(total, piece)
-    return _at_requested_floor(total, req)
+    # order doubling, which lands on the integer grid
+    return _map_monomials(D, req, R, lambda kappa: kappa + kappa, _forward_cache(nu).image)
 
 
 # ---------------------------------------------------------------- inverse map
@@ -279,18 +283,8 @@ def theta_inv(D: Symbol, req_floor=None) -> Symbol:
     if D.floor is not EXACT:
         raise ValueError("theta_inv needs an exact input")
     req = h(req_floor) if req_floor is not None else EXACT
-    total = Symbol.zero(XI)
-    for k, c in D.terms.items():
-        delta = HalfInt(k.twice // 2) if k.twice % 2 == 0 else None
-        if delta is None:
-            raise ValueError("space symbols live on the integer grid")
-        want = req if req is EXACT else req - delta
-        for q in _x_powers(c):
-            img = _inv_image(q, want)
-            term = _shift_orders(img, delta)
-            piece = sym_scale(term, c.x_slice(q))
-            total = sym_add(total, piece)
-    return _at_requested_floor(total, req)
+    # order halving: space orders are integers, so the image orders are in (1/2)Z
+    return _map_monomials(D, req, XI, lambda k: HalfInt(k.as_int()), _inv_image)
 
 
 # ---------------------------------------------------------------- loop shift
@@ -340,47 +334,45 @@ def time_shift_symbol(D: Symbol, depth: int) -> Symbol:
 # ---------------------------------------------------------------- composite
 
 
-def theta_t(E: Symbol, req_floor, nu: GaussRat = GR_ZERO, depth: int | None = None) -> Symbol:
+def theta_t(E: Symbol, req_floor, nu: GaussRat = GR_ZERO) -> Symbol:
     """Loop shift followed by the transform, with honest floor tracking.
 
     Accepts floored inputs: after the shift all coefficients are
     polynomial in the momentum variable, so a missing order kappa' can
     only contribute to space orders <= 2*kappa' - 1.  Each coefficient
-    whose inverse-power series was cut at `depth` likewise pollutes only
-    orders <= 2*kappa - depth - 1.
+    whose inverse-power series was cut at the shift depth likewise
+    pollutes only orders <= 2*kappa - depth - 1.
     """
     if E.var != XI:
         raise ValueError("theta_t expects a momentum symbol")
     req = h(req_floor) if req_floor is not None else EXACT
-    if depth is None:
-        depth = default_depth(req)
+    depth = default_depth(req)
     floor = req
+    cut = False
     total = Symbol.zero(R)
-    cache = _forward_cache(nu)
     for kappa, c in E.terms.items():
         if not c.is_x_only():
             raise ValueError("loop dependence must enter through the momentum substitution")
         shifted = time_shift(c, depth)
         if (c.min_x_degree() or 0) < 0:
+            cut = True
             floor = hmax(floor, kappa + kappa - depth)
-        piece = theta(Symbol(XI, {kappa: shifted}), req, nu=nu, cache=cache)
+        piece = theta(Symbol(XI, {kappa: shifted}), req, nu=nu)
         total = sym_add(total, piece)
     if E.floor is not EXACT:
         floor = hmax(floor, E.floor + E.floor)
-    if floor is not EXACT or E.floor is not EXACT:
-        cut_happened = any((c.min_x_degree() or 0) < 0 for c in E.terms.values())
-        if E.floor is not EXACT or cut_happened:
-            total = Symbol(R, total.terms, hmax(total.floor, floor))
+    if cut or E.floor is not EXACT:
+        total = Symbol(R, total.terms, hmax(total.floor, floor))
     return total
 
 
-def x_generator(f: CoeffFn, j, req_floor, nu: GaussRat = GR_ZERO, depth: int | None = None) -> Symbol:
+def x_generator(f: CoeffFn, j, req_floor) -> Symbol:
     """Generator symbol: transform of the shifted -f(-2iM xi) d_xi^j."""
     if not f.is_t_only():
         raise ValueError("the generator datum is a loop function")
     coeff = -f.t_to_x(MINUS_2I_M)
     E = Symbol(XI, {h(j): coeff})
-    return theta_t(E, req_floor, nu=nu, depth=depth)
+    return theta_t(E, req_floor)
 
 
 def schrodinger_invariance_defect(f: CoeffFn, j, req_floor) -> Symbol:

@@ -81,6 +81,25 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("svpsido:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("depth", [300, 3000])
+    def test_deep_nesting_exits_2_with_one_line(self, capsys, depth):
+        code, out, err = run_cli(["eval", "(" * depth + "xi" + ")" * depth], capsys)
+        assert code == 2 and out == ""
+        assert err == "svpsido: expression nests too deeply\n"
+
+    @pytest.mark.parametrize(
+        "expr, shown",
+        [
+            ("t^100000000", "t^100000000 | exact"),
+            ("r^-100000000", "r^-100000000 | exact"),
+        ],
+    )
+    def test_large_exponents_of_a_monomial_return_quickly(self, capsys, expr, shown):
+        start = time.monotonic()
+        code, out, _ = run_cli(["eval", expr], capsys)
+        assert time.monotonic() - start < 10
+        assert code == 0 and out.strip() == shown
+
     @pytest.mark.parametrize("floor", ["-2", "-4", "-6"])
     def test_shift_of_an_inverse_momentum_power_exits_2(self, capsys, floor):
         # its series would be cut at a floor-dependent x-degree no floor records

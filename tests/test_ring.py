@@ -63,6 +63,16 @@ def test_gauss_integer_powers():
     assert a ** -1 == GaussRat(F(1, 2), F(-1, 2))
 
 
+def test_gauss_powers_match_repeated_products():
+    a = GaussRat(F(2, 3), F(-1, 5))
+    for k in range(-13, 14):
+        want = GR_ONE
+        for _ in range(abs(k)):
+            want = want * (a if k > 0 else a.inv())
+        assert a ** k == want, k
+    assert GR_I ** 100000001 == GR_I and GR_I ** -100000001 == -GR_I
+
+
 def test_gauss_mixes_with_ints_and_fractions():
     assert GaussRat(2) + 1 == GaussRat(3)
     assert 1 - GaussRat(0, 1) == GaussRat(1, -1)

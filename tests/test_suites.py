@@ -196,13 +196,10 @@ class TestRunner:
         assert (two.cases, two.passed, two.failures) == (one.cases, one.passed, one.failures)
 
     def test_default_worker_count_follows_the_usable_cpus(self, monkeypatch):
-        monkeypatch.delenv("SVPSIDO_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert _worker_count(VerifyConfig()) == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         assert _worker_count(VerifyConfig()) == 8
-        monkeypatch.setenv("SVPSIDO_THREADS", "3")
-        assert _worker_count(VerifyConfig()) == 3
         assert _worker_count(VerifyConfig(threads=5)) == 5
 
     def test_selection_dedupes_and_keeps_first_appearance_order(self):
@@ -321,6 +318,21 @@ class TestSharedTables:
         for lhs, rhs in windows:
             floor = hmax(lhs.floor, rhs.floor)
             assert any(floor is EXACT or k >= floor for k in lhs.terms), (str(lhs), str(rhs))
+
+    def test_theta_images_come_from_the_per_nu_registry(self, monkeypatch):
+        built = []
+        init = transforms.ThetaImageCache.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(transforms.ThetaImageCache, "__init__", counted)
+        monkeypatch.setattr(transforms, "_forward_caches", {})
+        cfg = VerifyConfig(index_range=1, threads=1)
+        rep = _run_cases("theta", _SUITE_BUILDERS["theta"](cfg), cfg)
+        assert rep.cases > 0 and rep.ok
+        assert len(built) == 1 and built[0] is transforms._forward_caches[GaussRat(0)]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_raising_entry_fails_every_case_that_reads_it(self, monkeypatch, threads):

@@ -13,7 +13,7 @@ import pytest
 from svpsido import transforms
 from svpsido.halfint import EXACT, h
 from svpsido.psido import R, XI, Symbol
-from svpsido.ring import CoeffFn, I_M
+from svpsido.ring import CoeffFn, I_M, M
 from svpsido.textio import eval_expr, parse_floor, parse_rational, symbol_str
 
 
@@ -90,6 +90,27 @@ class TestEvalExpr:
         # the round trip is the identity, on exactly the requested window
         assert got.terms == eval_expr("1/2*xi^-3").terms
         assert got.floor == h("-7/2")
+
+    @pytest.mark.parametrize(
+        "src, value",
+        [
+            ("2*3", CoeffFn.const(6)),
+            ("mul(2, t)", CoeffFn.t_pow(1, 2)),
+            ("trace(t)", CoeffFn.zero()),
+            ("bracket(t, M)", CoeffFn.zero()),
+            ("dpart(M*t)", CoeffFn.t_pow(1) * M),
+        ],
+    )
+    def test_values_without_an_algebra_come_back_as_space_functions(self, src, value):
+        assert eval_expr(src) == Symbol.function(R, value)
+        # and they join either algebra later
+        assert eval_expr(f"{src} + xi") == Symbol(XI, {h(0): value + CoeffFn.x_pow(1)})
+
+    def test_transforms_name_the_algebra_they_expect(self):
+        with pytest.raises(ValueError, match="^theta expects a momentum symbol$"):
+            eval_expr("theta(r)")
+        with pytest.raises(ValueError, match="^theta_inv expects a space symbol$"):
+            eval_expr("theta_inv(xi)")
 
     def test_half_power_of_the_derivative(self):
         got = eval_expr("d_xi^1/2")
