@@ -8,6 +8,7 @@ and prints the resulting symbol with its trust annotation.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -141,9 +142,15 @@ def _run_eval(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "verify":
-        return _run_verify(args)
-    return _run_eval(args)
+    run = _run_verify if args.command == "verify" else _run_eval
+    try:
+        code = run(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+    except BrokenPipeError:
+        # point stdout at devnull so that the flush at exit cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -16,7 +16,14 @@ read off coefficient by coefficient without composing the symbols.  A
 DualFamily files the monomials of a fixed list of points by slot and
 exponent once; pairing an element against all of them is then one walk
 over the element's monomials, each looked up in that index, and
-pairing(mu, A) is the one-point case.
+pairing(mu, A) is the one-point case.  The walk adds into a table of
+per-point sums that the caller owns, so two families can sum their terms
+into one table and a value is built only where the caller reads one.
+
+Since j >= 0 needs b >= -1 - a, no order of W below -1 - top(V) is ever
+read.  A family records that bound over its points as its floor: W needs
+computing no deeper, and a W truncated at or above it leaves every trace
+determined.
 
 The invariant slice kept by the coadjoint action consists of points with
 V = V_-2(t,r) d^-2 + V_0(t): free-evolution multiples plus a potential,
@@ -47,6 +54,7 @@ from .psido import (
     Symbol,
     binom_half,
     cap_order,
+    raise_floor,
     sym_add,
     sym_bracket,
     sym_scale,
@@ -65,6 +73,7 @@ __all__ = [
     "GDual",
     "g_bracket",
     "DualFamily",
+    "pair_value",
     "pairing",
     "embed_I",
     "embed_momentum_symbol",
@@ -191,8 +200,15 @@ def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
     floor = h(req_floor)
     w = A.w * B.w.deriv("T") - A.w.deriv("T") * B.w
     W = sym_bracket(A.W, B.W, floor)
-    W = sym_add(W, sym_scale(time_deriv(B.W), A.w))
-    W = sym_sub(W, sym_scale(time_deriv(A.W), B.w))
+    # a term scaled by a zero loop is a zero that keeps its floor
+    if not A.w.is_zero():
+        W = sym_add(W, sym_scale(time_deriv(B.W), A.w))
+    elif B.W.floor is not EXACT:
+        W = raise_floor(W, B.W.floor)
+    if not B.w.is_zero():
+        W = sym_sub(W, sym_scale(time_deriv(A.W), B.w))
+    elif A.W.floor is not EXACT:
+        W = raise_floor(W, A.W.floor)
     alpha = A.w * B.alpha.deriv("T") - B.w * A.alpha.deriv("T")
     central = eval_cocycle(CocycleId.C3, A.W, B.W)
     alpha = alpha + central * c
@@ -203,20 +219,30 @@ class DualFamily:
     """A fixed list of dual points, indexed once for pairing in one pass.
 
     The monomials of every point are filed by slot (v, a, and each order
-    of V) under their (t, x) exponents, each with its M-power.  pair(A)
-    then walks the monomials of A once and looks up, for each, the point
-    monomials it meets: the loop monomial t^p of w or alpha meets
-    t^(-1-p) of v or a, and the monomial t^p x^q of g_b meets the
+    of V) under their (t, x) exponents, each with its M-power.  add_into
+    then walks the monomials of an element once and looks up, for each,
+    the point monomials it meets: the loop monomial t^p of w or alpha
+    meets t^(-1-p) of v or a, and the monomial t^p x^q of g_b meets the
     t^(-1-p) x^(j-1-q) monomial of f_a, for j = a + b + 1 >= 0, with the
     factor binom(a, j) times the falling factorial q(q-1)...(q-j+1) that
-    d_x^j puts on x^q.  The M-powers of the two monomials add.
+    d_x^j puts on x^q.  The M-powers of the two monomials add, and each
+    product lands in a table point -> M-power -> coefficient that the
+    caller passes in, so several walks can sum into one table; pair_value
+    turns a row of it into the pairing value.  pair is one walk into a
+    fresh table plus that conversion for every point.
+
+    floor is -1 - max top(V) over the points, or EXACT when no point has
+    a V: orders of W below it never reach a trace, so it is the shallowest
+    floor of W at which every point's trace is determined.
     """
 
-    __slots__ = ("_tops", "_v", "_a", "_orders")
+    __slots__ = ("_tops", "floor", "_v", "_a", "_orders")
 
     def __init__(self, points):
         points = list(points)
         self._tops = [mu.V.top() for mu in points]  # None where V is zero
+        tops = [top for top in self._tops if top is not None]
+        self.floor = _MINUS_ONE - max(tops) if tops else EXACT
         self._v: dict = {}
         self._a: dict = {}
         orders: dict = {}
@@ -227,10 +253,8 @@ class DualFamily:
                 _file(orders.setdefault(a, {}), n, f)
         self._orders = list(orders.items())
 
-    def pair(self, A: GElement) -> list:
-        """pairing(mu, A) for every point mu, in order; None where the
-        trace is not determined at A's truncation."""
-        sums: dict = {}  # point -> M-power -> coefficient
+    def add_into(self, A: GElement, sums: dict) -> None:
+        """Add the pairing terms of every point against A into sums."""
         for index, g in ((self._v, A.w), (self._a, A.alpha)):
             for (p, q, e), d in g.terms.items():
                 for n, m, c in index.get((-1 - p, -q), ()):
@@ -253,17 +277,34 @@ class DualFamily:
                     d_ff = d * (coef * ff)
                     for n, m, c in hits:
                         _collect(sums, n, m + e, c * d_ff)
+
+    def undetermined(self, A: GElement) -> list:
+        """The points, in order, whose trace is not determined at A's
+        truncation: orders of W below its floor are unknown, and they
+        reach order -1 of V o W once W.floor + top(V) > -1."""
+        floor = A.W.floor
+        if floor is EXACT or self.floor is EXACT or floor <= self.floor:
+            return []
+        tops = enumerate(self._tops)
+        return [n for n, top in tops if top is not None and floor + top > _MINUS_ONE]
+
+    def pair(self, A: GElement) -> list:
+        """pairing(mu, A) for every point mu, in order; None where the
+        trace is not determined at A's truncation."""
+        sums: dict = {}
+        self.add_into(A, sums)
         out = [CoeffFn.zero()] * len(self._tops)
         for n, row in sums.items():
-            out[n] = CoeffFn({(0, 0, m): c for m, c in row.items()})
-        floor = A.W.floor
-        if floor is not EXACT:
-            # orders of W below its floor are unknown; they reach order -1
-            # of V o W once floor + top(V) > -1
-            for n, top in enumerate(self._tops):
-                if top is not None and floor + top > _MINUS_ONE:
-                    out[n] = None
+            out[n] = pair_value(row)
+        for n in self.undetermined(A):
+            out[n] = None
         return out
+
+
+def pair_value(row: dict) -> CoeffFn:
+    """The pairing value summed in one row (M-power -> coefficient) of a
+    DualFamily table."""
+    return CoeffFn({(0, 0, m): c for m, c in row.items()})
 
 
 def _file(index: dict, n: int, f: CoeffFn) -> None:

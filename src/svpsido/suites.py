@@ -36,7 +36,7 @@ from .cocycles import (
     quotient_bracket,
 )
 from .diffop2 import DiffOp2, d_pi, dop_bracket, dop_from_r_symbol, dop_mul, free_evolution_op
-from .halfint import EXACT, HalfInt, h, hmin
+from .halfint import EXACT, HalfInt, h, hmax, hmin
 from .kacmoody import (
     DualFamily,
     GDual,
@@ -46,6 +46,7 @@ from .kacmoody import (
     embed_momentum_symbol,
     g_bracket,
     in_invariant_slice,
+    pair_value,
     pairing,
 )
 from .poisson import (
@@ -915,19 +916,26 @@ def _suite_theorem61(cfg: VerifyConfig) -> list:
 
             cases.append((f"free family match: X = {lx}, {lm}", check))
 
-    # every case pairs one element against all points at once
+    # every case pairs one element against all points at once, summing the
+    # pairing terms of both sides per point; brackets are computed down to
+    # the floor below which no point reads an order
     ptab = DualFamily(mu for _, mu in points)
     atab = [DualFamily(row) for row in adstar]
     labels = [lm for lm, _ in points]
+    G = hmax(F, ptab.floor)
 
-    def first_nonzero(values):
-        """(label, value) of the first nonzero entry, raising at the first
-        undetermined one, as pairing the points one by one would."""
-        for lm, s in zip(labels, values):
-            if s is None:
-                raise ValueError("trace not determined at this truncation")
-            if not s.is_zero():
-                return lm, s
+    def first_nonzero(sums, undetermined):
+        """(label, value) of the first point with a nonzero sum, raising at
+        the first undetermined one, as pairing the points one by one would."""
+        stop = min(undetermined, default=len(labels))
+        for m in sorted(sums):
+            if m >= stop:
+                break
+            row = sums[m]
+            if any(not v.is_zero() for v in row.values()):
+                return labels[m], pair_value(row)
+        if stop < len(labels):
+            raise ValueError("trace not determined at this truncation")
         return None
 
     probes = _duality_probes(n)
@@ -935,11 +943,11 @@ def _suite_theorem61(cfg: VerifyConfig) -> list:
     for i, (lx, X) in enumerate(basis):
         for ly, Y in probes:
             def check(i=i, Y=Y):
-                left = atab[i].pair(Y)
-                right = ptab.pair(g_bracket(lifts[i], Y, c, F))
-                found = first_nonzero(
-                    None if a is None or b is None else a + b for a, b in zip(left, right)
-                )
+                B = g_bracket(lifts[i], Y, c, G)
+                sums: dict = {}
+                atab[i].add_into(Y, sums)
+                ptab.add_into(B, sums)
+                found = first_nonzero(sums, atab[i].undetermined(Y) + ptab.undetermined(B))
                 if found is not None:
                     lm, d = found
                     return (f"defect {_fmt_scalar(cfg, d)} at {lm}", "0")
@@ -955,7 +963,10 @@ def _suite_theorem61(cfg: VerifyConfig) -> list:
             lifted = embed_momentum_symbol(E, F)
             for ly, Y in probes:
                 def check(lifted=lifted, Y=Y):
-                    found = first_nonzero(ptab.pair(g_bracket(lifted, Y, c, F)))
+                    B = g_bracket(lifted, Y, c, G)
+                    sums: dict = {}
+                    ptab.add_into(B, sums)
+                    found = first_nonzero(sums, ptab.undetermined(B))
                     if found is not None:
                         lm, s = found
                         return (f"pairing {_fmt_scalar(cfg, s)} at {lm}", "0")

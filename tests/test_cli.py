@@ -7,10 +7,14 @@ SystemExit(2); errors detected later return 2; both paths appear here.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import svpsido
 from svpsido.cli import main
 
 
@@ -118,6 +122,25 @@ class TestEval:
         # argparse must accept "-7/2" as a value, not read it as a flag
         code, out, _ = run_cli(["eval", "xi", "--floor", "-7/2"], capsys)
         assert code == 0 and out.strip() == "xi | exact"
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "xi"], ["verify", "--suite", "lemma33", "--threads", "1"]]
+)
+def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+    # the reader of the pipe is gone before the command starts
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(svpsido.__file__)))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "svpsido.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
 
 
 class TestVerify:

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from svpsido.halfint import EXACT, h
+from svpsido import kacmoody, suites
+from svpsido.halfint import EXACT, h, hmax
 from svpsido.kacmoody import (
     DualFamily,
     GDual,
@@ -33,14 +34,18 @@ from svpsido.psido import (
     Symbol,
     adler_trace,
     max_trusted_order,
+    sym_add,
     sym_bracket,
     sym_mul,
+    sym_scale,
     sym_sub,
+    time_deriv,
 )
-from svpsido.ring import CoeffFn, GaussRat, I_M, M
+from svpsido.ring import CoeffFn, GaussRat, I_M, M, MINUS_2I_M
 from svpsido.suites import VerifyConfig, run_suites
 from svpsido.svaction import SchrodPoint, d_sigma_tilde
 from svpsido.svalgebra import SvElement, phase_mode, shift_mode, sv_basis, time_mode
+from svpsido.textio import scalar_str
 
 REQ = h("-7/2")
 C2 = GaussRat(2)
@@ -120,6 +125,33 @@ class TestBracket:
         assert out.alpha == CoeffFn.const(4)
         out1 = g_bracket(A, B, GaussRat(1), REQ)
         assert out1.alpha == CoeffFn.const(2)
+
+    @pytest.mark.parametrize(
+        "W",
+        [
+            # top -1 with floor -1: the bracket against an order -2 symbol
+            # is trusted to -3, so the zero transport term raises the floor
+            Symbol(R, {h(-1): CoeffFn.mono(1, 1)}, h(-1)),
+            Symbol(R, {}, h(-1)),  # a zero that carries a floor
+            Symbol.zero(R),
+        ],
+    )
+    def test_a_zero_loop_keeps_the_floor_of_its_term(self, W):
+        # the transport terms as written before the zero ones were skipped
+        def transported(A, B):
+            out = sym_bracket(A.W, B.W, REQ)
+            out = sym_add(out, sym_scale(time_deriv(B.W), A.w))
+            return sym_sub(out, sym_scale(time_deriv(A.W), B.w))
+
+        A = GElement(W=Symbol(R, {h(-2): CoeffFn.mono(2, 2)}))
+        B = GElement(w=CoeffFn.t_pow(3), W=W)
+        for X, Y in ((A, B), (B, A)):
+            out = g_bracket(X, Y, C2, REQ)
+            want = transported(X, Y)
+            assert out.W == want
+            assert out.W.floor == want.floor
+        if W.floor is not EXACT:
+            assert g_bracket(A, B, C2, REQ).W.floor == h(-1)
 
     def test_antisymmetry(self):
         els = [
@@ -254,6 +286,42 @@ def test_family_pairs_every_point_like_the_composed_trace(points, A):
             assert value == want
 
 
+@pytest.mark.parametrize(
+    "points, floor",
+    [
+        # the slice points reach top order 0
+        ([mu for _, mu in suites._slice_points(2)], h(-1)),
+        ([npoint(v=CoeffFn.t_pow(1), a=CoeffFn.one()), npoint(v=CoeffFn.t_pow(-1))], EXACT),
+        ([GDual(V=Symbol(R, {h(1): CoeffFn.one(), h(-2): CoeffFn.x_pow(1)}))], h(-2)),
+    ],
+)
+def test_family_floor_is_the_shallowest_floor_that_determines_every_trace(points, floor):
+    family = DualFamily(points)
+    assert family.floor == floor
+    W = Symbol(R, {h(1): CoeffFn.mono(-1, -1)}, floor)
+    assert all(value is not None for value in family.pair(GElement(W=W)))
+    if floor is not EXACT:
+        shallower = Symbol(R, {h(1): CoeffFn.mono(-1, -1)}, floor + h("1/2"))
+        assert None in family.pair(GElement(W=shallower))
+
+
+@pytest.mark.parametrize("floor", [h(-1), h("-3/2"), REQ])
+def test_brackets_at_the_family_floor_pair_like_brackets_at_the_suite_floor(floor):
+    # theorem61's duality and nullity pairs on its range 2 box
+    n = 2
+    ptab = DualFamily(mu for _, mu in suites._slice_points(n))
+    demand = hmax(floor, ptab.floor)
+    lifts = [embed_I(X, floor) for _, X in suites._labeled_basis(n)]
+    for k in suites._degrees(n):
+        for kap in (h("-1/2"), h(-1), h("-3/2")):
+            E = Symbol(XI, {kap: CoeffFn.t_pow(k).t_to_x(MINUS_2I_M)})
+            lifts.append(embed_momentum_symbol(E, floor))
+    for X in lifts:
+        for _, Y in suites._duality_probes(n):
+            got = ptab.pair(g_bracket(X, Y, C2, demand))
+            assert got == ptab.pair(g_bracket(X, Y, C2, floor)), (str(X), str(Y))
+
+
 def test_theorem61_names_the_first_undetermined_trace():
     # floor -1 is too shallow for some brackets against the order -2
     # points; pinned from the one-point-at-a-time pairing loop
@@ -263,6 +331,44 @@ def test_theorem61_names_the_first_undetermined_trace():
     assert first.inputs == "duality: X = time[-2], probe W = t^-2*r^-2*d_r | exact"
     assert first.lhs == "raised ValueError: trace not determined at this truncation"
     assert first.rhs == "a finished check"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda out: GElement(out.w, out.W, out.alpha * 2),
+        lambda out: GElement(out.w, sym_scale(out.W, 2), out.alpha),
+    ],
+    ids=["central slot doubled", "loop slot doubled"],
+)
+def test_theorem61_reports_the_defect_of_the_first_point_it_fails_at(monkeypatch, corrupt):
+    # a corrupted bracket breaks the duality; each failure must name what
+    # pairing the points one by one finds first
+    bracket = g_bracket
+
+    def corrupted(A, B, c, req_floor):
+        return corrupt(bracket(A, B, c, req_floor))
+
+    monkeypatch.setattr(suites, "g_bracket", corrupted)
+    monkeypatch.setattr(kacmoody, "g_bracket", corrupted)
+    n = 2
+    cfg = VerifyConfig(index_range=n, threads=1)
+    (rep,) = run_suites(["theorem61"], cfg)
+    failures = [f for f in rep.failures if f.inputs.startswith("duality")]
+    assert failures and len(failures) == len(rep.failures)
+    basis = dict(suites._labeled_basis(n))
+    probes = dict(suites._duality_probes(n))
+    points = suites._slice_points(n)
+    for failure in failures:
+        lx, ly = failure.inputs[len("duality: X = "):].split(", probe ")
+        for lm, mu in points:
+            d = coadjoint_duality_defect(basis[lx], mu, probes[ly], cfg.c, cfg.floor)
+            if not d.is_zero():
+                break
+        else:
+            pytest.fail(f"no point has a defect for {failure.inputs}")
+        assert failure.lhs == f"defect {scalar_str(d)} at {lm}"
+        assert failure.rhs == "0"
 
 
 class TestEmbedding:

@@ -311,6 +311,17 @@ class TestSharedTables:
         _, ran, _ = tabled_runs[0][name]
         assert 0 < ran[layer] <= budget
 
+    def test_theorem61_cases_stay_within_their_time_deriv_budget(self):
+        # parent count, with every transport term scaled even by a zero loop: 17,220
+        calls = Counter()
+        with pytest.MonkeyPatch.context() as mp:
+            _wrap_everywhere(mp, psido, "time_deriv", _counted(calls, "time_deriv"))
+            cases = _SUITE_BUILDERS["theorem61"](VerifyConfig(threads=1))
+            calls.clear()
+            outcomes = [_call(case) for case in cases]
+        assert all(out is None for out in outcomes)
+        assert 0 < calls["time_deriv"] <= 1800
+
     def test_every_floored_image_comparison_sees_an_order_of_lhs(self, tabled_runs):
         # image cases compare with eq_trusted only where theta(A) o theta(B) is a series
         windows = [(A, B) for label, A, B in tabled_runs[1] if label.startswith("image of")]
