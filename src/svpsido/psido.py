@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .halfint import EXACT, HalfInt, h, hmax
-from .ring import CoeffFn, GaussRat
+from .ring import CoeffFn, GaussRat, coeff_from_table, mul_into
 
 __all__ = [
     "R",
@@ -46,6 +46,7 @@ __all__ = [
     "sym_neg",
     "sym_scale",
     "sym_mul",
+    "symbol_from_tables",
     "sym_bracket",
     "adler_trace",
     "differential_part",
@@ -248,6 +249,11 @@ def sym_mul(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
     req_floor bounds how deep the result is computed.  It may be EXACT
     (None) only when every Leibniz tail terminates by itself; an honest
     infinite tail with no req_floor raises instead of silently cutting.
+
+    Every Leibniz term binom(a, j) * f * g^(j) is added in place into one
+    (t, x, M) table per output order (ring.mul_into), keyed by twice the
+    order; each table becomes a CoeffFn once, after the last term.  The
+    x-derivatives of each coefficient of B are taken once per call.
     """
     _check_var(A, B)
     if (A.is_zero() and A.floor is EXACT) or (B.is_zero() and B.floor is EXACT):
@@ -262,50 +268,66 @@ def sym_mul(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
         bound = hmax(bound, B.floor + _hi(A))
     floor = hmax(req_floor, bound)
 
-    out: dict = {}
+    if floor is EXACT:
+        low = None
+        if any(not (a.is_integer and a.twice >= 0) for a in A.terms) and any(
+            (g.min_x_degree() or 0) < 0 for g in B.terms.values()
+        ):
+            # the tail is infinite: some binomial never vanishes and the
+            # negative x-powers of some g survive every derivative
+            raise ValueError(
+                "exact product requested but the Leibniz tail does not terminate"
+            )
+    else:
+        low = floor.twice
+
+    # (twice b, [g, g', g'', ...]), each chain grown only as deep as needed
+    chains = [(b.twice, [g]) for b, g in B.terms.items()]
+    tables: dict = {}
     cut = False
     for a, f in A.terms.items():
-        binom_dies = a.is_integer and a.as_int() >= 0
-        for b, g in B.terms.items():
-            if floor is EXACT and not binom_dies and (g.min_x_degree() or 0) < 0:
-                # the tail is infinite: the binomial never vanishes and the
-                # negative x-powers of g survive every derivative
-                raise ValueError(
-                    "exact product requested but the Leibniz tail does not terminate"
-                )
+        at = a.twice
+        f_items = f.terms.items()
+        for bt, chain in chains:
+            order = at + bt
             j = 0
-            gj = g
             while True:
+                if j == len(chain):
+                    chain.append(chain[-1].deriv("X"))
+                gj = chain[j].terms
                 # natural termination first, so exactness is never lost
                 # to a cut that would have happened one step too late
-                if gj.is_zero():
+                if not gj:
                     break
-                coef = binom_half(a, j)
-                if coef.is_zero():
+                coef = _binom_cached(at, j)
+                if not (coef._a or coef._b):
                     break
-                order = a + b - j
-                if floor is not EXACT and order < floor:
+                if low is not None and order < low:
                     cut = True
                     break
-                term = f * (gj * coef) if not coef.is_one() else f * gj
-                if not term.is_zero():
-                    s = out.get(order)
-                    s = term if s is None else s + term
-                    if s.is_zero():
-                        out.pop(order, None)
-                    else:
-                        out[order] = s
+                scale = None if coef.is_one() else coef
+                mul_into(tables.setdefault(order, {}), f_items, gj.items(), scale)
                 j += 1
-                gj = gj.deriv("X")
+                order -= 2
 
-    if floor is EXACT and cut:
-        raise AssertionError("cut without a floor")
-    if bound is EXACT and cut:
-        # both inputs exact, but a tail had to be cut at the requested depth
-        floor = req_floor
-    elif bound is EXACT and not cut and A.floor is EXACT and B.floor is EXACT:
+    if bound is EXACT and not cut:
+        # both inputs exact and every tail ended by itself
         floor = EXACT
-    return Symbol._raw(A.var, out, floor)
+    return symbol_from_tables(A.var, tables, floor)
+
+
+def symbol_from_tables(var: str, tables: dict, floor) -> Symbol:
+    """Wrap per-order (t, x, M) tables that ring.mul_into filled, keyed by
+    twice the order, as a Symbol; orders that cancelled or lie below
+    floor are dropped."""
+    low = None if floor is EXACT else floor.twice
+    out: dict = {}
+    for o, acc in tables.items():
+        if low is not None and o < low:
+            continue
+        if acc:
+            out[HalfInt(o)] = coeff_from_table(acc)
+    return Symbol._raw(var, out, floor)
 
 
 def sym_bracket(A: Symbol, B: Symbol, req_floor=None) -> Symbol:

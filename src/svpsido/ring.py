@@ -20,6 +20,14 @@ Two layers, both immutable and float-free:
 Binary operations test the operand's class first and coerce ints,
 Fractions and GaussRats only when it differs.
 
+Every product of two CoeffFns runs through one loop, ``mul_into``, after
+sympy's ``PolyElement.__mul__``: it adds scale*f*g term pair by term pair
+into a mutable {(t, x, M): GaussRat} table, dropping what cancels, and
+``coeff_from_table`` wraps the finished table once.  ``CoeffFn``
+multiplication fills a fresh table; the Leibniz composition of symbols
+and the transform's monomial map keep one table per output order and
+accumulate every contribution to that order before wrapping it.
+
 Derivatives are term-wise monomial derivations and residues extract the
 coefficient of (variable)^-1, so res(d(f)) = 0 holds identically.  Every
 normalized contour integral in the verified formulas is implemented as
@@ -31,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-__all__ = ["GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M"]
+__all__ = ["GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M", "mul_into", "coeff_from_table"]
 
 _new = object.__new__
 
@@ -309,16 +317,7 @@ class CoeffFn:
             if other is None:
                 return NotImplemented
         out: dict = {}
-        for (p1, q1, m1), v1 in self.terms.items():
-            for (p2, q2, m2), v2 in other.terms.items():
-                k = (p1 + p2, q1 + q2, m1 + m2)
-                s = out.get(k)
-                prod = v1 * v2
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+        mul_into(out, self.terms.items(), other.terms.items())
         return _coeff_raw(out)
 
     __rmul__ = __mul__
@@ -434,6 +433,50 @@ def _coeff_raw(terms: dict) -> CoeffFn:
     c = _new(CoeffFn)
     _set_coeff_terms(c, terms)
     return c
+
+
+def mul_into(acc: dict, f_items, g_items, scale=None) -> None:
+    """Add scale*f*g into acc, a mutable {(t, x, M): GaussRat} table.
+
+    f_items and g_items are the term items of two CoeffFns; scale is a
+    GaussRat, None standing for 1.  This is the package's one product
+    loop: each term pair costs one normalising gcd, with the product and
+    the running sum fused.  A monomial that cancels leaves the table, so
+    a table that holds no zero stays so.
+    """
+    get = acc.get
+    for (p1, q1, m1), v1 in f_items:
+        if scale is not None:
+            v1 = v1 * scale
+        a1, b1, d1 = v1._a, v1._b, v1._d
+        for (p2, q2, m2), v2 in g_items:
+            k = (p1 + p2, q1 + q2, m1 + m2)
+            a2, b2 = v2._a, v2._b
+            a = a1 * a2 - b1 * b2
+            b = a1 * b2 + b1 * a2
+            d = d1 * v2._d
+            s = get(k)
+            if s is None:
+                acc[k] = _gauss(a, b, d)
+                continue
+            e = s._d
+            if e == d:
+                a += s._a
+                b += s._b
+            else:
+                a = a * e + s._a * d
+                b = b * e + s._b * d
+                d *= e
+            if a or b:
+                acc[k] = _gauss(a, b, d)
+            else:
+                del acc[k]
+
+
+def coeff_from_table(acc: dict) -> CoeffFn:
+    """The CoeffFn of a table that mul_into filled, without copying it;
+    the table must not change afterwards."""
+    return _coeff_raw(acc)
 
 
 def _as_coeff(v):

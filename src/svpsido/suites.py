@@ -506,8 +506,9 @@ def _suite_theta(cfg: VerifyConfig) -> list:
                     ok = lhs == rhs
                 except ValueError:
                     # a series: compare down to the doubled floor, or deeper
-                    # when every order of lhs sits below it
-                    rhs = sym_mul(tA, tB, hmin(double_floor, lhs.top()))
+                    # when some order of lhs sits below it
+                    low = hmin(double_floor, lhs.bottom()) if lhs.terms else double_floor
+                    rhs = sym_mul(tA, tB, low)
                     ok = eq_trusted(lhs, rhs)
                 if ok:
                     return None

@@ -323,6 +323,12 @@ class _Parser:
                 # monomial function base with an integer exponent
                 return Symbol.function(v.var, c ** q.numerator)
         if q.denominator == 1 and q >= 0:
+            # |k| successive products, each larger than the last
+            if q > transforms.MAX_IMAGE_POWER:
+                raise ValueError(
+                    f"powers of a base that is not a single generator are bounded by "
+                    f"{transforms.MAX_IMAGE_POWER}"
+                )
             out = CoeffFn.one()
             for _ in range(q.numerator):
                 out = self.mul(out, v)

@@ -29,8 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .halfint import EXACT, HalfInt, h, hmax
-from .psido import R, XI, Symbol, binom_half, sym_add, sym_mul, sym_scale
-from .ring import CoeffFn, GR_ZERO, GaussRat, I_HALF_OVER_M, I_M, M, MINUS_2I_M
+from .psido import R, XI, Symbol, binom_half, sym_add, sym_mul, sym_scale, symbol_from_tables
+from .ring import CoeffFn, GR_ZERO, GaussRat, I_HALF_OVER_M, I_M, M, MINUS_2I_M, mul_into
 from .svalgebra import SvElement
 
 __all__ = [
@@ -193,26 +193,9 @@ def _forward_cache(nu: GaussRat) -> ThetaImageCache:
 # ---------------------------------------------------------------- forward map
 
 
-def _at_requested_floor(D: Symbol, req) -> Symbol:
-    """Cut a floored result back to the requested window.
-
-    Cached generator images may be deeper than asked; answers must not
-    depend on what earlier calls warmed, so the extra depth is dropped.
-    """
-    if req is EXACT or D.floor is EXACT or D.floor >= req:
-        return D
-    return Symbol(D.var, {k: c for k, c in D.terms.items() if k >= req}, req)
-
-
 def _x_powers(c: CoeffFn):
     """The distinct x-powers of c, in the order its terms first meet them."""
     return dict.fromkeys(k[1] for k in c.terms)
-
-
-def _shift_orders(D: Symbol, delta: HalfInt) -> Symbol:
-    """Right-compose with a pure derivative power: orders translate."""
-    floor = D.floor if D.floor is EXACT else D.floor + delta
-    return Symbol(D.var, {k + delta: c for k, c in D.terms.items()}, floor)
 
 
 def _map_monomials(D: Symbol, req, var: str, delta_of, image) -> Symbol:
@@ -220,16 +203,29 @@ def _map_monomials(D: Symbol, req, var: str, delta_of, image) -> Symbol:
 
     Each order k of D shifts its images by delta_of(k); image(q, want)
     gives the image of the q-th generator power trusted down to want.
+    Every image is scaled by its t-only x-slice of D's coefficient and
+    added in place into one table per output order.
+
+    Cached images may be deeper than asked; answers must not depend on
+    what earlier calls warmed, so a floored result is cut back to req.
     """
-    total = Symbol.zero(var)
+    floor = EXACT
+    tables: dict = {}
     for k, c in D.terms.items():
         delta = delta_of(k)
+        dt = delta.twice
         # the shift moves the image's floor by delta, so ask delta deeper
         want = req if req is EXACT else req - delta
         for q in _x_powers(c):
-            piece = sym_scale(_shift_orders(image(q, want), delta), c.x_slice(q))
-            total = sym_add(total, piece)
-    return _at_requested_floor(total, req)
+            x_slice = c.x_slice(q).terms.items()
+            img = image(q, want)
+            if img.floor is not EXACT:
+                floor = hmax(floor, img.floor + delta)
+            for o, f in img.terms.items():
+                mul_into(tables.setdefault(o.twice + dt, {}), f.terms.items(), x_slice)
+    if floor is not EXACT:
+        floor = hmax(floor, req)
+    return symbol_from_tables(var, tables, floor)
 
 
 def theta(D: Symbol, req_floor=None, nu: GaussRat = GR_ZERO) -> Symbol:

@@ -104,6 +104,19 @@ class TestEval:
         assert time.monotonic() - start < 10
         assert code == 0 and out.strip() == shown
 
+    @pytest.mark.parametrize("expr", ["(xi+1)^65", "(xi+1)^100000", "(t+d_xi)^2000"])
+    def test_large_exponents_of_a_sum_exit_2_quickly(self, capsys, expr):
+        start = time.monotonic()
+        code, out, err = run_cli(["eval", expr], capsys)
+        assert time.monotonic() - start < 2
+        assert code == 2 and out == ""
+        assert err.startswith("svpsido:") and err.count("\n") == 1
+
+    def test_the_largest_power_of_a_sum_evaluates(self, capsys):
+        code, out, _ = run_cli(["eval", "(xi+d_xi)^64"], capsys)
+        assert code == 0
+        assert out.startswith("d_xi^64 + 64*xi*d_xi^63 + ") and out.strip().endswith("| exact")
+
     @pytest.mark.parametrize("floor", ["-2", "-4", "-6"])
     def test_shift_of_an_inverse_momentum_power_exits_2(self, capsys, floor):
         # its series would be cut at a floor-dependent x-degree no floor records

@@ -2,7 +2,9 @@
 
 sympy evaluates every ring operation on expressions in which the
 imaginary unit I and the mass M stay symbolic, and the Leibniz sum of a
-symbol product with its own generalized binomials and derivatives.  A
+symbol product with its own generalized binomials and derivatives.  The
+transform's monomial map is checked against the sum of its shifted and
+scaled generator images, built one Symbol per monomial.  A
 Gaussian rational kept as a pair of Fractions, the textbook
 representation, checks GaussRat component by component.
 """
@@ -16,7 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svpsido.halfint import EXACT, HalfInt
-from svpsido.psido import XI, Symbol, sym_mul
+from svpsido import transforms as tr
+from svpsido.psido import R, XI, Symbol, sym_add, sym_mul, sym_scale
 from svpsido.ring import CoeffFn, GaussRat, M
 
 T, X, MASS = sp.symbols("t x M")
@@ -250,46 +253,158 @@ def test_coeff_substitutions_match_sympy(f, g, u):
 
 # ---- sym_mul against the Leibniz sum ------------------------------------------------------
 
-momentum_symbols = st.dictionaries(
+exact_momentum_symbols = st.dictionaries(
     st.integers(min_value=-4, max_value=4).map(HalfInt),
     coeffs.filter(lambda c: not c.is_zero()),
     min_size=1,
     max_size=2,
 ).map(lambda terms: Symbol(XI, terms))
+floors = st.integers(min_value=-8, max_value=4).map(HalfInt)
+momentum_symbols = st.one_of(
+    exact_momentum_symbols,
+    # the constructor drops the stored orders below the floor
+    st.builds(lambda S, floor: Symbol(XI, S.terms, floor), exact_momentum_symbols, floors),
+    # a zero that carries a floor still stands for unknown orders below it
+    floors.map(lambda floor: Symbol(XI, {}, floor)),
+)
 
 
-def leibniz_sp(A: Symbol, B: Symbol, floor: HalfInt) -> dict:
-    """sum_j binom(a, j) f (d/dx)^j g d^(a+b-j), cut below floor."""
+def leibniz_sp(A: Symbol, B: Symbol, floor: HalfInt) -> tuple:
+    """sum_j binom(a, j) f (d/dx)^j g d^(a+b-j), cut below floor, and
+    whether some term that does not vanish by itself was cut."""
     out: dict = {}
+    cut = False
     for a, f in A.terms.items():
         for b, g in B.terms.items():
             gj = sp.expand(coeff_sp(g))
             j = 0
-            while gj != 0 and a + b - j >= floor:
+            while gj != 0:
                 c = sp.binomial(sp.Rational(a.twice, 2), j)
                 if c == 0:
                     break
                 order = a + b - j
+                if order < floor:
+                    cut = True
+                    break
                 out[order] = out.get(order, 0) + c * coeff_sp(f) * gj
                 j += 1
                 gj = sp.diff(gj, X)
-    return out
+    return out, cut
 
 
-@settings(max_examples=40, deadline=None)
+def derived_floor(A: Symbol, B: Symbol, req: HalfInt):
+    """max(req, A.floor + top(B), B.floor + top(A)), a zero operand counting
+    with its floor in place of its top; EXACT for exact operands whose
+    tails all end above req."""
+    hi_a = max(A.terms) if A.terms else A.floor
+    hi_b = max(B.terms) if B.terms else B.floor
+    bounds = [req]
+    if A.floor is not EXACT:
+        bounds.append(A.floor + hi_b)
+    if B.floor is not EXACT:
+        bounds.append(B.floor + hi_a)
+    floor = max(bounds)
+    if len(bounds) == 1 and not leibniz_sp(A, B, floor)[1]:
+        return EXACT
+    return floor
+
+
+def clean(P: Symbol) -> bool:
+    """No zero coefficient, zero monomial or order below the floor."""
+    return all(
+        type(k) is HalfInt
+        and type(c) is CoeffFn
+        and c.terms
+        and all(not v.is_zero() for v in c.terms.values())
+        and (P.floor is EXACT or k >= P.floor)
+        for k, c in P.terms.items()
+    )
+
+
+@settings(max_examples=60, deadline=None)
 @given(momentum_symbols, momentum_symbols, st.integers(min_value=-6, max_value=-2).map(HalfInt))
 @example(  # the order-0 terms cancel: (d - x^-1) o x = x d
     Symbol(XI, {HalfInt(2): CoeffFn.one(), HalfInt(0): -CoeffFn.x_pow(-1)}),
     Symbol(XI, {HalfInt(0): CoeffFn.x_pow(1)}),
     HalfInt(-4),
 )
+@example(  # a zero with a floor: the floor climbs to -3 + 2
+    Symbol(XI, {HalfInt(2): CoeffFn.x_pow(-1)}),
+    Symbol(XI, {}, HalfInt(-6)),
+    HalfInt(-6),
+)
 def test_sym_mul_matches_the_leibniz_sum(A, B, req):
     P = sym_mul(A, B, req)
     # the product skips the constructor's checks, so it must already pass them
     assert P == Symbol(P.var, P.terms, P.floor)
-    assert all(type(k) is HalfInt and type(c) is CoeffFn for k, c in P.terms.items())
+    assert clean(P)
+    if (not A.terms and A.floor is EXACT) or (not B.terms and B.floor is EXACT):
+        assert P.is_zero() and P.floor is EXACT
+        return
+    assert P.floor == derived_floor(A, B, req)
     trusted = req if P.floor is EXACT else P.floor
-    want = leibniz_sp(A, B, trusted)
+    want = leibniz_sp(A, B, trusted)[0]
     for order in set(P.terms) | set(want):
         if order >= trusted:
             assert same(coeff_sp(P.coeff(order)), want.get(order, 0)), order
+
+
+# ---- the transform's monomial map against the sum of scaled images ---------------------------
+
+
+def summed_images(D: Symbol, req, var: str, delta_of, image) -> Symbol:
+    """The image of D as a sum over its monomials, one Symbol per monomial:
+    sym_add of the image shifted by delta_of(k) and scaled by its x-slice,
+    cut back to req when floored."""
+    total = Symbol.zero(var)
+    for k, c in D.terms.items():
+        delta = delta_of(k)
+        want = req if req is EXACT else req - delta
+        for q in dict.fromkeys(key[1] for key in c.terms):
+            img = image(q, want)
+            floor = img.floor if img.floor is EXACT else img.floor + delta
+            shifted = Symbol(var, {o + delta: v for o, v in img.terms.items()}, floor)
+            total = sym_add(total, sym_scale(shifted, c.x_slice(q)))
+    if req is EXACT or total.floor is EXACT or total.floor >= req:
+        return total
+    return Symbol(var, {k: v for k, v in total.terms.items() if k >= req}, req)
+
+
+def symbols_of(var, orders, xpows):
+    """Exact symbols of 1 to 3 orders, each coefficient 1 to 3 terms whose
+    x-powers lie in xpows."""
+    coeffs_here = st.dictionaries(
+        st.tuples(st.integers(-1, 1), st.integers(*xpows), st.integers(-1, 1)),
+        nonzero_gauss,
+        min_size=1,
+        max_size=3,
+    ).map(CoeffFn)
+    terms = st.dictionaries(orders, coeffs_here, min_size=1, max_size=3)
+    return terms.map(lambda t: Symbol(var, t))
+
+
+transform_floors = st.sampled_from([HalfInt(-4), HalfInt(-7)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    symbols_of(XI, st.integers(-3, 3).map(HalfInt), (-2, 2)),
+    st.sampled_from([GaussRat(0), GaussRat(F(1, 2))]),
+    transform_floors,
+)
+def test_theta_matches_the_sum_of_scaled_images(D, nu, req):
+    # an undeformed image is exact, so nu = 0 is also checked without a floor
+    for floor in ([req, EXACT] if nu.is_zero() else [req]):
+        got = tr.theta(D, floor, nu=nu)
+        want = summed_images(D, floor, R, lambda k: k + k, tr._forward_cache(nu).image)
+        assert got == want
+        assert clean(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(symbols_of(R, st.integers(-2, 2).map(HalfInt.of), (-2, 2)), transform_floors)
+def test_theta_inv_matches_the_sum_of_scaled_images(D, req):
+    got = tr.theta_inv(D, req)
+    want = summed_images(D, req, XI, lambda k: HalfInt(k.as_int()), tr._inv_image)
+    assert got == want
+    assert clean(got)

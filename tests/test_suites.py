@@ -329,6 +329,8 @@ class TestSharedTables:
         for lhs, rhs in windows:
             floor = hmax(lhs.floor, rhs.floor)
             assert any(floor is EXACT or k >= floor for k in lhs.terms), (str(lhs), str(rhs))
+            # an order of lhs below the compared window would go unchecked
+            assert floor is EXACT or all(k >= floor for k in lhs.terms), (str(lhs), str(rhs))
 
     def test_theta_images_come_from_the_per_nu_registry(self, monkeypatch):
         built = []
