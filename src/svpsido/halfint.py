@@ -75,8 +75,6 @@ class HalfInt:
             return HalfInt(self.twice + 2 * other)
         return NotImplemented
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         if isinstance(other, HalfInt):
             return HalfInt(self.twice - other.twice)
@@ -84,21 +82,8 @@ class HalfInt:
             return HalfInt(self.twice - 2 * other)
         return NotImplemented
 
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return HalfInt(2 * other - self.twice)
-        return NotImplemented
-
     def __neg__(self):
         return HalfInt(-self.twice)
-
-    def __mul__(self, other):
-        # scaling by an integer stays in (1/2)Z
-        if isinstance(other, int):
-            return HalfInt(self.twice * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     # ---- order / identity ----------------------------------------------
 

@@ -20,13 +20,13 @@ Two layers, both immutable and float-free:
 Binary operations test the operand's class first and coerce ints,
 Fractions and GaussRats only when it differs.
 
-Every product of two CoeffFns runs through one loop, ``mul_into``, after
-sympy's ``PolyElement.__mul__``: it adds scale*f*g term pair by term pair
-into a mutable {(t, x, M): GaussRat} table, dropping what cancels, and
-``coeff_from_table`` wraps the finished table once.  ``CoeffFn``
-multiplication fills a fresh table; the Leibniz composition of symbols
-and the transform's monomial map keep one table per output order and
-accumulate every contribution to that order before wrapping it.
+Every product and every sum of CoeffFns runs through one loop, ``mul_into``,
+after sympy's ``PolyElement.__mul__``: it adds scale*f*g term pair by term
+pair into a mutable {(t, x, M): GaussRat} table, dropping what cancels, and
+``coeff_from_table`` wraps the finished table once.  A sum multiplies by the
+unit, with scale -1 to subtract.  The Leibniz composition of symbols, the
+transform's monomial map and the loop shift keep one table per output and
+accumulate every contribution to it before wrapping it.
 
 Derivatives are term-wise monomial derivations and residues extract the
 coefficient of (variable)^-1, so res(d(f)) = 0 holds identically.  Every
@@ -285,13 +285,7 @@ class CoeffFn:
             if other is None:
                 return NotImplemented
         out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+        mul_into(out, _UNIT, other.terms.items())
         return _coeff_raw(out)
 
     __radd__ = __add__
@@ -303,13 +297,15 @@ class CoeffFn:
         other = _as_coeff(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        mul_into(out, _UNIT, other.terms.items(), _MINUS_ONE)
+        return _coeff_raw(out)
 
     def __rsub__(self, other):
         other = _as_coeff(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         if other.__class__ is not CoeffFn:
@@ -396,13 +392,11 @@ class CoeffFn:
 
     def subs_m(self, value: GaussRat) -> "CoeffFn":
         """Evaluate at M = value (value must be invertible if negative powers occur)."""
+        # a zero value zeroes the terms with m > 0, so they stay out of the sum
         out: dict = {}
-        for (p, q, m), v in self.terms.items():
-            k = (p, q, 0)
-            s = v * value ** m
-            acc = out.get(k)
-            out[k] = s if acc is None else acc + s
-        return CoeffFn(out)
+        mul_into(out, _UNIT, [((p, q, 0), v * value ** m) for (p, q, m), v in self.terms.items()
+                              if m <= 0 or not value.is_zero()])
+        return _coeff_raw(out)
 
     # ---- identity -------------------------------------------------------------------
 
@@ -439,10 +433,10 @@ def mul_into(acc: dict, f_items, g_items, scale=None) -> None:
     """Add scale*f*g into acc, a mutable {(t, x, M): GaussRat} table.
 
     f_items and g_items are the term items of two CoeffFns; scale is a
-    GaussRat, None standing for 1.  This is the package's one product
-    loop: each term pair costs one normalising gcd, with the product and
-    the running sum fused.  A monomial that cancels leaves the table, so
-    a table that holds no zero stays so.
+    GaussRat, None standing for 1.  This is the package's one product and
+    sum loop: each term pair costs one normalising gcd, with the product
+    and the running sum fused.  A monomial that cancels leaves the table,
+    so a table that holds no zero stays so.
     """
     get = acc.get
     for (p1, q1, m1), v1 in f_items:
@@ -500,6 +494,8 @@ def _mass_unit(c) -> tuple:
 
 _C_ZERO = CoeffFn({})
 _C_ONE = CoeffFn({(0, 0, 0): GR_ONE})
+_UNIT = tuple(_C_ONE.terms.items())
+_MINUS_ONE = GaussRat(-1)
 M = CoeffFn({(0, 0, 1): GR_ONE})  # the mass parameter
 
 # The recurring structural constants of the verified formulas.

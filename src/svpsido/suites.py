@@ -562,8 +562,8 @@ def _suite_theta(cfg: VerifyConfig) -> list:
 # -------------------------------------------------------- suite: timeshift
 
 def _suite_timeshift(cfg: VerifyConfig) -> list:
-    n, F = cfg.index_range, h(cfg.floor)
-    depth = abs(F.twice) + 4
+    n = cfg.index_range
+    depth = tr.default_depth(cfg.floor)
     cases = []
 
     for q in _degrees(n):

@@ -24,7 +24,9 @@ trace  dpart``.  Each expression must stay inside a single symbol algebra
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from math import log10
 
 from . import transforms
 from .halfint import EXACT, HalfInt, h
@@ -308,6 +310,7 @@ class _Parser:
             if v == CoeffFn.one():
                 return v
             if len(v.terms) == 1 and q.denominator == 1:
+                _check_power_digits(v, q.numerator)
                 return v ** q.numerator
         elif len(v.terms) == 1:
             ((k, c),) = v.terms.items()
@@ -321,6 +324,7 @@ class _Parser:
                 return Symbol.monomial(v.var, HalfInt(newtw), CoeffFn.one())
             if k.twice == 0 and len(c.terms) == 1 and q.denominator == 1:
                 # monomial function base with an integer exponent
+                _check_power_digits(c, q.numerator)
                 return Symbol.function(v.var, c ** q.numerator)
         if q.denominator == 1 and q >= 0:
             # |k| successive products, each larger than the last
@@ -373,6 +377,27 @@ class _Parser:
 
     def fn_dpart(self, a):
         return a if isinstance(a, CoeffFn) else differential_part(a)
+
+
+def _check_power_digits(c: CoeffFn, k: int) -> None:
+    """Refuse the k-th power of a monomial whose coefficient would print an
+    integer longer than the int-to-str digit limit.
+
+    The test takes a lower bound on log10 of the longest printed integer,
+    so no printable power is refused.  With g = (a + i*b)/d reduced, |g^k|
+    bounds a numerator from below when it is at least 1, and a denominator
+    when it is below 1.  Reducing (a + i*b)^k / d^k cancels at most 2^(k/2)
+    from d^k, and the two printed denominators multiply to at least the rest.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    (g,) = c.terms.values()
+    if k < 0:
+        g, k = g.inv(), -k
+    a, b, d, half_log2 = g._a, g._b, g._d, log10(2) / 2
+    size = k * abs(log10(a * a + b * b) / 2 - log10(d)) - half_log2
+    den = k * (log10(d) - (half_log2 if d % 2 == 0 else 0)) / (2 if b else 1)
+    if limit and max(size, den) * (1 - 1e-9) >= limit:  # the factor absorbs rounding
+        raise ValueError(f"the coefficient of this power would print with more than {limit} digits")
 
 
 _FUNCTIONS = {

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .halfint import EXACT, HalfInt, h, hmax
 from .psido import R, XI, Symbol, binom_half, sym_add, sym_mul, sym_scale, symbol_from_tables
-from .ring import CoeffFn, GR_ZERO, GaussRat, I_HALF_OVER_M, I_M, M, MINUS_2I_M, mul_into
+from .ring import CoeffFn, GR_ZERO, GaussRat, I_M, M, MINUS_2I_M, coeff_from_table, mul_into
 from .svalgebra import SvElement
 
 __all__ = [
@@ -285,34 +285,31 @@ def theta_inv(D: Symbol, req_floor=None) -> Symbol:
 
 # ---------------------------------------------------------------- loop shift
 
+_HALF_I = GaussRat(0, Fraction(1, 2))
+
 
 def time_shift(f: CoeffFn, depth: int) -> CoeffFn:
     """Substitute xi -> xi + (i/2M) t into a momentum-only Laurent value.
 
     Nonnegative powers expand exactly; xi^-k becomes the ascending series
-    cut after x-degree `depth` (inclusive).
+    cut after x-degree `depth` (inclusive), all added into one table.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if not f.is_x_only():
         raise ValueError("the loop shift applies to momentum-only values")
-    out = CoeffFn.zero()
+    out: dict = {}
     for q in _x_powers(f):
-        if q >= 0:
-            top = q
-        else:
-            top = depth
-        acc = CoeffFn.zero()
         a = HalfInt.of(q)
-        for m in range(top + 1):
+        series = []
+        for m in range((q if q >= 0 else depth) + 1):
             cf = binom_half(a, m)
             if cf.is_zero():
                 break
             # (i t / 2M)^(q - m) xi^m
-            shift_pow = q - m
-            acc = acc + CoeffFn.mono(shift_pow, m, I_HALF_OVER_M ** shift_pow * cf)
-        out = out + acc * f.x_slice(q)
-    return out
+            series.append(((q - m, m, m - q), _HALF_I ** (q - m) * cf))
+        mul_into(out, series, f.x_slice(q).terms.items())
+    return coeff_from_table(out)
 
 
 def time_shift_inverse(g: CoeffFn) -> CoeffFn:
@@ -333,28 +330,21 @@ def time_shift_symbol(D: Symbol, depth: int) -> Symbol:
 def theta_t(E: Symbol, req_floor, nu: GaussRat = GR_ZERO) -> Symbol:
     """Loop shift followed by the transform, with honest floor tracking.
 
-    Accepts floored inputs: after the shift all coefficients are
-    polynomial in the momentum variable, so a missing order kappa' can
-    only contribute to space orders <= 2*kappa' - 1.  Each coefficient
-    whose inverse-power series was cut at the shift depth likewise
-    pollutes only orders <= 2*kappa - depth - 1.
+    Every order is shifted, then one theta call maps the exact result.
+    Floored inputs are accepted: after the shift all coefficients are
+    polynomial in xi, so a missing order kappa' only reaches space orders
+    <= 2*kappa' - 1, and a series cut at the shift depth only orders
+    <= 2*kappa - depth - 1.
     """
-    if E.var != XI:
-        raise ValueError("theta_t expects a momentum symbol")
     req = h(req_floor) if req_floor is not None else EXACT
     depth = default_depth(req)
     floor = req
     cut = False
-    total = Symbol.zero(R)
     for kappa, c in E.terms.items():
-        if not c.is_x_only():
-            raise ValueError("loop dependence must enter through the momentum substitution")
-        shifted = time_shift(c, depth)
         if (c.min_x_degree() or 0) < 0:
             cut = True
             floor = hmax(floor, kappa + kappa - depth)
-        piece = theta(Symbol(XI, {kappa: shifted}), req, nu=nu)
-        total = sym_add(total, piece)
+    total = theta(Symbol(XI, time_shift_symbol(E, depth).terms), req, nu=nu)
     if E.floor is not EXACT:
         floor = hmax(floor, E.floor + E.floor)
     if cut or E.floor is not EXACT:

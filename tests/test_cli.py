@@ -7,6 +7,7 @@ SystemExit(2); errors detected later return 2; both paths appear here.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -96,6 +97,7 @@ class TestEval:
         [
             ("t^100000000", "t^100000000 | exact"),
             ("r^-100000000", "r^-100000000 | exact"),
+            ("(2*t)^100", "1267650600228229401496703205376*t^100 | exact"),
         ],
     )
     def test_large_exponents_of_a_monomial_return_quickly(self, capsys, expr, shown):
@@ -103,6 +105,29 @@ class TestEval:
         code, out, _ = run_cli(["eval", expr], capsys)
         assert time.monotonic() - start < 10
         assert code == 0 and out.strip() == shown
+
+    @pytest.mark.parametrize(
+        "expr", ["(2*t)^100000000", "(1/2)^-100000000*xi", "(3/5+4/5*i)^20000", "M*r^-2*(2*r)^-100000"]
+    )
+    def test_unprintable_coefficient_powers_exit_2_quickly(self, capsys, expr):
+        # refused before the power is taken, in words a calculator user can act on
+        start = time.monotonic()
+        code, out, err = run_cli(["eval", expr], capsys)
+        assert time.monotonic() - start < 2
+        assert code == 2 and out == ""
+        assert err.startswith("svpsido: the coefficient of this power") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no limit")
+    def test_powers_at_the_digit_limit_still_print(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        k = int(limit / math.log10(2))
+        while len(str(2**k)) > limit:
+            k -= 1
+        for expr in (f"2^{k}*xi", f"(1/2)^{k}*t", f"(1/2+1/2*i)^{2 * k}"):
+            code, out, _ = run_cli(["eval", expr], capsys)
+            assert code == 0 and out.strip().endswith("| exact"), expr
+        code, _, err = run_cli(["eval", f"2^{k + 1}*xi"], capsys)
+        assert code == 2 and err.startswith("svpsido: the coefficient of this power")
 
     @pytest.mark.parametrize("expr", ["(xi+1)^65", "(xi+1)^100000", "(t+d_xi)^2000"])
     def test_large_exponents_of_a_sum_exit_2_quickly(self, capsys, expr):

@@ -4,7 +4,9 @@ sympy evaluates every ring operation on expressions in which the
 imaginary unit I and the mass M stay symbolic, and the Leibniz sum of a
 symbol product with its own generalized binomials and derivatives.  The
 transform's monomial map is checked against the sum of its shifted and
-scaled generator images, built one Symbol per monomial.  A
+scaled generator images, built one Symbol per monomial; the loop shift
+and theta_t against their term-by-term forms, one CoeffFn sum per series
+term and one theta call per momentum order.  A
 Gaussian rational kept as a pair of Fractions, the textbook
 representation, checks GaussRat component by component.
 """
@@ -17,10 +19,10 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from svpsido.halfint import EXACT, HalfInt
+from svpsido.halfint import EXACT, HalfInt, hmax
 from svpsido import transforms as tr
-from svpsido.psido import R, XI, Symbol, sym_add, sym_mul, sym_scale
-from svpsido.ring import CoeffFn, GaussRat, M
+from svpsido.psido import R, XI, Symbol, binom_half, sym_add, sym_mul, sym_scale
+from svpsido.ring import CoeffFn, GaussRat, I_HALF_OVER_M, M
 
 T, X, MASS = sp.symbols("t x M")
 
@@ -207,6 +209,28 @@ def test_coeff_ops_match_sympy(f, g):
     assert same(coeff_sp(f - g), sf - sg)
     assert same(coeff_sp(f * g), sf * sg)
     assert (f == g) == same(sf, sg)
+
+
+def _no_negation(self):
+    raise AssertionError("subtraction built a negated copy")
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs, coeffs)
+def test_coeff_subtraction_builds_no_negated_copy(f, g):
+    sf, sg = coeff_sp(f), coeff_sp(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CoeffFn, "__neg__", _no_negation)
+        for got, want in ((f - g, sf - sg), (1 - f, 1 - sf), (f - 1, sf - 1), (f - f, 0)):
+            assert same(coeff_sp(got), want)
+            assert all(not v.is_zero() for v in got.terms.values())
+
+
+def test_mass_value_zero_keeps_the_mass_free_terms():
+    f = CoeffFn({(1, 0, 0): GaussRat(3), (1, 0, 2): GaussRat(5), (0, 1, 1): GaussRat(0, 1)})
+    assert f.subs_m(GaussRat(0)) == CoeffFn.t_pow(1, 3)
+    with pytest.raises(ZeroDivisionError):
+        (f * M**-1).subs_m(GaussRat(0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -408,3 +432,83 @@ def test_theta_inv_matches_the_sum_of_scaled_images(D, req):
     want = summed_images(D, req, XI, lambda k: HalfInt(k.as_int()), tr._inv_image)
     assert got == want
     assert clean(got)
+
+
+# ---- the loop shift and theta_t against their term-by-term forms -----------------------------
+
+
+def shift_by_terms(f: CoeffFn, depth: int) -> CoeffFn:
+    """xi -> xi + (i/2M) t, one CoeffFn sum per series term: the binomial
+    series of each x-power, cut after x-degree depth for a negative one,
+    times that power's coefficient."""
+    out = CoeffFn.zero()
+    for q in dict.fromkeys(key[1] for key in f.terms):
+        series = CoeffFn.zero()
+        for m in range((q if q >= 0 else depth) + 1):
+            cf = binom_half(HalfInt.of(q), m)
+            if cf.is_zero():
+                break
+            series = series + CoeffFn.mono(q - m, m, I_HALF_OVER_M ** (q - m) * cf)
+        out = out + series * f.x_slice(q)
+    return out
+
+
+def theta_t_by_orders(E: Symbol, req: HalfInt, nu: GaussRat) -> Symbol:
+    """theta_t as one theta call per shifted order, summed with sym_add,
+    under the same floor rules: a cut series or a floored input raises the
+    floor."""
+    depth = tr.default_depth(req)
+    floor, cut = req, False
+    total = Symbol.zero(R)
+    for kappa, c in E.terms.items():
+        if (c.min_x_degree() or 0) < 0:
+            cut = True
+            floor = hmax(floor, kappa + kappa - depth)
+        total = sym_add(total, tr.theta(Symbol(XI, {kappa: shift_by_terms(c, depth)}), req, nu=nu))
+    if E.floor is not EXACT:
+        floor = hmax(floor, E.floor + E.floor)
+    if cut or E.floor is not EXACT:
+        total = Symbol(R, total.terms, hmax(total.floor, floor))
+    return total
+
+
+loop_free_momentum_symbols = st.builds(
+    lambda terms, floor: Symbol(XI, terms, floor),
+    st.dictionaries(
+        st.integers(-3, 3).map(HalfInt), t_free.filter(lambda c: not c.is_zero()), max_size=3
+    ),
+    st.one_of(st.none(), st.integers(-6, 0).map(HalfInt)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    loop_free_momentum_symbols,
+    st.sampled_from([GaussRat(0), GaussRat(F(1, 2))]),
+    st.sampled_from([HalfInt(-2), HalfInt(-4)]),
+)
+def test_loop_shift_and_theta_t_match_their_term_by_term_forms(E, nu, req):
+    depth = tr.default_depth(req)
+    for c in E.terms.values():
+        got = tr.time_shift(c, depth)
+        assert got == shift_by_terms(c, depth)
+        assert all(not v.is_zero() for v in got.terms.values())
+    got = tr.theta_t(E, req, nu=nu)
+    assert got == theta_t_by_orders(E, req, nu)  # floors included
+    assert clean(got)
+
+
+def test_theta_t_makes_one_theta_call(monkeypatch):
+    calls = []
+    theta = tr.theta
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return theta(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "theta", counted)
+    terms = {HalfInt(2): CoeffFn.x_pow(2), HalfInt(1): CoeffFn.x_pow(-1), HalfInt(-1): M}
+    E = Symbol(XI, terms, HalfInt(-3))
+    got = tr.theta_t(E, HalfInt(-4))
+    assert len(calls) == 1
+    assert got == theta_t_by_orders(E, HalfInt(-4), GaussRat(0))
