@@ -173,12 +173,6 @@ class GDual:
 
     __repr__ = __str__
 
-    def add(self, other: "GDual") -> "GDual":
-        return GDual(self.v + other.v, sym_add(self.V, other.V), self.a + other.a)
-
-    def sub(self, other: "GDual") -> "GDual":
-        return GDual(self.v - other.v, sym_sub(self.V, other.V), self.a - other.a)
-
 
 def in_invariant_slice(mu: GDual) -> bool:
     """True when V = V_-2 d^-2 + V_0(t) with a spatially constant V_0."""

@@ -9,7 +9,10 @@ are supported, matching the three kinds of displayed brackets:
   * central class: jets of the central coordinate a, integrated over t.
 
 A single monomial may not mix classes; a functional may sum monomials
-of different classes, and every bilinear operation dispatches pairwise.
+of different classes.  A field's jets occur only in monomials of that
+field's class, so each variational derivative reads one class and is zero
+when the functional has none of it; the bracket and the Hamiltonian field
+are written once, bilinear and linear in the four derivatives.
 Integration is the double (or single) residue, so functionals that
 differ by a total derivative evaluate identically at every point.
 
@@ -22,6 +25,7 @@ normalization is frozen against the central generator family.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .halfint import h
 from .kacmoody import GDual
@@ -54,33 +58,25 @@ _LOOP_FIELDS = (FIELD_V, FIELD_A)
 _ALL_FIELDS = _PAIR_FIELDS + _LOOP_FIELDS
 
 
-class JetVar:
-    """One derivative coordinate dt^i dr^j of a field."""
+class JetVar(tuple):
+    """One derivative coordinate dt^i dr^j of a field: the tuple (field, i, j).
 
-    __slots__ = ("field", "i", "j")
+    It equals, hashes and sorts as that plain tuple."""
 
-    def __init__(self, field: str, i: int = 0, j: int = 0):
+    __slots__ = ()
+
+    def __new__(cls, field: str, i: int = 0, j: int = 0):
         if field not in _ALL_FIELDS:
             raise ValueError(f"unknown field {field!r}")
         if i < 0 or j < 0:
             raise ValueError("jet orders are nonnegative")
         if j and field in _LOOP_FIELDS:
             raise ValueError(f"{field} is a loop function, it has no r-jets")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
+        return tuple.__new__(cls, (field, i, j))
 
-    def __setattr__(self, *_):
-        raise AttributeError("JetVar is immutable")
-
-    def key(self):
-        return (self.field, self.i, self.j)
-
-    def __eq__(self, other):
-        return isinstance(other, JetVar) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+    field = property(itemgetter(0))
+    i = property(itemgetter(1))
+    j = property(itemgetter(2))
 
     def __str__(self):
         out = self.field
@@ -125,7 +121,7 @@ class LocalFunctional:
         if isinstance(terms, dict):
             terms = terms.items()
         for jets, coeff in terms:
-            jets = tuple(sorted(jets, key=JetVar.key))
+            jets = tuple(sorted(jets))
             coeff = _as_coeff(coeff)
             if coeff.is_zero():
                 continue
@@ -156,11 +152,6 @@ class LocalFunctional:
     def classes(self) -> set:
         return {_monomial_class(jets) for jets in self.terms}
 
-    def part(self, cls: str) -> "LocalFunctional":
-        """The sub-sum of monomials of one class tag."""
-        return LocalFunctional([(jets, c) for jets, c in self.terms.items()
-                                if _monomial_class(jets) == cls])
-
     def add(self, other: "LocalFunctional") -> "LocalFunctional":
         out = list(self.terms.items()) + list(other.terms.items())
         return LocalFunctional(out)
@@ -169,7 +160,9 @@ class LocalFunctional:
         return LocalFunctional([(jets, -c) for jets, c in self.terms.items()])
 
     def sub(self, other: "LocalFunctional") -> "LocalFunctional":
-        return self.add(other.neg())
+        out = list(self.terms.items())
+        out += [(jets, -c) for jets, c in other.terms.items()]
+        return LocalFunctional(out)
 
     def scale(self, s) -> "LocalFunctional":
         return LocalFunctional([(jets, c * s) for jets, c in self.terms.items()])
@@ -183,7 +176,7 @@ class LocalFunctional:
         if not self.terms:
             return "0"
         parts = []
-        for jets in sorted(self.terms, key=lambda js: tuple(J.key() for J in js)):
+        for jets in sorted(self.terms):
             coeff = self.terms[jets]
             sign = "int int" if _monomial_class(jets) == "pair" else "int"
             body = " * ".join(str(J) for J in jets)
@@ -235,17 +228,16 @@ def variational_derivative(F: LocalFunctional, field: str) -> LocalFunctional:
     if field not in _ALL_FIELDS:
         raise ValueError(f"unknown field {field!r}")
     seen = {J for jets in F.terms for J in jets if J.field == field}
-    out = LocalFunctional.zero()
+    out = []
     for J in seen:
         term = _partial(F, J)
         for _ in range(J.i):
             term = total_derivative(term, "T")
         for _ in range(J.j):
             term = total_derivative(term, "X")
-        if (J.i + J.j) % 2:
-            term = term.neg()
-        out = out.add(term)
-    return out
+        odd = (J.i + J.j) % 2
+        out += [(jets, -c if odd else c) for jets, c in term.terms.items()]
+    return LocalFunctional(out)
 
 
 def _slot_data(mu: GDual, field: str) -> CoeffFn:
@@ -258,19 +250,24 @@ def _slot_data(mu: GDual, field: str) -> CoeffFn:
     return mu.a
 
 
+def _substituted(jets, coeff: CoeffFn, mu: GDual) -> CoeffFn:
+    """One monomial with the point's slot data plugged into its jets."""
+    value = coeff
+    for J in jets:
+        data = _slot_data(mu, J.field)
+        for _ in range(J.i):
+            data = data.deriv("T")
+        for _ in range(J.j):
+            data = data.deriv("X")
+        value = value * data
+    return value
+
+
 def substitute(F: LocalFunctional, mu: GDual) -> CoeffFn:
     """Plug the point's slot data into every jet; no integration."""
     total = CoeffFn.zero()
     for jets, coeff in F.terms.items():
-        value = coeff
-        for J in jets:
-            data = _slot_data(mu, J.field)
-            for _ in range(J.i):
-                data = data.deriv("T")
-            for _ in range(J.j):
-                data = data.deriv("X")
-            value = value * data
-        total = total + value
+        total = total + _substituted(jets, coeff, mu)
     return total
 
 
@@ -288,7 +285,7 @@ def evaluate(F: LocalFunctional, mu: GDual) -> CoeffFn:
     count as pair class."""
     total = CoeffFn.zero()
     for jets, coeff in F.terms.items():
-        piece = substitute(LocalFunctional([(jets, coeff)]), mu)
+        piece = _substituted(jets, coeff, mu)
         if _monomial_class(jets) == "pair":
             total = total + _double_residue(piece)
         else:
@@ -337,97 +334,49 @@ def lemma71_functional(X: SvElement) -> LocalFunctional:
 
 # ------------------------------------------------------- bracket and field
 
-def _pair_data(F: LocalFunctional, mu: GDual):
-    """Substituted variational derivatives (P, Q) of the pair part."""
-    P = substitute(variational_derivative(F, FIELD_VM2), mu)
-    Q = substitute(variational_derivative(F, FIELD_V0), mu)
-    return P, Q
+def _derivatives(F: LocalFunctional, mu: GDual) -> list:
+    """F's variational derivatives along V-2, V0, v and a, substituted at
+    mu.  Each reads one class of F and is zero when F has none of it."""
+    return [substitute(variational_derivative(F, fld), mu) for fld in _ALL_FIELDS]
 
 
 def poisson_bracket(F: LocalFunctional, G: LocalFunctional,
                     mu: GDual, c) -> CoeffFn:
-    """Evaluate the displayed bracket formulas at the point mu.
+    """Evaluate the displayed bracket formula at the point mu.
 
-    Dispatch is bilinear over the class decomposition; the two loop
-    classes do not couple to the pair class except through the loop
-    coordinate v, and the central class couples to v alone.
+    With P, Q, phi, psi the derivatives along V-2, V0, v, a, the pair
+    integrand and its coupling to v sit under the double residue, the v-v
+    and v-a terms under the time residue.  The loop classes reach the pair
+    class only through v, and the central class couples to v alone.
     """
     vm2 = mu.V.coeff(h(-2))
     v0 = mu.V.coeff(h(0))
-    total = CoeffFn.zero()
-
-    Fp, Fv, Fa = F.part("pair"), F.part("v"), F.part("a")
-    Gp, Gv, Ga = G.part("pair"), G.part("v"), G.part("a")
-
-    if not Fp.is_zero() and not Gp.is_zero():
-        Pf, Qf = _pair_data(Fp, mu)
-        Pg, Qg = _pair_data(Gp, mu)
-        integrand = (vm2 * (Pg.deriv("X") * Pf - Pf.deriv("X") * Pg)
-                     + v0 * (Qg * Pf - Pg * Qf).deriv("X")
-                     + mu.a * (Qf.deriv("X") * Pg + Pf.deriv("X") * Qg) * c)
-        total = total + _double_residue(integrand)
-
-    if not Fv.is_zero() and not Gv.is_zero():
-        pf = substitute(variational_derivative(Fv, FIELD_V), mu)
-        pg = substitute(variational_derivative(Gv, FIELD_V), mu)
-        total = total + _t_residue(mu.v * (pf * pg.deriv("T") - pg * pf.deriv("T")))
-
-    for A, B, sign in ((Fv, Gp, 1), (Gv, Fp, -1)):
-        if A.is_zero() or B.is_zero():
-            continue
-        phi = substitute(variational_derivative(A, FIELD_V), mu)
-        Pb, Qb = _pair_data(B, mu)
-        piece = _double_residue(phi * (vm2 * Pb.deriv("T") + v0 * Qb.deriv("T")))
-        total = total + (piece if sign > 0 else -piece)
-
-    for A, B, sign in ((Fv, Ga, 1), (Gv, Fa, -1)):
-        if A.is_zero() or B.is_zero():
-            continue
-        phi = substitute(variational_derivative(A, FIELD_V), mu)
-        psi = substitute(variational_derivative(B, FIELD_A), mu)
-        piece = _t_residue(mu.a * phi * psi.deriv("T"))
-        total = total + (piece if sign > 0 else -piece)
-
-    return total
+    Pf, Qf, phif, psif = _derivatives(F, mu)
+    Pg, Qg, phig, psig = _derivatives(G, mu)
+    pair = (vm2 * (Pg.deriv("X") * Pf - Pf.deriv("X") * Pg)
+            + v0 * (Qg * Pf - Pg * Qf).deriv("X")
+            + mu.a * (Qf.deriv("X") * Pg + Pf.deriv("X") * Qg) * c
+            + phif * (vm2 * Pg.deriv("T") + v0 * Qg.deriv("T"))
+            - phig * (vm2 * Pf.deriv("T") + v0 * Qf.deriv("T")))
+    loop = (mu.v * (phif * phig.deriv("T") - phig * phif.deriv("T"))
+            + mu.a * (phif * psig.deriv("T") - phig * psif.deriv("T")))
+    return _double_residue(pair) + _t_residue(loop)
 
 
 def hamiltonian_vector(F: LocalFunctional, mu: GDual, c) -> GDual:
     """The point derivative matching the bracket: dG(H_F) = {G, F}."""
     vm2 = mu.V.coeff(h(-2))
     v0 = mu.V.coeff(h(0))
-    out_v = CoeffFn.zero()
-    out_vm2 = CoeffFn.zero()
-    out_v0 = CoeffFn.zero()
-    out_a = CoeffFn.zero()
-
-    Fp, Fv, Fa = F.part("pair"), F.part("v"), F.part("a")
-
-    if not Fp.is_zero():
-        P, Q = _pair_data(Fp, mu)
-        out_v = out_v + (vm2 * P.deriv("T") + v0 * Q.deriv("T")).residue("X")
-        out_vm2 = out_vm2 + (vm2 * P.deriv("X") * 2
-                             + vm2.deriv("X") * P
-                             - mu.a * Q.deriv("X") * c
-                             - v0.deriv("X") * Q)
-        out_v0 = out_v0 + (v0.deriv("X") * P - mu.a * P.deriv("X") * c)
-
-    if not Fv.is_zero():
-        phi = substitute(variational_derivative(Fv, FIELD_V), mu)
-        out_v = out_v + mu.v * phi.deriv("T") * 2 + mu.v.deriv("T") * phi
-        out_vm2 = out_vm2 + (vm2 * phi).deriv("T")
-        out_v0 = out_v0 + (v0 * phi).deriv("T")
-        out_a = out_a + (mu.a * phi).deriv("T")
-
-    if not Fa.is_zero():
-        psi = substitute(variational_derivative(Fa, FIELD_A), mu)
-        out_v = out_v + mu.a * psi.deriv("T")
-
-    terms = {}
-    if not out_vm2.is_zero():
-        terms[h(-2)] = out_vm2
-    if not out_v0.is_zero():
-        terms[h(0)] = out_v0
-    return GDual(v=out_v, V=Symbol(R, terms), a=out_a)
+    P, Q, phi, psi = _derivatives(F, mu)
+    out_v = ((vm2 * P.deriv("T") + v0 * Q.deriv("T")).residue("X")
+             + mu.v * phi.deriv("T") * 2 + mu.v.deriv("T") * phi
+             + mu.a * psi.deriv("T"))
+    out_vm2 = (vm2 * P.deriv("X") * 2 + vm2.deriv("X") * P
+               - mu.a * Q.deriv("X") * c - v0.deriv("X") * Q
+               + (vm2 * phi).deriv("T"))
+    out_v0 = v0.deriv("X") * P - mu.a * P.deriv("X") * c + (v0 * phi).deriv("T")
+    out_a = (mu.a * phi).deriv("T")
+    return GDual(v=out_v, V=Symbol(R, {h(-2): out_vm2, h(0): out_v0}), a=out_a)
 
 
 # ----------------------------------------------------- structural criterion

@@ -57,12 +57,6 @@ class SchrodPoint:
 
     __repr__ = __str__
 
-    def add(self, other: "SchrodPoint") -> "SchrodPoint":
-        return SchrodPoint(self.a + other.a, self.V + other.V)
-
-    def sub(self, other: "SchrodPoint") -> "SchrodPoint":
-        return SchrodPoint(self.a - other.a, self.V - other.V)
-
 
 _HALF = CoeffFn.const(Fraction(1, 2))
 _M2_HALF = Fraction(1, 2) * M ** 2

@@ -61,18 +61,23 @@ __all__ = [
 
 def gauss_str(g: GaussRat) -> str:
     real, imag = g.re, g.im
-    if not imag:
-        return str(real)
-    if not real:
-        if imag == 1:
-            return "i"
-        if imag == -1:
-            return "-i"
-        return f"{str(imag)}*i"
-    sign = "+" if imag > 0 else "-"
-    mag = abs(imag)
-    imtxt = "i" if mag == 1 else f"{str(mag)}*i"
-    return f"({str(real)} {sign} {imtxt})"
+    try:
+        if not imag:
+            return str(real)
+        if not real:
+            if imag == 1:
+                return "i"
+            if imag == -1:
+                return "-i"
+            return f"{str(imag)}*i"
+        sign = "+" if imag > 0 else "-"
+        mag = abs(imag)
+        imtxt = "i" if mag == 1 else f"{str(mag)}*i"
+        return f"({str(real)} {sign} {imtxt})"
+    except ValueError:  # only str() raises, past the int-to-str digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError("a coefficient of the result would print with more than "
+                         f"{limit} digits") from None
 
 
 def _mass_str(terms: list) -> str:

@@ -129,6 +129,16 @@ class TestEval:
         code, _, err = run_cli(["eval", f"2^{k + 1}*xi"], capsys)
         assert code == 2 and err.startswith("svpsido: the coefficient of this power")
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no limit")
+    def test_unprintable_products_exit_2_in_package_words(self, capsys):
+        # each factor prints, the product does not; the check runs at printing
+        start = time.monotonic()
+        code, out, err = run_cli(["eval", "2^14000*2^14000*xi"], capsys)
+        assert time.monotonic() - start < 2
+        assert code == 2 and out == ""
+        assert err.startswith("svpsido:") and err.count("\n") == 1
+        assert "set_int_max_str_digits" not in err
+
     @pytest.mark.parametrize("expr", ["(xi+1)^65", "(xi+1)^100000", "(t+d_xi)^2000"])
     def test_large_exponents_of_a_sum_exit_2_quickly(self, capsys, expr):
         start = time.monotonic()
@@ -265,6 +275,15 @@ class TestVerify:
         assert "nu -> mu" in out
         for row in ("-1 -> -1", "-1/2 -> -1/2", "0 -> 0", "1/2 -> 1/2", "1 -> 1"):
             assert row in out
+
+    def test_dual_weight_widens_the_representation_suites(self, capsys):
+        argv = ["verify", "--suite", "dpi-rep", "--suite", "dsigma-rep", "--report", "json"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert [r["cases"] for r in json.loads(out)] == [570, 1149]
+        code, out, _ = run_cli(argv + ["--mu", "3/7"], capsys)
+        assert code == 0
+        assert [r["cases"] for r in json.loads(out)] == [760, 1529]
 
     def test_reports_are_stable_across_runs(self, capsys):
         import re

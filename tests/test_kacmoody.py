@@ -182,7 +182,7 @@ class TestBracket:
             GElement(W=Symbol(R, {h(-1): CoeffFn.mono(1, -2)})),
             GElement(w=CoeffFn.t_pow(-1), W=Symbol(R, {h(0): CoeffFn.mono(0, -1)})),
         ]
-        deep = h(REQ.twice - 2, None) if False else h(Fraction(REQ.twice, 2) - 1)
+        deep = REQ - 1
         for A, B, C in itertools.combinations(els, 3):
             total = None
             for X, Y, Z in ((A, B, C), (B, C, A), (C, A, B)):

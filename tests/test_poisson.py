@@ -10,7 +10,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from svpsido import poisson
 from svpsido.halfint import h
 from svpsido.kacmoody import GDual, coadjoint, embed_I, pairing
 from svpsido.poisson import (
@@ -71,6 +74,16 @@ class TestJetVar:
         assert str(jet(FIELD_V0, 1, 2)) == "dt(dr^2(V0))"
         assert str(jet(FIELD_A, 3)) == "dt^3(a)"
 
+    def test_is_its_field_order_tuple(self):
+        J = jet(FIELD_V0, 1, 2)
+        assert (J.field, J.i, J.j) == (FIELD_V0, 1, 2)
+        assert J == (FIELD_V0, 1, 2) and hash(J) == hash((FIELD_V0, 1, 2))
+        with pytest.raises(AttributeError):
+            J.i = 3
+        js = [jet(FIELD_V0, 1), jet(FIELD_VM2, 0, 2), jet(FIELD_V0), jet(FIELD_A, 2),
+              jet(FIELD_V), jet(FIELD_VM2, 1)]
+        assert [tuple(J) for J in sorted(js)] == sorted((J.field, J.i, J.j) for J in js)
+
 
 class TestFunctionalContainer:
     def test_monomials_merge_and_cancel(self):
@@ -97,6 +110,28 @@ class TestFunctionalContainer:
         F = LocalFunctional.monomial(1, jet(FIELD_V0))
         with pytest.raises(AttributeError):
             F.terms = {}
+
+    def test_sub_cancels(self):
+        F = LocalFunctional([((jet(FIELD_V0, 1), jet(FIELD_VM2)), CoeffFn.mono(1, 1)),
+                             ((jet(FIELD_A),), CoeffFn.t_pow(2))])
+        G = LocalFunctional.monomial(CoeffFn.t_pow(2), jet(FIELD_A))
+        assert F.sub(G) == LocalFunctional.monomial(CoeffFn.mono(1, 1),
+                                                    jet(FIELD_VM2), jet(FIELD_V0, 1))
+        assert F.sub(F).is_zero()
+
+    def test_multi_jet_rendering(self):
+        F = LocalFunctional([
+            ((jet(FIELD_VM2, 0, 2), jet(FIELD_V0, 1)), CoeffFn.mono(1, 1)),
+            ((jet(FIELD_VM2), jet(FIELD_VM2)), 2),
+            ((jet(FIELD_V, 1), jet(FIELD_V)), CoeffFn.t_pow(-1)),
+            ((jet(FIELD_A),), 3),
+            ((), CoeffFn.mono(0, -1)),
+            ((jet(FIELD_V0, 0, 1), jet(FIELD_V0), jet(FIELD_VM2, 1, 1)), CoeffFn.mono(-2, 0)),
+        ])
+        assert str(F) == (
+            "int int (r^-1)  +  int int (2) * V-2 * V-2  +  int int (t*r) * dr^2(V-2) * dt(V0)"
+            "  +  int int (t^-2) * dt(dr(V-2)) * V0 * dr(V0)  +  int (3) * a"
+            "  +  int (t^-1) * v * dt(v)")
 
 
 class TestVariationalDerivative:
@@ -257,8 +292,159 @@ class TestBracket:
         assert poisson_bracket(A, B, mu, C2).is_zero()
         # a couples to the pair part only through the displayed c-term,
         # never to the central class directly
-        assert poisson_bracket(F.part("pair"), A, mu, C2).is_zero()
+        pair = LocalFunctional([(js, c) for js, c in F.terms.items() if js[0].field != FIELD_V])
+        assert poisson_bracket(pair, A, mu, C2).is_zero()
 
+
+# ------------------------------------------- class-dispatched reference
+
+
+def _part(F, cls):
+    keep = {"pair": (FIELD_VM2, FIELD_V0), "v": (FIELD_V,), "a": (FIELD_A,)}[cls]
+    return LocalFunctional([(js, c) for js, c in F.terms.items()
+                            if all(J.field in keep for J in js) and (js or cls == "pair")])
+
+
+def _ref_pair_data(F, mu):
+    return (substitute(variational_derivative(F, FIELD_VM2), mu),
+            substitute(variational_derivative(F, FIELD_V0), mu))
+
+
+def _ref_t_residue(c):
+    return c.residue("T").x_slice(0)
+
+
+def _ref_double_residue(c):
+    return _ref_t_residue(c.residue("X"))
+
+
+def ref_poisson_bracket(F, G, mu, c):
+    """The bracket dispatched over the class parts of F and G."""
+    vm2 = mu.V.coeff(h(-2))
+    v0 = mu.V.coeff(h(0))
+    total = CoeffFn.zero()
+    Fp, Fv, Fa = _part(F, "pair"), _part(F, "v"), _part(F, "a")
+    Gp, Gv, Ga = _part(G, "pair"), _part(G, "v"), _part(G, "a")
+    if not Fp.is_zero() and not Gp.is_zero():
+        Pf, Qf = _ref_pair_data(Fp, mu)
+        Pg, Qg = _ref_pair_data(Gp, mu)
+        integrand = (vm2 * (Pg.deriv("X") * Pf - Pf.deriv("X") * Pg)
+                     + v0 * (Qg * Pf - Pg * Qf).deriv("X")
+                     + mu.a * (Qf.deriv("X") * Pg + Pf.deriv("X") * Qg) * c)
+        total = total + _ref_double_residue(integrand)
+    if not Fv.is_zero() and not Gv.is_zero():
+        pf = substitute(variational_derivative(Fv, FIELD_V), mu)
+        pg = substitute(variational_derivative(Gv, FIELD_V), mu)
+        total = total + _ref_t_residue(mu.v * (pf * pg.deriv("T") - pg * pf.deriv("T")))
+    for A, B, sign in ((Fv, Gp, 1), (Gv, Fp, -1)):
+        if A.is_zero() or B.is_zero():
+            continue
+        phi = substitute(variational_derivative(A, FIELD_V), mu)
+        Pb, Qb = _ref_pair_data(B, mu)
+        piece = _ref_double_residue(phi * (vm2 * Pb.deriv("T") + v0 * Qb.deriv("T")))
+        total = total + (piece if sign > 0 else -piece)
+    for A, B, sign in ((Fv, Ga, 1), (Gv, Fa, -1)):
+        if A.is_zero() or B.is_zero():
+            continue
+        phi = substitute(variational_derivative(A, FIELD_V), mu)
+        psi = substitute(variational_derivative(B, FIELD_A), mu)
+        piece = _ref_t_residue(mu.a * phi * psi.deriv("T"))
+        total = total + (piece if sign > 0 else -piece)
+    return total
+
+
+def ref_hamiltonian_vector(F, mu, c):
+    """The field dispatched over the class parts of F."""
+    vm2 = mu.V.coeff(h(-2))
+    v0 = mu.V.coeff(h(0))
+    out_v, out_vm2, out_v0, out_a = (CoeffFn.zero() for _ in range(4))
+    Fp, Fv, Fa = _part(F, "pair"), _part(F, "v"), _part(F, "a")
+    if not Fp.is_zero():
+        P, Q = _ref_pair_data(Fp, mu)
+        out_v = out_v + (vm2 * P.deriv("T") + v0 * Q.deriv("T")).residue("X")
+        out_vm2 = out_vm2 + (vm2 * P.deriv("X") * 2 + vm2.deriv("X") * P
+                             - mu.a * Q.deriv("X") * c - v0.deriv("X") * Q)
+        out_v0 = out_v0 + (v0.deriv("X") * P - mu.a * P.deriv("X") * c)
+    if not Fv.is_zero():
+        phi = substitute(variational_derivative(Fv, FIELD_V), mu)
+        out_v = out_v + mu.v * phi.deriv("T") * 2 + mu.v.deriv("T") * phi
+        out_vm2 = out_vm2 + (vm2 * phi).deriv("T")
+        out_v0 = out_v0 + (v0 * phi).deriv("T")
+        out_a = out_a + (mu.a * phi).deriv("T")
+    if not Fa.is_zero():
+        psi = substitute(variational_derivative(Fa, FIELD_A), mu)
+        out_v = out_v + mu.a * psi.deriv("T")
+    terms = {}
+    if not out_vm2.is_zero():
+        terms[h(-2)] = out_vm2
+    if not out_v0.is_zero():
+        terms[h(0)] = out_v0
+    return GDual(v=out_v, V=Symbol(R, terms), a=out_a)
+
+
+_gauss = st.builds(GaussRat, st.integers(1, 3), st.sampled_from([0, 1, Fraction(-1, 2)]))
+
+
+def _coeffs(tpows, xpows, min_size=0):
+    keys = st.tuples(st.integers(*tpows), st.integers(*xpows), st.integers(0, 1))
+    return st.dictionaries(keys, _gauss, min_size=min_size, max_size=3).map(CoeffFn)
+
+
+def _dense(tpows, xpows):
+    """Every monomial of the box, so that brackets often meet a residue."""
+    keys = [(p, q, 0) for p in range(tpows[0], tpows[1] + 1)
+            for q in range(xpows[0], xpows[1] + 1)]
+    return st.lists(_gauss, min_size=len(keys), max_size=len(keys)).map(
+        lambda vals: CoeffFn(dict(zip(keys, vals))))
+
+
+_pair_jets = st.builds(JetVar, st.sampled_from([FIELD_VM2, FIELD_V0]),
+                       st.integers(0, 2), st.integers(0, 1))
+_pair_monomials = st.tuples(st.lists(_pair_jets, max_size=2), _coeffs((-1, 2), (0, 2), 1))
+_loop_monomials = st.sampled_from([FIELD_V, FIELD_A]).flatmap(
+    lambda fld: st.tuples(st.lists(st.builds(JetVar, st.just(fld), st.integers(0, 2)),
+                                   min_size=1, max_size=2),
+                          _coeffs((-2, 1), (0, 0), 1)))
+
+
+@st.composite
+def mixed_functionals(draw):
+    """Sums of pair, v and a monomials, jet-free ones and total derivatives."""
+    F = LocalFunctional(draw(st.lists(st.one_of(_pair_monomials, _loop_monomials),
+                                      min_size=1, max_size=4)))
+    for js, coeff in draw(st.lists(_pair_monomials, max_size=1)):
+        F = F.add(total_derivative(LocalFunctional([(js, coeff)]), draw(st.sampled_from("TX"))))
+    for js, coeff in draw(st.lists(_loop_monomials, max_size=1)):
+        F = F.add(total_derivative(LocalFunctional([(js, coeff)]), "T"))
+    return F
+
+
+_points = st.builds(npoint, v=_dense((-2, 1), (0, 0)), vm2=_dense((-2, 1), (-1, 1)),
+                    v0=_dense((-2, 1), (-1, 1)), a=_dense((-2, 1), (0, 0)))
+_charges = st.sampled_from([GaussRat(0), GaussRat(Fraction(1, 3)), GaussRat(2), GaussRat(0, 1)])
+
+
+@given(mixed_functionals(), mixed_functionals(), _points, _charges)
+@settings(max_examples=150, deadline=None)
+def test_formulas_match_the_class_dispatch(F, G, mu, c):
+    assert poisson_bracket(F, G, mu, c) == ref_poisson_bracket(F, G, mu, c)
+    assert hamiltonian_vector(F, mu, c) == ref_hamiltonian_vector(F, mu, c)
+
+
+def test_bracket_takes_each_derivative_once(monkeypatch):
+    # four derivatives per functional; the class dispatch took twelve in all
+    calls = []
+    real = poisson.variational_derivative
+
+    def counted(F, field):
+        calls.append(field)
+        return real(F, field)
+
+    monkeypatch.setattr(poisson, "variational_derivative", counted)
+    F = lemma71_functional(SvElement(f=CoeffFn.t_pow(2)))
+    G = lemma71_functional(SvElement(f=CoeffFn.t_pow(-1)))
+    poisson_bracket(F, G, SLICE_POINTS[0], C2)
+    assert len(calls) == 8
 
 def _defect(X, Y):
     """The frozen exceptional terms: (time, shift) pairs contribute
