@@ -12,7 +12,9 @@ A single monomial may not mix classes; a functional may sum monomials
 of different classes.  A field's jets occur only in monomials of that
 field's class, so each variational derivative reads one class and is zero
 when the functional has none of it; the bracket and the Hamiltonian field
-are written once, bilinear and linear in the four derivatives.
+are written once, bilinear and linear in the four derivatives.  The
+derivatives depend on the functional alone, so they are taken once per
+functional, on first use, and only substituted at each point.
 Integration is the double (or single) residue, so functionals that
 differ by a total derivative evaluate identically at every point.
 
@@ -112,9 +114,13 @@ def _as_coeff(c) -> CoeffFn:
 
 
 class LocalFunctional:
-    """Finite sum of coefficient-times-jet-product monomials."""
+    """Finite sum of coefficient-times-jet-product monomials.
 
-    __slots__ = ("terms",)
+    The private slot ``_derivs`` holds the four variational derivatives once
+    _derivatives has taken them; it takes no part in equality or printing.
+    """
+
+    __slots__ = ("terms", "_derivs")
 
     def __init__(self, terms=()):
         merged: dict = {}
@@ -134,6 +140,7 @@ class LocalFunctional:
             merged[jets] = coeff if acc is None else acc + coeff
         object.__setattr__(self, "terms",
                            {k: v for k, v in merged.items() if not v.is_zero()})
+        object.__setattr__(self, "_derivs", None)
 
     def __setattr__(self, *_):
         raise AttributeError("LocalFunctional is immutable")
@@ -336,8 +343,15 @@ def lemma71_functional(X: SvElement) -> LocalFunctional:
 
 def _derivatives(F: LocalFunctional, mu: GDual) -> list:
     """F's variational derivatives along V-2, V0, v and a, substituted at
-    mu.  Each reads one class of F and is zero when F has none of it."""
-    return [substitute(variational_derivative(F, fld), mu) for fld in _ALL_FIELDS]
+    mu.  Each reads one class of F and is zero when F has none of it.
+
+    They depend on F alone, so they are taken on first use and kept in F's
+    private slot; every later point only substitutes them."""
+    derivs = F._derivs
+    if derivs is None:
+        derivs = tuple(variational_derivative(F, fld) for fld in _ALL_FIELDS)
+        object.__setattr__(F, "_derivs", derivs)
+    return [substitute(d, mu) for d in derivs]
 
 
 def poisson_bracket(F: LocalFunctional, G: LocalFunctional,

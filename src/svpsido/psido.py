@@ -62,6 +62,7 @@ XI = "XI"
 
 _H0 = HalfInt(0)
 _HM1 = HalfInt(-2)  # order -1
+_ZERO = CoeffFn.zero()
 
 
 class Symbol:
@@ -176,19 +177,28 @@ def _floor_eq(a, b) -> bool:
 # ---- linear structure ------------------------------------------------------------
 
 
-def sym_add(A: Symbol, B: Symbol) -> Symbol:
-    # a zero symbol may still carry a floor, which must propagate
+def _linear(A: Symbol, B: Symbol, op) -> Symbol:
+    """A op B order by order, op a CoeffFn sum or difference; orders below
+    the larger floor are dropped and a zero symbol's floor still counts."""
     _check_var(A, B)
     floor = hmax(A.floor, B.floor)
-    out = dict(A.terms)
+    if floor is EXACT:
+        out = dict(A.terms)
+    else:
+        out = {k: c for k, c in A.terms.items() if k >= floor}
     for k, c in B.terms.items():
-        s = out.get(k)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(k, None)
-        else:
+        if floor is not EXACT and k < floor:
+            continue
+        s = op(out.get(k, _ZERO), c)
+        if s.terms:
             out[k] = s
-    return Symbol(A.var, out, floor)
+        else:
+            out.pop(k, None)
+    return Symbol._raw(A.var, out, floor)
+
+
+def sym_add(A: Symbol, B: Symbol) -> Symbol:
+    return _linear(A, B, CoeffFn.__add__)
 
 
 def sym_neg(A: Symbol) -> Symbol:
@@ -196,7 +206,8 @@ def sym_neg(A: Symbol) -> Symbol:
 
 
 def sym_sub(A: Symbol, B: Symbol) -> Symbol:
-    return sym_add(A, sym_neg(B))
+    """A - B, subtracting per order without a negated copy of B."""
+    return _linear(A, B, CoeffFn.__sub__)
 
 
 def sym_scale(A: Symbol, c) -> Symbol:
@@ -233,6 +244,15 @@ def _binom_cached(a_twice: int, j: int) -> GaussRat:
     return GaussRat(num / den)
 
 
+@lru_cache(maxsize=None)
+def _leibniz_scale(a_twice: int, j: int):
+    """binom(a, j) as a mul_into scale: None for 1, False when it vanishes."""
+    coef = _binom_cached(a_twice, j)
+    if coef.is_zero():
+        return False
+    return None if coef.is_one() else coef
+
+
 def binom_half(a: HalfInt, j: int) -> GaussRat:
     """binom(a, j) = a(a-1)...(a-j+1)/j! for a in (1/2)Z, exact."""
     return _binom_cached(a.twice, j)
@@ -250,10 +270,23 @@ def sym_mul(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
     (None) only when every Leibniz tail terminates by itself; an honest
     infinite tail with no req_floor raises instead of silently cutting.
 
-    Every Leibniz term binom(a, j) * f * g^(j) is added in place into one
-    (t, x, M) table per output order (ring.mul_into), keyed by twice the
-    order; each table becomes a CoeffFn once, after the last term.  The
-    x-derivatives of each coefficient of B are taken once per call.
+    One pass over the signed products of A and B (see _compose), here
+    the single product (A, B, +1).
+    """
+    return _compose(A, B, ((A, B, 1),), req_floor)
+
+
+def _compose(A: Symbol, B: Symbol, products, req_floor) -> Symbol:
+    """The sum of sign * (left o right) over (left, right, sign) products
+    of the operands A and B, e.g. A o B and -(B o A).
+
+    The floor bound is symmetric in A and B, so one bound serves every
+    product.  Every Leibniz term sign * binom(a, j) * f * g^(j) is added
+    in place into one (t, x, M) table per output order (ring.mul_into),
+    keyed by twice the order, with the sign folded into the terms of f;
+    each table becomes a CoeffFn once, after the last term of the last
+    product.  The x-derivatives of each coefficient of a right operand are
+    taken once per product.
     """
     _check_var(A, B)
     if (A.is_zero() and A.floor is EXACT) or (B.is_zero() and B.floor is EXACT):
@@ -270,45 +303,46 @@ def sym_mul(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
 
     if floor is EXACT:
         low = None
-        if any(not (a.is_integer and a.twice >= 0) for a in A.terms) and any(
-            (g.min_x_degree() or 0) < 0 for g in B.terms.values()
-        ):
-            # the tail is infinite: some binomial never vanishes and the
-            # negative x-powers of some g survive every derivative
-            raise ValueError(
-                "exact product requested but the Leibniz tail does not terminate"
-            )
+        for left, right, _ in products:
+            if any(not (a.is_integer and a.twice >= 0) for a in left.terms) and any(
+                (g.min_x_degree() or 0) < 0 for g in right.terms.values()
+            ):
+                # the tail is infinite: some binomial never vanishes and the
+                # negative x-powers of some g survive every derivative
+                raise ValueError(
+                    "exact product requested but the Leibniz tail does not terminate"
+                )
     else:
         low = floor.twice
 
-    # (twice b, [g, g', g'', ...]), each chain grown only as deep as needed
-    chains = [(b.twice, [g]) for b, g in B.terms.items()]
     tables: dict = {}
     cut = False
-    for a, f in A.terms.items():
-        at = a.twice
-        f_items = f.terms.items()
-        for bt, chain in chains:
-            order = at + bt
-            j = 0
-            while True:
-                if j == len(chain):
-                    chain.append(chain[-1].deriv("X"))
-                gj = chain[j].terms
-                # natural termination first, so exactness is never lost
-                # to a cut that would have happened one step too late
-                if not gj:
-                    break
-                coef = _binom_cached(at, j)
-                if not (coef._a or coef._b):
-                    break
-                if low is not None and order < low:
-                    cut = True
-                    break
-                scale = None if coef.is_one() else coef
-                mul_into(tables.setdefault(order, {}), f_items, gj.items(), scale)
-                j += 1
-                order -= 2
+    for left, right, sign in products:
+        # (twice b, [g, g', g'', ...]), each chain grown only as deep as needed
+        chains = [(b.twice, [g]) for b, g in right.terms.items()]
+        for a, f in left.terms.items():
+            at = a.twice
+            f_items = f.terms.items() if sign > 0 else [(k, -v) for k, v in f.terms.items()]
+            for bt, chain in chains:
+                order = at + bt
+                j = 0
+                while True:
+                    if j == len(chain):
+                        chain.append(chain[-1].deriv("X"))
+                    gj = chain[j].terms
+                    # natural termination first, so exactness is never lost
+                    # to a cut that would have happened one step too late
+                    if not gj:
+                        break
+                    scale = _leibniz_scale(at, j)
+                    if scale is False:
+                        break
+                    if low is not None and order < low:
+                        cut = True
+                        break
+                    mul_into(tables.setdefault(order, {}), f_items, gj.items(), scale)
+                    j += 1
+                    order -= 2
 
     if bound is EXACT and not cut:
         # both inputs exact and every tail ended by itself
@@ -331,7 +365,12 @@ def symbol_from_tables(var: str, tables: dict, floor) -> Symbol:
 
 
 def sym_bracket(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
-    return sym_sub(sym_mul(A, B, req_floor), sym_mul(B, A, req_floor))
+    """[A, B] = A o B - B o A, in one pass over the signed products
+    (A, B, +1) and (B, A, -1) into shared per-order tables.  The floor
+    bound is symmetric in A and B; the result is EXACT only when both
+    operands are exact and neither product was cut, and a tail that does
+    not terminate in either order raises as in sym_mul."""
+    return _compose(A, B, ((A, B, 1), (B, A, -1)), req_floor)
 
 
 # ---- trace, projections, loop derivative -----------------------------------------------

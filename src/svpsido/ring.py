@@ -20,7 +20,10 @@ Two layers, both immutable and float-free:
 Binary operations test the operand's class first and coerce ints,
 Fractions and GaussRats only when it differs.
 
-Every product and every sum of CoeffFns runs through one loop, ``mul_into``,
+A product, sum, difference, derivative or residue with an operand that has
+no terms returns at once (values are immutable, so the operand itself may be
+the result), after the same type coercion as any other call.  Every other
+product and sum of CoeffFns runs through one loop, ``mul_into``,
 after sympy's ``PolyElement.__mul__``: it adds scale*f*g term pair by term
 pair into a mutable {(t, x, M): GaussRat} table, dropping what cancels, and
 ``coeff_from_table`` wraps the finished table once.  A sum multiplies by the
@@ -284,6 +287,11 @@ class CoeffFn:
             other = _as_coeff(other)
             if other is None:
                 return NotImplemented
+        # values are immutable, so a sum with zero may return the operand
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         mul_into(out, _UNIT, other.terms.items())
         return _coeff_raw(out)
@@ -297,6 +305,8 @@ class CoeffFn:
         other = _as_coeff(other)
         if other is None:
             return NotImplemented
+        if not other.terms:
+            return self
         out = dict(self.terms)
         mul_into(out, _UNIT, other.terms.items(), _MINUS_ONE)
         return _coeff_raw(out)
@@ -312,6 +322,10 @@ class CoeffFn:
             other = _as_coeff(other)
             if other is None:
                 return NotImplemented
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         out: dict = {}
         mul_into(out, self.terms.items(), other.terms.items())
         return _coeff_raw(out)
@@ -335,6 +349,8 @@ class CoeffFn:
 
     def deriv(self, var: str) -> "CoeffFn":
         """Monomial derivative d/dt (var='T') or d/dx (var='X')."""
+        if not self.terms and var in ("T", "X"):
+            return self
         if var == "T":
             return _coeff_raw(
                 {(p - 1, q, m): _gauss(v._a * p, v._b * p, v._d)
@@ -349,6 +365,8 @@ class CoeffFn:
 
     def residue(self, var: str) -> "CoeffFn":
         """Coefficient of var^-1; the result no longer depends on var."""
+        if not self.terms and var in ("T", "X"):
+            return self
         if var == "T":
             return _coeff_raw({(0, q, m): v for (p, q, m), v in self.terms.items() if p == -1})
         if var == "X":

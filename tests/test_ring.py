@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from svpsido import ring
 from svpsido.ring import CoeffFn, GR_I, GR_ONE, GR_ZERO, GaussRat, M
 from svpsido.textio import scalar_str
 
@@ -190,6 +191,34 @@ def test_coeff_leibniz_rule(a, b):
     lhs = (a * b).deriv("X")
     rhs = a.deriv("X") * b + a * b.deriv("X")
     assert lhs == rhs
+
+
+def _no_table(*args, **kwargs):
+    raise AssertionError("a zero operand reached mul_into")
+
+
+def test_zero_operands_return_without_a_product_loop(monkeypatch):
+    Z = CoeffFn.zero()
+    f = CoeffFn.mono(2, -1, GaussRat(F(3, 2), 1)) + M
+    monkeypatch.setattr(ring, "mul_into", _no_table)
+    for got, want in ((Z * f, Z), (f * Z, Z), (Z * 3, Z), (3 * Z, Z),
+                      (f + Z, f), (Z + f, f), (f - Z, f), (f + 0, f),
+                      (Z.deriv("T"), Z), (Z.deriv("X"), Z),
+                      (Z.residue("X"), Z), (Z.residue("T"), Z)):
+        assert got == want and got.terms == want.terms
+
+
+def test_zero_operands_still_coerce_and_check_first():
+    Z = CoeffFn.zero()
+    for method in (Z.deriv, Z.residue):
+        with pytest.raises(ValueError):
+            method("Q")
+    with pytest.raises(TypeError):
+        Z * object()
+    with pytest.raises(TypeError):
+        Z + object()
+    with pytest.raises(TypeError):
+        Z - object()
 
 
 def test_x_to_t_requires_t_free():

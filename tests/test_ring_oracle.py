@@ -21,7 +21,18 @@ from hypothesis import strategies as st
 
 from svpsido.halfint import EXACT, HalfInt, hmax
 from svpsido import transforms as tr
-from svpsido.psido import R, XI, Symbol, binom_half, sym_add, sym_mul, sym_scale
+from svpsido.psido import (
+    R,
+    XI,
+    Symbol,
+    binom_half,
+    sym_add,
+    sym_bracket,
+    sym_mul,
+    sym_neg,
+    sym_scale,
+    sym_sub,
+)
 from svpsido.ring import CoeffFn, GaussRat, I_HALF_OVER_M, M
 
 T, X, MASS = sp.symbols("t x M")
@@ -371,6 +382,71 @@ def test_sym_mul_matches_the_leibniz_sum(A, B, req):
     for order in set(P.terms) | set(want):
         if order >= trusted:
             assert same(coeff_sp(P.coeff(order)), want.get(order, 0)), order
+
+
+def _two_products(A: Symbol, B: Symbol, req):
+    """A o B - B o A as two products and a difference, or the ValueError
+    that one of the products raises."""
+    try:
+        return sym_sub(sym_mul(A, B, req), sym_mul(B, A, req))
+    except ValueError as exc:
+        return exc
+
+
+# d^-1 o x^-1 has an infinite tail, x^-1 o d^-1 = x^-1 d^-1 ends at once
+_TAIL_ONE_WAY = (
+    Symbol(XI, {HalfInt(0): CoeffFn.x_pow(-1)}),
+    Symbol(XI, {HalfInt(-2): CoeffFn.one()}),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    momentum_symbols,
+    momentum_symbols,
+    st.one_of(st.none(), st.integers(min_value=-6, max_value=-2).map(HalfInt)),
+)
+@example(*_TAIL_ONE_WAY, None)
+@example(*_TAIL_ONE_WAY, HalfInt(-4))
+@example(*reversed(_TAIL_ONE_WAY), None)
+@example(  # a zero with a floor on either side
+    Symbol(XI, {HalfInt(2): CoeffFn.x_pow(-1)}),
+    Symbol(XI, {}, HalfInt(-6)),
+    HalfInt(-6),
+)
+@example(Symbol(XI, {}, HalfInt(-3)), Symbol(XI, {HalfInt(1): CoeffFn.x_pow(2)}), None)
+def test_sym_bracket_matches_the_two_products(A, B, req):
+    want = _two_products(A, B, req)
+    if isinstance(want, ValueError):
+        with pytest.raises(ValueError, match=str(want)):
+            sym_bracket(A, B, req)
+        return
+    got = sym_bracket(A, B, req)
+    assert got == want  # values and floor
+    assert clean(got)
+
+
+def test_the_tail_example_terminates_one_way_only():
+    A, B = _TAIL_ONE_WAY
+    assert sym_mul(A, B).floor is EXACT
+    with pytest.raises(ValueError, match="does not terminate"):
+        sym_mul(B, A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(momentum_symbols, momentum_symbols)
+@example(Symbol(XI, {HalfInt(1): CoeffFn.one()}), Symbol(XI, {HalfInt(1): CoeffFn.one()}))
+@example(  # the floor of a zero drops the orders of A below it
+    Symbol(XI, {HalfInt(2): CoeffFn.one(), HalfInt(-5): CoeffFn.x_pow(1)}),
+    Symbol(XI, {}, HalfInt(-2)),
+)
+def test_sym_sub_builds_no_negated_copy(A, B):
+    want = sym_add(A, sym_neg(B))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CoeffFn, "__neg__", _no_negation)
+        got = sym_sub(A, B)
+    assert got == want  # values and floor
+    assert clean(got)
 
 
 # ---- the transform's monomial map against the sum of scaled images ---------------------------

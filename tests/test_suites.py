@@ -16,10 +16,11 @@ from fractions import Fraction
 
 import pytest
 
-from svpsido import cocycles, psido, suites, svaction, transforms
+from svpsido import cocycles, poisson, psido, ring, suites, svaction, transforms
 from svpsido.halfint import EXACT, h, hmax
 from svpsido.psido import R, Symbol
 from svpsido.ring import CoeffFn, GaussRat
+from svpsido.svalgebra import shift_mode, time_mode
 from svpsido.textio import symbol_str
 from svpsido.suites import (
     _SUITE_BUILDERS,
@@ -321,6 +322,51 @@ class TestSharedTables:
             outcomes = [_call(case) for case in cases]
         assert all(out is None for out in outcomes)
         assert 0 < calls["time_deriv"] <= 1800
+
+    @staticmethod
+    def _case_calls(name, wrap_in):
+        """Build a suite at one worker, then run its cases with a counter
+        put in by wrap_in(mp, counter); the count covers the cases only."""
+        calls = Counter()
+        with pytest.MonkeyPatch.context() as mp:
+            wrap_in(mp, calls)
+            cases = _SUITE_BUILDERS[name](VerifyConfig(threads=1))
+            calls.clear()
+            outcomes = [_call(case) for case in cases]
+        assert all(out is None for out in outcomes)
+        return sum(calls.values())
+
+    def test_poisson_brackets_take_each_functionals_derivatives_once(self):
+        # parent count, with the derivatives retaken at every point: 25,424;
+        # only the bracket and the field reach poisson's own global, so the
+        # cases that call variational_derivative directly are not counted
+        def wrap_in(mp, calls):
+            counted = _counted(calls, "vd")(poisson.variational_derivative)
+            mp.setattr(poisson, "variational_derivative", counted)
+
+        assert 0 < self._case_calls("poisson-lemma71", wrap_in) <= 200
+
+    def test_theorem61_cases_stay_within_their_product_loop_budget(self):
+        # parent count, with zero operands multiplied and every bracket taken
+        # as two products and a difference: 141,801
+        def wrap_in(mp, calls):
+            _wrap_everywhere(mp, ring, "mul_into", _counted(calls, "mul_into"))
+
+        assert 0 < self._case_calls("theorem61", wrap_in) <= 40000
+
+    def test_kept_derivatives_are_invisible(self):
+        mu = suites._npoint(v=CoeffFn.t_pow(1), vm2=CoeffFn.mono(1, -1),
+                            v0=CoeffFn.t_pow(-1), a=CoeffFn.t_pow(2))
+        c = GaussRat(Fraction(1, 3))
+        X, Y = time_mode(2), shift_mode(h("1/2"))
+        used, fresh = poisson.lemma71_functional(X), poisson.lemma71_functional(X)
+        G = poisson.lemma71_functional(Y)
+        before = poisson.poisson_bracket(used, G, mu, c)
+        assert used._derivs is not None and fresh._derivs is None
+        assert used == fresh and str(used) == str(fresh)
+        assert poisson.poisson_bracket(fresh, G, mu, c) == before
+        assert poisson.poisson_bracket(used, G, mu, c) == before
+        assert poisson.hamiltonian_vector(used, mu, c) == poisson.hamiltonian_vector(fresh, mu, c)
 
     def test_every_floored_image_comparison_sees_an_order_of_lhs(self, tabled_runs):
         # image cases compare with eq_trusted only where theta(A) o theta(B) is a series
