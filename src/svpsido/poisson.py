@@ -234,7 +234,9 @@ def variational_derivative(F: LocalFunctional, field: str) -> LocalFunctional:
     """Euler-Lagrange derivative: sum of (-1)^(i+j) D_t^i D_r^j dF/dJet."""
     if field not in _ALL_FIELDS:
         raise ValueError(f"unknown field {field!r}")
-    seen = {J for jets in F.terms for J in jets if J.field == field}
+    # jets in the order the terms first meet them: a set would walk them in
+    # an order that follows the string hash seed, and so would the sums
+    seen = dict.fromkeys(J for jets in F.terms for J in jets if J.field == field)
     out = []
     for J in seen:
         term = _partial(F, J)

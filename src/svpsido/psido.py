@@ -11,6 +11,11 @@ Composition uses the generalized Leibniz rule
     (f d^a) o (g d^b)  =  sum_{j>=0}  binom(a, j) * f * (d/dx)^j(g) * d^(a+b-j)
 
 with binom(a, j) = a(a-1)...(a-j+1)/j! computed exactly for a in (1/2)Z.
+On a monomial g = v x^q the j-th derivative is (q)_j v x^(q-j), with
+(q)_j the falling factorial, so no derivative is ever taken:
+ring.leibniz_into runs one loop over pairs of a left term and a right
+monomial, updates the weight binom(a, j) (q)_j in ints from each j to the
+next, and adds every term into one (t, x, M) table per output order.
 For nonnegative integer a, or for g polynomial in x, the sum terminates by
 itself; otherwise it is an honest infinite tail and must be cut, which the
 floor records.
@@ -35,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .halfint import EXACT, HalfInt, h, hmax
-from .ring import CoeffFn, GaussRat, coeff_from_table, mul_into
+from .ring import CoeffFn, GaussRat, coeff_from_table, leibniz_into
 
 __all__ = [
     "R",
@@ -244,15 +249,6 @@ def _binom_cached(a_twice: int, j: int) -> GaussRat:
     return GaussRat(num / den)
 
 
-@lru_cache(maxsize=None)
-def _leibniz_scale(a_twice: int, j: int):
-    """binom(a, j) as a mul_into scale: None for 1, False when it vanishes."""
-    coef = _binom_cached(a_twice, j)
-    if coef.is_zero():
-        return False
-    return None if coef.is_one() else coef
-
-
 def binom_half(a: HalfInt, j: int) -> GaussRat:
     """binom(a, j) = a(a-1)...(a-j+1)/j! for a in (1/2)Z, exact."""
     return _binom_cached(a.twice, j)
@@ -282,11 +278,11 @@ def _compose(A: Symbol, B: Symbol, products, req_floor) -> Symbol:
 
     The floor bound is symmetric in A and B, so one bound serves every
     product.  Every Leibniz term sign * binom(a, j) * f * g^(j) is added
-    in place into one (t, x, M) table per output order (ring.mul_into),
-    keyed by twice the order, with the sign folded into the terms of f;
-    each table becomes a CoeffFn once, after the last term of the last
-    product.  The x-derivatives of each coefficient of a right operand are
-    taken once per product.
+    in place into one (t, x, M) table per output order, keyed by twice
+    the order, with the sign folded into the terms of f: ring.leibniz_into
+    does this for one left term against every monomial of the right
+    operand, listed once per product.  Each table becomes a CoeffFn once,
+    after the last term of the last product.
     """
     _check_var(A, B)
     if (A.is_zero() and A.floor is EXACT) or (B.is_zero() and B.floor is EXACT):
@@ -308,7 +304,7 @@ def _compose(A: Symbol, B: Symbol, products, req_floor) -> Symbol:
                 (g.min_x_degree() or 0) < 0 for g in right.terms.values()
             ):
                 # the tail is infinite: some binomial never vanishes and the
-                # negative x-powers of some g survive every derivative
+                # falling factorial of a negative x-power of some g never does
                 raise ValueError(
                     "exact product requested but the Leibniz tail does not terminate"
                 )
@@ -318,31 +314,10 @@ def _compose(A: Symbol, B: Symbol, products, req_floor) -> Symbol:
     tables: dict = {}
     cut = False
     for left, right, sign in products:
-        # (twice b, [g, g', g'', ...]), each chain grown only as deep as needed
-        chains = [(b.twice, [g]) for b, g in right.terms.items()]
+        g_terms = [(b.twice, k, v) for b, g in right.terms.items() for k, v in g.terms.items()]
         for a, f in left.terms.items():
-            at = a.twice
             f_items = f.terms.items() if sign > 0 else [(k, -v) for k, v in f.terms.items()]
-            for bt, chain in chains:
-                order = at + bt
-                j = 0
-                while True:
-                    if j == len(chain):
-                        chain.append(chain[-1].deriv("X"))
-                    gj = chain[j].terms
-                    # natural termination first, so exactness is never lost
-                    # to a cut that would have happened one step too late
-                    if not gj:
-                        break
-                    scale = _leibniz_scale(at, j)
-                    if scale is False:
-                        break
-                    if low is not None and order < low:
-                        cut = True
-                        break
-                    mul_into(tables.setdefault(order, {}), f_items, gj.items(), scale)
-                    j += 1
-                    order -= 2
+            cut |= leibniz_into(tables, a.twice, f_items, g_terms, low)
 
     if bound is EXACT and not cut:
         # both inputs exact and every tail ended by itself
@@ -351,9 +326,9 @@ def _compose(A: Symbol, B: Symbol, products, req_floor) -> Symbol:
 
 
 def symbol_from_tables(var: str, tables: dict, floor) -> Symbol:
-    """Wrap per-order (t, x, M) tables that ring.mul_into filled, keyed by
-    twice the order, as a Symbol; orders that cancelled or lie below
-    floor are dropped."""
+    """Wrap per-order (t, x, M) tables that ring.mul_into or
+    ring.leibniz_into filled, keyed by twice the order, as a Symbol;
+    orders that cancelled or lie below floor are dropped."""
     low = None if floor is EXACT else floor.twice
     out: dict = {}
     for o, acc in tables.items():

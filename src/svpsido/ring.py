@@ -24,12 +24,16 @@ A product, sum, difference, derivative or residue with an operand that has
 no terms returns at once (values are immutable, so the operand itself may be
 the result), after the same type coercion as any other call.  Every other
 product and sum of CoeffFns runs through one loop, ``mul_into``,
-after sympy's ``PolyElement.__mul__``: it adds scale*f*g term pair by term
+after sympy's ``PolyElement.__mul__``: it adds f*g term pair by term
 pair into a mutable {(t, x, M): GaussRat} table, dropping what cancels, and
 ``coeff_from_table`` wraps the finished table once.  A sum multiplies by the
-unit, with scale -1 to subtract.  The Leibniz composition of symbols, the
-transform's monomial map and the loop shift keep one table per output and
-accumulate every contribution to it before wrapping it.
+unit, a difference by minus the unit.  The transform's monomial map and the
+loop shift keep one table per output and accumulate every contribution to
+it before wrapping it.  The Leibniz composition of symbols has its own loop
+of the same shape, ``leibniz_into``: it weighs each pair of a left term and
+a right monomial x^q by binom(a, j) (q)_j, updated in ints from one j to
+the next, and adds the product straight into the table of its output
+order, so composition takes no derivative.
 
 Derivatives are term-wise monomial derivations and residues extract the
 coefficient of (variable)^-1, so res(d(f)) = 0 holds identically.  Every
@@ -42,7 +46,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-__all__ = ["GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M", "mul_into", "coeff_from_table"]
+__all__ = [
+    "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M",
+    "mul_into", "leibniz_into", "coeff_from_table",
+]
 
 _new = object.__new__
 
@@ -308,7 +315,7 @@ class CoeffFn:
         if not other.terms:
             return self
         out = dict(self.terms)
-        mul_into(out, _UNIT, other.terms.items(), _MINUS_ONE)
+        mul_into(out, _MINUS_UNIT, other.terms.items())
         return _coeff_raw(out)
 
     def __rsub__(self, other):
@@ -447,19 +454,17 @@ def _coeff_raw(terms: dict) -> CoeffFn:
     return c
 
 
-def mul_into(acc: dict, f_items, g_items, scale=None) -> None:
-    """Add scale*f*g into acc, a mutable {(t, x, M): GaussRat} table.
+def mul_into(acc: dict, f_items, g_items) -> None:
+    """Add f*g into acc, a mutable {(t, x, M): GaussRat} table.
 
-    f_items and g_items are the term items of two CoeffFns; scale is a
-    GaussRat, None standing for 1.  This is the package's one product and
-    sum loop: each term pair costs one normalising gcd, with the product
-    and the running sum fused.  A monomial that cancels leaves the table,
-    so a table that holds no zero stays so.
+    f_items and g_items are the term items of two CoeffFns.  This is the
+    package's product and sum loop outside composition: each term pair
+    costs one normalising gcd, with the product and the running sum fused.
+    A monomial that cancels leaves the table, so a table that holds no
+    zero stays so.
     """
     get = acc.get
     for (p1, q1, m1), v1 in f_items:
-        if scale is not None:
-            v1 = v1 * scale
         a1, b1, d1 = v1._a, v1._b, v1._d
         for (p2, q2, m2), v2 in g_items:
             k = (p1 + p2, q1 + q2, m1 + m2)
@@ -485,9 +490,77 @@ def mul_into(acc: dict, f_items, g_items, scale=None) -> None:
                 del acc[k]
 
 
+def leibniz_into(tables: dict, at: int, f_items, g_terms, low) -> bool:
+    """Add sum_j binom(a, j) f g^(j) d^(a+b-j) over every right term into
+    tables, per-order (t, x, M) tables keyed by twice the order.
+
+    at is twice the left order a and f_items the term items of its
+    coefficient f.  g_terms lists each monomial of every right coefficient
+    as (twice b, (t, x, M), GaussRat).  On a monomial v x^q the j-th
+    Leibniz term is binom(a, j) (q)_j v x^(q-j) f, so each step updates
+    the monomial's coefficient in ints by (2a - 2j + 2)(q - j + 1)/(2j),
+    reduced by one gcd; no derivative is taken.  A monomial's terms end at
+    its first zero weight (a nonnegative integer a, or q, runs out); only
+    after that is an order below low (twice the floor, None for none) cut.
+    Each term adds its product with every term of f straight into its
+    order's table, as mul_into does, and the return value says whether
+    any term was cut.
+    """
+    fs = [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in f_items]
+    cut = False
+    for bt, (p2, q, m2), v2 in g_terms:
+        order = at + bt
+        a2, b2, d2 = v2._a, v2._b, v2._d
+        j = 0
+        while True:
+            if low is not None and order < low:
+                cut = True
+                break
+            acc = tables.get(order)
+            if acc is None:
+                acc = tables[order] = {}
+            get = acc.get
+            for p1, q1, m1, a1, b1, d1 in fs:
+                k = (p1 + p2, q1 + q, m1 + m2)
+                a = a1 * a2 - b1 * b2
+                b = a1 * b2 + b1 * a2
+                d = d1 * d2
+                s = get(k)
+                if s is None:
+                    acc[k] = _gauss(a, b, d)
+                    continue
+                e = s._d
+                if e == d:
+                    a += s._a
+                    b += s._b
+                else:
+                    a = a * e + s._a * d
+                    b = b * e + s._b * d
+                    d *= e
+                if a or b:
+                    acc[k] = _gauss(a, b, d)
+                else:
+                    del acc[k]
+            j += 1
+            w = (at - 2 * j + 2) * q
+            if not w:
+                break
+            a2 *= w
+            b2 *= w
+            d2 *= 2 * j
+            g = gcd(a2, b2, d2)
+            if g != 1:
+                a2 //= g
+                b2 //= g
+                d2 //= g
+            q -= 1
+            order -= 2
+    return cut
+
+
 def coeff_from_table(acc: dict) -> CoeffFn:
-    """The CoeffFn of a table that mul_into filled, without copying it;
-    the table must not change afterwards."""
+    """The CoeffFn of a table that mul_into or leibniz_into filled,
+    without copying it; the table must not change afterwards."""
     return _coeff_raw(acc)
 
 
@@ -513,7 +586,7 @@ def _mass_unit(c) -> tuple:
 _C_ZERO = CoeffFn({})
 _C_ONE = CoeffFn({(0, 0, 0): GR_ONE})
 _UNIT = tuple(_C_ONE.terms.items())
-_MINUS_ONE = GaussRat(-1)
+_MINUS_UNIT = (((0, 0, 0), GaussRat(-1)),)
 M = CoeffFn({(0, 0, 1): GR_ONE})  # the mass parameter
 
 # The recurring structural constants of the verified formulas.

@@ -116,7 +116,8 @@ class ThetaImageCache:
 
     Entries keep the deepest floor computed so far; a shallower request is
     served from the stored symbol directly (extra low-order terms are
-    sound, the floor annotation guarantees more than asked).
+    sound, the floor annotation guarantees more than asked).  At nu = 0
+    every entry is exact, whatever floor was asked.
     """
 
     def __init__(self, nu: GaussRat = GR_ZERO):
@@ -162,7 +163,11 @@ class ThetaImageCache:
         """Image of xi^k, trusted at least down to req_floor."""
         _check_power(k)
         want = h(req_floor) if req_floor is not EXACT else EXACT
-        if k < 0 and want is EXACT and not self.nu.is_zero():
+        if self.nu.is_zero():
+            # every undeformed image is a finite composition: build it exact,
+            # so that no answer depends on what earlier calls warmed
+            want = EXACT
+        elif k < 0 and want is EXACT:
             raise ValueError("deformed inverse image is a series; give a floor")
         # a negative power deepens its neighbour's request by one, so that
         # left-composition with the order-(+1) inverse base cannot expose

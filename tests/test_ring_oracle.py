@@ -356,6 +356,11 @@ def clean(P: Symbol) -> bool:
     )
 
 
+def _no_derivative(self, var):
+    # the Leibniz weights come from the exponents: composition takes none
+    raise AssertionError("composition took a derivative")
+
+
 @settings(max_examples=60, deadline=None)
 @given(momentum_symbols, momentum_symbols, st.integers(min_value=-6, max_value=-2).map(HalfInt))
 @example(  # the order-0 terms cancel: (d - x^-1) o x = x d
@@ -368,8 +373,21 @@ def clean(P: Symbol) -> bool:
     Symbol(XI, {}, HalfInt(-6)),
     HalfInt(-6),
 )
+@example(  # order 1/2 against x^2 + x^-1: the x^2 terms end at j = 3, above
+    # the floor -3, and the x^-1 terms run on until the cut below it
+    Symbol(XI, {HalfInt(1): CoeffFn.mono(1, 0, GaussRat(F(1, 2), 1))}),
+    Symbol(XI, {HalfInt(0): CoeffFn.x_pow(2) + CoeffFn.x_pow(-1)}),
+    HalfInt(-6),
+)
+@example(  # the binomials of order 2 end at j = 3, so x^-2 is no series
+    Symbol(XI, {HalfInt(4): CoeffFn.one()}),
+    Symbol(XI, {HalfInt(-1): CoeffFn.x_pow(-2) * M}),
+    HalfInt(-4),
+)
 def test_sym_mul_matches_the_leibniz_sum(A, B, req):
-    P = sym_mul(A, B, req)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CoeffFn, "deriv", _no_derivative)
+        P = sym_mul(A, B, req)
     # the product skips the constructor's checks, so it must already pass them
     assert P == Symbol(P.var, P.terms, P.floor)
     assert clean(P)
@@ -415,13 +433,20 @@ _TAIL_ONE_WAY = (
     HalfInt(-6),
 )
 @example(Symbol(XI, {}, HalfInt(-3)), Symbol(XI, {HalfInt(1): CoeffFn.x_pow(2)}), None)
+@example(  # a coefficient whose x-powers end at different depths
+    Symbol(XI, {HalfInt(-1): CoeffFn.one()}),
+    Symbol(XI, {HalfInt(1): CoeffFn.x_pow(3) + CoeffFn.x_pow(-1)}),
+    HalfInt(-6),
+)
 def test_sym_bracket_matches_the_two_products(A, B, req):
-    want = _two_products(A, B, req)
-    if isinstance(want, ValueError):
-        with pytest.raises(ValueError, match=str(want)):
-            sym_bracket(A, B, req)
-        return
-    got = sym_bracket(A, B, req)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CoeffFn, "deriv", _no_derivative)
+        want = _two_products(A, B, req)
+        if isinstance(want, ValueError):
+            with pytest.raises(ValueError, match=str(want)):
+                sym_bracket(A, B, req)
+            return
+        got = sym_bracket(A, B, req)
     assert got == want  # values and floor
     assert clean(got)
 

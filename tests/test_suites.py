@@ -346,6 +346,34 @@ class TestSharedTables:
 
         assert 0 < self._case_calls("poisson-lemma71", wrap_in) <= 200
 
+    def test_poisson_product_count_does_not_follow_the_hash_seed(self):
+        # field names are strings: a walk over a set of jets sums in an
+        # order that follows PYTHONHASHSEED, and the count moves with it
+        # (29,766 under seed 0 and 29,773 under seed 2 before the fix)
+        import subprocess
+
+        import svpsido
+
+        # the count is taken with this module's own helpers, in a fresh
+        # interpreter per seed
+        script = (
+            f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+            "from test_suites import TestSharedTables, _counted, _wrap_everywhere\n"
+            "from svpsido import ring\n"
+            "print(TestSharedTables._case_calls('poisson-lemma71', lambda mp, calls: "
+            "_wrap_everywhere(mp, ring, 'mul_into', _counted(calls, 'mul_into'))))\n"
+        )
+        counts = []
+        for seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.dirname(os.path.dirname(svpsido.__file__)))
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+            )
+            assert done.returncode == 0, done.stderr
+            counts.append(int(done.stdout))
+        assert counts[0] > 0 and counts[0] == counts[1]
+
     def test_theorem61_cases_stay_within_their_product_loop_budget(self):
         # parent count, with zero operands multiplied and every bracket taken
         # as two products and a difference: 141,801

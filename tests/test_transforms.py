@@ -10,8 +10,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from svpsido.halfint import EXACT, h
+from svpsido.halfint import EXACT, HalfInt, h
 from svpsido.psido import (
     R,
     XI,
@@ -231,6 +233,45 @@ class TestRequestedFloor:
         assert tr.theta_inv(tr.theta(D), h("-3/2")) == D
         nu = GaussRat(Fraction(1, 2))
         assert tr.theta(xi_mono(-2, kappa=-3), h(-1), nu=nu) == Symbol(R, {}, h(-1))
+
+
+# exact momentum symbols: 1 to 3 half-integer orders, each coefficient 1 to
+# 3 terms with x-powers from -3 to 2
+xi_symbols = st.dictionaries(
+    st.integers(-3, 3).map(HalfInt),
+    st.dictionaries(
+        st.tuples(st.integers(-1, 1), st.integers(-3, 2), st.integers(-1, 1)),
+        st.integers(-3, 3).filter(bool).map(GaussRat),
+        min_size=1,
+        max_size=3,
+    ).map(CoeffFn),
+    min_size=1,
+    max_size=3,
+).map(lambda terms: Symbol(XI, terms))
+
+
+class TestUndeformedImagesIgnoreTheCache:
+    """At nu = 0 every image is a finite composition, so a floored request
+    gets the same exact answer on a cold cache and on a warm one."""
+
+    def test_a_shallow_request_before_and_after_an_exact_one(self, monkeypatch):
+        TestRequestedFloor._fresh_caches(monkeypatch)
+        D = Symbol(XI, {h("-3/2"): CoeffFn.x_pow(-2), h("1/2"): CoeffFn.x_pow(-2),
+                        h("3/2"): CoeffFn.x_pow(-2)})
+        cold = tr.theta(D, h(-2))
+        assert tr.theta(D) == cold
+        assert tr.theta(D, h(-2)) == cold
+        assert cold.floor is EXACT and len(cold.terms) == 8
+
+    @settings(max_examples=30, deadline=None)
+    @given(xi_symbols, st.sampled_from([h(-2), h("-7/2"), h(-4)]))
+    def test_drawn_symbols(self, D, req):
+        with pytest.MonkeyPatch.context() as mp:
+            TestRequestedFloor._fresh_caches(mp)
+            cold = tr.theta(D, req)
+            tr.theta(D)
+            assert tr.theta(D, req) == cold
+            assert cold.floor is EXACT
 
 
 class TestImageBounds:
