@@ -2,9 +2,11 @@
 
 The algebra here is the quotient of space symbols by orders below -1, so
 an element is determined by its three slots: the coefficients of d_r,
-d_r^0 and d_r^-1.  Each evaluator reads those slots, combines them with
-r-derivatives, and averages by taking the r-residue; the value keeps its
-loop dependence, so evaluators return a function of t.
+d_r^0 and d_r^-1.  Each cocycle is one or two residues res(f^(n) g) of
+slot coefficients; the value keeps its loop dependence, so evaluators
+return a function of t.  ring.residue_into reads each residue from the
+term pairs of f and g whose r-powers meet at -1, weighed by the falling
+factorial (q)_n, so no derivative, product or residue is ever built.
 
 Slot convention, fixed once: with A = A1 d + A0 + Am d^-1 and primes for
 d/dr,
@@ -19,6 +21,15 @@ d/dr,
 Every formula is antisymmetric by construction (c0 via integration by
 parts under the residue).  Only c3 feeds the loop-algebra extension; the
 rest are verification targets for the identity checker below.
+
+c2 is a coboundary: c2(A, B) = -res(r [A, B]_{-1}), with [A, B] the
+quotient bracket, so c2 is minus the linear functional
+D -> res(r D_{-1}) taken on the bracket.  That functional is not
+invariant under the translation r -> r + a, so c2 is trivial on the
+Laurent algebra that the suites use, not on one that is closed under
+translations.  The identity is pinned in tests/test_cocycles.py over the
+loop box t^s r^p d^k (s in {-1, 0, 2}, |p| <= 3, k in {-1, 0, 1}), where
+c3 serves as the control that fails it.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ import enum
 
 from .halfint import EXACT, h
 from .psido import R, Symbol, sym_bracket
-from .ring import CoeffFn
+from .ring import CoeffFn, coeff_from_table, residue_into
 
 __all__ = [
     "CocycleId",
@@ -47,47 +58,60 @@ class CocycleId(enum.Enum):
     C5 = "c5"
 
 
-_ONE = h(1)
 _MINUS_ONE = h(-1)
+
+# cocycle -> (n, i, j, signs): the value is signs[0] * res(A_i^(n) B_j) plus,
+# when a second sign is given, signs[1] * res(B_i^(n) A_j), with the slots
+# of orders 1, 0, -1 indexed 0, 1, 2
+_FORMS = {
+    CocycleId.C0: (3, 0, 0, (1,)),
+    CocycleId.C1: (2, 0, 1, (1, -1)),
+    CocycleId.C2: (0, 0, 2, (1, -1)),
+    CocycleId.C3: (1, 0, 2, (1, -1)),
+    CocycleId.C4: (1, 1, 1, (-1, 1)),
+    CocycleId.C5: (0, 1, 2, (1, -1)),
+}
 
 
 def _slots(D: Symbol):
-    """The three quotient slots of a capped symbol, trust-checked."""
+    """The term items of the three quotient slots of a capped symbol
+    (orders 1, 0, -1), trust-checked in one pass over its orders."""
     if D.var != R:
         raise ValueError("cocycles are defined on space symbols")
-    top = D.top()
-    if top is not None and top > _ONE:
-        raise ValueError("cocycles live on symbols of order <= 1")
-    if D.floor is not EXACT and D.floor > _MINUS_ONE:
+    up = mid = down = ()
+    for k, c in D.terms.items():
+        tw = k.twice
+        if tw > 2:
+            raise ValueError("cocycles live on symbols of order <= 1")
+        if tw == 2:
+            up = c.terms.items()
+        elif tw == 0:
+            mid = c.terms.items()
+        elif tw == -2:
+            down = c.terms.items()
+    if D.floor is not EXACT and D.floor.twice > -2:
         raise ValueError("slot at order -1 is untrusted; deepen the floor")
-    return D.coeff(_ONE), D.coeff(h(0)), D.coeff(_MINUS_ONE)
+    return up, mid, down
 
 
-def _dx(c: CoeffFn, n: int = 1) -> CoeffFn:
-    for _ in range(n):
-        c = c.deriv("X")
-    return c
+def _cocycle_into(acc: dict, cid: CocycleId, A: Symbol, B: Symbol) -> None:
+    """Add c(A, B) into acc, a mutable {(t, 0, M): GaussRat} table."""
+    a = _slots(A)
+    b = _slots(B)
+    form = _FORMS.get(cid)
+    if form is None:
+        raise ValueError(f"unknown cocycle {cid!r}")
+    n, i, j, signs = form
+    residue_into(acc, a[i], b[j], n, signs[0])
+    if len(signs) > 1:
+        residue_into(acc, b[i], a[j], n, signs[1])
 
 
 def eval_cocycle(cid: CocycleId, A: Symbol, B: Symbol) -> CoeffFn:
     """Evaluate one central cocycle; the result is a loop function."""
-    a1, a0, am = _slots(A)
-    b1, b0, bm = _slots(B)
-    if cid is CocycleId.C0:
-        expr = _dx(a1, 3) * b1
-    elif cid is CocycleId.C1:
-        expr = _dx(a1, 2) * b0 - _dx(b1, 2) * a0
-    elif cid is CocycleId.C2:
-        expr = a1 * bm - b1 * am
-    elif cid is CocycleId.C3:
-        expr = _dx(a1) * bm - _dx(b1) * am
-    elif cid is CocycleId.C4:
-        expr = _dx(b0) * a0 - _dx(a0) * b0
-    elif cid is CocycleId.C5:
-        expr = a0 * bm - b0 * am
-    else:
-        raise ValueError(f"unknown cocycle {cid!r}")
-    return expr.residue("X")
+    acc: dict = {}
+    _cocycle_into(acc, cid, A, B)
+    return coeff_from_table(acc)
 
 
 def quotient_bracket(A: Symbol, B: Symbol) -> Symbol:
@@ -103,8 +127,13 @@ def cyclic_defect(
     cid: CocycleId, A: Symbol, B: Symbol, C: Symbol, ab: Symbol, bc: Symbol, ca: Symbol
 ) -> CoeffFn:
     """c([A,B],C) + c([B,C],A) + c([C,A],B), given the quotient brackets
-    ab = [A,B], bc = [B,C] and ca = [C,A]; zero for a genuine 2-cocycle."""
-    return eval_cocycle(cid, ab, C) + eval_cocycle(cid, bc, A) + eval_cocycle(cid, ca, B)
+    ab = [A,B], bc = [B,C] and ca = [C,A]; zero for a genuine 2-cocycle.
+    The three values are summed in one table."""
+    acc: dict = {}
+    _cocycle_into(acc, cid, ab, C)
+    _cocycle_into(acc, cid, bc, A)
+    _cocycle_into(acc, cid, ca, B)
+    return coeff_from_table(acc)
 
 
 def cocycle_identity_defect(cid: CocycleId, A: Symbol, B: Symbol, C: Symbol) -> CoeffFn:

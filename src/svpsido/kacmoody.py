@@ -47,6 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
+from .cocycles import CocycleId, eval_cocycle
 from .halfint import EXACT, h
 from .psido import (
     R,
@@ -189,8 +190,6 @@ def in_invariant_slice(mu: GDual) -> bool:
 
 def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
     """Bracket of the extended algebra at central charge c."""
-    from .cocycles import CocycleId, eval_cocycle
-
     floor = h(req_floor)
     w = A.w * B.w.deriv("T") - A.w.deriv("T") * B.w
     W = sym_bracket(A.W, B.W, floor)

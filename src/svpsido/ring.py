@@ -38,7 +38,10 @@ order, so composition takes no derivative.
 Derivatives are term-wise monomial derivations and residues extract the
 coefficient of (variable)^-1, so res(d(f)) = 0 holds identically.  Every
 normalized contour integral in the verified formulas is implemented as
-plain residue extraction.
+plain residue extraction.  Residues of products, res_x(f^(n) g), which
+every central cocycle is made of, are read by ``residue_into`` from the
+term pairs whose x-powers meet at -1, each weighed by the falling
+factorial (q)_n in ints: no derivative, product or residue is built.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from math import gcd
 
 __all__ = [
     "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M",
-    "mul_into", "leibniz_into", "coeff_from_table",
+    "mul_into", "leibniz_into", "residue_into", "coeff_from_table",
 ]
 
 _new = object.__new__
@@ -558,9 +561,56 @@ def leibniz_into(tables: dict, at: int, f_items, g_terms, low) -> bool:
     return cut
 
 
+def residue_into(acc: dict, f_items, g_items, n: int, sign: int) -> None:
+    """Add sign * res_x(f^(n) g) into acc, a mutable {(t, 0, M): GaussRat}
+    table.
+
+    f_items and g_items are the term items of two CoeffFns and n >= 0 the
+    order of the derivative on f.  On monomials v x^q of f and w x^r of g
+    the product f^(n) g has the term (q)_n v w x^(q+r-n), so only pairs
+    with q + r = n - 1 reach x^-1; each is weighed by the falling factorial
+    (q)_n in ints and no product, derivative or residue is built.  Sums are
+    kept as in mul_into: one normalising gcd per pair, and a monomial that
+    cancels leaves the table.
+    """
+    get = acc.get
+    for (p1, q1, m1), v1 in f_items:
+        w = sign
+        for i in range(n):
+            w *= q1 - i
+        if not w:
+            continue
+        a1, b1, d1 = w * v1._a, w * v1._b, v1._d
+        r = n - 1 - q1
+        for (p2, q2, m2), v2 in g_items:
+            if q2 != r:
+                continue
+            k = (p1 + p2, 0, m1 + m2)
+            a2, b2 = v2._a, v2._b
+            a = a1 * a2 - b1 * b2
+            b = a1 * b2 + b1 * a2
+            d = d1 * v2._d
+            s = get(k)
+            if s is None:
+                acc[k] = _gauss(a, b, d)
+                continue
+            e = s._d
+            if e == d:
+                a += s._a
+                b += s._b
+            else:
+                a = a * e + s._a * d
+                b = b * e + s._b * d
+                d *= e
+            if a or b:
+                acc[k] = _gauss(a, b, d)
+            else:
+                del acc[k]
+
+
 def coeff_from_table(acc: dict) -> CoeffFn:
-    """The CoeffFn of a table that mul_into or leibniz_into filled,
-    without copying it; the table must not change afterwards."""
+    """The CoeffFn of a table that mul_into, leibniz_into or residue_into
+    filled, without copying it; the table must not change afterwards."""
     return _coeff_raw(acc)
 
 

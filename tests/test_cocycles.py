@@ -2,17 +2,29 @@
 
 Each functional reads only the order 1, 0, -1 slots of its two arguments,
 so every check here runs on symbols with exactly those slots populated.
-Oracles are short residue computations done by hand in the docstrings.
+Oracles are short residue computations done by hand in the docstrings,
+and a product-then-residue reference that builds every derivative,
+product and difference before it keeps the x^-1 slice.
 """
 
 import itertools
+import re
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from svpsido.cocycles import CocycleId, cocycle_identity_defect, eval_cocycle
-from svpsido.halfint import h
+from svpsido.cocycles import (
+    CocycleId,
+    cocycle_identity_defect,
+    cyclic_defect,
+    eval_cocycle,
+    quotient_bracket,
+)
+from svpsido.halfint import EXACT, HalfInt, h
 from svpsido.psido import R, XI, Symbol, sym_bracket
-from svpsido.ring import CoeffFn
+from svpsido.ring import CoeffFn, GaussRat
 
 
 def slot_symbol(**slots):
@@ -115,7 +127,138 @@ def test_identity_with_loop_coefficients():
             assert cocycle_identity_defect(cid, A, B, C).is_zero()
 
 
+# ---- the product-then-residue reference ------------------------------------
+
+
+def _reference_slots(D: Symbol):
+    if D.var != R:
+        raise ValueError("cocycles are defined on space symbols")
+    top = D.top()
+    if top is not None and top > h(1):
+        raise ValueError("cocycles live on symbols of order <= 1")
+    if D.floor is not EXACT and D.floor > h(-1):
+        raise ValueError("slot at order -1 is untrusted; deepen the floor")
+    return D.coeff(1), D.coeff(0), D.coeff(-1)
+
+
+def _dx(c: CoeffFn, n: int = 1) -> CoeffFn:
+    for _ in range(n):
+        c = c.deriv("X")
+    return c
+
+
+def reference_cocycle(cid: CocycleId, A: Symbol, B: Symbol) -> CoeffFn:
+    """The formulas of the cocycles module docstring as derivative chains,
+    full products and a difference, of which the x^-1 slice is kept."""
+    a1, a0, am = _reference_slots(A)
+    b1, b0, bm = _reference_slots(B)
+    expr = {
+        CocycleId.C0: lambda: _dx(a1, 3) * b1,
+        CocycleId.C1: lambda: _dx(a1, 2) * b0 - _dx(b1, 2) * a0,
+        CocycleId.C2: lambda: a1 * bm - b1 * am,
+        CocycleId.C3: lambda: _dx(a1) * bm - _dx(b1) * am,
+        CocycleId.C4: lambda: _dx(b0) * a0 - _dx(a0) * b0,
+        CocycleId.C5: lambda: a0 * bm - b0 * am,
+    }[cid]()
+    return expr.residue("X")
+
+
+def _no_arithmetic(*args):
+    raise AssertionError("the cocycle built a product, sum, derivative or residue")
+
+
+fracs = st.builds(F, st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=6))
+gauss = st.builds(GaussRat, fracs, fracs)
+# x-powers -4..4 reach the zero of (q)_3 at q = 0, 1, 2 from both sides
+slot_coeffs = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=-2, max_value=2),
+        st.integers(min_value=-4, max_value=4),
+        st.integers(min_value=-1, max_value=1),
+    ),
+    gauss,
+    max_size=4,
+).map(CoeffFn)
+slot_symbols = st.builds(
+    lambda up, mid, down, floored: Symbol(
+        R, {1: up, 0: mid, -1: down}, h(-1) if floored else EXACT
+    ),
+    slot_coeffs,
+    slot_coeffs,
+    slot_coeffs,
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slot_symbols, slot_symbols)
+@example(  # in c0, x^2 meets x^0 with (2)_3 = 0, x^3 meets x^-1 and x^-2 meets x^4
+    Symbol(R, {1: CoeffFn({(0, 2, 0): GaussRat(1), (1, 3, 0): GaussRat(2), (0, -2, 1): GaussRat(0, 1)})}),
+    Symbol(R, {1: CoeffFn({(0, 0, 0): GaussRat(3), (0, -1, 0): GaussRat(F(1, 2)), (-1, 4, -1): GaussRat(5)})}),
+)
+@example(  # A = B, one of them floored: every two-half cocycle cancels to 0
+    Symbol(R, {1: CoeffFn.x_pow(1), -1: CoeffFn.x_pow(-2)}),
+    Symbol(R, {1: CoeffFn.x_pow(1), -1: CoeffFn.x_pow(-2)}, h(-1)),
+)
+def test_eval_cocycle_matches_product_then_residue(A, B):
+    want = {cid: reference_cocycle(cid, A, B) for cid in CocycleId}
+    # c(A, B) + c(A, A) + c(B, B), as cyclic_defect sums its three values
+    want_sum = {
+        cid: want[cid] + reference_cocycle(cid, A, A) + reference_cocycle(cid, B, B)
+        for cid in CocycleId
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("__mul__", "__add__", "deriv", "residue"):
+            mp.setattr(CoeffFn, name, _no_arithmetic)
+        got = {cid: eval_cocycle(cid, A, B) for cid in CocycleId}
+        got_sum = {cid: cyclic_defect(cid, A, B, B, A, A, B) for cid in CocycleId}
+    # dict equality: same monomials, no zero left in, every x-power 0
+    assert {cid: c.terms for cid, c in got.items()} == {cid: c.terms for cid, c in want.items()}
+    assert {cid: c.terms for cid, c in got_sum.items()} == {
+        cid: c.terms for cid, c in want_sum.items()
+    }
+
+
+def test_c2_is_the_coboundary_of_the_x_moment():
+    """c2(A, B) = -res(x [A, B]_{-1}) on every pair of the loop box; c3,
+    which is not a coboundary, fails it on 216 of the 3,969 pairs."""
+    els = [
+        Symbol(R, {h(k): CoeffFn.mono(s, p)})
+        for s in (-1, 0, 2)
+        for p in range(-3, 4)
+        for k in (-1, 0, 1)
+    ]
+    x = CoeffFn.x_pow(1)
+    misses = {CocycleId.C2: 0, CocycleId.C3: 0}
+    for A, B in itertools.product(els, repeat=2):
+        moment = -(x * quotient_bracket(A, B).coeff(-1)).residue("X")
+        for cid in misses:
+            misses[cid] += eval_cocycle(cid, A, B) != moment
+    assert misses == {CocycleId.C2: 0, CocycleId.C3: 216}
+
+
 class TestDomainGuards:
+    @pytest.mark.parametrize(
+        "D, message",
+        [
+            (Symbol(XI, {h(1): CoeffFn.one()}), "cocycles are defined on space symbols"),
+            (Symbol(XI, {h(2): CoeffFn.one()}, h(0)), "cocycles are defined on space symbols"),
+            (Symbol(R, {h(2): CoeffFn.one()}), "cocycles live on symbols of order <= 1"),
+            (Symbol(R, {h(2): CoeffFn.one()}, h(0)), "cocycles live on symbols of order <= 1"),
+            (
+                Symbol(R, {h(1): CoeffFn.mono(0, 1)}, HalfInt(-1)),
+                "slot at order -1 is untrusted; deepen the floor",
+            ),
+        ],
+    )
+    def test_trust_checks_keep_their_messages(self, D, message):
+        # the first failing check names the error, on either side
+        B = slot_symbol(down=(0, -2))
+        for args in ((D, B), (B, D)):
+            for evaluate in (reference_cocycle, eval_cocycle):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    evaluate(CocycleId.C3, *args)
+
     def test_rejects_order_two(self):
         A = Symbol(R, {h(2): CoeffFn.one()})
         B = slot_symbol(up=(0, 1))

@@ -6,7 +6,8 @@ symbol product with its own generalized binomials and derivatives.  The
 transform's monomial map is checked against the sum of its shifted and
 scaled generator images, built one Symbol per monomial; the loop shift
 and theta_t against their term-by-term forms, one CoeffFn sum per series
-term and one theta call per momentum order.  A
+term and one theta call per momentum order.  The six central cocycles
+are checked against sympy's derivative, product and x^-1 coefficient.  A
 Gaussian rational kept as a pair of Fractions, the textbook
 representation, checks GaussRat component by component.
 """
@@ -19,6 +20,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from svpsido.cocycles import CocycleId, eval_cocycle
 from svpsido.halfint import EXACT, HalfInt, hmax
 from svpsido import transforms as tr
 from svpsido.psido import (
@@ -472,6 +474,47 @@ def test_sym_sub_builds_no_negated_copy(A, B):
         got = sym_sub(A, B)
     assert got == want  # values and floor
     assert clean(got)
+
+
+# ---- the central cocycles against sympy's derivative, product and residue ----------------
+
+
+def cocycle_sp(cid: CocycleId, a, b):
+    """The x^-1 coefficient of the expanded cocycle integrand, from the
+    slots (order 1, 0, -1) of A and B as sympy expressions."""
+    a1, a0, am = a
+    b1, b0, bm = b
+    d = sp.diff
+    integrand = {
+        CocycleId.C0: lambda: d(a1, X, 3) * b1,
+        CocycleId.C1: lambda: d(a1, X, 2) * b0 - d(b1, X, 2) * a0,
+        CocycleId.C2: lambda: a1 * bm - b1 * am,
+        CocycleId.C3: lambda: d(a1, X) * bm - d(b1, X) * am,
+        CocycleId.C4: lambda: d(b0, X) * a0 - d(a0, X) * b0,
+        CocycleId.C5: lambda: a0 * bm - b0 * am,
+    }[cid]()
+    return sp.expand(integrand).coeff(X, -1)
+
+
+# nonempty slots with x-powers -4..4, so that many pairs meet at x^-1
+slot_coeffs = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-4, 4)),
+    st.dictionaries(powers, nonzero_gauss, min_size=1, max_size=1),
+    min_size=1,
+    max_size=3,
+).map(flat)
+slot_triples = st.tuples(slot_coeffs, slot_coeffs, slot_coeffs)
+
+
+@settings(max_examples=24, deadline=None)
+@given(slot_triples, slot_triples)
+def test_cocycles_match_the_sympy_residue(a, b):
+    A = Symbol(R, dict(zip((1, 0, -1), a)))
+    B = Symbol(R, dict(zip((1, 0, -1), b)))
+    a_sp = [coeff_sp(c) for c in a]
+    b_sp = [coeff_sp(c) for c in b]
+    for cid in CocycleId:
+        assert same(coeff_sp(eval_cocycle(cid, A, B)), cocycle_sp(cid, a_sp, b_sp)), cid
 
 
 # ---- the transform's monomial map against the sum of scaled images ---------------------------
