@@ -2,7 +2,10 @@
 
 Symbol orders live in (1/2)Z.  Storing the doubled value as a plain int keeps
 every comparison, addition and hash exact, with no rational machinery on the
-hot path.  The module also fixes the package-wide convention for the "no
+hot path.  Values with |twice| <= INTERNED_TWICE are interned: HalfInt(t)
+returns one shared object per value, so dict lookups with those keys match
+by identity, and each object computes its hash once, at construction.
+The module also fixes the package-wide convention for the "no
 truncation" sentinel: a floor of ``None`` means every order below the stored
 terms is identically zero (written EXACT in text form).
 """
@@ -25,12 +28,14 @@ _HASH_HALF = (_HASH_MODULUS + 1) // 2
 class HalfInt:
     """An element of (1/2)Z, stored as twice its value."""
 
-    __slots__ = ("twice",)
+    __slots__ = ("twice", "_hash")
 
-    def __init__(self, twice: int):
+    def __new__(cls, twice: int):
+        if twice.__class__ is int and -INTERNED_TWICE <= twice <= INTERNED_TWICE:
+            return _INTERNED[twice + INTERNED_TWICE]
         if not isinstance(twice, int):
             raise TypeError("HalfInt stores twice the value as an int")
-        _set_twice(self, twice)
+        return _make(twice)
 
     def __setattr__(self, name, value):
         raise AttributeError("HalfInt is immutable")
@@ -95,6 +100,10 @@ class HalfInt:
         return None
 
     def __eq__(self, other):
+        # order -1 and order -2 both hash to -2, so dicts keyed by orders
+        # compare HalfInts often
+        if other.__class__ is HalfInt:
+            return self.twice == other.twice
         k = self._cmp_key(other)
         return NotImplemented if k is None else self.twice == k
 
@@ -115,15 +124,7 @@ class HalfInt:
         return NotImplemented if k is None else self.twice >= k
 
     def __hash__(self):
-        # equals hash(Fraction(twice, 2)), so a HalfInt key finds the entry
-        # of the int or Fraction of equal value, matching __eq__
-        t = self.twice
-        if not t & 1:
-            return hash(t >> 1)
-        if t > 0:
-            return t % _HASH_MODULUS * _HASH_HALF % _HASH_MODULUS
-        # hash() turns a -1 from here into -2, as Fraction does by hand
-        return -(-t % _HASH_MODULUS * _HASH_HALF % _HASH_MODULUS)
+        return self._hash
 
     def __str__(self):
         if self.twice % 2 == 0:
@@ -134,9 +135,35 @@ class HalfInt:
         return f"HalfInt({self.twice})"
 
 
-# The slot's own setter: it skips the guard in __setattr__, and costs far
+# The slots' own setters: they skip the guard in __setattr__, and cost far
 # less per call than object.__setattr__.
 _set_twice = HalfInt.__dict__["twice"].__set__
+_set_hash = HalfInt.__dict__["_hash"].__set__
+_new = object.__new__
+
+
+def _half_hash(t: int) -> int:
+    """hash(Fraction(t, 2)): an integral value hashes like its int, so a
+    HalfInt key finds the entry of the equal int, matching __eq__."""
+    if not t & 1:
+        return hash(t >> 1)
+    if t > 0:
+        return t % _HASH_MODULUS * _HASH_HALF % _HASH_MODULUS
+    # hash() turns a -1 from __hash__ into -2, as Fraction does by hand
+    return -(-t % _HASH_MODULUS * _HASH_HALF % _HASH_MODULUS)
+
+
+def _make(twice: int) -> HalfInt:
+    out = _new(HalfInt)
+    _set_twice(out, twice)
+    _set_hash(out, _half_hash(twice))
+    return out
+
+
+# Orders up to 256 in absolute value: twice the highest order of a
+# generator image (powers up to 64, doubled by the transform).
+INTERNED_TWICE = 512
+_INTERNED = tuple(_make(t) for t in range(-INTERNED_TWICE, INTERNED_TWICE + 1))
 
 
 def h(value) -> HalfInt:

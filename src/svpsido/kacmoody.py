@@ -403,7 +403,8 @@ def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
         fd = f.deriv("T")
         fdd = fd.deriv("T")
         fddd = fdd.deriv("T")
-        out_v = out_v - fdd * (r1 * vm2).residue("X") * _HALF - (f * v.deriv("T") + fd * v * 2)
+        # res_x(r V_-2) is the r^-2 slice of V_-2
+        out_v = out_v - fdd * vm2.x_slice(-2) * _HALF - (f * v.deriv("T") + fd * v * 2)
         out_vm2 = (
             out_vm2
             - f * vm2.deriv("T")

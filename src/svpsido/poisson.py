@@ -32,7 +32,7 @@ from operator import itemgetter
 from .halfint import h
 from .kacmoody import GDual
 from .psido import R, Symbol
-from .ring import CoeffFn, GaussRat, M
+from .ring import CoeffFn, GaussRat, M, coeff_from_table, residue_into
 from .svalgebra import SvElement
 from .textio import coeff_str
 
@@ -384,7 +384,11 @@ def hamiltonian_vector(F: LocalFunctional, mu: GDual, c) -> GDual:
     vm2 = mu.V.coeff(h(-2))
     v0 = mu.V.coeff(h(0))
     P, Q, phi, psi = _derivatives(F, mu)
-    out_v = ((vm2 * P.deriv("T") + v0 * Q.deriv("T")).residue("X")
+    # res_x(vm2 P_t + v0 Q_t), read from the term pairs that meet at x^-1
+    row: dict = {}
+    residue_into(row, vm2.terms.items(), P.deriv("T").terms.items(), 0, 1)
+    residue_into(row, v0.terms.items(), Q.deriv("T").terms.items(), 0, 1)
+    out_v = (coeff_from_table(row)
              + mu.v * phi.deriv("T") * 2 + mu.v.deriv("T") * phi
              + mu.a * psi.deriv("T"))
     out_vm2 = (vm2 * P.deriv("X") * 2 + vm2.deriv("X") * P

@@ -14,8 +14,8 @@ with binom(a, j) = a(a-1)...(a-j+1)/j! computed exactly for a in (1/2)Z.
 On a monomial g = v x^q the j-th derivative is (q)_j v x^(q-j), with
 (q)_j the falling factorial, so no derivative is ever taken:
 ring.leibniz_into runs one loop over pairs of a left term and a right
-monomial, updates the weight binom(a, j) (q)_j in ints from each j to the
-next, and adds every term into one (t, x, M) table per output order.
+monomial, reads the weight binom(a, j) (q)_j from a cache of reduced int
+pairs, and adds every term into one (t, x, M) table per output order.
 For nonnegative integer a, or for g polynomial in x, the sum terminates by
 itself; otherwise it is an honest infinite tail and must be cut, which the
 floor records.
@@ -279,10 +279,13 @@ def _compose(A: Symbol, B: Symbol, products, req_floor) -> Symbol:
     The floor bound is symmetric in A and B, so one bound serves every
     product.  Every Leibniz term sign * binom(a, j) * f * g^(j) is added
     in place into one (t, x, M) table per output order, keyed by twice
-    the order, with the sign folded into the terms of f: ring.leibniz_into
-    does this for one left term against every monomial of the right
-    operand, listed once per product.  Each table becomes a CoeffFn once,
-    after the last term of the last product.
+    the order, with the sign folded into the terms of f: one
+    ring.leibniz_into call per product does this for every left term
+    against every monomial of the right operand.  The kernel reads the
+    weights binom(a, j) (q)_j from its cache and fixes each pair's number
+    of terms before the first one, from a, q and the floor; with no floor
+    it raises on the first pair whose tail does not terminate.  Each
+    table becomes a CoeffFn once, after the last term of the last product.
     """
     _check_var(A, B)
     if (A.is_zero() and A.floor is EXACT) or (B.is_zero() and B.floor is EXACT):
@@ -297,27 +300,17 @@ def _compose(A: Symbol, B: Symbol, products, req_floor) -> Symbol:
         bound = hmax(bound, B.floor + _hi(A))
     floor = hmax(req_floor, bound)
 
-    if floor is EXACT:
-        low = None
-        for left, right, _ in products:
-            if any(not (a.is_integer and a.twice >= 0) for a in left.terms) and any(
-                (g.min_x_degree() or 0) < 0 for g in right.terms.values()
-            ):
-                # the tail is infinite: some binomial never vanishes and the
-                # falling factorial of a negative x-power of some g never does
-                raise ValueError(
-                    "exact product requested but the Leibniz tail does not terminate"
-                )
-    else:
-        low = floor.twice
-
+    low = None if floor is EXACT else floor.twice
     tables: dict = {}
     cut = False
     for left, right, sign in products:
         g_terms = [(b.twice, k, v) for b, g in right.terms.items() for k, v in g.terms.items()]
-        for a, f in left.terms.items():
-            f_items = f.terms.items() if sign > 0 else [(k, -v) for k, v in f.terms.items()]
-            cut |= leibniz_into(tables, a.twice, f_items, g_terms, low)
+        if sign > 0:
+            f_terms = [(a.twice, f.terms.items()) for a, f in left.terms.items()]
+        else:
+            f_terms = [(a.twice, [(k, -v) for k, v in f.terms.items()])
+                       for a, f in left.terms.items()]
+        cut |= leibniz_into(tables, f_terms, g_terms, low)
 
     if bound is EXACT and not cut:
         # both inputs exact and every tail ended by itself
@@ -330,12 +323,8 @@ def symbol_from_tables(var: str, tables: dict, floor) -> Symbol:
     ring.leibniz_into filled, keyed by twice the order, as a Symbol;
     orders that cancelled or lie below floor are dropped."""
     low = None if floor is EXACT else floor.twice
-    out: dict = {}
-    for o, acc in tables.items():
-        if low is not None and o < low:
-            continue
-        if acc:
-            out[HalfInt(o)] = coeff_from_table(acc)
+    out = {HalfInt(o): coeff_from_table(acc) for o, acc in tables.items()
+           if acc and (low is None or o >= low)}
     return Symbol._raw(var, out, floor)
 
 

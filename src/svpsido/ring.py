@@ -30,10 +30,13 @@ pair into a mutable {(t, x, M): GaussRat} table, dropping what cancels, and
 unit, a difference by minus the unit.  The transform's monomial map and the
 loop shift keep one table per output and accumulate every contribution to
 it before wrapping it.  The Leibniz composition of symbols has its own loop
-of the same shape, ``leibniz_into``: it weighs each pair of a left term and
-a right monomial x^q by binom(a, j) (q)_j, updated in ints from one j to
-the next, and adds the product straight into the table of its output
-order, so composition takes no derivative.
+of the same shape, ``leibniz_into``, which takes every left term of a
+product in one call.  It weighs each pair of a left term and a right
+monomial x^q by binom(a, j) (q)_j, read from a module cache of reduced int
+pairs keyed by (2a, q) and folded into the product, so a term costs one
+gcd and composition takes no derivative.  Each pair's number of terms is
+fixed before its first term, from a, q and the floor; each term is added
+straight into the table of its output order.
 
 Derivatives are term-wise monomial derivations and residues extract the
 coefficient of (variable)^-1, so res(d(f)) = 0 holds identically.  Every
@@ -493,71 +496,109 @@ def mul_into(acc: dict, f_items, g_items) -> None:
                 del acc[k]
 
 
-def leibniz_into(tables: dict, at: int, f_items, g_terms, low) -> bool:
-    """Add sum_j binom(a, j) f g^(j) d^(a+b-j) over every right term into
-    tables, per-order (t, x, M) tables keyed by twice the order.
+# binom(a, j) (q)_j for j = 0, 1, ... as reduced (numerator, denominator)
+# int pairs, keyed by (2a, q) and grown on demand by _weights.
+_WEIGHTS: dict = {}
 
-    at is twice the left order a and f_items the term items of its
-    coefficient f.  g_terms lists each monomial of every right coefficient
-    as (twice b, (t, x, M), GaussRat).  On a monomial v x^q the j-th
-    Leibniz term is binom(a, j) (q)_j v x^(q-j) f, so each step updates
-    the monomial's coefficient in ints by (2a - 2j + 2)(q - j + 1)/(2j),
-    reduced by one gcd; no derivative is taken.  A monomial's terms end at
-    its first zero weight (a nonnegative integer a, or q, runs out); only
-    after that is an order below low (twice the floor, None for none) cut.
-    Each term adds its product with every term of f straight into its
-    order's table, as mul_into does, and the return value says whether
-    any term was cut.
+
+def _weights(at: int, q: int, n: int) -> list:
+    """The cached weights of (at, q), grown to at least n entries.
+
+    Each step multiplies by (a - j + 1)(q - j + 1)/j, that is by
+    (2a - 2j + 2)(q - j + 1)/(2j), and reduces by one gcd.  leibniz_into
+    reads no entry at or past the first zero weight.
     """
-    fs = [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in f_items]
+    ws = _WEIGHTS.get((at, q))
+    if ws is None:
+        ws = _WEIGHTS[(at, q)] = [(1, 1)]
+    num, den = ws[-1]
+    for j in range(len(ws), n):
+        num *= (at - 2 * j + 2) * (q - j + 1)
+        den *= 2 * j
+        g = gcd(num, den)
+        num //= g
+        den //= g
+        ws.append((num, den))
+    return ws
+
+
+def leibniz_into(tables: dict, f_terms, g_terms, low) -> bool:
+    """Add sum_j binom(a, j) f g^(j) d^(a+b-j) over every pair of a left
+    and a right term into tables, per-order (t, x, M) tables keyed by twice
+    the order.
+
+    f_terms lists each left term as (twice a, term items of f); g_terms
+    lists each monomial of every right coefficient as
+    (twice b, (t, x, M), GaussRat).  On a monomial v x^q the j-th Leibniz
+    term is binom(a, j) (q)_j v x^(q-j) f, so no derivative is taken: the
+    weight binom(a, j) (q)_j is read from a module cache of reduced int
+    pairs keyed by (2a, q) and folded into each product, which then costs
+    one normalising gcd, as in mul_into.
+
+    The number of terms of a pair is fixed before its first term: they
+    end at the first zero weight (a nonnegative integer a, or q, runs out)
+    and at the last order at or above low (twice the floor, None for
+    none).  Each term adds its product with every term of f straight into
+    its order's table, and the return value says whether the floor cut
+    any term of nonzero weight.  With no floor, a pair whose terms never
+    end raises ValueError before any of its terms is added.
+    """
     cut = False
-    for bt, (p2, q, m2), v2 in g_terms:
-        order = at + bt
-        a2, b2, d2 = v2._a, v2._b, v2._d
-        j = 0
-        while True:
+    weights = _WEIGHTS
+    for at, f_items in f_terms:
+        fs = [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in f_items]
+        # binom(a, j) vanishes from j = a + 1 on for a nonnegative integer a
+        n_a = at // 2 + 1 if at >= 0 and not at & 1 else None
+        for bt, (p2, q, m2), v2 in g_terms:
+            order = at + bt
             if low is not None and order < low:
                 cut = True
-                break
-            acc = tables.get(order)
-            if acc is None:
-                acc = tables[order] = {}
-            get = acc.get
-            for p1, q1, m1, a1, b1, d1 in fs:
-                k = (p1 + p2, q1 + q, m1 + m2)
-                a = a1 * a2 - b1 * b2
-                b = a1 * b2 + b1 * a2
-                d = d1 * d2
-                s = get(k)
-                if s is None:
-                    acc[k] = _gauss(a, b, d)
-                    continue
-                e = s._d
-                if e == d:
-                    a += s._a
-                    b += s._b
-                else:
-                    a = a * e + s._a * d
-                    b = b * e + s._b * d
-                    d *= e
-                if a or b:
-                    acc[k] = _gauss(a, b, d)
-                else:
-                    del acc[k]
-            j += 1
-            w = (at - 2 * j + 2) * q
-            if not w:
-                break
-            a2 *= w
-            b2 *= w
-            d2 *= 2 * j
-            g = gcd(a2, b2, d2)
-            if g != 1:
-                a2 //= g
-                b2 //= g
-                d2 //= g
-            q -= 1
-            order -= 2
+                continue
+            # and the falling factorial (q)_j from j = q + 1 on for q >= 0
+            n = n_a if q < 0 or (n_a is not None and n_a <= q) else q + 1
+            if low is not None:
+                above = (order - low) // 2 + 1
+                if n is None or above < n:
+                    cut = True
+                    n = above
+            elif n is None:
+                raise ValueError(
+                    "exact product requested but the Leibniz tail does not terminate"
+                )
+            ws = weights.get((at, q))
+            if ws is None or len(ws) < n:
+                ws = _weights(at, q, n)
+            a2, b2, d2 = v2._a, v2._b, v2._d
+            for num, den in ws[:n]:
+                wa = a2 * num
+                wb = b2 * num
+                wd = d2 * den
+                acc = tables.get(order)
+                if acc is None:
+                    acc = tables[order] = {}
+                for p1, q1, m1, a1, b1, d1 in fs:
+                    k = (p1 + p2, q1 + q, m1 + m2)
+                    a = a1 * wa - b1 * wb
+                    b = a1 * wb + b1 * wa
+                    d = d1 * wd
+                    s = acc.get(k)
+                    if s is None:
+                        acc[k] = _gauss(a, b, d)
+                        continue
+                    e = s._d
+                    if e == d:
+                        a += s._a
+                        b += s._b
+                    else:
+                        a = a * e + s._a * d
+                        b = b * e + s._b * d
+                        d *= e
+                    if a or b:
+                        acc[k] = _gauss(a, b, d)
+                    else:
+                        del acc[k]
+                q -= 1
+                order -= 2
     return cut
 
 
@@ -608,10 +649,9 @@ def residue_into(acc: dict, f_items, g_items, n: int, sign: int) -> None:
                 del acc[k]
 
 
-def coeff_from_table(acc: dict) -> CoeffFn:
-    """The CoeffFn of a table that mul_into, leibniz_into or residue_into
-    filled, without copying it; the table must not change afterwards."""
-    return _coeff_raw(acc)
+# The CoeffFn of a table that mul_into, leibniz_into or residue_into filled,
+# without copying it; the table must not change afterwards.
+coeff_from_table = _coeff_raw
 
 
 def _as_coeff(v):

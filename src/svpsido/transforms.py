@@ -198,9 +198,18 @@ def _forward_cache(nu: GaussRat) -> ThetaImageCache:
 # ---------------------------------------------------------------- forward map
 
 
-def _x_powers(c: CoeffFn):
-    """The distinct x-powers of c, in the order its terms first meet them."""
-    return dict.fromkeys(k[1] for k in c.terms)
+def _x_slices(c: CoeffFn) -> dict:
+    """x-power -> the term items of c's coefficient of that power, as an
+    x-free value, in one pass; powers in the order c's terms first meet
+    them, items in term order, as x_slice gives them."""
+    out: dict = {}
+    for (p, q, m), v in c.terms.items():
+        s = out.get(q)
+        if s is None:
+            out[q] = [((p, 0, m), v)]
+        else:
+            s.append(((p, 0, m), v))
+    return out
 
 
 def _map_monomials(D: Symbol, req, var: str, delta_of, image) -> Symbol:
@@ -221,8 +230,7 @@ def _map_monomials(D: Symbol, req, var: str, delta_of, image) -> Symbol:
         dt = delta.twice
         # the shift moves the image's floor by delta, so ask delta deeper
         want = req if req is EXACT else req - delta
-        for q in _x_powers(c):
-            x_slice = c.x_slice(q).terms.items()
+        for q, x_slice in _x_slices(c).items():
             img = image(q, want)
             if img.floor is not EXACT:
                 floor = hmax(floor, img.floor + delta)
@@ -304,7 +312,7 @@ def time_shift(f: CoeffFn, depth: int) -> CoeffFn:
     if not f.is_x_only():
         raise ValueError("the loop shift applies to momentum-only values")
     out: dict = {}
-    for q in _x_powers(f):
+    for q, x_slice in _x_slices(f).items():
         a = HalfInt.of(q)
         series = []
         for m in range((q if q >= 0 else depth) + 1):
@@ -313,7 +321,7 @@ def time_shift(f: CoeffFn, depth: int) -> CoeffFn:
                 break
             # (i t / 2M)^(q - m) xi^m
             series.append(((q - m, m, m - q), _HALF_I ** (q - m) * cf))
-        mul_into(out, series, f.x_slice(q).terms.items())
+        mul_into(out, series, x_slice)
     return coeff_from_table(out)
 
 

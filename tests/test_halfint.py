@@ -1,4 +1,5 @@
-"""HalfInt hashing: equal numbers hash alike across int, Fraction and HalfInt."""
+"""HalfInt hashing and interning: equal numbers hash alike across int,
+Fraction and HalfInt, and values within the interning bound are one object."""
 
 import sys
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from svpsido.halfint import HalfInt
+from svpsido.halfint import INTERNED_TWICE, HalfInt, h
 
 P = sys.hash_info.modulus
 
@@ -38,3 +39,58 @@ def test_dict_lookup_across_int_and_halfint():
     assert {HalfInt(4): "v"}[2] == "v"
     assert {-3: "w"}[HalfInt(-6)] == "w"
     assert {HalfInt(5): "h"}[HalfInt(5)] == "h"
+
+
+# ---- interning -------------------------------------------------------------------
+
+BOUND = INTERNED_TWICE
+EDGES = [0, 1, -1, BOUND - 1, BOUND, -BOUND + 1, -BOUND]
+OUTSIDE = [BOUND + 1, -BOUND - 1, BOUND + 2, -BOUND - 2, 10**6 + 1, -(10**30)]
+
+
+@pytest.mark.parametrize("t", EDGES)
+def test_values_inside_the_bound_are_one_object(t):
+    assert HalfInt(t) is HalfInt(t)
+    assert HalfInt(t) is HalfInt(t + 1) - HalfInt(1)
+    assert HalfInt(t) is h(F(t, 2))
+
+
+@pytest.mark.parametrize("t", OUTSIDE)
+def test_values_outside_the_bound_are_equal_but_distinct(t):
+    a, b = HalfInt(t), HalfInt(t)
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert a.twice == t
+
+
+@pytest.mark.parametrize("t", EDGES + OUTSIDE)
+def test_hash_contract_on_both_sides_of_the_bound(t):
+    assert hash(HalfInt(t)) == hash(F(t, 2))
+    if t % 2 == 0:
+        assert hash(HalfInt(t)) == hash(t // 2)
+
+
+@pytest.mark.parametrize("t", [2, -2, BOUND, -BOUND, BOUND + 2, -BOUND - 2, 10**6])
+def test_dict_lookups_on_both_sides_of_the_bound(t):
+    n = t // 2
+    assert {HalfInt(t): "v"}[n] == "v"
+    assert {n: "w"}[HalfInt(t)] == "w"
+    assert {HalfInt(t): "h"}[HalfInt(t)] == "h"
+    assert {HalfInt(t + 1): "o"}[HalfInt(t + 1)] == "o"
+    # order -1 and order -2 share a hash, as -1 and -2 do
+    assert {HalfInt(-2): "a", HalfInt(-4): "b"}[HalfInt(-4)] == "b"
+
+
+@pytest.mark.parametrize("t", [3, BOUND, BOUND + 1, -BOUND - 1])
+def test_slots_cannot_be_assigned(t):
+    x = HalfInt(t)
+    for name in ("twice", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+    assert x.twice == t and HalfInt(t).twice == t
+
+
+def test_non_int_twice_is_refused():
+    for bad in (1.0, F(1), "2", None):
+        with pytest.raises(TypeError):
+            HalfInt(bad)

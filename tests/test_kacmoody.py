@@ -494,6 +494,31 @@ class TestCoadjoint:
         assert seen > 0
 
 
+def ref_coadjoint_v(X: SvElement, mu: GDual) -> CoeffFn:
+    """The v row of the coadjoint action, with res_x(r V_-2) and res_x(V_-2)
+    read off the full products."""
+    v, vm2 = mu.v, mu.V.coeff(h(-2))
+    out = CoeffFn.zero()
+    if not X.f.is_zero():
+        fd = X.f.deriv("T")
+        fdd = fd.deriv("T")
+        out = (out - fdd * (CoeffFn.x_pow(1) * vm2).residue("X") * Fraction(1, 2)
+               - (X.f * v.deriv("T") + fd * v * 2))
+    if not X.g.is_zero():
+        out = out - X.g.deriv("T") * vm2.residue("X")
+    return out
+
+
+@given(
+    st.builds(SvElement, loops, loops, loops),
+    st.builds(npoint, v=loops, vm2=coeff_fns((-2, 2), (-4, 3), min_size=1), v0=loops, a=loops),
+    gauss,
+)
+@settings(max_examples=100, deadline=None)
+def test_coadjoint_v_row_matches_the_product_residues(X, mu, c):
+    assert coadjoint(X, mu, c).v == ref_coadjoint_v(X, mu)
+
+
 def duality_probes():
     Ys = [GElement(W=Symbol(R, {h(k): CoeffFn.mono(qt, qr)}))
           for k in (-2, -1, 0, 1) for qr in (-2, -1, 1) for qt in (-1, 2)]

@@ -431,6 +431,28 @@ def test_formulas_match_the_class_dispatch(F, G, mu, c):
     assert hamiltonian_vector(F, mu, c) == ref_hamiltonian_vector(F, mu, c)
 
 
+# Gaussian coefficients and M powers in every slot of the point
+_mass_gauss = st.builds(GaussRat, st.fractions(-3, 3, max_denominator=4),
+                        st.fractions(-3, 3, max_denominator=4))
+
+
+def _mass_coeffs(tpows, xpows):
+    keys = st.tuples(st.integers(*tpows), st.integers(*xpows), st.integers(-1, 2))
+    return st.dictionaries(keys, _mass_gauss, min_size=1, max_size=6).map(CoeffFn)
+
+
+_mass_points = st.builds(npoint, v=_mass_coeffs((-2, 1), (0, 0)),
+                         vm2=_mass_coeffs((-2, 1), (-3, 2)),
+                         v0=_mass_coeffs((-2, 1), (-3, 2)), a=_mass_coeffs((-2, 1), (0, 0)))
+
+
+@given(mixed_functionals(), _mass_points, _charges)
+@settings(max_examples=100, deadline=None)
+def test_field_residues_match_the_products_at_mass_points(F, mu, c):
+    # the v row reads res_x(V_-2 P_t + V_0 Q_t) from matching term pairs
+    assert hamiltonian_vector(F, mu, c) == ref_hamiltonian_vector(F, mu, c)
+
+
 def test_bracket_takes_each_derivative_once(monkeypatch):
     # four derivatives per functional; the class dispatch took twelve in all
     calls = []

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from svpsido.cocycles import CocycleId, eval_cocycle
 from svpsido.halfint import EXACT, HalfInt, hmax
+from svpsido import ring
 from svpsido import transforms as tr
 from svpsido.psido import (
     R,
@@ -474,6 +475,193 @@ def test_sym_sub_builds_no_negated_copy(A, B):
         got = sym_sub(A, B)
     assert got == want  # values and floor
     assert clean(got)
+
+
+# ---- the Leibniz kernel against the weight recurrence and the tail pre-scan --------------
+
+TAIL_MESSAGE = "exact product requested but the Leibniz tail does not terminate"
+
+
+def leibniz_by_recurrence(tables: dict, at: int, f_items, g_terms, low) -> bool:
+    """One left term against every right monomial, with the weight
+    binom(a, j) (q)_j updated in ints from one j to the next and each
+    term's order checked against the floor before it is added; terms end
+    at the first zero weight.  It loops for ever on a tail that does not
+    terminate when low is None."""
+    fs = [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in f_items]
+    cut = False
+    for bt, (p2, q, m2), v2 in g_terms:
+        order = at + bt
+        a2, b2, d2 = v2._a, v2._b, v2._d
+        j = 0
+        while True:
+            if low is not None and order < low:
+                cut = True
+                break
+            acc = tables.setdefault(order, {})
+            for p1, q1, m1, a1, b1, d1 in fs:
+                k = (p1 + p2, q1 + q, m1 + m2)
+                term = GaussRat(F(a1 * a2 - b1 * b2, d1 * d2), F(a1 * b2 + b1 * a2, d1 * d2))
+                total = acc.get(k, GaussRat(0)) + term
+                if total.is_zero():
+                    acc.pop(k, None)
+                else:
+                    acc[k] = total
+            j += 1
+            w = (at - 2 * j + 2) * q
+            if not w:
+                break
+            a2 *= w
+            b2 *= w
+            d2 *= 2 * j
+            g = gcd(a2, b2, d2)
+            a2, b2, d2 = a2 // g, b2 // g, d2 // g
+            q -= 1
+            order -= 2
+    return cut
+
+
+def tail_prescan_raises(A: Symbol, B: Symbol, products, req) -> bool:
+    """Whether composing the (left, right, sign) products of A and B must
+    raise: the result is asked exact, both operands are exact and neither
+    is zero, and some product has a left order that is no nonnegative
+    integer and a right coefficient with a negative x-power."""
+    if req is not None or A.floor is not EXACT or B.floor is not EXACT:
+        return False
+    if not A.terms or not B.terms:
+        return False
+    return any(
+        any(not (a.is_integer and a.twice >= 0) for a in left.terms)
+        and any((g.min_x_degree() or 0) < 0 for g in right.terms.values())
+        for left, right, _ in products
+    )
+
+
+def _tables_in_order(tables: dict) -> list:
+    return [(o, list(acc.items())) for o, acc in tables.items()]
+
+
+@pytest.mark.parametrize("at", range(-13, 14))
+def test_cached_weights_match_sympy(at):
+    a = sp.Rational(at, 2)
+    for q in range(-6, 7):
+        ws = ring._weights(at, q, 13)
+        for j in range(13):
+            num, den = ws[j]
+            assert den > 0 and gcd(num, den) == 1
+            assert sp.Rational(num, den) == sp.binomial(a, j) * sp.ff(q, j), (at, q, j)
+
+
+def _kernel_inputs(draw_terms):
+    """(f_terms, g_terms) for leibniz_into from the terms of two symbols."""
+    left, right = draw_terms
+    f_terms = [(a.twice, list(f.terms.items())) for a, f in left.items()]
+    g_terms = [(b.twice, k, v) for b, g in right.items() for k, v in g.terms.items()]
+    return f_terms, g_terms
+
+
+kernel_side = st.dictionaries(st.integers(-8, 8).map(HalfInt), coeffs.filter(lambda c: c.terms),
+                              min_size=1, max_size=3)
+kernel_terms = st.tuples(kernel_side, kernel_side)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_terms, kernel_terms, st.integers(-24, 8))
+def test_leibniz_into_matches_the_recurrence(first, second, low):
+    got, want = {}, {}
+    got_cut = want_cut = False
+    # two products into shared tables, the second negated as in a bracket
+    for terms, sign in ((first, 1), (second, -1)):
+        f_terms, g_terms = _kernel_inputs(terms)
+        f_terms = [(at, [(k, v * sign) for k, v in items]) for at, items in f_terms]
+        got_cut |= ring.leibniz_into(got, f_terms, g_terms, low)
+        for at, items in f_terms:
+            want_cut |= leibniz_by_recurrence(want, at, items, g_terms, low)
+    assert _tables_in_order(got) == _tables_in_order(want)
+    assert got_cut == want_cut
+
+
+def _pair_with_end(at: int, q: int):
+    """One left term x^0 d^(at/2) and one right monomial x^q d^0, and the
+    twice-order of the pair's last term (None when the tail never ends)."""
+    f_terms = [(at, [((0, 0, 0), GaussRat(1))])]
+    g_terms = [(0, (0, q, 0), GaussRat(F(1, 3), 2))]
+    ends = [n for n in (at // 2 + 1 if at >= 0 and at % 2 == 0 else None,
+                        q + 1 if q >= 0 else None) if n is not None]
+    last = at - 2 * (min(ends) - 1) if ends else None
+    return f_terms, g_terms, last
+
+
+@pytest.mark.parametrize("at", [4, 0, 3, -1, -4])
+@pytest.mark.parametrize("q", [2, 0, -1, -3])
+@pytest.mark.parametrize("where", ["at the last term", "one step below it", "above the first"])
+def test_leibniz_into_cuts_where_the_recurrence_cuts(at, q, where):
+    f_terms, g_terms, last = _pair_with_end(at, q)
+    if last is None:
+        # no natural end: put the floor 3 steps down instead
+        last = at - 6
+    # the tail ends exactly at the floor, its last term falls one step
+    # below it, or its first term already lies below it
+    low = {"at the last term": last, "one step below it": last + 2,
+           "above the first": at + 1}[where]
+    got, want = {}, {}
+    got_cut = ring.leibniz_into(got, f_terms, g_terms, low)
+    want_cut = leibniz_by_recurrence(want, *f_terms[0], g_terms, low)
+    assert _tables_in_order(got) == _tables_in_order(want)
+    assert got_cut == want_cut
+    if where != "at the last term":
+        assert got_cut
+    if where == "above the first":
+        assert not got
+
+
+@pytest.mark.parametrize("at", [4, 0, 3, -1])
+@pytest.mark.parametrize("q", [2, 0, -1])
+def test_leibniz_into_without_a_floor(at, q):
+    f_terms, g_terms, last = _pair_with_end(at, q)
+    if last is None:
+        with pytest.raises(ValueError) as exc:
+            ring.leibniz_into({}, f_terms, g_terms, None)
+        assert str(exc.value) == TAIL_MESSAGE
+        return
+    got, want = {}, {}
+    assert not ring.leibniz_into(got, f_terms, g_terms, None)
+    assert not leibniz_by_recurrence(want, *f_terms[0], g_terms, None)
+    assert _tables_in_order(got) == _tables_in_order(want)
+    assert min(got) == last
+
+
+def _check_tail_error(compose, A, B, products, req):
+    if tail_prescan_raises(A, B, products, req):
+        with pytest.raises(ValueError) as exc:
+            compose(A, B, req)
+        assert str(exc.value) == TAIL_MESSAGE
+    else:
+        compose(A, B, req)
+
+
+@settings(max_examples=80, deadline=None)
+@given(momentum_symbols, momentum_symbols, st.one_of(st.none(), floors))
+@example(*_TAIL_ONE_WAY, None)
+@example(*reversed(_TAIL_ONE_WAY), None)
+@example(  # the only non-terminating pair is the second left term's
+    Symbol(XI, {HalfInt(2): CoeffFn.one(), HalfInt(-1): CoeffFn.one()}),
+    Symbol(XI, {HalfInt(0): CoeffFn.x_pow(3) + CoeffFn.x_pow(-2)}),
+    None,
+)
+def test_tail_errors_match_the_pre_scan(A, B, req):
+    _check_tail_error(sym_mul, A, B, ((A, B, 1),), req)
+    # in a bracket the only non-terminating pair may lie in the second product
+    _check_tail_error(sym_bracket, A, B, ((A, B, 1), (B, A, -1)), req)
+
+
+def test_a_bracket_raises_on_its_second_product():
+    A, B = _TAIL_ONE_WAY
+    assert not tail_prescan_raises(A, B, ((A, B, 1),), None)
+    assert tail_prescan_raises(A, B, ((B, A, -1),), None)
+    with pytest.raises(ValueError) as exc:
+        sym_bracket(A, B)
+    assert str(exc.value) == TAIL_MESSAGE
 
 
 # ---- the central cocycles against sympy's derivative, product and residue ----------------
