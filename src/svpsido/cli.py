@@ -32,8 +32,19 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+# a Gaussian rational with an imaginary part: i, -3/4*i, 2-i, 1/2+3/4*i
+_GAUSS = re.compile(r"(?P<re>[-+]?\d+(?:/\d+)?(?=[-+]))?(?P<sign>[-+]?)(?:(?P<im>\d+(?:/\d+)?)\*?)?i")
+
+
 def _gauss(text: str) -> GaussRat:
-    return GaussRat(_rational(text))
+    m = _GAUSS.fullmatch(text.strip())
+    if m is None:
+        return GaussRat(_rational(text))
+    try:
+        im = Fraction(m["im"] or 1)
+        return GaussRat(Fraction(m["re"] or 0), -im if m["sign"] == "-" else im)
+    except ZeroDivisionError as exc:
+        raise argparse.ArgumentTypeError(f"not a Gaussian rational: {text!r}") from exc
 
 
 def _floor(text: str):
@@ -47,8 +58,9 @@ def _floor(text: str):
 
 
 # argparse only recognizes integer/decimal negatives as values; teach it
-# the fractional ones so "--floor -7/2" works without the = form
-_NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?$")
+# the fractional and Gaussian ones so "--floor -7/2" and "--nu -1-i" work
+# without the = form
+_NEGATIVE_VALUE = re.compile(r"^-[\di][\d/*+i-]*$")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--range", dest="index_range", type=int, default=3,
                         help="index bound for the monomial boxes, default 3")
     verify.add_argument("--c", type=_gauss, default=None, help="central charge, default 2")
-    verify.add_argument("--nu", type=_gauss, default=None, help="transform deformation, default 0")
+    verify.add_argument("--nu", type=_gauss, default=None,
+                        help="transform deformation, a Gaussian rational like 1/2 or 2-i, default 0")
     verify.add_argument("--mu", type=_rational, default=None,
                         help="extra module weight for the representation suites")
     verify.add_argument("--normalize-mass", action="store_true",

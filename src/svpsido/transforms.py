@@ -9,9 +9,11 @@ Conventions fixed here once:
 * A mixed monomial is kept normal-ordered with all momentum powers to the
   left of derivative powers; the transform maps xi^k and d_xi^kappa
   separately and composes in that fixed order.
-* The deformed generator image is xi -> 1/2 r d_r^-1 + nu d_r^-2.  At
-  nu = 0 every monomial image is a finite composition, hence exact; the
-  deformed inverse-power images are genuine series and demand a floor.
+* The deformed generator image is xi -> 1/2 r d_r^-1 + nu d_r^-2 with
+  d_xi -> d_r^2, that is, theta_0 after conjugation by d_xi^nu:
+  xi^q d^k -> sum_j binom(nu, j) (q)_j xi^(q-j) d^(k-j).  Undeformed images
+  are finite compositions, hence exact; deformed inverse-power images are
+  series and demand a floor.
 * The loop shift substitutes xi -> xi + (i/2M) t.  On inverse powers it
   produces the ascending series in xi cut at x-degree `depth` inclusive;
   downstream floors account for the cut via the order-doubling rule
@@ -29,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .halfint import EXACT, HalfInt, h, hmax
-from .psido import R, XI, Symbol, binom_half, sym_add, sym_mul, sym_scale, symbol_from_tables
+from .psido import R, XI, Symbol, binom_half, sym_mul, symbol_from_tables
 from .ring import CoeffFn, GR_ZERO, GaussRat, I_M, M, MINUS_2I_M, coeff_from_table, mul_into
 from .svalgebra import SvElement
 
@@ -59,21 +61,14 @@ def default_depth(req_floor) -> int:
 
 # ---------------------------------------------------------------- image cache
 
-# Bounds on what an image cache builds.  The image of a power is one
-# composition away from its neighbour's, each composition grows with the
-# power, and a negative power asks its neighbour for a deeper floor, so
-# the cost climbs steeply with both.  The default suites stay above -10.
+# Bounds on the images that theta and theta_inv are asked for.  The image
+# of a power is one composition away from its neighbour's, each
+# composition grows with the power, and a floored power asks its
+# neighbour for a deeper floor, so the cost climbs steeply with both.  A
+# deformed image of xi^q at floor f sums undeformed images down to power
+# 2q + f, past the power bound.  The default suites stay above -10.
 MAX_IMAGE_POWER = 64
 DEEPEST_IMAGE_FLOOR = h(-48)
-
-
-def _check_power(k: int) -> None:
-    if abs(k) > MAX_IMAGE_POWER:
-        raise ValueError(f"generator powers are bounded by {MAX_IMAGE_POWER} in absolute value")
-
-
-def _covers(floor, want) -> bool:
-    return floor is EXACT or (want is not EXACT and floor <= want)
 
 
 def _fill(memo: dict, k: int, want, deepen, build) -> Symbol:
@@ -91,7 +86,7 @@ def _fill(memo: dict, k: int, want, deepen, build) -> Symbol:
     sym = None
     while True:
         entry = memo.get(k)
-        if entry is not None and _covers(entry[0], want):
+        if entry is not None and (entry[0] is EXACT or (want is not EXACT and entry[0] <= want)):
             sym = entry[1]
             break
         if want is not EXACT and want < DEEPEST_IMAGE_FLOOR:
@@ -112,87 +107,54 @@ def _fill(memo: dict, k: int, want, deepen, build) -> Symbol:
 
 
 class ThetaImageCache:
-    """Memoized images of xi^k (k in Z) under one fixed deformation.
+    """Memoized images of xi^k (k in Z) under the undeformed transform.
 
-    Entries keep the deepest floor computed so far; a shallower request is
-    served from the stored symbol directly (extra low-order terms are
-    sound, the floor annotation guarantees more than asked).  At nu = 0
-    every entry is exact, whatever floor was asked.
-    """
+    Every entry is a finite composition, hence exact whatever floor was
+    asked; deformed images are sums of entries (_conjugated_image)."""
 
-    def __init__(self, nu: GaussRat = GR_ZERO):
-        self.nu = nu
+    def __init__(self):
         self._memo: dict = {}
-        self._pos_base = Symbol(
-            R,
-            {
-                h(-1): CoeffFn.x_pow(1, Fraction(1, 2)),
-                h(-2): CoeffFn.const(nu),
-            },
-        )
-
-    def _neg_base(self, req_floor):
-        """Image of xi^-1: 2 d_r o (sum over the deformation tail) o r^-1."""
-        if self.nu.is_zero():
-            d = Symbol.monomial(R, h(1), CoeffFn.const(2))
-            return sym_mul(d, Symbol.function(R, CoeffFn.x_pow(-1)))
-        if req_floor is EXACT:
-            raise ValueError("deformed inverse image is a series; give a floor")
-        rinv_dinv = sym_mul(
-            Symbol.function(R, CoeffFn.x_pow(-1)),
-            Symbol.monomial(R, h(-1), CoeffFn.one()),
-            req_floor - 1,
-        )
-        total = Symbol.function(R, CoeffFn.one())
-        power = total
-        factor = GaussRat(-2) * self.nu
-        k = 1
-        while True:
-            power = sym_mul(power, rinv_dinv, req_floor - 1)
-            scaled = sym_scale(power, factor ** k)
-            if scaled.is_zero() or (
-                scaled.top() is not None and scaled.top() < req_floor - 1
-            ):
-                break
-            total = sym_add(total, scaled)
-            k += 1
-        d = Symbol.monomial(R, h(1), CoeffFn.const(2))
-        return sym_mul(d, sym_mul(total, Symbol.function(R, CoeffFn.x_pow(-1)), req_floor - 1), req_floor)
+        self._pos_base = Symbol(R, {h(-1): CoeffFn.x_pow(1, Fraction(1, 2))})
+        # xi^-1 -> 2 d_r o r^-1 = 2 r^-1 d_r - 2 r^-2
+        self._neg_base = Symbol(R, {h(1): CoeffFn.x_pow(-1, 2), h(0): CoeffFn.x_pow(-2, -2)})
 
     def image(self, k: int, req_floor=EXACT) -> Symbol:
-        """Image of xi^k, trusted at least down to req_floor."""
-        _check_power(k)
-        want = h(req_floor) if req_floor is not EXACT else EXACT
-        if self.nu.is_zero():
-            # every undeformed image is a finite composition: build it exact,
-            # so that no answer depends on what earlier calls warmed
-            want = EXACT
-        elif k < 0 and want is EXACT:
-            raise ValueError("deformed inverse image is a series; give a floor")
-        # a negative power deepens its neighbour's request by one, so that
-        # left-composition with the order-(+1) inverse base cannot expose
-        # untrusted orders
-        return _fill(self._memo, k, want, 1, self._build)
+        """Image of xi^k, exact at any req_floor, so no request deepens."""
+        return _fill(self._memo, k, EXACT, 0, self._build)
 
     def _build(self, k: int, want, prev: Symbol) -> Symbol:
         if k == 0:
             return Symbol.function(R, CoeffFn.one())
-        if k > 0:
-            return sym_mul(prev, self._pos_base)
-        # the base's missing tail meets the highest order prev may carry
-        hi = prev.top() if prev.terms else prev.floor
-        base = self._neg_base(want if want is EXACT else want - hi)
-        return sym_mul(prev, base, want)
+        return sym_mul(prev, self._pos_base if k > 0 else self._neg_base)
 
 
-_forward_caches: dict = {}
+_theta_images = ThetaImageCache()
 
 
-def _forward_cache(nu: GaussRat) -> ThetaImageCache:
-    cache = _forward_caches.get(nu)
-    if cache is None:
-        cache = _forward_caches[nu] = ThetaImageCache(nu)
-    return cache
+def _conjugation_weights(nu, q: int):
+    """binom(nu, j) (q)_j for j = 0, 1, ..., in whatever field holds nu."""
+    w, j = nu ** 0, 0
+    while True:
+        yield w
+        w = w * (nu - j) * (q - j) / (j + 1)
+        j += 1
+
+
+def _conjugated_image(nu: GaussRat, q: int, want) -> Symbol:
+    """Image of xi^q under theta_nu: the sum over j of binom(nu, j) (q)_j
+    theta_0(xi^(q-j)) d_r^(-2j), whose term j tops out at order -q - j.
+    It ends at j = q for q >= 0, exact; for q < 0 it stops at the last term
+    that reaches want and is floored there, even where binom(nu, j) ends."""
+    if q < 0 and want is EXACT:
+        raise ValueError("deformed inverse image is a series; give a floor")
+    if q < 0 and want < DEEPEST_IMAGE_FLOOR:
+        raise ValueError(f"generator images are built down to order {DEEPEST_IMAGE_FLOOR} at most")
+    tables: dict = {}
+    for j, w in enumerate(_conjugation_weights(nu, q)):
+        if w.is_zero() or (q < 0 and want > -q - j):
+            return symbol_from_tables(R, tables, EXACT if q >= 0 else want)
+        for o, f in _theta_images.image(q - j).terms.items():
+            mul_into(tables.setdefault(o.twice - 4 * j, {}), f.terms.items(), (((0, 0, 0), w),))
 
 
 # ---------------------------------------------------------------- forward map
@@ -231,6 +193,8 @@ def _map_monomials(D: Symbol, req, var: str, delta_of, image) -> Symbol:
         # the shift moves the image's floor by delta, so ask delta deeper
         want = req if req is EXACT else req - delta
         for q, x_slice in _x_slices(c).items():
+            if abs(q) > MAX_IMAGE_POWER:
+                raise ValueError(f"generator powers are bounded by {MAX_IMAGE_POWER} in absolute value")
             img = image(q, want)
             if img.floor is not EXACT:
                 floor = hmax(floor, img.floor + delta)
@@ -254,8 +218,9 @@ def theta(D: Symbol, req_floor=None, nu: GaussRat = GR_ZERO) -> Symbol:
     if D.floor is not EXACT:
         raise ValueError("theta needs an exact input; truncated tails are unsound here")
     req = h(req_floor) if req_floor is not None else EXACT
+    images = _theta_images.image if nu.is_zero() else lambda q, want: _conjugated_image(nu, q, want)
     # order doubling, which lands on the integer grid
-    return _map_monomials(D, req, R, lambda kappa: kappa + kappa, _forward_cache(nu).image)
+    return _map_monomials(D, req, R, lambda kappa: kappa + kappa, images)
 
 
 # ---------------------------------------------------------------- inverse map
@@ -266,7 +231,6 @@ _HALF = h("1/2")
 
 def _inv_image(n: int, want) -> Symbol:
     """Image of r^n under the inverse map, trusted down to want."""
-    _check_power(n)
     if n < 0 and want is EXACT:
         raise ValueError("inverse image of r^-1 is a series; give a floor")
     return _fill(_inv_memo, n, want, _HALF, _inv_build)

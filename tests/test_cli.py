@@ -12,11 +12,13 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import svpsido
-from svpsido.cli import main
+from svpsido.cli import _build_parser, main
+from svpsido.ring import GaussRat
 
 
 def run_cli(argv, capsys):
@@ -275,6 +277,27 @@ class TestVerify:
         assert "nu -> mu" in out
         for row in ("-1 -> -1", "-1/2 -> -1/2", "0 -> 0", "1/2 -> 1/2", "1 -> 1"):
             assert row in out
+
+    def test_a_gaussian_deformation_reaches_the_scan(self, capsys):
+        argv = ["verify", "--suite", "theta", "--suite", "nu-scan", "--range", "1", "--nu", "2-i"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert "(2 - i) -> " in out
+
+    @pytest.mark.parametrize("text, value", [
+        ("i", (0, 1)), ("-3/4*i", (0, Fraction(-3, 4))), ("2-i", (2, -1)),
+        ("1/2+3/4*i", (Fraction(1, 2), Fraction(3, 4))), ("-1/3", (Fraction(-1, 3), 0)),
+        ("-i", (0, -1)), ("-1-i", (-1, -1)),
+    ])
+    def test_deformations_parse_as_gaussian_rationals(self, text, value):
+        args = _build_parser().parse_args(["verify", "--nu", text])
+        assert args.nu == GaussRat(*value)
+
+    @pytest.mark.parametrize("text", ["2+3", "*i", "1/0*i", "i2"])
+    def test_malformed_deformations_exit_2(self, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "theta", f"--nu={text}"])
+        assert exc.value.code == 2
 
     def test_dual_weight_widens_the_representation_suites(self, capsys):
         argv = ["verify", "--suite", "dpi-rep", "--suite", "dsigma-rep", "--report", "json"]

@@ -4,7 +4,9 @@ sympy evaluates every ring operation on expressions in which the
 imaginary unit I and the mass M stay symbolic, and the Leibniz sum of a
 symbol product with its own generalized binomials and derivatives.  The
 transform's monomial map is checked against the sum of its shifted and
-scaled generator images, built one Symbol per monomial; the loop shift
+scaled generator images, built one Symbol per monomial, with deformed
+images built as the series of the deformed generator image, composed
+power by power, rather than by conjugation; the loop shift
 and theta_t against their term-by-term forms, one CoeffFn sum per series
 term and one theta call per momentum order.  The six central cocycles
 are checked against sympy's derivative, product and x^-1 coefficient.  A
@@ -12,6 +14,7 @@ Gaussian rational kept as a pair of Fractions, the textbook
 representation, checks GaussRat component by component.
 """
 
+import functools
 from fractions import Fraction as F
 from math import gcd
 
@@ -742,19 +745,94 @@ def symbols_of(var, orders, xpows):
 transform_floors = st.sampled_from([HalfInt(-4), HalfInt(-7)])
 
 
-@settings(max_examples=40, deadline=None)
+# ---- the deformed images as a series, built power by power ---------------------------------
+
+
+def series_neg_base(nu: GaussRat, req) -> Symbol:
+    """Image of xi^-1 under xi -> 1/2 r d_r^-1 + nu d_r^-2: the inverse
+    2 d_r o (sum over k of (-2 nu r^-1 d_r^-1)^k) o r^-1, its tail summed
+    until a term tops out below req - 1, then cut at req."""
+    d = Symbol.monomial(R, HalfInt.of(1), CoeffFn.const(2))
+    r_inv = Symbol.function(R, CoeffFn.x_pow(-1))
+    if nu.is_zero():
+        return sym_mul(d, r_inv)
+    if req is EXACT:
+        raise ValueError("deformed inverse image is a series; give a floor")
+    rinv_dinv = sym_mul(r_inv, Symbol.monomial(R, HalfInt.of(-1), CoeffFn.one()), req - 1)
+    total = power = Symbol.function(R, CoeffFn.one())
+    k = 1
+    while True:
+        power = sym_mul(power, rinv_dinv, req - 1)
+        scaled = sym_scale(power, (GaussRat(-2) * nu) ** k)
+        if scaled.is_zero() or (scaled.top() is not None and scaled.top() < req - 1):
+            break
+        total = sym_add(total, scaled)
+        k += 1
+    return sym_mul(d, sym_mul(total, r_inv, req - 1), req)
+
+
+@functools.cache
+def series_image(nu: GaussRat, k: int, want) -> Symbol:
+    """Image of xi^k, trusted down to want, composed one generator image
+    at a time from xi^0: a positive power exactly, a negative one with
+    series_neg_base, asking its neighbour one order deeper so that the
+    order-(+1) base exposes no untrusted order.  At nu = 0 every image is
+    built exact."""
+    if nu.is_zero():
+        want = EXACT
+    if k == 0:
+        return Symbol.function(R, CoeffFn.one())
+    if k > 0:
+        base = Symbol(R, {HalfInt.of(-1): CoeffFn.x_pow(1, F(1, 2)), HalfInt.of(-2): CoeffFn.const(nu)})
+        return sym_mul(series_image(nu, k - 1, EXACT), base)
+    prev = series_image(nu, k + 1, want if want is EXACT or k == -1 else want - 1)
+    # the base's missing tail meets the highest order prev may carry
+    hi = prev.top() if prev.terms else prev.floor
+    return sym_mul(prev, series_neg_base(nu, want if want is EXACT else want - hi), want)
+
+
+deformations = [GaussRat(F(1, 2)), GaussRat(F(-1, 3)), GaussRat(0, 1), GaussRat(2, -1),
+                GaussRat(1), GaussRat(-1)]
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     symbols_of(XI, st.integers(-3, 3).map(HalfInt), (-2, 2)),
-    st.sampled_from([GaussRat(0), GaussRat(F(1, 2))]),
+    st.sampled_from([GaussRat(0)] + deformations),
     transform_floors,
 )
+@example(Symbol(XI, {HalfInt(1): CoeffFn.x_pow(-2)}), GaussRat(1), HalfInt(-4))
+# sums undeformed images down to xi^-67, past the bound on requested powers
+@example(Symbol(XI, {HalfInt(0): CoeffFn.x_pow(-30)}), GaussRat(F(1, 2)), HalfInt(-7))
 def test_theta_matches_the_sum_of_scaled_images(D, nu, req):
     # an undeformed image is exact, so nu = 0 is also checked without a floor
     for floor in ([req, EXACT] if nu.is_zero() else [req]):
         got = tr.theta(D, floor, nu=nu)
-        want = summed_images(D, floor, R, lambda k: k + k, tr._forward_cache(nu).image)
-        assert got == want
+        want = summed_images(D, floor, R, lambda k: k + k, lambda q, w: series_image(nu, q, w))
+        assert got == want  # floors included
         assert clean(got)
+    # a deformed negative power is a series even where binom(nu, j) ends
+    if not nu.is_zero() and any(key[1] < 0 for c in D.terms.values() for key in c.terms):
+        assert got.floor == req
+
+
+def test_conjugation_weights_match_sympy():
+    nu = sp.Symbol("nu")
+    for q in range(-4, 5):
+        weights = tr._conjugation_weights(nu, q)
+        for j in range(9):
+            assert same(next(weights), sp.expand_func(sp.binomial(nu, j)) * sp.ff(q, j)), (q, j)
+
+
+def test_conjugating_by_the_inverse_power_fails_the_series_reference(monkeypatch):
+    # the control for the comparison above: conjugation by d_xi^-nu
+    image = tr._conjugated_image
+    monkeypatch.setattr(tr, "_conjugated_image", lambda nu, q, want: image(-nu, q, want))
+    D = Symbol(XI, {HalfInt(1): CoeffFn.x_pow(-2), HalfInt(0): CoeffFn.x_pow(2)})
+    req = HalfInt(-4)
+    for nu in deformations:
+        want = summed_images(D, req, R, lambda k: k + k, lambda q, w: series_image(nu, q, w))
+        assert tr.theta(D, req, nu=nu) != want, nu
 
 
 @settings(max_examples=40, deadline=None)

@@ -406,7 +406,7 @@ class TestSharedTables:
             # an order of lhs below the compared window would go unchecked
             assert floor is EXACT or all(k >= floor for k in lhs.terms), (str(lhs), str(rhs))
 
-    def test_theta_images_come_from_the_per_nu_registry(self, monkeypatch):
+    def test_theta_images_come_from_the_one_forward_cache(self, monkeypatch):
         built = []
         init = transforms.ThetaImageCache.__init__
 
@@ -415,11 +415,14 @@ class TestSharedTables:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(transforms.ThetaImageCache, "__init__", counted)
-        monkeypatch.setattr(transforms, "_forward_caches", {})
-        cfg = VerifyConfig(index_range=1, threads=1)
-        rep = _run_cases("theta", _SUITE_BUILDERS["theta"](cfg), cfg)
-        assert rep.cases > 0 and rep.ok
-        assert len(built) == 1 and built[0] is transforms._forward_caches[GaussRat(0)]
+        monkeypatch.setattr(transforms, "_theta_images", transforms.ThetaImageCache())
+        cache = transforms._theta_images
+        # the deformed images too are sums of the one cache's entries
+        for nu in (GaussRat(0), GaussRat(Fraction(1, 2))):
+            cfg = VerifyConfig(index_range=1, threads=1, nu=nu)
+            rep = _run_cases("theta", _SUITE_BUILDERS["theta"](cfg), cfg)
+            assert rep.cases > 0 and rep.ok
+        assert built == [cache] and cache._memo
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_raising_entry_fails_every_case_that_reads_it(self, monkeypatch, threads):

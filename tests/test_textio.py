@@ -82,7 +82,7 @@ class TestEvalExpr:
         # a deeper request refills the inverse-image cache on top of
         # shallow entries; no wrong term may enter the trusted window
         monkeypatch.setattr(transforms, "_inv_memo", {})
-        monkeypatch.setattr(transforms, "_forward_caches", {})
+        monkeypatch.setattr(transforms, "_theta_images", transforms.ThetaImageCache())
         src = "theta_inv(theta(1/2*xi^-3))"
         for floor in ("-1", "-3/2", "-2", "-5/2", "-3"):
             eval_expr(src, floor=h(floor))

@@ -203,7 +203,7 @@ class TestRequestedFloor:
     @staticmethod
     def _fresh_caches(monkeypatch):
         monkeypatch.setattr(tr, "_inv_memo", {})
-        monkeypatch.setattr(tr, "_forward_caches", {})
+        monkeypatch.setattr(tr, "_theta_images", tr.ThetaImageCache())
 
     @pytest.mark.parametrize(
         "compute, req",
@@ -276,7 +276,7 @@ class TestUndeformedImagesIgnoreTheCache:
 
 class TestImageBounds:
     def test_largest_power_is_built_without_recursion(self, monkeypatch):
-        monkeypatch.setattr(tr, "_forward_caches", {})
+        monkeypatch.setattr(tr, "_theta_images", tr.ThetaImageCache())
         img = tr.theta(xi_mono(tr.MAX_IMAGE_POWER))
         assert img.floor is EXACT
         assert img.top() == h(-tr.MAX_IMAGE_POWER)
@@ -294,6 +294,19 @@ class TestImageBounds:
         floor = tr.DEEPEST_IMAGE_FLOOR + 1
         with pytest.raises(ValueError, match="built down to"):
             tr.theta_inv(Symbol(R, {h(0): CoeffFn.x_pow(-4)}), floor)
+
+    @pytest.mark.parametrize("nu", [GaussRat(Fraction(1, 2)), GaussRat(2, -1), GaussRat(1)])
+    def test_deformed_inverse_images_need_a_floor_above_the_bound(self, nu):
+        # xi^-1 at order 0 asks its image down to the floor itself
+        with pytest.raises(ValueError, match="built down to order -48 at most"):
+            tr.theta(xi_mono(-1), tr.DEEPEST_IMAGE_FLOOR - 2, nu=nu)
+        with pytest.raises(ValueError, match="deformed inverse image is a series; give a floor"):
+            tr.theta(xi_mono(-1), nu=nu)
+        # the deepest floor itself is served, also where the sum reaches
+        # undeformed powers past the bound, and a nonnegative power needs no floor
+        assert tr.theta(xi_mono(-1), tr.DEEPEST_IMAGE_FLOOR, nu=nu).floor == tr.DEEPEST_IMAGE_FLOOR
+        assert tr.theta(xi_mono(-20), tr.DEEPEST_IMAGE_FLOOR + 20, nu=nu).floor == h(-28)
+        assert tr.theta(xi_mono(2), nu=nu).floor is EXACT
 
 
 class TestLoopShift:
@@ -526,10 +539,11 @@ def test_euler_intertwining():
                 assert eq_trusted(left, sym_scale(right, Fraction(1, 2)))
 
 
-def test_image_cache_serves_deeper_floors():
-    cache = tr.ThetaImageCache(GaussRat(Fraction(1, 2)))
-    deep = cache.image(-1, h(-7))
-    shallow = cache.image(-1, h(-3))
+def test_image_cache_serves_deeper_floors(monkeypatch):
+    # the inverse memo is the one cache that stores floored entries
+    monkeypatch.setattr(tr, "_inv_memo", {})
+    deep = tr._inv_image(-1, h(-7))
+    shallow = tr._inv_image(-1, h(-3))
     # the second request reuses the deeper fill
     assert shallow is deep
     assert shallow.floor == h(-7)
