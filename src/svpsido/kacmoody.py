@@ -25,6 +25,13 @@ read.  A family records that bound over its points as its floor: W needs
 computing no deeper, and a W truncated at or above it leaves every trace
 determined.
 
+Every output slot of the bracket and of the coadjoint action is one
+(t, x, M) table that each of its terms is added into with ring.mul_into,
+signs and constants folded into a factor, and that is wrapped once.  The
+bracket's W starts from the per-order tables of the symbol bracket
+(psido.compose_tables), and its transport terms join those tables before
+the one wrap; its central term is read by cocycles.eval_cocycle.
+
 The invariant slice kept by the coadjoint action consists of points with
 V = V_-2(t,r) d^-2 + V_0(t): free-evolution multiples plus a potential,
 with the d^0 part spatially constant.
@@ -48,21 +55,28 @@ from fractions import Fraction
 from math import prod
 
 from .cocycles import CocycleId, eval_cocycle
-from .halfint import EXACT, h
+from .halfint import EXACT, h, hmax
 from .psido import (
     R,
     XI,
     Symbol,
     binom_half,
     cap_order,
-    raise_floor,
+    compose_tables,
     sym_add,
-    sym_bracket,
-    sym_scale,
     sym_sub,
-    time_deriv,
+    symbol_from_tables,
 )
-from .ring import CoeffFn, GaussRat, I_HALF_OVER_M, M, MINUS_2I_M, TWO_I_M
+from .ring import (
+    CoeffFn,
+    GaussRat,
+    I_HALF_OVER_M,
+    M,
+    MINUS_2I_M,
+    TWO_I_M,
+    coeff_from_table,
+    mul_into,
+)
 from .svalgebra import SvElement, sv_bracket
 from .textio import coeff_str, symbol_str
 from . import transforms
@@ -119,6 +133,16 @@ class GElement:
     def __setattr__(self, *_):
         raise AttributeError("GElement is immutable")
 
+    @classmethod
+    def _raw(cls, w: CoeffFn, W: Symbol, alpha: CoeffFn) -> "GElement":
+        """Wrap parts that already pass the checks of __init__: t-only
+        loops and a space symbol of order at most 1."""
+        out = object.__new__(cls)
+        _set_w(out, w)
+        _set_W(out, W)
+        _set_alpha(out, alpha)
+        return out
+
     def is_zero(self) -> bool:
         return self.w.is_zero() and self.W.is_zero() and self.alpha.is_zero()
 
@@ -137,6 +161,12 @@ class GElement:
 
     def sub(self, other: "GElement") -> "GElement":
         return GElement(self.w - other.w, sym_sub(self.W, other.W), self.alpha - other.alpha)
+
+
+# The slots' own setters, as for Symbol: they skip the guard in __setattr__.
+_set_w = GElement.__dict__["w"].__set__
+_set_W = GElement.__dict__["W"].__set__
+_set_alpha = GElement.__dict__["alpha"].__set__
 
 
 class GDual:
@@ -189,23 +219,64 @@ def in_invariant_slice(mu: GDual) -> bool:
 
 
 def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
-    """Bracket of the extended algebra at central charge c."""
-    floor = h(req_floor)
-    w = A.w * B.w.deriv("T") - A.w.deriv("T") * B.w
-    W = sym_bracket(A.W, B.W, floor)
-    # a term scaled by a zero loop is a zero that keeps its floor
-    if not A.w.is_zero():
-        W = sym_add(W, sym_scale(time_deriv(B.W), A.w))
-    elif B.W.floor is not EXACT:
-        W = raise_floor(W, B.W.floor)
-    if not B.w.is_zero():
-        W = sym_sub(W, sym_scale(time_deriv(A.W), B.w))
-    elif A.W.floor is not EXACT:
-        W = raise_floor(W, A.W.floor)
-    alpha = A.w * B.alpha.deriv("T") - B.w * A.alpha.deriv("T")
-    central = eval_cocycle(CocycleId.C3, A.W, B.W)
-    alpha = alpha + central * c
-    return GElement(w, W, alpha)
+    """Bracket of the extended algebra at central charge c:
+
+        w     = A.w B.w' - A.w' B.w,
+        W     = [A.W, B.W] + A.w d_t B.W - B.w d_t A.W,
+        alpha = A.w B.alpha' - B.w A.alpha' + c * c3(A.W, B.W),
+
+    primes and d_t being t-derivatives.  Each slot is summed in one table
+    and wrapped once.  W starts from the per-order tables of the symbol
+    bracket (psido.compose_tables) and takes the transport terms into the
+    same tables with ring.mul_into; they are never cut, but orders below
+    the result floor are dropped.  That floor is the bracket's (EXACT only
+    when nothing was cut) raised to the floor of each operand's W: a term
+    scaled by a zero loop is a zero that keeps its floor.  The parts are
+    t-only and W has order at most 1 by construction, so the result skips
+    the checks of GElement.
+    """
+    AW, BW = A.W, B.W
+    tables, floor = compose_tables(AW, BW, ((AW, BW, 1), (BW, AW, -1)), h(req_floor))
+    floor = hmax(hmax(floor, AW.floor), BW.floor)
+    w: dict = {}
+    alpha: dict = {}
+    if A.w.terms or B.w.terms:
+        low = None if floor is EXACT else floor.twice
+        aw, bw = A.w.terms.items(), B.w.terms.items()
+        minus_bw = (-B.w).terms.items()
+        for loop, other in ((aw, BW), (minus_bw, AW)):
+            if loop:
+                _transport_into(tables, loop, other, low)
+        if aw and bw:
+            mul_into(w, aw, B.w.deriv("T").terms.items())
+            mul_into(w, (-A.w.deriv("T")).terms.items(), bw)
+        if aw:
+            mul_into(alpha, aw, B.alpha.deriv("T").terms.items())
+        if minus_bw:
+            mul_into(alpha, minus_bw, A.alpha.deriv("T").terms.items())
+    central = eval_cocycle(CocycleId.C3, AW, BW)
+    if central.terms:
+        mul_into(alpha, central.terms.items(), _as_scalar(c).terms.items())
+    return GElement._raw(
+        coeff_from_table(w), symbol_from_tables(R, tables, floor), coeff_from_table(alpha)
+    )
+
+
+def _transport_into(tables: dict, loop, W: Symbol, low) -> None:
+    """Add loop * d_t W into the per-order tables, skipping orders below
+    low (twice the floor, None for none); loop is a loop's term items."""
+    for b, g in W.terms.items():
+        order = b.twice
+        if low is None or order >= low:
+            acc = tables.get(order)
+            if acc is None:
+                acc = tables[order] = {}
+            mul_into(acc, loop, g.deriv("T").terms.items())
+
+
+def _as_scalar(c) -> CoeffFn:
+    """A central charge as a CoeffFn, from a constant or a CoeffFn."""
+    return c if isinstance(c, CoeffFn) else CoeffFn.const(c)
 
 
 class DualFamily:
@@ -373,9 +444,18 @@ def embed_I(X: SvElement, req_floor, nu=None) -> GElement:
 # ----------------------------------------------------------------- coadjoint
 
 _I_M_QUARTER = GaussRat(0, Fraction(1, 4)) * M
-_M2_QUARTER = Fraction(1, 4) * M ** 2
+_M2_R2_QUARTER = CoeffFn.x_pow(2) * (Fraction(1, 4) * M ** 2)
 _M2 = M ** 2
+_M2_R = CoeffFn.x_pow(1) * _M2
 _HALF = CoeffFn.const(Fraction(1, 2))
+_MINUS_HALF = CoeffFn.const(Fraction(-1, 2))
+_MINUS_HALF_R = CoeffFn.x_pow(1) * _MINUS_HALF
+_ZERO_ORDER = h(0)
+
+
+def _add(row: dict, f: CoeffFn, g: CoeffFn) -> None:
+    """Add f*g into the row table."""
+    mul_into(row, f.terms.items(), g.terms.items())
 
 
 def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
@@ -384,53 +464,65 @@ def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
     Each generator family contributes its displayed rows; the central
     charge c scales every a-sourced term.  The output stays in the slice,
     which the caller can recheck via in_invariant_slice.
+
+    Each output row (v, V_-2, V_0, a) is one table that every product
+    adds into, with its sign and constant folded into the loop factor of
+    X; the a-sourced terms of the V_-2 row are summed into one loop
+    factor first, so a meets them in one product.
     """
     if not in_invariant_slice(mu):
         raise ValueError("coadjoint is defined on the invariant slice only")
+    c = _as_scalar(c)
     v, a = mu.v, mu.a
     vm2 = mu.V.coeff(_MINUS_TWO)
-    v0 = mu.V.coeff(h(0))
-    r1 = CoeffFn.x_pow(1)
-    r2 = CoeffFn.x_pow(2)
-
-    out_v = CoeffFn.zero()
-    out_vm2 = CoeffFn.zero()
-    out_v0 = CoeffFn.zero()
-    out_a = CoeffFn.zero()
+    v0 = mu.V.coeff(_ZERO_ORDER)
+    vm2_x = vm2.deriv("X")
+    row_v: dict = {}
+    row_vm2: dict = {}
+    row_v0: dict = {}
+    row_a: dict = {}
+    a_vm2 = CoeffFn.zero()  # the a-sourced terms of the V_-2 row, over c
 
     f = X.f
     if not f.is_zero():
         fd = f.deriv("T")
         fdd = fd.deriv("T")
         fddd = fdd.deriv("T")
+        minus_f = -f
+        minus_fd = -fd
+        two_fd = fd * -2
         # res_x(r V_-2) is the r^-2 slice of V_-2
-        out_v = out_v - fdd * vm2.x_slice(-2) * _HALF - (f * v.deriv("T") + fd * v * 2)
-        out_vm2 = (
-            out_vm2
-            - f * vm2.deriv("T")
-            - fd * (r1 * vm2.deriv("X") + vm2 * 4) * _HALF
-            + a * (fdd * _I_M_QUARTER - fddd * r2 * _M2_QUARTER) * c
-        )
-        out_v0 = out_v0 - f * v0.deriv("T") - fd * v0 + a * fd * (c * _HALF)
-        out_a = out_a - (a * fd + f * a.deriv("T"))
+        _add(row_v, fdd * _MINUS_HALF, vm2.x_slice(-2))
+        _add(row_v, minus_f, v.deriv("T"))
+        _add(row_v, two_fd, v)
+        _add(row_vm2, minus_f, vm2.deriv("T"))
+        _add(row_vm2, fd * _MINUS_HALF_R, vm2_x)
+        _add(row_vm2, two_fd, vm2)
+        a_vm2 = fdd * _I_M_QUARTER - fddd * _M2_R2_QUARTER
+        _add(row_v0, minus_f, v0.deriv("T"))
+        _add(row_v0, minus_fd, v0)
+        _add(row_v0, a, fd * (_HALF * c))
+        _add(row_a, minus_fd, a)
+        _add(row_a, minus_f, a.deriv("T"))
 
     g = X.g
     if not g.is_zero():
         gd = g.deriv("T")
-        gdd = gd.deriv("T")
-        out_v = out_v - gd * vm2.residue("X")
-        out_vm2 = out_vm2 - g * vm2.deriv("X") - a * gdd * r1 * (c * _M2)
+        _add(row_v, -gd, vm2.residue("X"))
+        _add(row_vm2, -g, vm2_x)
+        a_vm2 = a_vm2 - gd.deriv("T") * _M2_R
 
     hh = X.h
     if not hh.is_zero():
-        out_vm2 = out_vm2 - a * hh.deriv("T") * (c * _M2)
+        a_vm2 = a_vm2 - hh.deriv("T") * _M2
 
+    _add(row_vm2, a, a_vm2 * c)
     terms: dict = {}
-    if not out_vm2.is_zero():
-        terms[_MINUS_TWO] = out_vm2
-    if not out_v0.is_zero():
-        terms[h(0)] = out_v0
-    return GDual(out_v, Symbol(R, terms), out_a)
+    if row_vm2:
+        terms[_MINUS_TWO] = coeff_from_table(row_vm2)
+    if row_v0:
+        terms[_ZERO_ORDER] = coeff_from_table(row_v0)
+    return GDual(coeff_from_table(row_v), Symbol(R, terms), coeff_from_table(row_a))
 
 
 def coadjoint_duality_defect(X: SvElement, mu: GDual, testY: GElement, c, req_floor) -> CoeffFn:

@@ -14,9 +14,17 @@ field's class, so each variational derivative reads one class and is zero
 when the functional has none of it; the bracket and the Hamiltonian field
 are written once, bilinear and linear in the four derivatives.  The
 derivatives depend on the functional alone, so they are taken once per
-functional, on first use, and only substituted at each point.
+functional, on first use, and only substituted at each point
+(derivatives_at); a caller that meets the same functional at the same
+point more than once can keep the substituted derivatives and hand them
+to bracket_at, of which poisson_bracket is the one-shot form.
 Integration is the double (or single) residue, so functionals that
 differ by a total derivative evaluate identically at every point.
+
+The bracket is a sum of residues of triple products, each read straight
+into one table by ring.triple_into, which visits only the term pairs
+that meet a term of the third factor; no product is built.  Each row of
+the Hamiltonian field is one table that every product adds into.
 
 Sign conventions.  The generator functionals are the momentum pairings
 F_X(mu) = <mu, embedded X>, and the Hamiltonian field is normalized so
@@ -32,7 +40,15 @@ from operator import itemgetter
 from .halfint import h
 from .kacmoody import GDual
 from .psido import R, Symbol
-from .ring import CoeffFn, GaussRat, M, coeff_from_table, residue_into
+from .ring import (
+    CoeffFn,
+    GaussRat,
+    M,
+    coeff_from_table,
+    mul_into,
+    residue_into,
+    triple_into,
+)
 from .svalgebra import SvElement
 from .textio import coeff_str
 
@@ -45,6 +61,8 @@ __all__ = [
     "substitute",
     "evaluate",
     "lemma71_functional",
+    "derivatives_at",
+    "bracket_at",
     "poisson_bracket",
     "hamiltonian_vector",
     "n_preservation_check",
@@ -54,6 +72,9 @@ FIELD_VM2 = "V-2"
 FIELD_V0 = "V0"
 FIELD_V = "v"
 FIELD_A = "a"
+
+_H_M2 = h(-2)
+_H_0 = h(0)
 
 _PAIR_FIELDS = (FIELD_VM2, FIELD_V0)
 _LOOP_FIELDS = (FIELD_V, FIELD_A)
@@ -117,7 +138,7 @@ class LocalFunctional:
     """Finite sum of coefficient-times-jet-product monomials.
 
     The private slot ``_derivs`` holds the four variational derivatives once
-    _derivatives has taken them; it takes no part in equality or printing.
+    derivatives_at has taken them; it takes no part in equality or printing.
     """
 
     __slots__ = ("terms", "_derivs")
@@ -251,9 +272,9 @@ def variational_derivative(F: LocalFunctional, field: str) -> LocalFunctional:
 
 def _slot_data(mu: GDual, field: str) -> CoeffFn:
     if field == FIELD_VM2:
-        return mu.V.coeff(h(-2))
+        return mu.V.coeff(_H_M2)
     if field == FIELD_V0:
-        return mu.V.coeff(h(0))
+        return mu.V.coeff(_H_0)
     if field == FIELD_V:
         return mu.v
     return mu.a
@@ -343,7 +364,7 @@ def lemma71_functional(X: SvElement) -> LocalFunctional:
 
 # ------------------------------------------------------- bracket and field
 
-def _derivatives(F: LocalFunctional, mu: GDual) -> list:
+def derivatives_at(F: LocalFunctional, mu: GDual) -> tuple:
     """F's variational derivatives along V-2, V0, v and a, substituted at
     mu.  Each reads one class of F and is zero when F has none of it.
 
@@ -353,50 +374,114 @@ def _derivatives(F: LocalFunctional, mu: GDual) -> list:
     if derivs is None:
         derivs = tuple(variational_derivative(F, fld) for fld in _ALL_FIELDS)
         object.__setattr__(F, "_derivs", derivs)
-    return [substitute(d, mu) for d in derivs]
+    return tuple(substitute(d, mu) for d in derivs)
+
+
+def bracket_at(df, dg, mu: GDual, c) -> CoeffFn:
+    """The bracket of two functionals at mu, from their derivatives there
+    (derivatives_at); c is the central charge, a constant or a value in M.
+
+    With P, Q, phi, psi the derivatives along V-2, V0, v, a, primes
+    r-derivatives and _t t-derivatives, the pair integrand
+
+        V-2 (Pg' Pf - Pf' Pg) + V0 (Qg Pf - Pg Qf)' + c a (Qf' Pg + Pf' Qg)
+          + phif (V-2 Pg_t + V0 Qg_t) - phig (V-2 Pf_t + V0 Qf_t)
+
+    sits under the double residue, at t^-1 x^-1, and the loop integrand
+
+        v (phif phig_t - phig phif_t) + a (phif psig_t - phig psif_t)
+
+    under the time residue, at t^-1 x^0.  The loop classes reach the pair
+    class only through v, and the central class couples to v alone.
+
+    Every term is a product of three factors, read straight into one table
+    by ring.triple_into; no product is built.  The r-derivative of the V0
+    term is moved onto V0, since res_x of a total r-derivative vanishes:
+    res_x(V0 D') = -res_x(V0' D), two triples instead of four.  The two c
+    terms go into a table of their own, which meets c once at the end.
+    """
+    Pf, Qf, phif, psif = df
+    Pg, Qg, phig, psig = dg
+    vm2 = mu.V.coeff(_H_M2)
+    v0 = mu.V.coeff(_H_0)
+    v0_x = v0.deriv("X")
+    pair = [
+        (Pg.deriv("X"), Pf, vm2, 1),
+        (Pf.deriv("X"), Pg, vm2, -1),
+        (Qg, Pf, v0_x, -1),
+        (Pg, Qf, v0_x, 1),
+    ]
+    loop = []
+    if phif.terms:
+        phig_t = phig.deriv("T")
+        pair += [(phif, Pg.deriv("T"), vm2, 1), (phif, Qg.deriv("T"), v0, 1)]
+        loop += [(phif, phig_t, mu.v, 1), (phif, psig.deriv("T"), mu.a, 1)]
+    if phig.terms:
+        phif_t = phif.deriv("T")
+        pair += [(phig, Pf.deriv("T"), vm2, -1), (phig, Qf.deriv("T"), v0, -1)]
+        loop += [(phig, phif_t, mu.v, -1), (phig, psif.deriv("T"), mu.a, -1)]
+    acc: dict = {}
+    _triples(acc, -1, -1, pair)
+    _triples(acc, -1, 0, loop)
+    central: dict = {}
+    _triples(central, -1, -1, ((Qf.deriv("X"), Pg, mu.a, 1), (Pf.deriv("X"), Qg, mu.a, 1)))
+    if central:
+        mul_into(acc, central.items(), _as_coeff(c).terms.items())
+    return coeff_from_table(acc)
+
+
+def _triples(acc: dict, p: int, q: int, terms) -> None:
+    """Add sign * [t^p x^q](f g h) into acc for every (f, g, h, sign)."""
+    for f, g, h3, sign in terms:
+        triple_into(acc, f.terms.items(), g.terms.items(), h3.terms.items(), p, q, sign)
 
 
 def poisson_bracket(F: LocalFunctional, G: LocalFunctional,
                     mu: GDual, c) -> CoeffFn:
-    """Evaluate the displayed bracket formula at the point mu.
-
-    With P, Q, phi, psi the derivatives along V-2, V0, v, a, the pair
-    integrand and its coupling to v sit under the double residue, the v-v
-    and v-a terms under the time residue.  The loop classes reach the pair
-    class only through v, and the central class couples to v alone.
-    """
-    vm2 = mu.V.coeff(h(-2))
-    v0 = mu.V.coeff(h(0))
-    Pf, Qf, phif, psif = _derivatives(F, mu)
-    Pg, Qg, phig, psig = _derivatives(G, mu)
-    pair = (vm2 * (Pg.deriv("X") * Pf - Pf.deriv("X") * Pg)
-            + v0 * (Qg * Pf - Pg * Qf).deriv("X")
-            + mu.a * (Qf.deriv("X") * Pg + Pf.deriv("X") * Qg) * c
-            + phif * (vm2 * Pg.deriv("T") + v0 * Qg.deriv("T"))
-            - phig * (vm2 * Pf.deriv("T") + v0 * Qf.deriv("T")))
-    loop = (mu.v * (phif * phig.deriv("T") - phig * phif.deriv("T"))
-            + mu.a * (phif * psig.deriv("T") - phig * psif.deriv("T")))
-    return _double_residue(pair) + _t_residue(loop)
+    """Evaluate the displayed bracket formula at the point mu: bracket_at
+    on the derivatives of F and G there."""
+    return bracket_at(derivatives_at(F, mu), derivatives_at(G, mu), mu, c)
 
 
 def hamiltonian_vector(F: LocalFunctional, mu: GDual, c) -> GDual:
-    """The point derivative matching the bracket: dG(H_F) = {G, F}."""
-    vm2 = mu.V.coeff(h(-2))
-    v0 = mu.V.coeff(h(0))
-    P, Q, phi, psi = _derivatives(F, mu)
-    # res_x(vm2 P_t + v0 Q_t), read from the term pairs that meet at x^-1
-    row: dict = {}
-    residue_into(row, vm2.terms.items(), P.deriv("T").terms.items(), 0, 1)
-    residue_into(row, v0.terms.items(), Q.deriv("T").terms.items(), 0, 1)
-    out_v = (coeff_from_table(row)
-             + mu.v * phi.deriv("T") * 2 + mu.v.deriv("T") * phi
-             + mu.a * psi.deriv("T"))
-    out_vm2 = (vm2 * P.deriv("X") * 2 + vm2.deriv("X") * P
-               - mu.a * Q.deriv("X") * c - v0.deriv("X") * Q
-               + (vm2 * phi).deriv("T"))
-    out_v0 = v0.deriv("X") * P - mu.a * P.deriv("X") * c + (v0 * phi).deriv("T")
-    out_a = (mu.a * phi).deriv("T")
-    return GDual(v=out_v, V=Symbol(R, {h(-2): out_vm2, h(0): out_v0}), a=out_a)
+    """The point derivative matching the bracket: dG(H_F) = {G, F}.
+
+    With P, Q, phi, psi F's derivatives at mu, primes r-derivatives and _t
+    t-derivatives, the rows are
+
+        v:    res_x(V-2 P_t + V0 Q_t) + 2 v phi_t + v_t phi + a psi_t
+        V-2:  2 V-2 P' + V-2' P - c a Q' - V0' Q + (V-2 phi)_t
+        V0:   V0' P - c a P' + (V0 phi)_t
+        a:    (a phi)_t
+
+    Each row is one table that every product adds into, with its sign and
+    constant folded into one factor; the residue of the v row is read from
+    the term pairs that meet at x^-1 (ring.residue_into).
+    """
+    vm2 = mu.V.coeff(_H_M2)
+    v0 = mu.V.coeff(_H_0)
+    v, a = mu.v, mu.a
+    P, Q, phi, psi = derivatives_at(F, mu)
+    P_x = P.deriv("X")
+    phi_t = phi.deriv("T")
+    v0_x = v0.deriv("X")
+    minus_ca = a * -_as_coeff(c)
+    row_v: dict = {}
+    residue_into(row_v, vm2.terms.items(), P.deriv("T").terms.items(), 0, 1)
+    residue_into(row_v, v0.terms.items(), Q.deriv("T").terms.items(), 0, 1)
+    out_v = _row(row_v, (v, phi_t * 2), (v.deriv("T"), phi), (a, psi.deriv("T")))
+    out_vm2 = _row({}, (vm2, P_x * 2), (vm2.deriv("X"), P), (minus_ca, Q.deriv("X")),
+                   (v0_x, -Q), (vm2.deriv("T"), phi), (vm2, phi_t))
+    out_v0 = _row({}, (v0_x, P), (minus_ca, P_x), (v0.deriv("T"), phi), (v0, phi_t))
+    out_a = _row({}, (a.deriv("T"), phi), (a, phi_t))
+    return GDual(v=out_v, V=Symbol(R, {_H_M2: out_vm2, _H_0: out_v0}), a=out_a)
+
+
+def _row(acc: dict, *products) -> CoeffFn:
+    """Add f*g into acc for every product (f, g), then wrap it."""
+    for f, g in products:
+        mul_into(acc, f.terms.items(), g.terms.items())
+    return coeff_from_table(acc)
 
 
 # ----------------------------------------------------- structural criterion

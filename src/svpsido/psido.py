@@ -51,6 +51,7 @@ __all__ = [
     "sym_neg",
     "sym_scale",
     "sym_mul",
+    "compose_tables",
     "symbol_from_tables",
     "sym_bracket",
     "adler_trace",
@@ -274,7 +275,15 @@ def sym_mul(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
 
 def _compose(A: Symbol, B: Symbol, products, req_floor) -> Symbol:
     """The sum of sign * (left o right) over (left, right, sign) products
-    of the operands A and B, e.g. A o B and -(B o A).
+    of the operands A and B, e.g. A o B and -(B o A): compose_tables
+    filled once and wrapped once."""
+    tables, floor = compose_tables(A, B, products, req_floor)
+    return symbol_from_tables(A.var, tables, floor)
+
+
+def compose_tables(A: Symbol, B: Symbol, products, req_floor):
+    """The per-order tables and the floor of _compose's sum, unwrapped, so
+    a caller can add terms of its own before symbol_from_tables.
 
     The floor bound is symmetric in A and B, so one bound serves every
     product.  Every Leibniz term sign * binom(a, j) * f * g^(j) is added
@@ -284,12 +293,12 @@ def _compose(A: Symbol, B: Symbol, products, req_floor) -> Symbol:
     against every monomial of the right operand.  The kernel reads the
     weights binom(a, j) (q)_j from its cache and fixes each pair's number
     of terms before the first one, from a, q and the floor; with no floor
-    it raises on the first pair whose tail does not terminate.  Each
-    table becomes a CoeffFn once, after the last term of the last product.
+    it raises on the first pair whose tail does not terminate.  The floor
+    is EXACT only when both operands are exact and no term was cut.
     """
     _check_var(A, B)
     if (A.is_zero() and A.floor is EXACT) or (B.is_zero() and B.floor is EXACT):
-        return Symbol.zero(A.var)
+        return {}, EXACT
     req_floor = h(req_floor) if req_floor is not None else EXACT
 
     # a zero operand with a floor still stands for unknown orders below it
@@ -315,13 +324,13 @@ def _compose(A: Symbol, B: Symbol, products, req_floor) -> Symbol:
     if bound is EXACT and not cut:
         # both inputs exact and every tail ended by itself
         floor = EXACT
-    return symbol_from_tables(A.var, tables, floor)
+    return tables, floor
 
 
 def symbol_from_tables(var: str, tables: dict, floor) -> Symbol:
-    """Wrap per-order (t, x, M) tables that ring.mul_into or
-    ring.leibniz_into filled, keyed by twice the order, as a Symbol;
-    orders that cancelled or lie below floor are dropped."""
+    """Wrap per-order (t, x, M) tables that ring.mul_into,
+    ring.leibniz_into or compose_tables filled, keyed by twice the order,
+    as a Symbol; orders that cancelled or lie below floor are dropped."""
     low = None if floor is EXACT else floor.twice
     out = {HalfInt(o): coeff_from_table(acc) for o, acc in tables.items()
            if acc and (low is None or o >= low)}

@@ -45,6 +45,10 @@ plain residue extraction.  Residues of products, res_x(f^(n) g), which
 every central cocycle is made of, are read by ``residue_into`` from the
 term pairs whose x-powers meet at -1, each weighed by the falling
 factorial (q)_n in ints: no derivative, product or residue is built.
+Residues of triple products, [t^p x^q](f g h), which the Poisson bracket
+is made of, are read the same way by ``triple_into``: h is indexed by
+(t, x) once, and only the pairs of an f and a g term that meet a term of
+h cost a product, one gcd per hit.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from math import gcd
 
 __all__ = [
     "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M",
-    "mul_into", "leibniz_into", "residue_into", "coeff_from_table",
+    "mul_into", "leibniz_into", "residue_into", "triple_into", "coeff_from_table",
 ]
 
 _new = object.__new__
@@ -649,8 +653,61 @@ def residue_into(acc: dict, f_items, g_items, n: int, sign: int) -> None:
                 del acc[k]
 
 
-# The CoeffFn of a table that mul_into, leibniz_into or residue_into filled,
-# without copying it; the table must not change afterwards.
+def triple_into(acc: dict, f_items, g_items, h_items, p: int, q: int, sign: int) -> None:
+    """Add sign * [t^p x^q](f g h) into acc, a mutable {(0, 0, M): GaussRat}
+    table.
+
+    f_items, g_items and h_items are the term items of three CoeffFns.  h
+    is indexed once by the (t, x) exponents that an f and a g term must
+    sum to for the triple to land on t^p x^q; each pair of an f and a g
+    term then costs one lookup, and only the pairs that meet a term of h
+    go on.  Each hit multiplies three GaussRats in ints and adds the
+    product with one normalising gcd, as in mul_into; no product of the
+    three is built.  The sign is folded into the terms of f.
+    """
+    index: dict = {}
+    for (p3, q3, m3), v3 in h_items:
+        index.setdefault((p - p3, q - q3), []).append((m3, v3._a, v3._b, v3._d))
+    if not index:
+        return
+    get = acc.get
+    for (p1, q1, m1), v1 in f_items:
+        a1, b1, d1 = sign * v1._a, sign * v1._b, v1._d
+        for (p2, q2, m2), v2 in g_items:
+            hits = index.get((p1 + p2, q1 + q2))
+            if hits is None:
+                continue
+            a2, b2 = v2._a, v2._b
+            a12 = a1 * a2 - b1 * b2
+            b12 = a1 * b2 + b1 * a2
+            d12 = d1 * v2._d
+            m12 = m1 + m2
+            for m3, a3, b3, d3 in hits:
+                k = (0, 0, m12 + m3)
+                a = a12 * a3 - b12 * b3
+                b = a12 * b3 + b12 * a3
+                d = d12 * d3
+                s = get(k)
+                if s is None:
+                    acc[k] = _gauss(a, b, d)
+                    continue
+                e = s._d
+                if e == d:
+                    a += s._a
+                    b += s._b
+                else:
+                    a = a * e + s._a * d
+                    b = b * e + s._b * d
+                    d *= e
+                if a or b:
+                    acc[k] = _gauss(a, b, d)
+                else:
+                    del acc[k]
+
+
+# The CoeffFn of a table that mul_into, leibniz_into, residue_into or
+# triple_into filled, without copying it; the table must not change
+# afterwards.
 coeff_from_table = _coeff_raw
 
 

@@ -55,12 +55,13 @@ from .poisson import (
     FIELD_V0,
     FIELD_VM2,
     LocalFunctional,
+    bracket_at,
+    derivatives_at,
     evaluate,
     hamiltonian_vector,
     jet,
     lemma71_functional,
     n_preservation_check,
-    poisson_bracket,
     total_derivative,
     variational_derivative,
 )
@@ -77,7 +78,7 @@ from .psido import (
     sym_mul,
     sym_sub,
 )
-from .ring import CoeffFn, GaussRat, I_M, M, MINUS_2I_M, TWO_I_M
+from .ring import GR_I, GR_ZERO, CoeffFn, GaussRat, I_M, M, MINUS_2I_M, TWO_I_M
 from .svaction import SchrodPoint, d_sigma_affine, d_sigma_tilde
 from .svalgebra import SvElement, phase_mode, shift_mode, sv_basis, sv_bracket, time_mode
 from .textio import coeff_str, gauss_str, scalar_str, symbol_str
@@ -1187,12 +1188,16 @@ def _suite_poisson_lemma71(cfg: VerifyConfig) -> list:
                                              v0=CoeffFn.mono(-2, -1), a=CoeffFn.t_pow(-1))))
     homo_pts = strict_pts + loose_pts
 
+    @functools.cache
+    def derivs(i: int, m: int) -> tuple:
+        return derivatives_at(functionals[i], homo_pts[m][1])
+
     for (i, (la, Xa)), (j, (lb, Xb)) in itertools.combinations(enumerate(basis), 2):
         def check(i=i, j=j, Xa=Xa, Xb=Xb):
             FB = lemma71_functional(sv_bracket(Xa, Xb))
             D = _lemma71_defect(Xa, Xb)
-            for lm, mu in homo_pts:
-                got = poisson_bracket(functionals[i], functionals[j], mu, c)
+            for m, (lm, mu) in enumerate(homo_pts):
+                got = bracket_at(derivs(i, m), derivs(j, m), mu, c)
                 want = evaluate(FB, mu) + evaluate(D, mu)
                 if got != want:
                     return (f"bracket value {_fmt_scalar(cfg, got)} at {lm}",
@@ -1270,14 +1275,17 @@ def _scan_at(cfg: VerifyConfig, nu: GaussRat):
     def wrow(name, gamma):
         return _scan_read(cfg, lifted[name], GElement(w=CoeffFn.t_pow(-1 - gamma)))
 
-    # the quadratic family exposes the weight through its constant curvature term
+    # the quadratic family exposes the weight through its constant
+    # curvature term, i(1 - 4 mu) M, so mu = (1 + i lead)/4; a real weight
+    # stays a Fraction
     s = vrow("time[1]", 0, 0)
     extra = {k: v for k, v in s.terms.items() if k != (0, 0, 1)}
-    lead = s.terms.get((0, 0, 1))  # the coefficient of M
-    if extra or (lead is not None and lead.re != 0):
+    if extra:
         return None
-    y = lead.im if lead is not None else Fraction(0)
-    mu_val = (1 - y) / 4
+    lead = s.terms.get((0, 0, 1), GR_ZERO)  # the coefficient of M
+    mu_val = (1 + GR_I * lead) / 4
+    if mu_val.im == 0:
+        mu_val = mu_val.re
 
     aone = CoeffFn.one()
     for name, X in _SCAN_PROBES:

@@ -284,6 +284,13 @@ class TestVerify:
         assert code == 0
         assert "(2 - i) -> " in out
 
+    @pytest.mark.parametrize("nu, row", [("i", "i -> i"), ("2-i", "(2 - i) -> (2 - i)")])
+    def test_a_gaussian_deformation_fits_the_weight_nu(self, capsys, nu, row):
+        code, out, _ = run_cli(["verify", "--suite", "nu-scan", "--nu", nu], capsys)
+        assert code == 0
+        assert row in [line.strip() for line in out.splitlines()]
+        assert "NO-FIT" not in out
+
     @pytest.mark.parametrize("text, value", [
         ("i", (0, 1)), ("-3/4*i", (0, Fraction(-3, 4))), ("2-i", (2, -1)),
         ("1/2+3/4*i", (Fraction(1, 2), Fraction(3, 4))), ("-1/3", (Fraction(-1, 3), 0)),

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svpsido import kacmoody, suites
+from svpsido.cocycles import CocycleId, eval_cocycle
 from svpsido.halfint import EXACT, h, hmax
 from svpsido.kacmoody import (
     DualFamily,
@@ -34,6 +35,7 @@ from svpsido.psido import (
     Symbol,
     adler_trace,
     max_trusted_order,
+    raise_floor,
     sym_add,
     sym_bracket,
     sym_mul,
@@ -517,6 +519,125 @@ def ref_coadjoint_v(X: SvElement, mu: GDual) -> CoeffFn:
 @settings(max_examples=100, deadline=None)
 def test_coadjoint_v_row_matches_the_product_residues(X, mu, c):
     assert coadjoint(X, mu, c).v == ref_coadjoint_v(X, mu)
+
+
+# ---- the slot-by-slot references --------------------------------------------
+
+
+def reference_g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
+    """The bracket built slot by slot from whole symbols: the symbol bracket,
+    then each transport term as a scaled time derivative added to it (or,
+    against a zero loop, the floor of the term it stands for), then the
+    loop terms and the central term as separate products."""
+    floor = h(req_floor)
+    w = A.w * B.w.deriv("T") - A.w.deriv("T") * B.w
+    W = sym_bracket(A.W, B.W, floor)
+    if not A.w.is_zero():
+        W = sym_add(W, sym_scale(time_deriv(B.W), A.w))
+    elif B.W.floor is not EXACT:
+        W = raise_floor(W, B.W.floor)
+    if not B.w.is_zero():
+        W = sym_sub(W, sym_scale(time_deriv(A.W), B.w))
+    elif A.W.floor is not EXACT:
+        W = raise_floor(W, A.W.floor)
+    alpha = A.w * B.alpha.deriv("T") - B.w * A.alpha.deriv("T")
+    alpha = alpha + eval_cocycle(CocycleId.C3, A.W, B.W) * c
+    return GElement(w, W, alpha)
+
+
+def reference_coadjoint(X: SvElement, mu: GDual, c) -> GDual:
+    """The coadjoint rows as sums of whole products, term by term."""
+    v, a = mu.v, mu.a
+    vm2 = mu.V.coeff(h(-2))
+    v0 = mu.V.coeff(h(0))
+    r1, r2 = CoeffFn.x_pow(1), CoeffFn.x_pow(2)
+    half = CoeffFn.const(Fraction(1, 2))
+    out_v = out_vm2 = out_v0 = out_a = CoeffFn.zero()
+    f = X.f
+    if not f.is_zero():
+        fd = f.deriv("T")
+        fdd = fd.deriv("T")
+        fddd = fdd.deriv("T")
+        out_v = out_v - fdd * (r1 * vm2).residue("X") * half - (f * v.deriv("T") + fd * v * 2)
+        out_vm2 = (out_vm2 - f * vm2.deriv("T") - fd * (r1 * vm2.deriv("X") + vm2 * 4) * half
+                   + a * (fdd * I_M * Fraction(1, 4) - fddd * r2 * M2 * Fraction(1, 4)) * c)
+        out_v0 = out_v0 - f * v0.deriv("T") - fd * v0 + a * fd * (c * half)
+        out_a = out_a - (a * fd + f * a.deriv("T"))
+    g = X.g
+    if not g.is_zero():
+        gd = g.deriv("T")
+        out_v = out_v - gd * vm2.residue("X")
+        out_vm2 = out_vm2 - g * vm2.deriv("X") - a * gd.deriv("T") * r1 * (c * M2)
+    if not X.h.is_zero():
+        out_vm2 = out_vm2 - a * X.h.deriv("T") * (c * M2)
+    terms = {}
+    if not out_vm2.is_zero():
+        terms[h(-2)] = out_vm2
+    if not out_v0.is_zero():
+        terms[h(0)] = out_v0
+    return GDual(out_v, Symbol(R, terms), out_a)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+charges = st.sampled_from([2, Fraction(1, 3), GaussRat(0, 1), GaussRat(Fraction(-1, 2), 2), 0])
+loops_or_zero = st.one_of(st.just(CoeffFn.zero()), loops)
+# zero and nonzero W, exact or floored, at floors above and below -1
+bracket_elements = st.builds(
+    lambda w, terms, floor, alpha: GElement(w, Symbol(R, terms, floor), alpha),
+    loops_or_zero,
+    st.dictionaries(st.integers(-3, 1), space_coeffs, max_size=3),
+    st.one_of(st.none(), st.sampled_from([h(0), h(-1), h("-3/2"), h(-2), h(-3), h(-5)])),
+    loops_or_zero,
+)
+
+
+@given(bracket_elements, bracket_elements, charges,
+       st.sampled_from([h(-1), h("-3/2"), h(-2), REQ, h(-5)]))
+@example(  # a floored zero W against a loop: the floor survives the zero loop
+    GElement(W=Symbol(R, {h(-2): CoeffFn.mono(2, 2)})),
+    GElement(w=CoeffFn.t_pow(3), W=Symbol(R, {}, h(-1))),
+    GaussRat(0, 1), REQ,
+)
+@example(  # both exact and every tail ends by itself: the result is exact
+    GElement(w=CoeffFn.t_pow(1), W=Symbol(R, {h(1): CoeffFn.mono(1, 2)})),
+    GElement(W=Symbol(R, {h(0): CoeffFn.mono(-1, 1), h(-1): CoeffFn.mono(0, 1)}),
+             alpha=CoeffFn.t_pow(2)),
+    Fraction(1, 3), REQ,
+)
+@settings(max_examples=200, deadline=None)
+def test_g_bracket_matches_the_slot_by_slot_reference(A, B, c, floor):
+    got = _outcome(g_bracket, A, B, c, floor)
+    want = _outcome(reference_g_bracket, A, B, c, floor)
+    assert got == want
+    if isinstance(want, GElement):
+        assert (got.W.floor is EXACT) == (want.W.floor is EXACT)
+        assert got.W.floor == want.W.floor
+
+
+def test_g_bracket_pinned_examples_cover_both_floor_kinds():
+    exact = g_bracket(GElement(w=CoeffFn.t_pow(1), W=Symbol(R, {h(1): CoeffFn.mono(1, 2)})),
+                      GElement(W=Symbol(R, {h(0): CoeffFn.mono(-1, 1)})), C2, REQ)
+    assert exact.W.floor is EXACT and not exact.W.is_zero()
+    floored = g_bracket(GElement(W=Symbol(R, {h(-2): CoeffFn.mono(2, 2)})),
+                        GElement(w=CoeffFn.t_pow(3), W=Symbol(R, {}, h(-1))), C2, REQ)
+    assert floored.W.floor == h(-1)
+
+
+@given(
+    st.builds(SvElement, loops_or_zero, loops_or_zero, loops_or_zero),
+    st.builds(npoint, v=loops, vm2=coeff_fns((-2, 2), (-4, 3), min_size=1), v0=loops, a=loops),
+    charges,
+)
+@settings(max_examples=150, deadline=None)
+def test_coadjoint_matches_the_row_by_row_reference(X, mu, c):
+    assert coadjoint(X, mu, c) == reference_coadjoint(X, mu, c)
 
 
 def duality_probes():

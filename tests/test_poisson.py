@@ -453,6 +453,116 @@ def test_field_residues_match_the_products_at_mass_points(F, mu, c):
     assert hamiltonian_vector(F, mu, c) == ref_hamiltonian_vector(F, mu, c)
 
 
+# ------------------------------------------- whole-product references
+
+
+def _ref_derivatives(F, mu):
+    return [substitute(variational_derivative(F, fld), mu)
+            for fld in (FIELD_VM2, FIELD_V0, FIELD_V, FIELD_A)]
+
+
+def reference_poisson_bracket(F, G, mu, c):
+    """The displayed bracket built as whole products, then the double and
+    the time residue taken of the sums."""
+    vm2 = mu.V.coeff(h(-2))
+    v0 = mu.V.coeff(h(0))
+    Pf, Qf, phif, psif = _ref_derivatives(F, mu)
+    Pg, Qg, phig, psig = _ref_derivatives(G, mu)
+    pair = (vm2 * (Pg.deriv("X") * Pf - Pf.deriv("X") * Pg)
+            + v0 * (Qg * Pf - Pg * Qf).deriv("X")
+            + mu.a * (Qf.deriv("X") * Pg + Pf.deriv("X") * Qg) * c
+            + phif * (vm2 * Pg.deriv("T") + v0 * Qg.deriv("T"))
+            - phig * (vm2 * Pf.deriv("T") + v0 * Qf.deriv("T")))
+    loop = (mu.v * (phif * phig.deriv("T") - phig * phif.deriv("T"))
+            + mu.a * (phif * psig.deriv("T") - phig * psif.deriv("T")))
+    return _ref_double_residue(pair) + _ref_t_residue(loop)
+
+
+def reference_hamiltonian_vector(F, mu, c):
+    """The field's rows as sums of whole products."""
+    vm2 = mu.V.coeff(h(-2))
+    v0 = mu.V.coeff(h(0))
+    P, Q, phi, psi = _ref_derivatives(F, mu)
+    out_v = ((vm2 * P.deriv("T") + v0 * Q.deriv("T")).residue("X")
+             + mu.v * phi.deriv("T") * 2 + mu.v.deriv("T") * phi
+             + mu.a * psi.deriv("T"))
+    out_vm2 = (vm2 * P.deriv("X") * 2 + vm2.deriv("X") * P
+               - mu.a * Q.deriv("X") * c - v0.deriv("X") * Q
+               + (vm2 * phi).deriv("T"))
+    out_v0 = v0.deriv("X") * P - mu.a * P.deriv("X") * c + (v0 * phi).deriv("T")
+    out_a = (mu.a * phi).deriv("T")
+    return GDual(v=out_v, V=Symbol(R, {h(-2): out_vm2, h(0): out_v0}), a=out_a)
+
+
+# an int, a Fraction and Gaussian charges, and a charge with a mass power
+_all_charges = st.sampled_from([2, Fraction(-1, 3), 0, GaussRat(0, 1),
+                                GaussRat(Fraction(1, 2), -2), CoeffFn.const(3) * M])
+
+
+@given(mixed_functionals(), mixed_functionals(), st.one_of(_points, _mass_points), _all_charges)
+@settings(max_examples=150, deadline=None)
+def test_bracket_and_field_match_the_whole_product_references(F, G, mu, c):
+    assert poisson_bracket(F, G, mu, c) == reference_poisson_bracket(F, G, mu, c)
+    assert hamiltonian_vector(F, mu, c) == reference_hamiltonian_vector(F, mu, c)
+
+
+def test_bracket_at_builds_no_product_once_the_derivatives_are_taken(monkeypatch):
+    F = lemma71_functional(SvElement(f=CoeffFn.t_pow(2), g=CoeffFn.t_pow(1)))
+    G = lemma71_functional(SvElement(f=CoeffFn.t_pow(-1), h=CoeffFn.t_pow(2)))
+    F = F.add(LocalFunctional.monomial(CoeffFn.t_pow(1), jet(FIELD_V), jet(FIELD_V, 1)))
+    G = G.add(LocalFunctional.monomial(CoeffFn.t_pow(-2), jet(FIELD_A)))
+    warm = [(poisson.derivatives_at(F, mu), poisson.derivatives_at(G, mu), mu)
+            for mu in SLICE_POINTS + LOOSE_POINTS]
+    want = [reference_poisson_bracket(F, G, mu, C2) for _, _, mu in warm]
+    assert any(not value.is_zero() for value in want)
+    calls = []
+    real = CoeffFn.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(CoeffFn, "__mul__", counted)
+    got = [poisson.bracket_at(df, dg, mu, C2) for df, dg, mu in warm]
+    assert not calls
+    monkeypatch.undo()
+    assert got == want
+
+
+# mutations of ring.triple_into, as seen from poisson: each must make the
+# bracket differ from the reference somewhere on the points below
+_KERNEL_MUTANTS = {
+    "sign flipped": lambda k: lambda acc, f, g, h3, p, q, s: k(acc, f, g, h3, p, q, -s),
+    "sign dropped": lambda k: lambda acc, f, g, h3, p, q, s: k(acc, f, g, h3, p, q, 1),
+    "t target moved": lambda k: lambda acc, f, g, h3, p, q, s: k(acc, f, g, h3, p + 1, q, s),
+    "x target moved": lambda k: lambda acc, f, g, h3, p, q, s: k(acc, f, g, h3, p, q - 1, s),
+    "targets swapped": lambda k: lambda acc, f, g, h3, p, q, s: k(acc, f, g, h3, q, p, s),
+}
+
+
+def _bracket_mismatches():
+    """(F, G, mu) triples on which the bracket differs from the reference."""
+    els = [e for (_, _, e) in sv_basis(2)]
+    loop = LocalFunctional.monomial(CoeffFn.t_pow(2), jet(FIELD_V), jet(FIELD_V, 1))
+    central = LocalFunctional.monomial(CoeffFn.t_pow(2), jet(FIELD_A))
+    funcs = [lemma71_functional(X) for X in els[::3]] + [loop, central.add(loop)]
+    out = []
+    for F, G in itertools.combinations(funcs, 2):
+        for mu in SLICE_POINTS + LOOSE_POINTS:
+            if poisson_bracket(F, G, mu, C2) != reference_poisson_bracket(F, G, mu, C2):
+                out.append((F, G, mu))
+    return out
+
+
+def test_the_reference_comparison_catches_every_kernel_mutant(monkeypatch):
+    assert _bracket_mismatches() == []
+    real = poisson.triple_into
+    for name, mutate in _KERNEL_MUTANTS.items():
+        monkeypatch.setattr(poisson, "triple_into", mutate(real))
+        assert _bracket_mismatches(), name
+    monkeypatch.undo()
+
+
 def test_bracket_takes_each_derivative_once(monkeypatch):
     # four derivatives per functional; the class dispatch took twelve in all
     calls = []

@@ -193,6 +193,31 @@ def test_coeff_leibniz_rule(a, b):
     assert lhs == rhs
 
 
+def _tx_slice(c: CoeffFn, p: int, q: int) -> CoeffFn:
+    """The coefficient of t^p x^q in c, a value in M alone."""
+    return CoeffFn({(0, 0, m): v for (pp, qq, m), v in c.terms.items() if (pp, qq) == (p, q)})
+
+
+@given(coeffs, coeffs, coeffs, st.integers(-3, 2), st.integers(-3, 2),
+       st.sampled_from([1, -1, 3]), scalars)
+def test_triple_kernel_reads_one_coefficient_of_the_product(f, g, h, p, q, sign, start):
+    # the kernel adds into a table that already holds a sum
+    acc = dict(start.terms)
+    ring.triple_into(acc, f.terms.items(), g.terms.items(), h.terms.items(), p, q, sign)
+    assert ring.coeff_from_table(acc) == start + _tx_slice(f * g * h, p, q) * sign
+    assert all(not v.is_zero() for v in acc.values())
+
+
+def test_triple_kernel_cancels_to_an_empty_table():
+    f = CoeffFn.mono(-1, 0, GaussRat(F(1, 2), 1)) + CoeffFn.mono(0, 1)
+    g = CoeffFn.mono(0, -1, M) + CoeffFn.t_pow(-1)
+    acc: dict = {}
+    ring.triple_into(acc, f.terms.items(), g.terms.items(), CoeffFn.one().terms.items(), -1, -1, 1)
+    assert acc
+    ring.triple_into(acc, f.terms.items(), g.terms.items(), CoeffFn.one().terms.items(), -1, -1, -1)
+    assert acc == {}
+
+
 def _no_table(*args, **kwargs):
     raise AssertionError("a zero operand reached mul_into")
 
