@@ -451,6 +451,80 @@ class TestSharedTables:
         assert rep.passed == rep.cases - 42
 
 
+# (cases, failing cases, digest) of every suite's (label, outcome) list at
+# two configs; the second renders failures with the mass normalised
+_PIN_CONFIGS = {
+    "default": (
+        VerifyConfig(threads=1),
+        {
+            "psido-axioms": (3124, 0, "691147cc50d35cdf"),
+            "theta": (6125, 0, "74aafeb232147f92"),
+            "timeshift": (91, 0, "6b0e1a42ef02b318"),
+            "cocycles": (9384, 0, "7363717daf581100"),
+            "lemma26": (190, 0, "8cd05f4961877535"),
+            "lemma33": (41, 0, "ea6d9a6ca63f8d5f"),
+            "theorem51": (190, 0, "8cd05f4961877535"),
+            "theorem61": (11411, 0, "b4d14ed4302394fa"),
+            "dpi-rep": (570, 0, "a9c5e85271fd3772"),
+            "dsigma-rep": (1149, 0, "68498ee4b26b50fe"),
+            "poisson-lemma71": (3094, 0, "0e038cb4496aa7f5"),
+            "nu-scan": (5, 0, "417f041d94aae8a0"),
+        },
+    ),
+    "range 2, c 1/3, normalised mass, 2 random cases, seed 3, mu 1/3, nu 1/2": (
+        VerifyConfig(
+            index_range=2, c=GaussRat(Fraction(1, 3)), normalize_mass=True, random_cases=2,
+            seed=3, mu=Fraction(1, 3), nu=GaussRat(Fraction(1, 2)), threads=1,
+        ),
+        {
+            "psido-axioms": (2250, 0, "936bc9c2792be39e"),
+            "theta": (1637, 0, "473905227792aa75"),
+            "timeshift": (89, 0, "e947c670d8664b76"),
+            "cocycles": (3470, 0, "04353a88e3144b73"),
+            "lemma26": (91, 0, "0190f720089f395f"),
+            "lemma33": (35, 0, "bb7e80653eed5995"),
+            "theorem51": (91, 0, "0190f720089f395f"),
+            "theorem61": (4311, 45, "e5acc4d5c53e2d59"),
+            "dpi-rep": (364, 0, "9b0af1cf8ab48b0d"),
+            "dsigma-rep": (735, 0, "ce6b964b412ecb4f"),
+            "poisson-lemma71": (1315, 0, "f20dc9c861fbe844"),
+            "nu-scan": (5, 1, "00a3565788071a52"),
+        },
+    ),
+}
+
+
+class TestCasePins:
+    """Every case's label and outcome, pinned by digest.
+
+    A passing report prints no labels, so only this pins them: a change
+    to how cases are declared must keep each label, its place in the
+    case order and its outcome text."""
+
+    @staticmethod
+    def _pins(cfg):
+        import hashlib
+
+        pins = {}
+        for name, build in _SUITE_BUILDERS.items():
+            if build is None:
+                # nu-scan's labels stay inside nu_scan; its notes carry the table
+                rep = nu_scan(cfg)
+                rows = [(f.inputs, (f.lhs, f.rhs)) for f in rep.failures] + [(n, None) for n in rep.notes[1:]]
+                cases, failing = rep.cases, rep.cases - rep.passed
+            else:
+                rows = [(label, _call((label, thunk))) for label, thunk in build(cfg)]
+                cases, failing = len(rows), sum(out is not None for _, out in rows)
+            digest = hashlib.sha256("".join(f"{row!r}\n" for row in rows).encode())
+            pins[name] = (cases, failing, digest.hexdigest()[:16])
+        return pins
+
+    @pytest.mark.parametrize("config", list(_PIN_CONFIGS))
+    def test_every_case_label_and_outcome_is_pinned(self, config):
+        cfg, want = _PIN_CONFIGS[config]
+        assert self._pins(cfg) == want
+
+
 class TestReports:
     def test_json_schema(self):
         import json
