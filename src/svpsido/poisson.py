@@ -280,16 +280,21 @@ def _slot_data(mu: GDual, field: str) -> CoeffFn:
     return mu.a
 
 
+def _jet_data(mu: GDual, J: JetVar) -> CoeffFn:
+    """The point's slot data, differentiated as the jet says."""
+    data = _slot_data(mu, J.field)
+    for _ in range(J.i):
+        data = data.deriv("T")
+    for _ in range(J.j):
+        data = data.deriv("X")
+    return data
+
+
 def _substituted(jets, coeff: CoeffFn, mu: GDual) -> CoeffFn:
     """One monomial with the point's slot data plugged into its jets."""
     value = coeff
     for J in jets:
-        data = _slot_data(mu, J.field)
-        for _ in range(J.i):
-            data = data.deriv("T")
-        for _ in range(J.j):
-            data = data.deriv("X")
-        value = value * data
+        value = value * _jet_data(mu, J)
     return value
 
 
@@ -301,26 +306,27 @@ def substitute(F: LocalFunctional, mu: GDual) -> CoeffFn:
     return total
 
 
-def _t_residue(c: CoeffFn) -> CoeffFn:
-    return c.residue("T").x_slice(0)
-
-
-def _double_residue(c: CoeffFn) -> CoeffFn:
-    return _t_residue(c.residue("X"))
+_ONE_ITEMS = tuple(CoeffFn.one().terms.items())
 
 
 def evaluate(F: LocalFunctional, mu: GDual) -> CoeffFn:
-    """Integrate the substituted monomials: double residue for the pair
-    class, single time residue for the loop classes.  Jet-free monomials
-    count as pair class."""
-    total = CoeffFn.zero()
+    """Integrate the substituted monomials: the coefficient of t^-1 x^-1
+    (the double residue) for the pair class, of t^-1 x^0 (the time
+    residue) for the loop classes.  Jet-free monomials count as pair class.
+
+    Each monomial's residue is read by ring.triple_into from its last two
+    factors and the product of the leading ones, so only a monomial with
+    more than two jets builds a product."""
+    acc: dict = {}
     for jets, coeff in F.terms.items():
-        piece = _substituted(jets, coeff, mu)
-        if _monomial_class(jets) == "pair":
-            total = total + _double_residue(piece)
-        else:
-            total = total + _t_residue(piece)
-    return total
+        lead = coeff
+        for J in jets[:-2]:
+            lead = lead * _jet_data(mu, J)
+        factors = [lead.terms.items()] + [_jet_data(mu, J).terms.items() for J in jets[-2:]]
+        factors += [_ONE_ITEMS] * (3 - len(factors))
+        q = -1 if _monomial_class(jets) == "pair" else 0
+        triple_into(acc, *factors, -1, q, 1)
+    return coeff_from_table(acc)
 
 
 # ------------------------------------------------------------- generators

@@ -192,6 +192,25 @@ class TestEvaluation:
             shifted = base.add(total_derivative(G, var))
             assert evaluate(shifted, self.mu) == evaluate(base, self.mu)
 
+    def test_many_jet_monomials_match_the_residue_of_the_product(self):
+        mu = npoint(v=CoeffFn.t_pow(1) + CoeffFn.t_pow(-2),
+                    vm2=CoeffFn.mono(1, -1) + CoeffFn.mono(-1, 2, GaussRat(0, 1)),
+                    v0=CoeffFn.t_pow(2) + CoeffFn.mono(0, -1), a=CoeffFn.t_pow(-1))
+        monomials = [
+            (CoeffFn.mono(-5, 2) + CoeffFn.t_pow(-1), (jet(FIELD_VM2), jet(FIELD_VM2, 0, 1), jet(FIELD_V0))),
+            (CoeffFn.mono(-2, 4) + CoeffFn.mono(0, -3), (jet(FIELD_V0), jet(FIELD_VM2, 1, 0), jet(FIELD_V0, 0, 1), jet(FIELD_VM2))),
+            (CoeffFn.t_pow(3) + CoeffFn.t_pow(-3), (jet(FIELD_V), jet(FIELD_V, 1), jet(FIELD_V))),
+        ]
+        for coeff, jets in monomials:
+            F = LocalFunctional.monomial(coeff, *jets)
+            product = substitute(F, mu)
+            want = _ref_t_residue(product) if jets[0].field == FIELD_V else _ref_double_residue(product)
+            assert not want.is_zero()
+            assert evaluate(F, mu) == want
+        total = LocalFunctional([(jets, coeff) for coeff, jets in monomials])
+        assert evaluate(total, mu) == sum((evaluate(LocalFunctional.monomial(c, *js), mu)
+                                           for c, js in monomials), CoeffFn.zero())
+
     def test_substitute_applies_jets(self):
         F = LocalFunctional.monomial(CoeffFn.one(), jet(FIELD_VM2, 1, 1))
         got = substitute(F, npoint(vm2=CoeffFn.mono(2, 2)))
