@@ -48,6 +48,11 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("svpsido:")
 
+    def test_zero_denominator_literal_exits_2(self, capsys):
+        code, out, err = run_cli(["eval", "3/0*xi"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("svpsido:") and err.count("\n") == 1
+
     def test_algebra_mixing_exits_2(self, capsys):
         code, _, err = run_cli(["eval", "xi + r"], capsys)
         assert code == 2 and "mixes" in err

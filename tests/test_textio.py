@@ -6,6 +6,7 @@ Values checked here are short enough to compose by hand; each oracle
 is rebuilt from ring constructors rather than from another parse.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,8 @@ import pytest
 from svpsido import transforms
 from svpsido.halfint import EXACT, h
 from svpsido.psido import R, XI, Symbol
-from svpsido.ring import CoeffFn, I_M, M
-from svpsido.textio import eval_expr, parse_floor, parse_rational, symbol_str
+from svpsido.ring import CoeffFn, GaussRat, I_M, M
+from svpsido.textio import eval_expr, gauss_str, parse_floor, parse_rational, symbol_str
 
 
 class TestSmallParsers:
@@ -135,6 +136,54 @@ class TestEvalExpr:
             eval_expr("theta(")
         with pytest.raises(ValueError):
             eval_expr("xi xi")
+
+
+class TestParserEdges:
+    """What the lexer and the literal and exponent readers accept and refuse."""
+
+    def test_leading_and_inner_whitespace_is_accepted(self):
+        assert eval_expr("  2 *  xi\t+ 1") == eval_expr("2*xi+1")
+        assert eval_expr(" theta( xi * d_xi )") == eval_expr("theta(xi*d_xi)")
+        assert eval_expr("xi^ - 1") == eval_expr("xi^-1")
+
+    def test_unicode_decimal_digits_read_as_digits(self):
+        assert symbol_str(eval_expr("\u0663*xi")) == "3*xi | exact"  # ARABIC-INDIC THREE
+        assert eval_expr("xi^\u0662") == eval_expr("xi^2")
+
+    def test_leading_zeros_are_read_as_decimal(self):
+        assert eval_expr("01*r") == eval_expr("r")
+        assert eval_expr("xi^02") == eval_expr("xi^2")
+
+    def test_literals_and_exponents_are_reduced(self):
+        assert symbol_str(eval_expr("4/6*xi")) == "2/3*xi | exact"
+        assert symbol_str(eval_expr("d_xi^2/4")) == "d_xi^1/2 | exact"
+
+    def test_superscript_digits_are_refused(self):
+        with pytest.raises(ValueError) as exc:
+            eval_expr("2\u00b2")  # SUPERSCRIPT TWO
+        assert str(exc.value) == "bad character in expression at: '\u00b2'"
+
+    def test_zero_denominator_literal_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            eval_expr("3/0*xi")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no limit")
+    @pytest.mark.parametrize(
+        "g",
+        [
+            GaussRat(2**20000),
+            GaussRat(Fraction(1, 2**20000)),
+            GaussRat(0, -(2**20000)),
+            GaussRat(1, 2**20000),
+            GaussRat(2**20000, 1),
+            GaussRat(Fraction(1, 3), Fraction(2**20000, 3)),
+        ],
+    )
+    def test_gauss_str_names_the_digit_limit(self, g):
+        with pytest.raises(ValueError) as exc:
+            gauss_str(g)
+        limit = sys.get_int_max_str_digits()
+        assert str(exc.value) == f"a coefficient of the result would print with more than {limit} digits"
 
 
 class TestRendering:
