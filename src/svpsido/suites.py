@@ -956,10 +956,11 @@ def _suite_dsigma_rep(cfg: VerifyConfig) -> list:
 
     def represents(vname, w, i, j):
         act, Xa, Xb = variants[vname], basis[i][1], basis[j][1]
+        bracket = sv_bracket(Xa, Xb)
         for p, P in enumerate(pts):
             first = act(w, Xa, acted(act, w, j, p))
             second = act(w, Xb, acted(act, w, i, p))
-            want = act(w, sv_bracket(Xa, Xb), P)
+            want = act(w, bracket, P)
             out = _equal(coeff, first.a - second.a, want.a) or _equal(coeff, first.V - second.V, want.V)
             if out:
                 return out

@@ -14,11 +14,23 @@ Printing rules, fixed so that reports are reproducible byte-for-byte:
   integer or half-integer exponent (``d_xi^1/2``), then the trust marker
   `` | exact`` or `` | floor=-7/2``.
 
+Printing reads a GaussRat's reduced int triple (a + i*b)/d: a part whose
+partner is zero is already in lowest terms, and each part of a complex
+value costs one gcd, so no Fraction is built.  A coefficient is sorted
+once and grouped by (t, x) monomial; ``symbol_str`` takes the number of
+groups, which decides its parentheses, from the same pass.
+
 The parser accepts sums/differences/products/powers over the atoms
 ``i  M  t  xi  r  d_xi  d_r`` and rational literals, plus the function
 calls used by the calculator: ``theta  theta_inv  tshift  bracket  mul
 trace  dpart``.  Each expression must stay inside a single symbol algebra
-(mixing ``r`` and ``xi`` atoms is an error).
+(mixing ``r`` and ``xi`` atoms is an error).  Whitespace may surround
+any token.  The lexer makes two regex passes in C: one match finds the
+longest prefix made of tokens, and an error names the text after it; one
+``findall`` then splits the expression into token strings.  The parser
+compares those strings with operators directly.  A literal ``p`` becomes
+a GaussRat from its int, ``p/q`` one reduced by a single gcd, and an
+exponent is read as twice its value, an int.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import log10
+from math import gcd, log10
 
 from . import transforms
 from .halfint import EXACT, HalfInt, h
@@ -41,7 +53,7 @@ from .psido import (
     sym_mul,
     sym_neg,
 )
-from .ring import GR_ONE, CoeffFn, GaussRat, M
+from .ring import CoeffFn, GaussRat, M, _gauss
 
 _MINUS_ONE = GaussRat(-1)
 
@@ -60,41 +72,45 @@ __all__ = [
 
 
 def gauss_str(g: GaussRat) -> str:
-    real, imag = g.re, g.im
+    a, b, d = g._a, g._b, g._d
     try:
-        if not imag:
-            return str(real)
-        if not real:
-            if imag == 1:
-                return "i"
-            if imag == -1:
-                return "-i"
-            return f"{str(imag)}*i"
-        sign = "+" if imag > 0 else "-"
-        mag = abs(imag)
-        imtxt = "i" if mag == 1 else f"{str(mag)}*i"
-        return f"({str(real)} {sign} {imtxt})"
-    except ValueError:  # only str() raises, past the int-to-str digit limit
+        # a triple with one zero part is reduced part by part already
+        if not b:
+            return _ratio_str(a, d)
+        if not a:
+            if d == 1 and (b == 1 or b == -1):
+                return "i" if b == 1 else "-i"
+            return f"{_ratio_str(b, d)}*i"
+        gre = gcd(a, d)
+        gim = gcd(b, d)
+        mag, den = abs(b) // gim, d // gim
+        imtxt = "i" if mag == 1 and den == 1 else f"{_ratio_str(mag, den)}*i"
+        return f"({_ratio_str(a // gre, d // gre)} {'+' if b > 0 else '-'} {imtxt})"
+    except ValueError:  # only int-to-str raises, past its digit limit
         limit = sys.get_int_max_str_digits()
         raise ValueError("a coefficient of the result would print with more than "
                          f"{limit} digits") from None
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms, as Fraction prints it."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _mass_str(terms: list) -> str:
     """A sum of g*M^k, given as (k, g) pairs in ascending k."""
     parts = []
     for k, g in terms:
-        gtxt = gauss_str(g)
         if k == 0:
-            parts.append(gtxt)
+            parts.append(gauss_str(g))
+            continue
+        mp = "M" if k == 1 else f"M^{k}"
+        if g.is_one():
+            parts.append(mp)
+        elif g == _MINUS_ONE:
+            parts.append(f"-{mp}")
         else:
-            mp = "M" if k == 1 else f"M^{k}"
-            if g.is_one():
-                parts.append(mp)
-            elif g == _MINUS_ONE:
-                parts.append(f"-{mp}")
-            else:
-                parts.append(f"{gtxt}*{mp}")
+            parts.append(f"{gauss_str(g)}*{mp}")
     return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -104,36 +120,43 @@ def scalar_str(s: CoeffFn) -> str:
         raise ValueError(f"not a scalar: {s!r}")
     if s.is_zero():
         return "0"
-    return _mass_str([(k[2], s.terms[k]) for k in sorted(s.terms)])
+    return _mass_str([(k[2], g) for k, g in sorted(s.terms.items())])
 
 
 def coeff_str(c: CoeffFn, xname: str = "x") -> str:
+    return _coeff_text(c, xname)[0]
+
+
+def _coeff_text(c: CoeffFn, xname: str) -> tuple:
+    """coeff_str's text and its number of (t-power, x-power) monomials."""
     if c.is_zero():
-        return "0"
+        return "0", 0
     groups: dict = {}  # (t-power, x-power) -> its (M-power, coefficient) pairs
-    for p, q, m in sorted(c.terms):
-        groups.setdefault((p, q), []).append((m, c.terms[(p, q, m)]))
+    for (p, q, m), g in sorted(c.terms.items()):
+        groups.setdefault((p, q), []).append((m, g))
     parts = []
     for (p, q), terms in groups.items():
+        if p:
+            body = "t" if p == 1 else f"t^{p}"
+            if q:
+                body += f"*{xname}" if q == 1 else f"*{xname}^{q}"
+        elif q:
+            body = xname if q == 1 else f"{xname}^{q}"
+        else:
+            body = ""
+        if body and len(terms) == 1 and terms[0][0] == 0:
+            g = terms[0][1]
+            if g.is_one():
+                parts.append(body)
+                continue
+            if g == _MINUS_ONE:
+                parts.append(f"-{body}")
+                continue
         stxt = _mass_str(terms)
         if len(terms) > 1:
             stxt = f"({stxt})"
-        factors = []
-        if p:
-            factors.append("t" if p == 1 else f"t^{p}")
-        if q:
-            factors.append(xname if q == 1 else f"{xname}^{q}")
-        if not factors:
-            parts.append(stxt)
-            continue
-        body = "*".join(factors)
-        if terms == [(0, GR_ONE)]:
-            parts.append(body)
-        elif terms == [(0, _MINUS_ONE)]:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{stxt}*{body}")
-    return " + ".join(parts).replace("+ -", "- ")
+        parts.append(f"{stxt}*{body}" if body else stxt)
+    return " + ".join(parts).replace("+ -", "- "), len(parts)
 
 
 def symbol_str(D) -> str:
@@ -143,9 +166,8 @@ def symbol_str(D) -> str:
         body = "0"
     else:
         parts = []
-        for k in sorted(D.terms, key=lambda o: -o.twice):
-            c = D.terms[k]
-            ctxt = coeff_str(c, xname)
+        for k, c in sorted(D.terms.items(), key=lambda kc: -kc[0].twice):
+            ctxt, monomials = _coeff_text(c, xname)
             if k.twice == 0:
                 parts.append(ctxt)
                 continue
@@ -154,7 +176,7 @@ def symbol_str(D) -> str:
                 parts.append(dp)
             elif ctxt == "-1":
                 parts.append(f"-{dp}")
-            elif len({(p, q) for p, q, _ in c.terms}) > 1:
+            elif monomials > 1:
                 parts.append(f"({ctxt})*{dp}")
             else:
                 parts.append(f"{ctxt}*{dp}")
@@ -180,36 +202,43 @@ def parse_floor(text: str):
 
 # ---------------------------------------------------------------- expression parser
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^(),]))"
-)
+_TOKEN = r"\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*^(),]"
+_TOKENS = re.compile(_TOKEN)
+# group 1 ends where the longest run of whitespace-led tokens ends
+_LEXABLE = re.compile(rf"((?:\s*(?:{_TOKEN}))*)\s*")
 
 
-def _tokenize(src: str):
-    pos, out = 0, []
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"bad character in expression at: {src[pos:]!r}")
-        if m.group("num"):
-            out.append(("num", m.group("num")))
-        elif m.group("name"):
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
-        pos = m.end()
-    out.append(("end", ""))
-    return out
+def _tokenize(src: str) -> list:
+    """The token strings of src, then "" for the end of input."""
+    m = _LEXABLE.match(src)
+    if m.end() != len(src):
+        raise ValueError(f"bad character in expression at: {src[m.end(1):]!r}")
+    tokens = _TOKENS.findall(src)  # src is all tokens and whitespace now
+    tokens.append("")
+    return tokens
+
+
+def _ratio(tok: str) -> tuple:
+    """A number token 'p' or 'p/q' as ints (p, q), q > 0."""
+    p, _, q = tok.partition("/")
+    p = int(p)
+    if not q:
+        return p, 1
+    q = int(q)
+    if not q:
+        raise ZeroDivisionError(f"zero denominator in the literal {tok!r}")
+    return p, q
 
 
 class _Parser:
     """Recursive descent over: expr := term (+|- term)*; term := signed factor
     ('*' signed factor)*; factor := atom ['^' signed-rational].
 
-    A value is a CoeffFn until an r or xi atom gives it an algebra; from
-    then on it is a psido.Symbol.  Products whose Leibniz tail does not
-    terminate, and the functions that need a window, are cut at floor.
+    Tokens are strings, so the parser tests one by comparing it with an
+    operator: no number or name equals one.  A value is a CoeffFn until an
+    r or xi atom gives it an algebra; from then on it is a psido.Symbol.
+    Products whose Leibniz tail does not terminate, and the functions that
+    need a window, are cut at floor.
     """
 
     def __init__(self, tokens, floor):
@@ -217,87 +246,93 @@ class _Parser:
         self.i = 0
         self.floor = floor
 
-    def peek(self):
-        return self.toks[self.i]
-
     def take(self):
-        t = self.toks[self.i]
+        tok = self.toks[self.i]
         self.i += 1
-        return t
+        return tok
 
     def expect(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ValueError(f"expected {op!r}, got {val!r}")
+        tok = self.take()
+        if tok != op:
+            raise ValueError(f"expected {op!r}, got {tok!r}")
 
     def parse(self):
         v = self.expr()
-        if self.peek()[0] != "end":
-            raise ValueError(f"trailing input at {self.peek()[1]!r}")
+        if self.toks[self.i]:
+            raise ValueError(f"trailing input at {self.toks[self.i]!r}")
         return v
 
     def expr(self):
         v = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
+        while (op := self.toks[self.i]) == "+" or op == "-":
+            self.i += 1
             w = self.term()
             v = _add(v, w if op == "+" else _neg(w))
         return v
 
     def term(self):
         v = self.signed_factor()
-        while self.peek() == ("op", "*"):
-            self.take()
+        while self.toks[self.i] == "*":
+            self.i += 1
             v = self.mul(v, self.signed_factor())
         return v
 
+    def signs(self) -> bool:
+        """Skip a run of unary signs; True when it negates."""
+        toks, i, neg = self.toks, self.i, False
+        while (tok := toks[i]) == "-" or tok == "+":
+            neg ^= tok == "-"
+            i += 1
+        self.i = i
+        return neg
+
     def signed_factor(self):
-        neg = False
-        while self.peek() in (("op", "-"), ("op", "+")):
-            if self.take()[1] == "-":
-                neg = not neg
+        neg = self.signs()
         v = self.factor()
         return _neg(v) if neg else v
 
     def factor(self):
         v = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            sign = 1
-            while self.peek() in (("op", "-"), ("op", "+")):
-                if self.take()[1] == "-":
-                    sign = -sign
-            kind, val = self.take()
-            if kind != "num":
+        if self.toks[self.i] == "^":
+            self.i += 1
+            neg = self.signs()
+            tok = self.take()
+            if not tok[:1].isdecimal():
                 raise ValueError("exponent must be a rational literal")
-            v = self.power(v, Fraction(val) * sign)
+            p, q = _ratio(tok)
+            twice, rest = divmod(2 * p, q)
+            if rest:
+                raise ValueError("exponents must lie in (1/2)Z")
+            v = self.power(v, -twice if neg else twice)
         return v
 
     def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return CoeffFn.const(Fraction(val))
-        if kind == "op" and val == "(":
+        tok = self.take()
+        head = tok[:1]
+        if head.isdecimal():
+            p, q = _ratio(tok)
+            return CoeffFn.const(GaussRat(p) if q == 1 else _gauss(p, 0, q))
+        if tok == "(":
             v = self.expr()
             self.expect(")")
             return v
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                self.take()
+        if head.isalpha() or head == "_":
+            if self.toks[self.i] == "(":
+                self.i += 1
                 args = [self.expr()]
-                while self.peek() == ("op", ","):
-                    self.take()
+                while self.toks[self.i] == ",":
+                    self.i += 1
                     args.append(self.expr())
                 self.expect(")")
-                fn = _FUNCTIONS.get(val)
+                fn = _FUNCTIONS.get(tok)
                 if fn is None:
-                    raise ValueError(f"unknown function {val!r}")
+                    raise ValueError(f"unknown function {tok!r}")
                 return fn(self, *args)
-            atom = _ATOMS.get(val)
+            atom = _ATOMS.get(tok)
             if atom is None:
-                raise ValueError(f"unknown name {val!r}")
+                raise ValueError(f"unknown name {tok!r}")
             return atom
-        raise ValueError(f"unexpected token {val!r}")
+        raise ValueError(f"unexpected token {tok!r}")
 
     def mul(self, a, b):
         a, b = _same_algebra(a, b)
@@ -308,38 +343,37 @@ class _Parser:
         except ValueError:
             return sym_mul(a, b, self.floor)
 
-    def power(self, v, q: Fraction):
-        if q.denominator not in (1, 2):
-            raise ValueError("exponents must lie in (1/2)Z")
+    def power(self, v, twice: int):
+        """v to the power twice/2."""
+        k, half = divmod(twice, 2)
         if isinstance(v, CoeffFn):
             if v == CoeffFn.one():
                 return v
-            if len(v.terms) == 1 and q.denominator == 1:
-                _check_power_digits(v, q.numerator)
-                return v ** q.numerator
+            if len(v.terms) == 1 and not half:
+                _check_power_digits(v, k)
+                return v ** k
         elif len(v.terms) == 1:
-            ((k, c),) = v.terms.items()
+            ((order, c),) = v.terms.items()
             if c == CoeffFn.one():
-                # pure derivative power: d^k ^ q = d^(k*q), must stay in (1/2)Z
-                newtw = k.twice * q.numerator
-                if q.denominator == 2:
-                    if newtw % 2:
-                        raise ValueError("resulting order is not a half-integer")
-                    newtw //= 2
-                return Symbol.monomial(v.var, HalfInt(newtw), CoeffFn.one())
-            if k.twice == 0 and len(c.terms) == 1 and q.denominator == 1:
+                # pure derivative power: d^a ^ (twice/2) = d^(a*twice/2),
+                # which must stay in (1/2)Z
+                newtw = order.twice * twice
+                if newtw % 2:
+                    raise ValueError("resulting order is not a half-integer")
+                return Symbol.monomial(v.var, HalfInt(newtw // 2), CoeffFn.one())
+            if order.twice == 0 and len(c.terms) == 1 and not half:
                 # monomial function base with an integer exponent
-                _check_power_digits(c, q.numerator)
-                return Symbol.function(v.var, c ** q.numerator)
-        if q.denominator == 1 and q >= 0:
-            # |k| successive products, each larger than the last
-            if q > transforms.MAX_IMAGE_POWER:
+                _check_power_digits(c, k)
+                return Symbol.function(v.var, c ** k)
+        if not half and k >= 0:
+            # k successive products, each larger than the last
+            if k > transforms.MAX_IMAGE_POWER:
                 raise ValueError(
                     f"powers of a base that is not a single generator are bounded by "
                     f"{transforms.MAX_IMAGE_POWER}"
                 )
             out = CoeffFn.one()
-            for _ in range(q.numerator):
+            for _ in range(k):
                 out = self.mul(out, v)
             return out
         raise ValueError("this exponent needs a single-generator base")
@@ -394,8 +428,10 @@ def _check_power_digits(c: CoeffFn, k: int) -> None:
     when it is below 1.  Reducing (a + i*b)^k / d^k cancels at most 2^(k/2)
     from d^k, and the two printed denominators multiply to at least the rest.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     (g,) = c.terms.values()
+    if g._d == 1 and g._a * g._a + g._b * g._b == 1:
+        return  # every power of 1, -1, i or -i is one of them
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if k < 0:
         g, k = g.inv(), -k
     a, b, d, half_log2 = g._a, g._b, g._d, log10(2) / 2

@@ -53,6 +53,16 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("svpsido:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("expr", ["3/0*xi", "xi^3/0"])
+    def test_zero_denominator_names_the_literal(self, capsys, expr):
+        code, out, err = run_cli(["eval", expr], capsys)
+        assert code == 2 and out == ""
+        assert err == "svpsido: zero denominator in the literal '3/0'\n"
+
+    def test_trailing_whitespace_is_accepted(self, capsys):
+        code, out, _ = run_cli(["eval", "xi "], capsys)
+        assert code == 0 and out == "xi | exact\n"
+
     def test_algebra_mixing_exits_2(self, capsys):
         code, _, err = run_cli(["eval", "xi + r"], capsys)
         assert code == 2 and "mixes" in err

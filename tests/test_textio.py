@@ -10,12 +10,15 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference
 from svpsido import transforms
-from svpsido.halfint import EXACT, h
+from svpsido.halfint import EXACT, HalfInt, h
 from svpsido.psido import R, XI, Symbol
 from svpsido.ring import CoeffFn, GaussRat, I_M, M
-from svpsido.textio import eval_expr, gauss_str, parse_floor, parse_rational, symbol_str
+from svpsido.textio import _tokenize, eval_expr, gauss_str, parse_floor, parse_rational, symbol_str
 
 
 class TestSmallParsers:
@@ -167,6 +170,19 @@ class TestParserEdges:
         with pytest.raises(ZeroDivisionError):
             eval_expr("3/0*xi")
 
+    @pytest.mark.parametrize("src", ["3/0*xi", "xi^3/0", "xi^-3/0"])
+    def test_zero_denominator_error_names_the_literal(self, src):
+        with pytest.raises(ZeroDivisionError) as exc:
+            eval_expr(src)
+        assert str(exc.value) == "zero denominator in the literal '3/0'"
+
+    def test_trailing_whitespace_is_accepted(self):
+        assert eval_expr("xi ") == eval_expr("xi")
+        assert eval_expr(" 2*xi \t\n") == eval_expr("2*xi")
+        with pytest.raises(ValueError) as exc:
+            eval_expr("xi $ ")
+        assert str(exc.value) == "bad character in expression at: ' $ '"
+
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no limit")
     @pytest.mark.parametrize(
         "g",
@@ -214,3 +230,90 @@ class TestRendering:
             assert tag == "exact"
             assert body == src
             assert eval_expr(body) == sym
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and text of the exception it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _kind(tok: str) -> str:
+    """The token class the parser reads from a token's first character."""
+    head = tok[:1]
+    if not head:
+        return "end"
+    if head.isdecimal():
+        return "num"
+    return "name" if head.isalpha() or head == "_" else "op"
+
+
+BIG = 2**15000  # prints with more digits than the default int-to-str limit
+
+
+class TestAgainstReference:
+    """The int lexer and printer against the forms they replaced (tests/reference.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(), st.integers(), st.integers(min_value=1, max_value=10**30),
+           st.integers(min_value=1, max_value=10**30))
+    @example(0, 0, 1, 1)
+    @example(1, -1, 1, 1)
+    @example(6, 4, 4, 6)
+    @example(BIG, 1, 1, 1)
+    @example(1, BIG, 3, 1)
+    @example(1, 1, BIG, 2)
+    @example(0, -1, 1, BIG)
+    def test_gauss_str_matches_the_fraction_printer(self, a, b, d, e):
+        g = GaussRat(Fraction(a, d), Fraction(b, e))
+        assert _outcome(gauss_str, g) == _outcome(reference.gauss_str, g)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="0123456789/ \txirdtM_+-*^(),a$.;\u00b2\u0663\u00a0\u00e9", max_size=24))
+    @example("xi $ ")
+    @example("1/2/3")
+    @example("1 /2")
+    @example("\u0663/\u0664*xi ")
+    @example(" \u00a0")
+    def test_tokens_and_error_positions_match_the_per_token_lexer(self, src):
+        got, want = _outcome(_tokenize, src), _outcome(reference.tokenize, src)
+        if isinstance(want, list):
+            assert [(_kind(tok), tok) for tok in got] == want
+        else:
+            assert got == want
+
+
+def _gaussians():
+    parts = st.integers(min_value=-7, max_value=7)
+    dens = st.integers(min_value=1, max_value=6)
+    return st.builds(lambda a, b, d, e: GaussRat(Fraction(a, d), Fraction(b, e)),
+                     parts, parts, dens, dens).filter(lambda g: not g.is_zero())
+
+
+_monomials = st.tuples(st.integers(-2, 2), st.integers(-3, 3), st.integers(-2, 2))
+_coeffs = st.dictionaries(_monomials, _gaussians(), min_size=1, max_size=4).map(CoeffFn)
+
+
+@st.composite
+def exact_symbols(draw):
+    var = draw(st.sampled_from((R, XI)))
+    twice = st.integers(-5, 5) if var == XI else st.integers(-3, 3).map(lambda k: 2 * k)
+    terms = draw(st.dictionaries(twice.map(HalfInt), _coeffs, max_size=3))
+    return Symbol(var, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_symbols())
+def test_printed_symbols_parse_back_to_themselves(sym):
+    # extends TestRendering.test_render_parse_fixed_point to random symbols
+    text = symbol_str(sym)
+    body, tag = text.rsplit(" | ", 1)
+    assert tag == "exact"
+    back = eval_expr(body)
+    assert back.terms == sym.terms and back.floor is EXACT
+    if back.var != sym.var:
+        # a value with no r, xi or derivative parses as a space function
+        assert back.var == R and all(k.twice == 0 and c.is_t_only() for k, c in sym.terms.items())
+    assert symbol_str(back) == text
