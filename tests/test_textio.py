@@ -166,12 +166,8 @@ class TestParserEdges:
             eval_expr("2\u00b2")  # SUPERSCRIPT TWO
         assert str(exc.value) == "bad character in expression at: '\u00b2'"
 
-    def test_zero_denominator_literal_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            eval_expr("3/0*xi")
-
     @pytest.mark.parametrize("src", ["3/0*xi", "xi^3/0", "xi^-3/0"])
-    def test_zero_denominator_error_names_the_literal(self, src):
+    def test_zero_denominator_literal_raises(self, src):
         with pytest.raises(ZeroDivisionError) as exc:
             eval_expr(src)
         assert str(exc.value) == "zero denominator in the literal '3/0'"
