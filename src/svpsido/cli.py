@@ -3,6 +3,12 @@
 `svpsido verify` runs the exhaustive suites and exits 0 exactly when
 every case passes; `svpsido eval` evaluates one calculator expression
 and prints the resulting symbol with its trust annotation.
+
+Each command loads only what it runs.  At import this module loads the
+calculator (textio, and through it the ring, the symbols and the
+transforms); `verify` imports the suites, and with them the Lie-algebra,
+Poisson, cocycle and operator layers, when it runs.  So a one-expression
+`eval` never pays for the verifier.
 """
 
 from __future__ import annotations
@@ -14,15 +20,25 @@ import sys
 from fractions import Fraction
 
 from .ring import GaussRat
-from .suites import (
-    SUITE_NAMES,
-    VerifyConfig,
-    check_floor_depth,
-    report_json,
-    report_text,
-    run_suites,
-)
 from .textio import eval_expr, parse_floor, parse_rational, symbol_str
+from .transforms import check_floor_depth
+
+# suites.SUITE_NAMES, in its order, for --suite; a copy, so that parsing
+# the command line does not import the suites (a test pins the two equal)
+SUITE_NAMES = (
+    "psido-axioms",
+    "theta",
+    "timeshift",
+    "cocycles",
+    "lemma26",
+    "lemma33",
+    "theorem51",
+    "theorem61",
+    "dpi-rep",
+    "dsigma-rep",
+    "poisson-lemma71",
+    "nu-scan",
+)
 
 
 def _rational(text: str) -> Fraction:
@@ -106,6 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_verify(args) -> int:
+    from .suites import VerifyConfig, report_json, report_text, run_suites
+
     kwargs = dict(
         index_range=args.index_range,
         mu=args.mu,

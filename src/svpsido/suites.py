@@ -25,18 +25,23 @@ elements, an action on a basis element, theta's images) are lazy: an entry
 is computed by the first case that asks for it, so each forked worker
 fills its own copy and nothing is pickled.  A failed entry is not stored,
 so every case that reads it fails the same way.
+
+Importing the module loads the calculus it checks and nothing heavier:
+the config and report records are NamedTuples, not dataclasses, and
+`multiprocessing` is imported by the first run that forks workers.  The
+command line imports this module only when `svpsido verify` runs; the
+floor bound that `verify` and `eval` share lives in transforms.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import multiprocessing
 import os
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import transforms as tr
 from .cocycles import (
@@ -99,7 +104,6 @@ __all__ = [
     "SuiteReport",
     "SUITE_NAMES",
     "VerifyConfig",
-    "check_floor_depth",
     "nu_scan",
     "report_json",
     "report_text",
@@ -109,30 +113,13 @@ __all__ = [
 
 # ----------------------------------------------------------------- plumbing
 
-def _default_floor() -> HalfInt:
-    return h("-7/2")
-
-
-# Leibniz tails grow factorially with depth and transform images cost more
-# than linearly in it, so the front door refuses floors below the depth at
-# which the calculator references are checked.
-DEEPEST_FLOOR = h(-16)
-
-
-def check_floor_depth(floor: HalfInt) -> None:
-    """Refuse a floor below DEEPEST_FLOOR with a ValueError."""
-    if floor < DEEPEST_FLOOR:
-        raise ValueError(f"the floor must sit at or above {DEEPEST_FLOOR}")
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(NamedTuple):
     """Knobs shared by every suite; the defaults match the shipped boxes."""
 
-    floor: HalfInt = field(default_factory=_default_floor)
+    floor: HalfInt = h("-7/2")
     index_range: int = 3
-    c: GaussRat = field(default_factory=lambda: GaussRat(2))
-    nu: GaussRat = field(default_factory=lambda: GaussRat(0))
+    c: GaussRat = GaussRat(2)
+    nu: GaussRat = GaussRat(0)
     mu: Fraction | None = None
     normalize_mass: bool = False
     random_cases: int = 0
@@ -146,7 +133,7 @@ def validate_config(cfg: VerifyConfig) -> None:
     floor = h(cfg.floor)
     if floor > h(-1):
         raise ValueError("the floor must sit at or below -1 so traces stay trusted")
-    check_floor_depth(floor)
+    tr.check_floor_depth(floor)
     if not 1 <= cfg.index_range <= 5:
         raise ValueError("index range out of bounds (want 1 <= n <= 5)")
     if cfg.random_cases < 0:
@@ -155,21 +142,19 @@ def validate_config(cfg: VerifyConfig) -> None:
         raise ValueError("thread count must be positive")
 
 
-@dataclass(frozen=True)
-class CaseFailure:
+class CaseFailure(NamedTuple):
     inputs: str
     lhs: str
     rhs: str
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     cases: int
     passed: int
     failures: list
     millis: int
-    notes: list = field(default_factory=list)
+    notes: list = ()  # a NamedTuple default is shared, so an immutable one
 
     @property
     def ok(self) -> bool:
@@ -214,7 +199,8 @@ def _run_shards(n: int) -> list:
     worker that dies without sending its list (killed by a signal, or a
     case calling os._exit) ends the run instead of leaving it waiting.
     """
-    from multiprocessing.connection import wait  # only runs that fork pay its import
+    import multiprocessing  # only runs that fork pay its import
+    from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
     procs, conns = [], []
@@ -263,7 +249,7 @@ def _run_shards(n: int) -> list:
 def _run_cases(name: str, cases: list, cfg: VerifyConfig, notes=None) -> SuiteReport:
     start = time.monotonic()
     workers = min(_worker_count(cfg), len(cases))
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+    if workers > 1 and hasattr(os, "fork"):
         _shard_cases[:] = cases
         try:
             shards = _run_shards(workers)
@@ -1217,8 +1203,7 @@ def nu_scan(cfg: VerifyConfig, grid=None) -> SuiteReport:
     _each(cases, table, label, flat)
 
     report = _run_cases("nu-scan", cases, cfg, notes=notes)
-    report.millis = int((time.monotonic() - start) * 1000)
-    return report
+    return report._replace(millis=int((time.monotonic() - start) * 1000))
 
 
 # ----------------------------------------------------------------- registry

@@ -376,7 +376,9 @@ class _Parser:
             for _ in range(k):
                 out = self.mul(out, v)
             return out
-        raise ValueError("this exponent needs a single-generator base")
+        if half:
+            raise ValueError("only a pure derivative takes a half-integer exponent")
+        raise ValueError("only a monomial function or a pure derivative takes a negative exponent")
 
     # ---- calculator functions; a CoeffFn argument is a multiplication
     # operator, whose bracket and trace vanish

@@ -36,6 +36,7 @@ from .ring import CoeffFn, GR_ZERO, GaussRat, I_M, M, MINUS_2I_M, coeff_from_tab
 from .svalgebra import SvElement
 
 __all__ = [
+    "DEEPEST_FLOOR",
     "DEEPEST_IMAGE_FLOOR",
     "MAX_IMAGE_POWER",
     "ThetaImageCache",
@@ -48,6 +49,7 @@ __all__ = [
     "x_generator",
     "schrodinger_invariance_defect",
     "j_map",
+    "check_floor_depth",
     "default_depth",
 ]
 
@@ -69,6 +71,18 @@ def default_depth(req_floor) -> int:
 # 2q + f, past the power bound.  The default suites stay above -10.
 MAX_IMAGE_POWER = 64
 DEEPEST_IMAGE_FLOOR = h(-48)
+
+# Leibniz tails grow factorially with depth and transform images cost more
+# than linearly in it, so the front door refuses floors below the depth at
+# which the calculator references are checked.  `eval` and `verify` share
+# this one bound.
+DEEPEST_FLOOR = h(-16)
+
+
+def check_floor_depth(floor: HalfInt) -> None:
+    """Refuse a floor below DEEPEST_FLOOR with a ValueError."""
+    if floor < DEEPEST_FLOOR:
+        raise ValueError(f"the floor must sit at or above {DEEPEST_FLOOR}")
 
 
 def _fill(memo: dict, k: int, want, deepen, build) -> Symbol:

@@ -178,10 +178,59 @@ class TestEval:
         shifted = "(xi^2 + i*M^-1*t*xi - 1/4*M^-2*t^2)*d_xi + 3*xi + 3/2*i*M^-1*t"
         assert out.strip() == shifted + " | exact"
 
+    @pytest.mark.parametrize("expr", ["xi^1/2", "t^1/2", "M^-1/2", "(xi+d_xi)^1/2", "(2*d_xi)^3/2"])
+    def test_half_exponents_of_anything_but_a_derivative_exit_2(self, capsys, expr):
+        code, out, err = run_cli(["eval", expr], capsys)
+        assert code == 2 and out == ""
+        assert err == "svpsido: only a pure derivative takes a half-integer exponent\n"
+
+    @pytest.mark.parametrize("expr", ["((2 + M)*t)^-1", "(xi+d_xi)^-1", "(xi*d_xi)^-2"])
+    def test_negative_powers_of_a_sum_or_product_exit_2(self, capsys, expr):
+        code, out, err = run_cli(["eval", expr], capsys)
+        assert code == 2 and out == ""
+        assert err == (
+            "svpsido: only a monomial function or a pure derivative takes a negative exponent\n"
+        )
+
     def test_fractional_negative_flag_values_parse(self, capsys):
         # argparse must accept "-7/2" as a value, not read it as a flag
         code, out, _ = run_cli(["eval", "xi", "--floor", "-7/2"], capsys)
         assert code == 0 and out.strip() == "xi | exact"
+
+
+def test_cli_suite_names_are_the_suites_in_order():
+    # the command line keeps a copy so that it need not import the suites
+    from svpsido import cli, suites
+
+    assert cli.SUITE_NAMES == suites.SUITE_NAMES
+
+
+VERIFIER_MODULES = (
+    "svpsido.suites",
+    "svpsido.kacmoody",
+    "svpsido.poisson",
+    "svpsido.cocycles",
+    "svpsido.diffop2",
+    "svpsido.svaction",
+)
+
+
+@pytest.mark.parametrize(
+    "module, unloaded",
+    [
+        ("svpsido.cli", (*VERIFIER_MODULES, "multiprocessing", "dataclasses")),
+        ("svpsido.suites", ("multiprocessing", "dataclasses")),
+    ],
+)
+def test_imports_in_a_fresh_interpreter_leave_the_heavy_modules_unloaded(module, unloaded):
+    # only a cold process shows what an import pulls in: this one has loaded everything
+    script = f"import sys, {module}\nprint(' '.join(m for m in {unloaded!r} if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(svpsido.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"
 
 
 @pytest.mark.parametrize(
