@@ -111,8 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="extra random soak cases per suite")
     verify.add_argument("--seed", type=int, default=0, help="seed for the soak cases")
     verify.add_argument("--threads", type=int, default=None,
-                        help="worker processes that share each suite's cases, default "
-                             "the usable CPU count (at most 8)")
+                        help="processes that share each suite's cases, this one and the "
+                             "workers it forks; at most 64, default the usable CPU count "
+                             "(at most 8)")
 
     ev = sub.add_parser("eval", help="evaluate a calculator expression")
     ev._negative_number_matcher = _NEGATIVE_VALUE

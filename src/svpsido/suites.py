@@ -5,8 +5,9 @@ paper's identities case by case, and reports the first divergences
 verbatim.  All arithmetic is exact and the case order is fixed, so two
 runs with the same configuration produce identical reports apart from the
 wall clock field.  Cases are pure functions of prebuilt immutable inputs,
-so forked worker processes may each run a strided share of them; the
-parent puts the outcomes back in case order before aggregating.
+so several processes may each run a strided share of them: the verify
+process runs the first share and forked children the others, and the
+outcomes are put back in case order before aggregating.
 
 A builder declares each family of cases once, through _each: the family's
 items, a label and a check, both called with one item's fields.  A check
@@ -17,18 +18,19 @@ the common rules, rendered with the mass normalised when the config asks.
 The build runs before the cases and apart from them; perfbench times the
 two apart (setup_s and run_s), so moving work across that line shows up
 in the benchmark.  The build makes the per-element inputs that many cases
-read, in the parent, where forked workers share them: the transform images
+read, before any fork, so every process shares them: the transform images
 of lemma26 and theorem51, the lifts of theorem51, theorem61 and
 poisson-lemma71, and theorem61's coadjoint rows.  Only the tables of
 sub-results keyed by box indices (a product or bracket of two box
 elements, an action on a basis element, theta's images) are lazy: an entry
-is computed by the first case that asks for it, so each forked worker
-fills its own copy and nothing is pickled.  A failed entry is not stored,
-so every case that reads it fails the same way.
+is computed by the first case that asks for it, so each process fills its
+own copy and nothing is pickled.  A failed entry is not stored, so every
+case that reads it fails the same way.
 
 Importing the module loads the calculus it checks and nothing heavier:
-the config and report records are NamedTuples, not dataclasses, and
-`multiprocessing` is imported by the first run that forks workers.  The
+the config and report records are NamedTuples, not dataclasses, workers
+are forked with os.fork, not multiprocessing, and pickle is imported by
+the first run that forks.  The
 command line imports this module only when `svpsido verify` runs; the
 floor bound that `verify` and `eval` share lives in transforms.
 """
@@ -127,6 +129,10 @@ class VerifyConfig(NamedTuple):
     threads: int | None = None
 
 
+# the most worker processes a run may fork, well above the default cap of 8
+MAX_THREADS = 64
+
+
 def validate_config(cfg: VerifyConfig) -> None:
     if cfg.floor is EXACT:
         raise ValueError("suites need a finite truncation floor")
@@ -138,8 +144,8 @@ def validate_config(cfg: VerifyConfig) -> None:
         raise ValueError("index range out of bounds (want 1 <= n <= 5)")
     if cfg.random_cases < 0:
         raise ValueError("the random case count cannot be negative")
-    if cfg.threads is not None and cfg.threads < 1:
-        raise ValueError("thread count must be positive")
+    if cfg.threads is not None and not 1 <= cfg.threads <= MAX_THREADS:
+        raise ValueError(f"thread count out of bounds (want 1 <= n <= {MAX_THREADS})")
 
 
 class CaseFailure(NamedTuple):
@@ -179,82 +185,73 @@ def _call(case):
         return (f"raised {type(exc).__name__}: {exc}", "a finished check")
 
 
-# The case list of the suite being sharded.  Forked workers inherit it, so
-# the case closures are never pickled and no worker rebuilds its suite.
-_shard_cases: list = []
+def _run_shards(cases: list, n: int) -> list:
+    """The outcome lists of n shards of cases: shard k holds cases k, k + n,
+    k + 2n, ...
 
-
-def _run_shard(k: int, n: int, conn) -> None:
-    """Send the outcomes of cases k, k + n, k + 2n, ... of the shared case
-    list to the parent."""
-    conn.send([_call(case) for case in _shard_cases[k::n]])
-    conn.close()
-
-
-def _run_shards(n: int) -> list:
-    """The outcome lists of n shards of the shared case list, each run in
-    its own forked process.
-
-    The parent waits on each worker's pipe and its exit at once, so a
-    worker that dies without sending its list (killed by a signal, or a
-    case calling os._exit) ends the run instead of leaving it waiting.
+    Shard 0 runs in this process, after it has forked one child for each
+    other shard.  A child inherits the built cases and the tables they
+    share, so no case is pickled and no child rebuilds its suite; it writes
+    its pickled outcome list to its own pipe and leaves through os._exit
+    on every path, so it never returns into the caller.  After its own
+    shard this process reads each pipe to its end and then reaps that
+    child, so a child that dies before it has written its list (killed by
+    a signal, or a case calling os._exit) ends the run.  Whatever raises,
+    every child not yet reaped is killed and reaped on the way out.
     """
-    import multiprocessing  # only runs that fork pay its import
-    from multiprocessing.connection import wait
+    import pickle  # only runs that fork pay its import
+    from signal import SIGKILL
 
-    ctx = multiprocessing.get_context("fork")
-    procs, conns = [], []
+    pids, pipes = [], []  # the children not yet reaped; the read end of each pipe
     try:
-        for k in range(n):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_run_shard, args=(k, n, send), daemon=True)
-            proc.start()
-            send.close()  # the worker holds the only write end
-            procs.append(proc)
-            conns.append(recv)
-        shards = [None] * n
-        waiting = dict(enumerate(conns))
-        while waiting:
-            ready = wait([*waiting.values(), *(procs[k].sentinel for k in waiting)])
-            for k, conn in list(waiting.items()):
-                # receive before joining: an outcome list can outgrow the
-                # pipe buffer, and its worker cannot exit until it is read.
-                # A worker writes its list before it exits, so a sentinel
-                # is never ready ahead of the pipe of a list that was sent.
-                if conn in ready:
-                    try:
-                        shards[k] = conn.recv()
-                    except EOFError:  # the write end closed with nothing sent
-                        pass
-                    else:
-                        del waiting[k]
-                        continue
-                elif procs[k].sentinel not in ready:
-                    continue
-                procs[k].join()
+        for k in range(1, n):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(read)
+                os.close(write)
+                raise RuntimeError(f"could not fork verify worker {k + 1} of {n}: {exc}") from exc
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as out:
+                        pickle.dump([_call(case) for case in cases[k::n]], out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)  # the child holds the only write end
+            pids.append(pid)
+            pipes.append(open(read, "rb"))
+        shards = [[_call(case) for case in cases[::n]]]
+        for k, pipe in enumerate(pipes, 1):
+            # read to the end before reaping: an outcome list can outgrow
+            # the pipe buffer, and its child cannot exit until it is read
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            if code or not data:
                 raise RuntimeError(
-                    f"verify worker {k + 1} of {n} exited with code "
-                    f"{procs[k].exitcode} before returning its cases"
+                    f"verify worker {k + 1} of {n} exited with code {code} "
+                    "before returning its cases"
                 )
+            shards.append(pickle.loads(data))
         return shards
     finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
-        for conn in conns:
-            conn.close()
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _run_cases(name: str, cases: list, cfg: VerifyConfig, notes=None) -> SuiteReport:
     start = time.monotonic()
     workers = min(_worker_count(cfg), len(cases))
     if workers > 1 and hasattr(os, "fork"):
-        _shard_cases[:] = cases
-        try:
-            shards = _run_shards(workers)
-        finally:
-            _shard_cases.clear()
+        shards = _run_shards(cases, workers)
         outcomes = [shards[i % workers][i // workers] for i in range(len(cases))]
     else:
         outcomes = [_call(c) for c in cases]

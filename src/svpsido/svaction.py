@@ -14,9 +14,10 @@ potential row.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
-from .ring import CoeffFn, I_M, M
+from .ring import CoeffFn, I_M, M, coeff_from_table, mul_into
 from .svalgebra import SvElement
 
 __all__ = ["SchrodPoint", "d_sigma_tilde", "d_sigma_affine"]
@@ -58,47 +59,68 @@ class SchrodPoint:
     __repr__ = __str__
 
 
-_HALF = CoeffFn.const(Fraction(1, 2))
-_M2_HALF = Fraction(1, 2) * M ** 2
-_TWO_M2 = 2 * M ** 2
+_MINUS_ONE = CoeffFn.const(-1).terms.items()
+_MINUS_TWO = CoeffFn.const(-2).terms.items()
+_MINUS_HALF_X = CoeffFn.x_pow(1, Fraction(-1, 2)).terms.items()
+_MINUS_HALF_M2_X2 = (Fraction(-1, 2) * M ** 2 * CoeffFn.x_pow(2)).terms.items()
+_MINUS_TWO_M2_X = (-2 * M ** 2 * CoeffFn.x_pow(1)).terms.items()
+_MINUS_TWO_M2 = (-2 * M ** 2).terms.items()
 
 
-def _action(mu, X: SvElement, P: SchrodPoint, v_transport: int, a_transport: bool) -> SchrodPoint:
+@functools.cache
+def _weight(mu):
+    """-2i(mu - 1/4) M = (1/2 - 2 mu) iM, as term items."""
+    return (I_M * (Fraction(1, 2) - 2 * mu)).terms.items()
+
+
+def _action(mu, X: SvElement, P: SchrodPoint, minus_v_transport, a_transport: bool) -> SchrodPoint:
     """Both actions share every row except two time-family switches:
-    the weight of the f'V transport term and whether f' drags a."""
-    a_row = CoeffFn.zero()
-    v_row = CoeffFn.zero()
-    f = X.f
-    if not f.is_zero():
-        fd = f.deriv("T")
-        fdd = fd.deriv("T")
-        fddd = fdd.deriv("T")
-        # -2i(mu - 1/4) M f'' = (1/2 - 2 mu) iM f''
-        wt = I_M * (_HALF - mu * 2)
-        a_row = a_row - f * P.a.deriv("T")
+    the weight of the f'V transport term and whether f' drags a.
+
+    Each row is a sum of products of a factor made from X alone and one of
+    a, V and their derivatives.  The factors are folded first; then every
+    product is added into the one table of its row, which is wrapped once.
+    """
+    f, g = X.f, X.g
+    fd = f.deriv("T")
+    fdd = fd.deriv("T")
+    # the factors of V, V_x and a on the potential row; the weight enters
+    # only through the first term of the factor of a
+    of_v: dict = {}
+    of_vx: dict = {}
+    of_a: dict = {}
+    if f.terms:
+        mul_into(of_v, fd.terms.items(), minus_v_transport)
+        mul_into(of_vx, fd.terms.items(), _MINUS_HALF_X)
+        mul_into(of_a, fdd.terms.items(), _weight(mu))
+        mul_into(of_a, fdd.deriv("T").terms.items(), _MINUS_HALF_M2_X2)
+    if g.terms:
+        mul_into(of_vx, g.terms.items(), _MINUS_ONE)
+        mul_into(of_a, g.deriv("T").deriv("T").terms.items(), _MINUS_TWO_M2_X)
+    if X.h.terms:
+        mul_into(of_a, X.h.deriv("T").terms.items(), _MINUS_TWO_M2)
+
+    a, V = P.a.terms.items(), P.V.terms.items()
+    a_row: dict = {}
+    v_row: dict = {}
+    if f.terms:
+        minus_f = (-f).terms.items()  # the factor of a_t and of V_t
+        mul_into(a_row, minus_f, P.a.deriv("T").terms.items())
         if a_transport:
-            a_row = a_row - fd * P.a
-        v_row = (
-            v_row
-            - f * P.V.deriv("T")
-            - fd * CoeffFn.x_pow(1) * P.V.deriv("X") * _HALF
-            + P.a * (fdd * wt - fddd * CoeffFn.x_pow(2) * _M2_HALF)
-            - fd * P.V * v_transport
-        )
-    g = X.g
-    if not g.is_zero():
-        gdd = g.deriv("T").deriv("T")
-        v_row = v_row - g * P.V.deriv("X") - P.a * gdd * CoeffFn.x_pow(1) * _TWO_M2
-    if not X.h.is_zero():
-        v_row = v_row - P.a * X.h.deriv("T") * _TWO_M2
-    return SchrodPoint(a_row, v_row)
+            mul_into(a_row, (-fd).terms.items(), a)
+        mul_into(v_row, minus_f, P.V.deriv("T").terms.items())
+    mul_into(v_row, of_v.items(), V)
+    if of_vx:
+        mul_into(v_row, of_vx.items(), P.V.deriv("X").terms.items())
+    mul_into(v_row, of_a.items(), a)
+    return SchrodPoint(coeff_from_table(a_row), coeff_from_table(v_row))
 
 
 def d_sigma_tilde(mu, X: SvElement, P: SchrodPoint) -> SchrodPoint:
     """Weight-mu action on the full linear space of operator data."""
-    return _action(mu, X, P, v_transport=2, a_transport=True)
+    return _action(mu, X, P, _MINUS_TWO, a_transport=True)
 
 
 def d_sigma_affine(mu, X: SvElement, P: SchrodPoint) -> SchrodPoint:
     """Affine variant: fixes the a = const slices, lighter V transport."""
-    return _action(mu, X, P, v_transport=1, a_transport=False)
+    return _action(mu, X, P, _MINUS_ONE, a_transport=False)

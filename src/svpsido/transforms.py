@@ -29,11 +29,14 @@ polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .halfint import EXACT, HalfInt, h, hmax
 from .psido import R, XI, Symbol, binom_half, sym_mul, symbol_from_tables
 from .ring import CoeffFn, GR_ZERO, GaussRat, I_M, M, MINUS_2I_M, coeff_from_table, mul_into
-from .svalgebra import SvElement
+
+if TYPE_CHECKING:  # only j_map's annotation names it
+    from .svalgebra import SvElement
 
 __all__ = [
     "DEEPEST_FLOOR",

@@ -207,6 +207,7 @@ def test_cli_suite_names_are_the_suites_in_order():
 
 VERIFIER_MODULES = (
     "svpsido.suites",
+    "svpsido.svalgebra",
     "svpsido.kacmoody",
     "svpsido.poisson",
     "svpsido.cocycles",
@@ -329,6 +330,15 @@ class TestVerify:
     def test_zero_threads_exits_2(self, capsys):
         code, _, err = run_cli(["verify", "--suite", "lemma33", "--threads", "0"], capsys)
         assert code == 2 and "thread" in err
+
+    def test_a_thread_count_above_the_bound_exits_2_before_any_fork(self, capsys, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        code, out, err = run_cli(["verify", "--suite", "lemma33", "--threads", "65"], capsys)
+        assert code == 2 and out == ""
+        assert err == "svpsido: thread count out of bounds (want 1 <= n <= 64)\n"
 
     def test_nu_scan_prints_the_weight_table(self, capsys):
         code, out, _ = run_cli(["verify", "--suite", "nu-scan"], capsys)

@@ -8,14 +8,16 @@ directly so the bookkeeping paths are exercised without burning time
 on real algebra.
 """
 
-import multiprocessing
 import os
+import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import svpsido
 from svpsido import cocycles, poisson, psido, ring, suites, svaction, transforms
 from svpsido.halfint import EXACT, h, hmax
 from svpsido.psido import R, Symbol
@@ -35,6 +37,9 @@ from svpsido.suites import (
     run_suites,
     validate_config,
 )
+
+SRC = os.path.dirname(os.path.dirname(svpsido.__file__))
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 
 CANONICAL_NAMES = (
     "psido-axioms",
@@ -80,6 +85,11 @@ class TestConfig:
     def test_bad_configs_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
             validate_config(VerifyConfig(**kwargs))
+
+    def test_the_thread_count_has_a_bound(self):
+        validate_config(VerifyConfig(threads=suites.MAX_THREADS))
+        with pytest.raises(ValueError, match=r"thread count out of bounds \(want 1 <= n <= 64\)"):
+            validate_config(VerifyConfig(threads=65))
 
     def test_unknown_suite_name(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -153,41 +163,111 @@ class TestRunner:
             one.cases, one.passed, one.failures, one.notes
         )
 
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+    @needs_fork
     def test_cases_run_in_forked_workers(self):
-        cases = [(f"case {k}", lambda: (str(os.getpid()), "")) for k in range(4)]
-        rep = _run_cases("synthetic", cases, VerifyConfig(threads=2))
-        assert len(rep.failures) == 4
-        assert str(os.getpid()) not in {f.lhs for f in rep.failures}
+        # the first shard runs in this process, each other shard in a child
+        here = str(os.getpid())
+        cases = [(f"case {k}", lambda: (str(os.getpid()), "")) for k in range(6)]
+        two = [f.lhs for f in _run_cases("synthetic", cases, VerifyConfig(threads=2)).failures]
+        assert [pid == here for pid in two] == [k % 2 == 0 for k in range(6)]
+        assert len(set(two[1::2])) == 1
+        three = [f.lhs for f in _run_cases("synthetic", cases, VerifyConfig(threads=3)).failures]
+        assert len(set(three)) == 3
 
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
-    def test_a_dead_worker_ends_the_run(self):
-        # in a subprocess with a timeout, so that a runner that waits for
-        # the dead worker fails here instead of hanging the test session
-        import subprocess
-        import sys
+    @staticmethod
+    def verify_with_a_worker_case(case: str):
+        """Run `verify --threads 2` in a subprocess on the cases a, b and c,
+        where b, which a forked worker runs, is the given expression.
 
-        import svpsido
-
+        A timeout bounds it, so that a runner that waits for a dead worker
+        fails here instead of hanging the test session.
+        """
         script = (
             "import os, sys\n"
             "from svpsido import cli, suites\n"
             "ok = lambda: None\n"
+            "def interrupt():\n"
+            "    raise KeyboardInterrupt\n"
             "suites._SUITE_BUILDERS['lemma33'] = lambda cfg: "
-            "[('a', ok), ('b', lambda: os._exit(3)), ('c', ok)]\n"
+            f"[('a', ok), ('b', lambda: {case}), ('c', ok)]\n"
             "sys.exit(cli.main(['verify', '--suite', 'lemma33', '--threads', '2']))\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(svpsido.__file__)))
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=20, env=env
+        return subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=20,
+            env=dict(os.environ, PYTHONPATH=SRC),
         )
+
+    @needs_fork
+    def test_a_dead_worker_ends_the_run(self):
+        done = self.verify_with_a_worker_case("os._exit(3)")
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr == (
             "svpsido: verify worker 2 of 2 exited with code 3 before returning its cases\n"
         )
 
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+    @needs_fork
+    def test_an_interrupted_worker_ends_the_run(self):
+        # KeyboardInterrupt is no Exception, so the case cannot catch it; the
+        # worker leaves without a traceback and without returning its cases
+        done = self.verify_with_a_worker_case("interrupt()")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == (
+            "svpsido: verify worker 2 of 2 exited with code 1 before returning its cases\n"
+        )
+
+    @needs_fork
+    def test_an_escape_from_the_own_shard_leaves_no_child_behind(self):
+        class Escape(BaseException):
+            pass
+
+        def escape():
+            raise Escape
+
+        # the workers' cases sleep, so they are still running when it escapes
+        cases = [("here", escape), *((f"case {k}", lambda: time.sleep(60)) for k in range(1, 3))]
+        began = time.monotonic()
+        with pytest.raises(Escape):
+            _run_cases("synthetic", cases, VerifyConfig(threads=3))
+        assert time.monotonic() - began < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @needs_fork
+    def test_a_failed_fork_leaves_no_child_behind(self, monkeypatch):
+        fork, forks = os.fork, []
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            forks.append(fork())
+            return forks[-1]
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        cases = [(f"case {k}", lambda: time.sleep(60)) for k in range(3)]
+        with pytest.raises(RuntimeError, match="could not fork verify worker 3 of 3"):
+            _run_cases("synthetic", cases, VerifyConfig(threads=3))
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_pooled_run_leaves_multiprocessing_unloaded(self):
+        # only a fresh interpreter shows what a run imports
+        script = (
+            "import sys\n"
+            "from svpsido.suites import VerifyConfig, run_suites\n"
+            "(rep,) = run_suites(['lemma33'], VerifyConfig(threads=2))\n"
+            "print(rep.ok, 'multiprocessing' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "True False\n"
+
+    @needs_fork
     def test_outcome_lists_larger_than_a_pipe_buffer(self):
         # each worker sends far more than the 64 KiB a pipe holds
         big = "x" * 4096
@@ -351,11 +431,7 @@ class TestSharedTables:
     def test_poisson_product_count_does_not_follow_the_hash_seed(self):
         # field names are strings: a walk over a set of jets sums in an
         # order that follows PYTHONHASHSEED, and the count moves with it
-        # (29,766 under seed 0 and 29,773 under seed 2 before the fix)
-        import subprocess
-
-        import svpsido
-
+        # (29,766 under seed 0 and 29,773 under seed 2 before the fix);
         # the count is taken with this module's own helpers, in a fresh
         # interpreter per seed
         script = (
@@ -367,8 +443,7 @@ class TestSharedTables:
         )
         counts = []
         for seed in ("0", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed,
-                       PYTHONPATH=os.path.dirname(os.path.dirname(svpsido.__file__)))
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
             done = subprocess.run(
                 [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
             )
