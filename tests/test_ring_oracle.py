@@ -6,7 +6,8 @@ symbol product with its own generalized binomials and derivatives.  The
 transform's monomial map is checked against the sum of its shifted and
 scaled generator images, built one Symbol per monomial, with deformed
 images built as the series of the deformed generator image, composed
-power by power, rather than by conjugation; the loop shift
+power by power, rather than by conjugation (both kept in
+tests/reference.py); the loop shift
 and theta_t against their term-by-term forms, one CoeffFn sum per series
 term and one theta call per momentum order.  The six central cocycles
 are checked against sympy's derivative, product and x^-1 coefficient.  A
@@ -14,7 +15,6 @@ Gaussian rational kept as a pair of Fractions, the textbook
 representation, checks GaussRat component by component.
 """
 
-import functools
 from fractions import Fraction as F
 from math import gcd
 
@@ -23,6 +23,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import series_image, summed_images
 from svpsido.cocycles import CocycleId, eval_cocycle
 from svpsido.halfint import EXACT, HalfInt, hmax
 from svpsido import ring
@@ -36,7 +37,6 @@ from svpsido.psido import (
     sym_bracket,
     sym_mul,
     sym_neg,
-    sym_scale,
     sym_sub,
 )
 from svpsido.ring import CoeffFn, GaussRat, I_HALF_OVER_M, M
@@ -711,24 +711,6 @@ def test_cocycles_match_the_sympy_residue(a, b):
 # ---- the transform's monomial map against the sum of scaled images ---------------------------
 
 
-def summed_images(D: Symbol, req, var: str, delta_of, image) -> Symbol:
-    """The image of D as a sum over its monomials, one Symbol per monomial:
-    sym_add of the image shifted by delta_of(k) and scaled by its x-slice,
-    cut back to req when floored."""
-    total = Symbol.zero(var)
-    for k, c in D.terms.items():
-        delta = delta_of(k)
-        want = req if req is EXACT else req - delta
-        for q in dict.fromkeys(key[1] for key in c.terms):
-            img = image(q, want)
-            floor = img.floor if img.floor is EXACT else img.floor + delta
-            shifted = Symbol(var, {o + delta: v for o, v in img.terms.items()}, floor)
-            total = sym_add(total, sym_scale(shifted, c.x_slice(q)))
-    if req is EXACT or total.floor is EXACT or total.floor >= req:
-        return total
-    return Symbol(var, {k: v for k, v in total.terms.items() if k >= req}, req)
-
-
 def symbols_of(var, orders, xpows):
     """Exact symbols of 1 to 3 orders, each coefficient 1 to 3 terms whose
     x-powers lie in xpows."""
@@ -743,52 +725,6 @@ def symbols_of(var, orders, xpows):
 
 
 transform_floors = st.sampled_from([HalfInt(-4), HalfInt(-7)])
-
-
-# ---- the deformed images as a series, built power by power ---------------------------------
-
-
-def series_neg_base(nu: GaussRat, req) -> Symbol:
-    """Image of xi^-1 under xi -> 1/2 r d_r^-1 + nu d_r^-2: the inverse
-    2 d_r o (sum over k of (-2 nu r^-1 d_r^-1)^k) o r^-1, its tail summed
-    until a term tops out below req - 1, then cut at req."""
-    d = Symbol.monomial(R, HalfInt.of(1), CoeffFn.const(2))
-    r_inv = Symbol.function(R, CoeffFn.x_pow(-1))
-    if nu.is_zero():
-        return sym_mul(d, r_inv)
-    if req is EXACT:
-        raise ValueError("deformed inverse image is a series; give a floor")
-    rinv_dinv = sym_mul(r_inv, Symbol.monomial(R, HalfInt.of(-1), CoeffFn.one()), req - 1)
-    total = power = Symbol.function(R, CoeffFn.one())
-    k = 1
-    while True:
-        power = sym_mul(power, rinv_dinv, req - 1)
-        scaled = sym_scale(power, (GaussRat(-2) * nu) ** k)
-        if scaled.is_zero() or (scaled.top() is not None and scaled.top() < req - 1):
-            break
-        total = sym_add(total, scaled)
-        k += 1
-    return sym_mul(d, sym_mul(total, r_inv, req - 1), req)
-
-
-@functools.cache
-def series_image(nu: GaussRat, k: int, want) -> Symbol:
-    """Image of xi^k, trusted down to want, composed one generator image
-    at a time from xi^0: a positive power exactly, a negative one with
-    series_neg_base, asking its neighbour one order deeper so that the
-    order-(+1) base exposes no untrusted order.  At nu = 0 every image is
-    built exact."""
-    if nu.is_zero():
-        want = EXACT
-    if k == 0:
-        return Symbol.function(R, CoeffFn.one())
-    if k > 0:
-        base = Symbol(R, {HalfInt.of(-1): CoeffFn.x_pow(1, F(1, 2)), HalfInt.of(-2): CoeffFn.const(nu)})
-        return sym_mul(series_image(nu, k - 1, EXACT), base)
-    prev = series_image(nu, k + 1, want if want is EXACT or k == -1 else want - 1)
-    # the base's missing tail meets the highest order prev may carry
-    hi = prev.top() if prev.terms else prev.floor
-    return sym_mul(prev, series_neg_base(nu, want if want is EXACT else want - hi), want)
 
 
 deformations = [GaussRat(F(1, 2)), GaussRat(F(-1, 3)), GaussRat(0, 1), GaussRat(2, -1),
