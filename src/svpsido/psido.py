@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .halfint import _INTERNED, EXACT, INTERNED_TWICE, HalfInt, h, hmax
-from .ring import CoeffFn, GaussRat, _set_coeff_terms, leibniz_rows
+from .ring import CoeffFn, GaussRat, _set_coeff_terms, coeff_rows, leibniz_rows
 
 __all__ = [
     "R",
@@ -114,7 +114,7 @@ class Symbol:
     def _raw(cls, var: str, terms: dict, floor) -> "Symbol":
         """Wrap a dict that is already clean, without copying it: HalfInt
         keys fit for var, nonzero CoeffFn values, no order below floor."""
-        sym = _new(cls)
+        sym = object.__new__(cls)
         _set_var(sym, var)
         _set_terms(sym, terms)
         _set_floor(sym, floor)
@@ -184,17 +184,15 @@ _set_var = Symbol.__dict__["var"].__set__
 _set_terms = Symbol.__dict__["terms"].__set__
 _set_floor = Symbol.__dict__["floor"].__set__
 _set_rows = Symbol.__dict__["_rows"].__set__
-_new = object.__new__
 
 
 def term_rows(X: Symbol) -> list:
     """X's terms as int rows, built on the first call and kept on X: one
-    (twice the order, rows) pair per order, in term order, whose rows are
-    (t, x, M, a, b, d) for the monomial ((a + i b)/d) t^t x^x M^M."""
+    (twice the order, ring.coeff_rows of its coefficient) pair per order,
+    in term order."""
     rows = X._rows
     if rows is None:
-        rows = [(k.twice, [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in c.terms.items()])
-                for k, c in X.terms.items()]
+        rows = [(k.twice, coeff_rows(c)) for k, c in X.terms.items()]
         _set_rows(X, rows)
     return rows
 
@@ -350,12 +348,18 @@ def compose_tables(A: Symbol, B: Symbol, products, req_floor):
 
 def symbol_from_tables(var: str, tables: dict, floor) -> Symbol:
     """Wrap per-order (t, x, M) tables that ring.mul_into,
-    ring.leibniz_rows or compose_tables filled, keyed by twice the order,
-    as a Symbol; orders that cancelled or lie below floor are dropped.
-    The order keys come from HalfInt's interned table where it reaches,
-    and each table is wrapped as it is, without a copy."""
+    ring.add_scaled_rows, ring.leibniz_rows or compose_tables filled,
+    keyed by twice the order, as a Symbol; orders that cancelled or lie
+    below floor are dropped.
+
+    Every product and transform wraps each of its orders here, so the
+    loop does inline what the two calls HalfInt(o) and
+    ring.coeff_from_table(acc) would: it reads the key from HalfInt's
+    interned table where the table reaches, and wraps each table without
+    a copy, which saves two Python-level calls per order.
+    """
     low = None if floor is EXACT else floor.twice
-    new, coeff_fn, set_terms, interned = _new, CoeffFn, _set_coeff_terms, _INTERNED
+    new, coeff_fn, set_terms, interned = object.__new__, CoeffFn, _set_coeff_terms, _INTERNED
     out = {}
     for o, acc in tables.items():
         if acc and (low is None or o >= low):

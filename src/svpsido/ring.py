@@ -27,21 +27,24 @@ product and sum of CoeffFns runs through one loop, ``mul_into``,
 after sympy's ``PolyElement.__mul__``: it adds f*g term pair by term
 pair into a mutable {(t, x, M): GaussRat} table, dropping what cancels, and
 ``coeff_from_table`` wraps the finished table once.  A sum multiplies by the
-unit, a difference by minus the unit.  The Leibniz composition of symbols
-has its own loop of the same shape, ``leibniz_rows``, which takes every
-left term of a product in one call.  It reads both operands as int rows
-(t, x, M, a, b, d) grouped by order, which each Symbol builds once and
-keeps (psido.term_rows), so an operand that many products share is
-flattened once; ``leibniz_into`` takes the same product in CoeffFn term
-items and flattens them first.  The kernel weighs each pair of a left
-term and a right monomial x^q by binom(a, j) (q)_j, read from a module
-cache of reduced int pairs keyed by (2a, q) and folded with the product's
-sign into the right monomial, so a term costs one gcd and composition
-takes no derivative.  Each pair's number of terms is fixed before its
-first term, from a, q and the floor; each term is added straight into the
-table of its output order.  The transform's monomial map and the loop
-shift have one loop of the same shape, transforms._add_scaled_rows, which
-reads cached images through the same rows and adds each scaled row
+unit, a difference by minus the unit.
+
+The kernels that read long-lived operands many times take them as int
+rows instead, built once per operand: ``coeff_rows`` flattens a CoeffFn to
+rows (t, x, M, a, b, d) for the monomials ((a + i b)/d) t^t x^x M^M, and a
+Symbol keeps one (twice the order, rows) pair per order (psido.term_rows),
+so an operand that many products share is flattened once.  The Leibniz
+composition of symbols runs one loop, ``leibniz_rows``, over every left
+term of a product in one call.  It weighs each pair of a left term and a
+right monomial x^q by binom(a, j) (q)_j, read from a module cache of
+reduced int pairs keyed by (2a, q) and folded with the product's sign into
+the right monomial, so a term costs one gcd and composition takes no
+derivative.  Each pair's number of terms is fixed before its first term,
+from a, q and the floor; each term is added straight into the table of its
+output order.  ``leibniz_into`` takes the same product as CoeffFn term
+items.  The transform's monomial map and its deformed images scale cached
+images by x-free values, the x-slices of a coefficient (``x_slice_rows``),
+with ``add_scaled_rows``, which adds every scaled row of every order
 straight into its output table.
 
 Derivatives are term-wise monomial derivations and residues extract the
@@ -64,8 +67,8 @@ from math import gcd
 
 __all__ = [
     "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M",
-    "mul_into", "leibniz_into", "leibniz_rows", "residue_into", "triple_into",
-    "coeff_from_table",
+    "mul_into", "coeff_rows", "x_slice_rows", "add_scaled_rows", "leibniz_into",
+    "leibniz_rows", "residue_into", "triple_into", "coeff_from_table",
 ]
 
 _new = object.__new__
@@ -507,6 +510,63 @@ def mul_into(acc: dict, f_items, g_items) -> None:
                 del acc[k]
 
 
+def coeff_rows(c: CoeffFn) -> list:
+    """c's terms as int rows (t, x, M, a, b, d), in term order: the row
+    (t, x, M, a, b, d) is the monomial ((a + i b)/d) t^t x^x M^M."""
+    return [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in c.terms.items()]
+
+
+def x_slice_rows(c: CoeffFn) -> dict:
+    """x-power -> int rows (t, M, a, b, d) of c's coefficient of that
+    power, an x-free value, in one pass; powers in the order c's terms
+    first meet them, rows in term order, as x_slice gives them."""
+    out: dict = {}
+    for (p, q, m), v in c.terms.items():
+        s = out.get(q)
+        if s is None:
+            out[q] = [(p, m, v._a, v._b, v._d)]
+        else:
+            s.append((p, m, v._a, v._b, v._d))
+    return out
+
+
+def add_scaled_rows(tables: dict, rows, dt: int, scale) -> None:
+    """Add rows grouped by order, (twice the order, rows) pairs as
+    psido.term_rows keeps them, shifted by dt twice-orders and multiplied
+    by the x-free value whose x_slice_rows are scale, into tables,
+    per-order (t, x, M) tables keyed by twice the order.  One loop runs
+    over every row of every order; each product is added with one
+    normalising gcd as in mul_into, and a monomial that cancels leaves its
+    table."""
+    for ot, fs in rows:
+        o = ot + dt
+        acc = tables.get(o)
+        if acc is None:
+            acc = tables[o] = {}
+        for p1, q1, m1, a1, b1, d1 in fs:
+            for p2, m2, a2, b2, d2 in scale:
+                k = (p1 + p2, q1, m1 + m2)
+                a = a1 * a2 - b1 * b2
+                b = a1 * b2 + b1 * a2
+                d = d1 * d2
+                s = acc.get(k)
+                if s is None:
+                    acc[k] = _gauss(a, b, d)
+                    continue
+                e = s._d
+                if e == d:
+                    a += s._a
+                    b += s._b
+                else:
+                    a = a * e + s._a * d
+                    b = b * e + s._b * d
+                    d *= e
+                if a or b:
+                    acc[k] = _gauss(a, b, d)
+                else:
+                    del acc[k]
+
+
 # binom(a, j) (q)_j for j = 0, 1, ... as reduced (numerator, denominator)
 # int pairs, keyed by (2a, q) and grown on demand by _weights.
 _WEIGHTS: dict = {}
@@ -533,15 +593,16 @@ def _weights(at: int, q: int, n: int) -> list:
     return ws
 
 
-def leibniz_into(tables: dict, f_terms, g_terms, low, sign: int = 1) -> bool:
+def leibniz_into(tables: dict, f_terms, g_terms, low) -> bool:
     """leibniz_rows on CoeffFn term items: f_terms lists each left term as
     (twice a, term items of f), g_terms each monomial of every right
     coefficient as (twice b, (t, x, M), GaussRat).  Both are flattened to
-    int rows first."""
+    int rows first.  Composition reads its operands' kept rows instead;
+    only the oracle tests call this form."""
     f_rows = [(at, [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in items])
               for at, items in f_terms]
     g_rows = [(bt, [(p, q, m, v._a, v._b, v._d)]) for bt, (p, q, m), v in g_terms]
-    return leibniz_rows(tables, f_rows, g_rows, low, sign)
+    return leibniz_rows(tables, f_rows, g_rows, low)
 
 
 def leibniz_rows(tables: dict, f_rows, g_rows, low, sign: int = 1) -> bool:
@@ -728,9 +789,9 @@ def triple_into(acc: dict, f_items, g_items, h_items, p: int, q: int, sign: int)
                     del acc[k]
 
 
-# The CoeffFn of a table that mul_into, leibniz_rows, residue_into or
-# triple_into filled, without copying it; the table must not change
-# afterwards.
+# The CoeffFn of a table that mul_into, add_scaled_rows, leibniz_rows,
+# residue_into or triple_into filled, without copying it; the table must
+# not change afterwards.
 coeff_from_table = _coeff_raw
 
 

@@ -40,8 +40,10 @@ from .ring import (
     I_M,
     M,
     MINUS_2I_M,
-    _gauss,
+    add_scaled_rows,
     coeff_from_table,
+    mul_into,
+    x_slice_rows,
 )
 
 if TYPE_CHECKING:  # only j_map's annotation names it
@@ -145,11 +147,7 @@ class ThetaImageCache:
         self._neg_base = Symbol(R, {h(1): CoeffFn.x_pow(-1, 2), h(0): CoeffFn.x_pow(-2, -2)})
 
     def image(self, k: int, req_floor=EXACT) -> Symbol:
-        """Image of xi^k, exact at any req_floor, so no request deepens and
-        any memo entry answers."""
-        entry = self._memo.get(k)
-        if entry is not None:
-            return entry[1]
+        """Image of xi^k, exact at any req_floor, so no request deepens."""
         return _fill(self._memo, k, EXACT, 0, self._build)
 
     def _build(self, k: int, want, prev: Symbol) -> Symbol:
@@ -183,61 +181,11 @@ def _conjugated_image(nu: GaussRat, q: int, want) -> Symbol:
     for j, w in enumerate(_conjugation_weights(nu, q)):
         if w.is_zero() or (q < 0 and want > -q - j):
             return symbol_from_tables(R, tables, EXACT if q >= 0 else want)
-        _add_scaled_rows(tables, term_rows(_theta_images.image(q - j)), -4 * j,
-                         ((0, 0, w._a, w._b, w._d),))
+        add_scaled_rows(tables, term_rows(_theta_images.image(q - j)), -4 * j,
+                        x_slice_rows(CoeffFn.const(w))[0])
 
 
 # ---------------------------------------------------------------- forward map
-
-
-def _x_slices(c: CoeffFn) -> dict:
-    """x-power -> int rows (t, M, a, b, d) of c's coefficient of that
-    power, an x-free value, in one pass; powers in the order c's terms
-    first meet them, rows in term order, as x_slice gives them."""
-    out: dict = {}
-    for (p, q, m), v in c.terms.items():
-        s = out.get(q)
-        if s is None:
-            out[q] = [(p, m, v._a, v._b, v._d)]
-        else:
-            s.append((p, m, v._a, v._b, v._d))
-    return out
-
-
-def _add_scaled_rows(tables: dict, rows, dt: int, scale) -> None:
-    """Add a symbol's int rows, grouped by order as psido.term_rows keeps
-    them, shifted by dt twice-orders and multiplied by the x-free value
-    whose rows (t, M, a, b, d) are scale, into tables: one loop over every
-    row of every order, each product added with one normalising gcd as in
-    ring.mul_into, and a monomial that cancels leaves its table.  The
-    monomial map adds images this way, and the loop shift its series."""
-    for ot, fs in rows:
-        o = ot + dt
-        acc = tables.get(o)
-        if acc is None:
-            acc = tables[o] = {}
-        for p1, q1, m1, a1, b1, d1 in fs:
-            for p2, m2, a2, b2, d2 in scale:
-                k = (p1 + p2, q1, m1 + m2)
-                a = a1 * a2 - b1 * b2
-                b = a1 * b2 + b1 * a2
-                d = d1 * d2
-                s = acc.get(k)
-                if s is None:
-                    acc[k] = _gauss(a, b, d)
-                    continue
-                e = s._d
-                if e == d:
-                    a += s._a
-                    b += s._b
-                else:
-                    a = a * e + s._a * d
-                    b = b * e + s._b * d
-                    d *= e
-                if a or b:
-                    acc[k] = _gauss(a, b, d)
-                else:
-                    del acc[k]
 
 
 def _map_monomials(D: Symbol, req, var: str, delta_of, image) -> Symbol:
@@ -247,7 +195,7 @@ def _map_monomials(D: Symbol, req, var: str, delta_of, image) -> Symbol:
     gives the image of the q-th generator power trusted down to want.
     Every image is read as its cached int rows, scaled by its t-only
     x-slice of D's coefficient and added in place into one table per
-    output order (_add_scaled_rows), so a memoised image is flattened
+    output order (ring.add_scaled_rows), so a memoised image is flattened
     once, however many monomials read it.
 
     Cached images may be deeper than asked; answers must not depend on
@@ -260,13 +208,13 @@ def _map_monomials(D: Symbol, req, var: str, delta_of, image) -> Symbol:
         dt = delta.twice
         # the shift moves the image's floor by delta, so ask delta deeper
         want = req if req is EXACT else req - delta
-        for q, scale in _x_slices(c).items():
+        for q, scale in x_slice_rows(c).items():
             if abs(q) > MAX_IMAGE_POWER:
                 raise ValueError(f"generator powers are bounded by {MAX_IMAGE_POWER} in absolute value")
             img = image(q, want)
             if img.floor is not EXACT:
                 floor = hmax(floor, img.floor + delta)
-            _add_scaled_rows(tables, term_rows(img), dt, scale)
+            add_scaled_rows(tables, term_rows(img), dt, scale)
     if floor is not EXACT:
         floor = hmax(floor, req)
     return symbol_from_tables(var, tables, floor)
@@ -343,8 +291,7 @@ def time_shift(f: CoeffFn, depth: int) -> CoeffFn:
     if not f.is_x_only():
         raise ValueError("the loop shift applies to momentum-only values")
     out: dict = {}
-    tables = {0: out}
-    for q, scale in _x_slices(f).items():
+    for q in dict.fromkeys(k[1] for k in f.terms):
         a = HalfInt.of(q)
         series = []
         for m in range((q if q >= 0 else depth) + 1):
@@ -352,9 +299,8 @@ def time_shift(f: CoeffFn, depth: int) -> CoeffFn:
             if cf.is_zero():
                 break
             # (i t / 2M)^(q - m) xi^m
-            v = _HALF_I ** (q - m) * cf
-            series.append((q - m, m, m - q, v._a, v._b, v._d))
-        _add_scaled_rows(tables, ((0, series),), 0, scale)
+            series.append(((q - m, m, m - q), _HALF_I ** (q - m) * cf))
+        mul_into(out, series, f.x_slice(q).terms.items())
     return coeff_from_table(out)
 
 
