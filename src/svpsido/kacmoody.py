@@ -72,7 +72,6 @@ from .ring import (
     GaussRat,
     I_HALF_OVER_M,
     M,
-    MINUS_2I_M,
     TWO_I_M,
     coeff_from_table,
     mul_into,
@@ -93,8 +92,6 @@ __all__ = [
     "embed_I",
     "embed_momentum_symbol",
     "coadjoint",
-    "coadjoint_duality_defect",
-    "quotient_nullity_defect",
     "in_invariant_slice",
 ]
 
@@ -523,34 +520,3 @@ def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
     if row_v0:
         terms[_ZERO_ORDER] = coeff_from_table(row_v0)
     return GDual(coeff_from_table(row_v), Symbol(R, terms), coeff_from_table(row_a))
-
-
-def coadjoint_duality_defect(X: SvElement, mu: GDual, testY: GElement, c, req_floor) -> CoeffFn:
-    """pairing(ad*_X mu, Y) + pairing(mu, [I(X), Y]); zero when dual."""
-    lhs = pairing(coadjoint(X, mu, c), testY)
-    rhs = pairing(mu, g_bracket(embed_I(X, req_floor), testY, c, req_floor))
-    return lhs + rhs
-
-
-def quotient_nullity_defect(f: CoeffFn, kappa, mu: GDual, testY: GElement, req_floor) -> CoeffFn:
-    """Coupling of an embedded low-order symbol against the slice.
-
-    Elements f(-2iM xi) d_xi^kappa with kappa <= -1/2 embed with no d_t
-    part and symbol orders <= 2 kappa + (shift corrections) <= 1; their
-    bracket against any test element pairs to zero on the invariant
-    slice, which is what lets the action quotient to the symmetry
-    algebra.  Central terms vanish structurally here (the top slot of the
-    embedded symbol is empty or spatially constant), so no charge
-    parameter is needed.
-    """
-    kap = h(kappa)
-    if kap > h("-1/2"):
-        raise ValueError("quotient directions have order <= -1/2")
-    if not f.is_t_only():
-        raise ValueError("the datum is a loop function")
-    if not in_invariant_slice(mu):
-        raise ValueError("the nullity statement lives on the invariant slice")
-    floor = h(req_floor)
-    E = Symbol(XI, {kap: f.t_to_x(MINUS_2I_M)})
-    lifted = embed_momentum_symbol(E, floor)
-    return pairing(mu, g_bracket(lifted, testY, GaussRat(2), floor))

@@ -41,11 +41,10 @@ reduced int pairs keyed by (2a, q) and folded with the product's sign into
 the right monomial, so a term costs one gcd and composition takes no
 derivative.  Each pair's number of terms is fixed before its first term,
 from a, q and the floor; each term is added straight into the table of its
-output order.  ``leibniz_into`` takes the same product as CoeffFn term
-items.  The transform's monomial map and its deformed images scale cached
-images by x-free values, the x-slices of a coefficient (``x_slice_rows``),
-with ``add_scaled_rows``, which adds every scaled row of every order
-straight into its output table.
+output order.  The transform's monomial map and its deformed images scale
+cached images by x-free values, the x-slices of a coefficient
+(``x_slice_rows``), with ``add_scaled_rows``, which adds every scaled row
+of every order straight into its output table.
 
 Derivatives are term-wise monomial derivations and residues extract the
 coefficient of (variable)^-1, so res(d(f)) = 0 holds identically.  Every
@@ -67,7 +66,7 @@ from math import gcd
 
 __all__ = [
     "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M",
-    "mul_into", "coeff_rows", "x_slice_rows", "add_scaled_rows", "leibniz_into",
+    "mul_into", "coeff_rows", "x_slice_rows", "add_scaled_rows",
     "leibniz_rows", "residue_into", "triple_into", "coeff_from_table",
 ]
 
@@ -591,18 +590,6 @@ def _weights(at: int, q: int, n: int) -> list:
         den //= g
         ws.append((num, den))
     return ws
-
-
-def leibniz_into(tables: dict, f_terms, g_terms, low) -> bool:
-    """leibniz_rows on CoeffFn term items: f_terms lists each left term as
-    (twice a, term items of f), g_terms each monomial of every right
-    coefficient as (twice b, (t, x, M), GaussRat).  Both are flattened to
-    int rows first.  Composition reads its operands' kept rows instead;
-    only the oracle tests call this form."""
-    f_rows = [(at, [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in items])
-              for at, items in f_terms]
-    g_rows = [(bt, [(p, q, m, v._a, v._b, v._d)]) for bt, (p, q, m), v in g_terms]
-    return leibniz_rows(tables, f_rows, g_rows, low)
 
 
 def leibniz_rows(tables: dict, f_rows, g_rows, low, sign: int = 1) -> bool:

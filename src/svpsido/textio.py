@@ -31,6 +31,16 @@ longest prefix made of tokens, and an error names the text after it; one
 compares those strings with operators directly.  A literal ``p`` becomes
 a GaussRat from its int, ``p/q`` one reduced by a single gcd, and an
 exponent is read as twice its value, an int.
+
+Every atom and nonzero literal is one monomial c*t^p*x^q*M^m*d^k, and the
+parser keeps such a value as a tuple of its algebra tag, 2k, p, q, m and
+the GaussRat c until an operation needs a CoeffFn or a Symbol.  In the
+normal-ordered products the calculator reads, most factors multiply as
+monomials: when the left factor has order 0 or the right one is free of
+x, every Leibniz term past the first vanishes, so the product is one
+monomial again and costs one Gaussian product.  Powers of a monomial are
+taken on the tuple too.  Sums, function calls and every other product
+build their operands and compose them as symbols.
 """
 
 from __future__ import annotations
@@ -53,7 +63,7 @@ from .psido import (
     sym_mul,
     sym_neg,
 )
-from .ring import CoeffFn, GaussRat, M, _gauss
+from .ring import GR_I, GR_ONE, CoeffFn, GaussRat, _gauss, coeff_from_table
 
 _MINUS_ONE = GaussRat(-1)
 
@@ -235,8 +245,12 @@ class _Parser:
     ('*' signed factor)*; factor := atom ['^' signed-rational].
 
     Tokens are strings, so the parser tests one by comparing it with an
-    operator: no number or name equals one.  A value is a CoeffFn until an
-    r or xi atom gives it an algebra; from then on it is a psido.Symbol.
+    operator: no number or name equals one.  A value is an exact monomial
+    c*t^p*x^q*M^m*d^(ot/2), kept as the tuple (var, ot, p, q, m, c) with c
+    a nonzero GaussRat, or a built value: a CoeffFn until an r or xi atom
+    gives it an algebra, a psido.Symbol from then on.  The tag var is None
+    while the monomial has no algebra, and then ot and q are 0.  _built
+    turns a tuple into a CoeffFn or a Symbol when an operation needs one.
     Products whose Leibniz tail does not terminate, and the functions that
     need a window, are cut at floor.
     """
@@ -311,7 +325,9 @@ class _Parser:
         head = tok[:1]
         if head.isdecimal():
             p, q = _ratio(tok)
-            return CoeffFn.const(GaussRat(p) if q == 1 else _gauss(p, 0, q))
+            if not p:
+                return CoeffFn.zero()
+            return None, 0, 0, 0, 0, GaussRat(p) if q == 1 else _gauss(p, 0, q)
         if tok == "(":
             v = self.expr()
             self.expect(")")
@@ -327,7 +343,7 @@ class _Parser:
                 fn = _FUNCTIONS.get(tok)
                 if fn is None:
                     raise ValueError(f"unknown function {tok!r}")
-                return fn(self, *args)
+                return fn(self, *map(_built, args))
             atom = _ATOMS.get(tok)
             if atom is None:
                 raise ValueError(f"unknown name {tok!r}")
@@ -335,7 +351,19 @@ class _Parser:
         raise ValueError(f"unexpected token {tok!r}")
 
     def mul(self, a, b):
-        a, b = _same_algebra(a, b)
+        if a.__class__ is tuple and b.__class__ is tuple:
+            var, ot, p, q, m, c = a
+            var2, ot2, p2, q2, m2, c2 = b
+            if var is None:
+                var = var2
+            elif var2 is not None and var2 != var:
+                raise ValueError("expression mixes the r and xi algebras")
+            # the Leibniz terms past j = 0 carry binom(a, j), zero for a left
+            # order a = 0, and a derivative of the right coefficient, zero
+            # when it is free of x
+            if not ot or not q2:
+                return var, ot + ot2, p + p2, q + q2, m + m2, c * c2
+        a, b = _same_algebra(_built(a), _built(b))
         if isinstance(a, CoeffFn):
             return a * b
         try:
@@ -344,27 +372,27 @@ class _Parser:
             return sym_mul(a, b, self.floor)
 
     def power(self, v, twice: int):
-        """v to the power twice/2."""
+        """v to the power twice/2.  An exact value of one term is read as a
+        monomial first; a floored one stays a symbol, so its floor holds."""
         k, half = divmod(twice, 2)
-        if isinstance(v, CoeffFn):
-            if v == CoeffFn.one():
-                return v
-            if len(v.terms) == 1 and not half:
-                _check_power_digits(v, k)
-                return v ** k
-        elif len(v.terms) == 1:
-            ((order, c),) = v.terms.items()
-            if c == CoeffFn.one():
-                # pure derivative power: d^a ^ (twice/2) = d^(a*twice/2),
-                # which must stay in (1/2)Z
-                newtw = order.twice * twice
-                if newtw % 2:
+        mono = v if v.__class__ is tuple else _as_monomial(v)
+        if mono is not None:
+            var, ot, p, q, m, c = mono
+            if not (p or q or m) and c.is_one():
+                # pure derivative: d^a ^ (twice/2) = d^(a*twice/2), which
+                # must stay in (1/2)Z
+                ot *= twice
+                if ot % 2:
                     raise ValueError("resulting order is not a half-integer")
-                return Symbol.monomial(v.var, HalfInt(newtw // 2), CoeffFn.one())
-            if order.twice == 0 and len(c.terms) == 1 and not half:
-                # monomial function base with an integer exponent
+                ot //= 2
+                if var == R and ot % 2:
+                    raise ValueError("half-integer order in an R-variable symbol")
+                return var, ot, 0, 0, 0, c
+            if not (ot or half):
+                # monomial function with an integer exponent
                 _check_power_digits(c, k)
-                return Symbol.function(v.var, c ** k)
+                return var, 0, p * k, q * k, m * k, c ** k
+            v = mono
         if not half and k >= 0:
             # k successive products, each larger than the last
             if k > transforms.MAX_IMAGE_POWER:
@@ -372,7 +400,7 @@ class _Parser:
                     f"powers of a base that is not a single generator are bounded by "
                     f"{transforms.MAX_IMAGE_POWER}"
                 )
-            out = CoeffFn.one()
+            out = _UNIT
             for _ in range(k):
                 out = self.mul(out, v)
             return out
@@ -420,9 +448,9 @@ class _Parser:
         return a if isinstance(a, CoeffFn) else differential_part(a)
 
 
-def _check_power_digits(c: CoeffFn, k: int) -> None:
-    """Refuse the k-th power of a monomial whose coefficient would print an
-    integer longer than the int-to-str digit limit.
+def _check_power_digits(g: GaussRat, k: int) -> None:
+    """Refuse the k-th power of a monomial with coefficient g if g^k would
+    print an integer longer than the int-to-str digit limit.
 
     The test takes a lower bound on log10 of the longest printed integer,
     so no printable power is refused.  With g = (a + i*b)/d reduced, |g^k|
@@ -430,7 +458,6 @@ def _check_power_digits(c: CoeffFn, k: int) -> None:
     when it is below 1.  Reducing (a + i*b)^k / d^k cancels at most 2^(k/2)
     from d^k, and the two printed denominators multiply to at least the rest.
     """
-    (g,) = c.terms.values()
     if g._d == 1 and g._a * g._a + g._b * g._b == 1:
         return  # every power of 1, -1, i or -i is one of them
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -453,15 +480,42 @@ _FUNCTIONS = {
     "dpart": _Parser.fn_dpart,
 }
 
+_UNIT = (None, 0, 0, 0, 0, GR_ONE)
 _ATOMS = {
-    "i": CoeffFn.const(GaussRat(0, 1)),
-    "M": M,
-    "t": CoeffFn.t_pow(1),
-    "xi": Symbol.function(XI, CoeffFn.x_pow(1)),
-    "r": Symbol.function(R, CoeffFn.x_pow(1)),
-    "d_xi": Symbol.monomial(XI, h(1), CoeffFn.one()),
-    "d_r": Symbol.monomial(R, h(1), CoeffFn.one()),
+    "i": (None, 0, 0, 0, 0, GR_I),
+    "M": (None, 0, 0, 0, 1, GR_ONE),
+    "t": (None, 0, 1, 0, 0, GR_ONE),
+    "xi": (XI, 0, 0, 1, 0, GR_ONE),
+    "r": (R, 0, 0, 1, 0, GR_ONE),
+    "d_xi": (XI, 2, 0, 0, 0, GR_ONE),
+    "d_r": (R, 2, 0, 0, 0, GR_ONE),
 }
+
+
+def _built(v):
+    """v as a CoeffFn or a Symbol: a monomial tuple is built, any other
+    value is returned as it is."""
+    if v.__class__ is not tuple:
+        return v
+    var, ot, p, q, m, c = v
+    coeff = coeff_from_table({(p, q, m): c})
+    return coeff if var is None else Symbol._raw(var, {HalfInt(ot): coeff}, EXACT)
+
+
+def _as_monomial(v):
+    """A built value as a monomial tuple when it is exact and has one
+    term, else None."""
+    if v.__class__ is CoeffFn:
+        var, ot, c = None, 0, v
+    elif v.floor is EXACT and len(v.terms) == 1:
+        ((order, c),) = v.terms.items()
+        var, ot = v.var, order.twice
+    else:
+        return None
+    if len(c.terms) != 1:
+        return None
+    (((p, q, m), g),) = c.terms.items()
+    return var, ot, p, q, m, g
 
 
 def _as_symbol(v, var: str) -> Symbol:
@@ -480,15 +534,17 @@ def _same_algebra(a, b):
 
 
 def _add(a, b):
-    a, b = _same_algebra(a, b)
+    a, b = _same_algebra(_built(a), _built(b))
     return a + b if isinstance(a, CoeffFn) else sym_add(a, b)
 
 
 def _neg(v):
+    if v.__class__ is tuple:
+        return (*v[:5], -v[5])
     return -v if isinstance(v, CoeffFn) else sym_neg(v)
 
 
 def eval_expr(src: str, floor=None) -> Symbol:
     """Evaluate a calculator expression; returns a psido.Symbol."""
     value = _Parser(_tokenize(src), h(-4) if floor is None else floor).parse()
-    return _as_symbol(value, R)
+    return _as_symbol(_built(value), R)

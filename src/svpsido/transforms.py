@@ -278,6 +278,7 @@ def theta_inv(D: Symbol, req_floor=None) -> Symbol:
 # ---------------------------------------------------------------- loop shift
 
 _HALF_I = GaussRat(0, Fraction(1, 2))
+_MINUS_2I = GaussRat(0, -2)
 
 
 def time_shift(f: CoeffFn, depth: int) -> CoeffFn:
@@ -294,12 +295,14 @@ def time_shift(f: CoeffFn, depth: int) -> CoeffFn:
     for q in dict.fromkeys(k[1] for k in f.terms):
         a = HalfInt.of(q)
         series = []
+        scale = _HALF_I ** q  # (i/2)^(q - m), one factor 2/i = -2i per step in m
         for m in range((q if q >= 0 else depth) + 1):
             cf = binom_half(a, m)
             if cf.is_zero():
                 break
             # (i t / 2M)^(q - m) xi^m
-            series.append(((q - m, m, m - q), _HALF_I ** (q - m) * cf))
+            series.append(((q - m, m, m - q), scale * cf))
+            scale = scale * _MINUS_2I
         mul_into(out, series, f.x_slice(q).terms.items())
     return coeff_from_table(out)
 

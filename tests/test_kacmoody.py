@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import coadjoint_duality_defect, quotient_nullity_defect
 from svpsido import kacmoody, suites
 from svpsido.cocycles import CocycleId, eval_cocycle
 from svpsido.halfint import EXACT, h, hmax
@@ -21,13 +22,11 @@ from svpsido.kacmoody import (
     GDual,
     GElement,
     coadjoint,
-    coadjoint_duality_defect,
     embed_I,
     embed_momentum_symbol,
     g_bracket,
     in_invariant_slice,
     pairing,
-    quotient_nullity_defect,
 )
 from svpsido.psido import (
     R,

@@ -23,7 +23,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import series_image, summed_images
+from reference import leibniz_into, series_image, summed_images
 from svpsido.cocycles import CocycleId, eval_cocycle
 from svpsido.halfint import EXACT, HalfInt, hmax
 from svpsido import ring
@@ -577,7 +577,7 @@ def test_leibniz_into_matches_the_recurrence(first, second, low):
     for terms, sign in ((first, 1), (second, -1)):
         f_terms, g_terms = _kernel_inputs(terms)
         f_terms = [(at, [(k, v * sign) for k, v in items]) for at, items in f_terms]
-        got_cut |= ring.leibniz_into(got, f_terms, g_terms, low)
+        got_cut |= leibniz_into(got, f_terms, g_terms, low)
         for at, items in f_terms:
             want_cut |= leibniz_by_recurrence(want, at, items, g_terms, low)
     assert _tables_in_order(got) == _tables_in_order(want)
@@ -608,7 +608,7 @@ def test_leibniz_into_cuts_where_the_recurrence_cuts(at, q, where):
     low = {"at the last term": last, "one step below it": last + 2,
            "above the first": at + 1}[where]
     got, want = {}, {}
-    got_cut = ring.leibniz_into(got, f_terms, g_terms, low)
+    got_cut = leibniz_into(got, f_terms, g_terms, low)
     want_cut = leibniz_by_recurrence(want, *f_terms[0], g_terms, low)
     assert _tables_in_order(got) == _tables_in_order(want)
     assert got_cut == want_cut
@@ -624,11 +624,11 @@ def test_leibniz_into_without_a_floor(at, q):
     f_terms, g_terms, last = _pair_with_end(at, q)
     if last is None:
         with pytest.raises(ValueError) as exc:
-            ring.leibniz_into({}, f_terms, g_terms, None)
+            leibniz_into({}, f_terms, g_terms, None)
         assert str(exc.value) == TAIL_MESSAGE
         return
     got, want = {}, {}
-    assert not ring.leibniz_into(got, f_terms, g_terms, None)
+    assert not leibniz_into(got, f_terms, g_terms, None)
     assert not leibniz_by_recurrence(want, *f_terms[0], g_terms, None)
     assert _tables_in_order(got) == _tables_in_order(want)
     assert min(got) == last

@@ -313,3 +313,85 @@ def test_printed_symbols_parse_back_to_themselves(sym):
         # a value with no r, xi or derivative parses as a space function
         assert back.var == R and all(k.twice == 0 and c.is_t_only() for k, c in sym.terms.items())
     assert symbol_str(back) == text
+
+
+@st.composite
+def monomial_products(draw):
+    """Factors of one product in one algebra, each an atom or a
+    parenthesized product of atoms, with an optional exponent."""
+    var = draw(st.sampled_from(("xi", "r")))
+    atoms = st.sampled_from((var, f"d_{var}", "t", "M", "i", "0", "2", "2/3", "(1 - i)"))
+    exps = st.integers(-6, 6).map(lambda tw: str(tw // 2) if tw % 2 == 0 else f"{tw}/2")
+
+    def factor(base):
+        return st.tuples(base, st.one_of(st.just(""), exps.map("^".__add__))).map("".join)
+
+    inner = st.lists(factor(atoms), min_size=2, max_size=3).map(lambda fs: f"({'*'.join(fs)})")
+    return draw(st.lists(factor(st.one_of(atoms, atoms, inner)), min_size=1, max_size=4))
+
+
+class TestMonomialProducts:
+    """The parser multiplies and raises monomials as int tuples; the retired
+    parser that composes every factor (tests/reference.py) must agree."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(monomial_products(), st.sampled_from(("-1", "-2", "-5/2", "-4", "-6")))
+    @example(["d_xi", "xi"], "-4")
+    @example(["d_xi^1/2", "xi^-1"], "-4")
+    @example(["xi^3", "d_xi^5/2", "t^-1", "2"], "-4")
+    @example(["(xi*d_xi)^3"], "-4")
+    @example(["d_r^-1", "r^-1", "d_r"], "-1")
+    @example(["(d_r*d_r^-1*r^-1)^-1"], "-1")
+    @example(["0^-1"], "-4")
+    @example(["(2*d_xi)^0", "r"], "-4")
+    def test_products_and_powers_match_the_composing_parser(self, factors, floor):
+        for src in ("*".join(factors), "*".join(reversed(factors))):
+            got = _outcome(eval_expr, src, h(floor))
+            want = _outcome(reference.eval_expr, src, h(floor))
+            assert got == want, src
+            if isinstance(got, Symbol):
+                assert got.floor == want.floor, src
+                assert symbol_str(got) == symbol_str(want), src
+
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("d_r^1/2*d_r^1/2", "half-integer order in an R-variable symbol"),
+            ("r*d_r^1/2", "half-integer order in an R-variable symbol"),
+            ("(d_r^1/2)^2", "half-integer order in an R-variable symbol"),
+            ("xi^1/2", "only a pure derivative takes a half-integer exponent"),
+            ("xi*r", "expression mixes the r and xi algebras"),
+            ("0^-1", "only a monomial function or a pure derivative takes a negative exponent"),
+        ],
+    )
+    def test_refusals_fire_at_the_factor_that_causes_them(self, src, message):
+        # an unknown name after the fault would be reported instead if the
+        # refusal were deferred past the factor
+        for text in (src, f"{src}*qux"):
+            with pytest.raises(ValueError) as exc:
+                eval_expr(text)
+            assert str(exc.value) == message
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no limit")
+    @pytest.mark.parametrize("src", ["2^20000", "(2*t)^20000", "(2/3*xi)^-40000"])
+    def test_a_power_past_the_digit_limit_is_refused_at_the_power(self, src):
+        limit = sys.get_int_max_str_digits()
+        for text in (src, f"{src}*qux"):
+            with pytest.raises(ValueError) as exc:
+                eval_expr(text)
+            assert str(exc.value) == f"the coefficient of this power would print with more than {limit} digits"
+
+    def test_a_floored_base_keeps_its_floor_under_a_power(self):
+        # d_r o (r^-1 d_r^-1 cut at -1) is r^-1 with every order below 0 unknown
+        base = "(mul(d_r^-1, r^-1)*d_r)"
+        assert symbol_str(eval_expr(base, h(-1))) == "r^-1 | floor=0"
+        assert symbol_str(eval_expr(f"{base}^2", h(-1))) == "r^-2 | floor=0"
+        with pytest.raises(ValueError, match="^only a monomial function or a pure derivative"):
+            eval_expr(f"{base}^-1", h(-1))
+        with pytest.raises(ValueError, match="^only a pure derivative takes a half-integer"):
+            eval_expr(f"{base}^1/2", h(-1))
+
+    def test_an_exact_function_result_is_raised_as_a_monomial(self):
+        assert eval_expr("trace(r^-1*d_r^-1)^-2") == eval_expr("1")
+        assert eval_expr("dpart(2*t*r^2)^-1") == eval_expr("1/2*t^-1*r^-2")
+        assert eval_expr("dpart(d_xi)^1/2") == eval_expr("d_xi^1/2")
