@@ -75,20 +75,19 @@ _FORMS = {
 
 def _slots(D: Symbol):
     """The term items of the three quotient slots of a capped symbol
-    (orders 1, 0, -1), trust-checked in one pass over its orders."""
+    (orders 1, 0, -1), trust-checked in one pass over its terms."""
     if D.var != R:
         raise ValueError("cocycles are defined on space symbols")
-    up = mid = down = ()
-    for k, c in D.terms.items():
-        tw = k.twice
-        if tw > 2:
-            raise ValueError("cocycles live on symbols of order <= 1")
+    up, mid, down = [], [], []
+    for (tw, p, q, m), v in D.flat.items():
         if tw == 2:
-            up = c.terms.items()
+            up.append(((p, q, m), v))
         elif tw == 0:
-            mid = c.terms.items()
+            mid.append(((p, q, m), v))
         elif tw == -2:
-            down = c.terms.items()
+            down.append(((p, q, m), v))
+        elif tw > 2:
+            raise ValueError("cocycles live on symbols of order <= 1")
     if D.floor is not EXACT and D.floor.twice > -2:
         raise ValueError("slot at order -1 is untrusted; deepen the floor")
     return up, mid, down

@@ -26,11 +26,11 @@ computing no deeper, and a W truncated at or above it leaves every trace
 determined.
 
 Every output slot of the bracket and of the coadjoint action is one
-(t, x, M) table that each of its terms is added into with ring.mul_into,
-signs and constants folded into a factor, and that is wrapped once.  The
-bracket's W starts from the per-order tables of the symbol bracket
-(psido.compose_tables), and its transport terms join those tables before
-the one wrap; its central term is read by cocycles.eval_cocycle.
+table that each of its terms is added into, signs and constants folded
+into a factor, and that is wrapped once.  The bracket's W starts from the
+flat dict of the symbol bracket (psido.compose_flat), and its transport
+terms join that dict before the one wrap (ring.scale_into); its central
+term is read by cocycles.eval_cocycle.
 
 The invariant slice kept by the coadjoint action consists of points with
 V = V_-2(t,r) d^-2 + V_0(t): free-evolution multiples plus a potential,
@@ -56,25 +56,17 @@ from math import prod
 
 from .cocycles import CocycleId, eval_cocycle
 from .halfint import EXACT, h, hmax
-from .psido import (
-    R,
-    XI,
-    Symbol,
-    binom_half,
-    cap_order,
-    compose_tables,
-    sym_add,
-    sym_sub,
-    symbol_from_tables,
-)
+from .psido import R, XI, Symbol, _binom_cached, cap_order, compose_flat, sym_add, sym_sub
 from .ring import (
     CoeffFn,
     GaussRat,
     I_HALF_OVER_M,
     M,
     TWO_I_M,
+    _gauss,
     coeff_from_table,
     mul_into,
+    scale_into,
 )
 from .svalgebra import SvElement, sv_bracket
 from .textio import coeff_str, symbol_str
@@ -204,15 +196,7 @@ class GDual:
 
 def in_invariant_slice(mu: GDual) -> bool:
     """True when V = V_-2 d^-2 + V_0(t) with a spatially constant V_0."""
-    for k, c in mu.V.terms.items():
-        if k == _MINUS_TWO:
-            continue
-        if k == h(0):
-            if not c.is_t_only():
-                return False
-            continue
-        return False
-    return True
+    return all(o == -4 or (o == 0 and not q) for o, _, q, _ in mu.V.flat)
 
 
 def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
@@ -223,18 +207,19 @@ def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
         alpha = A.w B.alpha' - B.w A.alpha' + c * c3(A.W, B.W),
 
     primes and d_t being t-derivatives.  Each slot is summed in one table
-    and wrapped once.  W starts from the per-order tables of the symbol
-    bracket (psido.compose_tables) and takes the transport terms into the
-    same tables with ring.mul_into; they are never cut, but orders below
-    the result floor are dropped.  That floor is the bracket's (EXACT only
-    when nothing was cut) raised to the floor of each operand's W: a term
-    scaled by a zero loop is a zero that keeps its floor.  The parts are
-    t-only and W has order at most 1 by construction, so the result skips
-    the checks of GElement.
+    and wrapped once.  W starts from the flat dict of the symbol bracket
+    (psido.compose_flat) and takes the transport terms into the same dict;
+    they are never cut, but orders below the result floor are dropped.
+    That floor is the bracket's (EXACT only when nothing was cut) raised to
+    the floor of each operand's W: a term scaled by a zero loop is a zero
+    that keeps its floor.  The bracket is asked for that raised floor, so
+    its kernel adds nothing below it.  The parts are t-only and W has order
+    at most 1 by construction, so the result skips the checks of GElement.
     """
     AW, BW = A.W, B.W
-    tables, floor = compose_tables(AW, BW, ((AW, BW, 1), (BW, AW, -1)), h(req_floor))
-    floor = hmax(hmax(floor, AW.floor), BW.floor)
+    raised = hmax(AW.floor, BW.floor)
+    flat, floor = compose_flat(AW, BW, ((AW, BW, 1), (BW, AW, -1)), hmax(h(req_floor), raised))
+    floor = hmax(floor, raised)
     w: dict = {}
     alpha: dict = {}
     if A.w.terms or B.w.terms:
@@ -243,7 +228,7 @@ def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
         minus_bw = (-B.w).terms.items()
         for loop, other in ((aw, BW), (minus_bw, AW)):
             if loop:
-                _transport_into(tables, loop, other, low)
+                _transport_into(flat, loop, other, low)
         if aw and bw:
             mul_into(w, aw, B.w.deriv("T").terms.items())
             mul_into(w, (-A.w.deriv("T")).terms.items(), bw)
@@ -254,21 +239,17 @@ def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
     central = eval_cocycle(CocycleId.C3, AW, BW)
     if central.terms:
         mul_into(alpha, central.terms.items(), _as_scalar(c).terms.items())
-    return GElement._raw(
-        coeff_from_table(w), symbol_from_tables(R, tables, floor), coeff_from_table(alpha)
-    )
+    return GElement._raw(coeff_from_table(w), Symbol._raw(R, flat, floor), coeff_from_table(alpha))
 
 
-def _transport_into(tables: dict, loop, W: Symbol, low) -> None:
-    """Add loop * d_t W into the per-order tables, skipping orders below
-    low (twice the floor, None for none); loop is a loop's term items."""
-    for b, g in W.terms.items():
-        order = b.twice
-        if low is None or order >= low:
-            acc = tables.get(order)
-            if acc is None:
-                acc = tables[order] = {}
-            mul_into(acc, loop, g.deriv("T").terms.items())
+def _transport_into(flat: dict, loop, W: Symbol, low) -> None:
+    """Add loop * d_t W into a flat symbol dict, skipping orders below low
+    (twice the floor, None for none); loop is a loop's term items."""
+    dW = [((o, p - 1, q, m), _gauss(v._a * p, v._b * p, v._d))
+          for (o, p, q, m), v in W.flat.items() if p and (low is None or o >= low)]
+    if dW:
+        for (p, _, m), v in loop:
+            scale_into(flat, dW, 0, p, m, v)
 
 
 def _as_scalar(c) -> CoeffFn:
@@ -306,12 +287,12 @@ class DualFamily:
         self.floor = _MINUS_ONE - max(tops) if tops else EXACT
         self._v: dict = {}
         self._a: dict = {}
-        orders: dict = {}
+        orders: dict = {}  # twice the order of V -> index of its monomials
         for n, mu in enumerate(points):
             for index, f in ((self._v, mu.v), (self._a, mu.a)):
                 _file(index, n, f)
-            for a, f in mu.V.terms.items():
-                _file(orders.setdefault(a, {}), n, f)
+            for (at, p, q, m), c in mu.V.flat.items():
+                orders.setdefault(at, {}).setdefault((p, q), []).append((n, m, c))
         self._orders = list(orders.items())
 
     def add_into(self, A: GElement, sums: dict) -> None:
@@ -320,24 +301,23 @@ class DualFamily:
             for (p, q, e), d in g.terms.items():
                 for n, m, c in index.get((-1 - p, -q), ()):
                     _collect(sums, n, m + e, c * d)
-        for b, g in A.W.terms.items():
-            for a, index in self._orders:
-                j = (a.twice + b.twice) // 2 + 1  # orders on the space side are integers
+        for (bt, p, q, e), d in A.W.flat.items():
+            for at, index in self._orders:
+                j = (at + bt) // 2 + 1  # orders on the space side are integers
                 if j < 0:
                     continue
-                coef = binom_half(a, j)
+                hits = index.get((-1 - p, j - 1 - q))
+                if hits is None:
+                    continue
+                coef = _binom_cached(at, j)
                 if coef.is_zero():
                     continue
-                for (p, q, e), d in g.terms.items():
-                    hits = index.get((-1 - p, j - 1 - q))
-                    if hits is None:
-                        continue
-                    ff = prod(range(q - j + 1, q + 1))
-                    if not ff:
-                        continue
-                    d_ff = d * (coef * ff)
-                    for n, m, c in hits:
-                        _collect(sums, n, m + e, c * d_ff)
+                ff = prod(range(q - j + 1, q + 1))
+                if not ff:
+                    continue
+                d_ff = d * (coef * ff)
+                for n, m, c in hits:
+                    _collect(sums, n, m + e, c * d_ff)
 
     def undetermined(self, A: GElement) -> list:
         """The points, in order, whose trace is not determined at A's

@@ -29,22 +29,19 @@ pair into a mutable {(t, x, M): GaussRat} table, dropping what cancels, and
 ``coeff_from_table`` wraps the finished table once.  A sum multiplies by the
 unit, a difference by minus the unit.
 
-The kernels that read long-lived operands many times take them as int
-rows instead, built once per operand: ``coeff_rows`` flattens a CoeffFn to
-rows (t, x, M, a, b, d) for the monomials ((a + i b)/d) t^t x^x M^M, and a
-Symbol keeps one (twice the order, rows) pair per order (psido.term_rows),
-so an operand that many products share is flattened once.  The Leibniz
-composition of symbols runs one loop, ``leibniz_rows``, over every left
-term of a product in one call.  It weighs each pair of a left term and a
-right monomial x^q by binom(a, j) (q)_j, read from a module cache of
-reduced int pairs keyed by (2a, q) and folded with the product's sign into
-the right monomial, so a term costs one gcd and composition takes no
-derivative.  Each pair's number of terms is fixed before its first term,
-from a, q and the floor; each term is added straight into the table of its
-output order.  The transform's monomial map and its deformed images scale
-cached images by x-free values, the x-slices of a coefficient
-(``x_slice_rows``), with ``add_scaled_rows``, which adds every scaled row
-of every order straight into its output table.
+A symbol keeps its terms in one flat dict from (twice the order, t, x, M)
+to a nonzero GaussRat (psido.Symbol.flat), and two kernels here read and
+write such dicts directly.  The Leibniz composition of symbols runs one
+loop, ``leibniz_rows``, over every pair of a left and a right term.  It
+weighs each pair of a left term and a right monomial x^q by
+binom(a, j) (q)_j, read from a module cache of reduced int pairs keyed by
+(2a, q) and folded with the product's sign into the right monomial, so a
+term costs one gcd and composition takes no derivative.  Each pair's
+number of terms is fixed before its first term, from a, q and the floor;
+each term is added straight into the output dict.  The transform's
+monomial map, its deformed images and the transport terms of the extended
+bracket shift a symbol's terms in order and scale them by an x-free
+monomial with ``scale_into``.
 
 Derivatives are term-wise monomial derivations and residues extract the
 coefficient of (variable)^-1, so res(d(f)) = 0 holds identically.  Every
@@ -66,8 +63,8 @@ from math import gcd
 
 __all__ = [
     "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M",
-    "mul_into", "coeff_rows", "x_slice_rows", "add_scaled_rows",
-    "leibniz_rows", "residue_into", "triple_into", "coeff_from_table",
+    "mul_into", "scale_into", "leibniz_rows", "residue_into", "triple_into",
+    "coeff_from_table",
 ]
 
 _new = object.__new__
@@ -509,66 +506,46 @@ def mul_into(acc: dict, f_items, g_items) -> None:
                 del acc[k]
 
 
-def coeff_rows(c: CoeffFn) -> list:
-    """c's terms as int rows (t, x, M, a, b, d), in term order: the row
-    (t, x, M, a, b, d) is the monomial ((a + i b)/d) t^t x^x M^M."""
-    return [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in c.terms.items()]
+def scale_into(acc: dict, items, dt: int, p2: int, m2: int, g: GaussRat) -> None:
+    """Add g t^p2 M^m2 times every term of items, shifted by dt
+    twice-orders, into acc, a flat symbol dict
+    {(twice the order, t, x, M): GaussRat}.
 
-
-def x_slice_rows(c: CoeffFn) -> dict:
-    """x-power -> int rows (t, M, a, b, d) of c's coefficient of that
-    power, an x-free value, in one pass; powers in the order c's terms
-    first meet them, rows in term order, as x_slice gives them."""
-    out: dict = {}
-    for (p, q, m), v in c.terms.items():
-        s = out.get(q)
+    items are (key, value) pairs of a flat symbol dict.  The factor is
+    free of x, so it commutes with every derivative and each term maps to
+    one term.  Each product is added with one normalising gcd as in
+    mul_into, and a monomial that cancels leaves acc.
+    """
+    a2, b2, d2 = g._a, g._b, g._d
+    get = acc.get
+    for (o, p1, q1, m1), v1 in items:
+        k = (o + dt, p1 + p2, q1, m1 + m2)
+        a1, b1 = v1._a, v1._b
+        a = a1 * a2 - b1 * b2
+        b = a1 * b2 + b1 * a2
+        d = v1._d * d2
+        s = get(k)
         if s is None:
-            out[q] = [(p, m, v._a, v._b, v._d)]
+            acc[k] = _gauss(a, b, d)
+            continue
+        e = s._d
+        if e == d:
+            a += s._a
+            b += s._b
         else:
-            s.append((p, m, v._a, v._b, v._d))
-    return out
-
-
-def add_scaled_rows(tables: dict, rows, dt: int, scale) -> None:
-    """Add rows grouped by order, (twice the order, rows) pairs as
-    psido.term_rows keeps them, shifted by dt twice-orders and multiplied
-    by the x-free value whose x_slice_rows are scale, into tables,
-    per-order (t, x, M) tables keyed by twice the order.  One loop runs
-    over every row of every order; each product is added with one
-    normalising gcd as in mul_into, and a monomial that cancels leaves its
-    table."""
-    for ot, fs in rows:
-        o = ot + dt
-        acc = tables.get(o)
-        if acc is None:
-            acc = tables[o] = {}
-        for p1, q1, m1, a1, b1, d1 in fs:
-            for p2, m2, a2, b2, d2 in scale:
-                k = (p1 + p2, q1, m1 + m2)
-                a = a1 * a2 - b1 * b2
-                b = a1 * b2 + b1 * a2
-                d = d1 * d2
-                s = acc.get(k)
-                if s is None:
-                    acc[k] = _gauss(a, b, d)
-                    continue
-                e = s._d
-                if e == d:
-                    a += s._a
-                    b += s._b
-                else:
-                    a = a * e + s._a * d
-                    b = b * e + s._b * d
-                    d *= e
-                if a or b:
-                    acc[k] = _gauss(a, b, d)
-                else:
-                    del acc[k]
+            a = a * e + s._a * d
+            b = b * e + s._b * d
+            d *= e
+        if a or b:
+            acc[k] = _gauss(a, b, d)
+        else:
+            del acc[k]
 
 
 # binom(a, j) (q)_j for j = 0, 1, ... as reduced (numerator, denominator)
 # int pairs, keyed by (2a, q) and grown on demand by _weights.
 _WEIGHTS: dict = {}
+_FIRST_WEIGHT = ((1, 1),)
 
 
 def _weights(at: int, q: int, n: int) -> list:
@@ -592,88 +569,88 @@ def _weights(at: int, q: int, n: int) -> list:
     return ws
 
 
-def leibniz_rows(tables: dict, f_rows, g_rows, low, sign: int = 1) -> bool:
+def leibniz_rows(acc: dict, f: dict, g: dict, low, sign: int = 1) -> bool:
     """Add sign * sum_j binom(a, j) f g^(j) d^(a+b-j) over every pair of a
-    left and a right term into tables, per-order (t, x, M) tables keyed by
-    twice the order.
+    left and a right term into acc, a flat symbol dict.
 
-    f_rows and g_rows list each order of the left and the right operand as
-    (twice the order, rows), each row (t, x, M, a, b, d) for the monomial
-    ((a + i b)/d) t^t x^x M^M, as psido.term_rows keeps them.  On a right
-    monomial v x^q the j-th Leibniz term is binom(a, j) (q)_j v x^(q-j) f,
-    so no derivative is taken: the weight binom(a, j) (q)_j is read from
-    a module cache of reduced int pairs keyed by (2a, q) and folded, with
-    the sign, into the right monomial, whose product with each left row
-    then costs one normalising gcd, as in mul_into.
+    f, g and acc are flat symbol dicts {(twice the order, t, x, M):
+    GaussRat}.  On a right monomial v x^q the j-th Leibniz term is
+    binom(a, j) (q)_j v x^(q-j) f, so no derivative is taken: the weight
+    binom(a, j) (q)_j is read from a module cache of reduced int pairs
+    keyed by (2a, q) and folded, with the sign, into the right monomial,
+    whose product with the left term then costs one normalising gcd, as in
+    mul_into.
 
     The number of terms of a pair is fixed before its first term: they
     end at the first zero weight (a nonnegative integer a, or q, runs out)
     and at the last order at or above low (twice the floor, None for
-    none).  Each term adds its product with every left row of its order
-    straight into its output order's table, and the return value says
-    whether the floor cut any term of nonzero weight.  With no floor, a
-    pair whose terms never end raises ValueError before any of its terms
+    none).  Each term is added straight into acc, and the return value
+    says whether the floor cut any term of nonzero weight.  With no floor,
+    a pair whose terms never end raises ValueError before any of its terms
     is added.
     """
     cut = False
     weights = _WEIGHTS
-    for at, fs in f_rows:
+    get = acc.get
+    right = [(bt, p2, q, m2, v._a * sign, v._b * sign, v._d)
+             for (bt, p2, q, m2), v in g.items()]
+    for (at, p1, q1, m1), v1 in f.items():
+        a1, b1, d1 = v1._a, v1._b, v1._d
         # binom(a, j) vanishes from j = a + 1 on for a nonnegative integer a
         n_a = at // 2 + 1 if at >= 0 and not at & 1 else None
-        for bt, gs in g_rows:
-            top = at + bt
-            if low is not None and top < low:
+        for bt, p2, q, m2, a2, b2, d2 in right:
+            order = at + bt
+            if low is not None and order < low:
                 cut = True
                 continue
-            for p2, q, m2, a2, b2, d2 in gs:
-                order = top
-                # and the falling factorial (q)_j from j = q + 1 on for q >= 0
-                n = n_a if q < 0 or (n_a is not None and n_a <= q) else q + 1
-                if low is not None:
-                    above = (order - low) // 2 + 1
-                    if n is None or above < n:
-                        cut = True
-                        n = above
-                elif n is None:
-                    raise ValueError(
-                        "exact product requested but the Leibniz tail does not terminate"
-                    )
+            # and the falling factorial (q)_j from j = q + 1 on for q >= 0
+            n = n_a if q < 0 or (n_a is not None and n_a <= q) else q + 1
+            if low is not None:
+                above = (order - low) // 2 + 1
+                if n is None or above < n:
+                    cut = True
+                    n = above
+            elif n is None:
+                raise ValueError(
+                    "exact product requested but the Leibniz tail does not terminate"
+                )
+            if n == 1:
+                ws = _FIRST_WEIGHT  # most pairs end after j = 0
+            else:
                 ws = weights.get((at, q))
                 if ws is None or len(ws) < n:
                     ws = _weights(at, q, n)
-                if sign != 1:
-                    a2 *= sign
-                    b2 *= sign
-                for num, den in ws[:n]:
-                    wa = a2 * num
-                    wb = b2 * num
-                    wd = d2 * den
-                    acc = tables.get(order)
-                    if acc is None:
-                        acc = tables[order] = {}
-                    for p1, q1, m1, a1, b1, d1 in fs:
-                        k = (p1 + p2, q1 + q, m1 + m2)
-                        a = a1 * wa - b1 * wb
-                        b = a1 * wb + b1 * wa
-                        d = d1 * wd
-                        s = acc.get(k)
-                        if s is None:
-                            acc[k] = _gauss(a, b, d)
-                            continue
-                        e = s._d
-                        if e == d:
-                            a += s._a
-                            b += s._b
-                        else:
-                            a = a * e + s._a * d
-                            b = b * e + s._b * d
-                            d *= e
-                        if a or b:
-                            acc[k] = _gauss(a, b, d)
-                        else:
-                            del acc[k]
-                    q -= 1
-                    order -= 2
+                ws = ws[:n]
+            p = p1 + p2
+            x = q1 + q
+            m = m1 + m2
+            # the pair's product, which each weight then scales
+            pa = a1 * a2 - b1 * b2
+            pb = a1 * b2 + b1 * a2
+            pd = d1 * d2
+            for num, den in ws:
+                k = (order, p, x, m)
+                a = pa * num
+                b = pb * num
+                d = pd * den
+                s = get(k)
+                if s is None:
+                    acc[k] = _gauss(a, b, d)
+                else:
+                    e = s._d
+                    if e == d:
+                        a += s._a
+                        b += s._b
+                    else:
+                        a = a * e + s._a * d
+                        b = b * e + s._b * d
+                        d *= e
+                    if a or b:
+                        acc[k] = _gauss(a, b, d)
+                    else:
+                        del acc[k]
+                x -= 1
+                order -= 2
     return cut
 
 
@@ -776,8 +753,8 @@ def triple_into(acc: dict, f_items, g_items, h_items, p: int, q: int, sign: int)
                     del acc[k]
 
 
-# The CoeffFn of a table that mul_into, add_scaled_rows, leibniz_rows,
-# residue_into or triple_into filled, without copying it; the table must
+# The CoeffFn of a table that mul_into, residue_into or triple_into filled,
+# or of one order's terms of a flat symbol dict, without copying it; the table must
 # not change afterwards.
 coeff_from_table = _coeff_raw
 

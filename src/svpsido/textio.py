@@ -51,7 +51,7 @@ from fractions import Fraction
 from math import gcd, log10
 
 from . import transforms
-from .halfint import EXACT, HalfInt, h
+from .halfint import EXACT, h
 from .psido import (
     R,
     XI,
@@ -388,10 +388,12 @@ class _Parser:
                 if var == R and ot % 2:
                     raise ValueError("half-integer order in an R-variable symbol")
                 return var, ot, 0, 0, 0, c
-            if not (ot or half):
-                # monomial function with an integer exponent
+            if not half and (not ot or (not q and k >= 0)):
+                # a monomial function with an integer exponent, or a
+                # nonnegative power of an x-free monomial, whose products
+                # have no Leibniz terms past j = 0
                 _check_power_digits(c, k)
-                return var, 0, p * k, q * k, m * k, c ** k
+                return var, ot * k, p * k, q * k, m * k, c ** k
             v = mono
         if not half and k >= 0:
             # k successive products, each larger than the last
@@ -400,7 +402,12 @@ class _Parser:
                     f"powers of a base that is not a single generator are bounded by "
                     f"{transforms.MAX_IMAGE_POWER}"
                 )
-            out = _UNIT
+            # a zero power keeps the base's algebra
+            if v.__class__ is tuple:
+                var = v[0]
+            else:
+                var = v.var if isinstance(v, Symbol) else None
+            out = var, 0, 0, 0, 0, GR_ONE
             for _ in range(k):
                 out = self.mul(out, v)
             return out
@@ -422,7 +429,7 @@ class _Parser:
         # xi^-k shifts into an infinite ascending series; the x-degree at
         # which it would be cut is not a symbol order, so no floor could
         # say what the cut lost
-        if any((c.min_x_degree() or 0) < 0 for c in sym.terms.values()):
+        if any(q < 0 for _, _, q, _ in sym.flat):
             raise ValueError("tshift needs nonnegative momentum powers: "
                              "an inverse power shifts into an infinite series")
         return transforms.time_shift_symbol(sym, 0)  # the depth cuts nothing here
@@ -480,7 +487,6 @@ _FUNCTIONS = {
     "dpart": _Parser.fn_dpart,
 }
 
-_UNIT = (None, 0, 0, 0, 0, GR_ONE)
 _ATOMS = {
     "i": (None, 0, 0, 0, 0, GR_I),
     "M": (None, 0, 0, 0, 1, GR_ONE),
@@ -498,24 +504,23 @@ def _built(v):
     if v.__class__ is not tuple:
         return v
     var, ot, p, q, m, c = v
-    coeff = coeff_from_table({(p, q, m): c})
-    return coeff if var is None else Symbol._raw(var, {HalfInt(ot): coeff}, EXACT)
+    if var is None:
+        return coeff_from_table({(p, q, m): c})
+    return Symbol._raw(var, {(ot, p, q, m): c}, EXACT)
 
 
 def _as_monomial(v):
     """A built value as a monomial tuple when it is exact and has one
     term, else None."""
     if v.__class__ is CoeffFn:
-        var, ot, c = None, 0, v
-    elif v.floor is EXACT and len(v.terms) == 1:
-        ((order, c),) = v.terms.items()
-        var, ot = v.var, order.twice
-    else:
+        if len(v.terms) != 1:
+            return None
+        (((p, q, m), g),) = v.terms.items()
+        return None, 0, p, q, m, g
+    if v.floor is not EXACT or len(v.flat) != 1:
         return None
-    if len(c.terms) != 1:
-        return None
-    (((p, q, m), g),) = c.terms.items()
-    return var, ot, p, q, m, g
+    (((ot, p, q, m), g),) = v.flat.items()
+    return v.var, ot, p, q, m, g
 
 
 def _as_symbol(v, var: str) -> Symbol:

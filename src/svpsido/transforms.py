@@ -24,6 +24,13 @@ The composite theta_t (shift, then transform) therefore accepts floored
 inputs: a missing momentum order kappa' only pollutes space orders
 <= 2*kappa' - 1, because after the shift all momentum coefficients are
 polynomial.
+
+The monomial map works on the flat term dicts of psido.Symbol: each term
+of the input, keyed by twice its order, reads the memoised image of its
+generator power and adds the image's terms, shifted in order and scaled
+by the term's x-free rest, straight into the output's dict
+(ring.scale_into).  Orders stay ints on this path; HalfInt appears only
+where a floor is compared.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .halfint import EXACT, HalfInt, h, hmax
-from .psido import R, XI, Symbol, binom_half, sym_mul, symbol_from_tables, term_rows
+from .psido import R, XI, Symbol, binom_half, sym_mul, symbol_from_flat
 from .ring import (
     CoeffFn,
     GR_ZERO,
@@ -40,10 +47,9 @@ from .ring import (
     I_M,
     M,
     MINUS_2I_M,
-    add_scaled_rows,
     coeff_from_table,
     mul_into,
-    x_slice_rows,
+    scale_into,
 )
 
 if TYPE_CHECKING:  # only j_map's annotation names it
@@ -177,47 +183,42 @@ def _conjugated_image(nu: GaussRat, q: int, want) -> Symbol:
         raise ValueError("deformed inverse image is a series; give a floor")
     if q < 0 and want < DEEPEST_IMAGE_FLOOR:
         raise ValueError(f"generator images are built down to order {DEEPEST_IMAGE_FLOOR} at most")
-    tables: dict = {}
+    flat: dict = {}
     for j, w in enumerate(_conjugation_weights(nu, q)):
         if w.is_zero() or (q < 0 and want > -q - j):
-            return symbol_from_tables(R, tables, EXACT if q >= 0 else want)
-        add_scaled_rows(tables, term_rows(_theta_images.image(q - j)), -4 * j,
-                        x_slice_rows(CoeffFn.const(w))[0])
+            return symbol_from_flat(R, flat, EXACT if q >= 0 else want)
+        scale_into(flat, _theta_images.image(q - j).flat.items(), -4 * j, 0, 0, w)
 
 
 # ---------------------------------------------------------------- forward map
 
 
-def _map_monomials(D: Symbol, req, var: str, delta_of, image) -> Symbol:
+def _map_monomials(D: Symbol, req, var: str, shift, image) -> Symbol:
     """Sum the images of the monomials of D in the algebra of var.
 
-    Each order k of D shifts its images by delta_of(k); image(q, want)
-    gives the image of the q-th generator power trusted down to want.
-    Every image is read as its cached int rows, scaled by its t-only
-    x-slice of D's coefficient and added in place into one table per
-    output order (ring.add_scaled_rows), so a memoised image is flattened
-    once, however many monomials read it.
+    A term of D at twice-order kt shifts its image by shift(kt)
+    twice-orders; image(q, want) gives the image of the q-th generator
+    power trusted down to want.  Each term of D scales its image's flat
+    dict by its x-free rest and adds it in place into one output dict
+    (ring.scale_into).
 
     Cached images may be deeper than asked; answers must not depend on
     what earlier calls warmed, so a floored result is cut back to req.
     """
     floor = EXACT
-    tables: dict = {}
-    for k, c in D.terms.items():
-        delta = delta_of(k)
-        dt = delta.twice
-        # the shift moves the image's floor by delta, so ask delta deeper
-        want = req if req is EXACT else req - delta
-        for q, scale in x_slice_rows(c).items():
-            if abs(q) > MAX_IMAGE_POWER:
-                raise ValueError(f"generator powers are bounded by {MAX_IMAGE_POWER} in absolute value")
-            img = image(q, want)
-            if img.floor is not EXACT:
-                floor = hmax(floor, img.floor + delta)
-            add_scaled_rows(tables, term_rows(img), dt, scale)
+    flat: dict = {}
+    for (kt, p, q, m), v in D.flat.items():
+        dt = shift(kt)
+        if abs(q) > MAX_IMAGE_POWER:
+            raise ValueError(f"generator powers are bounded by {MAX_IMAGE_POWER} in absolute value")
+        # the shift moves the image's floor by dt, so ask that much deeper
+        img = image(q, req if req is EXACT else HalfInt(req.twice - dt))
+        if img.floor is not EXACT:
+            floor = hmax(floor, HalfInt(img.floor.twice + dt))
+        scale_into(flat, img.flat.items(), dt, p, m, v)
     if floor is not EXACT:
         floor = hmax(floor, req)
-    return symbol_from_tables(var, tables, floor)
+    return symbol_from_flat(var, flat, floor)
 
 
 def theta(D: Symbol, req_floor=None, nu: GaussRat = GR_ZERO) -> Symbol:
@@ -235,7 +236,7 @@ def theta(D: Symbol, req_floor=None, nu: GaussRat = GR_ZERO) -> Symbol:
     req = h(req_floor) if req_floor is not None else EXACT
     images = _theta_images.image if nu.is_zero() else lambda q, want: _conjugated_image(nu, q, want)
     # order doubling, which lands on the integer grid
-    return _map_monomials(D, req, R, lambda kappa: kappa + kappa, images)
+    return _map_monomials(D, req, R, lambda kt: kt + kt, images)
 
 
 # ---------------------------------------------------------------- inverse map
@@ -272,7 +273,7 @@ def theta_inv(D: Symbol, req_floor=None) -> Symbol:
         raise ValueError("theta_inv needs an exact input")
     req = h(req_floor) if req_floor is not None else EXACT
     # order halving: space orders are integers, so the image orders are in (1/2)Z
-    return _map_monomials(D, req, XI, lambda k: HalfInt(k.as_int()), _inv_image)
+    return _map_monomials(D, req, XI, lambda kt: kt // 2, _inv_image)
 
 
 # ---------------------------------------------------------------- loop shift
@@ -335,15 +336,16 @@ def theta_t(E: Symbol, req_floor, nu: GaussRat = GR_ZERO) -> Symbol:
     depth = default_depth(req)
     floor = req
     cut = False
-    for kappa, c in E.terms.items():
-        if (c.min_x_degree() or 0) < 0:
+    for kt, _, q, _ in E.flat:
+        if q < 0:
             cut = True
-            floor = hmax(floor, kappa + kappa - depth)
-    total = theta(Symbol(XI, time_shift_symbol(E, depth).terms), req, nu=nu)
+            floor = hmax(floor, HalfInt(2 * (kt - depth)))
+    shifted = time_shift_symbol(E, depth)
+    total = theta(Symbol._raw(XI, shifted.flat, EXACT), req, nu=nu)
     if E.floor is not EXACT:
         floor = hmax(floor, E.floor + E.floor)
     if cut or E.floor is not EXACT:
-        total = Symbol(R, total.terms, hmax(total.floor, floor))
+        total = symbol_from_flat(R, total.flat, hmax(total.floor, floor))
     return total
 
 

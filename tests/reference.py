@@ -13,9 +13,20 @@ import sys
 from fractions import Fraction as F
 
 from svpsido import kacmoody, textio
-from svpsido.halfint import EXACT, HalfInt, h
-from svpsido.psido import R, XI, Symbol, sym_add, sym_mul, sym_scale
-from svpsido.ring import MINUS_2I_M, CoeffFn, GaussRat, M, _gauss, leibniz_rows
+from svpsido import transforms as tr
+from svpsido.cocycles import CocycleId, eval_cocycle
+from svpsido.halfint import EXACT, HalfInt, h, hmax
+from svpsido.psido import R, XI, Symbol, _check_var, _hi, sym_add, sym_mul
+from svpsido.ring import (
+    MINUS_2I_M,
+    CoeffFn,
+    GaussRat,
+    M,
+    _gauss,
+    _weights,
+    leibniz_rows,
+    mul_into,
+)
 
 
 def gauss_str(g: GaussRat) -> str:
@@ -99,7 +110,9 @@ class ComposingParser(textio._Parser):
     every product with sym_mul, and takes powers through one-term special
     cases beside the repeated product.  The special cases read exact values
     only, as the parser does since a floored base stopped losing its floor.
-    The grammar is the parser's own.
+    A zero power is the unit of its base's algebra, and the cap on the
+    repeated product spares an exact x-free monomial, whose powers the
+    parser takes in one step.  The grammar is the parser's own.
     """
 
     def atom(self):
@@ -140,18 +153,29 @@ class ComposingParser(textio._Parser):
                 textio._check_power_digits(*c.terms.values(), k)
                 return Symbol.function(v.var, c ** k)
         if not half and k >= 0:
-            if k > textio.transforms.MAX_IMAGE_POWER:
+            if k > textio.transforms.MAX_IMAGE_POWER and not _x_free_monomial(v):
                 raise ValueError(
                     f"powers of a base that is not a single generator are bounded by "
                     f"{textio.transforms.MAX_IMAGE_POWER}"
                 )
-            out = CoeffFn.one()
+            # the empty product is the unit of the base's algebra
+            out = CoeffFn.one() if isinstance(v, CoeffFn) else Symbol.function(v.var, CoeffFn.one())
             for _ in range(k):
                 out = self.mul(out, v)
             return out
         if half:
             raise ValueError("only a pure derivative takes a half-integer exponent")
         raise ValueError("only a monomial function or a pure derivative takes a negative exponent")
+
+
+def _x_free_monomial(v) -> bool:
+    """Whether v is one exact monomial free of x, whose powers never cap."""
+    if isinstance(v, CoeffFn):
+        return len(v.terms) == 1
+    if v.floor is not EXACT or len(v.terms) != 1:
+        return False
+    (c,) = v.terms.values()
+    return len(c.terms) == 1 and c.is_t_only()
 
 
 def eval_expr(src: str, floor=None) -> Symbol:
@@ -240,14 +264,283 @@ def series_image(nu: GaussRat, k: int, want) -> Symbol:
     return sym_mul(prev, series_neg_base(nu, want if want is EXACT else want - hi), want)
 
 
+# ---- the nested-table composition and transform ---------------------------------------------
+#
+# Retired when each Symbol came to store its terms in one flat dict keyed
+# by (twice the order, t, x, M): these forms keep one (t, x, M) table per
+# output order, keyed by twice the order, read each operand as int rows
+# grouped by order, and wrap every finished table as a CoeffFn under its
+# HalfInt order.  They read symbols only through the public terms view and
+# build them only through the public constructor.
+
+
+def term_rows(X: Symbol) -> list:
+    """Reference rows of X: (twice the order, rows (t, x, M, a, b, d)) per order."""
+    return [(k.twice, [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in c.terms.items()])
+            for k, c in X.terms.items()]
+
+
+def nested_leibniz_rows(tables: dict, f_rows, g_rows, low, sign: int = 1) -> bool:
+    """Reference for ring.leibniz_rows: Leibniz terms of grouped rows into per-order tables."""
+    cut = False
+    for at, fs in f_rows:
+        n_a = at // 2 + 1 if at >= 0 and not at & 1 else None
+        for bt, gs in g_rows:
+            top = at + bt
+            if low is not None and top < low:
+                cut = True
+                continue
+            for p2, q, m2, a2, b2, d2 in gs:
+                order = top
+                n = n_a if q < 0 or (n_a is not None and n_a <= q) else q + 1
+                if low is not None:
+                    above = (order - low) // 2 + 1
+                    if n is None or above < n:
+                        cut = True
+                        n = above
+                elif n is None:
+                    raise ValueError(
+                        "exact product requested but the Leibniz tail does not terminate"
+                    )
+                a2, b2 = a2 * sign, b2 * sign
+                for num, den in _weights(at, q, n)[:n]:
+                    acc = tables.setdefault(order, {})
+                    for p1, q1, m1, a1, b1, d1 in fs:
+                        k = (p1 + p2, q1 + q, m1 + m2)
+                        term = _gauss(a1 * a2 * num - b1 * b2 * num,
+                                      a1 * b2 * num + b1 * a2 * num, d1 * d2 * den)
+                        total = acc[k] + term if k in acc else term
+                        if total.is_zero():
+                            del acc[k]
+                        else:
+                            acc[k] = total
+                    q -= 1
+                    order -= 2
+    return cut
+
+
+def compose_tables(A: Symbol, B: Symbol, products, req_floor):
+    """Reference for psido.compose_flat: per-order tables and floor of a sum of signed products."""
+    _check_var(A, B)
+    if (A.is_zero() and A.floor is EXACT) or (B.is_zero() and B.floor is EXACT):
+        return {}, EXACT
+    req_floor = h(req_floor) if req_floor is not None else EXACT
+    bound = EXACT
+    if A.floor is not EXACT:
+        bound = hmax(bound, A.floor + _hi(B))
+    if B.floor is not EXACT:
+        bound = hmax(bound, B.floor + _hi(A))
+    floor = hmax(req_floor, bound)
+    low = None if floor is EXACT else floor.twice
+    tables: dict = {}
+    cut = False
+    for left, right, sign in products:
+        cut |= nested_leibniz_rows(tables, term_rows(left), term_rows(right), low, sign)
+    if bound is EXACT and not cut:
+        floor = EXACT
+    return tables, floor
+
+
+def symbol_from_tables(var: str, tables: dict, floor) -> Symbol:
+    """Reference for psido.symbol_from_flat: per-order tables as a Symbol, cut at the floor."""
+    return Symbol(var, {HalfInt(o): CoeffFn(acc) for o, acc in tables.items() if acc}, floor)
+
+
+def nested_sym_mul(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
+    """Reference for psido.sym_mul through per-order tables."""
+    return symbol_from_tables(A.var, *compose_tables(A, B, ((A, B, 1),), req_floor))
+
+
+def nested_sym_bracket(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
+    """Reference for psido.sym_bracket through per-order tables."""
+    return symbol_from_tables(A.var, *compose_tables(A, B, ((A, B, 1), (B, A, -1)), req_floor))
+
+
+def x_slice_rows(c: CoeffFn) -> dict:
+    """x-power -> int rows (t, M, a, b, d) of c's coefficient of that power."""
+    out: dict = {}
+    for (p, q, m), v in c.terms.items():
+        out.setdefault(q, []).append((p, m, v._a, v._b, v._d))
+    return out
+
+
+def add_scaled_rows(tables: dict, rows, dt: int, scale) -> None:
+    """Reference for ring.scale_into: order-grouped rows, shifted by dt and scaled, into tables."""
+    for ot, fs in rows:
+        acc = tables.setdefault(ot + dt, {})
+        for p1, q1, m1, a1, b1, d1 in fs:
+            for p2, m2, a2, b2, d2 in scale:
+                k = (p1 + p2, q1, m1 + m2)
+                term = _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+                total = acc[k] + term if k in acc else term
+                if total.is_zero():
+                    del acc[k]
+                else:
+                    acc[k] = total
+
+
+def map_monomials(D: Symbol, req, var: str, delta_of, image) -> Symbol:
+    """Reference for transforms._map_monomials: x-slices scale images into per-order tables."""
+    floor = EXACT
+    tables: dict = {}
+    for k, c in D.terms.items():
+        delta = delta_of(k)
+        want = req if req is EXACT else req - delta
+        for q, scale in x_slice_rows(c).items():
+            if abs(q) > tr.MAX_IMAGE_POWER:
+                raise ValueError(
+                    f"generator powers are bounded by {tr.MAX_IMAGE_POWER} in absolute value")
+            img = image(q, want)
+            if img.floor is not EXACT:
+                floor = hmax(floor, img.floor + delta)
+            add_scaled_rows(tables, term_rows(img), delta.twice, scale)
+    if floor is not EXACT:
+        floor = hmax(floor, req)
+    return symbol_from_tables(var, tables, floor)
+
+
+_POS_BASE = Symbol(R, {h(-1): CoeffFn.x_pow(1, F(1, 2))})
+_NEG_BASE = Symbol(R, {h(1): CoeffFn.x_pow(-1, 2), h(0): CoeffFn.x_pow(-2, -2)})
+
+
+@functools.cache
+def nested_image(k: int) -> Symbol:
+    """Reference for ThetaImageCache.image: xi^k's image, one nested product per power."""
+    if k == 0:
+        return Symbol.function(R, CoeffFn.one())
+    if k > 0:
+        return nested_sym_mul(nested_image(k - 1), _POS_BASE)
+    return nested_sym_mul(nested_image(k + 1), _NEG_BASE)
+
+
+def nested_conjugated_image(nu: GaussRat, q: int, want) -> Symbol:
+    """Reference for transforms._conjugated_image: scaled images summed into per-order tables."""
+    if q < 0 and want is EXACT:
+        raise ValueError("deformed inverse image is a series; give a floor")
+    if q < 0 and want < tr.DEEPEST_IMAGE_FLOOR:
+        raise ValueError(
+            f"generator images are built down to order {tr.DEEPEST_IMAGE_FLOOR} at most")
+    tables: dict = {}
+    for j, w in enumerate(tr._conjugation_weights(nu, q)):
+        if w.is_zero() or (q < 0 and want > -q - j):
+            return symbol_from_tables(R, tables, EXACT if q >= 0 else want)
+        add_scaled_rows(tables, term_rows(nested_image(q - j)), -4 * j,
+                        x_slice_rows(CoeffFn.const(w))[0])
+
+
+def nested_theta(D: Symbol, req_floor=None, nu: GaussRat = GaussRat(0)) -> Symbol:
+    """Reference for transforms.theta through per-order tables and nested images."""
+    if D.var != XI:
+        raise ValueError("theta expects a momentum symbol")
+    if D.floor is not EXACT:
+        raise ValueError("theta needs an exact input; truncated tails are unsound here")
+    req = h(req_floor) if req_floor is not None else EXACT
+    if nu.is_zero():
+        def images(q, want):
+            return nested_image(q)
+    else:
+        def images(q, want):
+            return nested_conjugated_image(nu, q, want)
+    return map_monomials(D, req, R, lambda kappa: kappa + kappa, images)
+
+
+_HALF = h("1/2")
+
+
+@functools.cache
+def nested_inv_image(n: int, want) -> Symbol:
+    """Reference for transforms._inv_image: r^n's inverse image, built afresh per floor."""
+    if n == 0:
+        return Symbol.function(XI, CoeffFn.one())
+    if n > 0:
+        return nested_sym_mul(nested_inv_image(n - 1, EXACT),
+                              Symbol.monomial(XI, _HALF, CoeffFn.x_pow(1, 2)))
+    if want is EXACT:
+        raise ValueError("inverse image of r^-1 is a series; give a floor")
+    prev = nested_inv_image(n + 1, want - _HALF if n + 1 < 0 else EXACT)
+    base = nested_sym_mul(Symbol.monomial(XI, -_HALF, CoeffFn.const(F(1, 2))),
+                          Symbol.function(XI, CoeffFn.x_pow(-1)), want - _HALF)
+    return nested_sym_mul(prev, base, want)
+
+
+def nested_theta_inv(D: Symbol, req_floor=None) -> Symbol:
+    """Reference for transforms.theta_inv through per-order tables and nested images."""
+    if D.var != R:
+        raise ValueError("theta_inv expects a space symbol")
+    if D.floor is not EXACT:
+        raise ValueError("theta_inv needs an exact input")
+    req = h(req_floor) if req_floor is not None else EXACT
+    return map_monomials(D, req, XI, lambda k: HalfInt(k.as_int()), nested_inv_image)
+
+
+def nested_theta_t(E: Symbol, req_floor, nu: GaussRat = GaussRat(0)) -> Symbol:
+    """Reference for transforms.theta_t: the loop shift order by order, then nested_theta."""
+    req = h(req_floor) if req_floor is not None else EXACT
+    depth = tr.default_depth(req)
+    floor = req
+    cut = False
+    for kappa, c in E.terms.items():
+        if (c.min_x_degree() or 0) < 0:
+            cut = True
+            floor = hmax(floor, kappa + kappa - depth)
+    total = nested_theta(Symbol(XI, tr.time_shift_symbol(E, depth).terms), req, nu=nu)
+    if E.floor is not EXACT:
+        floor = hmax(floor, E.floor + E.floor)
+    if cut or E.floor is not EXACT:
+        total = Symbol(R, total.terms, hmax(total.floor, floor))
+    return total
+
+
+def nested_g_bracket(A, B, c, req_floor):
+    """Reference for kacmoody.g_bracket: per-order bracket tables take the transport terms."""
+    AW, BW = A.W, B.W
+    tables, floor = compose_tables(AW, BW, ((AW, BW, 1), (BW, AW, -1)), h(req_floor))
+    floor = hmax(hmax(floor, AW.floor), BW.floor)
+    w: dict = {}
+    alpha: dict = {}
+    aw, bw = A.w.terms.items(), B.w.terms.items()
+    minus_bw = (-B.w).terms.items()
+    for loop, other in ((aw, BW), (minus_bw, AW)):
+        for b, g in other.terms.items():
+            if floor is EXACT or b >= floor:
+                mul_into(tables.setdefault(b.twice, {}), loop, g.deriv("T").terms.items())
+    mul_into(w, aw, B.w.deriv("T").terms.items())
+    mul_into(w, (-A.w.deriv("T")).terms.items(), bw)
+    mul_into(alpha, aw, B.alpha.deriv("T").terms.items())
+    mul_into(alpha, minus_bw, A.alpha.deriv("T").terms.items())
+    central = eval_cocycle(CocycleId.C3, AW, BW)
+    scalar = c if isinstance(c, CoeffFn) else CoeffFn.const(c)
+    mul_into(alpha, central.terms.items(), scalar.terms.items())
+    return kacmoody.GElement(CoeffFn(w), symbol_from_tables(R, tables, floor), CoeffFn(alpha))
+
+
 # ---- test-only helpers ----------------------------------------------------------------------
 
 
-def leibniz_into(tables: dict, f_terms, g_terms, low) -> bool:
-    """leibniz_rows on term items: (2a, items) per left term, (2b, key, value) per right one."""
-    f_rows = [(at, [(*key, v._a, v._b, v._d) for key, v in items]) for at, items in f_terms]
-    g_rows = [(bt, [(*key, v._a, v._b, v._d)]) for bt, key, v in g_terms]
-    return leibniz_rows(tables, f_rows, g_rows, low)
+def leibniz_into(out: dict, f_terms, g_terms, low) -> bool:
+    """leibniz_rows on term items: (2a, items) per left order, (2b, key, value) per right term."""
+    f = {(at, *key): v for at, items in f_terms for key, v in items}
+    g = {(bt, *key): v for bt, key, v in g_terms}
+    return leibniz_rows(out, f, g, low)
+
+
+def raise_floor(D: Symbol, new_floor) -> Symbol:
+    """Forget everything below new_floor."""
+    return Symbol(D.var, D.terms, hmax(D.floor, h(new_floor)))
+
+
+def time_deriv(D: Symbol) -> Symbol:
+    """d/dt applied to every coefficient; floor unchanged."""
+    return Symbol(D.var, {k: c.deriv("T") for k, c in D.terms.items()}, D.floor)
+
+
+def sym_scale(A: Symbol, c) -> Symbol:
+    """Multiply every coefficient by a constant or a central (x-free) CoeffFn."""
+    if not isinstance(c, CoeffFn):
+        c = CoeffFn.const(c)
+    elif not c.is_t_only():
+        raise ValueError("sym_scale multiplier must not depend on x")
+    return Symbol(A.var, {k: v * c for k, v in A.terms.items()}, A.floor)
 
 
 def coadjoint_duality_defect(X, mu, testY, c, req_floor) -> CoeffFn:

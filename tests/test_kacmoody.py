@@ -13,7 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import coadjoint_duality_defect, quotient_nullity_defect
+from reference import (
+    coadjoint_duality_defect,
+    quotient_nullity_defect,
+    raise_floor,
+    sym_scale,
+    time_deriv,
+)
 from svpsido import kacmoody, suites
 from svpsido.cocycles import CocycleId, eval_cocycle
 from svpsido.halfint import EXACT, h, hmax
@@ -34,13 +40,10 @@ from svpsido.psido import (
     Symbol,
     adler_trace,
     max_trusted_order,
-    raise_floor,
     sym_add,
     sym_bracket,
     sym_mul,
-    sym_scale,
     sym_sub,
-    time_deriv,
 )
 from svpsido.ring import CoeffFn, GaussRat, I_M, M, MINUS_2I_M
 from svpsido.suites import VerifyConfig, run_suites

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import raise_floor, sym_scale, time_deriv
 from svpsido.halfint import EXACT, HalfInt, h
 from svpsido.ring import CoeffFn, GaussRat
 from svpsido.psido import (
@@ -27,13 +28,10 @@ from svpsido.psido import (
     differential_part,
     eq_trusted,
     max_trusted_order,
-    raise_floor,
     sym_add,
     sym_bracket,
     sym_mul,
-    sym_scale,
     sym_sub,
-    time_deriv,
 )
 
 F = Fraction

@@ -485,8 +485,9 @@ def test_sym_sub_builds_no_negated_copy(A, B):
 TAIL_MESSAGE = "exact product requested but the Leibniz tail does not terminate"
 
 
-def leibniz_by_recurrence(tables: dict, at: int, f_items, g_terms, low) -> bool:
-    """One left term against every right monomial, with the weight
+def leibniz_by_recurrence(out: dict, at: int, f_items, g_terms, low) -> bool:
+    """The left terms of one order against every right monomial, into a
+    flat dict keyed by (twice the order, t, x, M), with the weight
     binom(a, j) (q)_j updated in ints from one j to the next and each
     term's order checked against the floor before it is added; terms end
     at the first zero weight.  It loops for ever on a tail that does not
@@ -501,15 +502,14 @@ def leibniz_by_recurrence(tables: dict, at: int, f_items, g_terms, low) -> bool:
             if low is not None and order < low:
                 cut = True
                 break
-            acc = tables.setdefault(order, {})
             for p1, q1, m1, a1, b1, d1 in fs:
-                k = (p1 + p2, q1 + q, m1 + m2)
+                k = (order, p1 + p2, q1 + q, m1 + m2)
                 term = GaussRat(F(a1 * a2 - b1 * b2, d1 * d2), F(a1 * b2 + b1 * a2, d1 * d2))
-                total = acc.get(k, GaussRat(0)) + term
+                total = out.get(k, GaussRat(0)) + term
                 if total.is_zero():
-                    acc.pop(k, None)
+                    out.pop(k, None)
                 else:
-                    acc[k] = total
+                    out[k] = total
             j += 1
             w = (at - 2 * j + 2) * q
             if not w:
@@ -540,8 +540,14 @@ def tail_prescan_raises(A: Symbol, B: Symbol, products, req) -> bool:
     )
 
 
-def _tables_in_order(tables: dict) -> list:
-    return [(o, list(acc.items())) for o, acc in tables.items()]
+def _by_left_term(out: dict, f_terms, g_terms, low) -> bool:
+    """leibniz_by_recurrence once per left term, in the kernel's order:
+    every right monomial of one left term before the next left term."""
+    cut = False
+    for at, items in f_terms:
+        for item in items:
+            cut |= leibniz_by_recurrence(out, at, [item], g_terms, low)
+    return cut
 
 
 @pytest.mark.parametrize("at", range(-13, 14))
@@ -573,14 +579,13 @@ kernel_terms = st.tuples(kernel_side, kernel_side)
 def test_leibniz_into_matches_the_recurrence(first, second, low):
     got, want = {}, {}
     got_cut = want_cut = False
-    # two products into shared tables, the second negated as in a bracket
+    # two products into one dict, the second negated as in a bracket
     for terms, sign in ((first, 1), (second, -1)):
         f_terms, g_terms = _kernel_inputs(terms)
         f_terms = [(at, [(k, v * sign) for k, v in items]) for at, items in f_terms]
         got_cut |= leibniz_into(got, f_terms, g_terms, low)
-        for at, items in f_terms:
-            want_cut |= leibniz_by_recurrence(want, at, items, g_terms, low)
-    assert _tables_in_order(got) == _tables_in_order(want)
+        want_cut |= _by_left_term(want, f_terms, g_terms, low)
+    assert list(got.items()) == list(want.items())
     assert got_cut == want_cut
 
 
@@ -610,7 +615,7 @@ def test_leibniz_into_cuts_where_the_recurrence_cuts(at, q, where):
     got, want = {}, {}
     got_cut = leibniz_into(got, f_terms, g_terms, low)
     want_cut = leibniz_by_recurrence(want, *f_terms[0], g_terms, low)
-    assert _tables_in_order(got) == _tables_in_order(want)
+    assert list(got.items()) == list(want.items())
     assert got_cut == want_cut
     if where != "at the last term":
         assert got_cut
@@ -630,8 +635,8 @@ def test_leibniz_into_without_a_floor(at, q):
     got, want = {}, {}
     assert not leibniz_into(got, f_terms, g_terms, None)
     assert not leibniz_by_recurrence(want, *f_terms[0], g_terms, None)
-    assert _tables_in_order(got) == _tables_in_order(want)
-    assert min(got) == last
+    assert list(got.items()) == list(want.items())
+    assert min(got)[0] == last
 
 
 def _check_tail_error(compose, A, B, products, req):

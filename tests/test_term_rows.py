@@ -1,12 +1,16 @@
-"""The int rows that each Symbol keeps for the composition and transform
-kernels (psido.term_rows), and the edges of psido.symbol_from_tables.
+"""The flat term dict that each Symbol stores (psido.Symbol.flat), the
+terms view built from it, psido.symbol_from_flat, and the retired
+nested-table path (tests/reference.py) as an oracle for composition and
+the transform.
 
-A symbol flattens its terms on the first read and keeps the rows.  They
-must equal a fresh flattening of its terms, on inputs and on every result
-that the kernels wrap, and each operation that reads them must give the
-same answer on a warmed operand as on a fresh copy that nothing has read.
-The rows carry no sign, so the bracket's second product is checked against
-the difference of the two products.
+A symbol keeps its terms in one dict from (twice the order, t, x, M) to a
+GaussRat.  On inputs and on every result that the kernels wrap, that dict
+must hold no zero value and nothing below the floor, and the terms view
+must equal a fresh grouping of it, be kept once built, and rebuild the
+same symbol through the public constructor.  Each operation must give the
+same answer on an operand whose view was read as on a fresh copy, and the
+same terms and floor as the per-order tables that composition and the
+transform used before the flat dict.
 """
 
 from fractions import Fraction as F
@@ -14,6 +18,7 @@ from fractions import Fraction as F
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from svpsido import transforms as tr
 from svpsido.halfint import EXACT, HalfInt, h
 from svpsido.kacmoody import GElement, g_bracket
@@ -22,14 +27,12 @@ from svpsido.psido import (
     XI,
     Symbol,
     cap_order,
-    raise_floor,
     sym_add,
     sym_bracket,
     sym_mul,
     sym_neg,
     sym_sub,
-    symbol_from_tables,
-    term_rows,
+    symbol_from_flat,
 )
 from svpsido.ring import CoeffFn, GaussRat
 
@@ -50,26 +53,33 @@ coeffs = st.dictionaries(
 floors = st.one_of(st.none(), st.integers(-6, 0).map(HalfInt))
 
 
-def symbols(var, orders):
+def symbols(var, orders, floor=floors):
     """Symbols of 0 to 3 orders, exact or floored; a zero may carry a floor."""
     return st.builds(lambda terms, floor: Symbol(var, terms, floor),
-                     st.dictionaries(orders, coeffs, max_size=3), floors)
+                     st.dictionaries(orders, coeffs, max_size=3), floor)
 
 
 momentum = symbols(XI, st.integers(-4, 4).map(HalfInt))
 space = symbols(R, st.integers(-3, 1).map(HalfInt.of))  # order at most 1, as in GElement
+exact_momentum = symbols(XI, st.integers(-4, 4).map(HalfInt), st.none())
+exact_space = symbols(R, st.integers(-3, 2).map(HalfInt.of), st.none())
 loops = st.one_of(st.none(), coeffs.map(lambda c: c.x_slice(0)))  # t-only, maybe zero
+requests = st.sampled_from([None, h(-2), REQ])
 
 FLOORED = Symbol(XI, {HalfInt(3): CoeffFn.x_pow(-1, 2), HalfInt(-1): CoeffFn.mono(1, 2)},
                  HalfInt(-3))
 ZERO_WITH_FLOOR = Symbol(XI, {}, HalfInt(-2))
 SPACE = Symbol(R, {HalfInt(2): CoeffFn.x_pow(1), HalfInt(-2): CoeffFn.x_pow(-1, F(1, 3))})
+MOMENTUM = Symbol(XI, {HalfInt(1): CoeffFn.x_pow(-2) + CoeffFn.mono(1, 1, 3),
+                       HalfInt(-3): CoeffFn.x_pow(2, GaussRat(0, 1))})
 
 
-def flattened(X: Symbol) -> list:
-    """X's rows, flattened afresh from its terms."""
-    return [(k.twice, [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in c.terms.items()])
-            for k, c in X.terms.items()]
+def grouped(X: Symbol) -> dict:
+    """X's terms grouped afresh by order, as the view must give them."""
+    out: dict = {}
+    for (o, p, q, m), v in X.flat.items():
+        out.setdefault(HalfInt(o), {})[(p, q, m)] = v
+    return {k: CoeffFn(c) for k, c in out.items()}
 
 
 def fresh(X: Symbol) -> Symbol:
@@ -95,12 +105,24 @@ def same(got, want) -> bool:
     return True
 
 
-def check_rows(*syms):
+def check_flat(*syms):
+    """No zero value and nothing below the floor in the flat dict; a kept
+    view that equals a fresh grouping and rebuilds the same symbol."""
     for X in syms:
-        if isinstance(X, Symbol):
-            rows = term_rows(X)
-            assert rows == flattened(X)
-            assert term_rows(X) is rows
+        if isinstance(X, GElement):
+            X = X.W
+        if not isinstance(X, Symbol):
+            continue
+        low = None if X.floor is EXACT else X.floor.twice
+        for (o, p, q, m), v in X.flat.items():
+            assert v.__class__ is GaussRat and not v.is_zero()
+            assert low is None or o >= low
+            assert X.var == XI or o % 2 == 0
+        view = X.terms
+        assert dict(view) == grouped(X)
+        assert list(view) == list(grouped(X))
+        assert X.terms is view
+        assert Symbol(X.var, view, X.floor) == X
 
 
 OPS = (
@@ -122,42 +144,103 @@ OPS = (
 @example(ZERO_WITH_FLOOR, FLOORED, Symbol(R, {}, HalfInt(-2)), SPACE, CoeffFn.t_pow(-1), None)
 @example(FLOORED, FLOORED, SPACE, SPACE, None, None)
 def test_warmed_and_fresh_operands_agree(A, B, P, Q, f, g):
-    check_rows(A, B, P, Q)  # warms the operands
+    check_flat(A, B, P, Q)  # builds the operands' views
     for name, op in OPS:
         want = outcome(op, fresh(A), fresh(B), fresh(P), fresh(Q), f, g)
         got = outcome(op, A, B, P, Q, f, g)
         assert same(got, want), name
-        if isinstance(got, GElement):
-            check_rows(got.W, want.W)
-        else:
-            check_rows(got, want)
-    # results that keep some of an operand's orders get rows of their own
-    check_rows(sym_add(A, B), sym_sub(A, B), sym_neg(A), cap_order(A, 0), raise_floor(A, -1))
+        check_flat(got, want)
+    # results that keep some of an operand's terms
+    check_flat(sym_add(A, B), sym_sub(A, B), sym_sub(A, A), sym_neg(A), cap_order(A, 0),
+               ref.raise_floor(A, -1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(momentum, momentum)
 @example(FLOORED, ZERO_WITH_FLOOR)
 def test_the_bracket_is_the_difference_of_its_products(A, B):
-    term_rows(A)
+    check_flat(A)  # a built view must not change the result
     got = sym_bracket(A, B, REQ)
     assert got == sym_sub(sym_mul(A, B, REQ), sym_mul(B, A, REQ))
-    check_rows(got)
+    check_flat(got)
 
 
 def test_image_rows_match_their_terms():
     for q in range(-6, 7):
-        check_rows(tr._theta_images.image(q))
+        check_flat(tr._theta_images.image(q))
     for n in range(-3, 4):
-        check_rows(tr._inv_image(n, REQ))
+        check_flat(tr._inv_image(n, REQ))
 
 
-# ---- symbol_from_tables --------------------------------------------------------------------
+# ---- the flat path against the nested tables ------------------------------------------------
+
+
+def agree(got, want):
+    """Equal terms and floor (or the same error text), and a clean result."""
+    assert got == want
+    if isinstance(got, Symbol):
+        assert got.floor == want.floor
+    check_flat(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(momentum, momentum, requests)
+@example(FLOORED, ZERO_WITH_FLOOR, None)
+@example(ZERO_WITH_FLOOR, MOMENTUM, REQ)
+@example(MOMENTUM, FLOORED, h(-2))
+@example(MOMENTUM, MOMENTUM, None)
+def test_composition_matches_the_nested_tables(A, B, req):
+    # exact requests, floored ones, and operands that are zeros with a floor
+    agree(outcome(sym_mul, A, B, req), outcome(ref.nested_sym_mul, A, B, req))
+    agree(outcome(sym_mul, B, A, req), outcome(ref.nested_sym_mul, B, A, req))
+    agree(outcome(sym_bracket, A, B, req), outcome(ref.nested_sym_bracket, A, B, req))
+
+
+NUS = (GaussRat(0), GaussRat(F(1, 2)), GaussRat(2, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_momentum, momentum, exact_space, requests)
+@example(MOMENTUM, FLOORED, SPACE, REQ)
+@example(MOMENTUM, MOMENTUM, SPACE, None)
+@example(Symbol(XI, {}), ZERO_WITH_FLOOR, Symbol(R, {}), h(-2))
+def test_the_transform_matches_the_nested_tables(D, E, P, req):
+    for nu in NUS:
+        agree(outcome(tr.theta, D, req, nu), outcome(ref.nested_theta, D, req, nu))
+    theta_t_req = REQ if req is None else req
+    for nu in NUS[:2]:
+        agree(outcome(tr.theta_t, E, theta_t_req, nu),
+              outcome(ref.nested_theta_t, E, theta_t_req, nu))
+    agree(outcome(tr.theta_inv, P, req), outcome(ref.nested_theta_inv, P, req))
+
+
+@settings(max_examples=60, deadline=None)
+@given(space, space, loops, loops, requests.filter(lambda r: r is not None))
+@example(SPACE, Symbol(R, {}, HalfInt(-2)), None, CoeffFn.t_pow(1), REQ)
+@example(Symbol(R, {HalfInt(-2): CoeffFn.mono(2, 1)}, HalfInt(-4)), SPACE,
+         CoeffFn.t_pow(-1), CoeffFn.t_pow(2), h(-2))
+@example(  # a right operand of negative top: the left floor lies above the bracket's bound
+    Symbol(R, {HalfInt(2): CoeffFn.x_pow(1), HalfInt(0): CoeffFn.mono(1, 1)}, HalfInt(-2)),
+    Symbol(R, {HalfInt(-2): CoeffFn.x_pow(2)}), CoeffFn.t_pow(1), None, REQ)
+def test_g_bracket_matches_the_nested_tables(P, Q, f, g, req):
+    A, B = GElement(f, P), GElement(g, Q)
+    agree(outcome(g_bracket, A, B, C2, req), outcome(ref.nested_g_bracket, A, B, C2, req))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(momentum, space))
+def test_the_terms_view_round_trips_through_the_constructor(X):
+    assert Symbol(X.var, X.terms, X.floor) == X
+    assert Symbol(X.var, dict(X.terms), X.floor).terms == X.terms
+    check_flat(X)
+
+
+# ---- symbol_from_flat --------------------------------------------------------------------
 
 
 def test_an_order_past_the_interned_range_gets_an_equal_key():
-    one = {(0, 0, 0): GaussRat(1)}
-    X = symbol_from_tables(R, {600: dict(one), -600: dict(one), 2: dict(one)}, EXACT)
+    one = GaussRat(1)
+    X = symbol_from_flat(R, {(600, 0, 0, 0): one, (-600, 0, 0, 0): one, (2, 0, 0, 0): one}, EXACT)
     keys = list(X.terms)
     assert keys == [HalfInt(600), HalfInt(-600), HalfInt(2)]
     assert all(k.__class__ is HalfInt for k in keys)
@@ -167,12 +250,14 @@ def test_an_order_past_the_interned_range_gets_an_equal_key():
 
 
 def test_empty_tables_and_orders_below_the_floor_are_dropped():
-    one = {(0, 1, 0): GaussRat(1)}
-    tables = {4: dict(one), 2: {}, 0: dict(one), -2: dict(one), -4: dict(one)}
-    X = symbol_from_tables(XI, tables, HalfInt(-2))
+    one = GaussRat(1)
+    flat = {(4, 0, 1, 0): one, (0, 0, 1, 0): one, (-2, 0, 1, 0): one, (-4, 0, 1, 0): one}
+    X = symbol_from_flat(XI, dict(flat), HalfInt(-2))
     assert list(X.terms) == [HalfInt(4), HalfInt(0), HalfInt(-2)]
     assert X.floor == HalfInt(-2)
-    assert symbol_from_tables(XI, tables, EXACT).terms.keys() == {
+    assert symbol_from_flat(XI, dict(flat), EXACT).terms.keys() == {
         HalfInt(4), HalfInt(0), HalfInt(-2), HalfInt(-4)}
-    empty = symbol_from_tables(XI, {0: {}, -6: dict(one)}, HalfInt(-5))
+    empty = symbol_from_flat(XI, {(-6, 0, 1, 0): one}, HalfInt(-5))
     assert empty.is_zero() and empty.floor == HalfInt(-5)
+    # an order whose terms all cancel leaves no entry in the view
+    assert sym_sub(X, X).terms == {} and sym_sub(X, X).floor == HalfInt(-2)

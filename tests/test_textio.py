@@ -344,6 +344,7 @@ class TestMonomialProducts:
     @example(["(d_r*d_r^-1*r^-1)^-1"], "-1")
     @example(["0^-1"], "-4")
     @example(["(2*d_xi)^0", "r"], "-4")
+    @example(["(2*t*d_xi^1/2)^65", "xi"], "-4")
     def test_products_and_powers_match_the_composing_parser(self, factors, floor):
         for src in ("*".join(factors), "*".join(reversed(factors))):
             got = _outcome(eval_expr, src, h(floor))
@@ -380,6 +381,22 @@ class TestMonomialProducts:
             with pytest.raises(ValueError) as exc:
                 eval_expr(text)
             assert str(exc.value) == f"the coefficient of this power would print with more than {limit} digits"
+
+    def test_a_power_of_an_x_free_monomial_is_taken_in_one_step(self):
+        # no Leibniz term past j = 0 survives, so the power needs no
+        # composition and the cap on composed powers does not bind
+        assert symbol_str(eval_expr("(2*d_xi)^65")) == "36893488147419103232*d_xi^65 | exact"
+        assert eval_expr("(2*t*M*d_r)^3") == eval_expr("8*t^3*M^3*d_r^3")
+        with pytest.raises(ValueError, match="^powers of a base that is not a single generator"):
+            eval_expr("(2*xi*d_xi)^65")
+
+    @pytest.mark.parametrize("src", ["(2*d_xi)^0 + r", "d_xi^0 + r", "(2*d_xi)^0*r",
+                                     "(xi + d_xi)^0 + r"])
+    def test_a_zero_power_keeps_the_algebra_of_its_base(self, src):
+        with pytest.raises(ValueError) as exc:
+            eval_expr(src)
+        assert str(exc.value) == "expression mixes the r and xi algebras"
+        assert symbol_str(eval_expr("(2*d_xi)^0 + xi")) == "1 + xi | exact"
 
     def test_a_floored_base_keeps_its_floor_under_a_power(self):
         # d_r o (r^-1 d_r^-1 cut at -1) is r^-1 with every order below 0 unknown

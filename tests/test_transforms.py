@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import sym_scale
 from svpsido.halfint import EXACT, HalfInt, h
 from svpsido.psido import (
     R,
@@ -25,7 +26,6 @@ from svpsido.psido import (
     sym_add,
     sym_bracket,
     sym_mul,
-    sym_scale,
     sym_sub,
 )
 from svpsido.ring import CoeffFn, GaussRat, I_M, M, MINUS_2I_M, TWO_I_M
