@@ -105,7 +105,7 @@ class HalfInt:
         # finding order -2 in a small dict that holds order -1 calls this
         # method 13 times, not once.  Symbols key their terms by the int
         # twice the order, so only terms views and constructor input hash
-        # HalfInts: perfbench's traced transform workload counts 39,815
+        # HalfInts: perfbench's traced transform workload counts 40,023
         # __hash__ calls (74,018 with HalfInt-keyed terms), most of them
         # from the tracer's own len(out.terms) on each product
         if other.__class__ is HalfInt:

@@ -29,7 +29,7 @@ Every output slot of the bracket and of the coadjoint action is one
 table that each of its terms is added into, signs and constants folded
 into a factor, and that is wrapped once.  The bracket's W starts from the
 flat dict of the symbol bracket (psido.compose_flat), and its transport
-terms join that dict before the one wrap (ring.scale_into); its central
+terms join that dict before the one wrap (ring.transport_into); its central
 term is read by cocycles.eval_cocycle.
 
 The invariant slice kept by the coadjoint action consists of points with
@@ -56,17 +56,16 @@ from math import prod
 
 from .cocycles import CocycleId, eval_cocycle
 from .halfint import EXACT, h, hmax
-from .psido import R, XI, Symbol, _binom_cached, cap_order, compose_flat, sym_add, sym_sub
+from .psido import R, XI, Symbol, binom_twice, cap_order, compose_flat, sym_add, sym_sub
 from .ring import (
     CoeffFn,
     GaussRat,
     I_HALF_OVER_M,
     M,
     TWO_I_M,
-    _gauss,
     coeff_from_table,
     mul_into,
-    scale_into,
+    transport_into,
 )
 from .svalgebra import SvElement, sv_bracket
 from .textio import coeff_str, symbol_str
@@ -228,7 +227,7 @@ def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
         minus_bw = (-B.w).terms.items()
         for loop, other in ((aw, BW), (minus_bw, AW)):
             if loop:
-                _transport_into(flat, loop, other, low)
+                transport_into(flat, loop, other.flat.items(), low)
         if aw and bw:
             mul_into(w, aw, B.w.deriv("T").terms.items())
             mul_into(w, (-A.w.deriv("T")).terms.items(), bw)
@@ -240,16 +239,6 @@ def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
     if central.terms:
         mul_into(alpha, central.terms.items(), _as_scalar(c).terms.items())
     return GElement._raw(coeff_from_table(w), Symbol._raw(R, flat, floor), coeff_from_table(alpha))
-
-
-def _transport_into(flat: dict, loop, W: Symbol, low) -> None:
-    """Add loop * d_t W into a flat symbol dict, skipping orders below low
-    (twice the floor, None for none); loop is a loop's term items."""
-    dW = [((o, p - 1, q, m), _gauss(v._a * p, v._b * p, v._d))
-          for (o, p, q, m), v in W.flat.items() if p and (low is None or o >= low)]
-    if dW:
-        for (p, _, m), v in loop:
-            scale_into(flat, dW, 0, p, m, v)
 
 
 def _as_scalar(c) -> CoeffFn:
@@ -290,9 +279,9 @@ class DualFamily:
         orders: dict = {}  # twice the order of V -> index of its monomials
         for n, mu in enumerate(points):
             for index, f in ((self._v, mu.v), (self._a, mu.a)):
-                _file(index, n, f)
-            for (at, p, q, m), c in mu.V.flat.items():
-                orders.setdefault(at, {}).setdefault((p, q), []).append((n, m, c))
+                _file(index, n, f.terms)
+            for at, f in mu.V.by_order().items():
+                _file(orders.setdefault(at, {}), n, f)
         self._orders = list(orders.items())
 
     def add_into(self, A: GElement, sums: dict) -> None:
@@ -309,7 +298,7 @@ class DualFamily:
                 hits = index.get((-1 - p, j - 1 - q))
                 if hits is None:
                     continue
-                coef = _binom_cached(at, j)
+                coef = binom_twice(at, j)
                 if coef.is_zero():
                     continue
                 ff = prod(range(q - j + 1, q + 1))
@@ -348,9 +337,10 @@ def pair_value(row: dict) -> CoeffFn:
     return CoeffFn({(0, 0, m): c for m, c in row.items()})
 
 
-def _file(index: dict, n: int, f: CoeffFn) -> None:
-    """File the monomials of point n's slot value f under (t, x)."""
-    for (p, q, m), c in f.terms.items():
+def _file(index: dict, n: int, terms: dict) -> None:
+    """File the monomials {(t, x, M): GaussRat} of a slot of point n under
+    (t, x)."""
+    for (p, q, m), c in terms.items():
         index.setdefault((p, q), []).append((n, m, c))
 
 

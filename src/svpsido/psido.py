@@ -68,6 +68,7 @@ __all__ = [
     "cap_order",
     "eq_trusted",
     "binom_half",
+    "binom_twice",
 ]
 
 R = "R"
@@ -148,15 +149,22 @@ class Symbol:
         meets them; built on the first read and kept."""
         view = self._view
         if view is None:
-            groups: dict = {}
-            for (o, p, q, m), v in self.flat.items():
-                g = groups.get(o)
-                if g is None:
-                    g = groups[o] = {}
-                g[(p, q, m)] = v
+            groups = self.by_order()
             view = MappingProxyType({HalfInt(o): coeff_from_table(g) for o, g in groups.items()})
             _set_view(self, view)
         return view
+
+    def by_order(self) -> dict:
+        """Twice the order -> {(t, x, M): GaussRat}: the terms split by
+        order in one pass, orders as flat first meets them, in fresh dicts
+        the caller may keep."""
+        groups: dict = {}
+        for (o, p, q, m), v in self.flat.items():
+            g = groups.get(o)
+            if g is None:
+                g = groups[o] = {}
+            g[(p, q, m)] = v
+        return groups
 
     def is_zero(self) -> bool:
         return not self.flat
@@ -278,7 +286,8 @@ def _check_var(A: Symbol, B: Symbol):
 
 
 @lru_cache(maxsize=None)
-def _binom_cached(a_twice: int, j: int) -> GaussRat:
+def binom_twice(a_twice: int, j: int) -> GaussRat:
+    """binom(a, j) for a = a_twice / 2, exact and cached."""
     a = Fraction(a_twice, 2)
     num = Fraction(1)
     for i in range(j):
@@ -291,7 +300,7 @@ def _binom_cached(a_twice: int, j: int) -> GaussRat:
 
 def binom_half(a: HalfInt, j: int) -> GaussRat:
     """binom(a, j) = a(a-1)...(a-j+1)/j! for a in (1/2)Z, exact."""
-    return _binom_cached(a.twice, j)
+    return binom_twice(a.twice, j)
 
 
 def _hi(X: Symbol) -> HalfInt:

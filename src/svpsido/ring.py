@@ -39,9 +39,9 @@ binom(a, j) (q)_j, read from a module cache of reduced int pairs keyed by
 term costs one gcd and composition takes no derivative.  Each pair's
 number of terms is fixed before its first term, from a, q and the floor;
 each term is added straight into the output dict.  The transform's
-monomial map, its deformed images and the transport terms of the extended
-bracket shift a symbol's terms in order and scale them by an x-free
-monomial with ``scale_into``.
+monomial map and its deformed images shift a symbol's terms in order and
+scale them by an x-free monomial with ``scale_into``; the transport terms
+of the extended bracket, loop * d_t W, are added by ``transport_into``.
 
 Derivatives are term-wise monomial derivations and residues extract the
 coefficient of (variable)^-1, so res(d(f)) = 0 holds identically.  Every
@@ -63,7 +63,7 @@ from math import gcd
 
 __all__ = [
     "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M",
-    "mul_into", "scale_into", "leibniz_rows", "residue_into", "triple_into",
+    "mul_into", "scale_into", "transport_into", "leibniz_rows", "residue_into", "triple_into",
     "coeff_from_table",
 ]
 
@@ -542,10 +542,24 @@ def scale_into(acc: dict, items, dt: int, p2: int, m2: int, g: GaussRat) -> None
             del acc[k]
 
 
+def transport_into(acc: dict, loop, items, low) -> None:
+    """Add loop * d_t of a symbol's terms into acc, a flat symbol dict,
+    skipping orders below low (twice the floor, None for none).
+
+    loop is the term items of an x-free CoeffFn and items the (key, value)
+    pairs of a flat symbol dict; the t-derivative is taken once, and each
+    loop monomial scales it as in scale_into.
+    """
+    dt = [((o, p - 1, q, m), _gauss(v._a * p, v._b * p, v._d))
+          for (o, p, q, m), v in items if p and (low is None or o >= low)]
+    if dt:
+        for (p, _, m), v in loop:
+            scale_into(acc, dt, 0, p, m, v)
+
+
 # binom(a, j) (q)_j for j = 0, 1, ... as reduced (numerator, denominator)
 # int pairs, keyed by (2a, q) and grown on demand by _weights.
 _WEIGHTS: dict = {}
-_FIRST_WEIGHT = ((1, 1),)
 
 
 def _weights(at: int, q: int, n: int) -> list:
@@ -614,13 +628,10 @@ def leibniz_rows(acc: dict, f: dict, g: dict, low, sign: int = 1) -> bool:
                 raise ValueError(
                     "exact product requested but the Leibniz tail does not terminate"
                 )
-            if n == 1:
-                ws = _FIRST_WEIGHT  # most pairs end after j = 0
-            else:
-                ws = weights.get((at, q))
-                if ws is None or len(ws) < n:
-                    ws = _weights(at, q, n)
-                ws = ws[:n]
+            ws = weights.get((at, q))
+            if ws is None or len(ws) < n:
+                ws = _weights(at, q, n)
+            ws = ws[:n]
             p = p1 + p2
             x = q1 + q
             m = m1 + m2

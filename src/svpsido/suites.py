@@ -500,7 +500,7 @@ def _suite_theta(cfg: VerifyConfig) -> list:
         except ValueError:
             # a series: compare down to the doubled floor, or deeper when
             # some order of lhs sits below it
-            low = hmin(double_floor, lhs.bottom()) if lhs.flat else double_floor
+            low = double_floor if lhs.is_zero() else hmin(double_floor, lhs.bottom())
             return _equal_trusted(sym, lhs, sym_mul(tA, tB, low))
         return _equal(sym, lhs, rhs)
 
@@ -518,13 +518,14 @@ def _suite_theta(cfg: VerifyConfig) -> list:
         k, p, A = xi_box[i]
         img = tr.theta(A, floor_arg, nu=nu)
         want = 2 * (Fraction(p) - k.as_fraction())
-        for kt, _, jx, _ in img.flat:
-            got = Fraction(jx) - Fraction(kt, 2)
-            if got != want:
-                return (
-                    f"a term of space weight {got} inside {_fmt_symbol(cfg, img)}",
-                    f"homogeneous of weight {want}",
-                )
+        for kk, c in img.terms.items():
+            for (_, jx, _) in c.terms:
+                got = Fraction(jx) - kk.as_fraction()
+                if got != want:
+                    return (
+                        f"a term of space weight {got} inside {_fmt_symbol(cfg, img)}",
+                        f"homogeneous of weight {want}",
+                    )
         return None
 
     _each(cases, box, lambda i: f"grading of {names[i]}", graded)

@@ -429,7 +429,7 @@ class _Parser:
         # xi^-k shifts into an infinite ascending series; the x-degree at
         # which it would be cut is not a symbol order, so no floor could
         # say what the cut lost
-        if any(q < 0 for _, _, q, _ in sym.flat):
+        if any((c.min_x_degree() or 0) < 0 for c in sym.terms.values()):
             raise ValueError("tshift needs nonnegative momentum powers: "
                              "an inverse power shifts into an infinite series")
         return transforms.time_shift_symbol(sym, 0)  # the depth cuts nothing here
