@@ -75,17 +75,19 @@ _FORMS = {
 
 def _slots(D: Symbol):
     """The term items of the three quotient slots of a capped symbol
-    (orders 1, 0, -1), trust-checked in one pass over its terms."""
+    (orders 1, 0, -1), trust-checked.  They are read from the symbol's
+    kept terms view, since the same operands are read again and again."""
     if D.var != R:
         raise ValueError("cocycles are defined on space symbols")
-    up, mid, down = [], [], []
-    for (tw, p, q, m), v in D.flat.items():
+    up = mid = down = ()
+    for k, c in D.terms.items():
+        tw = k.twice
         if tw == 2:
-            up.append(((p, q, m), v))
+            up = c.terms.items()
         elif tw == 0:
-            mid.append(((p, q, m), v))
+            mid = c.terms.items()
         elif tw == -2:
-            down.append(((p, q, m), v))
+            down = c.terms.items()
         elif tw > 2:
             raise ValueError("cocycles live on symbols of order <= 1")
     if D.floor is not EXACT and D.floor.twice > -2:

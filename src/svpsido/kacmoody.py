@@ -27,10 +27,10 @@ determined.
 
 Every output slot of the bracket and of the coadjoint action is one
 table that each of its terms is added into, signs and constants folded
-into a factor, and that is wrapped once.  The bracket's W starts from the
-flat dict of the symbol bracket (psido.compose_flat), and its transport
-terms join that dict before the one wrap (ring.transport_into); its central
-term is read by cocycles.eval_cocycle.
+into a factor, and that is wrapped once.  The bracket's W is the symbol
+bracket with its transport terms added into the same dict before the one
+wrap (psido.bracket_transport); its central term is read by
+cocycles.eval_cocycle.
 
 The invariant slice kept by the coadjoint action consists of points with
 V = V_-2(t,r) d^-2 + V_0(t): free-evolution multiples plus a potential,
@@ -55,18 +55,9 @@ from fractions import Fraction
 from math import prod
 
 from .cocycles import CocycleId, eval_cocycle
-from .halfint import EXACT, h, hmax
-from .psido import R, XI, Symbol, binom_twice, cap_order, compose_flat, sym_add, sym_sub
-from .ring import (
-    CoeffFn,
-    GaussRat,
-    I_HALF_OVER_M,
-    M,
-    TWO_I_M,
-    coeff_from_table,
-    mul_into,
-    transport_into,
-)
+from .halfint import EXACT, h
+from .psido import R, XI, Symbol, binom_twice, bracket_transport, cap_order, sym_add, sym_sub
+from .ring import CoeffFn, GaussRat, I_HALF_OVER_M, M, TWO_I_M, coeff_from_table, mul_into
 from .svalgebra import SvElement, sv_bracket
 from .textio import coeff_str, symbol_str
 from . import transforms
@@ -195,7 +186,8 @@ class GDual:
 
 def in_invariant_slice(mu: GDual) -> bool:
     """True when V = V_-2 d^-2 + V_0(t) with a spatially constant V_0."""
-    return all(o == -4 or (o == 0 and not q) for o, _, q, _ in mu.V.flat)
+    return all(k.twice == -4 or (k.twice == 0 and c.is_t_only())
+               for k, c in mu.V.terms.items())
 
 
 def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
@@ -206,39 +198,27 @@ def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
         alpha = A.w B.alpha' - B.w A.alpha' + c * c3(A.W, B.W),
 
     primes and d_t being t-derivatives.  Each slot is summed in one table
-    and wrapped once.  W starts from the flat dict of the symbol bracket
-    (psido.compose_flat) and takes the transport terms into the same dict;
-    they are never cut, but orders below the result floor are dropped.
-    That floor is the bracket's (EXACT only when nothing was cut) raised to
-    the floor of each operand's W: a term scaled by a zero loop is a zero
-    that keeps its floor.  The bracket is asked for that raised floor, so
-    its kernel adds nothing below it.  The parts are t-only and W has order
-    at most 1 by construction, so the result skips the checks of GElement.
+    and wrapped once; W is psido.bracket_transport, the symbol bracket with
+    the transport terms added into its dict and its floor raised to the
+    floor of each operand's W.  The parts are t-only and W has order at
+    most 1 by construction, so the result skips the checks of GElement.
     """
-    AW, BW = A.W, B.W
-    raised = hmax(AW.floor, BW.floor)
-    flat, floor = compose_flat(AW, BW, ((AW, BW, 1), (BW, AW, -1)), hmax(h(req_floor), raised))
-    floor = hmax(floor, raised)
+    aw, bw = A.w.terms.items(), B.w.terms.items()
+    minus_bw = (-B.w).terms.items() if bw else ()
+    W = bracket_transport(A.W, B.W, aw, minus_bw, req_floor)
     w: dict = {}
     alpha: dict = {}
-    if A.w.terms or B.w.terms:
-        low = None if floor is EXACT else floor.twice
-        aw, bw = A.w.terms.items(), B.w.terms.items()
-        minus_bw = (-B.w).terms.items()
-        for loop, other in ((aw, BW), (minus_bw, AW)):
-            if loop:
-                transport_into(flat, loop, other.flat.items(), low)
-        if aw and bw:
-            mul_into(w, aw, B.w.deriv("T").terms.items())
-            mul_into(w, (-A.w.deriv("T")).terms.items(), bw)
-        if aw:
-            mul_into(alpha, aw, B.alpha.deriv("T").terms.items())
-        if minus_bw:
-            mul_into(alpha, minus_bw, A.alpha.deriv("T").terms.items())
-    central = eval_cocycle(CocycleId.C3, AW, BW)
+    if aw and bw:
+        mul_into(w, aw, B.w.deriv("T").terms.items())
+        mul_into(w, (-A.w.deriv("T")).terms.items(), bw)
+    if aw:
+        mul_into(alpha, aw, B.alpha.deriv("T").terms.items())
+    if minus_bw:
+        mul_into(alpha, minus_bw, A.alpha.deriv("T").terms.items())
+    central = eval_cocycle(CocycleId.C3, A.W, B.W)
     if central.terms:
         mul_into(alpha, central.terms.items(), _as_scalar(c).terms.items())
-    return GElement._raw(coeff_from_table(w), Symbol._raw(R, flat, floor), coeff_from_table(alpha))
+    return GElement._raw(coeff_from_table(w), W, coeff_from_table(alpha))
 
 
 def _as_scalar(c) -> CoeffFn:
@@ -290,23 +270,24 @@ class DualFamily:
             for (p, q, e), d in g.terms.items():
                 for n, m, c in index.get((-1 - p, -q), ()):
                     _collect(sums, n, m + e, c * d)
-        for (bt, p, q, e), d in A.W.flat.items():
-            for at, index in self._orders:
-                j = (at + bt) // 2 + 1  # orders on the space side are integers
-                if j < 0:
-                    continue
-                hits = index.get((-1 - p, j - 1 - q))
-                if hits is None:
-                    continue
-                coef = binom_twice(at, j)
-                if coef.is_zero():
-                    continue
-                ff = prod(range(q - j + 1, q + 1))
-                if not ff:
-                    continue
-                d_ff = d * (coef * ff)
-                for n, m, c in hits:
-                    _collect(sums, n, m + e, c * d_ff)
+        for bt, g in A.W.by_order().items():
+            for (p, q, e), d in g.items():
+                for at, index in self._orders:
+                    j = (at + bt) // 2 + 1  # orders on the space side are integers
+                    if j < 0:
+                        continue
+                    hits = index.get((-1 - p, j - 1 - q))
+                    if hits is None:
+                        continue
+                    coef = binom_twice(at, j)
+                    if coef.is_zero():
+                        continue
+                    ff = prod(range(q - j + 1, q + 1))
+                    if not ff:
+                        continue
+                    d_ff = d * (coef * ff)
+                    for n, m, c in hits:
+                        _collect(sums, n, m + e, c * d_ff)
 
     def undetermined(self, A: GElement) -> list:
         """The points, in order, whose trace is not determined at A's

@@ -7,13 +7,19 @@ exact, orders below it are unknown (already discarded).  A floor of EXACT
 identically.
 
 A symbol stores its terms in one flat dict, ``flat``, from an int monomial
-(twice the order, t-power, x-power, M-power) to a nonzero GaussRat, with
-nothing below the floor, after sympy's ``PolyElement`` and the packed
-exponent vectors of Monagan and Pearce.  Composition, the transform,
-equality and the linear operations read and write that dict directly.
-``terms`` is a read-only view of the same terms as order -> CoeffFn, built
+(twice the order, t-power, x-power, M-power) to the reduced int triple
+(a, b, d) of a nonzero Gaussian rational (a + i*b)/d, with d > 0 and
+gcd(a, b, d) = 1, and nothing below the floor, after sympy's
+``PolyElement`` over ``ZZ_I`` and the packed exponent vectors of Monagan
+and Pearce.  Composition, the transform, equality and the linear
+operations read and write that dict directly, as plain int data.  Only
+this module, ring and transforms know the format; every other module
+reads a symbol through its accessors, which hand out GaussRat values:
+``terms``, a read-only view of the same terms as order -> CoeffFn, built
 on its first read and kept, for printing and for callers that want whole
-coefficients.
+coefficients; ``coeff``, which reads that view; ``by_order``, fresh
+per-order tables; and ``sole_term``.  A triple becomes a GaussRat only
+there, where a CoeffFn or a calculator monomial is built.
 
 Composition uses the generalized Leibniz rule
 
@@ -50,7 +56,16 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .halfint import EXACT, HalfInt, h, hmax
-from .ring import CoeffFn, GaussRat, coeff_from_table, leibniz_rows
+from .ring import (
+    CoeffFn,
+    GaussRat,
+    add_triples,
+    coeff_from_table,
+    gauss_of,
+    leibniz_rows,
+    transport_into,
+    triple_of,
+)
 
 __all__ = [
     "R",
@@ -63,6 +78,7 @@ __all__ = [
     "compose_flat",
     "symbol_from_flat",
     "sym_bracket",
+    "bracket_transport",
     "adler_trace",
     "differential_part",
     "cap_order",
@@ -81,10 +97,11 @@ _ZERO = CoeffFn.zero()
 class Symbol:
     """Truncated symbol: variable tag, flat term dict, floor.
 
-    flat maps (twice the order, t, x, M) to a nonzero GaussRat and holds no
-    order below the floor.  A fourth slot, _view, holds the terms property
-    once it is first read; the flat dict never changes after wrapping, so
-    the view never goes stale.  Equality ignores it.
+    flat maps (twice the order, t, x, M) to the reduced int triple of a
+    nonzero GaussRat and holds no order below the floor.  A fourth slot,
+    _view, holds the terms property once it is first read; the flat dict
+    never changes after wrapping, so the view never goes stale.  Equality
+    ignores it.
     """
 
     __slots__ = ("var", "flat", "floor", "_view")
@@ -105,7 +122,7 @@ class Symbol:
                 c = CoeffFn.const(c)
             kt = k.twice
             for (p, q, m), v in c.terms.items():
-                flat[(kt, p, q, m)] = v
+                flat[(kt, p, q, m)] = triple_of(v)
         _set_var(self, var)
         _set_flat(self, flat)
         _set_floor(self, floor)
@@ -117,7 +134,7 @@ class Symbol:
     @classmethod
     def _raw(cls, var: str, flat: dict, floor) -> "Symbol":
         """Wrap a flat dict that is already clean, without copying it:
-        orders fit for var, nonzero GaussRat values, no order below floor."""
+        orders fit for var, nonzero reduced triples, no order below floor."""
         sym = object.__new__(cls)
         _set_var(sym, var)
         _set_flat(sym, flat)
@@ -141,6 +158,12 @@ class Symbol:
         """A multiplication operator: coeff * d^0."""
         return Symbol(var, {_H0: coeff})
 
+    @staticmethod
+    def one_term(var: str, ot: int, p: int, q: int, m: int, g: GaussRat) -> "Symbol":
+        """The exact symbol g t^p x^q M^m d^(ot/2), from twice its order
+        (fit for var) and a nonzero GaussRat."""
+        return Symbol._raw(var, {(ot, p, q, m): triple_of(g)}, EXACT)
+
     # ---- queries ------------------------------------------------------------
 
     @property
@@ -163,7 +186,7 @@ class Symbol:
             g = groups.get(o)
             if g is None:
                 g = groups[o] = {}
-            g[(p, q, m)] = v
+            g[(p, q, m)] = gauss_of(v)
         return groups
 
     def is_zero(self) -> bool:
@@ -177,12 +200,18 @@ class Symbol:
         return HalfInt(min(self.flat)[0]) if self.flat else None
 
     def coeff(self, order) -> CoeffFn:
-        ot = h(order).twice
-        c = {}
-        for k, v in self.flat.items():
-            if k[0] == ot:
-                c[k[1:]] = v
-        return coeff_from_table(c) if c else _ZERO
+        """The coefficient of d^order, read from the kept terms view: a
+        symbol asked for one order is often asked again, and the view
+        turns each value into a GaussRat once."""
+        return self.terms.get(h(order), _ZERO)
+
+    def sole_term(self):
+        """(twice the order, t, x, M, GaussRat) of an exact symbol with
+        one term, else None."""
+        if self.floor is not EXACT or len(self.flat) != 1:
+            return None
+        (((ot, p, q, m), v),) = self.flat.items()
+        return ot, p, q, m, gauss_of(v)
 
     def trusted(self, order) -> bool:
         return self.floor is EXACT or h(order) >= self.floor
@@ -251,12 +280,14 @@ def _linear(A: Symbol, B: Symbol, negate: bool) -> Symbol:
     for k, v in B.flat.items():
         if low is not None and k[0] < low:
             continue
+        if negate:
+            v = (-v[0], -v[1], v[2])
         s = out.get(k)
         if s is None:
-            out[k] = -v if negate else v
+            out[k] = v
             continue
-        s = s - v if negate else s + v
-        if s.is_zero():
+        s = add_triples(s, v)
+        if s is None:
             del out[k]
         else:
             out[k] = s
@@ -268,7 +299,7 @@ def sym_add(A: Symbol, B: Symbol) -> Symbol:
 
 
 def sym_neg(A: Symbol) -> Symbol:
-    return Symbol._raw(A.var, {k: -v for k, v in A.flat.items()}, A.floor)
+    return Symbol._raw(A.var, {k: (-a, -b, d) for k, (a, b, d) in A.flat.items()}, A.floor)
 
 
 def sym_sub(A: Symbol, B: Symbol) -> Symbol:
@@ -372,6 +403,27 @@ def sym_bracket(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
     return Symbol._raw(A.var, flat, floor)
 
 
+def bracket_transport(A: Symbol, B: Symbol, f_items, g_items, req_floor) -> Symbol:
+    """[A, B] + f d_t B + g d_t A, for x-free f and g given by their term
+    items, as the symbol slot of the extended bracket takes it.
+
+    The bracket's flat dict (compose_flat) takes the transport terms
+    (ring.transport_into); they are never cut, but orders below the
+    result floor are dropped.  That floor is the bracket's (EXACT only when
+    nothing was cut) raised to the floor of each operand: a term scaled by
+    a zero loop is a zero that keeps its floor.  The bracket is asked for
+    that raised floor, so its kernel adds nothing below it.
+    """
+    raised = hmax(A.floor, B.floor)
+    flat, floor = compose_flat(A, B, ((A, B, 1), (B, A, -1)), hmax(h(req_floor), raised))
+    floor = hmax(floor, raised)
+    low = None if floor is EXACT else floor.twice
+    for loop, other in ((f_items, B), (g_items, A)):
+        if loop:
+            transport_into(flat, loop, other.flat.items(), low)
+    return Symbol._raw(A.var, flat, floor)
+
+
 # ---- trace, projections -------------------------------------------------------------------
 
 
@@ -383,7 +435,7 @@ def adler_trace(D: Symbol) -> CoeffFn:
     if D.floor is not EXACT and D.floor.twice > -2:
         raise ValueError("trace not determined at this truncation")
     return coeff_from_table(
-        {(p, 0, m): v for (o, p, q, m), v in D.flat.items() if o == -2 and q == -1})
+        {(p, 0, m): gauss_of(v) for (o, p, q, m), v in D.flat.items() if o == -2 and q == -1})
 
 
 def differential_part(D: Symbol) -> Symbol:

@@ -7,7 +7,8 @@ Two layers, both immutable and float-free:
                        values have equal triples.  Every operation works on
                        Python ints and normalises its result with one gcd
                        (Knuth, TAOCP vol. 2, 4.5.1).  ``re`` and ``im`` are
-                       read-only views that return Fractions.
+                       read-only views that return Fractions.  The
+                       constructor takes int and Fraction parts only.
 * ``CoeffFn``       -- Laurent polynomials in (t, x, M) over GaussRat, one
                        flat dict from exponent triples to coefficients.
                        x stands for the space variable of whichever symbol
@@ -30,18 +31,24 @@ pair into a mutable {(t, x, M): GaussRat} table, dropping what cancels, and
 unit, a difference by minus the unit.
 
 A symbol keeps its terms in one flat dict from (twice the order, t, x, M)
-to a nonzero GaussRat (psido.Symbol.flat), and two kernels here read and
-write such dicts directly.  The Leibniz composition of symbols runs one
-loop, ``leibniz_rows``, over every pair of a left and a right term.  It
-weighs each pair of a left term and a right monomial x^q by
-binom(a, j) (q)_j, read from a module cache of reduced int pairs keyed by
-(2a, q) and folded with the product's sign into the right monomial, so a
-term costs one gcd and composition takes no derivative.  Each pair's
-number of terms is fixed before its first term, from a, q and the floor;
-each term is added straight into the output dict.  The transform's
-monomial map and its deformed images shift a symbol's terms in order and
-scale them by an x-free monomial with ``scale_into``; the transport terms
-of the extended bracket, loop * d_t W, are added by ``transport_into``.
+to the reduced int triple (a, b, d) of a nonzero GaussRat (psido.Symbol.flat):
+d > 0, gcd(a, b, d) = 1 and (a, b) != (0, 0), so equal values have equal
+triples and the dicts compare as plain int data.  This format is known to
+three modules only: this one, psido and transforms.  ``triple_of`` and
+``gauss_of`` convert one value each way, and ``add_triples`` sums two with
+cancellation.  Three kernels read and write such dicts directly, and
+normalise each sum inline with one gcd, building no GaussRat.  The Leibniz
+composition of symbols runs one loop, ``leibniz_rows``, over every pair of
+a left and a right term.  It weighs each pair of a left term and a right
+monomial x^q by binom(a, j) (q)_j, read from a module cache of reduced int
+pairs keyed by (2a, q) and folded with the product's sign into the right
+monomial, so a term costs one gcd and composition takes no derivative.
+Each pair's number of terms is fixed before its first term, from a, q and
+the floor; each term is added straight into the output dict.  The
+transform's monomial map and its deformed images shift a symbol's terms
+in order and scale them by an x-free monomial with ``scale_into``; the
+transport terms of the extended bracket, loop * d_t W, are added by
+``transport_into``.
 
 Derivatives are term-wise monomial derivations and residues extract the
 coefficient of (variable)^-1, so res(d(f)) = 0 holds identically.  Every
@@ -64,7 +71,7 @@ from math import gcd
 __all__ = [
     "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M",
     "mul_into", "scale_into", "transport_into", "leibniz_rows", "residue_into", "triple_into",
-    "coeff_from_table",
+    "coeff_from_table", "triple_of", "gauss_of", "add_triples",
 ]
 
 _new = object.__new__
@@ -95,6 +102,10 @@ class GaussRat:
 
     def __init__(self, re=0, im=0):
         if re.__class__ is not int or im.__class__ is not int:
+            # a float part would enter as its binary expansion, 0.1 as
+            # 3602879701896397/36028797018963968, so only exact parts pass
+            if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
+                raise TypeError(f"GaussRat parts are ints or Fractions, not {re!r} and {im!r}")
             re = Fraction(re)
             im = Fraction(im)
             rd = re.denominator
@@ -236,6 +247,36 @@ def _as_gauss(v):
 GR_ZERO = GaussRat(0)
 GR_ONE = GaussRat(1)
 GR_I = GaussRat(0, 1)
+
+
+def triple_of(g: GaussRat) -> tuple:
+    """The reduced int triple (a, b, d) of g, as a flat symbol dict holds it."""
+    return g._a, g._b, g._d
+
+
+def gauss_of(t: tuple) -> GaussRat:
+    """The GaussRat of a reduced triple (a, b, d), built without a gcd."""
+    out = _new(GaussRat)
+    out._a, out._b, out._d = t
+    return out
+
+
+def add_triples(s: tuple, t: tuple):
+    """The reduced triple of the sum of two reduced triples, or None when
+    they cancel."""
+    a, b, d = t
+    sa, sb, e = s
+    if e == d:
+        a += sa
+        b += sb
+    else:
+        a = a * e + sa * d
+        b = b * e + sb * d
+        d *= e
+    if not (a or b):
+        return None
+    g = gcd(a, b, d)
+    return (a, b, d) if g == 1 else (a // g, b // g, d // g)
 
 
 class CoeffFn:
@@ -506,55 +547,54 @@ def mul_into(acc: dict, f_items, g_items) -> None:
                 del acc[k]
 
 
-def scale_into(acc: dict, items, dt: int, p2: int, m2: int, g: GaussRat) -> None:
+def scale_into(acc: dict, items, dt: int, p2: int, m2: int, g: tuple) -> None:
     """Add g t^p2 M^m2 times every term of items, shifted by dt
     twice-orders, into acc, a flat symbol dict
-    {(twice the order, t, x, M): GaussRat}.
+    {(twice the order, t, x, M): (a, b, d)}.
 
-    items are (key, value) pairs of a flat symbol dict.  The factor is
-    free of x, so it commutes with every derivative and each term maps to
-    one term.  Each product is added with one normalising gcd as in
-    mul_into, and a monomial that cancels leaves acc.
+    items are (key, triple) pairs of a flat symbol dict, whose triples need
+    not be reduced, and g is an int triple.  The factor is free of x, so it
+    commutes with every derivative and each term maps to one term.  Each
+    product is added and reduced with one gcd, and a monomial that cancels
+    leaves acc.
     """
-    a2, b2, d2 = g._a, g._b, g._d
+    a2, b2, d2 = g
     get = acc.get
-    for (o, p1, q1, m1), v1 in items:
+    for (o, p1, q1, m1), (a1, b1, d1) in items:
         k = (o + dt, p1 + p2, q1, m1 + m2)
-        a1, b1 = v1._a, v1._b
         a = a1 * a2 - b1 * b2
         b = a1 * b2 + b1 * a2
-        d = v1._d * d2
+        d = d1 * d2
         s = get(k)
-        if s is None:
-            acc[k] = _gauss(a, b, d)
-            continue
-        e = s._d
-        if e == d:
-            a += s._a
-            b += s._b
-        else:
-            a = a * e + s._a * d
-            b = b * e + s._b * d
-            d *= e
-        if a or b:
-            acc[k] = _gauss(a, b, d)
-        else:
-            del acc[k]
+        if s is not None:
+            sa, sb, e = s
+            if e == d:
+                a += sa
+                b += sb
+            else:
+                a = a * e + sa * d
+                b = b * e + sb * d
+                d *= e
+            if not (a or b):
+                del acc[k]
+                continue
+        r = gcd(a, b, d)
+        acc[k] = (a, b, d) if r == 1 else (a // r, b // r, d // r)
 
 
 def transport_into(acc: dict, loop, items, low) -> None:
     """Add loop * d_t of a symbol's terms into acc, a flat symbol dict,
     skipping orders below low (twice the floor, None for none).
 
-    loop is the term items of an x-free CoeffFn and items the (key, value)
-    pairs of a flat symbol dict; the t-derivative is taken once, and each
-    loop monomial scales it as in scale_into.
+    loop is the term items of an x-free CoeffFn and items the (key, triple)
+    pairs of a flat symbol dict; the t-derivative is taken once, left
+    unreduced, and each loop monomial scales it as in scale_into.
     """
-    dt = [((o, p - 1, q, m), _gauss(v._a * p, v._b * p, v._d))
-          for (o, p, q, m), v in items if p and (low is None or o >= low)]
+    dt = [((o, p - 1, q, m), (a * p, b * p, d))
+          for (o, p, q, m), (a, b, d) in items if p and (low is None or o >= low)]
     if dt:
         for (p, _, m), v in loop:
-            scale_into(acc, dt, 0, p, m, v)
+            scale_into(acc, dt, 0, p, m, triple_of(v))
 
 
 # binom(a, j) (q)_j for j = 0, 1, ... as reduced (numerator, denominator)
@@ -588,12 +628,12 @@ def leibniz_rows(acc: dict, f: dict, g: dict, low, sign: int = 1) -> bool:
     left and a right term into acc, a flat symbol dict.
 
     f, g and acc are flat symbol dicts {(twice the order, t, x, M):
-    GaussRat}.  On a right monomial v x^q the j-th Leibniz term is
+    (a, b, d)}.  On a right monomial v x^q the j-th Leibniz term is
     binom(a, j) (q)_j v x^(q-j) f, so no derivative is taken: the weight
     binom(a, j) (q)_j is read from a module cache of reduced int pairs
     keyed by (2a, q) and folded, with the sign, into the right monomial,
-    whose product with the left term then costs one normalising gcd, as in
-    mul_into.
+    whose product with the left term is then added and reduced with one
+    gcd, as in scale_into.
 
     The number of terms of a pair is fixed before its first term: they
     end at the first zero weight (a nonnegative integer a, or q, runs out)
@@ -606,10 +646,8 @@ def leibniz_rows(acc: dict, f: dict, g: dict, low, sign: int = 1) -> bool:
     cut = False
     weights = _WEIGHTS
     get = acc.get
-    right = [(bt, p2, q, m2, v._a * sign, v._b * sign, v._d)
-             for (bt, p2, q, m2), v in g.items()]
-    for (at, p1, q1, m1), v1 in f.items():
-        a1, b1, d1 = v1._a, v1._b, v1._d
+    right = [(bt, p2, q, m2, a * sign, b * sign, d) for (bt, p2, q, m2), (a, b, d) in g.items()]
+    for (at, p1, q1, m1), (a1, b1, d1) in f.items():
         # binom(a, j) vanishes from j = a + 1 on for a nonnegative integer a
         n_a = at // 2 + 1 if at >= 0 and not at & 1 else None
         for bt, p2, q, m2, a2, b2, d2 in right:
@@ -633,35 +671,36 @@ def leibniz_rows(acc: dict, f: dict, g: dict, low, sign: int = 1) -> bool:
                 ws = _weights(at, q, n)
             ws = ws[:n]
             p = p1 + p2
-            x = q1 + q
             m = m1 + m2
-            # the pair's product, which each weight then scales
+            # the pair's product, which each weight then scales; the first
+            # term lands at order at + bt and x-power q1 + q
             pa = a1 * a2 - b1 * b2
             pb = a1 * b2 + b1 * a2
             pd = d1 * d2
+            x = q1 + q + 1
+            order += 2
             for num, den in ws:
+                x -= 1
+                order -= 2
                 k = (order, p, x, m)
                 a = pa * num
                 b = pb * num
                 d = pd * den
                 s = get(k)
-                if s is None:
-                    acc[k] = _gauss(a, b, d)
-                else:
-                    e = s._d
+                if s is not None:
+                    sa, sb, e = s
                     if e == d:
-                        a += s._a
-                        b += s._b
+                        a += sa
+                        b += sb
                     else:
-                        a = a * e + s._a * d
-                        b = b * e + s._b * d
+                        a = a * e + sa * d
+                        b = b * e + sb * d
                         d *= e
-                    if a or b:
-                        acc[k] = _gauss(a, b, d)
-                    else:
+                    if not (a or b):
                         del acc[k]
-                x -= 1
-                order -= 2
+                        continue
+                r = gcd(a, b, d)
+                acc[k] = (a, b, d) if r == 1 else (a // r, b // r, d // r)
     return cut
 
 
@@ -764,9 +803,9 @@ def triple_into(acc: dict, f_items, g_items, h_items, p: int, q: int, sign: int)
                     del acc[k]
 
 
-# The CoeffFn of a table that mul_into, residue_into or triple_into filled,
-# or of one order's terms of a flat symbol dict, without copying it; the table must
-# not change afterwards.
+# The CoeffFn of a {(t, x, M): GaussRat} table that mul_into, residue_into
+# or triple_into filled, or that psido built from one order of a flat
+# symbol dict, without copying it; the table must not change afterwards.
 coeff_from_table = _coeff_raw
 
 

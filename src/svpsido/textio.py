@@ -506,7 +506,7 @@ def _built(v):
     var, ot, p, q, m, c = v
     if var is None:
         return coeff_from_table({(p, q, m): c})
-    return Symbol._raw(var, {(ot, p, q, m): c}, EXACT)
+    return Symbol.one_term(var, ot, p, q, m, c)
 
 
 def _as_monomial(v):
@@ -517,10 +517,8 @@ def _as_monomial(v):
             return None
         (((p, q, m), g),) = v.terms.items()
         return None, 0, p, q, m, g
-    if v.floor is not EXACT or len(v.flat) != 1:
-        return None
-    (((ot, p, q, m), g),) = v.flat.items()
-    return v.var, ot, p, q, m, g
+    term = v.sole_term()
+    return None if term is None else (v.var, *term)
 
 
 def _as_symbol(v, var: str) -> Symbol:

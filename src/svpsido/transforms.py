@@ -29,8 +29,10 @@ The monomial map works on the flat term dicts of psido.Symbol: each term
 of the input, keyed by twice its order, reads the memoised image of its
 generator power and adds the image's terms, shifted in order and scaled
 by the term's x-free rest, straight into the output's dict
-(ring.scale_into).  Orders stay ints on this path; HalfInt appears only
-where a floor is compared.
+(ring.scale_into).  The term's value is already the reduced int triple
+that the kernel scales by, and a deformed image's conjugation weights are
+turned into triples once each.  Orders stay ints on this path; HalfInt
+appears only where a floor is compared.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .ring import (
     coeff_from_table,
     mul_into,
     scale_into,
+    triple_of,
 )
 
 if TYPE_CHECKING:  # only j_map's annotation names it
@@ -187,7 +190,7 @@ def _conjugated_image(nu: GaussRat, q: int, want) -> Symbol:
     for j, w in enumerate(_conjugation_weights(nu, q)):
         if w.is_zero() or (q < 0 and want > -q - j):
             return symbol_from_flat(R, flat, EXACT if q >= 0 else want)
-        scale_into(flat, _theta_images.image(q - j).flat.items(), -4 * j, 0, 0, w)
+        scale_into(flat, _theta_images.image(q - j).flat.items(), -4 * j, 0, 0, triple_of(w))
 
 
 # ---------------------------------------------------------------- forward map

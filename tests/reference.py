@@ -11,13 +11,36 @@ import functools
 import re
 import sys
 from fractions import Fraction as F
+from math import gcd
 
 from svpsido import kacmoody, textio
 from svpsido import transforms as tr
 from svpsido.cocycles import CocycleId, eval_cocycle
 from svpsido.halfint import EXACT, HalfInt, h, hmax
-from svpsido.psido import R, XI, Symbol, _check_var, _hi, sym_add, sym_mul
+from svpsido.poisson import (
+    FIELD_A,
+    FIELD_V,
+    FIELD_V0,
+    FIELD_VM2,
+    LocalFunctional,
+    substitute,
+    variational_derivative,
+)
+from svpsido.psido import (
+    R,
+    XI,
+    Symbol,
+    _check_var,
+    _hi,
+    binom_half,
+    sym_add,
+    sym_bracket,
+    sym_mul,
+    sym_sub,
+)
 from svpsido.ring import (
+    I_HALF_OVER_M,
+    I_M,
     MINUS_2I_M,
     CoeffFn,
     GaussRat,
@@ -26,6 +49,7 @@ from svpsido.ring import (
     _weights,
     leibniz_rows,
     mul_into,
+    triple_of,
 )
 
 
@@ -514,14 +538,291 @@ def nested_g_bracket(A, B, c, req_floor):
     return kacmoody.GElement(CoeffFn(w), symbol_from_tables(R, tables, floor), CoeffFn(alpha))
 
 
+# ---- the Leibniz kernel, the loop shift and theta_t, term by term -----------------------------
+
+
+def leibniz_by_recurrence(out: dict, at: int, f_items, g_terms, low) -> bool:
+    """Reference for ring.leibniz_rows: one order's terms, weights by their recurrence."""
+    # f_items are (key, GaussRat) pairs of the left order at/2 and g_terms
+    # (2b, key, GaussRat) right terms; out is a flat symbol dict of reduced
+    # triples, each sum taken in GaussRat.  The weight binom(a, j) (q)_j is
+    # updated in ints from one j to the next, each term's order is checked
+    # against the floor before it is added, and terms end at the first zero
+    # weight, so this loops for ever on a tail that does not terminate when
+    # low is None.
+    fs = [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in f_items]
+    cut = False
+    for bt, (p2, q, m2), v2 in g_terms:
+        order = at + bt
+        a2, b2, d2 = v2._a, v2._b, v2._d
+        j = 0
+        while True:
+            if low is not None and order < low:
+                cut = True
+                break
+            for p1, q1, m1, a1, b1, d1 in fs:
+                k = (order, p1 + p2, q1 + q, m1 + m2)
+                term = GaussRat(F(a1 * a2 - b1 * b2, d1 * d2), F(a1 * b2 + b1 * a2, d1 * d2))
+                old = out.get(k)
+                if old is not None:
+                    term = GaussRat(F(old[0], old[2]), F(old[1], old[2])) + term
+                if term.is_zero():
+                    out.pop(k, None)
+                else:
+                    out[k] = (term._a, term._b, term._d)
+            j += 1
+            w = (at - 2 * j + 2) * q
+            if not w:
+                break
+            a2 *= w
+            b2 *= w
+            d2 *= 2 * j
+            g = gcd(a2, b2, d2)
+            a2, b2, d2 = a2 // g, b2 // g, d2 // g
+            q -= 1
+            order -= 2
+    return cut
+
+
+def shift_by_terms(f: CoeffFn, depth: int) -> CoeffFn:
+    """Reference for transforms.time_shift: one CoeffFn sum per series term."""
+    # xi -> xi + (i/2M) t: the binomial series of each x-power, cut after
+    # x-degree depth for a negative one, times that power's coefficient
+    out = CoeffFn.zero()
+    for q in dict.fromkeys(key[1] for key in f.terms):
+        series = CoeffFn.zero()
+        for m in range((q if q >= 0 else depth) + 1):
+            cf = binom_half(HalfInt.of(q), m)
+            if cf.is_zero():
+                break
+            series = series + CoeffFn.mono(q - m, m, I_HALF_OVER_M ** (q - m) * cf)
+        out = out + series * f.x_slice(q)
+    return out
+
+
+def theta_t_by_orders(E: Symbol, req: HalfInt, nu: GaussRat) -> Symbol:
+    """Reference for transforms.theta_t: one theta call per shifted order, summed."""
+    # the same floor rules: a cut series or a floored input raises the floor
+    depth = tr.default_depth(req)
+    floor, cut = req, False
+    total = Symbol.zero(R)
+    for kappa, c in E.terms.items():
+        if (c.min_x_degree() or 0) < 0:
+            cut = True
+            floor = hmax(floor, kappa + kappa - depth)
+        total = sym_add(total, tr.theta(Symbol(XI, {kappa: shift_by_terms(c, depth)}), req, nu=nu))
+    if E.floor is not EXACT:
+        floor = hmax(floor, E.floor + E.floor)
+    if cut or E.floor is not EXACT:
+        total = Symbol(R, total.terms, hmax(total.floor, floor))
+    return total
+
+
+# ---- the central cocycles as whole products -------------------------------------------------
+
+
+def reference_slots(D: Symbol):
+    """Reference for cocycles._slots: the three slots read through Symbol.coeff."""
+    if D.var != R:
+        raise ValueError("cocycles are defined on space symbols")
+    top = D.top()
+    if top is not None and top > h(1):
+        raise ValueError("cocycles live on symbols of order <= 1")
+    if D.floor is not EXACT and D.floor > h(-1):
+        raise ValueError("slot at order -1 is untrusted; deepen the floor")
+    return D.coeff(1), D.coeff(0), D.coeff(-1)
+
+
+def _dx(c: CoeffFn, n: int = 1) -> CoeffFn:
+    for _ in range(n):
+        c = c.deriv("X")
+    return c
+
+
+def reference_cocycle(cid: CocycleId, A: Symbol, B: Symbol) -> CoeffFn:
+    """Reference for cocycles.eval_cocycle: derivatives and whole products, then res_x."""
+    # the formulas of the cocycles module docstring, term for term
+    a1, a0, am = reference_slots(A)
+    b1, b0, bm = reference_slots(B)
+    expr = {
+        CocycleId.C0: lambda: _dx(a1, 3) * b1,
+        CocycleId.C1: lambda: _dx(a1, 2) * b0 - _dx(b1, 2) * a0,
+        CocycleId.C2: lambda: a1 * bm - b1 * am,
+        CocycleId.C3: lambda: _dx(a1) * bm - _dx(b1) * am,
+        CocycleId.C4: lambda: _dx(b0) * a0 - _dx(a0) * b0,
+        CocycleId.C5: lambda: a0 * bm - b0 * am,
+    }[cid]()
+    return expr.residue("X")
+
+
+# ---- the extended bracket and the coadjoint action, slot by slot -----------------------------
+
+
+def reference_g_bracket(A, B, c, req_floor):
+    """Reference for kacmoody.g_bracket: each slot from whole symbols and products."""
+    # the symbol bracket, then each transport term as a scaled time
+    # derivative added to it (or, against a zero loop, the floor of the
+    # term it stands for), then the loop terms and the central term
+    floor = h(req_floor)
+    w = A.w * B.w.deriv("T") - A.w.deriv("T") * B.w
+    W = sym_bracket(A.W, B.W, floor)
+    if not A.w.is_zero():
+        W = sym_add(W, sym_scale(time_deriv(B.W), A.w))
+    elif B.W.floor is not EXACT:
+        W = raise_floor(W, B.W.floor)
+    if not B.w.is_zero():
+        W = sym_sub(W, sym_scale(time_deriv(A.W), B.w))
+    elif A.W.floor is not EXACT:
+        W = raise_floor(W, A.W.floor)
+    alpha = A.w * B.alpha.deriv("T") - B.w * A.alpha.deriv("T")
+    alpha = alpha + eval_cocycle(CocycleId.C3, A.W, B.W) * c
+    return kacmoody.GElement(w, W, alpha)
+
+
+def reference_coadjoint(X, mu, c):
+    """Reference for kacmoody.coadjoint: the rows as sums of whole products."""
+    v, a = mu.v, mu.a
+    vm2 = mu.V.coeff(h(-2))
+    v0 = mu.V.coeff(h(0))
+    r1, r2 = CoeffFn.x_pow(1), CoeffFn.x_pow(2)
+    m2 = M ** 2
+    half = CoeffFn.const(F(1, 2))
+    out_v = out_vm2 = out_v0 = out_a = CoeffFn.zero()
+    f = X.f
+    if not f.is_zero():
+        fd = f.deriv("T")
+        fdd = fd.deriv("T")
+        fddd = fdd.deriv("T")
+        out_v = out_v - fdd * (r1 * vm2).residue("X") * half - (f * v.deriv("T") + fd * v * 2)
+        out_vm2 = (out_vm2 - f * vm2.deriv("T") - fd * (r1 * vm2.deriv("X") + vm2 * 4) * half
+                   + a * (fdd * I_M * F(1, 4) - fddd * r2 * m2 * F(1, 4)) * c)
+        out_v0 = out_v0 - f * v0.deriv("T") - fd * v0 + a * fd * (c * half)
+        out_a = out_a - (a * fd + f * a.deriv("T"))
+    g = X.g
+    if not g.is_zero():
+        gd = g.deriv("T")
+        out_v = out_v - gd * vm2.residue("X")
+        out_vm2 = out_vm2 - g * vm2.deriv("X") - a * gd.deriv("T") * r1 * (c * m2)
+    if not X.h.is_zero():
+        out_vm2 = out_vm2 - a * X.h.deriv("T") * (c * m2)
+    terms = {}
+    if not out_vm2.is_zero():
+        terms[h(-2)] = out_vm2
+    if not out_v0.is_zero():
+        terms[h(0)] = out_v0
+    return kacmoody.GDual(out_v, Symbol(R, terms), out_a)
+
+
+# ---- the Poisson layer, dispatched over class parts ----------------------------------------
+
+
+def _part(F, cls):
+    keep = {"pair": (FIELD_VM2, FIELD_V0), "v": (FIELD_V,), "a": (FIELD_A,)}[cls]
+    return LocalFunctional([(js, c) for js, c in F.terms.items()
+                            if all(J.field in keep for J in js) and (js or cls == "pair")])
+
+
+def _pair_data(F, mu):
+    return (substitute(variational_derivative(F, FIELD_VM2), mu),
+            substitute(variational_derivative(F, FIELD_V0), mu))
+
+
+def t_residue(c: CoeffFn) -> CoeffFn:
+    """res_t of c, as a value free of t and x."""
+    return c.residue("T").x_slice(0)
+
+
+def double_residue(c: CoeffFn) -> CoeffFn:
+    """res_t res_x of c."""
+    return t_residue(c.residue("X"))
+
+
+def reference_poisson_bracket(F, G, mu, c):
+    """Reference for poisson.poisson_bracket: dispatched over the class parts of F, G."""
+    vm2 = mu.V.coeff(h(-2))
+    v0 = mu.V.coeff(h(0))
+    total = CoeffFn.zero()
+    Fp, Fv, Fa = _part(F, "pair"), _part(F, "v"), _part(F, "a")
+    Gp, Gv, Ga = _part(G, "pair"), _part(G, "v"), _part(G, "a")
+    if not Fp.is_zero() and not Gp.is_zero():
+        Pf, Qf = _pair_data(Fp, mu)
+        Pg, Qg = _pair_data(Gp, mu)
+        integrand = (vm2 * (Pg.deriv("X") * Pf - Pf.deriv("X") * Pg)
+                     + v0 * (Qg * Pf - Pg * Qf).deriv("X")
+                     + mu.a * (Qf.deriv("X") * Pg + Pf.deriv("X") * Qg) * c)
+        total = total + double_residue(integrand)
+    if not Fv.is_zero() and not Gv.is_zero():
+        pf = substitute(variational_derivative(Fv, FIELD_V), mu)
+        pg = substitute(variational_derivative(Gv, FIELD_V), mu)
+        total = total + t_residue(mu.v * (pf * pg.deriv("T") - pg * pf.deriv("T")))
+    for A, B, sign in ((Fv, Gp, 1), (Gv, Fp, -1)):
+        if A.is_zero() or B.is_zero():
+            continue
+        phi = substitute(variational_derivative(A, FIELD_V), mu)
+        Pb, Qb = _pair_data(B, mu)
+        piece = double_residue(phi * (vm2 * Pb.deriv("T") + v0 * Qb.deriv("T")))
+        total = total + (piece if sign > 0 else -piece)
+    for A, B, sign in ((Fv, Ga, 1), (Gv, Fa, -1)):
+        if A.is_zero() or B.is_zero():
+            continue
+        phi = substitute(variational_derivative(A, FIELD_V), mu)
+        psi = substitute(variational_derivative(B, FIELD_A), mu)
+        piece = t_residue(mu.a * phi * psi.deriv("T"))
+        total = total + (piece if sign > 0 else -piece)
+    return total
+
+
+def reference_hamiltonian_vector(F, mu, c):
+    """Reference for poisson.hamiltonian_vector: dispatched over the class parts of F."""
+    vm2 = mu.V.coeff(h(-2))
+    v0 = mu.V.coeff(h(0))
+    out_v, out_vm2, out_v0, out_a = (CoeffFn.zero() for _ in range(4))
+    Fp, Fv, Fa = _part(F, "pair"), _part(F, "v"), _part(F, "a")
+    if not Fp.is_zero():
+        P, Q = _pair_data(Fp, mu)
+        out_v = out_v + (vm2 * P.deriv("T") + v0 * Q.deriv("T")).residue("X")
+        out_vm2 = out_vm2 + (vm2 * P.deriv("X") * 2 + vm2.deriv("X") * P
+                             - mu.a * Q.deriv("X") * c - v0.deriv("X") * Q)
+        out_v0 = out_v0 + (v0.deriv("X") * P - mu.a * P.deriv("X") * c)
+    if not Fv.is_zero():
+        phi = substitute(variational_derivative(Fv, FIELD_V), mu)
+        out_v = out_v + mu.v * phi.deriv("T") * 2 + mu.v.deriv("T") * phi
+        out_vm2 = out_vm2 + (vm2 * phi).deriv("T")
+        out_v0 = out_v0 + (v0 * phi).deriv("T")
+        out_a = out_a + (mu.a * phi).deriv("T")
+    if not Fa.is_zero():
+        psi = substitute(variational_derivative(Fa, FIELD_A), mu)
+        out_v = out_v + mu.a * psi.deriv("T")
+    terms = {}
+    if not out_vm2.is_zero():
+        terms[h(-2)] = out_vm2
+    if not out_v0.is_zero():
+        terms[h(0)] = out_v0
+    return kacmoody.GDual(v=out_v, V=Symbol(R, terms), a=out_a)
+
+
 # ---- test-only helpers ----------------------------------------------------------------------
 
 
 def leibniz_into(out: dict, f_terms, g_terms, low) -> bool:
-    """leibniz_rows on term items: (2a, items) per left order, (2b, key, value) per right term."""
-    f = {(at, *key): v for at, items in f_terms for key, v in items}
-    g = {(bt, *key): v for bt, key, v in g_terms}
+    """leibniz_rows on term items: (2a, items) per left order, (2b, key, value) per right term.
+
+    The GaussRat values go in as the reduced triples of a flat symbol dict,
+    and out is such a dict.
+    """
+    f = {(at, *key): triple_of(v) for at, items in f_terms for key, v in items}
+    g = {(bt, *key): triple_of(v) for bt, key, v in g_terms}
     return leibniz_rows(out, f, g, low)
+
+
+def npoint(v=None, vm2=None, v0=None, a=None):
+    """The dual point (v, V_-2 d^-2 + V_0, a) from its slot values."""
+    terms = {}
+    if vm2 is not None:
+        terms[h(-2)] = vm2
+    if v0 is not None:
+        terms[h(0)] = v0
+    return kacmoody.GDual(v=v, V=Symbol(R, terms), a=a)
 
 
 def raise_floor(D: Symbol, new_floor) -> Symbol:

@@ -3,8 +3,8 @@
 Each functional reads only the order 1, 0, -1 slots of its two arguments,
 so every check here runs on symbols with exactly those slots populated.
 Oracles are short residue computations done by hand in the docstrings,
-and a product-then-residue reference that builds every derivative,
-product and difference before it keeps the x^-1 slice.
+and a product-then-residue reference (tests/reference.py) that builds
+every derivative, product and difference before it keeps the x^-1 slice.
 """
 
 import itertools
@@ -15,6 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import reference_cocycle
+from strategies import coeff_fns
 from svpsido.cocycles import (
     CocycleId,
     cocycle_identity_defect,
@@ -127,40 +129,7 @@ def test_identity_with_loop_coefficients():
             assert cocycle_identity_defect(cid, A, B, C).is_zero()
 
 
-# ---- the product-then-residue reference ------------------------------------
-
-
-def _reference_slots(D: Symbol):
-    if D.var != R:
-        raise ValueError("cocycles are defined on space symbols")
-    top = D.top()
-    if top is not None and top > h(1):
-        raise ValueError("cocycles live on symbols of order <= 1")
-    if D.floor is not EXACT and D.floor > h(-1):
-        raise ValueError("slot at order -1 is untrusted; deepen the floor")
-    return D.coeff(1), D.coeff(0), D.coeff(-1)
-
-
-def _dx(c: CoeffFn, n: int = 1) -> CoeffFn:
-    for _ in range(n):
-        c = c.deriv("X")
-    return c
-
-
-def reference_cocycle(cid: CocycleId, A: Symbol, B: Symbol) -> CoeffFn:
-    """The formulas of the cocycles module docstring as derivative chains,
-    full products and a difference, of which the x^-1 slice is kept."""
-    a1, a0, am = _reference_slots(A)
-    b1, b0, bm = _reference_slots(B)
-    expr = {
-        CocycleId.C0: lambda: _dx(a1, 3) * b1,
-        CocycleId.C1: lambda: _dx(a1, 2) * b0 - _dx(b1, 2) * a0,
-        CocycleId.C2: lambda: a1 * bm - b1 * am,
-        CocycleId.C3: lambda: _dx(a1) * bm - _dx(b1) * am,
-        CocycleId.C4: lambda: _dx(b0) * a0 - _dx(a0) * b0,
-        CocycleId.C5: lambda: a0 * bm - b0 * am,
-    }[cid]()
-    return expr.residue("X")
+# ---- against the product-then-residue reference ----------------------------
 
 
 def _no_arithmetic(*args):
@@ -170,15 +139,7 @@ def _no_arithmetic(*args):
 fracs = st.builds(F, st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=6))
 gauss = st.builds(GaussRat, fracs, fracs)
 # x-powers -4..4 reach the zero of (q)_3 at q = 0, 1, 2 from both sides
-slot_coeffs = st.dictionaries(
-    st.tuples(
-        st.integers(min_value=-2, max_value=2),
-        st.integers(min_value=-4, max_value=4),
-        st.integers(min_value=-1, max_value=1),
-    ),
-    gauss,
-    max_size=4,
-).map(CoeffFn)
+slot_coeffs = coeff_fns((-2, 2), (-4, 4), (-1, 1), gauss, max_size=4)
 slot_symbols = st.builds(
     lambda up, mid, down, floored: Symbol(
         R, {1: up, 0: mid, -1: down}, h(-1) if floored else EXACT

@@ -15,13 +15,15 @@ from hypothesis import strategies as st
 
 from reference import (
     coadjoint_duality_defect,
+    npoint,
     quotient_nullity_defect,
-    raise_floor,
+    reference_coadjoint,
+    reference_g_bracket,
     sym_scale,
     time_deriv,
 )
+from strategies import coeff_rows
 from svpsido import kacmoody, suites
-from svpsido.cocycles import CocycleId, eval_cocycle
 from svpsido.halfint import EXACT, h, hmax
 from svpsido.kacmoody import (
     DualFamily,
@@ -55,15 +57,6 @@ REQ = h("-7/2")
 C2 = GaussRat(2)
 
 M2 = M ** 2
-
-
-def npoint(v=None, vm2=None, v0=None, a=None):
-    terms = {}
-    if vm2 is not None:
-        terms[h(-2)] = vm2
-    if v0 is not None:
-        terms[h(0)] = v0
-    return GDual(v=v, V=Symbol(R, terms), a=a)
 
 
 class TestContainers:
@@ -228,10 +221,7 @@ masses = st.dictionaries(st.integers(-1, 2), gauss, min_size=1, max_size=2)
 
 
 def coeff_fns(tpows, xpows, min_size=0):
-    keys = st.tuples(st.integers(*tpows), st.integers(*xpows))
-    return st.dictionaries(keys, masses, min_size=min_size, max_size=6).map(
-        lambda d: CoeffFn({(p, q, m): g for (p, q), row in d.items() for m, g in row.items()})
-    )
+    return coeff_rows(tpows, xpows, masses, min_size=min_size, max_size=6)
 
 
 # narrow power ranges, so that most draws meet a t^-1 x^-1 monomial
@@ -523,61 +513,7 @@ def test_coadjoint_v_row_matches_the_product_residues(X, mu, c):
     assert coadjoint(X, mu, c).v == ref_coadjoint_v(X, mu)
 
 
-# ---- the slot-by-slot references --------------------------------------------
-
-
-def reference_g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
-    """The bracket built slot by slot from whole symbols: the symbol bracket,
-    then each transport term as a scaled time derivative added to it (or,
-    against a zero loop, the floor of the term it stands for), then the
-    loop terms and the central term as separate products."""
-    floor = h(req_floor)
-    w = A.w * B.w.deriv("T") - A.w.deriv("T") * B.w
-    W = sym_bracket(A.W, B.W, floor)
-    if not A.w.is_zero():
-        W = sym_add(W, sym_scale(time_deriv(B.W), A.w))
-    elif B.W.floor is not EXACT:
-        W = raise_floor(W, B.W.floor)
-    if not B.w.is_zero():
-        W = sym_sub(W, sym_scale(time_deriv(A.W), B.w))
-    elif A.W.floor is not EXACT:
-        W = raise_floor(W, A.W.floor)
-    alpha = A.w * B.alpha.deriv("T") - B.w * A.alpha.deriv("T")
-    alpha = alpha + eval_cocycle(CocycleId.C3, A.W, B.W) * c
-    return GElement(w, W, alpha)
-
-
-def reference_coadjoint(X: SvElement, mu: GDual, c) -> GDual:
-    """The coadjoint rows as sums of whole products, term by term."""
-    v, a = mu.v, mu.a
-    vm2 = mu.V.coeff(h(-2))
-    v0 = mu.V.coeff(h(0))
-    r1, r2 = CoeffFn.x_pow(1), CoeffFn.x_pow(2)
-    half = CoeffFn.const(Fraction(1, 2))
-    out_v = out_vm2 = out_v0 = out_a = CoeffFn.zero()
-    f = X.f
-    if not f.is_zero():
-        fd = f.deriv("T")
-        fdd = fd.deriv("T")
-        fddd = fdd.deriv("T")
-        out_v = out_v - fdd * (r1 * vm2).residue("X") * half - (f * v.deriv("T") + fd * v * 2)
-        out_vm2 = (out_vm2 - f * vm2.deriv("T") - fd * (r1 * vm2.deriv("X") + vm2 * 4) * half
-                   + a * (fdd * I_M * Fraction(1, 4) - fddd * r2 * M2 * Fraction(1, 4)) * c)
-        out_v0 = out_v0 - f * v0.deriv("T") - fd * v0 + a * fd * (c * half)
-        out_a = out_a - (a * fd + f * a.deriv("T"))
-    g = X.g
-    if not g.is_zero():
-        gd = g.deriv("T")
-        out_v = out_v - gd * vm2.residue("X")
-        out_vm2 = out_vm2 - g * vm2.deriv("X") - a * gd.deriv("T") * r1 * (c * M2)
-    if not X.h.is_zero():
-        out_vm2 = out_vm2 - a * X.h.deriv("T") * (c * M2)
-    terms = {}
-    if not out_vm2.is_zero():
-        terms[h(-2)] = out_vm2
-    if not out_v0.is_zero():
-        terms[h(0)] = out_v0
-    return GDual(out_v, Symbol(R, terms), out_a)
+# ---- against the slot-by-slot references -------------------------------------
 
 
 def _outcome(fn, *args):

@@ -13,6 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import (
+    double_residue,
+    npoint,
+    reference_hamiltonian_vector,
+    reference_poisson_bracket,
+    t_residue,
+)
+from strategies import coeff_fns
 from svpsido import poisson
 from svpsido.halfint import h
 from svpsido.kacmoody import GDual, coadjoint, embed_I, pairing
@@ -40,15 +48,6 @@ from svpsido.svalgebra import SvElement, sv_basis, sv_bracket
 C2 = GaussRat(2)
 I_M_QUARTER = GaussRat(0, Fraction(1, 4)) * M
 M2 = M ** 2
-
-
-def npoint(v=None, vm2=None, v0=None, a=None):
-    terms = {}
-    if vm2 is not None:
-        terms[h(-2)] = vm2
-    if v0 is not None:
-        terms[h(0)] = v0
-    return GDual(v=v, V=Symbol(R, terms), a=a)
 
 
 SLICE_POINTS = [npoint(v=CoeffFn.t_pow(1), vm2=CoeffFn.mono(1, -1),
@@ -204,7 +203,7 @@ class TestEvaluation:
         for coeff, jets in monomials:
             F = LocalFunctional.monomial(coeff, *jets)
             product = substitute(F, mu)
-            want = _ref_t_residue(product) if jets[0].field == FIELD_V else _ref_double_residue(product)
+            want = t_residue(product) if jets[0].field == FIELD_V else double_residue(product)
             assert not want.is_zero()
             assert evaluate(F, mu) == want
         total = LocalFunctional([(jets, coeff) for coeff, jets in monomials])
@@ -315,98 +314,14 @@ class TestBracket:
         assert poisson_bracket(pair, A, mu, C2).is_zero()
 
 
-# ------------------------------------------- class-dispatched reference
-
-
-def _part(F, cls):
-    keep = {"pair": (FIELD_VM2, FIELD_V0), "v": (FIELD_V,), "a": (FIELD_A,)}[cls]
-    return LocalFunctional([(js, c) for js, c in F.terms.items()
-                            if all(J.field in keep for J in js) and (js or cls == "pair")])
-
-
-def _ref_pair_data(F, mu):
-    return (substitute(variational_derivative(F, FIELD_VM2), mu),
-            substitute(variational_derivative(F, FIELD_V0), mu))
-
-
-def _ref_t_residue(c):
-    return c.residue("T").x_slice(0)
-
-
-def _ref_double_residue(c):
-    return _ref_t_residue(c.residue("X"))
-
-
-def ref_poisson_bracket(F, G, mu, c):
-    """The bracket dispatched over the class parts of F and G."""
-    vm2 = mu.V.coeff(h(-2))
-    v0 = mu.V.coeff(h(0))
-    total = CoeffFn.zero()
-    Fp, Fv, Fa = _part(F, "pair"), _part(F, "v"), _part(F, "a")
-    Gp, Gv, Ga = _part(G, "pair"), _part(G, "v"), _part(G, "a")
-    if not Fp.is_zero() and not Gp.is_zero():
-        Pf, Qf = _ref_pair_data(Fp, mu)
-        Pg, Qg = _ref_pair_data(Gp, mu)
-        integrand = (vm2 * (Pg.deriv("X") * Pf - Pf.deriv("X") * Pg)
-                     + v0 * (Qg * Pf - Pg * Qf).deriv("X")
-                     + mu.a * (Qf.deriv("X") * Pg + Pf.deriv("X") * Qg) * c)
-        total = total + _ref_double_residue(integrand)
-    if not Fv.is_zero() and not Gv.is_zero():
-        pf = substitute(variational_derivative(Fv, FIELD_V), mu)
-        pg = substitute(variational_derivative(Gv, FIELD_V), mu)
-        total = total + _ref_t_residue(mu.v * (pf * pg.deriv("T") - pg * pf.deriv("T")))
-    for A, B, sign in ((Fv, Gp, 1), (Gv, Fp, -1)):
-        if A.is_zero() or B.is_zero():
-            continue
-        phi = substitute(variational_derivative(A, FIELD_V), mu)
-        Pb, Qb = _ref_pair_data(B, mu)
-        piece = _ref_double_residue(phi * (vm2 * Pb.deriv("T") + v0 * Qb.deriv("T")))
-        total = total + (piece if sign > 0 else -piece)
-    for A, B, sign in ((Fv, Ga, 1), (Gv, Fa, -1)):
-        if A.is_zero() or B.is_zero():
-            continue
-        phi = substitute(variational_derivative(A, FIELD_V), mu)
-        psi = substitute(variational_derivative(B, FIELD_A), mu)
-        piece = _ref_t_residue(mu.a * phi * psi.deriv("T"))
-        total = total + (piece if sign > 0 else -piece)
-    return total
-
-
-def ref_hamiltonian_vector(F, mu, c):
-    """The field dispatched over the class parts of F."""
-    vm2 = mu.V.coeff(h(-2))
-    v0 = mu.V.coeff(h(0))
-    out_v, out_vm2, out_v0, out_a = (CoeffFn.zero() for _ in range(4))
-    Fp, Fv, Fa = _part(F, "pair"), _part(F, "v"), _part(F, "a")
-    if not Fp.is_zero():
-        P, Q = _ref_pair_data(Fp, mu)
-        out_v = out_v + (vm2 * P.deriv("T") + v0 * Q.deriv("T")).residue("X")
-        out_vm2 = out_vm2 + (vm2 * P.deriv("X") * 2 + vm2.deriv("X") * P
-                             - mu.a * Q.deriv("X") * c - v0.deriv("X") * Q)
-        out_v0 = out_v0 + (v0.deriv("X") * P - mu.a * P.deriv("X") * c)
-    if not Fv.is_zero():
-        phi = substitute(variational_derivative(Fv, FIELD_V), mu)
-        out_v = out_v + mu.v * phi.deriv("T") * 2 + mu.v.deriv("T") * phi
-        out_vm2 = out_vm2 + (vm2 * phi).deriv("T")
-        out_v0 = out_v0 + (v0 * phi).deriv("T")
-        out_a = out_a + (mu.a * phi).deriv("T")
-    if not Fa.is_zero():
-        psi = substitute(variational_derivative(Fa, FIELD_A), mu)
-        out_v = out_v + mu.a * psi.deriv("T")
-    terms = {}
-    if not out_vm2.is_zero():
-        terms[h(-2)] = out_vm2
-    if not out_v0.is_zero():
-        terms[h(0)] = out_v0
-    return GDual(v=out_v, V=Symbol(R, terms), a=out_a)
+# ------------------------------------------- against the class-dispatched reference
 
 
 _gauss = st.builds(GaussRat, st.integers(1, 3), st.sampled_from([0, 1, Fraction(-1, 2)]))
 
 
 def _coeffs(tpows, xpows, min_size=0):
-    keys = st.tuples(st.integers(*tpows), st.integers(*xpows), st.integers(0, 1))
-    return st.dictionaries(keys, _gauss, min_size=min_size, max_size=3).map(CoeffFn)
+    return coeff_fns(tpows, xpows, (0, 1), _gauss, min_size=min_size)
 
 
 def _dense(tpows, xpows):
@@ -446,8 +361,8 @@ _charges = st.sampled_from([GaussRat(0), GaussRat(Fraction(1, 3)), GaussRat(2), 
 @given(mixed_functionals(), mixed_functionals(), _points, _charges)
 @settings(max_examples=150, deadline=None)
 def test_formulas_match_the_class_dispatch(F, G, mu, c):
-    assert poisson_bracket(F, G, mu, c) == ref_poisson_bracket(F, G, mu, c)
-    assert hamiltonian_vector(F, mu, c) == ref_hamiltonian_vector(F, mu, c)
+    assert poisson_bracket(F, G, mu, c) == reference_poisson_bracket(F, G, mu, c)
+    assert hamiltonian_vector(F, mu, c) == reference_hamiltonian_vector(F, mu, c)
 
 
 # Gaussian coefficients and M powers in every slot of the point
@@ -456,8 +371,7 @@ _mass_gauss = st.builds(GaussRat, st.fractions(-3, 3, max_denominator=4),
 
 
 def _mass_coeffs(tpows, xpows):
-    keys = st.tuples(st.integers(*tpows), st.integers(*xpows), st.integers(-1, 2))
-    return st.dictionaries(keys, _mass_gauss, min_size=1, max_size=6).map(CoeffFn)
+    return coeff_fns(tpows, xpows, (-1, 2), _mass_gauss, min_size=1, max_size=6)
 
 
 _mass_points = st.builds(npoint, v=_mass_coeffs((-2, 1), (0, 0)),
@@ -469,7 +383,7 @@ _mass_points = st.builds(npoint, v=_mass_coeffs((-2, 1), (0, 0)),
 @settings(max_examples=100, deadline=None)
 def test_field_residues_match_the_products_at_mass_points(F, mu, c):
     # the v row reads res_x(V_-2 P_t + V_0 Q_t) from matching term pairs
-    assert hamiltonian_vector(F, mu, c) == ref_hamiltonian_vector(F, mu, c)
+    assert hamiltonian_vector(F, mu, c) == reference_hamiltonian_vector(F, mu, c)
 
 
 # ------------------------------------------- whole-product references
@@ -494,7 +408,7 @@ def reference_poisson_bracket(F, G, mu, c):
             - phig * (vm2 * Pf.deriv("T") + v0 * Qf.deriv("T")))
     loop = (mu.v * (phif * phig.deriv("T") - phig * phif.deriv("T"))
             + mu.a * (phif * psig.deriv("T") - phig * psif.deriv("T")))
-    return _ref_double_residue(pair) + _ref_t_residue(loop)
+    return double_residue(pair) + t_residue(loop)
 
 
 def reference_hamiltonian_vector(F, mu, c):

@@ -80,6 +80,18 @@ def test_gauss_mixes_with_ints_and_fractions():
     assert F(1, 2) * GaussRat(4) == GaussRat(2)
 
 
+def test_gauss_takes_only_exact_parts():
+    # a float part would enter as its binary expansion, 0.1 as
+    # 3602879701896397/36028797018963968
+    for parts in ((0.1,), (1, 0.5), (0.5, 1), (F(1, 2), 0.25), (0.0, 0), ("1/2",)):
+        with pytest.raises(TypeError):
+            GaussRat(*parts)
+    assert GaussRat(F(1, 10)).re == F(1, 10)
+    assert (GaussRat(1, F(1, 2)).re, GaussRat(1, F(1, 2)).im) == (1, F(1, 2))
+    assert GaussRat(F(-3, 4), 2) == GaussRat(F(-3, 4)) + 2 * GR_I
+    assert GaussRat(True) == GaussRat(1)
+
+
 def test_gauss_immutable():
     with pytest.raises(AttributeError):
         GR_ONE.re = F(2)

@@ -6,10 +6,11 @@ symbol product with its own generalized binomials and derivatives.  The
 transform's monomial map is checked against the sum of its shifted and
 scaled generator images, built one Symbol per monomial, with deformed
 images built as the series of the deformed generator image, composed
-power by power, rather than by conjugation (both kept in
-tests/reference.py); the loop shift
-and theta_t against their term-by-term forms, one CoeffFn sum per series
-term and one theta call per momentum order.  The six central cocycles
+power by power, rather than by conjugation; the loop shift and theta_t
+against their term-by-term forms, one CoeffFn sum per series term and one
+theta call per momentum order; the Leibniz kernel against the weight
+recurrence run once per left term.  All of these forms live in
+tests/reference.py.  The six central cocycles
 are checked against sympy's derivative, product and x^-1 coefficient.  A
 Gaussian rational kept as a pair of Fractions, the textbook
 representation, checks GaussRat component by component.
@@ -23,23 +24,30 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import leibniz_into, series_image, summed_images
+from reference import (
+    leibniz_by_recurrence,
+    leibniz_into,
+    series_image,
+    shift_by_terms,
+    summed_images,
+    theta_t_by_orders,
+)
+from strategies import coeff_rows
 from svpsido.cocycles import CocycleId, eval_cocycle
-from svpsido.halfint import EXACT, HalfInt, hmax
+from svpsido.halfint import EXACT, HalfInt
 from svpsido import ring
 from svpsido import transforms as tr
 from svpsido.psido import (
     R,
     XI,
     Symbol,
-    binom_half,
     sym_add,
     sym_bracket,
     sym_mul,
     sym_neg,
     sym_sub,
 )
-from svpsido.ring import CoeffFn, GaussRat, I_HALF_OVER_M, M
+from svpsido.ring import CoeffFn, GaussRat, M
 
 T, X, MASS = sp.symbols("t x M")
 
@@ -104,14 +112,8 @@ monomials = st.builds(
 )
 
 
-def flat(d: dict) -> CoeffFn:
-    """A CoeffFn from (t, x) -> {M-power: coefficient}."""
-    return CoeffFn({(p, q, m): g for (p, q), row in d.items() for m, g in row.items()})
-
-
 def coeffs_in(tpows, xpows):
-    keys = st.tuples(st.integers(*tpows), st.integers(*xpows))
-    return st.dictionaries(keys, masses, max_size=3).map(flat)
+    return coeff_rows(tpows, xpows, masses)
 
 
 coeffs = coeffs_in((-2, 2), (-2, 2))
@@ -485,45 +487,6 @@ def test_sym_sub_builds_no_negated_copy(A, B):
 TAIL_MESSAGE = "exact product requested but the Leibniz tail does not terminate"
 
 
-def leibniz_by_recurrence(out: dict, at: int, f_items, g_terms, low) -> bool:
-    """The left terms of one order against every right monomial, into a
-    flat dict keyed by (twice the order, t, x, M), with the weight
-    binom(a, j) (q)_j updated in ints from one j to the next and each
-    term's order checked against the floor before it is added; terms end
-    at the first zero weight.  It loops for ever on a tail that does not
-    terminate when low is None."""
-    fs = [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in f_items]
-    cut = False
-    for bt, (p2, q, m2), v2 in g_terms:
-        order = at + bt
-        a2, b2, d2 = v2._a, v2._b, v2._d
-        j = 0
-        while True:
-            if low is not None and order < low:
-                cut = True
-                break
-            for p1, q1, m1, a1, b1, d1 in fs:
-                k = (order, p1 + p2, q1 + q, m1 + m2)
-                term = GaussRat(F(a1 * a2 - b1 * b2, d1 * d2), F(a1 * b2 + b1 * a2, d1 * d2))
-                total = out.get(k, GaussRat(0)) + term
-                if total.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = total
-            j += 1
-            w = (at - 2 * j + 2) * q
-            if not w:
-                break
-            a2 *= w
-            b2 *= w
-            d2 *= 2 * j
-            g = gcd(a2, b2, d2)
-            a2, b2, d2 = a2 // g, b2 // g, d2 // g
-            q -= 1
-            order -= 2
-    return cut
-
-
 def tail_prescan_raises(A: Symbol, B: Symbol, products, req) -> bool:
     """Whether composing the (left, right, sign) products of A and B must
     raise: the result is asked exact, both operands are exact and neither
@@ -693,12 +656,9 @@ def cocycle_sp(cid: CocycleId, a, b):
 
 
 # nonempty slots with x-powers -4..4, so that many pairs meet at x^-1
-slot_coeffs = st.dictionaries(
-    st.tuples(st.integers(-2, 2), st.integers(-4, 4)),
-    st.dictionaries(powers, nonzero_gauss, min_size=1, max_size=1),
-    min_size=1,
-    max_size=3,
-).map(flat)
+slot_coeffs = coeff_rows(
+    (-2, 2), (-4, 4), st.dictionaries(powers, nonzero_gauss, min_size=1, max_size=1), min_size=1
+)
 slot_triples = st.tuples(slot_coeffs, slot_coeffs, slot_coeffs)
 
 
@@ -786,41 +746,6 @@ def test_theta_inv_matches_the_sum_of_scaled_images(D, req):
 
 
 # ---- the loop shift and theta_t against their term-by-term forms -----------------------------
-
-
-def shift_by_terms(f: CoeffFn, depth: int) -> CoeffFn:
-    """xi -> xi + (i/2M) t, one CoeffFn sum per series term: the binomial
-    series of each x-power, cut after x-degree depth for a negative one,
-    times that power's coefficient."""
-    out = CoeffFn.zero()
-    for q in dict.fromkeys(key[1] for key in f.terms):
-        series = CoeffFn.zero()
-        for m in range((q if q >= 0 else depth) + 1):
-            cf = binom_half(HalfInt.of(q), m)
-            if cf.is_zero():
-                break
-            series = series + CoeffFn.mono(q - m, m, I_HALF_OVER_M ** (q - m) * cf)
-        out = out + series * f.x_slice(q)
-    return out
-
-
-def theta_t_by_orders(E: Symbol, req: HalfInt, nu: GaussRat) -> Symbol:
-    """theta_t as one theta call per shifted order, summed with sym_add,
-    under the same floor rules: a cut series or a floored input raises the
-    floor."""
-    depth = tr.default_depth(req)
-    floor, cut = req, False
-    total = Symbol.zero(R)
-    for kappa, c in E.terms.items():
-        if (c.min_x_degree() or 0) < 0:
-            cut = True
-            floor = hmax(floor, kappa + kappa - depth)
-        total = sym_add(total, tr.theta(Symbol(XI, {kappa: shift_by_terms(c, depth)}), req, nu=nu))
-    if E.floor is not EXACT:
-        floor = hmax(floor, E.floor + E.floor)
-    if cut or E.floor is not EXACT:
-        total = Symbol(R, total.terms, hmax(total.floor, floor))
-    return total
 
 
 loop_free_momentum_symbols = st.builds(

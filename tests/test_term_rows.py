@@ -3,22 +3,27 @@ terms view built from it, psido.symbol_from_flat, and the retired
 nested-table path (tests/reference.py) as an oracle for composition and
 the transform.
 
-A symbol keeps its terms in one dict from (twice the order, t, x, M) to a
-GaussRat.  On inputs and on every result that the kernels wrap, that dict
-must hold no zero value and nothing below the floor, and the terms view
+A symbol keeps its terms in one dict from (twice the order, t, x, M) to
+the reduced int triple (a, b, d) of a nonzero GaussRat.  On inputs and on
+every result that the kernels wrap, each value in that dict must be such
+a triple (d > 0, gcd(a, b, d) = 1, a or b nonzero), no order may lie
+below the floor, and the terms view
 must equal a fresh grouping of it, be kept once built, and rebuild the
 same symbol through the public constructor.  Each operation must give the
 same answer on an operand whose view was read as on a fresh copy, and the
 same terms and floor as the per-order tables that composition and the
-transform used before the flat dict.
+transform used before the flat dict.  The triple helpers and the
+kernels' inline sums are checked against GaussRat arithmetic.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
+from strategies import coeff_fns
 from svpsido import transforms as tr
 from svpsido.halfint import EXACT, HalfInt, h
 from svpsido.kacmoody import GElement, g_bracket
@@ -34,7 +39,16 @@ from svpsido.psido import (
     sym_sub,
     symbol_from_flat,
 )
-from svpsido.ring import CoeffFn, GaussRat
+from svpsido.ring import (
+    CoeffFn,
+    GaussRat,
+    add_triples,
+    gauss_of,
+    leibniz_rows,
+    scale_into,
+    transport_into,
+    triple_of,
+)
 
 REQ = h(-4)
 C2 = GaussRat(2)
@@ -44,12 +58,7 @@ gauss = st.builds(
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
     st.sampled_from([0, 0, 1, F(-1, 2)]),
 ).filter(lambda g: not g.is_zero())
-coeffs = st.dictionaries(
-    st.tuples(st.integers(-1, 1), st.integers(-2, 2), st.integers(-1, 1)),
-    gauss,
-    min_size=1,
-    max_size=3,
-).map(CoeffFn)
+coeffs = coeff_fns((-1, 1), (-2, 2), (-1, 1), gauss, min_size=1)
 floors = st.one_of(st.none(), st.integers(-6, 0).map(HalfInt))
 
 
@@ -74,11 +83,24 @@ MOMENTUM = Symbol(XI, {HalfInt(1): CoeffFn.x_pow(-2) + CoeffFn.mono(1, 1, 3),
                        HalfInt(-3): CoeffFn.x_pow(2, GaussRat(0, 1))})
 
 
+def value(t: tuple) -> GaussRat:
+    """The GaussRat (a + i*b)/d of a triple, through Fractions."""
+    a, b, d = t
+    return GaussRat(F(a, d), F(b, d))
+
+
+def reduced(t) -> bool:
+    """Whether t is a reduced nonzero triple of ints (a, b, d): d > 0,
+    gcd(a, b, d) == 1 and a or b nonzero."""
+    return (t.__class__ is tuple and len(t) == 3 and all(v.__class__ is int for v in t)
+            and t[2] > 0 and gcd(*t) == 1 and (t[0] != 0 or t[1] != 0))
+
+
 def grouped(X: Symbol) -> dict:
     """X's terms grouped afresh by order, as the view must give them."""
     out: dict = {}
     for (o, p, q, m), v in X.flat.items():
-        out.setdefault(HalfInt(o), {})[(p, q, m)] = v
+        out.setdefault(HalfInt(o), {})[(p, q, m)] = value(v)
     return {k: CoeffFn(c) for k, c in out.items()}
 
 
@@ -106,8 +128,9 @@ def same(got, want) -> bool:
 
 
 def check_flat(*syms):
-    """No zero value and nothing below the floor in the flat dict; a kept
-    view that equals a fresh grouping and rebuilds the same symbol."""
+    """Only reduced nonzero triples and nothing below the floor in the flat
+    dict; a kept view that equals a fresh grouping and rebuilds the same
+    symbol."""
     for X in syms:
         if isinstance(X, GElement):
             X = X.W
@@ -115,7 +138,7 @@ def check_flat(*syms):
             continue
         low = None if X.floor is EXACT else X.floor.twice
         for (o, p, q, m), v in X.flat.items():
-            assert v.__class__ is GaussRat and not v.is_zero()
+            assert reduced(v), v
             assert low is None or o >= low
             assert X.var == XI or o % 2 == 0
         view = X.terms
@@ -239,7 +262,7 @@ def test_the_terms_view_round_trips_through_the_constructor(X):
 
 
 def test_an_order_past_the_interned_range_gets_an_equal_key():
-    one = GaussRat(1)
+    one = (1, 0, 1)
     X = symbol_from_flat(R, {(600, 0, 0, 0): one, (-600, 0, 0, 0): one, (2, 0, 0, 0): one}, EXACT)
     keys = list(X.terms)
     assert keys == [HalfInt(600), HalfInt(-600), HalfInt(2)]
@@ -250,7 +273,7 @@ def test_an_order_past_the_interned_range_gets_an_equal_key():
 
 
 def test_empty_tables_and_orders_below_the_floor_are_dropped():
-    one = GaussRat(1)
+    one = (1, 0, 1)
     flat = {(4, 0, 1, 0): one, (0, 0, 1, 0): one, (-2, 0, 1, 0): one, (-4, 0, 1, 0): one}
     X = symbol_from_flat(XI, dict(flat), HalfInt(-2))
     assert list(X.terms) == [HalfInt(4), HalfInt(0), HalfInt(-2)]
@@ -261,3 +284,56 @@ def test_empty_tables_and_orders_below_the_floor_are_dropped():
     assert empty.is_zero() and empty.floor == HalfInt(-5)
     # an order whose terms all cancel leaves no entry in the view
     assert sym_sub(X, X).terms == {} and sym_sub(X, X).floor == HalfInt(-2)
+
+
+# ---- the triple helpers and the kernels' inline sums against GaussRat ------------------------
+
+nonzero = st.builds(
+    GaussRat,
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+).filter(lambda g: not g.is_zero())
+KEY = (2, 1, -1, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonzero, nonzero, nonzero, st.integers(1, 6))
+@example(GaussRat(F(1, 2), 1), GaussRat(F(-1, 2), -1), GaussRat(1), 1)  # x + y cancels
+@example(GaussRat(2), GaussRat(F(1, 2)), GaussRat(-1), 2)  # x * y + z cancels
+@example(GaussRat(F(1, 6), F(1, 4)), GaussRat(F(3, 2), 3), GaussRat(0, F(-1, 8)), 4)
+def test_triple_helpers_and_kernel_sums_match_gauss_arithmetic(x, y, z, k):
+    # conversion both ways: the reduced triple over the lcm of the parts' denominators
+    for g in (x, y, z):
+        d = g.re.denominator * g.im.denominator // gcd(g.re.denominator, g.im.denominator)
+        t = triple_of(g)
+        assert t == (int(g.re * d), int(g.im * d), d) and reduced(t)
+        assert gauss_of(t) == g and value(t) == g
+    tx, ty, tz = triple_of(x), triple_of(y), triple_of(z)
+    # a sum, with cancellation
+    s = add_triples(tx, ty)
+    assert s is None if (x + y).is_zero() else s == triple_of(x + y)
+    assert add_triples(tx, triple_of(-x)) is None
+    # a product, into an empty dict and onto a value it may cancel; the
+    # scaled terms need not be reduced, the stored sums must be
+    want_product = {KEY: triple_of(x * y)}
+    unreduced = (tx[0] * k, tx[1] * k, tx[2] * k)
+    total = z + x * y
+    want_sum = {} if total.is_zero() else {KEY: triple_of(total)}
+    acc: dict = {}
+    scale_into(acc, [((0, 1, -1, 0), unreduced)], 2, 0, 0, ty)
+    assert acc == want_product
+    acc = {KEY: tz}
+    scale_into(acc, [((2, 0, -1, 1), tx)], 0, 1, -1, ty)
+    assert acc == want_sum
+    # a left term of order 0 has the Leibniz term j = 0 only: the same product
+    acc = {}
+    leibniz_rows(acc, {(0, 0, 0, 0): tx}, {(2, 1, -1, 0): ty}, None)
+    assert acc == want_product
+    acc = {KEY: tz}
+    leibniz_rows(acc, {(0, 1, 0, 0): tx}, {(2, 0, -1, 0): ty}, 2)
+    assert acc == want_sum
+    # the transport term loop * d_t: d_t(x t^k) = k x t^(k-1)
+    acc = {KEY: tz}
+    transport_into(acc, CoeffFn.const(y).terms.items(), [((2, 2, -1, 0), tx)], None)
+    total = z + x * y * 2
+    assert acc == ({} if total.is_zero() else {KEY: triple_of(total)})
