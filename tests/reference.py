@@ -622,7 +622,8 @@ def theta_t_by_orders(E: Symbol, req: HalfInt, nu: GaussRat) -> Symbol:
 
 
 def reference_slots(D: Symbol):
-    """Reference for cocycles._slots: the three slots read through Symbol.coeff."""
+    """Reference for cocycles._slots: the three slots built from the flat table through Fractions."""
+    # read past the terms view and gauss_of, which _slots goes through
     if D.var != R:
         raise ValueError("cocycles are defined on space symbols")
     top = D.top()
@@ -630,7 +631,11 @@ def reference_slots(D: Symbol):
         raise ValueError("cocycles live on symbols of order <= 1")
     if D.floor is not EXACT and D.floor > h(-1):
         raise ValueError("slot at order -1 is untrusted; deepen the floor")
-    return D.coeff(1), D.coeff(0), D.coeff(-1)
+    slots = {2: {}, 0: {}, -2: {}}
+    for (o, p, q, m), (a, b, d) in D.flat.items():
+        if o in slots:
+            slots[o][(p, q, m)] = GaussRat(F(a, d), F(b, d))
+    return CoeffFn(slots[2]), CoeffFn(slots[0]), CoeffFn(slots[-2])
 
 
 def _dx(c: CoeffFn, n: int = 1) -> CoeffFn:
@@ -737,7 +742,7 @@ def double_residue(c: CoeffFn) -> CoeffFn:
     return t_residue(c.residue("X"))
 
 
-def reference_poisson_bracket(F, G, mu, c):
+def dispatched_poisson_bracket(F, G, mu, c):
     """Reference for poisson.poisson_bracket: dispatched over the class parts of F, G."""
     vm2 = mu.V.coeff(h(-2))
     v0 = mu.V.coeff(h(0))
@@ -772,7 +777,7 @@ def reference_poisson_bracket(F, G, mu, c):
     return total
 
 
-def reference_hamiltonian_vector(F, mu, c):
+def dispatched_hamiltonian_vector(F, mu, c):
     """Reference for poisson.hamiltonian_vector: dispatched over the class parts of F."""
     vm2 = mu.V.coeff(h(-2))
     v0 = mu.V.coeff(h(0))
@@ -799,6 +804,46 @@ def reference_hamiltonian_vector(F, mu, c):
     if not out_v0.is_zero():
         terms[h(0)] = out_v0
     return kacmoody.GDual(v=out_v, V=Symbol(R, terms), a=out_a)
+
+
+# ---- the Poisson layer as whole products -----------------------------------------------------
+
+
+def _whole_derivatives(F, mu):
+    return [substitute(variational_derivative(F, fld), mu)
+            for fld in (FIELD_VM2, FIELD_V0, FIELD_V, FIELD_A)]
+
+
+def reference_poisson_bracket(F, G, mu, c):
+    """Reference for poisson.poisson_bracket: whole products, then the double and the time residue of the sums."""
+    vm2 = mu.V.coeff(h(-2))
+    v0 = mu.V.coeff(h(0))
+    Pf, Qf, phif, psif = _whole_derivatives(F, mu)
+    Pg, Qg, phig, psig = _whole_derivatives(G, mu)
+    pair = (vm2 * (Pg.deriv("X") * Pf - Pf.deriv("X") * Pg)
+            + v0 * (Qg * Pf - Pg * Qf).deriv("X")
+            + mu.a * (Qf.deriv("X") * Pg + Pf.deriv("X") * Qg) * c
+            + phif * (vm2 * Pg.deriv("T") + v0 * Qg.deriv("T"))
+            - phig * (vm2 * Pf.deriv("T") + v0 * Qf.deriv("T")))
+    loop = (mu.v * (phif * phig.deriv("T") - phig * phif.deriv("T"))
+            + mu.a * (phif * psig.deriv("T") - phig * psif.deriv("T")))
+    return double_residue(pair) + t_residue(loop)
+
+
+def reference_hamiltonian_vector(F, mu, c):
+    """Reference for poisson.hamiltonian_vector: the field's rows as sums of whole products."""
+    vm2 = mu.V.coeff(h(-2))
+    v0 = mu.V.coeff(h(0))
+    P, Q, phi, psi = _whole_derivatives(F, mu)
+    out_v = ((vm2 * P.deriv("T") + v0 * Q.deriv("T")).residue("X")
+             + mu.v * phi.deriv("T") * 2 + mu.v.deriv("T") * phi
+             + mu.a * psi.deriv("T"))
+    out_vm2 = (vm2 * P.deriv("X") * 2 + vm2.deriv("X") * P
+               - mu.a * Q.deriv("X") * c - v0.deriv("X") * Q
+               + (vm2 * phi).deriv("T"))
+    out_v0 = v0.deriv("X") * P - mu.a * P.deriv("X") * c + (v0 * phi).deriv("T")
+    out_a = (mu.a * phi).deriv("T")
+    return kacmoody.GDual(v=out_v, V=Symbol(R, {h(-2): out_vm2, h(0): out_v0}), a=out_a)
 
 
 # ---- test-only helpers ----------------------------------------------------------------------
