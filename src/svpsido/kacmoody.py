@@ -14,11 +14,15 @@ and W = sum g_b d^b the pairing is the bilinear residue sum
 
 read off coefficient by coefficient without composing the symbols.  A
 DualFamily files the monomials of a fixed list of points by slot and
-exponent once; pairing an element against all of them is then one walk
-over the element's monomials, each looked up in that index, and
+exponent once, as ints; pairing an element against all of them is then
+one walk over the element's monomials, each looked up in that index, and
 pairing(mu, A) is the one-point case.  The walk adds into a table of
 per-point sums that the caller owns, so two families can sum their terms
-into one table and a value is built only where the caller reads one.
+into one table.  The sums are int triples, left unreduced (after Monagan
+and Pearce: accumulate each output term, normalise late): the family's
+zero test reads them as they stand, and a value is reduced and built
+only where the caller reads one.  The walks over int triples are
+kernels of ring and psido, so this module reads no symbol's flat dict.
 
 Since j >= 0 needs b >= -1 - a, no order of W below -1 - top(V) is ever
 read.  A family records that bound over its points as its floor: W needs
@@ -52,12 +56,33 @@ Conventions fixed once:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 
 from .cocycles import CocycleId, eval_cocycle
 from .halfint import EXACT, h
-from .psido import R, XI, Symbol, binom_twice, bracket_transport, cap_order, sym_add, sym_sub
-from .ring import CoeffFn, GaussRat, I_HALF_OVER_M, M, TWO_I_M, coeff_from_table, mul_into
+from .psido import (
+    R,
+    XI,
+    Symbol,
+    bracket_transport,
+    cap_order,
+    file_symbol,
+    pair_symbol_into,
+    sym_add,
+    sym_sub,
+)
+from .ring import (
+    CoeffFn,
+    GaussRat,
+    I_HALF_OVER_M,
+    M,
+    TWO_I_M,
+    coeff_from_table,
+    file_terms,
+    mul_into,
+    pair_terms_into,
+    sum_is_zero,
+    sum_value,
+)
 from .svalgebra import SvElement, sv_bracket
 from .textio import coeff_str, symbol_str
 from . import transforms
@@ -230,17 +255,22 @@ class DualFamily:
     """A fixed list of dual points, indexed once for pairing in one pass.
 
     The monomials of every point are filed by slot (v, a, and each order
-    of V) under their (t, x) exponents, each with its M-power.  add_into
-    then walks the monomials of an element once and looks up, for each,
-    the point monomials it meets: the loop monomial t^p of w or alpha
-    meets t^(-1-p) of v or a, and the monomial t^p x^q of g_b meets the
-    t^(-1-p) x^(j-1-q) monomial of f_a, for j = a + b + 1 >= 0, with the
-    factor binom(a, j) times the falling factorial q(q-1)...(q-j+1) that
-    d_x^j puts on x^q.  The M-powers of the two monomials add, and each
-    product lands in a table point -> M-power -> coefficient that the
-    caller passes in, so several walks can sum into one table; pair_value
-    turns a row of it into the pairing value.  pair is one walk into a
-    fresh table plus that conversion for every point.
+    of V) under their (t, x) exponents as (point, M-power, a, b, d) ints,
+    the reduced triple of the coefficient (a + i*b)/d.  add_into then
+    walks the monomials of an element once and looks up, for each, the
+    point monomials it meets: the loop monomial t^p of w or alpha meets
+    t^(-1-p) of v or a (ring.pair_terms_into), and the monomial t^p x^q of
+    g_b meets the t^(-1-p) x^(j-1-q) monomial of f_a, for j = a + b + 1 >=
+    0, with the factor binom(a, j) times the falling factorial
+    q(q-1)...(q-j+1) that d_x^j puts on x^q, read as an int pair from the
+    composition's weight cache (psido.pair_symbol_into, which walks W's
+    flat dict).  The M-powers of the two monomials add, and each product
+    lands in a table point -> M-power -> (a, b, d) that the caller passes
+    in, so several walks can sum into one table.  The sums are int
+    triples left unreduced: is_zero tests a row for zero as it stands,
+    and pair_value reduces each coefficient of a row once, when its value
+    is printed or returned.  pair is one walk into a fresh table plus
+    that conversion for every point.
 
     floor is -1 - max top(V) over the points, or EXACT when no point has
     a V: orders of W below it never reach a trace, so it is the shallowest
@@ -258,36 +288,21 @@ class DualFamily:
         self._a: dict = {}
         orders: dict = {}  # twice the order of V -> index of its monomials
         for n, mu in enumerate(points):
-            for index, f in ((self._v, mu.v), (self._a, mu.a)):
-                _file(index, n, f.terms)
-            for at, f in mu.V.by_order().items():
-                _file(orders.setdefault(at, {}), n, f)
+            file_terms(self._v, n, mu.v.terms.items())
+            file_terms(self._a, n, mu.a.terms.items())
+            file_symbol(orders, n, mu.V)
         self._orders = list(orders.items())
 
     def add_into(self, A: GElement, sums: dict) -> None:
         """Add the pairing terms of every point against A into sums."""
-        for index, g in ((self._v, A.w), (self._a, A.alpha)):
-            for (p, q, e), d in g.terms.items():
-                for n, m, c in index.get((-1 - p, -q), ()):
-                    _collect(sums, n, m + e, c * d)
-        for bt, g in A.W.by_order().items():
-            for (p, q, e), d in g.items():
-                for at, index in self._orders:
-                    j = (at + bt) // 2 + 1  # orders on the space side are integers
-                    if j < 0:
-                        continue
-                    hits = index.get((-1 - p, j - 1 - q))
-                    if hits is None:
-                        continue
-                    coef = binom_twice(at, j)
-                    if coef.is_zero():
-                        continue
-                    ff = prod(range(q - j + 1, q + 1))
-                    if not ff:
-                        continue
-                    d_ff = d * (coef * ff)
-                    for n, m, c in hits:
-                        _collect(sums, n, m + e, c * d_ff)
+        pair_terms_into(sums, A.w.terms.items(), self._v)
+        pair_terms_into(sums, A.alpha.terms.items(), self._a)
+        pair_symbol_into(sums, A.W, self._orders)
+
+    @staticmethod
+    def is_zero(row: dict) -> bool:
+        """Whether a row of a table (M-power -> sum) pairs to zero."""
+        return sum_is_zero(row)
 
     def undetermined(self, A: GElement) -> list:
         """The points, in order, whose trace is not determined at A's
@@ -313,26 +328,9 @@ class DualFamily:
 
 
 def pair_value(row: dict) -> CoeffFn:
-    """The pairing value summed in one row (M-power -> coefficient) of a
-    DualFamily table."""
-    return CoeffFn({(0, 0, m): c for m, c in row.items()})
-
-
-def _file(index: dict, n: int, terms: dict) -> None:
-    """File the monomials {(t, x, M): GaussRat} of a slot of point n under
-    (t, x)."""
-    for (p, q, m), c in terms.items():
-        index.setdefault((p, q), []).append((n, m, c))
-
-
-def _collect(sums: dict, n: int, m: int, c: GaussRat) -> None:
-    """Add c*M^m to the running sum of point n."""
-    row = sums.get(n)
-    if row is None:
-        sums[n] = {m: c}
-        return
-    s = row.get(m)
-    row[m] = c if s is None else s + c
+    """The pairing value summed in one row (M-power -> sum) of a
+    DualFamily table, each coefficient reduced once."""
+    return sum_value(row)
 
 
 def pairing(mu: GDual, A: GElement) -> CoeffFn:

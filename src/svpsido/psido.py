@@ -17,9 +17,11 @@ this module, ring and transforms know the format; every other module
 reads a symbol through its accessors, which hand out GaussRat values:
 ``terms``, a read-only view of the same terms as order -> CoeffFn, built
 on its first read and kept, for printing and for callers that want whole
-coefficients; ``coeff``, which reads that view; ``by_order``, fresh
-per-order tables; and ``sole_term``.  A triple becomes a GaussRat only
-there, where a CoeffFn or a calculator monomial is built.
+coefficients; ``coeff``, which reads that view; and ``sole_term``.  A
+triple becomes a GaussRat only there, where a CoeffFn or a calculator
+monomial is built.  The dual pairing reads the dict through
+``file_symbol`` and ``pair_symbol_into``, which hand it to ring's trace
+pairing kernels and build no GaussRat.
 
 Composition uses the generalized Leibniz rule
 
@@ -61,8 +63,10 @@ from .ring import (
     GaussRat,
     add_triples,
     coeff_from_table,
+    file_flat,
     gauss_of,
     leibniz_rows,
+    trace_pairs_into,
     transport_into,
     triple_of,
 )
@@ -80,6 +84,8 @@ __all__ = [
     "sym_bracket",
     "bracket_transport",
     "adler_trace",
+    "file_symbol",
+    "pair_symbol_into",
     "differential_part",
     "cap_order",
     "eq_trusted",
@@ -172,22 +178,15 @@ class Symbol:
         meets them; built on the first read and kept."""
         view = self._view
         if view is None:
-            groups = self.by_order()
+            groups: dict = {}
+            for (o, p, q, m), v in self.flat.items():
+                g = groups.get(o)
+                if g is None:
+                    g = groups[o] = {}
+                g[(p, q, m)] = gauss_of(v)
             view = MappingProxyType({HalfInt(o): coeff_from_table(g) for o, g in groups.items()})
             _set_view(self, view)
         return view
-
-    def by_order(self) -> dict:
-        """Twice the order -> {(t, x, M): GaussRat}: the terms split by
-        order in one pass, orders as flat first meets them, in fresh dicts
-        the caller may keep."""
-        groups: dict = {}
-        for (o, p, q, m), v in self.flat.items():
-            g = groups.get(o)
-            if g is None:
-                g = groups[o] = {}
-            g[(p, q, m)] = gauss_of(v)
-        return groups
 
     def is_zero(self) -> bool:
         return not self.flat
@@ -436,6 +435,18 @@ def adler_trace(D: Symbol) -> CoeffFn:
         raise ValueError("trace not determined at this truncation")
     return coeff_from_table(
         {(p, 0, m): gauss_of(v) for (o, p, q, m), v in D.flat.items() if o == -2 and q == -1})
+
+
+def file_symbol(orders: dict, n: int, V: Symbol) -> None:
+    """File the terms of point n's symbol V into a trace pairing index,
+    from V's flat dict (ring.file_flat)."""
+    file_flat(orders, n, V.flat.items())
+
+
+def pair_symbol_into(sums: dict, W: Symbol, orders) -> None:
+    """Add the trace pairings of W's terms against a filed index into
+    sums, walking W's flat dict (ring.trace_pairs_into)."""
+    trace_pairs_into(sums, W.flat.items(), orders)
 
 
 def differential_part(D: Symbol) -> Symbol:

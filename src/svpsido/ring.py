@@ -40,15 +40,19 @@ cancellation.  Three kernels read and write such dicts directly, and
 normalise each sum inline with one gcd, building no GaussRat.  The Leibniz
 composition of symbols runs one loop, ``leibniz_rows``, over every pair of
 a left and a right term.  It weighs each pair of a left term and a right
-monomial x^q by binom(a, j) (q)_j, read from a module cache of reduced int
-pairs keyed by (2a, q) and folded with the product's sign into the right
-monomial, so a term costs one gcd and composition takes no derivative.
+monomial x^q by binom(a, j) (q)_j, read in place from a module cache of
+reduced int pairs keyed by (2a, q), with the product's sign folded into
+the left term, so a term costs one gcd and composition takes no derivative.
 Each pair's number of terms is fixed before its first term, from a, q and
 the floor; each term is added straight into the output dict.  The
 transform's monomial map and its deformed images shift a symbol's terms
 in order and scale them by an x-free monomial with ``scale_into``; the
 transport terms of the extended bracket, loop * d_t W, are added by
-``transport_into``.
+``transport_into``.  The dual pairing files its points' monomials as ints
+(``file_terms``, ``file_flat``) and sums the trace terms of an element
+into unreduced int triples (``pair_terms_into``, ``trace_pairs_into``,
+which reads the Leibniz weight cache); ``sum_is_zero`` tests a sum as it
+stands and ``sum_value`` reduces it once, when its value is read.
 
 Derivatives are term-wise monomial derivations and residues extract the
 coefficient of (variable)^-1, so res(d(f)) = 0 holds identically.  Every
@@ -71,7 +75,8 @@ from math import gcd
 __all__ = [
     "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M",
     "mul_into", "scale_into", "transport_into", "leibniz_rows", "residue_into", "triple_into",
-    "coeff_from_table", "triple_of", "gauss_of", "add_triples",
+    "coeff_from_table", "triple_of", "gauss_of", "add_triples", "file_terms", "file_flat",
+    "pair_terms_into", "trace_pairs_into", "sum_value", "sum_is_zero",
 ]
 
 _new = object.__new__
@@ -598,7 +603,8 @@ def transport_into(acc: dict, loop, items, low) -> None:
 
 
 # binom(a, j) (q)_j for j = 0, 1, ... as reduced (numerator, denominator)
-# int pairs, keyed by (2a, q) and grown on demand by _weights.
+# int pairs, keyed by (2a, q) and grown on demand by _weights; the one
+# weight cache of composition and of the trace pairing.
 _WEIGHTS: dict = {}
 
 
@@ -606,8 +612,10 @@ def _weights(at: int, q: int, n: int) -> list:
     """The cached weights of (at, q), grown to at least n entries.
 
     Each step multiplies by (a - j + 1)(q - j + 1)/j, that is by
-    (2a - 2j + 2)(q - j + 1)/(2j), and reduces by one gcd.  leibniz_rows
-    reads no entry at or past the first zero weight.
+    (2a - 2j + 2)(q - j + 1)/(2j), and reduces by one gcd, so every entry
+    from the first zero weight on is (0, 1).  leibniz_rows reads no entry
+    at or past the first zero weight; trace_pairs_into reads one entry per
+    hit and skips a zero.
     """
     ws = _WEIGHTS.get((at, q))
     if ws is None:
@@ -630,10 +638,11 @@ def leibniz_rows(acc: dict, f: dict, g: dict, low, sign: int = 1) -> bool:
     f, g and acc are flat symbol dicts {(twice the order, t, x, M):
     (a, b, d)}.  On a right monomial v x^q the j-th Leibniz term is
     binom(a, j) (q)_j v x^(q-j) f, so no derivative is taken: the weight
-    binom(a, j) (q)_j is read from a module cache of reduced int pairs
-    keyed by (2a, q) and folded, with the sign, into the right monomial,
-    whose product with the left term is then added and reduced with one
-    gcd, as in scale_into.
+    binom(a, j) (q)_j is read in place from the module cache of reduced
+    int pairs keyed by (2a, q), with no copy of the pair's entries, and
+    scales the product of the two terms, which is then added and reduced
+    with one gcd, as in scale_into.  The sign is folded into each left
+    term once, so the right operand is read as it is stored.
 
     The number of terms of a pair is fixed before its first term: they
     end at the first zero weight (a nonnegative integer a, or q, runs out)
@@ -644,13 +653,15 @@ def leibniz_rows(acc: dict, f: dict, g: dict, low, sign: int = 1) -> bool:
     is added.
     """
     cut = False
-    weights = _WEIGHTS
     get = acc.get
-    right = [(bt, p2, q, m2, a * sign, b * sign, d) for (bt, p2, q, m2), (a, b, d) in g.items()]
+    right = g.items()
     for (at, p1, q1, m1), (a1, b1, d1) in f.items():
+        if sign < 0:
+            a1 = -a1
+            b1 = -b1
         # binom(a, j) vanishes from j = a + 1 on for a nonnegative integer a
         n_a = at // 2 + 1 if at >= 0 and not at & 1 else None
-        for bt, p2, q, m2, a2, b2, d2 in right:
+        for (bt, p2, q, m2), (a2, b2, d2) in right:
             order = at + bt
             if low is not None and order < low:
                 cut = True
@@ -666,21 +677,24 @@ def leibniz_rows(acc: dict, f: dict, g: dict, low, sign: int = 1) -> bool:
                 raise ValueError(
                     "exact product requested but the Leibniz tail does not terminate"
                 )
-            ws = weights.get((at, q))
+            ws = _WEIGHTS.get((at, q))
             if ws is None or len(ws) < n:
                 ws = _weights(at, q, n)
-            ws = ws[:n]
             p = p1 + p2
             m = m1 + m2
             # the pair's product, which each weight then scales; the first
-            # term lands at order at + bt and x-power q1 + q
+            # term lands at order at + bt and x-power q1 + q, and the n-th
+            # at x-power stop + 1
             pa = a1 * a2 - b1 * b2
             pb = a1 * b2 + b1 * a2
             pd = d1 * d2
             x = q1 + q + 1
+            stop = x - n - 1
             order += 2
             for num, den in ws:
                 x -= 1
+                if x == stop:
+                    break
                 order -= 2
                 k = (order, p, x, m)
                 a = pa * num
@@ -702,6 +716,110 @@ def leibniz_rows(acc: dict, f: dict, g: dict, low, sign: int = 1) -> bool:
                 r = gcd(a, b, d)
                 acc[k] = (a, b, d) if r == 1 else (a // r, b // r, d // r)
     return cut
+
+
+# ---- trace pairing sums ----------------------------------------------------------------
+#
+# A pairing index files the monomials of a list of points under their
+# (t, x) exponents as (point, M-power, a, b, d) ints; the kernels below add
+# each pairing term into a table point -> M-power -> (a, b, d), an int
+# triple that is left unreduced: most sums are only tested for zero, and
+# sum_value reduces a row when its value is read.
+
+
+def file_terms(index: dict, n: int, items) -> None:
+    """File the term items {(t, x, M): GaussRat} of a CoeffFn slot of
+    point n under (t, x)."""
+    for (p, q, m), v in items:
+        index.setdefault((p, q), []).append((n, m, v._a, v._b, v._d))
+
+
+def file_flat(orders: dict, n: int, items) -> None:
+    """File the (key, triple) pairs of point n's flat symbol dict by twice
+    the order, then under (t, x)."""
+    for (o, p, q, m), (a, b, d) in items:
+        index = orders.get(o)
+        if index is None:
+            index = orders[o] = {}
+        index.setdefault((p, q), []).append((n, m, a, b, d))
+
+
+def _sum_into(sums: dict, n: int, m: int, a: int, b: int, d: int) -> None:
+    """Add (a + i*b)/d M^m to the sum of point n, over the common
+    denominator and with no gcd."""
+    row = sums.get(n)
+    if row is None:
+        sums[n] = {m: (a, b, d)}
+        return
+    s = row.get(m)
+    if s is None:
+        row[m] = (a, b, d)
+        return
+    sa, sb, e = s
+    if e == d:
+        row[m] = (sa + a, sb + b, d)
+    else:
+        row[m] = (sa * d + a * e, sb * d + b * e, e * d)
+
+
+def pair_terms_into(sums: dict, items, index: dict) -> None:
+    """Add [t^-1](f v) for every filed loop value v into sums, f given by
+    its term items; both are x-free, so t^p meets t^(-1-p)."""
+    for (p, q, e), v in items:
+        hits = index.get((-1 - p, -q))
+        if hits is None:
+            continue
+        a2, b2, d2 = v._a, v._b, v._d
+        for n, m, a1, b1, d1 in hits:
+            _sum_into(sums, n, m + e, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+
+
+def trace_pairs_into(sums: dict, items, orders) -> None:
+    """Add [t^-1 x^-1](f_a d_x^j g_b) binom(a, j), for j = a + b + 1 >= 0,
+    into sums for every filed order a of the points and every term of
+    W = sum g_b d^b.
+
+    items are the (key, triple) pairs of W's flat dict and orders the
+    (twice the order, index) pairs of the points' symbols.  The monomial
+    t^p x^q M^e d^b of W meets the t^(-1-p) x^(j-1-q) monomials of f_a,
+    weighed by binom(a, j) (q)_j, which d_x^j puts on x^q; that weight is
+    read from the cache that leibniz_rows reads.
+    """
+    for (bt, p, q, e), (a2, b2, d2) in items:
+        tp = -1 - p
+        for at, index in orders:
+            j = (at + bt) // 2 + 1  # orders on the space side are integers
+            if j < 0:
+                continue
+            hits = index.get((tp, j - 1 - q))
+            if hits is None:
+                continue
+            ws = _WEIGHTS.get((at, q))
+            if ws is None or len(ws) <= j:
+                ws = _weights(at, q, j + 1)
+            num, den = ws[j]
+            if not num:
+                continue
+            wa = a2 * num
+            wb = b2 * num
+            wd = d2 * den
+            for n, m, a1, b1, d1 in hits:
+                _sum_into(sums, n, m + e, a1 * wa - b1 * wb, a1 * wb + b1 * wa, d1 * wd)
+
+
+def sum_value(row: dict) -> CoeffFn:
+    """The x-free value sum c M^m of a row M-power -> unreduced triple,
+    each coefficient reduced with one gcd and each zero dropped."""
+    terms = {}
+    for m, (a, b, d) in row.items():
+        if a or b:
+            terms[(0, 0, m)] = _gauss(a, b, d)
+    return _coeff_raw(terms)
+
+
+def sum_is_zero(row: dict) -> bool:
+    """Whether every unreduced triple of a row is zero."""
+    return not any(a or b for a, b, _ in row.values())
 
 
 def residue_into(acc: dict, f_items, g_items, n: int, sign: int) -> None:

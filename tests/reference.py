@@ -11,7 +11,7 @@ import functools
 import re
 import sys
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, prod
 
 from svpsido import kacmoody, textio
 from svpsido import transforms as tr
@@ -33,6 +33,7 @@ from svpsido.psido import (
     _check_var,
     _hi,
     binom_half,
+    binom_twice,
     sym_add,
     sym_bracket,
     sym_mul,
@@ -716,6 +717,66 @@ def reference_coadjoint(X, mu, c):
     if not out_v0.is_zero():
         terms[h(0)] = out_v0
     return kacmoody.GDual(out_v, Symbol(R, terms), out_a)
+
+
+# ---- the dual pairing, one GaussRat per term -------------------------------------------------
+
+
+def gauss_family_pair(points, A) -> list:
+    """Reference for kacmoody.DualFamily.pair: GaussRat index, per-term products and running sums."""
+    # each point's slots filed under (t, x) from the CoeffFns of the terms
+    # view; every product, weight and running sum is a GaussRat, and a
+    # row becomes its value through the CoeffFn constructor, which drops
+    # the zeros; a point is undetermined when W.floor + top(V) > -1
+    tops = [mu.V.top() for mu in points]
+    v_index: dict = {}
+    a_index: dict = {}
+    orders: dict = {}
+
+    def file(index, n, terms):
+        for (p, q, m), c in terms.items():
+            index.setdefault((p, q), []).append((n, m, c))
+
+    for n, mu in enumerate(points):
+        file(v_index, n, mu.v.terms)
+        file(a_index, n, mu.a.terms)
+        for k, f in mu.V.terms.items():
+            file(orders.setdefault(k.twice, {}), n, f.terms)
+    sums: dict = {}
+
+    def collect(n, m, c):
+        row = sums.setdefault(n, {})
+        row[m] = row[m] + c if m in row else c
+
+    for index, g in ((v_index, A.w), (a_index, A.alpha)):
+        for (p, q, e), d in g.terms.items():
+            for n, m, c in index.get((-1 - p, -q), ()):
+                collect(n, m + e, c * d)
+    for b, g in A.W.terms.items():
+        bt = b.twice
+        for (p, q, e), d in g.terms.items():
+            for at, index in orders.items():
+                j = (at + bt) // 2 + 1
+                if j < 0:
+                    continue
+                hits = index.get((-1 - p, j - 1 - q))
+                if hits is None:
+                    continue
+                coef = binom_twice(at, j)
+                ff = prod(range(q - j + 1, q + 1))
+                if coef.is_zero() or not ff:
+                    continue
+                d_ff = d * (coef * ff)
+                for n, m, c in hits:
+                    collect(n, m + e, c * d_ff)
+    out = [CoeffFn.zero()] * len(points)
+    for n, row in sums.items():
+        out[n] = CoeffFn({(0, 0, m): c for m, c in row.items()})
+    floor = A.W.floor
+    for n, top in enumerate(tops):
+        if floor is not EXACT and top is not None and floor + top > h(-1):
+            out[n] = None
+    return out
 
 
 # ---- the Poisson layer, dispatched over class parts ----------------------------------------

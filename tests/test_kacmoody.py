@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from reference import (
     coadjoint_duality_defect,
+    gauss_family_pair,
     npoint,
     quotient_nullity_defect,
     reference_coadjoint,
@@ -34,6 +35,7 @@ from svpsido.kacmoody import (
     embed_momentum_symbol,
     g_bracket,
     in_invariant_slice,
+    pair_value,
     pairing,
 )
 from svpsido.psido import (
@@ -278,6 +280,70 @@ def test_family_pairs_every_point_like_the_composed_trace(points, A):
             assert value is None
         else:
             assert value == want
+
+
+# three pairing terms with denominators 3, 4 and 6 that cancel exactly: the
+# central slot gives 1/3, W's order -1 term 1/4 * (2)_1 = 1/2 and its order
+# -2 term -5/6, all on the point's x^-2 d monomial or its a slot
+_CANCELLING = (
+    [GDual(V=Symbol(R, {h(1): CoeffFn.x_pow(-2)}), a=CoeffFn.one())],
+    GElement(W=Symbol(R, {h(-1): CoeffFn.mono(-1, 2, Fraction(1, 4)),
+                          h(-2): CoeffFn.mono(-1, 1, Fraction(-5, 6))}),
+             alpha=CoeffFn.t_pow(-1, Fraction(1, 3))),
+)
+
+
+@given(dual_families, elements)
+@example(*_CANCELLING)
+@example(
+    # Gaussian coefficients on the M-powers 0 (from W) and 1 (from alpha)
+    [npoint(vm2=CoeffFn.const(GaussRat(Fraction(1, 2), 1)) * M,
+            a=CoeffFn.t_pow(1, GaussRat(Fraction(3, 5), Fraction(-2, 5))) * M2)],
+    GElement(W=Symbol(R, {h(1): CoeffFn.mono(-1, -1, GaussRat(2, Fraction(-1, 3))) * M ** -1}),
+             alpha=CoeffFn.t_pow(-2, Fraction(1, 7)) * M ** -1),
+)
+@example(
+    # floor -1 leaves the order 1 point undetermined and pairs the others
+    [npoint(vm2=CoeffFn.one()), GDual(V=Symbol(R, {h(1): CoeffFn.x_pow(-2)})),
+     npoint(a=CoeffFn.one())],
+    GElement(W=Symbol(R, {h(1): CoeffFn.mono(-1, -1), h(-1): CoeffFn.mono(-1, 2)}, h(-1)),
+             alpha=CoeffFn.t_pow(-1)),
+)
+@settings(max_examples=150, deadline=None)
+def test_family_pairs_every_point_like_the_gauss_walk(points, A):
+    family = DualFamily(points)
+    want = gauss_family_pair(points, A)
+    assert family.pair(A) == want
+    sums: dict = {}
+    family.add_into(A, sums)
+    for n, row in sums.items():
+        value = pair_value(row)
+        assert family.is_zero(row) == value.is_zero()
+        if want[n] is not None:
+            assert value == want[n]
+
+
+def test_sums_over_different_denominators_test_zero():
+    points, A = _CANCELLING
+    family = DualFamily(points)
+    sums: dict = {}
+    family.add_into(A, sums)
+    assert list(sums) == [0]
+    assert family.is_zero(sums[0])
+    assert pair_value(sums[0]).is_zero()
+    assert family.pair(A) == gauss_family_pair(points, A) == [CoeffFn.zero()]
+    # the central slot alone does not cancel
+    partial: dict = {}
+    family.add_into(GElement(alpha=A.alpha), partial)
+    assert not family.is_zero(partial[0])
+    assert pair_value(partial[0]) == CoeffFn.const(Fraction(1, 3))
+    # nor does a sum whose real parts cancel and whose imaginary part stays
+    imaginary = GElement(W=A.W, alpha=CoeffFn.t_pow(-1, GaussRat(Fraction(1, 3), 1)))
+    sums = {}
+    family.add_into(imaginary, sums)
+    assert not family.is_zero(sums[0])
+    assert pair_value(sums[0]) == CoeffFn.const(GaussRat(0, 1))
+    assert family.pair(imaginary) == gauss_family_pair(points, imaginary)
 
 
 @pytest.mark.parametrize(

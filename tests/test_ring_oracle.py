@@ -635,6 +635,83 @@ def test_a_bracket_raises_on_its_second_product():
     assert str(exc.value) == TAIL_MESSAGE
 
 
+def _negated(flat: dict) -> dict:
+    return {k: (-a, -b, d) for k, (a, b, d) in flat.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_side, kernel_side, st.one_of(st.none(), st.integers(-24, 8)))
+def test_leibniz_rows_with_sign_minus_one_negates_the_plus_one_sum(left, right, low):
+    f, g = Symbol(XI, left).flat, Symbol(XI, right).flat
+    plus, minus = {}, {}
+    try:
+        cut = ring.leibniz_rows(plus, f, g, low)
+    except ValueError as exc:
+        assert low is None and str(exc) == TAIL_MESSAGE
+        with pytest.raises(ValueError) as again:
+            ring.leibniz_rows(minus, f, g, low, -1)
+        assert str(again.value) == TAIL_MESSAGE
+        return
+    assert ring.leibniz_rows(minus, f, g, low, -1) == cut
+    assert list(minus.items()) == list(_negated(plus).items())
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_tail_that_does_not_end_raises_before_any_term_is_added(sign):
+    # order -1 against x^-1 never ends; the terminating pair after it in
+    # the right dict must not be reached, and acc keeps what it held
+    f = {(-2, 0, 1, 0): (1, 0, 1)}
+    g = {(0, 1, -1, 0): (2, 1, 3), (0, 0, 2, 0): (1, 0, 1)}
+    acc = {(0, 1, 0, 0): (5, 0, 7)}
+    with pytest.raises(ValueError) as exc:
+        ring.leibniz_rows(acc, f, g, None, sign)
+    assert str(exc.value) == TAIL_MESSAGE
+    assert acc == {(0, 1, 0, 0): (5, 0, 7)}
+
+
+def _recurrence(at: int, q: int, n: int) -> list:
+    """binom(a, j) (q)_j for j < n as Fractions, a = at/2, step by step."""
+    ws = [F(1)]
+    for j in range(1, n):
+        ws.append(ws[-1] * F(at - 2 * j + 2, 2 * j) * (q - j + 1))
+    return ws
+
+
+@pytest.mark.parametrize("at", [4, 3, 0, -1, -4])
+@pytest.mark.parametrize("q", [3, 0, -2])
+@pytest.mark.parametrize("grown", [False, True], ids=["cold cache", "cache grown past the pair"])
+def test_every_weight_read_is_the_recurrence_prefix(at, q, grown):
+    # a unit left term d^(at/2) and a unit right monomial x^q: the j-th
+    # term of the pair is its weight at order at/2 - j and x-power q - j
+    low = at - 10
+    n = min(filter(None, [at // 2 + 1 if at >= 0 and at % 2 == 0 else None,
+                          q + 1 if q >= 0 else None, (at - low) // 2 + 1]))
+    key = (at, q)
+    saved = ring._WEIGHTS.pop(key, None)
+    try:
+        if grown:
+            ring._weights(at, q, n + 4)
+        acc = {}
+        ring.leibniz_rows(acc, {(at, 0, 0, 0): (1, 0, 1)}, {(0, 0, q, 0): (1, 0, 1)}, low)
+        want = _recurrence(at, q, n)
+        read = [F(a, d) for (_, _, _, _), (a, b, d) in sorted(acc.items(), reverse=True)]
+        assert [k[0] for k in sorted(acc, reverse=True)] == [at - 2 * j for j, w in enumerate(want) if w]
+        assert read == [w for w in want if w]
+        assert ring._WEIGHTS[key][:n] == [(w.numerator, w.denominator) for w in want]
+        # the trace pairing reads the same cache, one entry per hit
+        for j, w in enumerate(_recurrence(at, q, n + 4)):
+            sums = {}
+            orders = {}
+            ring.file_flat(orders, 0, {(at, 0, j - 1 - q, 0): (1, 0, 1)}.items())
+            bt = 2 * (j - 1) - at
+            ring.trace_pairs_into(sums, {(bt, -1, q, 0): (1, 0, 1)}.items(), list(orders.items()))
+            assert ring.sum_value(sums.get(0, {})) == CoeffFn.const(w)
+    finally:
+        ring._WEIGHTS.pop(key, None)
+        if saved is not None:
+            ring._WEIGHTS[key] = saved
+
+
 # ---- the central cocycles against sympy's derivative, product and residue ----------------
 
 

@@ -8,6 +8,7 @@ directly so the bookkeeping paths are exercised without burning time
 on real algebra.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -427,6 +428,60 @@ class TestSharedTables:
             mp.setattr(poisson, "variational_derivative", counted)
 
         assert 0 < self._case_calls("poisson-lemma71", wrap_in) <= 200
+
+    @staticmethod
+    def _moment_cases(cfg):
+        """((lift, point) index pair, case) of each moment pairing case."""
+        cases = [case for case in _SUITE_BUILDERS["poisson-lemma71"](cfg)
+                 if case[0].startswith("moment pairing: ")]
+        n_points = len(suites._slice_points(cfg.index_range))
+        assert len(cases) == len(suites._labeled_basis(cfg.index_range)) * n_points
+        return [(divmod(k, n_points), case) for k, case in enumerate(cases)]
+
+    def test_moment_pairings_read_the_one_point_pairing(self, monkeypatch):
+        # with a value that matches no pairing in place of the functional,
+        # every case fails and prints its pairing-table entry
+        from svpsido.kacmoody import embed_I, pairing
+
+        cfg = VerifyConfig(index_range=2, threads=1)
+        far = CoeffFn.const(10 ** 9)
+        monkeypatch.setattr(suites, "evaluate", lambda functional, mu: far)
+        points = suites._slice_points(2)
+        lifts = [embed_I(X, cfg.floor) for _, X in suites._labeled_basis(2)]
+        for (i, m), case in self._moment_cases(cfg):
+            want = suites._fmt_scalar(cfg, pairing(points[m][1], lifts[i]))
+            assert _call(case) == (suites._fmt_scalar(cfg, far), want), case[0]
+
+    def test_a_lift_too_shallow_for_a_point_fails_as_the_one_point_pairing_does(self, monkeypatch):
+        # lifts built at floor 0 leave the trace against every point with
+        # a V_0 slot undetermined
+        from svpsido.kacmoody import embed_I, pairing
+        from svpsido.poisson import evaluate, lemma71_functional
+
+        monkeypatch.setattr(suites, "embed_I", lambda X, F, nu=None: embed_I(X, h(0), nu=nu))
+        cfg = VerifyConfig(index_range=2, threads=1)
+        scalar = functools.partial(suites._fmt_scalar, cfg)
+        points = suites._slice_points(2)
+        basis = suites._labeled_basis(2)
+        raised = 0
+        for (i, m), case in self._moment_cases(cfg):
+            mu = points[m][1]
+            try:
+                value = pairing(mu, embed_I(basis[i][1], h(0)))
+            except ValueError as exc:
+                want = (f"raised ValueError: {exc}", "a finished check")
+                raised += 1
+            else:
+                value_at = evaluate(lemma71_functional(basis[i][1]), mu)
+                want = None if value_at == value else (scalar(value_at), scalar(value))
+            assert _call(case) == want, case[0]
+        # lifts whose W stays exact pair every point
+        assert 0 < raised < len(basis) * len(points)
+        (rep,) = run_suites(["poisson-lemma71"], cfg)
+        first = rep.failures[0]
+        assert first.inputs.startswith("moment pairing: ")
+        assert first.lhs == "raised ValueError: trace not determined at this truncation"
+        assert first.rhs == "a finished check"
 
     def test_poisson_product_count_does_not_follow_the_hash_seed(self):
         # field names are strings: a walk over a set of jets sums in an
