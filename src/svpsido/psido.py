@@ -12,7 +12,9 @@ A symbol stores its terms in one flat dict, ``flat``, from an int monomial
 gcd(a, b, d) = 1, and nothing below the floor, after sympy's
 ``PolyElement`` over ``ZZ_I`` and the packed exponent vectors of Monagan
 and Pearce.  Composition, the transform, equality and the linear
-operations read and write that dict directly, as plain int data.  Only
+operations read and write that dict directly, as plain int data: the
+kernels add into a fresh dict unreduced, and ``symbol_from_flat``, the
+one wrap of their results, reduces it once per entry.  Only
 this module, ring and transforms know the format; every other module
 reads a symbol through its accessors, which hand out GaussRat values:
 ``terms``, a read-only view of the same terms as order -> CoeffFn, built
@@ -32,7 +34,8 @@ On a monomial g = v x^q the j-th derivative is (q)_j v x^(q-j), with
 (q)_j the falling factorial, so no derivative is ever taken:
 ring.leibniz_rows runs one loop over pairs of a left and a right term,
 reads the weight binom(a, j) (q)_j from a cache of reduced int pairs, and
-adds every term into the one flat dict of the result.
+adds every term, unreduced, into the one flat dict of the result, which
+symbol_from_flat reduces once per entry when it wraps it.
 For nonnegative integer a, or for g polynomial in x, the sum terminates by
 itself; otherwise it is an honest infinite tail and must be cut, which the
 floor records.
@@ -61,11 +64,12 @@ from .halfint import EXACT, HalfInt, h, hmax
 from .ring import (
     CoeffFn,
     GaussRat,
-    add_triples,
     coeff_from_table,
     file_flat,
     gauss_of,
     leibniz_rows,
+    reduce_flat,
+    scale_into,
     trace_pairs_into,
     transport_into,
     triple_of,
@@ -247,12 +251,10 @@ _set_view = Symbol.__dict__["_view"].__set__
 
 
 def symbol_from_flat(var: str, flat: dict, floor) -> Symbol:
-    """Wrap a flat dict of nonzero values as a Symbol, dropping the orders
-    below floor; the dict is kept, not copied, when nothing lies below."""
-    if floor is not EXACT:
-        low = floor.twice
-        if any(k[0] < low for k in flat):
-            flat = {k: v for k, v in flat.items() if k[0] >= low}
+    """Wrap a flat dict that the kernels filled as a Symbol, reducing it in
+    place (ring.reduce_flat): one gcd per entry, zeros and the orders
+    below floor dropped.  Every kernel result is wrapped here."""
+    reduce_flat(flat, None if floor is EXACT else floor.twice)
     return Symbol._raw(var, flat, floor)
 
 
@@ -266,31 +268,13 @@ def _floor_eq(a, b) -> bool:
 
 
 def _linear(A: Symbol, B: Symbol, negate: bool) -> Symbol:
-    """A + B, or A - B when negate, term by term; orders below the larger
-    floor are dropped and a zero symbol's floor still counts."""
+    """A + B, or A - B when negate, term by term into a copy of A's dict
+    (ring.scale_into); orders below the larger floor are dropped and a zero
+    symbol's floor still counts."""
     _check_var(A, B)
-    floor = hmax(A.floor, B.floor)
-    if floor is EXACT:
-        low = None
-        out = dict(A.flat)
-    else:
-        low = floor.twice
-        out = {k: v for k, v in A.flat.items() if k[0] >= low}
-    for k, v in B.flat.items():
-        if low is not None and k[0] < low:
-            continue
-        if negate:
-            v = (-v[0], -v[1], v[2])
-        s = out.get(k)
-        if s is None:
-            out[k] = v
-            continue
-        s = add_triples(s, v)
-        if s is None:
-            del out[k]
-        else:
-            out[k] = s
-    return Symbol._raw(A.var, out, floor)
+    out = dict(A.flat)
+    scale_into(out, B.flat.items(), 0, 0, 0, (-1, 0, 1) if negate else (1, 0, 1))
+    return symbol_from_flat(A.var, out, hmax(A.floor, B.floor))
 
 
 def sym_add(A: Symbol, B: Symbol) -> Symbol:
@@ -349,13 +333,14 @@ def sym_mul(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
     the single product (A, B, +1).
     """
     flat, floor = compose_flat(A, B, ((A, B, 1),), req_floor)
-    return Symbol._raw(A.var, flat, floor)
+    return symbol_from_flat(A.var, flat, floor)
 
 
 def compose_flat(A: Symbol, B: Symbol, products, req_floor):
     """The flat dict and the floor of the sum of sign * (left o right) over
     (left, right, sign) products of the operands A and B, e.g. A o B and
-    -(B o A), so a caller can add terms of its own before wrapping.
+    -(B o A), so a caller can add terms of its own before wrapping.  The
+    dict's values are unreduced; symbol_from_flat reduces them.
 
     The floor bound is symmetric in A and B, so one bound serves every
     product.  One ring.leibniz_rows call per product adds every Leibniz
@@ -399,7 +384,7 @@ def sym_bracket(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
     exact and neither product was cut, and a tail that does not terminate
     in either order raises as in sym_mul."""
     flat, floor = compose_flat(A, B, ((A, B, 1), (B, A, -1)), req_floor)
-    return Symbol._raw(A.var, flat, floor)
+    return symbol_from_flat(A.var, flat, floor)
 
 
 def bracket_transport(A: Symbol, B: Symbol, f_items, g_items, req_floor) -> Symbol:
@@ -407,20 +392,18 @@ def bracket_transport(A: Symbol, B: Symbol, f_items, g_items, req_floor) -> Symb
     items, as the symbol slot of the extended bracket takes it.
 
     The bracket's flat dict (compose_flat) takes the transport terms
-    (ring.transport_into); they are never cut, but orders below the
-    result floor are dropped.  That floor is the bracket's (EXACT only when
-    nothing was cut) raised to the floor of each operand: a term scaled by
-    a zero loop is a zero that keeps its floor.  The bracket is asked for
-    that raised floor, so its kernel adds nothing below it.
+    (ring.transport_into); they are never cut, but symbol_from_flat drops
+    the orders below the result floor.  That floor is the bracket's (EXACT
+    only when nothing was cut) raised to the floor of each operand: a term
+    scaled by a zero loop is a zero that keeps its floor.  The bracket is
+    asked for that raised floor, so its kernel adds nothing below it.
     """
     raised = hmax(A.floor, B.floor)
     flat, floor = compose_flat(A, B, ((A, B, 1), (B, A, -1)), hmax(h(req_floor), raised))
-    floor = hmax(floor, raised)
-    low = None if floor is EXACT else floor.twice
     for loop, other in ((f_items, B), (g_items, A)):
         if loop:
-            transport_into(flat, loop, other.flat.items(), low)
-    return Symbol._raw(A.var, flat, floor)
+            transport_into(flat, loop, other.flat.items())
+    return symbol_from_flat(A.var, flat, hmax(floor, raised))
 
 
 # ---- trace, projections -------------------------------------------------------------------

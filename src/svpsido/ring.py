@@ -35,24 +35,27 @@ to the reduced int triple (a, b, d) of a nonzero GaussRat (psido.Symbol.flat):
 d > 0, gcd(a, b, d) = 1 and (a, b) != (0, 0), so equal values have equal
 triples and the dicts compare as plain int data.  This format is known to
 three modules only: this one, psido and transforms.  ``triple_of`` and
-``gauss_of`` convert one value each way, and ``add_triples`` sums two with
-cancellation.  Three kernels read and write such dicts directly, and
-normalise each sum inline with one gcd, building no GaussRat.  The Leibniz
-composition of symbols runs one loop, ``leibniz_rows``, over every pair of
-a left and a right term.  It weighs each pair of a left term and a right
-monomial x^q by binom(a, j) (q)_j, read in place from a module cache of
-reduced int pairs keyed by (2a, q), with the product's sign folded into
-the left term, so a term costs one gcd and composition takes no derivative.
-Each pair's number of terms is fixed before its first term, from a, q and
-the floor; each term is added straight into the output dict.  The
-transform's monomial map and its deformed images shift a symbol's terms
-in order and scale them by an x-free monomial with ``scale_into``; the
-transport terms of the extended bracket, loop * d_t W, are added by
-``transport_into``.  The dual pairing files its points' monomials as ints
-(``file_terms``, ``file_flat``) and sums the trace terms of an element
-into unreduced int triples (``pair_terms_into``, ``trace_pairs_into``,
-which reads the Leibniz weight cache); ``sum_is_zero`` tests a sum as it
-stands and ``sum_value`` reduces it once, when its value is read.
+``gauss_of`` convert one value each way.  Three kernels add into such a
+dict over a common denominator, building no GaussRat: they take no gcd and
+keep an entry that cancels, so every sum is accumulated first and
+normalised late, after Monagan and Pearce.  ``reduce_flat`` then reduces
+the filled dict once, one gcd per entry, dropping zeros and the orders
+below the floor.  The Leibniz composition of symbols runs one loop,
+``leibniz_rows``, over every pair of a left and a right term.  It weighs
+each pair of a left term and a right monomial x^q by binom(a, j) (q)_j,
+read in place from a module cache of reduced int pairs keyed by (2a, q),
+with the product's sign folded into the left term, so composition takes
+no derivative.  Each pair's number of terms is fixed before its first
+term, from a, q and the floor; each term is added straight into the
+output dict.  The transform's monomial map and its deformed images shift a
+symbol's terms in order and scale them by an x-free monomial with
+``scale_into``; the transport terms of the extended bracket, loop * d_t W,
+are added by ``transport_into``.  The dual pairing files its points'
+monomials as ints (``file_terms``, ``file_flat``) and sums the trace terms
+of an element into unreduced int triples (``pair_terms_into``,
+``trace_pairs_into``, which reads the Leibniz weight cache);
+``sum_is_zero`` tests a sum as it stands and ``sum_value`` reduces it once,
+when its value is read.
 
 Derivatives are term-wise monomial derivations and residues extract the
 coefficient of (variable)^-1, so res(d(f)) = 0 holds identically.  Every
@@ -75,7 +78,7 @@ from math import gcd
 __all__ = [
     "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M",
     "mul_into", "scale_into", "transport_into", "leibniz_rows", "residue_into", "triple_into",
-    "coeff_from_table", "triple_of", "gauss_of", "add_triples", "file_terms", "file_flat",
+    "coeff_from_table", "triple_of", "gauss_of", "reduce_flat", "file_terms", "file_flat",
     "pair_terms_into", "trace_pairs_into", "sum_value", "sum_is_zero",
 ]
 
@@ -264,24 +267,6 @@ def gauss_of(t: tuple) -> GaussRat:
     out = _new(GaussRat)
     out._a, out._b, out._d = t
     return out
-
-
-def add_triples(s: tuple, t: tuple):
-    """The reduced triple of the sum of two reduced triples, or None when
-    they cancel."""
-    a, b, d = t
-    sa, sb, e = s
-    if e == d:
-        a += sa
-        b += sb
-    else:
-        a = a * e + sa * d
-        b = b * e + sb * d
-        d *= e
-    if not (a or b):
-        return None
-    g = gcd(a, b, d)
-    return (a, b, d) if g == 1 else (a // g, b // g, d // g)
 
 
 class CoeffFn:
@@ -555,13 +540,14 @@ def mul_into(acc: dict, f_items, g_items) -> None:
 def scale_into(acc: dict, items, dt: int, p2: int, m2: int, g: tuple) -> None:
     """Add g t^p2 M^m2 times every term of items, shifted by dt
     twice-orders, into acc, a flat symbol dict
-    {(twice the order, t, x, M): (a, b, d)}.
+    {(twice the order, t, x, M): (a, b, d)} that reduce_flat reduces once
+    it is filled.
 
     items are (key, triple) pairs of a flat symbol dict, whose triples need
     not be reduced, and g is an int triple.  The factor is free of x, so it
     commutes with every derivative and each term maps to one term.  Each
-    product is added and reduced with one gcd, and a monomial that cancels
-    leaves acc.
+    product is added over the common denominator, with no gcd, and a
+    monomial that cancels stays in acc as a zero.
     """
     a2, b2, d2 = g
     get = acc.get
@@ -571,35 +557,43 @@ def scale_into(acc: dict, items, dt: int, p2: int, m2: int, g: tuple) -> None:
         b = a1 * b2 + b1 * a2
         d = d1 * d2
         s = get(k)
-        if s is not None:
-            sa, sb, e = s
-            if e == d:
-                a += sa
-                b += sb
-            else:
-                a = a * e + sa * d
-                b = b * e + sb * d
-                d *= e
-            if not (a or b):
-                del acc[k]
-                continue
-        r = gcd(a, b, d)
-        acc[k] = (a, b, d) if r == 1 else (a // r, b // r, d // r)
+        if s is None:
+            acc[k] = (a, b, d)
+            continue
+        sa, sb, e = s
+        if e == d:
+            acc[k] = (a + sa, b + sb, d)
+        else:
+            acc[k] = (a * e + sa * d, b * e + sb * d, d * e)
 
 
-def transport_into(acc: dict, loop, items, low) -> None:
-    """Add loop * d_t of a symbol's terms into acc, a flat symbol dict,
-    skipping orders below low (twice the floor, None for none).
+def transport_into(acc: dict, loop, items) -> None:
+    """Add loop * d_t of a symbol's terms into acc, a flat symbol dict.
 
     loop is the term items of an x-free CoeffFn and items the (key, triple)
     pairs of a flat symbol dict; the t-derivative is taken once, left
     unreduced, and each loop monomial scales it as in scale_into.
     """
-    dt = [((o, p - 1, q, m), (a * p, b * p, d))
-          for (o, p, q, m), (a, b, d) in items if p and (low is None or o >= low)]
+    dt = [((o, p - 1, q, m), (a * p, b * p, d)) for (o, p, q, m), (a, b, d) in items if p]
     if dt:
         for (p, _, m), v in loop:
             scale_into(acc, dt, 0, p, m, triple_of(v))
+
+
+def reduce_flat(flat: dict, low) -> None:
+    """Reduce a flat symbol dict that the kernels filled, in place: each
+    value by one gcd, each zero and each order below low (twice the floor,
+    None for none) dropped, the insertion order of the rest kept."""
+    dead = []
+    for k, (a, b, d) in flat.items():
+        if not (a or b) or (low is not None and k[0] < low):
+            dead.append(k)
+            continue
+        r = gcd(a, b, d)
+        if r != 1:
+            flat[k] = (a // r, b // r, d // r)
+    for k in dead:
+        del flat[k]
 
 
 # binom(a, j) (q)_j for j = 0, 1, ... as reduced (numerator, denominator)
@@ -640,9 +634,10 @@ def leibniz_rows(acc: dict, f: dict, g: dict, low, sign: int = 1) -> bool:
     binom(a, j) (q)_j v x^(q-j) f, so no derivative is taken: the weight
     binom(a, j) (q)_j is read in place from the module cache of reduced
     int pairs keyed by (2a, q), with no copy of the pair's entries, and
-    scales the product of the two terms, which is then added and reduced
-    with one gcd, as in scale_into.  The sign is folded into each left
-    term once, so the right operand is read as it is stored.
+    scales the product of the two terms, which is then added as in
+    scale_into, with no gcd and a cancelled monomial kept as a zero for
+    reduce_flat.  The sign is folded into each left term once, so the
+    right operand is read as it is stored.
 
     The number of terms of a pair is fixed before its first term: they
     end at the first zero weight (a nonnegative integer a, or q, runs out)
@@ -701,20 +696,14 @@ def leibniz_rows(acc: dict, f: dict, g: dict, low, sign: int = 1) -> bool:
                 b = pb * num
                 d = pd * den
                 s = get(k)
-                if s is not None:
-                    sa, sb, e = s
-                    if e == d:
-                        a += sa
-                        b += sb
-                    else:
-                        a = a * e + sa * d
-                        b = b * e + sb * d
-                        d *= e
-                    if not (a or b):
-                        del acc[k]
-                        continue
-                r = gcd(a, b, d)
-                acc[k] = (a, b, d) if r == 1 else (a // r, b // r, d // r)
+                if s is None:
+                    acc[k] = (a, b, d)
+                    continue
+                sa, sb, e = s
+                if e == d:
+                    acc[k] = (a + sa, b + sb, d)
+                else:
+                    acc[k] = (a * e + sa * d, b * e + sb * d, d * e)
     return cut
 
 

@@ -29,10 +29,11 @@ The monomial map works on the flat term dicts of psido.Symbol: each term
 of the input, keyed by twice its order, reads the memoised image of its
 generator power and adds the image's terms, shifted in order and scaled
 by the term's x-free rest, straight into the output's dict
-(ring.scale_into).  The term's value is already the reduced int triple
-that the kernel scales by, and a deformed image's conjugation weights are
-turned into triples once each.  Orders stay ints on this path; HalfInt
-appears only where a floor is compared.
+(ring.scale_into), which psido.symbol_from_flat reduces once it is
+filled.  The term's value is already the int triple that the kernel
+scales by, and a deformed image's conjugation weights are turned into
+triples once each.  Orders stay ints on this path; HalfInt appears only
+where a floor is compared or an image map reads its wanted floor.
 """
 
 from __future__ import annotations
@@ -156,7 +157,11 @@ class ThetaImageCache:
         self._neg_base = Symbol(R, {h(1): CoeffFn.x_pow(-1, 2), h(0): CoeffFn.x_pow(-2, -2)})
 
     def image(self, k: int, req_floor=EXACT) -> Symbol:
-        """Image of xi^k, exact at any req_floor, so no request deepens."""
+        """Image of xi^k, exact at any req_floor, so no request deepens
+        and a memo hit is returned as it is."""
+        entry = self._memo.get(k)
+        if entry is not None:
+            return entry[1]
         return _fill(self._memo, k, EXACT, 0, self._build)
 
     def _build(self, k: int, want, prev: Symbol) -> Symbol:
@@ -196,26 +201,33 @@ def _conjugated_image(nu: GaussRat, q: int, want) -> Symbol:
 # ---------------------------------------------------------------- forward map
 
 
+def _half(want):
+    """The floor of twice-order want, EXACT for EXACT."""
+    return want if want is EXACT else HalfInt(want)
+
+
 def _map_monomials(D: Symbol, req, var: str, shift, image) -> Symbol:
     """Sum the images of the monomials of D in the algebra of var.
 
     A term of D at twice-order kt shifts its image by shift(kt)
     twice-orders; image(q, want) gives the image of the q-th generator
-    power trusted down to want.  Each term of D scales its image's flat
-    dict by its x-free rest and adds it in place into one output dict
-    (ring.scale_into).
+    power trusted down to want, twice the wanted floor as an int (EXACT
+    for none), which the undeformed images ignore.  Each term of D scales
+    its image's flat dict by its x-free rest and adds it in place into one
+    output dict (ring.scale_into).
 
     Cached images may be deeper than asked; answers must not depend on
     what earlier calls warmed, so a floored result is cut back to req.
     """
     floor = EXACT
+    low = EXACT if req is EXACT else req.twice
     flat: dict = {}
     for (kt, p, q, m), v in D.flat.items():
         dt = shift(kt)
         if abs(q) > MAX_IMAGE_POWER:
             raise ValueError(f"generator powers are bounded by {MAX_IMAGE_POWER} in absolute value")
         # the shift moves the image's floor by dt, so ask that much deeper
-        img = image(q, req if req is EXACT else HalfInt(req.twice - dt))
+        img = image(q, low if low is EXACT else low - dt)
         if img.floor is not EXACT:
             floor = hmax(floor, HalfInt(img.floor.twice + dt))
         scale_into(flat, img.flat.items(), dt, p, m, v)
@@ -237,7 +249,8 @@ def theta(D: Symbol, req_floor=None, nu: GaussRat = GR_ZERO) -> Symbol:
     if D.floor is not EXACT:
         raise ValueError("theta needs an exact input; truncated tails are unsound here")
     req = h(req_floor) if req_floor is not None else EXACT
-    images = _theta_images.image if nu.is_zero() else lambda q, want: _conjugated_image(nu, q, want)
+    images = (_theta_images.image if nu.is_zero()
+              else lambda q, want: _conjugated_image(nu, q, _half(want)))
     # order doubling, which lands on the integer grid
     return _map_monomials(D, req, R, lambda kt: kt + kt, images)
 
@@ -276,7 +289,7 @@ def theta_inv(D: Symbol, req_floor=None) -> Symbol:
         raise ValueError("theta_inv needs an exact input")
     req = h(req_floor) if req_floor is not None else EXACT
     # order halving: space orders are integers, so the image orders are in (1/2)Z
-    return _map_monomials(D, req, XI, lambda kt: kt // 2, _inv_image)
+    return _map_monomials(D, req, XI, lambda kt: kt // 2, lambda n, want: _inv_image(n, _half(want)))
 
 
 # ---------------------------------------------------------------- loop shift
@@ -348,7 +361,10 @@ def theta_t(E: Symbol, req_floor, nu: GaussRat = GR_ZERO) -> Symbol:
     if E.floor is not EXACT:
         floor = hmax(floor, E.floor + E.floor)
     if cut or E.floor is not EXACT:
-        total = symbol_from_flat(R, total.flat, hmax(total.floor, floor))
+        # total is already reduced: cut it without a gcd per term
+        floor = hmax(total.floor, floor)
+        low = floor.twice
+        total = Symbol._raw(R, {k: v for k, v in total.flat.items() if k[0] >= low}, floor)
     return total
 
 

@@ -546,7 +546,8 @@ def leibniz_by_recurrence(out: dict, at: int, f_items, g_terms, low) -> bool:
     """Reference for ring.leibniz_rows: one order's terms, weights by their recurrence."""
     # f_items are (key, GaussRat) pairs of the left order at/2 and g_terms
     # (2b, key, GaussRat) right terms; out is a flat symbol dict of reduced
-    # triples, each sum taken in GaussRat.  The weight binom(a, j) (q)_j is
+    # triples, each sum taken in GaussRat, where a monomial that cancels
+    # keeps its place as the zero (0, 0, 1).  The weight binom(a, j) (q)_j is
     # updated in ints from one j to the next, each term's order is checked
     # against the floor before it is added, and terms end at the first zero
     # weight, so this loops for ever on a tail that does not terminate when
@@ -567,10 +568,7 @@ def leibniz_by_recurrence(out: dict, at: int, f_items, g_terms, low) -> bool:
                 old = out.get(k)
                 if old is not None:
                     term = GaussRat(F(old[0], old[2]), F(old[1], old[2])) + term
-                if term.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = (term._a, term._b, term._d)
+                out[k] = (term._a, term._b, term._d)
             j += 1
             w = (at - 2 * j + 2) * q
             if not w:
@@ -914,7 +912,7 @@ def leibniz_into(out: dict, f_terms, g_terms, low) -> bool:
     """leibniz_rows on term items: (2a, items) per left order, (2b, key, value) per right term.
 
     The GaussRat values go in as the reduced triples of a flat symbol dict,
-    and out is such a dict.
+    and out is such a dict, filled unreduced until ring.reduce_flat runs.
     """
     f = {(at, *key): triple_of(v) for at, items in f_terms for key, v in items}
     g = {(bt, *key): triple_of(v) for bt, key, v in g_terms}

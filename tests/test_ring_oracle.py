@@ -524,6 +524,17 @@ def test_cached_weights_match_sympy(at):
             assert sp.Rational(num, den) == sp.binomial(a, j) * sp.ff(q, j), (at, q, j)
 
 
+def _reduced(got: dict) -> dict:
+    """A dict that the kernel filled, after the one reducer."""
+    ring.reduce_flat(got, None)
+    return got
+
+
+def _nonzero(want: dict) -> dict:
+    """The reference's dict without the zeros that hold cancelled places."""
+    return {k: v for k, v in want.items() if v[0] or v[1]}
+
+
 def _kernel_inputs(draw_terms):
     """(f_terms, g_terms) for leibniz_into from the terms of two symbols."""
     left, right = draw_terms
@@ -548,7 +559,7 @@ def test_leibniz_into_matches_the_recurrence(first, second, low):
         f_terms = [(at, [(k, v * sign) for k, v in items]) for at, items in f_terms]
         got_cut |= leibniz_into(got, f_terms, g_terms, low)
         want_cut |= _by_left_term(want, f_terms, g_terms, low)
-    assert list(got.items()) == list(want.items())
+    assert list(_reduced(got).items()) == list(_nonzero(want).items())
     assert got_cut == want_cut
 
 
@@ -578,7 +589,7 @@ def test_leibniz_into_cuts_where_the_recurrence_cuts(at, q, where):
     got, want = {}, {}
     got_cut = leibniz_into(got, f_terms, g_terms, low)
     want_cut = leibniz_by_recurrence(want, *f_terms[0], g_terms, low)
-    assert list(got.items()) == list(want.items())
+    assert list(_reduced(got).items()) == list(_nonzero(want).items())
     assert got_cut == want_cut
     if where != "at the last term":
         assert got_cut
@@ -598,7 +609,7 @@ def test_leibniz_into_without_a_floor(at, q):
     got, want = {}, {}
     assert not leibniz_into(got, f_terms, g_terms, None)
     assert not leibniz_by_recurrence(want, *f_terms[0], g_terms, None)
-    assert list(got.items()) == list(want.items())
+    assert list(_reduced(got).items()) == list(_nonzero(want).items())
     assert min(got)[0] == last
 
 

@@ -13,7 +13,8 @@ same symbol through the public constructor.  Each operation must give the
 same answer on an operand whose view was read as on a fresh copy, and the
 same terms and floor as the per-order tables that composition and the
 transform used before the flat dict.  The triple helpers and the
-kernels' inline sums are checked against GaussRat arithmetic.
+kernels' sums, after the one reducer, are checked against GaussRat
+arithmetic, and the reducer on its own.
 """
 
 from fractions import Fraction as F
@@ -42,9 +43,9 @@ from svpsido.psido import (
 from svpsido.ring import (
     CoeffFn,
     GaussRat,
-    add_triples,
     gauss_of,
     leibniz_rows,
+    reduce_flat,
     scale_into,
     transport_into,
     triple_of,
@@ -286,7 +287,7 @@ def test_empty_tables_and_orders_below_the_floor_are_dropped():
     assert sym_sub(X, X).terms == {} and sym_sub(X, X).floor == HalfInt(-2)
 
 
-# ---- the triple helpers and the kernels' inline sums against GaussRat ------------------------
+# ---- the triple helpers, the kernels' sums and the reducer against GaussRat ------------------
 
 nonzero = st.builds(
     GaussRat,
@@ -294,6 +295,12 @@ nonzero = st.builds(
     st.fractions(min_value=-20, max_value=20, max_denominator=12),
 ).filter(lambda g: not g.is_zero())
 KEY = (2, 1, -1, 0)
+
+
+def reduced_dict(acc: dict) -> dict:
+    """acc after the one reducer, with no floor."""
+    reduce_flat(acc, None)
+    return acc
 
 
 @settings(max_examples=200, deadline=None)
@@ -309,31 +316,53 @@ def test_triple_helpers_and_kernel_sums_match_gauss_arithmetic(x, y, z, k):
         assert t == (int(g.re * d), int(g.im * d), d) and reduced(t)
         assert gauss_of(t) == g and value(t) == g
     tx, ty, tz = triple_of(x), triple_of(y), triple_of(z)
-    # a sum, with cancellation
-    s = add_triples(tx, ty)
-    assert s is None if (x + y).is_zero() else s == triple_of(x + y)
-    assert add_triples(tx, triple_of(-x)) is None
     # a product, into an empty dict and onto a value it may cancel; the
-    # scaled terms need not be reduced, the stored sums must be
+    # scaled terms need not be reduced, the reduced sums must be
     want_product = {KEY: triple_of(x * y)}
     unreduced = (tx[0] * k, tx[1] * k, tx[2] * k)
     total = z + x * y
     want_sum = {} if total.is_zero() else {KEY: triple_of(total)}
     acc: dict = {}
     scale_into(acc, [((0, 1, -1, 0), unreduced)], 2, 0, 0, ty)
-    assert acc == want_product
+    assert reduced_dict(acc) == want_product
     acc = {KEY: tz}
     scale_into(acc, [((2, 0, -1, 1), tx)], 0, 1, -1, ty)
-    assert acc == want_sum
+    assert reduced_dict(acc) == want_sum
     # a left term of order 0 has the Leibniz term j = 0 only: the same product
     acc = {}
     leibniz_rows(acc, {(0, 0, 0, 0): tx}, {(2, 1, -1, 0): ty}, None)
-    assert acc == want_product
+    assert reduced_dict(acc) == want_product
     acc = {KEY: tz}
     leibniz_rows(acc, {(0, 1, 0, 0): tx}, {(2, 0, -1, 0): ty}, 2)
-    assert acc == want_sum
+    assert reduced_dict(acc) == want_sum
     # the transport term loop * d_t: d_t(x t^k) = k x t^(k-1)
     acc = {KEY: tz}
-    transport_into(acc, CoeffFn.const(y).terms.items(), [((2, 2, -1, 0), tx)], None)
+    transport_into(acc, CoeffFn.const(y).terms.items(), [((2, 2, -1, 0), tx)])
     total = z + x * y * 2
-    assert acc == ({} if total.is_zero() else {KEY: triple_of(total)})
+    assert reduced_dict(acc) == ({} if total.is_zero() else {KEY: triple_of(total)})
+
+
+def test_the_reducer_drops_zeros_and_low_orders_and_keeps_the_order():
+    acc = {
+        (4, 0, 1, 0): (6, -4, 8),   # gcd 2
+        (2, 0, 0, 0): (0, 0, 5),    # a cancelled sum
+        (-2, 1, 0, 0): (3, 0, 9),   # gcd 3, at the floor
+        (0, 0, -1, 1): (1, 2, 3),   # already reduced
+        (-4, 0, 0, 0): (2, 0, 4),   # one order below the floor
+        (-3, 0, 2, 0): (5, 5, 5),   # half an order below the floor
+        (6, 0, 0, 0): (0, 7, 14),   # an imaginary part alone
+    }
+    reduce_flat(acc, -2)
+    assert list(acc.items()) == [
+        ((4, 0, 1, 0), (3, -2, 4)),
+        ((-2, 1, 0, 0), (1, 0, 3)),
+        ((0, 0, -1, 1), (1, 2, 3)),
+        ((6, 0, 0, 0), (0, 1, 2)),
+    ]
+    # no floor cuts nothing; a dict of zeros empties
+    acc = {(-40, 0, 0, 0): (4, 0, 2), (2, 0, 0, 0): (0, 0, 3)}
+    reduce_flat(acc, None)
+    assert list(acc.items()) == [((-40, 0, 0, 0), (2, 0, 1))]
+    acc = {(0, 0, 0, 0): (0, 0, 1)}
+    reduce_flat(acc, 0)
+    assert acc == {}
