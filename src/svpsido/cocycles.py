@@ -76,7 +76,10 @@ _FORMS = {
 def _slots(D: Symbol):
     """The term items of the three quotient slots of a capped symbol
     (orders 1, 0, -1), trust-checked.  They are read from the symbol's
-    kept terms view, since the same operands are read again and again."""
+    kept terms view, since the same operands are read again and again,
+    in one walk over its orders, which also finds an order above 1: three
+    lookups by order cost more than the walk, since a HalfInt hashes in
+    Python and orders -1 and -2 share a hash."""
     if D.var != R:
         raise ValueError("cocycles are defined on space symbols")
     up = mid = down = ()

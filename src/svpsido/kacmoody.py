@@ -404,6 +404,28 @@ def _add(row: dict, f: CoeffFn, g: CoeffFn) -> None:
     mul_into(row, f.terms.items(), g.terms.items())
 
 
+def _coadjoint_factors(X: SvElement) -> tuple:
+    """The loop factors of coadjoint that X alone fixes, with their signs
+    and constants folded in, and the a-sourced factors before the charge
+    meets them: (factors of the f family, or None; factors of the g
+    family, or None; the a-sourced factor of the V_-2 row over c)."""
+    f, g, hh = X.f, X.g, X.h
+    f_part = g_part = None
+    a_vm2 = CoeffFn.zero()
+    if not f.is_zero():
+        fd = f.deriv("T")
+        fdd = fd.deriv("T")
+        f_part = (fdd * _MINUS_HALF, -f, fd * -2, fd * _MINUS_HALF_R, -fd, fd * _HALF)
+        a_vm2 = fdd * _I_M_QUARTER - fdd.deriv("T") * _M2_R2_QUARTER
+    if not g.is_zero():
+        gd = g.deriv("T")
+        g_part = (-gd, -g)
+        a_vm2 = a_vm2 - gd.deriv("T") * _M2_R
+    if not hh.is_zero():
+        a_vm2 = a_vm2 - hh.deriv("T") * _M2
+    return f_part, g_part, a_vm2
+
+
 def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
     """Closed-form coadjoint action on the invariant slice.
 
@@ -414,11 +436,14 @@ def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
     Each output row (v, V_-2, V_0, a) is one table that every product
     adds into, with its sign and constant folded into the loop factor of
     X; the a-sourced terms of the V_-2 row are summed into one loop
-    factor first, so a meets them in one product.
+    factor first, so a meets them in one product.  The loop factors
+    depend on X alone, so they are built once (_coadjoint_factors) and
+    kept on X (SvElement.kept); the charge meets them on every call.
     """
     if not in_invariant_slice(mu):
         raise ValueError("coadjoint is defined on the invariant slice only")
     c = _as_scalar(c)
+    f_part, g_part, a_vm2 = X.kept(_coadjoint_factors)
     v, a = mu.v, mu.a
     vm2 = mu.V.coeff(_MINUS_TWO)
     v0 = mu.V.coeff(_ZERO_ORDER)
@@ -427,40 +452,26 @@ def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
     row_vm2: dict = {}
     row_v0: dict = {}
     row_a: dict = {}
-    a_vm2 = CoeffFn.zero()  # the a-sourced terms of the V_-2 row, over c
 
-    f = X.f
-    if not f.is_zero():
-        fd = f.deriv("T")
-        fdd = fd.deriv("T")
-        fddd = fdd.deriv("T")
-        minus_f = -f
-        minus_fd = -fd
-        two_fd = fd * -2
+    if f_part is not None:
+        fdd_minus_half, minus_f, two_fd, fd_minus_half_r, minus_fd, fd_half = f_part
         # res_x(r V_-2) is the r^-2 slice of V_-2
-        _add(row_v, fdd * _MINUS_HALF, vm2.x_slice(-2))
+        _add(row_v, fdd_minus_half, vm2.x_slice(-2))
         _add(row_v, minus_f, v.deriv("T"))
         _add(row_v, two_fd, v)
         _add(row_vm2, minus_f, vm2.deriv("T"))
-        _add(row_vm2, fd * _MINUS_HALF_R, vm2_x)
+        _add(row_vm2, fd_minus_half_r, vm2_x)
         _add(row_vm2, two_fd, vm2)
-        a_vm2 = fdd * _I_M_QUARTER - fddd * _M2_R2_QUARTER
         _add(row_v0, minus_f, v0.deriv("T"))
         _add(row_v0, minus_fd, v0)
-        _add(row_v0, a, fd * (_HALF * c))
+        _add(row_v0, a, fd_half * c)
         _add(row_a, minus_fd, a)
         _add(row_a, minus_f, a.deriv("T"))
 
-    g = X.g
-    if not g.is_zero():
-        gd = g.deriv("T")
-        _add(row_v, -gd, vm2.residue("X"))
-        _add(row_vm2, -g, vm2_x)
-        a_vm2 = a_vm2 - gd.deriv("T") * _M2_R
-
-    hh = X.h
-    if not hh.is_zero():
-        a_vm2 = a_vm2 - hh.deriv("T") * _M2
+    if g_part is not None:
+        minus_gd, minus_g = g_part
+        _add(row_v, minus_gd, vm2.residue("X"))
+        _add(row_vm2, minus_g, vm2_x)
 
     _add(row_vm2, a, a_vm2 * c)
     terms: dict = {}

@@ -58,7 +58,10 @@ of an element into unreduced int triples (``pair_terms_into``,
 when its value is read.
 
 Derivatives are term-wise monomial derivations and residues extract the
-coefficient of (variable)^-1, so res(d(f)) = 0 holds identically.  Every
+coefficient of (variable)^-1, so res(d(f)) = 0 holds identically.  A
+CoeffFn keeps each derivative in a private slot once it is first taken,
+since values never change and the same generator and point data are
+differentiated again and again; the slot stays unset until then.  Every
 normalized contour integral in the verified formulas is implemented as
 plain residue extraction.  Residues of products, res_x(f^(n) g), which
 every central cocycle is made of, are read by ``residue_into`` from the
@@ -275,10 +278,17 @@ class CoeffFn:
     ``terms`` maps (t-power, x-power, M-power) to a nonzero GaussRat.  This
     is the coefficient ring of every symbol order and of the two-variable
     differential operators; t is the loop variable, x the space variable.
-    Kept canonical at construction; instances are never mutated afterwards.
+    Kept canonical at construction; the terms are never changed afterwards.
+
+    A second private slot, _derivs, keeps d/dt and d/dx by variable once
+    deriv has first computed them, as Symbol keeps its terms view: the
+    same generator and point values are differentiated again and again.
+    It is left unset at construction, so a value that is never
+    differentiated costs nothing more (one slot leaves an instance in the
+    same allocator size class); equality and printing ignore it.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_derivs")
 
     def __init__(self, terms: dict):
         _set_coeff_terms(self, {k: v for k, v in terms.items() if not v.is_zero()})
@@ -402,20 +412,22 @@ class CoeffFn:
     # two terms ever meet and nothing cancels.
 
     def deriv(self, var: str) -> "CoeffFn":
-        """Monomial derivative d/dt (var='T') or d/dx (var='X')."""
-        if not self.terms and var in ("T", "X"):
+        """Monomial derivative d/dt (var='T') or d/dx (var='X'), computed
+        on first use and kept in the value's own slot."""
+        try:
+            return self._derivs[var]
+        except (AttributeError, KeyError):
+            pass
+        if var != "T" and var != "X":
+            raise ValueError(f"unknown variable {var!r}")
+        if not self.terms:
             return self
-        if var == "T":
-            return _coeff_raw(
-                {(p - 1, q, m): _gauss(v._a * p, v._b * p, v._d)
-                 for (p, q, m), v in self.terms.items() if p}
-            )
-        if var == "X":
-            return _coeff_raw(
-                {(p, q - 1, m): _gauss(v._a * q, v._b * q, v._d)
-                 for (p, q, m), v in self.terms.items() if q}
-            )
-        raise ValueError(f"unknown variable {var!r}")
+        out = _derivative(self.terms, var)
+        try:
+            self._derivs[var] = out
+        except AttributeError:
+            _set_derivs(self, {var: out})
+        return out
 
     def residue(self, var: str) -> "CoeffFn":
         """Coefficient of var^-1; the result no longer depends on var."""
@@ -490,9 +502,20 @@ class CoeffFn:
         return f"CoeffFn({self.terms!r})"
 
 
-# The slot's own setter: it skips the guard in __setattr__, and costs far
+# The slots' own setters: they skip the guard in __setattr__, and cost far
 # less per call than object.__setattr__.
 _set_coeff_terms = CoeffFn.__dict__["terms"].__set__
+_set_derivs = CoeffFn.__dict__["_derivs"].__set__
+
+
+def _derivative(terms: dict, var: str) -> CoeffFn:
+    """The monomial derivative of a nonempty term dict along var ('T' or
+    'X'); CoeffFn.deriv keeps what it returns."""
+    if var == "T":
+        return _coeff_raw({(p - 1, q, m): _gauss(v._a * p, v._b * p, v._d)
+                           for (p, q, m), v in terms.items() if p})
+    return _coeff_raw({(p, q - 1, m): _gauss(v._a * q, v._b * q, v._d)
+                       for (p, q, m), v in terms.items() if q})
 
 
 def _coeff_raw(terms: dict) -> CoeffFn:
@@ -936,6 +959,9 @@ def _mass_unit(c) -> tuple:
 
 
 _C_ZERO = CoeffFn({})
+# the shared zero, which most derivatives of zero are taken of, keeps
+# itself as both derivatives, so it never reaches the miss path of deriv
+_set_derivs(_C_ZERO, {"T": _C_ZERO, "X": _C_ZERO})
 _C_ONE = CoeffFn({(0, 0, 0): GR_ONE})
 _UNIT = tuple(_C_ONE.terms.items())
 _MINUS_UNIT = (((0, 0, 0), GaussRat(-1)),)

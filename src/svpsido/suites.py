@@ -763,7 +763,7 @@ def _suite_lemma33(cfg: VerifyConfig) -> list:
 # -------------------------------------------------------- suite: theorem51
 
 def _suite_theorem51(cfg: VerifyConfig) -> list:
-    n, F, c = cfg.index_range, h(cfg.floor), cfg.c
+    n, F, c = cfg.index_range, h(cfg.floor), CoeffFn.const(cfg.c)
     deep = F - h(2)
     basis = _labeled_basis(n)
     images = [tr.j_map(X) for _, X in basis]
@@ -805,7 +805,7 @@ def _duality_probes(n: int):
 
 
 def _suite_theorem61(cfg: VerifyConfig) -> list:
-    n, F, c = cfg.index_range, h(cfg.floor), cfg.c
+    n, F, c = cfg.index_range, h(cfg.floor), CoeffFn.const(cfg.c)
     coeff = functools.partial(_fmt_coeff, cfg)
     basis = _labeled_basis(n)
     points = _slice_points(n)
@@ -1001,7 +1001,7 @@ def _lemma71_defect(X: SvElement, Y: SvElement) -> LocalFunctional:
 
 
 def _suite_poisson_lemma71(cfg: VerifyConfig) -> list:
-    n, F, c = cfg.index_range, h(cfg.floor), cfg.c
+    n, F, c = cfg.index_range, h(cfg.floor), CoeffFn.const(cfg.c)
     basis = _labeled_basis(n)
     cases = []
 

@@ -9,12 +9,13 @@ quantity, since it measures why only one of the two actions matches the
 coadjoint picture.
 
 The weight enters through a single term: -2i(mu - 1/4) M f'' a on the
-potential row.
+potential row.  The loop factors of a generator depend on it, the weight
+and the variant alone, so each element keeps them per weight and variant
+and every later point only multiplies.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .ring import CoeffFn, I_M, M, coeff_from_table, mul_into
@@ -67,60 +68,71 @@ _MINUS_TWO_M2_X = (-2 * M ** 2 * CoeffFn.x_pow(1)).terms.items()
 _MINUS_TWO_M2 = (-2 * M ** 2).terms.items()
 
 
-@functools.cache
-def _weight(mu):
-    """-2i(mu - 1/4) M = (1/2 - 2 mu) iM, as term items."""
-    return (I_M * (Fraction(1, 2) - 2 * mu)).terms.items()
+# variant -> (factor of the f'V transport term, whether f' drags a)
+_VARIANTS = {"tilde": (_MINUS_TWO, True), "affine": (_MINUS_ONE, False)}
 
 
-def _action(mu, X: SvElement, P: SchrodPoint, minus_v_transport, a_transport: bool) -> SchrodPoint:
-    """Both actions share every row except two time-family switches:
-    the weight of the f'V transport term and whether f' drags a.
-
-    Each row is a sum of products of a factor made from X alone and one of
-    a, V and their derivatives.  The factors are folded first; then every
-    product is added into the one table of its row, which is wrapped once.
-    """
+def _factors(X: SvElement, mu, variant: str) -> tuple:
+    """The loop factors of one action of X at weight mu, as term items:
+    those of a_t and V_t, of a, and, on the potential row, of V, V_x and
+    a.  They depend on X, mu and the variant alone, so _action keeps them
+    on X (SvElement.kept) and every later point only multiplies."""
+    minus_v_transport, a_transport = _VARIANTS[variant]
     f, g = X.f, X.g
     fd = f.deriv("T")
     fdd = fd.deriv("T")
-    # the factors of V, V_x and a on the potential row; the weight enters
-    # only through the first term of the factor of a
+    # the weight enters only through the first term of the factor of a
+    # on the potential row, -2i(mu - 1/4) M = (1/2 - 2 mu) iM
     of_v: dict = {}
     of_vx: dict = {}
     of_a: dict = {}
+    minus_f = minus_fd = ()
     if f.terms:
         mul_into(of_v, fd.terms.items(), minus_v_transport)
         mul_into(of_vx, fd.terms.items(), _MINUS_HALF_X)
-        mul_into(of_a, fdd.terms.items(), _weight(mu))
+        mul_into(of_a, fdd.terms.items(), (I_M * (Fraction(1, 2) - 2 * mu)).terms.items())
         mul_into(of_a, fdd.deriv("T").terms.items(), _MINUS_HALF_M2_X2)
+        minus_f = (-f).terms.items()
+        if a_transport:
+            minus_fd = (-fd).terms.items()
     if g.terms:
         mul_into(of_vx, g.terms.items(), _MINUS_ONE)
         mul_into(of_a, g.deriv("T").deriv("T").terms.items(), _MINUS_TWO_M2_X)
     if X.h.terms:
         mul_into(of_a, X.h.deriv("T").terms.items(), _MINUS_TWO_M2)
+    return minus_f, minus_fd, of_v.items(), of_vx.items(), of_a.items()
 
+
+def _action(mu, X: SvElement, P: SchrodPoint, variant: str) -> SchrodPoint:
+    """Both actions share every row except two time-family switches:
+    the weight of the f'V transport term and whether f' drags a.
+
+    Each row is a sum of products of a loop factor made from X alone
+    (_factors, kept on X per weight and variant) and one of a, V and
+    their derivatives; every product is added into the one table of its
+    row, which is wrapped once.
+    """
+    minus_f, minus_fd, of_v, of_vx, of_a = X.kept(_factors, mu, variant)
     a, V = P.a.terms.items(), P.V.terms.items()
     a_row: dict = {}
     v_row: dict = {}
-    if f.terms:
-        minus_f = (-f).terms.items()  # the factor of a_t and of V_t
+    if minus_f:
         mul_into(a_row, minus_f, P.a.deriv("T").terms.items())
-        if a_transport:
-            mul_into(a_row, (-fd).terms.items(), a)
+        if minus_fd:
+            mul_into(a_row, minus_fd, a)
         mul_into(v_row, minus_f, P.V.deriv("T").terms.items())
-    mul_into(v_row, of_v.items(), V)
+    mul_into(v_row, of_v, V)
     if of_vx:
-        mul_into(v_row, of_vx.items(), P.V.deriv("X").terms.items())
-    mul_into(v_row, of_a.items(), a)
+        mul_into(v_row, of_vx, P.V.deriv("X").terms.items())
+    mul_into(v_row, of_a, a)
     return SchrodPoint(coeff_from_table(a_row), coeff_from_table(v_row))
 
 
 def d_sigma_tilde(mu, X: SvElement, P: SchrodPoint) -> SchrodPoint:
     """Weight-mu action on the full linear space of operator data."""
-    return _action(mu, X, P, _MINUS_TWO, a_transport=True)
+    return _action(mu, X, P, "tilde")
 
 
 def d_sigma_affine(mu, X: SvElement, P: SchrodPoint) -> SchrodPoint:
     """Affine variant: fixes the a = const slices, lighter V transport."""
-    return _action(mu, X, P, _MINUS_ONE, a_transport=False)
+    return _action(mu, X, P, "affine")

@@ -19,6 +19,10 @@ These reproduce the mode relations
     [time_n, phase_p] = -p phase_{n+p}
     [shift_m, shift_m'] = (m - m') phase_{m+m'}
 with shifts commuting with phases and phases central.
+
+An element never changes, so what other modules build from it alone is
+built once and kept on it (SvElement.kept): the loop factors of the
+coadjoint action and of the weighted actions on operator points.
 """
 
 from __future__ import annotations
@@ -41,9 +45,16 @@ __all__ = [
 
 
 class SvElement:
-    """Triple (f, g, h) of t-Laurent polynomials."""
+    """Triple (f, g, h) of t-Laurent polynomials.
 
-    __slots__ = ("f", "g", "h")
+    A fourth private slot, _kept, holds what kept() has computed from the
+    element alone: the loop factors that kacmoody.coadjoint and
+    svaction._action build from a generator, which the suites apply at
+    many points.  It is left unset at construction and equality ignores
+    it.
+    """
+
+    __slots__ = ("f", "g", "h", "_kept")
 
     def __init__(self, f=None, g=None, h=None):
         f = _as_loop(f)
@@ -55,6 +66,21 @@ class SvElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("SvElement is immutable")
+
+    def kept(self, make, *args):
+        """make(self, *args), computed on the first call with make and args
+        and kept: make must read nothing but the element and its hashable
+        args, since the elements never change."""
+        try:
+            memo = self._kept
+        except AttributeError:
+            memo = {}
+            _set_kept(self, memo)
+        key = (make, args)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = make(self, *args)
+        return out
 
     def is_zero(self) -> bool:
         return self.f.is_zero() and self.g.is_zero() and self.h.is_zero()
@@ -83,6 +109,10 @@ class SvElement:
 
     def __str__(self):
         return f"(f: {self.f} | g: {self.g} | h: {self.h})"
+
+
+# The slot's own setter: it skips the guard in __setattr__.
+_set_kept = SvElement.__dict__["_kept"].__set__
 
 
 def _as_loop(value) -> CoeffFn:

@@ -52,6 +52,7 @@ from svpsido.ring import (
     mul_into,
     triple_of,
 )
+from svpsido.svaction import SchrodPoint
 
 
 def gauss_str(g: GaussRat) -> str:
@@ -715,6 +716,46 @@ def reference_coadjoint(X, mu, c):
     if not out_v0.is_zero():
         terms[h(0)] = out_v0
     return kacmoody.GDual(out_v, Symbol(R, terms), out_a)
+
+
+# variant -> (factor of the f'V transport term, whether f' drags a)
+_ACTION_VARIANTS = {"tilde": (CoeffFn.const(-2), True), "affine": (CoeffFn.const(-1), False)}
+
+
+def reference_action(mu, X, P, variant):
+    """Reference for svaction._action: every loop factor folded from X and mu on each call, none kept on X."""
+    minus_v_transport, a_transport = _ACTION_VARIANTS[variant]
+    minus_v_transport = minus_v_transport.terms.items()
+    f, g = X.f, X.g
+    fd = f.deriv("T")
+    fdd = fd.deriv("T")
+    of_v: dict = {}
+    of_vx: dict = {}
+    of_a: dict = {}
+    if f.terms:
+        mul_into(of_v, fd.terms.items(), minus_v_transport)
+        mul_into(of_vx, fd.terms.items(), CoeffFn.x_pow(1, F(-1, 2)).terms.items())
+        mul_into(of_a, fdd.terms.items(), (I_M * (F(1, 2) - 2 * mu)).terms.items())
+        mul_into(of_a, fdd.deriv("T").terms.items(), (F(-1, 2) * M ** 2 * CoeffFn.x_pow(2)).terms.items())
+    if g.terms:
+        mul_into(of_vx, g.terms.items(), CoeffFn.const(-1).terms.items())
+        mul_into(of_a, g.deriv("T").deriv("T").terms.items(), (-2 * M ** 2 * CoeffFn.x_pow(1)).terms.items())
+    if X.h.terms:
+        mul_into(of_a, X.h.deriv("T").terms.items(), (-2 * M ** 2).terms.items())
+    a, V = P.a.terms.items(), P.V.terms.items()
+    a_row: dict = {}
+    v_row: dict = {}
+    if f.terms:
+        minus_f = (-f).terms.items()
+        mul_into(a_row, minus_f, P.a.deriv("T").terms.items())
+        if a_transport:
+            mul_into(a_row, (-fd).terms.items(), a)
+        mul_into(v_row, minus_f, P.V.deriv("T").terms.items())
+    mul_into(v_row, of_v.items(), V)
+    if of_vx:
+        mul_into(v_row, of_vx.items(), P.V.deriv("X").terms.items())
+    mul_into(v_row, of_a.items(), a)
+    return SchrodPoint(CoeffFn(a_row), CoeffFn(v_row))
 
 
 # ---- the dual pairing, one GaussRat per term -------------------------------------------------

@@ -644,6 +644,21 @@ def test_coadjoint_matches_the_row_by_row_reference(X, mu, c):
     assert coadjoint(X, mu, c) == reference_coadjoint(X, mu, c)
 
 
+def test_kept_coadjoint_factors_follow_the_charge():
+    # the same basis objects keep their loop factors from one call to the
+    # next, while the charge changes: theorem61's negative control reuses
+    # the basis at c = 1 after its rows at c = 2
+    basis = [X for _, X in suites._labeled_basis(2)]
+    points = [mu for _, mu in suites._slice_points(2)]
+    for c in (GaussRat(2), GaussRat(1), GaussRat(Fraction(1, 3)), CoeffFn.const(2)):
+        for X in basis:
+            fresh = SvElement(X.f, X.g, X.h)
+            for mu in points:
+                got = coadjoint(X, mu, c)
+                assert got == reference_coadjoint(X, mu, c), (str(X), str(mu), c)
+                assert got == coadjoint(fresh, mu, c)
+
+
 def duality_probes():
     Ys = [GElement(W=Symbol(R, {h(k): CoeffFn.mono(qt, qr)}))
           for k in (-2, -1, 0, 1) for qr in (-2, -1, 1) for qt in (-1, 2)]

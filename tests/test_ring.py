@@ -185,6 +185,61 @@ def test_coeff_derivatives_are_monomial():
     assert CoeffFn.const(5).deriv("T").is_zero()
 
 
+def _fresh(c: CoeffFn) -> CoeffFn:
+    """An equal value built anew, with no derivative kept."""
+    return CoeffFn(dict(c.terms))
+
+
+@given(coeffs, st.sampled_from(["TX", "XT", "TT", "XX"]))
+def test_kept_derivatives_match_those_of_a_fresh_value(c, order):
+    # each derivative is computed once and kept: a second call returns the
+    # same object, whichever variable was asked for first, and it equals
+    # the derivative of an equal value that has kept nothing
+    first = {}
+    for var in order:
+        got = c.deriv(var)
+        assert got == _fresh(c).deriv(var) and got.terms == _fresh(c).deriv(var).terms
+        assert first.setdefault(var, got) is got
+    for var in "TX":
+        assert c.deriv(var) is c.deriv(var)
+        assert c.deriv(var).deriv(var) == _fresh(_fresh(c).deriv(var)).deriv(var)
+
+
+def test_kept_derivatives_leave_zero_and_unknown_variables_as_before():
+    Z = CoeffFn.zero()
+    assert Z.deriv("T") is Z and Z.deriv("X") is Z
+    empty = ring.coeff_from_table({})
+    assert empty.deriv("T") is empty and empty.deriv("X") is empty
+    c = CoeffFn.mono(2, -1, 3)
+    c.deriv("T")
+    c.deriv("X")
+    for value in (Z, c):
+        with pytest.raises(ValueError, match="unknown variable 'Q'"):
+            value.deriv("Q")
+    assert CoeffFn.const(5).deriv("T") == Z
+
+
+def test_kept_derivatives_stay_out_of_equality_and_printing():
+    c = CoeffFn.mono(2, -1, GaussRat(F(3, 2), 1)) + M * CoeffFn.t_pow(-1)
+    plain = _fresh(c)
+    text, shown = str(c), repr(c)
+    c.deriv("T")
+    c.deriv("X")
+    assert c == plain and plain == c
+    assert str(c) == text == str(plain)
+    assert repr(c) == shown == repr(plain)
+
+
+def test_a_wrapped_table_holds_no_derivative_until_one_is_asked_for():
+    table = {(2, 1, 0): GaussRat(3), (0, 2, 1): GaussRat(0, 1)}
+    c = ring.coeff_from_table(table)
+    assert not hasattr(c, "_derivs")
+    dt = c.deriv("T")
+    assert c._derivs == {"T": dt}
+    assert dt == CoeffFn.mono(1, 1, 6)
+    assert not hasattr(dt, "_derivs")
+
+
 def test_residue_extracts_inverse_power():
     c = CoeffFn.mono(3, -1, 7) + CoeffFn.mono(3, 2, 1)
     assert c.residue("X") == CoeffFn.t_pow(3, 7)

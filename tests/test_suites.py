@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 import svpsido
-from svpsido import cocycles, poisson, psido, ring, suites, svaction, transforms
+from svpsido import cocycles, kacmoody, poisson, psido, ring, suites, svaction, transforms
 from svpsido.halfint import EXACT, h, hmax
 from svpsido.psido import R, Symbol
 from svpsido.ring import CoeffFn, GaussRat
@@ -405,6 +405,40 @@ class TestSharedTables:
             outcomes = [_call(case) for case in cases]
         assert all(out is None for out in outcomes)
         assert 0 < calls["deriv"] <= 12000
+
+    def test_theorem61_cases_compute_few_derivatives(self):
+        # each value keeps its derivatives (CoeffFn.deriv), so the cases
+        # compute only those of values that no earlier case differentiated:
+        # 25 here, against 8,655 when every deriv call computed one
+        calls = Counter()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ring, "_derivative", _counted(calls, "computed")(ring._derivative))
+            cases = _SUITE_BUILDERS["theorem61"](VerifyConfig(threads=1))
+            calls.clear()
+            outcomes = [_call(case) for case in cases]
+        assert all(out is None for out in outcomes)
+        assert 0 < calls["computed"] <= 100
+
+    def test_no_caller_changes_a_table_after_wrapping_it(self):
+        # a wrapped table is the value's terms and must not change after
+        # coeff_from_table, or a derivative kept on the value goes stale;
+        # every module that wraps tables is watched over a small box
+        wrapped = []
+
+        def watched(table):
+            wrapped.append((table, dict(table)))
+            return ring.coeff_from_table(table)
+
+        cfg = VerifyConfig(index_range=2, floor=h("-5/2"), threads=1)
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (cocycles, kacmoody, poisson, psido, svaction, transforms):
+                mp.setattr(module, "coeff_from_table", watched)
+            outcomes = []
+            for name in ("theorem61", "poisson-lemma71", "dsigma-rep", "cocycles", "theorem51"):
+                outcomes += [_call(case) for case in _SUITE_BUILDERS[name](cfg)]
+        assert all(out is None for out in outcomes)
+        assert len(wrapped) > 1000
+        assert all(table == before for table, before in wrapped)
 
     @staticmethod
     def _case_calls(name, wrap_in):

@@ -9,13 +9,20 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from svpsido.ring import CoeffFn, I_M, M
+from reference import reference_action
+from strategies import coeff_fns
+from svpsido.ring import CoeffFn, GaussRat, I_M, M
 from svpsido.svaction import SchrodPoint, d_sigma_affine, d_sigma_tilde
 from svpsido.svalgebra import SvElement, sv_basis, sv_bracket
 
 
 WEIGHTS = (Fraction(0), Fraction(1, 4), Fraction(1))
+
+gauss = st.builds(GaussRat, st.fractions(-3, 3, max_denominator=3), st.fractions(-3, 3, max_denominator=3))
+loops = coeff_fns((-2, 3), (0, 0), (-1, 1), gauss)
 
 
 def commutator(action, mu, X, Y, P):
@@ -114,6 +121,33 @@ class TestVariantDiscrepancy:
         for X in (SvElement(g=CoeffFn.t_pow(2)), SvElement(h=CoeffFn.t_pow(-1))):
             for mu in WEIGHTS:
                 assert d_sigma_tilde(mu, X, P) == d_sigma_affine(mu, X, P)
+
+
+def test_kept_factors_follow_the_weight_and_the_variant():
+    # the same basis objects keep their loop factors from one call to the
+    # next, while the weight and the variant change, and back again
+    els = [e for (_, _, e) in sv_basis(2)]
+    points = (SchrodPoint(a=CoeffFn.t_pow(1), V=CoeffFn.mono(1, 2)),
+              SchrodPoint(a=CoeffFn.one() + CoeffFn.t_pow(-2), V=CoeffFn.mono(-1, 3) + CoeffFn.t_pow(2)))
+    for mu in (*WEIGHTS, Fraction(1, 4), Fraction(0), GaussRat(1, -2)):
+        for action, variant in ((d_sigma_tilde, "tilde"), (d_sigma_affine, "affine")):
+            for X in els:
+                fresh = SvElement(X.f, X.g, X.h)
+                for P in points:
+                    got = action(mu, X, P)
+                    assert got == reference_action(mu, X, P, variant), (str(X), mu, variant)
+                    assert got == action(mu, fresh, P)
+
+
+@given(st.builds(SvElement, loops, loops, loops),
+       st.lists(st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1), Fraction(-2, 3)]),
+                min_size=1, max_size=3),
+       st.builds(SchrodPoint, loops, coeff_fns((-2, 2), (-2, 3), (-1, 1), gauss)))
+@settings(max_examples=80, deadline=None)
+def test_actions_match_the_per_call_reference(X, weights, P):
+    for mu in weights:
+        assert d_sigma_tilde(mu, X, P) == reference_action(mu, X, P, "tilde")
+        assert d_sigma_affine(mu, X, P) == reference_action(mu, X, P, "affine")
 
 
 def test_action_is_linear_in_the_point():
