@@ -14,16 +14,15 @@ gcd(a, b, d) = 1, and nothing below the floor, after sympy's
 and Pearce.  Composition, the transform, equality and the linear
 operations read and write that dict directly, as plain int data: the
 kernels add into a fresh dict unreduced, and ``symbol_from_flat``, the
-one wrap of their results, reduces it once per entry.  Only
-this module, ring and transforms know the format; every other module
-reads a symbol through its accessors, which hand out GaussRat values:
-``terms``, a read-only view of the same terms as order -> CoeffFn, built
-on its first read and kept, for printing and for callers that want whole
-coefficients; ``coeff``, which reads that view; and ``sole_term``.  A
-triple becomes a GaussRat only there, where a CoeffFn or a calculator
-monomial is built.  The dual pairing reads the dict through
-``file_symbol`` and ``pair_symbol_into``, which hand it to ring's trace
-pairing kernels and build no GaussRat.
+one wrap of their results, reduces it once per entry (ring.reduce_flat,
+the reducer that ring.coeff_from_table runs on CoeffFn tables).  The
+triples are the format of CoeffFn.terms too, so the accessors hand them
+out as they are stored: ``terms``, a read-only view of the same terms as
+order -> CoeffFn, a regroup of the flat dict built on its first read and
+kept, for printing and for callers that want whole coefficients;
+``coeff``, which reads that view; and ``sole_term``.  The dual pairing
+reads the dict through ``file_symbol`` and ``pair_symbol_into``, which
+hand it to ring's trace pairing kernels.
 
 Composition uses the generalized Leibniz rule
 
@@ -64,15 +63,13 @@ from .halfint import EXACT, HalfInt, h, hmax
 from .ring import (
     CoeffFn,
     GaussRat,
-    coeff_from_table,
+    _coeff_raw,
     file_flat,
-    gauss_of,
     leibniz_rows,
     reduce_flat,
     scale_into,
     trace_pairs_into,
     transport_into,
-    triple_of,
 )
 
 __all__ = [
@@ -108,10 +105,10 @@ class Symbol:
     """Truncated symbol: variable tag, flat term dict, floor.
 
     flat maps (twice the order, t, x, M) to the reduced int triple of a
-    nonzero GaussRat and holds no order below the floor.  A fourth slot,
-    _view, holds the terms property once it is first read; the flat dict
-    never changes after wrapping, so the view never goes stale.  Equality
-    ignores it.
+    nonzero coefficient, as CoeffFn.terms does, and holds no order below
+    the floor.  A fourth slot, _view, holds the terms property once it is
+    first read; the flat dict never changes after wrapping, so the view
+    never goes stale.  Equality ignores it.
     """
 
     __slots__ = ("var", "flat", "floor", "_view")
@@ -132,7 +129,7 @@ class Symbol:
                 c = CoeffFn.const(c)
             kt = k.twice
             for (p, q, m), v in c.terms.items():
-                flat[(kt, p, q, m)] = triple_of(v)
+                flat[(kt, p, q, m)] = v
         _set_var(self, var)
         _set_flat(self, flat)
         _set_floor(self, floor)
@@ -169,17 +166,18 @@ class Symbol:
         return Symbol(var, {_H0: coeff})
 
     @staticmethod
-    def one_term(var: str, ot: int, p: int, q: int, m: int, g: GaussRat) -> "Symbol":
-        """The exact symbol g t^p x^q M^m d^(ot/2), from twice its order
-        (fit for var) and a nonzero GaussRat."""
-        return Symbol._raw(var, {(ot, p, q, m): triple_of(g)}, EXACT)
+    def one_term(var: str, ot: int, p: int, q: int, m: int, v: tuple) -> "Symbol":
+        """The exact symbol v t^p x^q M^m d^(ot/2), from twice its order
+        (fit for var) and the reduced triple of a nonzero coefficient."""
+        return Symbol._raw(var, {(ot, p, q, m): v}, EXACT)
 
     # ---- queries ------------------------------------------------------------
 
     @property
     def terms(self):
         """Order -> CoeffFn, read-only, orders in the order flat first
-        meets them; built on the first read and kept."""
+        meets them; built on the first read and kept.  The CoeffFns share
+        the flat dict's triples."""
         view = self._view
         if view is None:
             groups: dict = {}
@@ -187,8 +185,8 @@ class Symbol:
                 g = groups.get(o)
                 if g is None:
                     g = groups[o] = {}
-                g[(p, q, m)] = gauss_of(v)
-            view = MappingProxyType({HalfInt(o): coeff_from_table(g) for o, g in groups.items()})
+                g[(p, q, m)] = v
+            view = MappingProxyType({HalfInt(o): _coeff_raw(g) for o, g in groups.items()})
             _set_view(self, view)
         return view
 
@@ -205,16 +203,16 @@ class Symbol:
     def coeff(self, order) -> CoeffFn:
         """The coefficient of d^order, read from the kept terms view: a
         symbol asked for one order is often asked again, and the view
-        turns each value into a GaussRat once."""
+        groups its terms once."""
         return self.terms.get(h(order), _ZERO)
 
     def sole_term(self):
-        """(twice the order, t, x, M, GaussRat) of an exact symbol with
-        one term, else None."""
+        """(twice the order, t, x, M, triple) of an exact symbol with one
+        term, else None."""
         if self.floor is not EXACT or len(self.flat) != 1:
             return None
         (((ot, p, q, m), v),) = self.flat.items()
-        return ot, p, q, m, gauss_of(v)
+        return ot, p, q, m, v
 
     def trusted(self, order) -> bool:
         return self.floor is EXACT or h(order) >= self.floor
@@ -317,11 +315,6 @@ def binom_half(a: HalfInt, j: int) -> GaussRat:
     return binom_twice(a.twice, j)
 
 
-def _hi(X: Symbol) -> HalfInt:
-    """Highest order X may carry: its top term, or its floor when it has none."""
-    return X.top() if X.flat else X.floor
-
-
 def sym_mul(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
     """Compose A o B, trusted down to the derived floor.
 
@@ -350,20 +343,24 @@ def compose_flat(A: Symbol, B: Symbol, products, req_floor):
     from a, q and the floor, so no term below the floor is ever added; with
     no floor it raises on the first pair whose tail does not terminate.
     The floor is EXACT only when both operands are exact and no term was
-    cut.
+    cut.  The bound is worked out on twice the orders, as ints, and a
+    HalfInt is built only for a bound above the requested floor.
     """
     _check_var(A, B)
     if (not A.flat and A.floor is EXACT) or (not B.flat and B.floor is EXACT):
         return {}, EXACT
-    req_floor = h(req_floor) if req_floor is not None else EXACT
 
-    # a zero operand with a floor still stands for unknown orders below it
-    bound = EXACT
-    if A.floor is not EXACT:
-        bound = hmax(bound, A.floor + _hi(B))
-    if B.floor is not EXACT:
-        bound = hmax(bound, B.floor + _hi(A))
-    floor = hmax(req_floor, bound)
+    floor = h(req_floor) if req_floor is not None else EXACT
+    # floor + top of the other operand; a zero operand with a floor still
+    # stands for unknown orders below it, so its floor stands in for its top
+    bound = None
+    for X, Y in ((A, B), (B, A)):
+        if X.floor is not EXACT:
+            b = X.floor.twice + (max(Y.flat)[0] if Y.flat else Y.floor.twice)
+            if bound is None or b > bound:
+                bound = b
+    if bound is not None and (floor is EXACT or bound > floor.twice):
+        floor = HalfInt(bound)
 
     low = None if floor is EXACT else floor.twice
     out: dict = {}
@@ -371,10 +368,8 @@ def compose_flat(A: Symbol, B: Symbol, products, req_floor):
     for left, right, sign in products:
         cut |= leibniz_rows(out, left.flat, right.flat, low, sign)
 
-    if bound is EXACT and not cut:
-        # both inputs exact and every tail ended by itself
-        floor = EXACT
-    return out, floor
+    # EXACT when both inputs are exact and every tail ended by itself
+    return out, EXACT if bound is None and not cut else floor
 
 
 def sym_bracket(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
@@ -403,7 +398,8 @@ def bracket_transport(A: Symbol, B: Symbol, f_items, g_items, req_floor) -> Symb
     for loop, other in ((f_items, B), (g_items, A)):
         if loop:
             transport_into(flat, loop, other.flat.items())
-    return symbol_from_flat(A.var, flat, hmax(floor, raised))
+    # a floor the bracket computed lies at or above raised already
+    return symbol_from_flat(A.var, flat, raised if floor is EXACT else floor)
 
 
 # ---- trace, projections -------------------------------------------------------------------
@@ -416,8 +412,7 @@ def adler_trace(D: Symbol) -> CoeffFn:
     """
     if D.floor is not EXACT and D.floor.twice > -2:
         raise ValueError("trace not determined at this truncation")
-    return coeff_from_table(
-        {(p, 0, m): gauss_of(v) for (o, p, q, m), v in D.flat.items() if o == -2 and q == -1})
+    return _coeff_raw({(p, 0, m): v for (o, p, q, m), v in D.flat.items() if o == -2 and q == -1})
 
 
 def file_symbol(orders: dict, n: int, V: Symbol) -> None:
@@ -465,8 +460,3 @@ def eq_trusted(A: Symbol, B: Symbol) -> bool:
                 return False
     return all(k in a for k in b if k[0] >= low)
 
-
-def max_trusted_order(D: Symbol):
-    """Highest order with a nonzero trusted coefficient, or None: every
-    stored term is nonzero and trusted, so this is the top order."""
-    return D.top()

@@ -1,61 +1,67 @@
 """Exact ground arithmetic.
 
-Two layers, both immutable and float-free:
+One coefficient format serves the whole package: the reduced int triple
+(a, b, d) of a nonzero Gaussian rational (a + i*b)/d, with d > 0,
+gcd(a, b, d) = 1 and (a, b) != (0, 0), so equal values have equal triples
+and tables of them compare as plain int data.
 
-* ``GaussRat``      -- Gaussian rationals (a + i*b)/d, stored as a reduced
-                       integer triple: d > 0 and gcd(a, b, d) = 1, so equal
-                       values have equal triples.  Every operation works on
-                       Python ints and normalises its result with one gcd
-                       (Knuth, TAOCP vol. 2, 4.5.1).  ``re`` and ``im`` are
-                       read-only views that return Fractions.  The
-                       constructor takes int and Fraction parts only.
-* ``CoeffFn``       -- Laurent polynomials in (t, x, M) over GaussRat, one
-                       flat dict from exponent triples to coefficients.
-                       x stands for the space variable of whichever symbol
-                       algebra the value lives in; the enclosing object
-                       carries the variable tag.  M is the formal mass
-                       parameter; a value free of t and x plays the part of
-                       a scalar (a structural constant, a central charge, a
-                       pairing value).  Only monomials have inverses.
+* ``GaussRat``      -- the public scalar: a Gaussian rational that keeps its
+                       reduced triple in private slots.  Every operation
+                       works on Python ints and normalises its result with
+                       one gcd (Knuth, TAOCP vol. 2, 4.5.1).  ``re`` and
+                       ``im`` are read-only views that return Fractions.
+                       The constructor takes int and Fraction parts only.
+* ``CoeffFn``       -- Laurent polynomials in (t, x, M), one flat dict
+                       ``terms`` from exponent triples to the reduced
+                       triples of their coefficients.  x stands for the
+                       space variable of whichever symbol algebra the value
+                       lives in; the enclosing object carries the variable
+                       tag.  M is the formal mass parameter; a value free of
+                       t and x plays the part of a scalar (a structural
+                       constant, a central charge, a pairing value).  Only
+                       monomials have inverses.
 
-Binary operations test the operand's class first and coerce ints,
-Fractions and GaussRats only when it differs.
+A symbol keeps its terms in the same triples, in one flat dict from (twice
+the order, t, x, M) (psido.Symbol.flat), so a symbol's terms view shares
+them.  A scalar becomes a triple only where it enters or leaves a CoeffFn:
+the constructor (GaussRat values), ``const``, ``mono``, ``__pow__``,
+``x_to_t``/``t_to_x``, ``subs_m``, and printing in textio.  ``triple_of``
+and ``gauss_of`` convert one value each way.  Binary operations test the
+operand's class first and coerce ints, Fractions and GaussRats only when
+it differs.
+
+Every kernel adds into a mutable table over a common denominator and
+builds no GaussRat: it takes no gcd and keeps an entry that cancels, so
+every sum is accumulated first and normalised late, after Monagan and
+Pearce and sympy's ``PolyElement`` over ``ZZ_I``.  Kernel inputs need not
+be reduced.  One reducer, ``reduce_flat``, then normalises a filled table
+once, where it is wrapped: one gcd per entry, zeros dropped, and for a
+symbol dict the orders below the floor.  ``coeff_from_table`` wraps a
+(t, x, M) table, as psido.symbol_from_flat wraps a symbol dict;
+``_coeff_raw`` wraps a table that is already clean.
 
 A product, sum, difference, derivative or residue with an operand that has
 no terms returns at once (values are immutable, so the operand itself may be
 the result), after the same type coercion as any other call.  Every other
-product and sum of CoeffFns runs through one loop, ``mul_into``,
-after sympy's ``PolyElement.__mul__``: it adds f*g term pair by term
-pair into a mutable {(t, x, M): GaussRat} table, dropping what cancels, and
-``coeff_from_table`` wraps the finished table once.  A sum multiplies by the
-unit, a difference by minus the unit.
+product and sum of CoeffFns runs through one loop, ``mul_into``, after
+sympy's ``PolyElement.__mul__``: it adds f*g term pair by term pair.  A sum
+multiplies by the unit, a difference by minus the unit.
 
-A symbol keeps its terms in one flat dict from (twice the order, t, x, M)
-to the reduced int triple (a, b, d) of a nonzero GaussRat (psido.Symbol.flat):
-d > 0, gcd(a, b, d) = 1 and (a, b) != (0, 0), so equal values have equal
-triples and the dicts compare as plain int data.  This format is known to
-three modules only: this one, psido and transforms.  ``triple_of`` and
-``gauss_of`` convert one value each way.  Three kernels add into such a
-dict over a common denominator, building no GaussRat: they take no gcd and
-keep an entry that cancels, so every sum is accumulated first and
-normalised late, after Monagan and Pearce.  ``reduce_flat`` then reduces
-the filled dict once, one gcd per entry, dropping zeros and the orders
-below the floor.  The Leibniz composition of symbols runs one loop,
-``leibniz_rows``, over every pair of a left and a right term.  It weighs
-each pair of a left term and a right monomial x^q by binom(a, j) (q)_j,
-read in place from a module cache of reduced int pairs keyed by (2a, q),
-with the product's sign folded into the left term, so composition takes
-no derivative.  Each pair's number of terms is fixed before its first
-term, from a, q and the floor; each term is added straight into the
-output dict.  The transform's monomial map and its deformed images shift a
-symbol's terms in order and scale them by an x-free monomial with
-``scale_into``; the transport terms of the extended bracket, loop * d_t W,
-are added by ``transport_into``.  The dual pairing files its points'
-monomials as ints (``file_terms``, ``file_flat``) and sums the trace terms
-of an element into unreduced int triples (``pair_terms_into``,
-``trace_pairs_into``, which reads the Leibniz weight cache);
-``sum_is_zero`` tests a sum as it stands and ``sum_value`` reduces it once,
-when its value is read.
+The Leibniz composition of symbols runs one loop, ``leibniz_rows``, over
+every pair of a left and a right term.  It weighs each pair of a left term
+and a right monomial x^q by binom(a, j) (q)_j, read in place from a module
+cache of reduced int pairs keyed by (2a, q), with the product's sign folded
+into the left term, so composition takes no derivative.  Each pair's
+number of terms is fixed before its first term, from a, q and the floor;
+each term is added straight into the output dict.  The transform's
+monomial map and its deformed images shift a symbol's terms in order and
+scale them by an x-free monomial with ``scale_into``; the transport terms
+of the extended bracket, loop * d_t W, are added by ``transport_into``.
+The dual pairing files its points' monomials as ints (``file_terms``,
+``file_flat``) and sums the trace terms of an element into a table of
+triples per point (``pair_terms_into``, ``trace_pairs_into``, which reads
+the Leibniz weight cache); ``sum_is_zero`` tests a sum as it stands and
+``sum_value`` wraps it when its value is read.
 
 Derivatives are term-wise monomial derivations and residues extract the
 coefficient of (variable)^-1, so res(d(f)) = 0 holds identically.  A
@@ -70,7 +76,7 @@ factorial (q)_n in ints: no derivative, product or residue is built.
 Residues of triple products, [t^p x^q](f g h), which the Poisson bracket
 is made of, are read the same way by ``triple_into``: h is indexed by
 (t, x) once, and only the pairs of an f and a g term that meet a term of
-h cost a product, one gcd per hit.
+h cost a product.
 """
 
 from __future__ import annotations
@@ -273,9 +279,10 @@ def gauss_of(t: tuple) -> GaussRat:
 
 
 class CoeffFn:
-    """Laurent polynomial in (t, x, M) over GaussRat.
+    """Laurent polynomial in (t, x, M) over the Gaussian rationals.
 
-    ``terms`` maps (t-power, x-power, M-power) to a nonzero GaussRat.  This
+    ``terms`` maps (t-power, x-power, M-power) to the reduced int triple
+    (a, b, d) of a nonzero coefficient (a + i*b)/d.  This
     is the coefficient ring of every symbol order and of the two-variable
     differential operators; t is the loop variable, x the space variable.
     Kept canonical at construction; the terms are never changed afterwards.
@@ -291,7 +298,14 @@ class CoeffFn:
     __slots__ = ("terms", "_derivs")
 
     def __init__(self, terms: dict):
-        _set_coeff_terms(self, {k: v for k, v in terms.items() if not v.is_zero()})
+        """From a dict (t, x, M) -> GaussRat; zero values are dropped."""
+        out = {}
+        for k, v in terms.items():
+            if not isinstance(v, GaussRat):
+                raise TypeError(f"CoeffFn coefficients are GaussRats, not {v!r}")
+            if not v.is_zero():
+                out[k] = triple_of(v)
+        _set_coeff_terms(self, out)
 
     def __setattr__(self, name, value):
         raise AttributeError("CoeffFn is immutable")
@@ -358,12 +372,12 @@ class CoeffFn:
             return other
         out = dict(self.terms)
         mul_into(out, _UNIT, other.terms.items())
-        return _coeff_raw(out)
+        return coeff_from_table(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _coeff_raw({k: -v for k, v in self.terms.items()})
+        return _coeff_raw({k: (-a, -b, d) for k, (a, b, d) in self.terms.items()})
 
     def __sub__(self, other):
         other = _as_coeff(other)
@@ -373,7 +387,7 @@ class CoeffFn:
             return self
         out = dict(self.terms)
         mul_into(out, _MINUS_UNIT, other.terms.items())
-        return _coeff_raw(out)
+        return coeff_from_table(out)
 
     def __rsub__(self, other):
         other = _as_coeff(other)
@@ -392,7 +406,7 @@ class CoeffFn:
             return other
         out: dict = {}
         mul_into(out, self.terms.items(), other.terms.items())
-        return _coeff_raw(out)
+        return coeff_from_table(out)
 
     __rmul__ = __mul__
 
@@ -404,7 +418,7 @@ class CoeffFn:
         if len(self.terms) != 1:
             raise ValueError("CoeffFn powers are taken of monomials only")
         (((p, q, m), v),) = self.terms.items()
-        return _coeff_raw({(p * k, q * k, m * k): v ** k})
+        return _coeff_raw({(p * k, q * k, m * k): triple_of(gauss_of(v) ** k)})
 
     # ---- calculus ---------------------------------------------------------------
 
@@ -452,7 +466,7 @@ class CoeffFn:
         for (p, q, m), v in self.terms.items():
             if p:
                 raise ValueError("x_to_t requires a t-free value")
-            out[(q, 0, m + e * q)] = v * g ** q
+            out[(q, 0, m + e * q)] = triple_of(gauss_of(v) * g ** q)
         return _coeff_raw(out)
 
     def t_to_x(self, c) -> "CoeffFn":
@@ -463,7 +477,7 @@ class CoeffFn:
         for (p, q, m), v in self.terms.items():
             if q:
                 raise ValueError("t_to_x requires an x-free value")
-            out[(0, p, m + e * p)] = v * g ** p
+            out[(0, p, m + e * p)] = triple_of(gauss_of(v) * g ** p)
         return _coeff_raw(out)
 
     def x_slice(self, q: int) -> "CoeffFn":
@@ -478,9 +492,10 @@ class CoeffFn:
         """Evaluate at M = value (value must be invertible if negative powers occur)."""
         # a zero value zeroes the terms with m > 0, so they stay out of the sum
         out: dict = {}
-        mul_into(out, _UNIT, [((p, q, 0), v * value ** m) for (p, q, m), v in self.terms.items()
+        mul_into(out, _UNIT, [((p, q, 0), triple_of(gauss_of(v) * value ** m))
+                              for (p, q, m), v in self.terms.items()
                               if m <= 0 or not value.is_zero()])
-        return _coeff_raw(out)
+        return coeff_from_table(out)
 
     # ---- identity -------------------------------------------------------------------
 
@@ -512,52 +527,45 @@ def _derivative(terms: dict, var: str) -> CoeffFn:
     """The monomial derivative of a nonempty term dict along var ('T' or
     'X'); CoeffFn.deriv keeps what it returns."""
     if var == "T":
-        return _coeff_raw({(p - 1, q, m): _gauss(v._a * p, v._b * p, v._d)
-                           for (p, q, m), v in terms.items() if p})
-    return _coeff_raw({(p, q - 1, m): _gauss(v._a * q, v._b * q, v._d)
-                       for (p, q, m), v in terms.items() if q})
+        return coeff_from_table({(p - 1, q, m): (a * p, b * p, d)
+                                 for (p, q, m), (a, b, d) in terms.items() if p})
+    return coeff_from_table({(p, q - 1, m): (a * q, b * q, d)
+                             for (p, q, m), (a, b, d) in terms.items() if q})
 
 
 def _coeff_raw(terms: dict) -> CoeffFn:
+    """The CoeffFn of a table that is already clean (nonzero reduced
+    triples), without copying it; the table must not change afterwards."""
     c = _new(CoeffFn)
     _set_coeff_terms(c, terms)
     return c
 
 
 def mul_into(acc: dict, f_items, g_items) -> None:
-    """Add f*g into acc, a mutable {(t, x, M): GaussRat} table.
+    """Add f*g into acc, a mutable {(t, x, M): (a, b, d)} table that
+    coeff_from_table reduces once it is filled.
 
-    f_items and g_items are the term items of two CoeffFns.  This is the
-    package's product and sum loop outside composition: each term pair
-    costs one normalising gcd, with the product and the running sum fused.
-    A monomial that cancels leaves the table, so a table that holds no
-    zero stays so.
+    f_items and g_items are (key, triple) pairs, such as the term items of
+    two CoeffFns.  This is the package's product and sum loop outside
+    composition: each product is added over the common denominator, with
+    no gcd, and a monomial that cancels stays in acc as a zero.
     """
     get = acc.get
-    for (p1, q1, m1), v1 in f_items:
-        a1, b1, d1 = v1._a, v1._b, v1._d
-        for (p2, q2, m2), v2 in g_items:
+    for (p1, q1, m1), (a1, b1, d1) in f_items:
+        for (p2, q2, m2), (a2, b2, d2) in g_items:
             k = (p1 + p2, q1 + q2, m1 + m2)
-            a2, b2 = v2._a, v2._b
             a = a1 * a2 - b1 * b2
             b = a1 * b2 + b1 * a2
-            d = d1 * v2._d
+            d = d1 * d2
             s = get(k)
             if s is None:
-                acc[k] = _gauss(a, b, d)
+                acc[k] = (a, b, d)
                 continue
-            e = s._d
+            sa, sb, e = s
             if e == d:
-                a += s._a
-                b += s._b
+                acc[k] = (a + sa, b + sb, d)
             else:
-                a = a * e + s._a * d
-                b = b * e + s._b * d
-                d *= e
-            if a or b:
-                acc[k] = _gauss(a, b, d)
-            else:
-                del acc[k]
+                acc[k] = (a * e + sa * d, b * e + sb * d, d * e)
 
 
 def scale_into(acc: dict, items, dt: int, p2: int, m2: int, g: tuple) -> None:
@@ -566,11 +574,11 @@ def scale_into(acc: dict, items, dt: int, p2: int, m2: int, g: tuple) -> None:
     {(twice the order, t, x, M): (a, b, d)} that reduce_flat reduces once
     it is filled.
 
-    items are (key, triple) pairs of a flat symbol dict, whose triples need
-    not be reduced, and g is an int triple.  The factor is free of x, so it
-    commutes with every derivative and each term maps to one term.  Each
-    product is added over the common denominator, with no gcd, and a
-    monomial that cancels stays in acc as a zero.
+    items are (key, triple) pairs of a flat symbol dict and g is an int
+    triple.  The factor is free of x, so it commutes with every derivative
+    and each term maps to one term.  Each product is added over the common
+    denominator, with no gcd, and a monomial that cancels stays in acc as a
+    zero.
     """
     a2, b2, d2 = g
     get = acc.get
@@ -600,13 +608,15 @@ def transport_into(acc: dict, loop, items) -> None:
     dt = [((o, p - 1, q, m), (a * p, b * p, d)) for (o, p, q, m), (a, b, d) in items if p]
     if dt:
         for (p, _, m), v in loop:
-            scale_into(acc, dt, 0, p, m, triple_of(v))
+            scale_into(acc, dt, 0, p, m, v)
 
 
 def reduce_flat(flat: dict, low) -> None:
-    """Reduce a flat symbol dict that the kernels filled, in place: each
-    value by one gcd, each zero and each order below low (twice the floor,
-    None for none) dropped, the insertion order of the rest kept."""
+    """Reduce a table of triples that the kernels filled, in place: each
+    value by one gcd, each zero dropped, the insertion order of the rest
+    kept.  A flat symbol dict, keyed (twice the order, t, x, M), also drops
+    each order below low (twice the floor, None for none); a CoeffFn table,
+    keyed (t, x, M), is reduced with low None."""
     dead = []
     for k, (a, b, d) in flat.items():
         if not (a or b) or (low is not None and k[0] < low):
@@ -740,10 +750,9 @@ def leibniz_rows(acc: dict, f: dict, g: dict, low, sign: int = 1) -> bool:
 
 
 def file_terms(index: dict, n: int, items) -> None:
-    """File the term items {(t, x, M): GaussRat} of a CoeffFn slot of
-    point n under (t, x)."""
-    for (p, q, m), v in items:
-        index.setdefault((p, q), []).append((n, m, v._a, v._b, v._d))
+    """File the term items of a CoeffFn slot of point n under (t, x)."""
+    for (p, q, m), (a, b, d) in items:
+        index.setdefault((p, q), []).append((n, m, a, b, d))
 
 
 def file_flat(orders: dict, n: int, items) -> None:
@@ -777,11 +786,10 @@ def _sum_into(sums: dict, n: int, m: int, a: int, b: int, d: int) -> None:
 def pair_terms_into(sums: dict, items, index: dict) -> None:
     """Add [t^-1](f v) for every filed loop value v into sums, f given by
     its term items; both are x-free, so t^p meets t^(-1-p)."""
-    for (p, q, e), v in items:
+    for (p, q, e), (a2, b2, d2) in items:
         hits = index.get((-1 - p, -q))
         if hits is None:
             continue
-        a2, b2, d2 = v._a, v._b, v._d
         for n, m, a1, b1, d1 in hits:
             _sum_into(sums, n, m + e, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
@@ -820,13 +828,8 @@ def trace_pairs_into(sums: dict, items, orders) -> None:
 
 
 def sum_value(row: dict) -> CoeffFn:
-    """The x-free value sum c M^m of a row M-power -> unreduced triple,
-    each coefficient reduced with one gcd and each zero dropped."""
-    terms = {}
-    for m, (a, b, d) in row.items():
-        if a or b:
-            terms[(0, 0, m)] = _gauss(a, b, d)
-    return _coeff_raw(terms)
+    """The x-free value sum c M^m of a row M-power -> unreduced triple."""
+    return coeff_from_table({(0, 0, m): v for m, v in row.items()})
 
 
 def sum_is_zero(row: dict) -> bool:
@@ -835,7 +838,7 @@ def sum_is_zero(row: dict) -> bool:
 
 
 def residue_into(acc: dict, f_items, g_items, n: int, sign: int) -> None:
-    """Add sign * res_x(f^(n) g) into acc, a mutable {(t, 0, M): GaussRat}
+    """Add sign * res_x(f^(n) g) into acc, a mutable {(t, 0, M): (a, b, d)}
     table.
 
     f_items and g_items are the term items of two CoeffFns and n >= 0 the
@@ -843,72 +846,64 @@ def residue_into(acc: dict, f_items, g_items, n: int, sign: int) -> None:
     the product f^(n) g has the term (q)_n v w x^(q+r-n), so only pairs
     with q + r = n - 1 reach x^-1; each is weighed by the falling factorial
     (q)_n in ints and no product, derivative or residue is built.  Sums are
-    kept as in mul_into: one normalising gcd per pair, and a monomial that
-    cancels leaves the table.
+    kept as in mul_into.
     """
     get = acc.get
-    for (p1, q1, m1), v1 in f_items:
+    for (p1, q1, m1), (a1, b1, d1) in f_items:
         w = sign
         for i in range(n):
             w *= q1 - i
         if not w:
             continue
-        a1, b1, d1 = w * v1._a, w * v1._b, v1._d
+        a1 *= w
+        b1 *= w
         r = n - 1 - q1
-        for (p2, q2, m2), v2 in g_items:
+        for (p2, q2, m2), (a2, b2, d2) in g_items:
             if q2 != r:
                 continue
             k = (p1 + p2, 0, m1 + m2)
-            a2, b2 = v2._a, v2._b
             a = a1 * a2 - b1 * b2
             b = a1 * b2 + b1 * a2
-            d = d1 * v2._d
+            d = d1 * d2
             s = get(k)
             if s is None:
-                acc[k] = _gauss(a, b, d)
+                acc[k] = (a, b, d)
                 continue
-            e = s._d
+            sa, sb, e = s
             if e == d:
-                a += s._a
-                b += s._b
+                acc[k] = (a + sa, b + sb, d)
             else:
-                a = a * e + s._a * d
-                b = b * e + s._b * d
-                d *= e
-            if a or b:
-                acc[k] = _gauss(a, b, d)
-            else:
-                del acc[k]
+                acc[k] = (a * e + sa * d, b * e + sb * d, d * e)
 
 
 def triple_into(acc: dict, f_items, g_items, h_items, p: int, q: int, sign: int) -> None:
-    """Add sign * [t^p x^q](f g h) into acc, a mutable {(0, 0, M): GaussRat}
+    """Add sign * [t^p x^q](f g h) into acc, a mutable {(0, 0, M): (a, b, d)}
     table.
 
     f_items, g_items and h_items are the term items of three CoeffFns.  h
     is indexed once by the (t, x) exponents that an f and a g term must
     sum to for the triple to land on t^p x^q; each pair of an f and a g
     term then costs one lookup, and only the pairs that meet a term of h
-    go on.  Each hit multiplies three GaussRats in ints and adds the
-    product with one normalising gcd, as in mul_into; no product of the
-    three is built.  The sign is folded into the terms of f.
+    go on.  Each hit multiplies three triples in ints and adds the product
+    as in mul_into; no product of the three is built.  The sign is folded
+    into the terms of f.
     """
     index: dict = {}
-    for (p3, q3, m3), v3 in h_items:
-        index.setdefault((p - p3, q - q3), []).append((m3, v3._a, v3._b, v3._d))
+    for (p3, q3, m3), (a3, b3, d3) in h_items:
+        index.setdefault((p - p3, q - q3), []).append((m3, a3, b3, d3))
     if not index:
         return
     get = acc.get
-    for (p1, q1, m1), v1 in f_items:
-        a1, b1, d1 = sign * v1._a, sign * v1._b, v1._d
-        for (p2, q2, m2), v2 in g_items:
+    for (p1, q1, m1), (a1, b1, d1) in f_items:
+        a1 *= sign
+        b1 *= sign
+        for (p2, q2, m2), (a2, b2, d2) in g_items:
             hits = index.get((p1 + p2, q1 + q2))
             if hits is None:
                 continue
-            a2, b2 = v2._a, v2._b
             a12 = a1 * a2 - b1 * b2
             b12 = a1 * b2 + b1 * a2
-            d12 = d1 * v2._d
+            d12 = d1 * d2
             m12 = m1 + m2
             for m3, a3, b3, d3 in hits:
                 k = (0, 0, m12 + m3)
@@ -917,26 +912,23 @@ def triple_into(acc: dict, f_items, g_items, h_items, p: int, q: int, sign: int)
                 d = d12 * d3
                 s = get(k)
                 if s is None:
-                    acc[k] = _gauss(a, b, d)
+                    acc[k] = (a, b, d)
                     continue
-                e = s._d
+                sa, sb, e = s
                 if e == d:
-                    a += s._a
-                    b += s._b
+                    acc[k] = (a + sa, b + sb, d)
                 else:
-                    a = a * e + s._a * d
-                    b = b * e + s._b * d
-                    d *= e
-                if a or b:
-                    acc[k] = _gauss(a, b, d)
-                else:
-                    del acc[k]
+                    acc[k] = (a * e + sa * d, b * e + sb * d, d * e)
 
 
-# The CoeffFn of a {(t, x, M): GaussRat} table that mul_into, residue_into
-# or triple_into filled, or that psido built from one order of a flat
-# symbol dict, without copying it; the table must not change afterwards.
-coeff_from_table = _coeff_raw
+def coeff_from_table(table: dict) -> CoeffFn:
+    """Wrap a {(t, x, M): (a, b, d)} table that the kernels filled as a
+    CoeffFn, reducing it in place (reduce_flat): one gcd per entry and
+    zeros dropped.  Every CoeffFn kernel result is wrapped here, as
+    psido.symbol_from_flat wraps a symbol's; the table must not change
+    afterwards."""
+    reduce_flat(table, None)
+    return _coeff_raw(table)
 
 
 def _as_coeff(v):
@@ -945,7 +937,7 @@ def _as_coeff(v):
     g = _as_gauss(v)
     if g is None:
         return None
-    return _C_ZERO if g.is_zero() else _coeff_raw({(0, 0, 0): g})
+    return _C_ZERO if g.is_zero() else _coeff_raw({(0, 0, 0): triple_of(g)})
 
 
 def _mass_unit(c) -> tuple:
@@ -954,7 +946,7 @@ def _mass_unit(c) -> tuple:
     if c is not None and len(c.terms) == 1:
         (((p, q, e), g),) = c.terms.items()
         if not (p or q):
-            return e, g
+            return e, gauss_of(g)
     raise ValueError(f"not a unit g*M^e: {c!r}")
 
 
@@ -964,7 +956,7 @@ _C_ZERO = CoeffFn({})
 _set_derivs(_C_ZERO, {"T": _C_ZERO, "X": _C_ZERO})
 _C_ONE = CoeffFn({(0, 0, 0): GR_ONE})
 _UNIT = tuple(_C_ONE.terms.items())
-_MINUS_UNIT = (((0, 0, 0), GaussRat(-1)),)
+_MINUS_UNIT = (((0, 0, 0), (-1, 0, 1)),)
 M = CoeffFn({(0, 0, 1): GR_ONE})  # the mass parameter
 
 # The recurring structural constants of the verified formulas.

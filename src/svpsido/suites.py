@@ -90,13 +90,12 @@ from .psido import (
     adler_trace,
     differential_part,
     eq_trusted,
-    max_trusted_order,
     sym_add,
     sym_bracket,
     sym_mul,
     sym_sub,
 )
-from .ring import GR_I, GR_ZERO, CoeffFn, GaussRat, I_M, M, MINUS_2I_M, TWO_I_M
+from .ring import GR_I, CoeffFn, GaussRat, I_M, M, MINUS_2I_M, TWO_I_M, coeff_from_table
 from .svaction import SchrodPoint, d_sigma_affine, d_sigma_tilde
 from .svalgebra import SvElement, phase_mode, shift_mode, sv_basis, sv_bracket, time_mode
 from .textio import coeff_str, gauss_str, scalar_str, symbol_str
@@ -322,12 +321,6 @@ def _fmt_symbol(cfg: VerifyConfig, D: Symbol) -> str:
     return symbol_str(_normalized(cfg, D))
 
 
-def _trusted_zero(D: Symbol) -> bool:
-    if D.floor is EXACT:
-        return D.is_zero()
-    return max_trusted_order(D) is None
-
-
 # ------------------------------------------------------------- shared boxes
 
 def _degrees(n: int):
@@ -439,7 +432,7 @@ def _suite_psido_axioms(cfg: VerifyConfig) -> list:
             sym_add(sym_bracket(A, bracket(j, k), F), sym_bracket(B, bracket(k, i), F)),
             sym_bracket(C, bracket(i, j), F),
         )
-        return None if _trusted_zero(total) else (sym(total), "0")
+        return None if total.is_zero() else (sym(total), "0")
 
     def abc(i, j, k):
         return f"A = {spot_names[i]}, B = {spot_names[j]}, C = {spot_names[k]}"
@@ -683,7 +676,7 @@ def _suite_lemma26(cfg: VerifyConfig) -> list:
 
     def homomorphic(i, j):
         d = sym_sub(sym_bracket(images[i], images[j], F), tr.j_map(sv_bracket(basis[i][1], basis[j][1])))
-        m = max_trusted_order(d)
+        m = d.top()
         if m is None or m <= bound:
             return None
         return (f"defect of order {m}: {_fmt_symbol(cfg, d)}", "order <= -1/2")
@@ -779,7 +772,7 @@ def _suite_theorem51(cfg: VerifyConfig) -> list:
         if not d.alpha.is_zero():
             return (f"central component {_fmt_coeff(cfg, d.alpha)}", "0")
         dW = d.W
-        if (dW.floor is EXACT or dW.floor <= F) and _trusted_zero(dW):
+        if (dW.floor is EXACT or dW.floor <= F) and dW.is_zero():
             return None
         return (f"loop component {_fmt_symbol(cfg, dW)}", "0")
 
@@ -1136,7 +1129,7 @@ def _scan_read(cfg: VerifyConfig, lifted: GElement, probe: GElement) -> CoeffFn:
 
 def _tx_coeff(c: CoeffFn, p: int, q: int) -> CoeffFn:
     """The coefficient of t^p x^q in c, a value in M alone."""
-    return CoeffFn({(0, 0, m): v for (pp, qq, m), v in c.terms.items() if (pp, qq) == (p, q)})
+    return coeff_from_table({(0, 0, m): v for (pp, qq, m), v in c.terms.items() if (pp, qq) == (p, q)})
 
 
 def _scan_at(cfg: VerifyConfig, nu: GaussRat):
@@ -1161,8 +1154,8 @@ def _scan_at(cfg: VerifyConfig, nu: GaussRat):
     extra = {k: v for k, v in s.terms.items() if k != (0, 0, 1)}
     if extra:
         return None
-    lead = s.terms.get((0, 0, 1), GR_ZERO)  # the coefficient of M
-    mu_val = (1 + GR_I * lead) / 4
+    a, b, d = s.terms.get((0, 0, 1), (0, 0, 1))  # the triple of the coefficient of M
+    mu_val = (1 + GR_I * GaussRat(Fraction(a, d), Fraction(b, d))) / 4
     if mu_val.im == 0:
         mu_val = mu_val.re
 

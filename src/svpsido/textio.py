@@ -14,9 +14,10 @@ Printing rules, fixed so that reports are reproducible byte-for-byte:
   integer or half-integer exponent (``d_xi^1/2``), then the trust marker
   `` | exact`` or `` | floor=-7/2``.
 
-Printing reads a GaussRat's reduced int triple (a + i*b)/d: a part whose
-partner is zero is already in lowest terms, and each part of a complex
-value costs one gcd, so no Fraction is built.  A coefficient is sorted
+Printing reads the reduced int triple (a + i*b)/d that a CoeffFn holds
+for each coefficient, and a GaussRat's own triple: a part whose partner
+is zero is already in lowest terms, and each part of a complex value
+costs one gcd, so no Fraction is built.  A coefficient is sorted
 once and grouped by (t, x) monomial; ``symbol_str`` takes the number of
 groups, which decides its parentheses, from the same pass.
 
@@ -34,7 +35,8 @@ exponent is read as twice its value, an int.
 
 Every atom and nonzero literal is one monomial c*t^p*x^q*M^m*d^k, and the
 parser keeps such a value as a tuple of its algebra tag, 2k, p, q, m and
-the GaussRat c until an operation needs a CoeffFn or a Symbol.  In the
+the GaussRat c until an operation needs a CoeffFn or a Symbol, where c
+becomes its triple.  In the
 normal-ordered products the calculator reads, most factors multiply as
 monomials: when the left factor has order 0 or the right one is free of
 x, every Leibniz term past the first vanishes, so the product is one
@@ -63,9 +65,10 @@ from .psido import (
     sym_mul,
     sym_neg,
 )
-from .ring import GR_I, GR_ONE, CoeffFn, GaussRat, _gauss, coeff_from_table
+from .ring import GR_I, GR_ONE, CoeffFn, GaussRat, _gauss, coeff_from_table, gauss_of, triple_of
 
-_MINUS_ONE = GaussRat(-1)
+_ONE = (1, 0, 1)
+_MINUS_ONE = (-1, 0, 1)
 
 __all__ = [
     "gauss_str",
@@ -82,7 +85,12 @@ __all__ = [
 
 
 def gauss_str(g: GaussRat) -> str:
-    a, b, d = g._a, g._b, g._d
+    return _value_str(triple_of(g))
+
+
+def _value_str(v: tuple) -> str:
+    """The text of a reduced triple (a, b, d), the value (a + i*b)/d."""
+    a, b, d = v
     try:
         # a triple with one zero part is reduced part by part already
         if not b:
@@ -108,19 +116,19 @@ def _ratio_str(n: int, d: int) -> str:
 
 
 def _mass_str(terms: list) -> str:
-    """A sum of g*M^k, given as (k, g) pairs in ascending k."""
+    """A sum of g*M^k, given as (k, triple of g) pairs in ascending k."""
     parts = []
     for k, g in terms:
         if k == 0:
-            parts.append(gauss_str(g))
+            parts.append(_value_str(g))
             continue
         mp = "M" if k == 1 else f"M^{k}"
-        if g.is_one():
+        if g == _ONE:
             parts.append(mp)
         elif g == _MINUS_ONE:
             parts.append(f"-{mp}")
         else:
-            parts.append(f"{gauss_str(g)}*{mp}")
+            parts.append(f"{_value_str(g)}*{mp}")
     return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -156,7 +164,7 @@ def _coeff_text(c: CoeffFn, xname: str) -> tuple:
             body = ""
         if body and len(terms) == 1 and terms[0][0] == 0:
             g = terms[0][1]
-            if g.is_one():
+            if g == _ONE:
                 parts.append(body)
                 continue
             if g == _MINUS_ONE:
@@ -465,12 +473,13 @@ def _check_power_digits(g: GaussRat, k: int) -> None:
     when it is below 1.  Reducing (a + i*b)^k / d^k cancels at most 2^(k/2)
     from d^k, and the two printed denominators multiply to at least the rest.
     """
-    if g._d == 1 and g._a * g._a + g._b * g._b == 1:
+    a, b, d = triple_of(g)
+    if d == 1 and a * a + b * b == 1:
         return  # every power of 1, -1, i or -i is one of them
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if k < 0:
-        g, k = g.inv(), -k
-    a, b, d, half_log2 = g._a, g._b, g._d, log10(2) / 2
+        (a, b, d), k = triple_of(g.inv()), -k
+    half_log2 = log10(2) / 2
     size = k * abs(log10(a * a + b * b) / 2 - log10(d)) - half_log2
     den = k * (log10(d) - (half_log2 if d % 2 == 0 else 0)) / (2 if b else 1)
     if limit and max(size, den) * (1 - 1e-9) >= limit:  # the factor absorbs rounding
@@ -505,8 +514,8 @@ def _built(v):
         return v
     var, ot, p, q, m, c = v
     if var is None:
-        return coeff_from_table({(p, q, m): c})
-    return Symbol.one_term(var, ot, p, q, m, c)
+        return coeff_from_table({(p, q, m): triple_of(c)})
+    return Symbol.one_term(var, ot, p, q, m, triple_of(c))
 
 
 def _as_monomial(v):
@@ -516,9 +525,12 @@ def _as_monomial(v):
         if len(v.terms) != 1:
             return None
         (((p, q, m), g),) = v.terms.items()
-        return None, 0, p, q, m, g
+        return None, 0, p, q, m, gauss_of(g)
     term = v.sole_term()
-    return None if term is None else (v.var, *term)
+    if term is None:
+        return None
+    ot, p, q, m, g = term
+    return v.var, ot, p, q, m, gauss_of(g)
 
 
 def _as_symbol(v, var: str) -> Symbol:

@@ -53,7 +53,6 @@ from .ring import (
     coeff_from_table,
     mul_into,
     scale_into,
-    triple_of,
 )
 
 if TYPE_CHECKING:  # only j_map's annotation names it
@@ -195,7 +194,8 @@ def _conjugated_image(nu: GaussRat, q: int, want) -> Symbol:
     for j, w in enumerate(_conjugation_weights(nu, q)):
         if w.is_zero() or (q < 0 and want > -q - j):
             return symbol_from_flat(R, flat, EXACT if q >= 0 else want)
-        scale_into(flat, _theta_images.image(q - j).flat.items(), -4 * j, 0, 0, triple_of(w))
+        (g,) = CoeffFn.const(w).terms.values()  # w's triple, as the kernel scales by it
+        scale_into(flat, _theta_images.image(q - j).flat.items(), -4 * j, 0, 0, g)
 
 
 # ---------------------------------------------------------------- forward map
@@ -311,16 +311,16 @@ def time_shift(f: CoeffFn, depth: int) -> CoeffFn:
     out: dict = {}
     for q in dict.fromkeys(k[1] for k in f.terms):
         a = HalfInt.of(q)
-        series = []
+        series = {}
         scale = _HALF_I ** q  # (i/2)^(q - m), one factor 2/i = -2i per step in m
         for m in range((q if q >= 0 else depth) + 1):
             cf = binom_half(a, m)
             if cf.is_zero():
                 break
             # (i t / 2M)^(q - m) xi^m
-            series.append(((q - m, m, m - q), scale * cf))
+            series[(q - m, m, m - q)] = scale * cf
             scale = scale * _MINUS_2I
-        mul_into(out, series, f.x_slice(q).terms.items())
+        mul_into(out, CoeffFn(series).terms.items(), f.x_slice(q).terms.items())
     return coeff_from_table(out)
 
 

@@ -31,7 +31,6 @@ from svpsido.psido import (
     XI,
     Symbol,
     _check_var,
-    _hi,
     binom_half,
     binom_twice,
     sym_add,
@@ -49,10 +48,14 @@ from svpsido.ring import (
     _gauss,
     _weights,
     leibniz_rows,
-    mul_into,
-    triple_of,
 )
 from svpsido.svaction import SchrodPoint
+
+
+def gauss(v: tuple) -> GaussRat:
+    """The GaussRat (a + i*b)/d of a stored triple, built through Fractions."""
+    a, b, d = v
+    return GaussRat(F(a, d), F(b, d))
 
 
 def gauss_str(g: GaussRat) -> str:
@@ -166,7 +169,7 @@ class ComposingParser(textio._Parser):
             if v == CoeffFn.one():
                 return v
             if len(v.terms) == 1 and not half:
-                textio._check_power_digits(*v.terms.values(), k)
+                textio._check_power_digits(gauss(*v.terms.values()), k)
                 return v ** k
         elif len(v.terms) == 1 and v.floor is EXACT:
             ((order, c),) = v.terms.items()
@@ -176,7 +179,7 @@ class ComposingParser(textio._Parser):
                     raise ValueError("resulting order is not a half-integer")
                 return Symbol.monomial(v.var, HalfInt(newtw // 2), CoeffFn.one())
             if order.twice == 0 and len(c.terms) == 1 and not half:
-                textio._check_power_digits(*c.terms.values(), k)
+                textio._check_power_digits(gauss(*c.terms.values()), k)
                 return Symbol.function(v.var, c ** k)
         if not half and k >= 0:
             if k > textio.transforms.MAX_IMAGE_POWER and not _x_free_monomial(v):
@@ -302,7 +305,7 @@ def series_image(nu: GaussRat, k: int, want) -> Symbol:
 
 def term_rows(X: Symbol) -> list:
     """Reference rows of X: (twice the order, rows (t, x, M, a, b, d)) per order."""
-    return [(k.twice, [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in c.terms.items()])
+    return [(k.twice, [(p, q, m, *v) for (p, q, m), v in c.terms.items()])
             for k, c in X.terms.items()]
 
 
@@ -343,6 +346,11 @@ def nested_leibniz_rows(tables: dict, f_rows, g_rows, low, sign: int = 1) -> boo
                     q -= 1
                     order -= 2
     return cut
+
+
+def _hi(X: Symbol) -> HalfInt:
+    """Highest order X may carry: its top term, or its floor when it has none."""
+    return X.top() if X.flat else X.floor
 
 
 def compose_tables(A: Symbol, B: Symbol, products, req_floor):
@@ -386,7 +394,7 @@ def x_slice_rows(c: CoeffFn) -> dict:
     """x-power -> int rows (t, M, a, b, d) of c's coefficient of that power."""
     out: dict = {}
     for (p, q, m), v in c.terms.items():
-        out.setdefault(q, []).append((p, m, v._a, v._b, v._d))
+        out.setdefault(q, []).append((p, m, *v))
     return out
 
 
@@ -522,22 +530,20 @@ def nested_g_bracket(A, B, c, req_floor):
     AW, BW = A.W, B.W
     tables, floor = compose_tables(AW, BW, ((AW, BW, 1), (BW, AW, -1)), h(req_floor))
     floor = hmax(hmax(floor, AW.floor), BW.floor)
-    w: dict = {}
-    alpha: dict = {}
-    aw, bw = A.w.terms.items(), B.w.terms.items()
-    minus_bw = (-B.w).terms.items()
-    for loop, other in ((aw, BW), (minus_bw, AW)):
+    for loop, other in ((A.w, BW), (-B.w, AW)):
         for b, g in other.terms.items():
             if floor is EXACT or b >= floor:
-                mul_into(tables.setdefault(b.twice, {}), loop, g.deriv("T").terms.items())
-    mul_into(w, aw, B.w.deriv("T").terms.items())
-    mul_into(w, (-A.w.deriv("T")).terms.items(), bw)
-    mul_into(alpha, aw, B.alpha.deriv("T").terms.items())
-    mul_into(alpha, minus_bw, A.alpha.deriv("T").terms.items())
+                table = tables.setdefault(b.twice, {})
+                for k, v in (loop * g.deriv("T")).terms.items():
+                    total = table[k] + gauss(v) if k in table else gauss(v)
+                    if total.is_zero():
+                        del table[k]
+                    else:
+                        table[k] = total
+    w = A.w * B.w.deriv("T") - A.w.deriv("T") * B.w
     central = eval_cocycle(CocycleId.C3, AW, BW)
-    scalar = c if isinstance(c, CoeffFn) else CoeffFn.const(c)
-    mul_into(alpha, central.terms.items(), scalar.terms.items())
-    return kacmoody.GElement(CoeffFn(w), symbol_from_tables(R, tables, floor), CoeffFn(alpha))
+    alpha = A.w * B.alpha.deriv("T") - B.w * A.alpha.deriv("T") + central * c
+    return kacmoody.GElement(w, symbol_from_tables(R, tables, floor), alpha)
 
 
 # ---- the Leibniz kernel, the loop shift and theta_t, term by term -----------------------------
@@ -545,19 +551,19 @@ def nested_g_bracket(A, B, c, req_floor):
 
 def leibniz_by_recurrence(out: dict, at: int, f_items, g_terms, low) -> bool:
     """Reference for ring.leibniz_rows: one order's terms, weights by their recurrence."""
-    # f_items are (key, GaussRat) pairs of the left order at/2 and g_terms
-    # (2b, key, GaussRat) right terms; out is a flat symbol dict of reduced
+    # f_items are (key, triple) pairs of the left order at/2 and g_terms
+    # (2b, key, triple) right terms; out is a flat symbol dict of reduced
     # triples, each sum taken in GaussRat, where a monomial that cancels
     # keeps its place as the zero (0, 0, 1).  The weight binom(a, j) (q)_j is
     # updated in ints from one j to the next, each term's order is checked
     # against the floor before it is added, and terms end at the first zero
     # weight, so this loops for ever on a tail that does not terminate when
     # low is None.
-    fs = [(p, q, m, v._a, v._b, v._d) for (p, q, m), v in f_items]
+    fs = [(p, q, m, *v) for (p, q, m), v in f_items]
     cut = False
     for bt, (p2, q, m2), v2 in g_terms:
         order = at + bt
-        a2, b2, d2 = v2._a, v2._b, v2._d
+        a2, b2, d2 = v2
         j = 0
         while True:
             if low is not None and order < low:
@@ -634,7 +640,7 @@ def reference_slots(D: Symbol):
     slots = {2: {}, 0: {}, -2: {}}
     for (o, p, q, m), (a, b, d) in D.flat.items():
         if o in slots:
-            slots[o][(p, q, m)] = GaussRat(F(a, d), F(b, d))
+            slots[o][(p, q, m)] = gauss((a, b, d))
     return CoeffFn(slots[2]), CoeffFn(slots[0]), CoeffFn(slots[-2])
 
 
@@ -725,37 +731,20 @@ _ACTION_VARIANTS = {"tilde": (CoeffFn.const(-2), True), "affine": (CoeffFn.const
 def reference_action(mu, X, P, variant):
     """Reference for svaction._action: every loop factor folded from X and mu on each call, none kept on X."""
     minus_v_transport, a_transport = _ACTION_VARIANTS[variant]
-    minus_v_transport = minus_v_transport.terms.items()
     f, g = X.f, X.g
     fd = f.deriv("T")
     fdd = fd.deriv("T")
-    of_v: dict = {}
-    of_vx: dict = {}
-    of_a: dict = {}
-    if f.terms:
-        mul_into(of_v, fd.terms.items(), minus_v_transport)
-        mul_into(of_vx, fd.terms.items(), CoeffFn.x_pow(1, F(-1, 2)).terms.items())
-        mul_into(of_a, fdd.terms.items(), (I_M * (F(1, 2) - 2 * mu)).terms.items())
-        mul_into(of_a, fdd.deriv("T").terms.items(), (F(-1, 2) * M ** 2 * CoeffFn.x_pow(2)).terms.items())
-    if g.terms:
-        mul_into(of_vx, g.terms.items(), CoeffFn.const(-1).terms.items())
-        mul_into(of_a, g.deriv("T").deriv("T").terms.items(), (-2 * M ** 2 * CoeffFn.x_pow(1)).terms.items())
-    if X.h.terms:
-        mul_into(of_a, X.h.deriv("T").terms.items(), (-2 * M ** 2).terms.items())
-    a, V = P.a.terms.items(), P.V.terms.items()
-    a_row: dict = {}
-    v_row: dict = {}
-    if f.terms:
-        minus_f = (-f).terms.items()
-        mul_into(a_row, minus_f, P.a.deriv("T").terms.items())
-        if a_transport:
-            mul_into(a_row, (-fd).terms.items(), a)
-        mul_into(v_row, minus_f, P.V.deriv("T").terms.items())
-    mul_into(v_row, of_v.items(), V)
-    if of_vx:
-        mul_into(v_row, of_vx.items(), P.V.deriv("X").terms.items())
-    mul_into(v_row, of_a.items(), a)
-    return SchrodPoint(CoeffFn(a_row), CoeffFn(v_row))
+    of_v = fd * minus_v_transport
+    of_vx = fd * CoeffFn.x_pow(1, F(-1, 2)) - g
+    of_a = (fdd * (I_M * (F(1, 2) - 2 * mu))
+            + fdd.deriv("T") * (F(-1, 2) * M ** 2 * CoeffFn.x_pow(2))
+            - g.deriv("T").deriv("T") * (2 * M ** 2 * CoeffFn.x_pow(1))
+            - X.h.deriv("T") * (2 * M ** 2))
+    a_row = -f * P.a.deriv("T")
+    if a_transport:
+        a_row = a_row - fd * P.a
+    v_row = -f * P.V.deriv("T") + of_v * P.V + of_vx * P.V.deriv("X") + of_a * P.a
+    return SchrodPoint(a_row, v_row)
 
 
 # ---- the dual pairing, one GaussRat per term -------------------------------------------------
@@ -774,7 +763,7 @@ def gauss_family_pair(points, A) -> list:
 
     def file(index, n, terms):
         for (p, q, m), c in terms.items():
-            index.setdefault((p, q), []).append((n, m, c))
+            index.setdefault((p, q), []).append((n, m, gauss(c)))
 
     for n, mu in enumerate(points):
         file(v_index, n, mu.v.terms)
@@ -790,7 +779,7 @@ def gauss_family_pair(points, A) -> list:
     for index, g in ((v_index, A.w), (a_index, A.alpha)):
         for (p, q, e), d in g.terms.items():
             for n, m, c in index.get((-1 - p, -q), ()):
-                collect(n, m + e, c * d)
+                collect(n, m + e, c * gauss(d))
     for b, g in A.W.terms.items():
         bt = b.twice
         for (p, q, e), d in g.terms.items():
@@ -805,7 +794,7 @@ def gauss_family_pair(points, A) -> list:
                 ff = prod(range(q - j + 1, q + 1))
                 if coef.is_zero() or not ff:
                     continue
-                d_ff = d * (coef * ff)
+                d_ff = gauss(d) * (coef * ff)
                 for n, m, c in hits:
                     collect(n, m + e, c * d_ff)
     out = [CoeffFn.zero()] * len(points)
@@ -950,13 +939,13 @@ def reference_hamiltonian_vector(F, mu, c):
 
 
 def leibniz_into(out: dict, f_terms, g_terms, low) -> bool:
-    """leibniz_rows on term items: (2a, items) per left order, (2b, key, value) per right term.
+    """leibniz_rows on term items: (2a, items) per left order, (2b, key, triple) per right term.
 
-    The GaussRat values go in as the reduced triples of a flat symbol dict,
-    and out is such a dict, filled unreduced until ring.reduce_flat runs.
+    The triples go in as the values of a flat symbol dict, and out is such
+    a dict, filled unreduced until ring.reduce_flat runs.
     """
-    f = {(at, *key): triple_of(v) for at, items in f_terms for key, v in items}
-    g = {(bt, *key): triple_of(v) for bt, key, v in g_terms}
+    f = {(at, *key): v for at, items in f_terms for key, v in items}
+    g = {(bt, *key): v for bt, key, v in g_terms}
     return leibniz_rows(out, f, g, low)
 
 

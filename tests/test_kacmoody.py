@@ -43,7 +43,6 @@ from svpsido.psido import (
     XI,
     Symbol,
     adler_trace,
-    max_trusted_order,
     sym_add,
     sym_bracket,
     sym_mul,
@@ -164,7 +163,7 @@ class TestBracket:
             rhs = g_bracket(B, A, C2, REQ)
             assert lhs.w == -rhs.w and lhs.alpha == -rhs.alpha
             dW = sym_sub(lhs.W, sym_sub(Symbol.zero(R), rhs.W))
-            assert max_trusted_order(dW) is None
+            assert dW.top() is None
 
     def test_center_is_central(self):
         A = GElement(alpha=CoeffFn.t_pow(3))
@@ -189,7 +188,7 @@ class TestBracket:
                 term = g_bracket(X, inner, C2, REQ)
                 total = term if total is None else total.add(term)
             assert total.w.is_zero() and total.alpha.is_zero()
-            assert max_trusted_order(total.W) is None
+            assert total.W.top() is None
 
 
 class TestPairing:
@@ -485,7 +484,7 @@ def test_bracket_homomorphism():
             assert dW.is_zero(), (str(els[i]), str(els[j]), str(dW))
         else:
             assert dW.floor <= REQ
-            assert max_trusted_order(dW) is None, (str(els[i]), str(els[j]), str(dW))
+            assert dW.top() is None, (str(els[i]), str(els[j]), str(dW))
 
 
 class TestCoadjoint:

@@ -27,7 +27,6 @@ from svpsido.psido import (
     cap_order,
     differential_part,
     eq_trusted,
-    max_trusted_order,
     sym_add,
     sym_bracket,
     sym_mul,
@@ -262,7 +261,7 @@ def test_eq_trusted_ignores_untrusted_orders():
     A = Symbol(XI, {h(0): CoeffFn.one(), h(-2): CoeffFn.x_pow(1)}, h(-1))
     B = Symbol(XI, {h(0): CoeffFn.one()}, h(-1))
     assert eq_trusted(A, B)
-    assert max_trusted_order(A) == h(0)
+    assert A.top() == h(0)
 
 
 # ---- structural laws over random symbols -----------------------------------------

@@ -134,7 +134,13 @@ def test_gauss_inverse_when_nonzero(a):
 
 def test_scalar_normalizes_away_zeros():
     s = CoeffFn({(0, 0, 0): GaussRat(1), (0, 0, 2): GR_ZERO})
-    assert s.terms == {(0, 0, 0): GR_ONE}
+    assert s.terms == {(0, 0, 0): (1, 0, 1)}
+
+
+@pytest.mark.parametrize("value", [1, F(1, 2), 0.5, (1, 0, 1)])
+def test_the_constructor_refuses_a_coefficient_that_is_no_gauss_rat(value):
+    with pytest.raises(TypeError):
+        CoeffFn({(0, 0, 0): value})
 
 
 def test_scalar_monomial_unit_inverse():
@@ -187,7 +193,7 @@ def test_coeff_derivatives_are_monomial():
 
 def _fresh(c: CoeffFn) -> CoeffFn:
     """An equal value built anew, with no derivative kept."""
-    return CoeffFn(dict(c.terms))
+    return ring.coeff_from_table(dict(c.terms))
 
 
 @given(coeffs, st.sampled_from(["TX", "XT", "TT", "XX"]))
@@ -231,7 +237,7 @@ def test_kept_derivatives_stay_out_of_equality_and_printing():
 
 
 def test_a_wrapped_table_holds_no_derivative_until_one_is_asked_for():
-    table = {(2, 1, 0): GaussRat(3), (0, 2, 1): GaussRat(0, 1)}
+    table = {(2, 1, 0): (3, 0, 1), (0, 2, 1): (0, 1, 1)}
     c = ring.coeff_from_table(table)
     assert not hasattr(c, "_derivs")
     dt = c.deriv("T")
@@ -262,7 +268,8 @@ def test_coeff_leibniz_rule(a, b):
 
 def _tx_slice(c: CoeffFn, p: int, q: int) -> CoeffFn:
     """The coefficient of t^p x^q in c, a value in M alone."""
-    return CoeffFn({(0, 0, m): v for (pp, qq, m), v in c.terms.items() if (pp, qq) == (p, q)})
+    return ring.coeff_from_table({(0, 0, m): v for (pp, qq, m), v in c.terms.items()
+                                  if (pp, qq) == (p, q)})
 
 
 @given(coeffs, coeffs, coeffs, st.integers(-3, 2), st.integers(-3, 2),
@@ -272,7 +279,7 @@ def test_triple_kernel_reads_one_coefficient_of_the_product(f, g, h, p, q, sign,
     acc = dict(start.terms)
     ring.triple_into(acc, f.terms.items(), g.terms.items(), h.terms.items(), p, q, sign)
     assert ring.coeff_from_table(acc) == start + _tx_slice(f * g * h, p, q) * sign
-    assert all(not v.is_zero() for v in acc.values())
+    assert all(a or b for a, b, _ in acc.values())
 
 
 def test_triple_kernel_cancels_to_an_empty_table():
@@ -282,7 +289,8 @@ def test_triple_kernel_cancels_to_an_empty_table():
     ring.triple_into(acc, f.terms.items(), g.terms.items(), CoeffFn.one().terms.items(), -1, -1, 1)
     assert acc
     ring.triple_into(acc, f.terms.items(), g.terms.items(), CoeffFn.one().terms.items(), -1, -1, -1)
-    assert acc == {}
+    # a cancelled entry stays in the table until the wrap reduces it away
+    assert ring.coeff_from_table(acc).is_zero() and acc == {}
 
 
 def _no_table(*args, **kwargs):

@@ -61,8 +61,21 @@ def gauss_sp(g: GaussRat):
     )
 
 
+def check_coeff(c: CoeffFn) -> None:
+    """Every value of c.terms is the reduced triple (a, b, d) of a nonzero
+    Gaussian rational: ints, d > 0, gcd(a, b, d) = 1 and a or b nonzero."""
+    for v in c.terms.values():
+        assert v.__class__ is tuple and len(v) == 3 and all(n.__class__ is int for n in v), v
+        a, b, d = v
+        assert d > 0 and gcd(a, b, d) == 1 and (a or b), v
+
+
 def coeff_sp(c: CoeffFn):
-    return sp.Add(*[gauss_sp(v) * T**p * X**q * MASS**m for (p, q, m), v in c.terms.items()])
+    """c in sympy, after check_coeff: every CoeffFn that a test reads goes
+    through here, operands and results alike."""
+    check_coeff(c)
+    return sp.Add(*[(a + sp.I * b) / sp.Integer(d) * T**p * X**q * MASS**m
+                    for (p, q, m), (a, b, d) in c.terms.items()])
 
 
 def same(a, b) -> bool:
@@ -242,7 +255,6 @@ def test_coeff_subtraction_builds_no_negated_copy(f, g):
         mp.setattr(CoeffFn, "__neg__", _no_negation)
         for got, want in ((f - g, sf - sg), (1 - f, 1 - sf), (f - 1, sf - 1), (f - f, 0)):
             assert same(coeff_sp(got), want)
-            assert all(not v.is_zero() for v in got.terms.values())
 
 
 def test_mass_value_zero_keeps_the_mass_free_terms():
@@ -353,12 +365,14 @@ def derived_floor(A: Symbol, B: Symbol, req: HalfInt):
 
 
 def clean(P: Symbol) -> bool:
-    """No zero coefficient, zero monomial or order below the floor."""
+    """No zero coefficient or order below the floor, and only reduced
+    nonzero triples (check_coeff)."""
+    for c in P.terms.values():
+        check_coeff(c)
     return all(
         type(k) is HalfInt
         and type(c) is CoeffFn
         and c.terms
-        and all(not v.is_zero() for v in c.terms.values())
         and (P.floor is EXACT or k >= P.floor)
         for k, c in P.terms.items()
     )
@@ -556,7 +570,8 @@ def test_leibniz_into_matches_the_recurrence(first, second, low):
     # two products into one dict, the second negated as in a bracket
     for terms, sign in ((first, 1), (second, -1)):
         f_terms, g_terms = _kernel_inputs(terms)
-        f_terms = [(at, [(k, v * sign) for k, v in items]) for at, items in f_terms]
+        f_terms = [(at, [(k, (a * sign, b * sign, d)) for k, (a, b, d) in items])
+                   for at, items in f_terms]
         got_cut |= leibniz_into(got, f_terms, g_terms, low)
         want_cut |= _by_left_term(want, f_terms, g_terms, low)
     assert list(_reduced(got).items()) == list(_nonzero(want).items())
@@ -566,8 +581,8 @@ def test_leibniz_into_matches_the_recurrence(first, second, low):
 def _pair_with_end(at: int, q: int):
     """One left term x^0 d^(at/2) and one right monomial x^q d^0, and the
     twice-order of the pair's last term (None when the tail never ends)."""
-    f_terms = [(at, [((0, 0, 0), GaussRat(1))])]
-    g_terms = [(0, (0, q, 0), GaussRat(F(1, 3), 2))]
+    f_terms = [(at, [((0, 0, 0), (1, 0, 1))])]
+    g_terms = [(0, (0, q, 0), (1, 6, 3))]  # 1/3 + 2i
     ends = [n for n in (at // 2 + 1 if at >= 0 and at % 2 == 0 else None,
                         q + 1 if q >= 0 else None) if n is not None]
     last = at - 2 * (min(ends) - 1) if ends else None
@@ -856,7 +871,7 @@ def test_loop_shift_and_theta_t_match_their_term_by_term_forms(E, nu, req):
     for c in E.terms.values():
         got = tr.time_shift(c, depth)
         assert got == shift_by_terms(c, depth)
-        assert all(not v.is_zero() for v in got.terms.values())
+        check_coeff(got)
     got = tr.theta_t(E, req, nu=nu)
     assert got == theta_t_by_orders(E, req, nu)  # floors included
     assert clean(got)

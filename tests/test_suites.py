@@ -421,18 +421,23 @@ class TestSharedTables:
 
     def test_no_caller_changes_a_table_after_wrapping_it(self):
         # a wrapped table is the value's terms and must not change after
-        # coeff_from_table, or a derivative kept on the value goes stale;
-        # every module that wraps tables is watched over a small box
+        # coeff_from_table, which reduces it in place, or after the raw
+        # wrap of psido's views, or a derivative kept on the value goes
+        # stale; every module that wraps tables is watched over a small box
         wrapped = []
 
-        def watched(table):
-            wrapped.append((table, dict(table)))
-            return ring.coeff_from_table(table)
+        def watched(wrap):
+            def wrapper(table):
+                out = wrap(table)
+                wrapped.append((table, dict(table)))
+                return out
+            return wrapper
 
         cfg = VerifyConfig(index_range=2, floor=h("-5/2"), threads=1)
         with pytest.MonkeyPatch.context() as mp:
-            for module in (cocycles, kacmoody, poisson, psido, svaction, transforms):
-                mp.setattr(module, "coeff_from_table", watched)
+            for module in (cocycles, kacmoody, poisson, svaction, transforms):
+                mp.setattr(module, "coeff_from_table", watched(ring.coeff_from_table))
+            mp.setattr(psido, "_coeff_raw", watched(ring._coeff_raw))
             outcomes = []
             for name in ("theorem61", "poisson-lemma71", "dsigma-rep", "cocycles", "theorem51"):
                 outcomes += [_call(case) for case in _SUITE_BUILDERS[name](cfg)]

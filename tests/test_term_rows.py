@@ -130,8 +130,8 @@ def same(got, want) -> bool:
 
 def check_flat(*syms):
     """Only reduced nonzero triples and nothing below the floor in the flat
-    dict; a kept view that equals a fresh grouping and rebuilds the same
-    symbol."""
+    dict; a kept view that equals a fresh grouping, shares the flat dict's
+    triples and rebuilds the same symbol."""
     for X in syms:
         if isinstance(X, GElement):
             X = X.W
@@ -146,6 +146,7 @@ def check_flat(*syms):
         assert dict(view) == grouped(X)
         assert list(view) == list(grouped(X))
         assert X.terms is view
+        assert all(view[HalfInt(o)].terms[(p, q, m)] is v for (o, p, q, m), v in X.flat.items())
         assert Symbol(X.var, view, X.floor) == X
 
 
@@ -366,3 +367,14 @@ def test_the_reducer_drops_zeros_and_low_orders_and_keeps_the_order():
     acc = {(0, 0, 0, 0): (0, 0, 1)}
     reduce_flat(acc, 0)
     assert acc == {}
+    # a CoeffFn table, keyed (t, x, M), is reduced with no floor: no key
+    # is read as an order, so a negative t-power stays
+    acc = {
+        (-3, 1, 0): (6, -4, 8),     # gcd 2
+        (0, 0, 2): (0, 0, 7),       # a cancelled sum
+        (1, -2, -1): (1, 2, 3),     # already reduced
+        (-1, 0, 0): (0, 9, 3),      # an imaginary part alone
+    }
+    reduce_flat(acc, None)
+    assert list(acc.items()) == [((-3, 1, 0), (3, -2, 4)), ((1, -2, -1), (1, 2, 3)),
+                                 ((-1, 0, 0), (0, 3, 1))]
