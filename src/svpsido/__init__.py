@@ -13,7 +13,7 @@ the `svpsido` command with `verify` (property suites) and `eval`
 (expression calculator) subcommands.
 """
 
-from .halfint import EXACT, HalfInt, h, hmax, hmin
+from .halfint import EXACT, HalfInt, h, hmax
 from .ring import CoeffFn, GaussRat
 
 __version__ = "0.1.0"
@@ -23,7 +23,6 @@ __all__ = [
     "HalfInt",
     "h",
     "hmax",
-    "hmin",
     "GaussRat",
     "CoeffFn",
     "__version__",

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import enum
 
-from .halfint import EXACT, h
+from .halfint import EXACT
 from .psido import R, Symbol, sym_bracket
 from .ring import CoeffFn, coeff_from_table, residue_into
 
@@ -57,8 +57,6 @@ class CocycleId(enum.Enum):
     C4 = "c4"
     C5 = "c5"
 
-
-_MINUS_ONE = h(-1)
 
 # cocycle -> (n, i, j, signs): the value is signs[0] * res(A_i^(n) B_j) plus,
 # when a second sign is given, signs[1] * res(B_i^(n) A_j), with the slots
@@ -93,7 +91,7 @@ def _slots(D: Symbol):
             down = c.terms.items()
         elif tw > 2:
             raise ValueError("cocycles live on symbols of order <= 1")
-    if D.floor is not EXACT and D.floor.twice > -2:
+    if D.low is not EXACT and D.low > -2:
         raise ValueError("slot at order -1 is untrusted; deepen the floor")
     return up, mid, down
 
@@ -124,7 +122,7 @@ def quotient_bracket(A: Symbol, B: Symbol) -> Symbol:
     The full commutator floored at order -1 has the same three slots;
     lower orders never enter.
     """
-    return sym_bracket(A, B, _MINUS_ONE)
+    return sym_bracket(A, B, -1)
 
 
 def cyclic_defect(

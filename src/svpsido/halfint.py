@@ -1,10 +1,14 @@
 """Half-integer order arithmetic.
 
 Symbol orders live in (1/2)Z.  Storing the doubled value as a plain int keeps
-every comparison, addition and hash exact, with no rational machinery on the
-hot path.  Values with |twice| <= INTERNED_TWICE are interned: HalfInt(t)
-returns one shared object per value, so dict lookups with those keys match
-by identity, and each object computes its hash once, at construction.
+every comparison, addition and hash exact.  Inside the package an order or
+a floor is that int (the flat keys, Symbol.low); HalfInt, the public order
+scalar, wraps it where orders enter (low_of) and leave (floor_of).  A
+HalfInt compares with an int as an order, HalfInt(2) == 1, so a twice-int
+passed as an order compares wrongly with no error.  Values with |twice| <=
+INTERNED_TWICE are interned: HalfInt(t) returns one shared object per
+value, so dict lookups with those keys match by identity, and each object
+computes its hash once, at construction.
 The module also fixes the package-wide convention for the "no
 truncation" sentinel: a floor of ``None`` means every order below the stored
 terms is identically zero (written EXACT in text form).
@@ -15,7 +19,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-__all__ = ["HalfInt", "EXACT", "h", "hmax", "hmin"]
+__all__ = ["HalfInt", "EXACT", "h", "hmax", "low_of", "floor_of", "max_low"]
 
 # Floor sentinel: all orders below the stored support are exactly zero.
 EXACT = None
@@ -105,9 +109,7 @@ class HalfInt:
         # finding order -2 in a small dict that holds order -1 calls this
         # method 13 times, not once.  Symbols key their terms by the int
         # twice the order, so only terms views and constructor input hash
-        # HalfInts: perfbench's traced transform workload counts 40,023
-        # __hash__ calls (74,018 with HalfInt-keyed terms), most of them
-        # from the tracer's own len(out.terms) on each product
+        # HalfInts
         if other.__class__ is HalfInt:
             return self.twice == other.twice
         k = self._cmp_key(other)
@@ -177,7 +179,7 @@ def h(value) -> HalfInt:
     if isinstance(value, HalfInt):
         return value
     if isinstance(value, int):
-        return HalfInt.of(value)
+        return HalfInt(2 * value)
     if isinstance(value, str):
         return HalfInt.parse(value)
     if isinstance(value, Fraction):
@@ -187,17 +189,24 @@ def h(value) -> HalfInt:
     raise TypeError(f"cannot coerce {value!r} to HalfInt")
 
 
-def hmax(a, b):
-    """max of two floors where None (EXACT) acts as -infinity."""
+def low_of(floor) -> int | None:
+    """Twice a floor given in any form h() takes, EXACT for EXACT."""
+    return EXACT if floor is EXACT else h(floor).twice
+
+
+def floor_of(low) -> HalfInt | None:
+    """The public floor of twice-int low: a HalfInt, or EXACT."""
+    return EXACT if low is EXACT else HalfInt(low)
+
+
+def max_low(a, b):
+    """The higher of two floors of one form, twice-ints or (as hmax)
+    HalfInts, EXACT acting as -infinity."""
     if a is EXACT:
         return b
-    if b is EXACT:
+    if b is EXACT or a >= b:
         return a
-    return a if a >= b else b
+    return b
 
 
-def hmin(a, b):
-    """min of two floors where None (EXACT) acts as -infinity."""
-    if a is EXACT or b is EXACT:
-        return EXACT
-    return a if a <= b else b
+hmax = max_low

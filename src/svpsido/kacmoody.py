@@ -58,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cocycles import CocycleId, eval_cocycle
-from .halfint import EXACT, h
+from .halfint import EXACT, floor_of, h
 from .psido import (
     R,
     XI,
@@ -102,10 +102,6 @@ __all__ = [
     "in_invariant_slice",
 ]
 
-_ONE = h(1)
-_MINUS_ONE = h(-1)
-_MINUS_TWO = h(-2)
-
 
 def _as_loop(c, what: str) -> CoeffFn:
     if c is None:
@@ -128,7 +124,7 @@ class GElement:
         if W.var != R:
             raise ValueError("the symbol component lives on the space side")
         top = W.top()
-        if top is not None and top > _ONE:
+        if top is not None and top.twice > 2:
             raise ValueError("the symbol component must have order <= 1")
         object.__setattr__(self, "w", _as_loop(w, "the d_t component"))
         object.__setattr__(self, "W", W)
@@ -183,10 +179,10 @@ class GDual:
             V = Symbol.zero(R)
         if V.var != R:
             raise ValueError("the dual symbol component lives on the space side")
-        if V.floor is not EXACT:
+        if V.low is not EXACT:
             raise ValueError("dual points carry exact symbol data")
         bottom = V.bottom()
-        if bottom is not None and bottom < _MINUS_TWO:
+        if bottom is not None and bottom.twice < -4:
             raise ValueError("dual symbol orders reach down to -2 only")
         object.__setattr__(self, "v", _as_loop(v, "the dt^2 component"))
         object.__setattr__(self, "V", V)
@@ -274,16 +270,18 @@ class DualFamily:
 
     floor is -1 - max top(V) over the points, or EXACT when no point has
     a V: orders of W below it never reach a trace, so it is the shallowest
-    floor of W at which every point's trace is determined.
+    floor of W at which every point's trace is determined.  The family
+    works with it, and with each point's top, as twice-ints (_low, _tops).
     """
 
-    __slots__ = ("_tops", "floor", "_v", "_a", "_orders")
+    __slots__ = ("_tops", "_low", "floor", "_v", "_a", "_orders")
 
     def __init__(self, points):
         points = list(points)
-        self._tops = [mu.V.top() for mu in points]  # None where V is zero
+        self._tops = [None if mu.V.is_zero() else mu.V.top().twice for mu in points]
         tops = [top for top in self._tops if top is not None]
-        self.floor = _MINUS_ONE - max(tops) if tops else EXACT
+        self._low = -2 - max(tops) if tops else EXACT
+        self.floor = floor_of(self._low)
         self._v: dict = {}
         self._a: dict = {}
         orders: dict = {}  # twice the order of V -> index of its monomials
@@ -308,11 +306,10 @@ class DualFamily:
         """The points, in order, whose trace is not determined at A's
         truncation: orders of W below its floor are unknown, and they
         reach order -1 of V o W once W.floor + top(V) > -1."""
-        floor = A.W.floor
-        if floor is EXACT or self.floor is EXACT or floor <= self.floor:
+        low = A.W.low
+        if low is EXACT or self._low is EXACT or low <= self._low:
             return []
-        tops = enumerate(self._tops)
-        return [n for n, top in tops if top is not None and floor + top > _MINUS_ONE]
+        return [n for n, top in enumerate(self._tops) if top is not None and low + top > -2]
 
     def pair(self, A: GElement) -> list:
         """pairing(mu, A) for every point mu, in order; None where the
@@ -367,10 +364,9 @@ def embed_momentum_symbol(E: Symbol, req_floor, nu=None) -> GElement:
     if E.var != XI:
         raise ValueError("the embedding starts from momentum symbols")
     top = E.top()
-    if top is not None and top > _ONE:
+    if top is not None and top.twice > 2:
         raise ValueError("the embedding is defined on orders <= 1")
-    floor = h(req_floor)
-    e1 = E.coeff(_ONE)
+    e1 = E.coeff(1)
     if e1.is_zero():
         w = CoeffFn.zero()
     else:
@@ -378,7 +374,7 @@ def embed_momentum_symbol(E: Symbol, req_floor, nu=None) -> GElement:
         w = -e1.x_to_t(I_HALF_OVER_M) * TWO_I_M
     if nu is None:
         nu = GaussRat(0)
-    W = cap_order(transforms.theta_t(E, floor, nu=nu), _ONE)
+    W = cap_order(transforms.theta_t(E, req_floor, nu=nu), 1)
     return GElement(w, W, None)
 
 
@@ -396,6 +392,7 @@ _M2_R = CoeffFn.x_pow(1) * _M2
 _HALF = CoeffFn.const(Fraction(1, 2))
 _MINUS_HALF = CoeffFn.const(Fraction(-1, 2))
 _MINUS_HALF_R = CoeffFn.x_pow(1) * _MINUS_HALF
+_MINUS_TWO = h(-2)
 _ZERO_ORDER = h(0)
 
 

@@ -49,6 +49,12 @@ with EXACT acting as -infinity.  Orders at or above the result floor are
 computed in full and are exact.  A zero operand counts with its floor in
 place of its top: only an EXACT zero annihilates the product.
 
+A symbol keeps its floor as twice its value, the int ``low`` (None for
+EXACT), and every floor above is worked out on such ints.  A public
+function converts its requested floor or order once, where it enters;
+``floor``, ``top()``, ``bottom()`` and the keys of ``terms`` build the
+HalfInts where orders leave.
+
 The variable tag is "R" (integer orders only) or "XI" (half-integer orders
 allowed).  Symbols are immutable; every operation is pure.
 """
@@ -59,7 +65,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .halfint import EXACT, HalfInt, h, hmax
+from .halfint import EXACT, HalfInt, floor_of, h, low_of, max_low
 from .ring import (
     CoeffFn,
     GaussRat,
@@ -90,14 +96,12 @@ __all__ = [
     "differential_part",
     "cap_order",
     "eq_trusted",
-    "binom_half",
     "binom_twice",
 ]
 
 R = "R"
 XI = "XI"
 
-_H0 = HalfInt(0)
 _ZERO = CoeffFn.zero()
 
 
@@ -106,46 +110,45 @@ class Symbol:
 
     flat maps (twice the order, t, x, M) to the reduced int triple of a
     nonzero coefficient, as CoeffFn.terms does, and holds no order below
-    the floor.  A fourth slot, _view, holds the terms property once it is
-    first read; the flat dict never changes after wrapping, so the view
-    never goes stale.  Equality ignores it.
+    the floor, which low holds as twice its value (None for EXACT).  A
+    fourth slot, _view, holds the terms property once it is first read;
+    the flat dict never changes after wrapping, so the view never goes
+    stale.  Equality ignores it.
     """
 
-    __slots__ = ("var", "flat", "floor", "_view")
+    __slots__ = ("var", "flat", "low", "_view")
 
     def __init__(self, var: str, terms: dict, floor=EXACT):
         if var not in (R, XI):
             raise ValueError(f"unknown variable tag {var!r}")
-        if floor is not EXACT:
-            floor = h(floor)
+        low = low_of(floor)
         flat: dict = {}
         for k, c in terms.items():
-            k = h(k)
-            if var == R and not k.is_integer:
+            kt = h(k).twice
+            if var == R and kt & 1:
                 raise ValueError("half-integer order in an R-variable symbol")
-            if floor is not EXACT and k < floor:
+            if low is not EXACT and kt < low:
                 continue
             if isinstance(c, (int, Fraction, GaussRat)):
                 c = CoeffFn.const(c)
-            kt = k.twice
             for (p, q, m), v in c.terms.items():
                 flat[(kt, p, q, m)] = v
         _set_var(self, var)
         _set_flat(self, flat)
-        _set_floor(self, floor)
+        _set_low(self, low)
         _set_view(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Symbol is immutable")
 
     @classmethod
-    def _raw(cls, var: str, flat: dict, floor) -> "Symbol":
+    def _raw(cls, var: str, flat: dict, low) -> "Symbol":
         """Wrap a flat dict that is already clean, without copying it:
-        orders fit for var, nonzero reduced triples, no order below floor."""
+        orders fit for var, nonzero reduced triples, no order below low."""
         sym = object.__new__(cls)
         _set_var(sym, var)
         _set_flat(sym, flat)
-        _set_floor(sym, floor)
+        _set_low(sym, low)
         _set_view(sym, None)
         return sym
 
@@ -158,12 +161,12 @@ class Symbol:
     @staticmethod
     def monomial(var: str, order, coeff, floor=EXACT) -> "Symbol":
         """coeff * d^order, coeff a CoeffFn (or constant)."""
-        return Symbol(var, {h(order): coeff}, floor)
+        return Symbol(var, {order: coeff}, floor)
 
     @staticmethod
     def function(var: str, coeff) -> "Symbol":
         """A multiplication operator: coeff * d^0."""
-        return Symbol(var, {_H0: coeff})
+        return Symbol(var, {0: coeff})
 
     @staticmethod
     def one_term(var: str, ot: int, p: int, q: int, m: int, v: tuple) -> "Symbol":
@@ -172,6 +175,11 @@ class Symbol:
         return Symbol._raw(var, {(ot, p, q, m): v}, EXACT)
 
     # ---- queries ------------------------------------------------------------
+
+    @property
+    def floor(self):
+        """The validity floor as a HalfInt, or EXACT."""
+        return floor_of(self.low)
 
     @property
     def terms(self):
@@ -209,24 +217,17 @@ class Symbol:
     def sole_term(self):
         """(twice the order, t, x, M, triple) of an exact symbol with one
         term, else None."""
-        if self.floor is not EXACT or len(self.flat) != 1:
+        if self.low is not EXACT or len(self.flat) != 1:
             return None
         (((ot, p, q, m), v),) = self.flat.items()
         return ot, p, q, m, v
-
-    def trusted(self, order) -> bool:
-        return self.floor is EXACT or h(order) >= self.floor
 
     # ---- identity --------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Symbol):
             return NotImplemented
-        return (
-            self.var == other.var
-            and self.flat == other.flat
-            and _floor_eq(self.floor, other.floor)
-        )
+        return self.var == other.var and self.flat == other.flat and self.low == other.low
 
     __hash__ = None
 
@@ -236,7 +237,7 @@ class Symbol:
         return symbol_str(self)
 
     def __repr__(self):
-        fl = "EXACT" if self.floor is EXACT else str(self.floor)
+        fl = "EXACT" if self.low is EXACT else str(self.floor)
         return f"<Symbol {self.var} {len({k[0] for k in self.flat})} terms floor={fl}>"
 
 
@@ -244,22 +245,16 @@ class Symbol:
 # less per call than object.__setattr__.
 _set_var = Symbol.__dict__["var"].__set__
 _set_flat = Symbol.__dict__["flat"].__set__
-_set_floor = Symbol.__dict__["floor"].__set__
+_set_low = Symbol.__dict__["low"].__set__
 _set_view = Symbol.__dict__["_view"].__set__
 
 
-def symbol_from_flat(var: str, flat: dict, floor) -> Symbol:
+def symbol_from_flat(var: str, flat: dict, low) -> Symbol:
     """Wrap a flat dict that the kernels filled as a Symbol, reducing it in
     place (ring.reduce_flat): one gcd per entry, zeros and the orders
-    below floor dropped.  Every kernel result is wrapped here."""
-    reduce_flat(flat, None if floor is EXACT else floor.twice)
-    return Symbol._raw(var, flat, floor)
-
-
-def _floor_eq(a, b) -> bool:
-    if a is EXACT or b is EXACT:
-        return a is b
-    return a == b
+    below low dropped.  Every kernel result is wrapped here."""
+    reduce_flat(flat, low)
+    return Symbol._raw(var, flat, low)
 
 
 # ---- linear structure ------------------------------------------------------------
@@ -272,7 +267,7 @@ def _linear(A: Symbol, B: Symbol, negate: bool) -> Symbol:
     _check_var(A, B)
     out = dict(A.flat)
     scale_into(out, B.flat.items(), 0, 0, 0, (-1, 0, 1) if negate else (1, 0, 1))
-    return symbol_from_flat(A.var, out, hmax(A.floor, B.floor))
+    return symbol_from_flat(A.var, out, max_low(A.low, B.low))
 
 
 def sym_add(A: Symbol, B: Symbol) -> Symbol:
@@ -280,7 +275,7 @@ def sym_add(A: Symbol, B: Symbol) -> Symbol:
 
 
 def sym_neg(A: Symbol) -> Symbol:
-    return Symbol._raw(A.var, {k: (-a, -b, d) for k, (a, b, d) in A.flat.items()}, A.floor)
+    return Symbol._raw(A.var, {k: (-a, -b, d) for k, (a, b, d) in A.flat.items()}, A.low)
 
 
 def sym_sub(A: Symbol, B: Symbol) -> Symbol:
@@ -310,11 +305,6 @@ def binom_twice(a_twice: int, j: int) -> GaussRat:
     return GaussRat(num / den)
 
 
-def binom_half(a: HalfInt, j: int) -> GaussRat:
-    """binom(a, j) = a(a-1)...(a-j+1)/j! for a in (1/2)Z, exact."""
-    return binom_twice(a.twice, j)
-
-
 def sym_mul(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
     """Compose A o B, trusted down to the derived floor.
 
@@ -325,15 +315,16 @@ def sym_mul(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
     One pass over the signed products of A and B (see compose_flat), here
     the single product (A, B, +1).
     """
-    flat, floor = compose_flat(A, B, ((A, B, 1),), req_floor)
-    return symbol_from_flat(A.var, flat, floor)
+    flat, low = compose_flat(A, B, ((A, B, 1),), low_of(req_floor))
+    return symbol_from_flat(A.var, flat, low)
 
 
-def compose_flat(A: Symbol, B: Symbol, products, req_floor):
+def compose_flat(A: Symbol, B: Symbol, products, low):
     """The flat dict and the floor of the sum of sign * (left o right) over
     (left, right, sign) products of the operands A and B, e.g. A o B and
-    -(B o A), so a caller can add terms of its own before wrapping.  The
-    dict's values are unreduced; symbol_from_flat reduces them.
+    -(B o A), so a caller can add terms of its own before wrapping; both
+    floors, low asked and returned, are twice-ints.  The dict's values are
+    unreduced; symbol_from_flat reduces them.
 
     The floor bound is symmetric in A and B, so one bound serves every
     product.  One ring.leibniz_rows call per product adds every Leibniz
@@ -343,33 +334,30 @@ def compose_flat(A: Symbol, B: Symbol, products, req_floor):
     from a, q and the floor, so no term below the floor is ever added; with
     no floor it raises on the first pair whose tail does not terminate.
     The floor is EXACT only when both operands are exact and no term was
-    cut.  The bound is worked out on twice the orders, as ints, and a
-    HalfInt is built only for a bound above the requested floor.
+    cut.
     """
     _check_var(A, B)
-    if (not A.flat and A.floor is EXACT) or (not B.flat and B.floor is EXACT):
+    if (not A.flat and A.low is EXACT) or (not B.flat and B.low is EXACT):
         return {}, EXACT
 
-    floor = h(req_floor) if req_floor is not None else EXACT
     # floor + top of the other operand; a zero operand with a floor still
     # stands for unknown orders below it, so its floor stands in for its top
     bound = None
     for X, Y in ((A, B), (B, A)):
-        if X.floor is not EXACT:
-            b = X.floor.twice + (max(Y.flat)[0] if Y.flat else Y.floor.twice)
+        if X.low is not EXACT:
+            b = X.low + (max(Y.flat)[0] if Y.flat else Y.low)
             if bound is None or b > bound:
                 bound = b
-    if bound is not None and (floor is EXACT or bound > floor.twice):
-        floor = HalfInt(bound)
+    if bound is not None and (low is EXACT or bound > low):
+        low = bound
 
-    low = None if floor is EXACT else floor.twice
     out: dict = {}
     cut = False
     for left, right, sign in products:
         cut |= leibniz_rows(out, left.flat, right.flat, low, sign)
 
     # EXACT when both inputs are exact and every tail ended by itself
-    return out, EXACT if bound is None and not cut else floor
+    return out, EXACT if bound is None and not cut else low
 
 
 def sym_bracket(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
@@ -378,8 +366,8 @@ def sym_bracket(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
     symmetric in A and B; the result is EXACT only when both operands are
     exact and neither product was cut, and a tail that does not terminate
     in either order raises as in sym_mul."""
-    flat, floor = compose_flat(A, B, ((A, B, 1), (B, A, -1)), req_floor)
-    return symbol_from_flat(A.var, flat, floor)
+    flat, low = compose_flat(A, B, ((A, B, 1), (B, A, -1)), low_of(req_floor))
+    return symbol_from_flat(A.var, flat, low)
 
 
 def bracket_transport(A: Symbol, B: Symbol, f_items, g_items, req_floor) -> Symbol:
@@ -393,13 +381,13 @@ def bracket_transport(A: Symbol, B: Symbol, f_items, g_items, req_floor) -> Symb
     scaled by a zero loop is a zero that keeps its floor.  The bracket is
     asked for that raised floor, so its kernel adds nothing below it.
     """
-    raised = hmax(A.floor, B.floor)
-    flat, floor = compose_flat(A, B, ((A, B, 1), (B, A, -1)), hmax(h(req_floor), raised))
+    raised = max_low(A.low, B.low)
+    flat, low = compose_flat(A, B, ((A, B, 1), (B, A, -1)), max_low(low_of(req_floor), raised))
     for loop, other in ((f_items, B), (g_items, A)):
         if loop:
             transport_into(flat, loop, other.flat.items())
     # a floor the bracket computed lies at or above raised already
-    return symbol_from_flat(A.var, flat, raised if floor is EXACT else floor)
+    return symbol_from_flat(A.var, flat, raised if low is EXACT else low)
 
 
 # ---- trace, projections -------------------------------------------------------------------
@@ -410,7 +398,7 @@ def adler_trace(D: Symbol) -> CoeffFn:
 
     The order -1 slot must be trusted: floor <= -1 or EXACT.
     """
-    if D.floor is not EXACT and D.floor.twice > -2:
+    if D.low is not EXACT and D.low > -2:
         raise ValueError("trace not determined at this truncation")
     return _coeff_raw({(p, 0, m): v for (o, p, q, m), v in D.flat.items() if o == -2 and q == -1})
 
@@ -431,7 +419,7 @@ def differential_part(D: Symbol) -> Symbol:
     """Projection onto orders >= 0; exact regardless of D's floor."""
     # missing orders below 0 are irrelevant; the projection is fully known
     # only if all orders >= 0 were trusted
-    if D.floor is not EXACT and D.floor > _H0:
+    if D.low is not EXACT and D.low > 0:
         raise ValueError("differential part not determined: floor above 0")
     return Symbol._raw(D.var, {k: v for k, v in D.flat.items() if k[0] >= 0}, EXACT)
 
@@ -439,7 +427,7 @@ def differential_part(D: Symbol) -> Symbol:
 def cap_order(D: Symbol, kappa) -> Symbol:
     """Drop every order above kappa (an exact projection)."""
     kt = h(kappa).twice
-    return Symbol._raw(D.var, {k: v for k, v in D.flat.items() if k[0] <= kt}, D.floor)
+    return Symbol._raw(D.var, {k: v for k, v in D.flat.items() if k[0] <= kt}, D.low)
 
 
 # ---- comparisons -----------------------------------------------------------------------
@@ -448,11 +436,10 @@ def cap_order(D: Symbol, kappa) -> Symbol:
 def eq_trusted(A: Symbol, B: Symbol) -> bool:
     """Term-by-term equality on the common trusted range."""
     _check_var(A, B)
-    floor = hmax(A.floor, B.floor)
+    low = max_low(A.low, B.low)
     a, b = A.flat, B.flat
-    if floor is EXACT:
+    if low is EXACT:
         return a == b
-    low = floor.twice
     for k, v in a.items():
         if k[0] >= low:
             w = b.get(k)

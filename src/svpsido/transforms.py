@@ -32,17 +32,20 @@ by the term's x-free rest, straight into the output's dict
 (ring.scale_into), which psido.symbol_from_flat reduces once it is
 filled.  The term's value is already the int triple that the kernel
 scales by, and a deformed image's conjugation weights are turned into
-triples once each.  Orders stay ints on this path; HalfInt appears only
-where a floor is compared or an image map reads its wanted floor.
+triples once each.  Orders and floors are twice-ints on this path, as in
+psido, image memos included; a public function converts its requested
+floor once, where it enters.  The loop shift writes its series as int
+triples (_shift_series).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, gcd
 from typing import TYPE_CHECKING
 
-from .halfint import EXACT, HalfInt, h, hmax
-from .psido import R, XI, Symbol, binom_half, sym_mul, symbol_from_flat
+from .halfint import EXACT, h, low_of, max_low
+from .psido import R, XI, Symbol, compose_flat, sym_mul, symbol_from_flat
 from .ring import (
     CoeffFn,
     GR_ZERO,
@@ -79,9 +82,8 @@ __all__ = [
 
 def default_depth(req_floor) -> int:
     """Shift-series depth that saturates a truncation floor."""
-    if req_floor is EXACT or req_floor is None:
-        return 8
-    return abs(h(req_floor).twice) + 4
+    low = low_of(req_floor)
+    return 8 if low is EXACT else abs(low) + 4
 
 
 # ---------------------------------------------------------------- image cache
@@ -102,20 +104,21 @@ DEEPEST_IMAGE_FLOOR = h(-48)
 DEEPEST_FLOOR = h(-16)
 
 
-def check_floor_depth(floor: HalfInt) -> None:
+def check_floor_depth(floor) -> None:
     """Refuse a floor below DEEPEST_FLOOR with a ValueError."""
-    if floor < DEEPEST_FLOOR:
+    if low_of(floor) < DEEPEST_FLOOR.twice:
         raise ValueError(f"the floor must sit at or above {DEEPEST_FLOOR}")
 
 
-def _fill(memo: dict, k: int, want, deepen, build) -> Symbol:
+def _fill(memo: dict, k: int, want, deepen: int, build) -> Symbol:
     """Image of the k-th power, trusted at least down to want.
 
-    Walks from k towards 0 until a memo entry covers the floor wanted at
-    that power (a negative power wants its neighbour `deepen` deeper),
-    then builds back out to k one power at a time with
-    build(power, floor, image of the neighbour), storing every step.
-    Images of nonnegative powers are finite compositions and always exact.
+    Floors are twice-ints.  Walks from k towards 0 until a memo entry
+    (floor, image) covers the floor wanted at that power (a negative power
+    wants its neighbour `deepen` deeper), then builds back out to k one
+    power at a time with build(power, floor, image of the neighbour),
+    storing every step.  Images of nonnegative powers are finite
+    compositions and always exact.
     """
     if k >= 0:
         want = EXACT
@@ -126,7 +129,7 @@ def _fill(memo: dict, k: int, want, deepen, build) -> Symbol:
         if entry is not None and (entry[0] is EXACT or (want is not EXACT and entry[0] <= want)):
             sym = entry[1]
             break
-        if want is not EXACT and want < DEEPEST_IMAGE_FLOOR:
+        if want is not EXACT and want < DEEPEST_IMAGE_FLOOR.twice:
             raise ValueError(f"generator images are built down to order {DEEPEST_IMAGE_FLOOR} at most")
         chain.append((k, want))
         if k == 0:
@@ -139,7 +142,7 @@ def _fill(memo: dict, k: int, want, deepen, build) -> Symbol:
                 want = want - deepen
     for k, want in reversed(chain):
         sym = build(k, want, sym)
-        memo[k] = (sym.floor, sym)
+        memo[k] = (sym.low, sym)
     return sym
 
 
@@ -151,9 +154,9 @@ class ThetaImageCache:
 
     def __init__(self):
         self._memo: dict = {}
-        self._pos_base = Symbol(R, {h(-1): CoeffFn.x_pow(1, Fraction(1, 2))})
+        self._pos_base = Symbol(R, {-1: CoeffFn.x_pow(1, Fraction(1, 2))})
         # xi^-1 -> 2 d_r o r^-1 = 2 r^-1 d_r - 2 r^-2
-        self._neg_base = Symbol(R, {h(1): CoeffFn.x_pow(-1, 2), h(0): CoeffFn.x_pow(-2, -2)})
+        self._neg_base = Symbol(R, {1: CoeffFn.x_pow(-1, 2), 0: CoeffFn.x_pow(-2, -2)})
 
     def image(self, k: int, req_floor=EXACT) -> Symbol:
         """Image of xi^k, exact at any req_floor, so no request deepens
@@ -185,14 +188,15 @@ def _conjugated_image(nu: GaussRat, q: int, want) -> Symbol:
     """Image of xi^q under theta_nu: the sum over j of binom(nu, j) (q)_j
     theta_0(xi^(q-j)) d_r^(-2j), whose term j tops out at order -q - j.
     It ends at j = q for q >= 0, exact; for q < 0 it stops at the last term
-    that reaches want and is floored there, even where binom(nu, j) ends."""
+    that reaches twice-int want and is floored there, even where
+    binom(nu, j) ends."""
     if q < 0 and want is EXACT:
         raise ValueError("deformed inverse image is a series; give a floor")
-    if q < 0 and want < DEEPEST_IMAGE_FLOOR:
+    if q < 0 and want < DEEPEST_IMAGE_FLOOR.twice:
         raise ValueError(f"generator images are built down to order {DEEPEST_IMAGE_FLOOR} at most")
     flat: dict = {}
     for j, w in enumerate(_conjugation_weights(nu, q)):
-        if w.is_zero() or (q < 0 and want > -q - j):
+        if w.is_zero() or (q < 0 and want > -2 * (q + j)):
             return symbol_from_flat(R, flat, EXACT if q >= 0 else want)
         (g,) = CoeffFn.const(w).terms.values()  # w's triple, as the kernel scales by it
         scale_into(flat, _theta_images.image(q - j).flat.items(), -4 * j, 0, 0, g)
@@ -201,12 +205,7 @@ def _conjugated_image(nu: GaussRat, q: int, want) -> Symbol:
 # ---------------------------------------------------------------- forward map
 
 
-def _half(want):
-    """The floor of twice-order want, EXACT for EXACT."""
-    return want if want is EXACT else HalfInt(want)
-
-
-def _map_monomials(D: Symbol, req, var: str, shift, image) -> Symbol:
+def _map_monomials(D: Symbol, low, var: str, shift, image) -> Symbol:
     """Sum the images of the monomials of D in the algebra of var.
 
     A term of D at twice-order kt shifts its image by shift(kt)
@@ -217,10 +216,9 @@ def _map_monomials(D: Symbol, req, var: str, shift, image) -> Symbol:
     output dict (ring.scale_into).
 
     Cached images may be deeper than asked; answers must not depend on
-    what earlier calls warmed, so a floored result is cut back to req.
+    what earlier calls warmed, so a floored result is cut back to low.
     """
-    floor = EXACT
-    low = EXACT if req is EXACT else req.twice
+    out = EXACT
     flat: dict = {}
     for (kt, p, q, m), v in D.flat.items():
         dt = shift(kt)
@@ -228,12 +226,12 @@ def _map_monomials(D: Symbol, req, var: str, shift, image) -> Symbol:
             raise ValueError(f"generator powers are bounded by {MAX_IMAGE_POWER} in absolute value")
         # the shift moves the image's floor by dt, so ask that much deeper
         img = image(q, low if low is EXACT else low - dt)
-        if img.floor is not EXACT:
-            floor = hmax(floor, HalfInt(img.floor.twice + dt))
+        if img.low is not EXACT:
+            out = max_low(out, img.low + dt)
         scale_into(flat, img.flat.items(), dt, p, m, v)
-    if floor is not EXACT:
-        floor = hmax(floor, req)
-    return symbol_from_flat(var, flat, floor)
+    if out is not EXACT:
+        out = max_low(out, low)
+    return symbol_from_flat(var, flat, out)
 
 
 def theta(D: Symbol, req_floor=None, nu: GaussRat = GR_ZERO) -> Symbol:
@@ -246,56 +244,75 @@ def theta(D: Symbol, req_floor=None, nu: GaussRat = GR_ZERO) -> Symbol:
     """
     if D.var != XI:
         raise ValueError("theta expects a momentum symbol")
-    if D.floor is not EXACT:
+    if D.low is not EXACT:
         raise ValueError("theta needs an exact input; truncated tails are unsound here")
-    req = h(req_floor) if req_floor is not None else EXACT
     images = (_theta_images.image if nu.is_zero()
-              else lambda q, want: _conjugated_image(nu, q, _half(want)))
+              else lambda q, want: _conjugated_image(nu, q, want))
     # order doubling, which lands on the integer grid
-    return _map_monomials(D, req, R, lambda kt: kt + kt, images)
+    return _map_monomials(D, low_of(req_floor), R, lambda kt: kt + kt, images)
 
 
 # ---------------------------------------------------------------- inverse map
 
 _inv_memo: dict = {}
-_HALF = h("1/2")
+_TWO_XI_HALF = Symbol.monomial(XI, "1/2", CoeffFn.x_pow(1, 2))  # 2 xi d^(1/2)
+_HALF_D_MINUS_HALF = Symbol.monomial(XI, "-1/2", CoeffFn.const(Fraction(1, 2)))
+_XI_INVERSE = Symbol.function(XI, CoeffFn.x_pow(-1))
 
 
 def _inv_image(n: int, want) -> Symbol:
-    """Image of r^n under the inverse map, trusted down to want."""
+    """Image of r^n under the inverse map, trusted down to twice-int want."""
     if n < 0 and want is EXACT:
         raise ValueError("inverse image of r^-1 is a series; give a floor")
-    return _fill(_inv_memo, n, want, _HALF, _inv_build)
+    return _fill(_inv_memo, n, want, 1, _inv_build)
+
+
+def _composed(A: Symbol, B: Symbol, low) -> Symbol:
+    """A o B trusted down to twice-int low, as sym_mul composes."""
+    flat, low = compose_flat(A, B, ((A, B, 1),), low)
+    return symbol_from_flat(A.var, flat, low)
 
 
 def _inv_build(n: int, want, prev: Symbol) -> Symbol:
     if n == 0:
         return Symbol.function(XI, CoeffFn.one())
     if n > 0:
-        return sym_mul(prev, Symbol.monomial(XI, _HALF, CoeffFn.x_pow(1, 2)))  # 2 xi d^(1/2)
-    base = sym_mul(
-        Symbol.monomial(XI, -_HALF, CoeffFn.const(Fraction(1, 2))),
-        Symbol.function(XI, CoeffFn.x_pow(-1)),
-        want - _HALF,
-    )
-    return sym_mul(prev, base, want)
+        return sym_mul(prev, _TWO_XI_HALF)
+    return _composed(prev, _composed(_HALF_D_MINUS_HALF, _XI_INVERSE, want - 1), want)
 
 
 def theta_inv(D: Symbol, req_floor=None) -> Symbol:
     """Inverse transform: d_r -> d_xi^(1/2), r -> 2 xi d_xi^(1/2)."""
     if D.var != R:
         raise ValueError("theta_inv expects a space symbol")
-    if D.floor is not EXACT:
+    if D.low is not EXACT:
         raise ValueError("theta_inv needs an exact input")
-    req = h(req_floor) if req_floor is not None else EXACT
     # order halving: space orders are integers, so the image orders are in (1/2)Z
-    return _map_monomials(D, req, XI, lambda kt: kt // 2, lambda n, want: _inv_image(n, _half(want)))
+    return _map_monomials(D, low_of(req_floor), XI, lambda kt: kt // 2, _inv_image)
 
 
 # ---------------------------------------------------------------- loop shift
 
-_HALF_I = GaussRat(0, Fraction(1, 2))
-_MINUS_2I = GaussRat(0, -2)
+# i^e for e mod 4, as the (re, im) parts of a unit
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _shift_series(q: int, depth: int) -> list:
+    """The (t, x, M) items of (xi + (i/2M) t)^q as reduced int triples:
+    binom(q, m) (i/2)^(q - m) t^(q - m) xi^m M^(m - q) for m = 0 to q, or
+    to depth for q < 0.  binom(q, m) is comb(q, m), or (-1)^m
+    comb(m - q - 1, m) for q < 0, and (i/2)^e is i^e over 2^e."""
+    items = []
+    for m in range((q if q >= 0 else depth) + 1):
+        e = q - m
+        if e >= 0:
+            c, d = comb(q, m), 1 << e
+        else:
+            c, d = (-1) ** m * comb(m - q - 1, m) << -e, 1
+        r = gcd(c, d)
+        re, im = _I_POWERS[e % 4]
+        items.append(((e, m, -e), (c // r * re, c // r * im, d // r)))
+    return items
 
 
 def time_shift(f: CoeffFn, depth: int) -> CoeffFn:
@@ -310,17 +327,7 @@ def time_shift(f: CoeffFn, depth: int) -> CoeffFn:
         raise ValueError("the loop shift applies to momentum-only values")
     out: dict = {}
     for q in dict.fromkeys(k[1] for k in f.terms):
-        a = HalfInt.of(q)
-        series = {}
-        scale = _HALF_I ** q  # (i/2)^(q - m), one factor 2/i = -2i per step in m
-        for m in range((q if q >= 0 else depth) + 1):
-            cf = binom_half(a, m)
-            if cf.is_zero():
-                break
-            # (i t / 2M)^(q - m) xi^m
-            series[(q - m, m, m - q)] = scale * cf
-            scale = scale * _MINUS_2I
-        mul_into(out, CoeffFn(series).terms.items(), f.x_slice(q).terms.items())
+        mul_into(out, _shift_series(q, depth), f.x_slice(q).terms.items())
     return coeff_from_table(out)
 
 
@@ -333,7 +340,8 @@ def time_shift_symbol(D: Symbol, depth: int) -> Symbol:
     """Apply the loop shift to every coefficient of a momentum symbol."""
     if D.var != XI:
         raise ValueError("the loop shift applies to momentum symbols")
-    return Symbol(XI, {k: time_shift(c, depth) for k, c in D.terms.items()}, D.floor)
+    shifted = Symbol(XI, {k: time_shift(c, depth) for k, c in D.terms.items()})
+    return Symbol._raw(XI, shifted.flat, D.low)
 
 
 # ---------------------------------------------------------------- composite
@@ -348,23 +356,21 @@ def theta_t(E: Symbol, req_floor, nu: GaussRat = GR_ZERO) -> Symbol:
     <= 2*kappa' - 1, and a series cut at the shift depth only orders
     <= 2*kappa - depth - 1.
     """
-    req = h(req_floor) if req_floor is not None else EXACT
-    depth = default_depth(req)
-    floor = req
+    depth = default_depth(req_floor)
+    low = low_of(req_floor)
     cut = False
     for kt, _, q, _ in E.flat:
         if q < 0:
             cut = True
-            floor = hmax(floor, HalfInt(2 * (kt - depth)))
+            low = max_low(low, 2 * (kt - depth))
     shifted = time_shift_symbol(E, depth)
-    total = theta(Symbol._raw(XI, shifted.flat, EXACT), req, nu=nu)
-    if E.floor is not EXACT:
-        floor = hmax(floor, E.floor + E.floor)
-    if cut or E.floor is not EXACT:
+    total = theta(Symbol._raw(XI, shifted.flat, EXACT), req_floor, nu=nu)
+    if E.low is not EXACT:
+        low = max_low(low, 2 * E.low)
+    if cut or E.low is not EXACT:
         # total is already reduced: cut it without a gcd per term
-        floor = hmax(total.floor, floor)
-        low = floor.twice
-        total = Symbol._raw(R, {k: v for k, v in total.flat.items() if k[0] >= low}, floor)
+        low = max_low(total.low, low)
+        total = Symbol._raw(R, {k: v for k, v in total.flat.items() if k[0] >= low}, low)
     return total
 
 
@@ -373,8 +379,7 @@ def x_generator(f: CoeffFn, j, req_floor) -> Symbol:
     if not f.is_t_only():
         raise ValueError("the generator datum is a loop function")
     coeff = -f.t_to_x(MINUS_2I_M)
-    E = Symbol(XI, {h(j): coeff})
-    return theta_t(E, req_floor)
+    return theta_t(Symbol(XI, {j: coeff}), req_floor)
 
 
 def schrodinger_invariance_defect(f: CoeffFn, j, req_floor) -> Symbol:
@@ -388,12 +393,12 @@ def schrodinger_invariance_defect(f: CoeffFn, j, req_floor) -> Symbol:
     """
     if not f.is_t_only():
         raise ValueError("the generator datum is a loop function")
-    depth = default_depth(h(req_floor) if req_floor is not None else EXACT)
+    depth = default_depth(req_floor)
     c = time_shift(f.t_to_x(MINUS_2I_M), depth)
     defect = c.deriv("T") * MINUS_2I_M - c.deriv("X")
     if (f.t_to_x(MINUS_2I_M).min_x_degree() or 0) < 0:
         defect = defect.drop_x_from(depth)
-    return Symbol(XI, {h(j): defect})
+    return Symbol(XI, {j: defect})
 
 
 # ---------------------------------------------------------------- momentum embed

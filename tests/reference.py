@@ -31,7 +31,6 @@ from svpsido.psido import (
     XI,
     Symbol,
     _check_var,
-    binom_half,
     binom_twice,
     sym_add,
     sym_bracket,
@@ -590,6 +589,29 @@ def leibniz_by_recurrence(out: dict, at: int, f_items, g_terms, low) -> bool:
     return cut
 
 
+_HALF_I = GaussRat(0, F(1, 2))
+_MINUS_2I = GaussRat(0, -2)
+
+
+def gauss_shift_series(q: int, depth: int) -> CoeffFn:
+    """Reference for transforms._shift_series, the expansion of
+    (xi + (i/2M) t)^q cut after x-degree depth for q < 0.
+
+    Retired when the series came to be written as int triples: this form
+    builds each coefficient (i/2)^(q - m) binom(q, m) as two GaussRat
+    products, the scale stepping by 2/i = -2i per step in m.
+    """
+    series = {}
+    scale = _HALF_I ** q
+    for m in range((q if q >= 0 else depth) + 1):
+        cf = binom_twice(2 * q, m)
+        if cf.is_zero():
+            break
+        series[(q - m, m, m - q)] = scale * cf
+        scale = scale * _MINUS_2I
+    return CoeffFn(series)
+
+
 def shift_by_terms(f: CoeffFn, depth: int) -> CoeffFn:
     """Reference for transforms.time_shift: one CoeffFn sum per series term."""
     # xi -> xi + (i/2M) t: the binomial series of each x-power, cut after
@@ -598,7 +620,7 @@ def shift_by_terms(f: CoeffFn, depth: int) -> CoeffFn:
     for q in dict.fromkeys(key[1] for key in f.terms):
         series = CoeffFn.zero()
         for m in range((q if q >= 0 else depth) + 1):
-            cf = binom_half(HalfInt.of(q), m)
+            cf = binom_twice(2 * q, m)
             if cf.is_zero():
                 break
             series = series + CoeffFn.mono(q - m, m, I_HALF_OVER_M ** (q - m) * cf)

@@ -47,3 +47,46 @@ def test_the_guard_sees_an_unused_import():
         "print(pi)\n"
     )
     assert unused_imports(source) == ["os", "os", "fl"]
+
+
+# ---- the order boundary ----------------------------------------------------------------------
+
+# Modules that work on twice-int orders and floors only: a HalfInt enters
+# and leaves through psido's public accessors and halfint's conversions,
+# never through floor arithmetic here.
+TWICE_INT_MODULES = ("ring", "transforms", "kacmoody", "cocycles", "poisson", "svaction")
+HALFINT_NAMES = {"HalfInt", "hmax", "hmin"}
+
+
+def halfint_uses(source: str) -> list:
+    """The HalfInt names that source imports or reads as an attribute
+    (halfint.HalfInt), and any import of the halfint module itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            found += [n for n in names if n in HALFINT_NAMES]
+            if node.module is None:  # from . import halfint
+                found += [n for n in names if n == "halfint"]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[-1] == "halfint"]
+        elif isinstance(node, ast.Attribute) and node.attr in HALFINT_NAMES:
+            found.append(node.attr)
+    return found
+
+
+@pytest.mark.parametrize("name", TWICE_INT_MODULES)
+def test_twice_int_modules_use_no_halfint_arithmetic(name):
+    path = pathlib.Path(svpsido.__file__).parent / f"{name}.py"
+    assert halfint_uses(path.read_text()) == []
+
+
+def test_the_boundary_guard_sees_halfint_uses():
+    source = (
+        "from .halfint import EXACT, HalfInt, low_of\n"
+        "from .halfint import hmax as top\n"
+        "from . import halfint\n"
+        "import svpsido.halfint\n"
+        "x = halfint.hmin(1, 2)\n"
+    )
+    assert halfint_uses(source) == ["HalfInt", "hmax", "halfint", "svpsido.halfint", "hmin"]

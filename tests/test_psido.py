@@ -23,7 +23,7 @@ from svpsido.psido import (
     XI,
     Symbol,
     adler_trace,
-    binom_half,
+    binom_twice,
     cap_order,
     differential_part,
     eq_trusted,
@@ -50,30 +50,30 @@ X = mono(0, xpow=1)
 
 
 def test_binom_at_integer_arguments():
-    assert binom_half(h(3), 0) == GaussRat(1)
-    assert binom_half(h(3), 2) == GaussRat(3)
-    assert binom_half(h(3), 4) == GaussRat(0)
+    # binom_twice takes twice its upper argument: (3 choose j)
+    assert binom_twice(6, 0) == GaussRat(1)
+    assert binom_twice(6, 2) == GaussRat(3)
+    assert binom_twice(6, 4) == GaussRat(0)
 
 
 def test_binom_at_half_odd_arguments():
     # (1/2 choose 2) = (1/2)(-1/2)/2
-    assert binom_half(h("1/2"), 2) == GaussRat(F(-1, 8))
-    assert binom_half(h("1/2"), 3) == GaussRat(F(1, 16))
+    assert binom_twice(1, 2) == GaussRat(F(-1, 8))
+    assert binom_twice(1, 3) == GaussRat(F(1, 16))
 
 
 def test_binom_at_negative_one():
     for j in range(6):
-        assert binom_half(h(-1), j) == GaussRat((-1) ** j)
+        assert binom_twice(-2, j) == GaussRat((-1) ** j)
 
 
 def test_binom_pascal_recurrence():
     # C(a, j) = C(a-1, j) + C(a-1, j-1), valid for every half-integer a
     for twice in range(-7, 8):
-        a = HalfInt(twice)
         for j in range(1, 6):
-            lhs = binom_half(a, j)
-            rhs = binom_half(a - 1, j) + binom_half(a - 1, j - 1)
-            assert lhs == rhs, (a, j)
+            lhs = binom_twice(twice, j)
+            rhs = binom_twice(twice - 2, j) + binom_twice(twice - 2, j - 1)
+            assert lhs == rhs, (twice, j)
 
 
 # ---- composition: exact cases -----------------------------------------------

@@ -4,10 +4,13 @@ nested-table path (tests/reference.py) as an oracle for composition and
 the transform.
 
 A symbol keeps its terms in one dict from (twice the order, t, x, M) to
-the reduced int triple (a, b, d) of a nonzero GaussRat.  On inputs and on
-every result that the kernels wrap, each value in that dict must be such
-a triple (d > 0, gcd(a, b, d) = 1, a or b nonzero), no order may lie
-below the floor, and the terms view
+the reduced int triple (a, b, d) of a nonzero GaussRat, and its floor as
+twice its value, the int Symbol.low (None for EXACT).  On inputs and on
+every symbol that the kernels wrap (every Symbol._raw call, watched by
+every_wrap_checked), each value in that dict must be such a triple
+(d > 0, gcd(a, b, d) = 1, a or b nonzero), low must be None or an int,
+no order may lie below it, the public floor must be the HalfInt of low
+(None exactly when low is None), and the terms view
 must equal a fresh grouping of it, be kept once built, and rebuild the
 same symbol through the public constructor.  Each operation must give the
 same answer on an operand whose view was read as on a fresh copy, and the
@@ -17,9 +20,11 @@ kernels' sums, after the one reducer, are checked against GaussRat
 arithmetic, and the reducer on its own.
 """
 
+import contextlib
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -129,15 +134,19 @@ def same(got, want) -> bool:
 
 
 def check_flat(*syms):
-    """Only reduced nonzero triples and nothing below the floor in the flat
-    dict; a kept view that equals a fresh grouping, shares the flat dict's
-    triples and rebuilds the same symbol."""
+    """An int floor or None, the public floor its HalfInt, only reduced
+    nonzero triples and nothing below the floor in the flat dict; a kept
+    view that equals a fresh grouping, shares the flat dict's triples and
+    rebuilds the same symbol."""
     for X in syms:
         if isinstance(X, GElement):
             X = X.W
         if not isinstance(X, Symbol):
             continue
-        low = None if X.floor is EXACT else X.floor.twice
+        low = X.low
+        assert low is None or low.__class__ is int, low
+        assert (X.floor is None) == (low is None)
+        assert low is None or (X.floor.__class__ is HalfInt and X.floor.twice == low)
         for (o, p, q, m), v in X.flat.items():
             assert reduced(v), v
             assert low is None or o >= low
@@ -148,6 +157,25 @@ def check_flat(*syms):
         assert X.terms is view
         assert all(view[HalfInt(o)].terms[(p, q, m)] is v for (o, p, q, m), v in X.flat.items())
         assert Symbol(X.var, view, X.floor) == X
+
+
+@contextlib.contextmanager
+def every_wrap_checked():
+    """Run check_flat, on leaving, on every symbol that Symbol._raw
+    wrapped inside: each kernel result (psido.symbol_from_flat wraps
+    through it) and each cut, projection and negation."""
+    raw = Symbol.__dict__["_raw"].__func__
+    wrapped = []
+
+    def watched(cls, var, flat, low):
+        out = raw(cls, var, flat, low)
+        wrapped.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Symbol, "_raw", classmethod(watched))
+        yield
+    check_flat(*wrapped)
 
 
 OPS = (
@@ -170,14 +198,15 @@ OPS = (
 @example(FLOORED, FLOORED, SPACE, SPACE, None, None)
 def test_warmed_and_fresh_operands_agree(A, B, P, Q, f, g):
     check_flat(A, B, P, Q)  # builds the operands' views
-    for name, op in OPS:
-        want = outcome(op, fresh(A), fresh(B), fresh(P), fresh(Q), f, g)
-        got = outcome(op, A, B, P, Q, f, g)
-        assert same(got, want), name
-        check_flat(got, want)
-    # results that keep some of an operand's terms
-    check_flat(sym_add(A, B), sym_sub(A, B), sym_sub(A, A), sym_neg(A), cap_order(A, 0),
-               ref.raise_floor(A, -1))
+    with every_wrap_checked():
+        for name, op in OPS:
+            want = outcome(op, fresh(A), fresh(B), fresh(P), fresh(Q), f, g)
+            got = outcome(op, A, B, P, Q, f, g)
+            assert same(got, want), name
+            check_flat(got, want)
+        # results that keep some of an operand's terms
+        check_flat(sym_add(A, B), sym_sub(A, B), sym_sub(A, A), sym_neg(A), cap_order(A, 0),
+                   ref.raise_floor(A, -1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,8 +214,9 @@ def test_warmed_and_fresh_operands_agree(A, B, P, Q, f, g):
 @example(FLOORED, ZERO_WITH_FLOOR)
 def test_the_bracket_is_the_difference_of_its_products(A, B):
     check_flat(A)  # a built view must not change the result
-    got = sym_bracket(A, B, REQ)
-    assert got == sym_sub(sym_mul(A, B, REQ), sym_mul(B, A, REQ))
+    with every_wrap_checked():
+        got = sym_bracket(A, B, REQ)
+        assert got == sym_sub(sym_mul(A, B, REQ), sym_mul(B, A, REQ))
     check_flat(got)
 
 
@@ -194,7 +224,7 @@ def test_image_rows_match_their_terms():
     for q in range(-6, 7):
         check_flat(tr._theta_images.image(q))
     for n in range(-3, 4):
-        check_flat(tr._inv_image(n, REQ))
+        check_flat(tr._inv_image(n, REQ.twice))
 
 
 # ---- the flat path against the nested tables ------------------------------------------------
@@ -216,9 +246,10 @@ def agree(got, want):
 @example(MOMENTUM, MOMENTUM, None)
 def test_composition_matches_the_nested_tables(A, B, req):
     # exact requests, floored ones, and operands that are zeros with a floor
-    agree(outcome(sym_mul, A, B, req), outcome(ref.nested_sym_mul, A, B, req))
-    agree(outcome(sym_mul, B, A, req), outcome(ref.nested_sym_mul, B, A, req))
-    agree(outcome(sym_bracket, A, B, req), outcome(ref.nested_sym_bracket, A, B, req))
+    with every_wrap_checked():
+        agree(outcome(sym_mul, A, B, req), outcome(ref.nested_sym_mul, A, B, req))
+        agree(outcome(sym_mul, B, A, req), outcome(ref.nested_sym_mul, B, A, req))
+        agree(outcome(sym_bracket, A, B, req), outcome(ref.nested_sym_bracket, A, B, req))
 
 
 NUS = (GaussRat(0), GaussRat(F(1, 2)), GaussRat(2, -1))
@@ -230,13 +261,14 @@ NUS = (GaussRat(0), GaussRat(F(1, 2)), GaussRat(2, -1))
 @example(MOMENTUM, MOMENTUM, SPACE, None)
 @example(Symbol(XI, {}), ZERO_WITH_FLOOR, Symbol(R, {}), h(-2))
 def test_the_transform_matches_the_nested_tables(D, E, P, req):
-    for nu in NUS:
-        agree(outcome(tr.theta, D, req, nu), outcome(ref.nested_theta, D, req, nu))
-    theta_t_req = REQ if req is None else req
-    for nu in NUS[:2]:
-        agree(outcome(tr.theta_t, E, theta_t_req, nu),
-              outcome(ref.nested_theta_t, E, theta_t_req, nu))
-    agree(outcome(tr.theta_inv, P, req), outcome(ref.nested_theta_inv, P, req))
+    with every_wrap_checked():
+        for nu in NUS:
+            agree(outcome(tr.theta, D, req, nu), outcome(ref.nested_theta, D, req, nu))
+        theta_t_req = REQ if req is None else req
+        for nu in NUS[:2]:
+            agree(outcome(tr.theta_t, E, theta_t_req, nu),
+                  outcome(ref.nested_theta_t, E, theta_t_req, nu))
+        agree(outcome(tr.theta_inv, P, req), outcome(ref.nested_theta_inv, P, req))
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,7 +281,8 @@ def test_the_transform_matches_the_nested_tables(D, E, P, req):
     Symbol(R, {HalfInt(-2): CoeffFn.x_pow(2)}), CoeffFn.t_pow(1), None, REQ)
 def test_g_bracket_matches_the_nested_tables(P, Q, f, g, req):
     A, B = GElement(f, P), GElement(g, Q)
-    agree(outcome(g_bracket, A, B, C2, req), outcome(ref.nested_g_bracket, A, B, C2, req))
+    with every_wrap_checked():
+        agree(outcome(g_bracket, A, B, C2, req), outcome(ref.nested_g_bracket, A, B, C2, req))
 
 
 @settings(max_examples=100, deadline=None)
@@ -277,12 +310,12 @@ def test_an_order_past_the_interned_range_gets_an_equal_key():
 def test_empty_tables_and_orders_below_the_floor_are_dropped():
     one = (1, 0, 1)
     flat = {(4, 0, 1, 0): one, (0, 0, 1, 0): one, (-2, 0, 1, 0): one, (-4, 0, 1, 0): one}
-    X = symbol_from_flat(XI, dict(flat), HalfInt(-2))
+    X = symbol_from_flat(XI, dict(flat), -2)  # twice the floor
     assert list(X.terms) == [HalfInt(4), HalfInt(0), HalfInt(-2)]
     assert X.floor == HalfInt(-2)
     assert symbol_from_flat(XI, dict(flat), EXACT).terms.keys() == {
         HalfInt(4), HalfInt(0), HalfInt(-2), HalfInt(-4)}
-    empty = symbol_from_flat(XI, {(-6, 0, 1, 0): one}, HalfInt(-5))
+    empty = symbol_from_flat(XI, {(-6, 0, 1, 0): one}, -5)
     assert empty.is_zero() and empty.floor == HalfInt(-5)
     # an order whose terms all cancel leaves no entry in the view
     assert sym_sub(X, X).terms == {} and sym_sub(X, X).floor == HalfInt(-2)

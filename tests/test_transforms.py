@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import sym_scale
+from reference import gauss_shift_series, sym_scale
 from svpsido.halfint import EXACT, HalfInt, h
 from svpsido.psido import (
     R,
@@ -309,6 +309,14 @@ class TestImageBounds:
 
 
 class TestLoopShift:
+    def test_int_series_matches_the_gauss_series(self):
+        # the same reduced triples, in the same order, as the series built
+        # from GaussRat products
+        for q in range(-8, 9):
+            for depth in range(11):
+                want = list(gauss_shift_series(q, depth).terms.items())
+                assert tr._shift_series(q, depth) == want, (q, depth)
+
     def test_square_expansion(self):
         got = tr.time_shift(CoeffFn.x_pow(2), 8)
         expect = (
@@ -541,8 +549,9 @@ def test_euler_intertwining():
 def test_image_cache_serves_deeper_floors(monkeypatch):
     # the inverse memo is the one cache that stores floored entries
     monkeypatch.setattr(tr, "_inv_memo", {})
-    deep = tr._inv_image(-1, h(-7))
-    shallow = tr._inv_image(-1, h(-3))
+    # the image memos take twice the wanted floor
+    deep = tr._inv_image(-1, -14)
+    shallow = tr._inv_image(-1, -6)
     # the second request reuses the deeper fill
     assert shallow is deep
     assert shallow.floor == h(-7)
