@@ -73,31 +73,22 @@ _FORMS = {
 
 def _slots(D: Symbol):
     """The term items of the three quotient slots of a capped symbol
-    (orders 1, 0, -1), trust-checked.  They are read from the symbol's
-    kept terms view, since the same operands are read again and again,
-    in one walk over its orders, which also finds an order above 1: three
-    lookups by order cost more than the walk, since a HalfInt hashes in
-    Python and orders -1 and -2 share a hash."""
+    (orders 1, 0, -1), trust-checked.  The symbol keeps them
+    (Symbol.quotient_slots), since the same operands are read again and
+    again: the lifts and probes of every theorem61 bracket, and the box
+    elements and quotient brackets of the cocycles suite."""
     if D.var != R:
         raise ValueError("cocycles are defined on space symbols")
-    up = mid = down = ()
-    for k, c in D.terms.items():
-        tw = k.twice
-        if tw == 2:
-            up = c.terms.items()
-        elif tw == 0:
-            mid = c.terms.items()
-        elif tw == -2:
-            down = c.terms.items()
-        elif tw > 2:
-            raise ValueError("cocycles live on symbols of order <= 1")
+    up, mid, down, above = D.quotient_slots()
+    if above:
+        raise ValueError("cocycles live on symbols of order <= 1")
     if D.low is not EXACT and D.low > -2:
         raise ValueError("slot at order -1 is untrusted; deepen the floor")
     return up, mid, down
 
 
 def _cocycle_into(acc: dict, cid: CocycleId, A: Symbol, B: Symbol) -> None:
-    """Add c(A, B) into acc, a mutable {(t, 0, M): GaussRat} table."""
+    """Add c(A, B) into acc, a mutable {(t, 0, M): (a, b, d)} table."""
     a = _slots(A)
     b = _slots(B)
     form = _FORMS.get(cid)

@@ -22,7 +22,8 @@ into one table.  The sums are int triples, left unreduced (after Monagan
 and Pearce: accumulate each output term, normalise late): the family's
 zero test reads them as they stand, and a value is reduced and built
 only where the caller reads one.  The walks over int triples are
-kernels of ring and psido, so this module reads no symbol's flat dict.
+kernels of ring, so this module touches no triple; it hands a symbol's
+flat dict to them only as one slot table of an element.
 
 Since j >= 0 needs b >= -1 - a, no order of W below -1 - top(V) is ever
 read.  A family records that bound over its points as its floor: W needs
@@ -31,10 +32,14 @@ determined.
 
 Every output slot of the bracket and of the coadjoint action is one
 table that each of its terms is added into, signs and constants folded
-into a factor, and that is wrapped once.  The bracket's W is the symbol
-bracket with its transport terms added into the same dict before the one
-wrap (psido.bracket_transport); its central term is read by
-cocycles.eval_cocycle.
+into a factor, and that is wrapped once.  The bracket has one path in
+two layers: bracket_tables fills its three slot tables, unreduced, and
+g_bracket wraps them.  The bracket's W is the symbol bracket with its
+transport terms added into the same dict (psido.bracket_transport_flat);
+its central term is read by cocycles.eval_cocycle.  A family pairs the
+tables as they stand (DualFamily.add_tables_into), so a caller that only
+pairs a bracket, as theorem61 does, never reduces or wraps one; add_into
+pairs an element through the same tables, its slots' own dicts.
 
 The invariant slice kept by the coadjoint action consists of points with
 V = V_-2(t,r) d^-2 + V_0(t): free-evolution multiples plus a potential,
@@ -58,17 +63,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cocycles import CocycleId, eval_cocycle
-from .halfint import EXACT, floor_of, h
+from .halfint import EXACT, floor_of, h, low_of
 from .psido import (
     R,
     XI,
     Symbol,
-    bracket_transport,
+    bracket_transport_flat,
     cap_order,
     file_symbol,
-    pair_symbol_into,
     sym_add,
     sym_sub,
+    symbol_from_flat,
 )
 from .ring import (
     CoeffFn,
@@ -82,6 +87,7 @@ from .ring import (
     pair_terms_into,
     sum_is_zero,
     sum_value,
+    trace_pairs_into,
 )
 from .svalgebra import SvElement, sv_bracket
 from .textio import coeff_str, symbol_str
@@ -93,6 +99,7 @@ __all__ = [
     "GElement",
     "GDual",
     "g_bracket",
+    "bracket_tables",
     "DualFamily",
     "pair_value",
     "pairing",
@@ -211,22 +218,25 @@ def in_invariant_slice(mu: GDual) -> bool:
                for k, c in mu.V.terms.items())
 
 
-def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
-    """Bracket of the extended algebra at central charge c:
+def bracket_tables(A: GElement, B: GElement, c, req_floor) -> tuple:
+    """The slot tables (w, flat, low, alpha) of the bracket at central
+    charge c, none of them reduced:
 
         w     = A.w B.w' - A.w' B.w,
         W     = [A.W, B.W] + A.w d_t B.W - B.w d_t A.W,
         alpha = A.w B.alpha' - B.w A.alpha' + c * c3(A.W, B.W),
 
-    primes and d_t being t-derivatives.  Each slot is summed in one table
-    and wrapped once; W is psido.bracket_transport, the symbol bracket with
+    primes and d_t being t-derivatives.  Each slot is summed in one table:
+    w and alpha as (t, x, M) tables, W as a flat symbol dict with twice
+    its floor, low (psido.bracket_transport_flat: the symbol bracket with
     the transport terms added into its dict and its floor raised to the
-    floor of each operand's W.  The parts are t-only and W has order at
-    most 1 by construction, so the result skips the checks of GElement.
+    floor of each operand's W).  The dict may hold zeros, and transport
+    terms below low; g_bracket wraps the tables, and
+    DualFamily.add_tables_into pairs them as they stand.
     """
     aw, bw = A.w.terms.items(), B.w.terms.items()
     minus_bw = (-B.w).terms.items() if bw else ()
-    W = bracket_transport(A.W, B.W, aw, minus_bw, req_floor)
+    flat, low = bracket_transport_flat(A.W, B.W, aw, minus_bw, low_of(req_floor))
     w: dict = {}
     alpha: dict = {}
     if aw and bw:
@@ -239,7 +249,17 @@ def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
     central = eval_cocycle(CocycleId.C3, A.W, B.W)
     if central.terms:
         mul_into(alpha, central.terms.items(), _as_scalar(c).terms.items())
-    return GElement._raw(coeff_from_table(w), W, coeff_from_table(alpha))
+    return w, flat, low, alpha
+
+
+def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
+    """Bracket of the extended algebra at central charge c: the slot
+    tables of bracket_tables, each wrapped once.  The parts are t-only and
+    W has order at most 1 by construction, so the result skips the checks
+    of GElement."""
+    w, flat, low, alpha = bracket_tables(A, B, c, req_floor)
+    return GElement._raw(coeff_from_table(w), symbol_from_flat(R, flat, low),
+                         coeff_from_table(alpha))
 
 
 def _as_scalar(c) -> CoeffFn:
@@ -252,15 +272,17 @@ class DualFamily:
 
     The monomials of every point are filed by slot (v, a, and each order
     of V) under their (t, x) exponents as (point, M-power, a, b, d) ints,
-    the reduced triple of the coefficient (a + i*b)/d.  add_into then
-    walks the monomials of an element once and looks up, for each, the
-    point monomials it meets: the loop monomial t^p of w or alpha meets
-    t^(-1-p) of v or a (ring.pair_terms_into), and the monomial t^p x^q of
-    g_b meets the t^(-1-p) x^(j-1-q) monomial of f_a, for j = a + b + 1 >=
-    0, with the factor binom(a, j) times the falling factorial
-    q(q-1)...(q-j+1) that d_x^j puts on x^q, read as an int pair from the
-    composition's weight cache (psido.pair_symbol_into, which walks W's
-    flat dict).  The M-powers of the two monomials add, and each product
+    the reduced triple of the coefficient (a + i*b)/d.  add_tables_into
+    then walks the monomials of an element's slot tables once and looks
+    up, for each, the point monomials it meets: the loop monomial t^p of w
+    or alpha meets t^(-1-p) of v or a (ring.pair_terms_into), and the
+    monomial t^p x^q of g_b meets the t^(-1-p) x^(j-1-q) monomial of f_a,
+    for j = a + b + 1 >= 0, with the factor binom(a, j) times the falling
+    factorial q(q-1)...(q-j+1) that d_x^j puts on x^q, read as an int pair
+    from the composition's weight cache (ring.trace_pairs_into, which
+    walks W's flat dict and skips its orders below W's floor).  The tables
+    are those of bracket_tables, unreduced, or for add_into an element's
+    own.  The M-powers of the two monomials add, and each product
     lands in a table point -> M-power -> (a, b, d) that the caller passes
     in, so several walks can sum into one table.  The sums are int
     triples left unreduced: is_zero tests a row for zero as it stands,
@@ -271,7 +293,8 @@ class DualFamily:
     floor is -1 - max top(V) over the points, or EXACT when no point has
     a V: orders of W below it never reach a trace, so it is the shallowest
     floor of W at which every point's trace is determined.  The family
-    works with it, and with each point's top, as twice-ints (_low, _tops).
+    works with it, and with each point's top, as twice-ints (_low, _tops);
+    undetermined_at reads the undetermined points off twice W's floor.
     """
 
     __slots__ = ("_tops", "_low", "floor", "_v", "_a", "_orders")
@@ -291,25 +314,37 @@ class DualFamily:
             file_symbol(orders, n, mu.V)
         self._orders = list(orders.items())
 
+    def add_tables_into(self, sums: dict, w: dict, flat: dict, low, alpha: dict) -> None:
+        """Add the pairing terms of every point against an element given
+        by its slot tables into sums, in the form bracket_tables returns:
+        w and alpha as (t, x, M) tables, W as a flat symbol dict with twice
+        its floor, low.  The tables need not be reduced; W's terms below
+        low are skipped, as the wrap of the dict would drop them."""
+        pair_terms_into(sums, w.items(), self._v)
+        pair_terms_into(sums, alpha.items(), self._a)
+        trace_pairs_into(sums, flat.items(), self._orders, low)
+
     def add_into(self, A: GElement, sums: dict) -> None:
         """Add the pairing terms of every point against A into sums."""
-        pair_terms_into(sums, A.w.terms.items(), self._v)
-        pair_terms_into(sums, A.alpha.terms.items(), self._a)
-        pair_symbol_into(sums, A.W, self._orders)
+        self.add_tables_into(sums, A.w.terms, A.W.flat, A.W.low, A.alpha.terms)
 
     @staticmethod
     def is_zero(row: dict) -> bool:
         """Whether a row of a table (M-power -> sum) pairs to zero."""
         return sum_is_zero(row)
 
-    def undetermined(self, A: GElement) -> list:
-        """The points, in order, whose trace is not determined at A's
-        truncation: orders of W below its floor are unknown, and they
-        reach order -1 of V o W once W.floor + top(V) > -1."""
-        low = A.W.low
+    def undetermined_at(self, low) -> list:
+        """The points, in order, whose trace is not determined when W is
+        known down to twice-int floor low: orders of W below it are
+        unknown, and they reach order -1 of V o W once floor + top(V) > -1."""
         if low is EXACT or self._low is EXACT or low <= self._low:
             return []
         return [n for n, top in enumerate(self._tops) if top is not None and low + top > -2]
+
+    def undetermined(self, A: GElement) -> list:
+        """The points, in order, whose trace is not determined at A's
+        truncation."""
+        return self.undetermined_at(A.W.low)
 
     def pair(self, A: GElement) -> list:
         """pairing(mu, A) for every point mu, in order; None where the

@@ -21,8 +21,10 @@ out as they are stored: ``terms``, a read-only view of the same terms as
 order -> CoeffFn, a regroup of the flat dict built on its first read and
 kept, for printing and for callers that want whole coefficients;
 ``coeff``, which reads that view; and ``sole_term``.  The dual pairing
-reads the dict through ``file_symbol`` and ``pair_symbol_into``, which
-hand it to ring's trace pairing kernels.
+files its points' dicts through ``file_symbol`` and walks an element's
+dict with ring's trace pairing kernel.  The extended bracket's symbol
+slot, ``bracket_transport_flat``, returns its dict unwrapped, as
+``compose_flat`` does, so the pairing can read it before any reduction.
 
 Composition uses the generalized Leibniz rule
 
@@ -74,7 +76,6 @@ from .ring import (
     leibniz_rows,
     reduce_flat,
     scale_into,
-    trace_pairs_into,
     transport_into,
 )
 
@@ -89,10 +90,9 @@ __all__ = [
     "compose_flat",
     "symbol_from_flat",
     "sym_bracket",
-    "bracket_transport",
+    "bracket_transport_flat",
     "adler_trace",
     "file_symbol",
-    "pair_symbol_into",
     "differential_part",
     "cap_order",
     "eq_trusted",
@@ -111,9 +111,12 @@ class Symbol:
     flat maps (twice the order, t, x, M) to the reduced int triple of a
     nonzero coefficient, as CoeffFn.terms does, and holds no order below
     the floor, which low holds as twice its value (None for EXACT).  A
-    fourth slot, _view, holds the terms property once it is first read;
-    the flat dict never changes after wrapping, so the view never goes
-    stale.  Equality ignores it.
+    fourth slot, _view, holds the terms property once it is first read,
+    and once quotient_slots has been called, the pair (terms view,
+    quotient slots): the operands of the cocycles keep their slots there,
+    since a fifth slot would move every symbol into a larger allocator
+    size class.  The flat dict never changes after wrapping, so what
+    _view holds never goes stale.  Equality ignores it.
     """
 
     __slots__ = ("var", "flat", "low", "_view")
@@ -196,7 +199,36 @@ class Symbol:
                 g[(p, q, m)] = v
             view = MappingProxyType({HalfInt(o): _coeff_raw(g) for o, g in groups.items()})
             _set_view(self, view)
+        elif view.__class__ is tuple:
+            return view[0]
         return view
+
+    def quotient_slots(self) -> tuple:
+        """(up, mid, down, above): the term items of the coefficients of
+        orders 1, 0 and -1, empty where the order is absent, and whether an
+        order above 1 is stored; one walk over the terms view on the first
+        call, kept for the next.  The cocycles read these slots of the same
+        operands again and again, and a lookup by HalfInt order costs more
+        than the walk, since a HalfInt hashes in Python."""
+        view = self._view
+        if view.__class__ is tuple:
+            return view[1]
+        view = self.terms
+        up = mid = down = ()
+        above = False
+        for k, c in view.items():
+            tw = k.twice
+            if tw == 2:
+                up = c.terms.items()
+            elif tw == 0:
+                mid = c.terms.items()
+            elif tw == -2:
+                down = c.terms.items()
+            elif tw > 2:
+                above = True
+        out = (up, mid, down, above)
+        _set_view(self, (view, out))
+        return out
 
     def is_zero(self) -> bool:
         return not self.flat
@@ -370,24 +402,29 @@ def sym_bracket(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
     return symbol_from_flat(A.var, flat, low)
 
 
-def bracket_transport(A: Symbol, B: Symbol, f_items, g_items, req_floor) -> Symbol:
-    """[A, B] + f d_t B + g d_t A, for x-free f and g given by their term
-    items, as the symbol slot of the extended bracket takes it.
+def bracket_transport_flat(A: Symbol, B: Symbol, f_items, g_items, low):
+    """The flat dict and the floor of [A, B] + f d_t B + g d_t A, for
+    x-free f and g given by their term items, as the symbol slot of the
+    extended bracket takes it; low, asked and returned, is twice a floor.
+    The dict is unreduced, and the transport terms may put entries below
+    the floor returned: symbol_from_flat drops them where kacmoody.g_bracket
+    wraps the dict, and the dual pairing skips them where it reads the
+    dict unwrapped.
 
     The bracket's flat dict (compose_flat) takes the transport terms
-    (ring.transport_into); they are never cut, but symbol_from_flat drops
-    the orders below the result floor.  That floor is the bracket's (EXACT
-    only when nothing was cut) raised to the floor of each operand: a term
-    scaled by a zero loop is a zero that keeps its floor.  The bracket is
-    asked for that raised floor, so its kernel adds nothing below it.
+    (ring.transport_into), which are never cut.  The floor is the
+    bracket's (EXACT only when nothing was cut) raised to the floor of
+    each operand: a term scaled by a zero loop is a zero that keeps its
+    floor.  The bracket is asked for that raised floor, so its kernel adds
+    nothing below it.
     """
     raised = max_low(A.low, B.low)
-    flat, low = compose_flat(A, B, ((A, B, 1), (B, A, -1)), max_low(low_of(req_floor), raised))
+    flat, low = compose_flat(A, B, ((A, B, 1), (B, A, -1)), max_low(low, raised))
     for loop, other in ((f_items, B), (g_items, A)):
         if loop:
             transport_into(flat, loop, other.flat.items())
     # a floor the bracket computed lies at or above raised already
-    return symbol_from_flat(A.var, flat, raised if low is EXACT else low)
+    return flat, raised if low is EXACT else low
 
 
 # ---- trace, projections -------------------------------------------------------------------
@@ -407,12 +444,6 @@ def file_symbol(orders: dict, n: int, V: Symbol) -> None:
     """File the terms of point n's symbol V into a trace pairing index,
     from V's flat dict (ring.file_flat)."""
     file_flat(orders, n, V.flat.items())
-
-
-def pair_symbol_into(sums: dict, W: Symbol, orders) -> None:
-    """Add the trace pairings of W's terms against a filed index into
-    sums, walking W's flat dict (ring.trace_pairs_into)."""
-    trace_pairs_into(sums, W.flat.items(), orders)
 
 
 def differential_part(D: Symbol) -> Symbol:

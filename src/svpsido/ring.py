@@ -794,18 +794,22 @@ def pair_terms_into(sums: dict, items, index: dict) -> None:
             _sum_into(sums, n, m + e, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
 
-def trace_pairs_into(sums: dict, items, orders) -> None:
+def trace_pairs_into(sums: dict, items, orders, low=None) -> None:
     """Add [t^-1 x^-1](f_a d_x^j g_b) binom(a, j), for j = a + b + 1 >= 0,
     into sums for every filed order a of the points and every term of
-    W = sum g_b d^b.
+    W = sum g_b d^b at or above low (twice W's floor, None for EXACT).
 
-    items are the (key, triple) pairs of W's flat dict and orders the
-    (twice the order, index) pairs of the points' symbols.  The monomial
+    items are the (key, triple) pairs of W's flat dict, reduced or not,
+    and orders the (twice the order, index) pairs of the points' symbols.
+    A dict that no wrap has reduced may hold terms below the floor, which
+    the wrap would drop; they are skipped here.  The monomial
     t^p x^q M^e d^b of W meets the t^(-1-p) x^(j-1-q) monomials of f_a,
     weighed by binom(a, j) (q)_j, which d_x^j puts on x^q; that weight is
     read from the cache that leibniz_rows reads.
     """
     for (bt, p, q, e), (a2, b2, d2) in items:
+        if low is not None and bt < low:
+            continue
         tp = -1 - p
         for at, index in orders:
             j = (at + bt) // 2 + 1  # orders on the space side are integers

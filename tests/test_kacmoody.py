@@ -6,6 +6,7 @@ with the degree-one overflow reappearing as the reparametrization slot.
 Dual-side oracles are hand-computed residues recorded inline.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -381,6 +382,86 @@ def test_brackets_at_the_family_floor_pair_like_brackets_at_the_suite_floor(floo
             assert got == ptab.pair(g_bracket(X, Y, C2, floor)), (str(X), str(Y))
 
 
+@functools.cache
+def _duality_lifts(n: int) -> tuple:
+    """theorem61's lifts on the range n box, each embedded at the suite
+    floor and at the floor of the slice family: the basis through embed_I,
+    whose time modes have w != 0, and the quotient directions through
+    embed_momentum_symbol."""
+    lifts = []
+    for floor in (REQ, DualFamily(mu for _, mu in suites._slice_points(n)).floor):
+        lifts += [embed_I(X, floor) for _, X in suites._labeled_basis(n)]
+        for k in suites._degrees(n):
+            for kap in (h("-1/2"), h(-1), h("-3/2")):
+                E = Symbol(XI, {kap: CoeffFn.t_pow(k).t_to_x(MINUS_2I_M)})
+                lifts.append(embed_momentum_symbol(E, floor))
+    return tuple(lifts)
+
+
+def _values(sums: dict) -> dict:
+    """The nonzero values of a table of pairing sums, by point."""
+    values = {n: pair_value(row) for n, row in sums.items()}
+    return {n: value for n, value in values.items() if not value.is_zero()}
+
+
+def _lift_pool(moving: bool):
+    lifts = _duality_lifts(2)
+    return st.sampled_from([X for X in lifts if not X.w.is_zero()] if moving else lifts)
+
+
+def _probe_pool(order):
+    probes = [Y for _, Y in suites._duality_probes(2)]
+    return st.sampled_from([Y for Y in probes if order is None or Y.W.top() == h(order)])
+
+
+# drawn on first use, since building the lifts embeds 58 elements; about half
+# the draws take a time-mode lift, whose w != 0 adds the transport term
+# w d_t Y.W, and about half an order -2 probe, whose transport term lies
+# below a floor of -1
+duality_lifts = st.deferred(lambda: st.one_of(_lift_pool(True), _lift_pool(False)))
+duality_probes = st.deferred(lambda: st.one_of(_probe_pool(-2), _probe_pool(None)))
+# order 1 monomial points: every transport term of those lifts against the
+# order -2 probes meets one of them
+order_one_points = [GDual(V=Symbol(R, {h(1): CoeffFn.mono(p, q)}))
+                    for p in range(-5, 4) for q in range(-3, 2)]
+
+
+@given(duality_lifts, duality_probes, st.sampled_from([REQ, h(-1), h(-2)]),
+       st.lists(dual_points, max_size=2))
+@example(
+    # the lift of time[0] has w = -t, and the probe's order -2 term lies
+    # below the floor -1: its transport term -t d^-2 is added into the
+    # bracket's dict, which the wrap drops, and it meets the order 1 point
+    # t^-2 x^-1 d, which that floor leaves undetermined
+    embed_I(time_mode(0), REQ),
+    GElement(W=Symbol(R, {h(-2): CoeffFn.t_pow(1)})),
+    h(-1),
+    [],
+)
+@settings(max_examples=60, deadline=None)
+def test_bracket_tables_pair_like_the_wrapped_bracket(X, Y, floor, extra):
+    # the slice points of theorem61, and points of higher order
+    points = [mu for _, mu in suites._slice_points(2)] + order_one_points + extra
+    family = DualFamily(points)
+    w, flat, low, alpha = kacmoody.bracket_tables(X, Y, C2, floor)
+    B = g_bracket(X, Y, C2, floor)
+    got: dict = {}
+    family.add_tables_into(got, w, flat, low, alpha)
+    want: dict = {}
+    family.add_into(B, want)
+    # at every point, undetermined ones too, the tables sum what the
+    # wrapped bracket sums: no term that the wrap drops below the floor
+    values = _values(got)
+    assert values == _values(want)
+    undetermined = family.undetermined_at(low)
+    assert undetermined == family.undetermined(B)
+    for m, value in enumerate(family.pair(B)):
+        if m in undetermined:
+            assert value is None
+        else:
+            assert value == values.get(m, CoeffFn.zero())
+
+
 def test_theorem61_names_the_first_undetermined_trace():
     # floor -1 is too shallow for some brackets against the order -2
     # points; pinned from the one-point-at-a-time pairing loop
@@ -392,24 +473,30 @@ def test_theorem61_names_the_first_undetermined_trace():
     assert first.rhs == "a finished check"
 
 
+def _doubled(table: dict) -> dict:
+    return {k: (2 * a, 2 * b, d) for k, (a, b, d) in table.items()}
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda out: GElement(out.w, out.W, out.alpha * 2),
-        lambda out: GElement(out.w, sym_scale(out.W, 2), out.alpha),
+        lambda w, flat, low, alpha: (w, flat, low, _doubled(alpha)),
+        lambda w, flat, low, alpha: (w, _doubled(flat), low, alpha),
     ],
     ids=["central slot doubled", "loop slot doubled"],
 )
 def test_theorem61_reports_the_defect_of_the_first_point_it_fails_at(monkeypatch, corrupt):
     # a corrupted bracket breaks the duality; each failure must name what
-    # pairing the points one by one finds first
-    bracket = g_bracket
+    # pairing the points one by one finds first.  The corruption goes into
+    # the slot tables, which theorem61 pairs unwrapped and g_bracket (the
+    # reference defect's bracket) wraps
+    tables = kacmoody.bracket_tables
 
     def corrupted(A, B, c, req_floor):
-        return corrupt(bracket(A, B, c, req_floor))
+        return corrupt(*tables(A, B, c, req_floor))
 
-    monkeypatch.setattr(suites, "g_bracket", corrupted)
-    monkeypatch.setattr(kacmoody, "g_bracket", corrupted)
+    monkeypatch.setattr(suites, "bracket_tables", corrupted)
+    monkeypatch.setattr(kacmoody, "bracket_tables", corrupted)
     n = 2
     cfg = VerifyConfig(index_range=n, threads=1)
     (rep,) = run_suites(["theorem61"], cfg)

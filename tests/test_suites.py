@@ -722,6 +722,46 @@ class TestReports:
         assert "suite psido-axioms: 3124/3124 passed (N ms)" in one
 
 
+_DUALITY = ["theorem61", "poisson-lemma71"]
+# the tables that both duality suites read, built once per process
+_DUALITY_TABLES = (suites._labeled_basis, suites._slice_points, suites._coadjoint_rows)
+
+
+def _cold_tables() -> None:
+    """Empty the shared duality tables, as in a fresh process."""
+    for table in _DUALITY_TABLES:
+        table.cache_clear()
+
+
+def _per_suite(reports) -> list:
+    """The text report of each suite, with its time masked."""
+    return [report_text([rep._replace(millis=0)]) for rep in reports]
+
+
+@needs_fork
+@pytest.mark.parametrize("threads", [1, 2])
+def test_duality_suites_alone_and_together_print_the_same_reports(threads):
+    # each suite alone with cold tables, both in one run, and charge 1/3
+    # cold and after a default-charge run whose rows are still kept
+    cfg = VerifyConfig(index_range=2, threads=threads)
+    third = cfg._replace(c=GaussRat(Fraction(1, 3)))
+    alone = []
+    for name in _DUALITY:
+        _cold_tables()
+        alone += _per_suite(run_suites([name], cfg))
+    _cold_tables()
+    assert _per_suite(run_suites(_DUALITY, cfg)) == alone
+    _cold_tables()
+    cold_third = _per_suite(run_suites(_DUALITY, third))
+    _cold_tables()
+    run_suites(_DUALITY, cfg)
+    assert _per_suite(run_suites(_DUALITY, third)) == cold_third
+    # the charge reaches the kept rows: theorem61's free family match
+    # holds at charge 2 only
+    assert "FAIL free family match" not in alone[0]
+    assert "FAIL free family match" in cold_third[0]
+
+
 class TestNuScan:
     def test_zero_deformation_matches_the_flat_weight(self):
         rep = nu_scan(VerifyConfig(), grid=[GaussRat(0)])
