@@ -64,7 +64,6 @@ allowed).  Symbols are immutable; every operation is pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 
 from .halfint import EXACT, HalfInt, floor_of, h, low_of, max_low
@@ -96,7 +95,6 @@ __all__ = [
     "differential_part",
     "cap_order",
     "eq_trusted",
-    "binom_twice",
 ]
 
 R = "R"
@@ -322,19 +320,6 @@ def _check_var(A: Symbol, B: Symbol):
 
 
 # ---- composition ---------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def binom_twice(a_twice: int, j: int) -> GaussRat:
-    """binom(a, j) for a = a_twice / 2, exact and cached."""
-    a = Fraction(a_twice, 2)
-    num = Fraction(1)
-    for i in range(j):
-        num *= a - i
-    den = 1
-    for i in range(2, j + 1):
-        den *= i
-    return GaussRat(num / den)
 
 
 def sym_mul(A: Symbol, B: Symbol, req_floor=None) -> Symbol:

@@ -25,10 +25,12 @@ rows that theorem61 and poisson-lemma71 both read are built once per
 process for each value of the config fields they read, and shared across
 suites and runs.  Only the tables of
 sub-results keyed by box indices (a product or bracket of two box
-elements, an action on a basis element, theta's images) are lazy: an entry
-is computed by the first case that asks for it, so each process fills its
-own copy and nothing is pickled.  A failed entry is not stored, so every
-case that reads it fails the same way.
+elements, an action on a basis element, theta's images, and theta's
+products of one left operand's image with each power's image, held for
+the current left operand only) are lazy: an entry is computed by the
+first case that asks for it, so each process fills its own copy and
+nothing is pickled.  A failed entry is not stored, so every case that
+reads it fails the same way.
 
 Importing the module loads the calculus it checks and nothing heavier:
 the config and report records are NamedTuples, not dataclasses, workers
@@ -98,8 +100,19 @@ from .psido import (
     sym_bracket,
     sym_mul,
     sym_sub,
+    symbol_from_flat,
 )
-from .ring import GR_I, CoeffFn, GaussRat, I_M, M, MINUS_2I_M, TWO_I_M, coeff_from_table
+from .ring import (
+    GR_I,
+    CoeffFn,
+    GaussRat,
+    I_M,
+    M,
+    MINUS_2I_M,
+    TWO_I_M,
+    coeff_from_table,
+    scale_into,
+)
 from .svaction import SchrodPoint, d_sigma_affine, d_sigma_tilde
 from .svalgebra import SvElement, phase_mode, shift_mode, sv_basis, sv_bracket, time_mode
 from .textio import coeff_str, gauss_str, scalar_str, symbol_str
@@ -505,18 +518,54 @@ def _suite_theta(cfg: VerifyConfig) -> list:
 
     zero_h = h(0)
     double_floor = h(F.twice)  # image orders double, so the window does too
+    power = {p: i for i, (k, p, _) in enumerate(xi_box) if k == zero_h}  # p -> index of xi^p
+
+    def moved(S: Symbol, dt: int) -> Symbol:
+        """S o d_r^(dt/2): every order of S moved by dt twice-orders."""
+        flat: dict = {}
+        scale_into(flat, S.flat.items(), dt, 0, 0, (1, 0, 1))
+        return symbol_from_flat(R, flat, EXACT)
+
+    @functools.cache
+    def right_factor(b: int) -> tuple:
+        """(index of xi^p, dt) for xi_box[b] = xi^p d_xi^k, with dt = 4k:
+        theta(d_xi^k) = d_r^(2k) moves every order of theta(xi^p) by 4k
+        twice-orders.  Raises, for every case that reads b, unless image(b)
+        is that moved image."""
+        k, p, _ = xi_box[b]
+        i, dt = power[p], 2 * k.twice
+        if image(b) != moved(image(i), dt):
+            raise ArithmeticError(f"theta({names[b]}) is not theta({names[i]}) o d_r^{dt // 2}")
+        return i, dt
+
+    # held for the current left operand only: products run a-major in
+    # every process, and one left operand meets at most 2n + 1 powers
+    @functools.lru_cache(maxsize=2 * n + 1)
+    def composed(a: int, i: int):
+        """theta(A) o theta(xi^p) for A = xi_box[a] and xi^p = xi_box[i],
+        or None where it is a series."""
+        tA, tP = image(a), image(i)
+        try:
+            return sym_mul(tA, tP)
+        except ValueError:
+            return None
 
     def image_of_product(a, b):
+        # theta(B) is theta(xi^p) moved by dt (right_factor).  The Leibniz
+        # weights of a pair read the left order and the right x-power only
+        # (ring.leibniz_rows), and the right order only moves the order each
+        # term lands at; so with no floor theta(A) o theta(B) is
+        # theta(A) o theta(xi^p) moved by dt, term for term, and the one is
+        # a series exactly when the other is
         lhs = tr.theta(sym_mul(xi_box[a][2], xi_box[b][2]))
-        tA, tB = image(a), image(b)
-        try:
-            rhs = sym_mul(tA, tB)
-        except ValueError:
+        i, dt = right_factor(b)
+        rhs = composed(a, i)
+        if rhs is None:
             # a series: compare down to the doubled floor, or deeper when
             # some order of lhs sits below it
             low = double_floor if lhs.is_zero() else min(double_floor, lhs.bottom())
-            return _equal_trusted(sym, lhs, sym_mul(tA, tB, low))
-        return _equal(sym, lhs, rhs)
+            return _equal_trusted(sym, lhs, sym_mul(image(a), image(b), low))
+        return _equal(sym, lhs, moved(rhs, dt))
 
     # a composition with neither a polynomial left factor nor a polynomial
     # right coefficient would not terminate exactly; the left factor's

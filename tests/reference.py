@@ -31,7 +31,6 @@ from svpsido.psido import (
     XI,
     Symbol,
     _check_var,
-    binom_twice,
     sym_add,
     sym_bracket,
     sym_mul,
@@ -290,6 +289,29 @@ def series_image(nu: GaussRat, k: int, want) -> Symbol:
     # the base's missing tail meets the highest order prev may carry
     hi = prev.top() if prev.terms else prev.floor
     return sym_mul(prev, series_neg_base(nu, want if want is EXACT else want - hi), want)
+
+
+def theta_product_by_pairs(A: Symbol, B: Symbol) -> Symbol:
+    """Reference for the theta suite's exact products, theta(A) o theta(xi^p) moved by B's order."""
+    return sym_mul(tr.theta(A), tr.theta(B))
+
+
+@functools.lru_cache(maxsize=None)
+def binom_twice(a_twice: int, j: int) -> GaussRat:
+    """Reference for the binomial factor of ring._weights: binom(a, j) for
+    a = a_twice / 2, exact and cached.
+
+    Retired from psido when composition came to read its weights from the
+    kernel's one cache of reduced int pairs.
+    """
+    a = F(a_twice, 2)
+    num = F(1)
+    for i in range(j):
+        num *= a - i
+    den = 1
+    for i in range(2, j + 1):
+        den *= i
+    return GaussRat(num / den)
 
 
 # ---- the nested-table composition and transform ---------------------------------------------

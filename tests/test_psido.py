@@ -10,12 +10,14 @@ common trusted range.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import raise_floor, sym_scale, time_deriv
+from reference import binom_twice, raise_floor, sym_scale, time_deriv
+from svpsido import ring
 from svpsido.halfint import EXACT, HalfInt, h
 from svpsido.ring import CoeffFn, GaussRat
 from svpsido.psido import (
@@ -23,7 +25,6 @@ from svpsido.psido import (
     XI,
     Symbol,
     adler_trace,
-    binom_twice,
     cap_order,
     differential_part,
     eq_trusted,
@@ -47,33 +48,51 @@ X = mono(0, xpow=1)
 
 
 # ---- generalized binomial ---------------------------------------------------
+#
+# Composition reads binom(a, j) (q)_j from ring._weights, the kernel's one
+# weight cache; at q = j the falling factorial is j!, so the binomial is
+# that weight over j!.  Each check is made on the cache and on the
+# reference binomial, both of which take twice their upper argument.
+
+
+def kernel_binom(a_twice: int, j: int) -> GaussRat:
+    """binom(a, j) for a = a_twice / 2, read from the kernel's weight cache."""
+    num, den = ring._weights(a_twice, j, j + 1)[j]
+    return GaussRat(F(num, den * factorial(j)))
+
+
+BINOMS = (kernel_binom, binom_twice)
 
 
 def test_binom_at_integer_arguments():
-    # binom_twice takes twice its upper argument: (3 choose j)
-    assert binom_twice(6, 0) == GaussRat(1)
-    assert binom_twice(6, 2) == GaussRat(3)
-    assert binom_twice(6, 4) == GaussRat(0)
+    # (3 choose j)
+    for binom in BINOMS:
+        assert binom(6, 0) == GaussRat(1)
+        assert binom(6, 2) == GaussRat(3)
+        assert binom(6, 4) == GaussRat(0)
 
 
 def test_binom_at_half_odd_arguments():
     # (1/2 choose 2) = (1/2)(-1/2)/2
-    assert binom_twice(1, 2) == GaussRat(F(-1, 8))
-    assert binom_twice(1, 3) == GaussRat(F(1, 16))
+    for binom in BINOMS:
+        assert binom(1, 2) == GaussRat(F(-1, 8))
+        assert binom(1, 3) == GaussRat(F(1, 16))
 
 
 def test_binom_at_negative_one():
-    for j in range(6):
-        assert binom_twice(-2, j) == GaussRat((-1) ** j)
+    for binom in BINOMS:
+        for j in range(6):
+            assert binom(-2, j) == GaussRat((-1) ** j)
 
 
 def test_binom_pascal_recurrence():
     # C(a, j) = C(a-1, j) + C(a-1, j-1), valid for every half-integer a
-    for twice in range(-7, 8):
-        for j in range(1, 6):
-            lhs = binom_twice(twice, j)
-            rhs = binom_twice(twice - 2, j) + binom_twice(twice - 2, j - 1)
-            assert lhs == rhs, (twice, j)
+    for binom in BINOMS:
+        for twice in range(-7, 8):
+            for j in range(1, 6):
+                lhs = binom(twice, j)
+                rhs = binom(twice - 2, j) + binom(twice - 2, j - 1)
+                assert lhs == rhs, (binom.__name__, twice, j)
 
 
 # ---- composition: exact cases -----------------------------------------------

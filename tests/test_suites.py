@@ -19,9 +19,10 @@ from fractions import Fraction
 import pytest
 
 import svpsido
+from reference import theta_product_by_pairs
 from svpsido import cocycles, kacmoody, poisson, psido, ring, suites, svaction, transforms
 from svpsido.halfint import EXACT, h, hmax
-from svpsido.psido import R, Symbol
+from svpsido.psido import R, XI, Symbol
 from svpsido.ring import CoeffFn, GaussRat
 from svpsido.svalgebra import shift_mode, time_mode
 from svpsido.textio import symbol_str
@@ -387,6 +388,8 @@ class TestSharedTables:
             ("psido-axioms", "sym_mul", 7512),
             ("dsigma-rep", "d_sigma", 7134),
             ("theta", "theta", 6216),
+            # parent count, composing theta(A) o theta(B) for each pair: 11,882
+            ("theta", "sym_mul", 7000),
         ],
     )
     def test_cases_stay_within_their_call_budget(self, tabled_runs, name, layer, budget):
@@ -618,6 +621,61 @@ class TestSharedTables:
         assert [f.inputs for f in rep.failures] == readers
         assert all(f.lhs == "raised RuntimeError: bracket refused" for f in rep.failures)
         assert rep.passed == rep.cases - 42
+
+    @pytest.mark.parametrize("floor, n, exact", [("-7/2", 3, 5590), ("-9/2", 4, 15385)])
+    def test_shared_theta_products_are_the_per_pair_products(self, monkeypatch, floor, n, exact):
+        # an exact image case compares theta(A o B) with theta(A) o theta(xi^p)
+        # moved by B's order; that right side must be theta(A) o theta(B)
+        current, rights = [None], {}
+        equal = suites._equal
+
+        def recorded(show, lhs, rhs):
+            rights[current[0]] = rhs
+            return equal(show, lhs, rhs)
+
+        monkeypatch.setattr(suites, "_equal", recorded)
+        cfg = VerifyConfig(floor=h(floor), index_range=n, threads=1)
+        box = [Symbol(XI, {k: CoeffFn.x_pow(p)})
+               for k in suites._half_orders(n) for p in suites._degrees(n)]
+        names = [symbol_str(A) for A in box]
+        pairs = {f"image of {names[a]} o {names[b]}": (box[a], box[b])
+                 for a in range(len(box)) for b in range(len(box))}
+        for label, check in _SUITE_BUILDERS["theta"](cfg):
+            if label.startswith("image of "):
+                current[0] = label
+                assert check() is None, label
+                A, B = pairs[label]
+                if label in rights:
+                    assert rights[label] == theta_product_by_pairs(A, B), label
+                else:  # a series, which the case composes pair by pair to a floor
+                    with pytest.raises(ValueError):
+                        theta_product_by_pairs(A, B)
+        assert len(rights) == exact
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_an_image_off_its_moved_power_fails_every_product_that_reads_it(self, monkeypatch,
+                                                                           threads):
+        # theta(xi d_xi^(1/2)) is theta(xi) o d_r; doubled, it is not, and
+        # every product case with it on the right must fail, not only those
+        # whose left side theta(A o B) reads the doubled image
+        mixed = Symbol(XI, {h("1/2"): CoeffFn.x_pow(1)})
+        theta = transforms.theta
+
+        def doubled(D, *args, **kwargs):
+            image = theta(D, *args, **kwargs)
+            return psido.sym_add(image, image) if D == mixed else image
+
+        monkeypatch.setattr(transforms, "theta", doubled)
+        cfg = VerifyConfig(index_range=1, threads=threads)
+        cases = _SUITE_BUILDERS["theta"](cfg)
+        rep = _run_cases("theta", cases, cfg)
+        assert rep.cases - rep.passed == len(rep.failures)  # none past the cap
+        failed = {f.inputs: f.lhs for f in rep.failures}
+        readers = [label for label, _ in cases
+                   if label.startswith("image of ") and label.endswith(f" o {symbol_str(mixed)}")]
+        assert len(readers) == 15
+        for label in readers:
+            assert failed.get(label, "").startswith("raised ArithmeticError: theta("), label
 
 
 # (cases, failing cases, digest) of every suite's (label, outcome) list at
