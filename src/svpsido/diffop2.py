@@ -13,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .halfint import h
 from .ring import CoeffFn, GaussRat, I_M, M, MINUS_2I_M
 from .svalgebra import SvElement
 
@@ -215,10 +214,10 @@ def d_pi(mu, X: SvElement) -> DiffOp2:
 def dop_from_r_symbol(D) -> DiffOp2:
     """Embed a space-symbol with integer orders >= 0 as a (t, r) operator."""
     out: dict = {}
-    for k, c in D.terms.items():
-        if not k.is_integer or k < h(0):
+    for o, c in D.rows().items():
+        if o & 1 or o < 0:
             raise ValueError("only differential-part symbols embed")
-        out[(0, k.as_int())] = c
+        out[(0, o // 2)] = c
     return DiffOp2(out)
 
 

@@ -2,13 +2,12 @@
 
 Symbol orders live in (1/2)Z.  Storing the doubled value as a plain int keeps
 every comparison, addition and hash exact.  Inside the package an order or
-a floor is that int (the flat keys, Symbol.low); HalfInt, the public order
-scalar, wraps it where orders enter (low_of) and leave (floor_of).  A
+a floor is that int (the flat keys, Symbol.low, Symbol.rows); HalfInt, the
+public order scalar, is a plain immutable value built only where an order
+enters (low_of) or leaves the public API (floor_of, Symbol.top, the keys
+of Symbol.terms), and order_str prints an order from its twice-int.  A
 HalfInt compares with an int as an order, HalfInt(2) == 1, so a twice-int
-passed as an order compares wrongly with no error.  Values with |twice| <=
-INTERNED_TWICE are interned: HalfInt(t) returns one shared object per
-value, so dict lookups with those keys match by identity, and each object
-computes its hash once, at construction.
+passed as an order compares wrongly with no error.
 The module also fixes the package-wide convention for the "no
 truncation" sentinel: a floor of ``None`` means every order below the stored
 terms is identically zero (written EXACT in text form).
@@ -19,7 +18,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-__all__ = ["HalfInt", "EXACT", "h", "hmax", "low_of", "floor_of", "max_low"]
+__all__ = ["HalfInt", "EXACT", "h", "hmax", "low_of", "floor_of", "max_low", "order_str"]
 
 # Floor sentinel: all orders below the stored support are exactly zero.
 EXACT = None
@@ -32,14 +31,12 @@ _HASH_HALF = (_HASH_MODULUS + 1) // 2
 class HalfInt:
     """An element of (1/2)Z, stored as twice its value."""
 
-    __slots__ = ("twice", "_hash")
+    __slots__ = ("twice",)
 
-    def __new__(cls, twice: int):
-        if twice.__class__ is int and -INTERNED_TWICE <= twice <= INTERNED_TWICE:
-            return _INTERNED[twice + INTERNED_TWICE]
+    def __init__(self, twice: int):
         if not isinstance(twice, int):
             raise TypeError("HalfInt stores twice the value as an int")
-        return _make(twice)
+        object.__setattr__(self, "twice", twice)
 
     def __setattr__(self, name, value):
         raise AttributeError("HalfInt is immutable")
@@ -52,8 +49,11 @@ class HalfInt:
 
     @staticmethod
     def parse(text: str) -> "HalfInt":
-        """Accepts '3', '-2', '1/2', '-7/2'."""
+        """Accepts '3', '-2', '1/2', '-7/2'; not the underscores that
+        int() would take between digits."""
         s = text.strip()
+        if "_" in s:
+            raise ValueError(f"not a half-integer: {text!r}")
         if "/" in s:
             num, den = s.split("/", 1)
             if den.strip() != "2":
@@ -104,12 +104,6 @@ class HalfInt:
         return None
 
     def __eq__(self, other):
-        # orders -1 and -2 both hash to -2, and a dict's probe for that
-        # hash revisits the colliding slot: on CPython 3.11, inserting or
-        # finding order -2 in a small dict that holds order -1 calls this
-        # method 13 times, not once.  Symbols key their terms by the int
-        # twice the order, so only terms views and constructor input hash
-        # HalfInts
         if other.__class__ is HalfInt:
             return self.twice == other.twice
         k = self._cmp_key(other)
@@ -132,22 +126,13 @@ class HalfInt:
         return NotImplemented if k is None else self.twice >= k
 
     def __hash__(self):
-        return self._hash
+        return _half_hash(self.twice)
 
     def __str__(self):
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+        return order_str(self.twice)
 
     def __repr__(self):
         return f"HalfInt({self.twice})"
-
-
-# The slots' own setters: they skip the guard in __setattr__, and cost far
-# less per call than object.__setattr__.
-_set_twice = HalfInt.__dict__["twice"].__set__
-_set_hash = HalfInt.__dict__["_hash"].__set__
-_new = object.__new__
 
 
 def _half_hash(t: int) -> int:
@@ -161,17 +146,9 @@ def _half_hash(t: int) -> int:
     return -(-t % _HASH_MODULUS * _HASH_HALF % _HASH_MODULUS)
 
 
-def _make(twice: int) -> HalfInt:
-    out = _new(HalfInt)
-    _set_twice(out, twice)
-    _set_hash(out, _half_hash(twice))
-    return out
-
-
-# Orders up to 256 in absolute value: twice the highest order of a
-# generator image (powers up to 64, doubled by the transform).
-INTERNED_TWICE = 512
-_INTERNED = tuple(_make(t) for t in range(-INTERNED_TWICE, INTERNED_TWICE + 1))
+def order_str(t: int) -> str:
+    """The text of the order t/2: '3', '-2', '-7/2'."""
+    return str(t // 2) if t % 2 == 0 else f"{t}/2"
 
 
 def h(value) -> HalfInt:

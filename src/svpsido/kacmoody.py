@@ -63,7 +63,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cocycles import CocycleId, eval_cocycle
-from .halfint import EXACT, floor_of, h, low_of
+from .halfint import EXACT, floor_of, low_of
 from .psido import (
     R,
     XI,
@@ -130,8 +130,7 @@ class GElement:
             W = Symbol.zero(R)
         if W.var != R:
             raise ValueError("the symbol component lives on the space side")
-        top = W.top()
-        if top is not None and top.twice > 2:
+        if W.flat and max(W.flat)[0] > 2:
             raise ValueError("the symbol component must have order <= 1")
         object.__setattr__(self, "w", _as_loop(w, "the d_t component"))
         object.__setattr__(self, "W", W)
@@ -188,8 +187,7 @@ class GDual:
             raise ValueError("the dual symbol component lives on the space side")
         if V.low is not EXACT:
             raise ValueError("dual points carry exact symbol data")
-        bottom = V.bottom()
-        if bottom is not None and bottom.twice < -4:
+        if V.flat and min(V.flat)[0] < -4:
             raise ValueError("dual symbol orders reach down to -2 only")
         object.__setattr__(self, "v", _as_loop(v, "the dt^2 component"))
         object.__setattr__(self, "V", V)
@@ -211,11 +209,16 @@ class GDual:
 
     __repr__ = __str__
 
+    def slots(self) -> tuple:
+        """(V_-2, V_0): V's coefficients of orders -2 and 0, zero where
+        absent, read from V.rows() by twice the order."""
+        rows, zero = self.V.rows(), CoeffFn.zero()
+        return rows.get(-4, zero), rows.get(0, zero)
+
 
 def in_invariant_slice(mu: GDual) -> bool:
     """True when V = V_-2 d^-2 + V_0(t) with a spatially constant V_0."""
-    return all(k.twice == -4 or (k.twice == 0 and c.is_t_only())
-               for k, c in mu.V.terms.items())
+    return all(o == -4 or (o == 0 and c.is_t_only()) for o, c in mu.V.rows().items())
 
 
 def bracket_tables(A: GElement, B: GElement, c, req_floor) -> tuple:
@@ -301,7 +304,7 @@ class DualFamily:
 
     def __init__(self, points):
         points = list(points)
-        self._tops = [None if mu.V.is_zero() else mu.V.top().twice for mu in points]
+        self._tops = [max(mu.V.flat)[0] if mu.V.flat else None for mu in points]
         tops = [top for top in self._tops if top is not None]
         self._low = -2 - max(tops) if tops else EXACT
         self.floor = floor_of(self._low)
@@ -398,11 +401,10 @@ def embed_momentum_symbol(E: Symbol, req_floor, nu=None) -> GElement:
     """
     if E.var != XI:
         raise ValueError("the embedding starts from momentum symbols")
-    top = E.top()
-    if top is not None and top.twice > 2:
+    if E.flat and max(E.flat)[0] > 2:
         raise ValueError("the embedding is defined on orders <= 1")
-    e1 = E.coeff(1)
-    if e1.is_zero():
+    e1 = E.rows().get(2)
+    if e1 is None:
         w = CoeffFn.zero()
     else:
         # recover the loop function: w = -2iM e1(xi -> it/2M)
@@ -427,8 +429,6 @@ _M2_R = CoeffFn.x_pow(1) * _M2
 _HALF = CoeffFn.const(Fraction(1, 2))
 _MINUS_HALF = CoeffFn.const(Fraction(-1, 2))
 _MINUS_HALF_R = CoeffFn.x_pow(1) * _MINUS_HALF
-_MINUS_TWO = h(-2)
-_ZERO_ORDER = h(0)
 
 
 def _add(row: dict, f: CoeffFn, g: CoeffFn) -> None:
@@ -477,8 +477,7 @@ def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
     c = _as_scalar(c)
     f_part, g_part, a_vm2 = X.kept(_coadjoint_factors)
     v, a = mu.v, mu.a
-    vm2 = mu.V.coeff(_MINUS_TWO)
-    v0 = mu.V.coeff(_ZERO_ORDER)
+    vm2, v0 = mu.slots()
     vm2_x = vm2.deriv("X")
     row_v: dict = {}
     row_vm2: dict = {}
@@ -508,7 +507,7 @@ def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
     _add(row_vm2, a, a_vm2 * c)
     terms: dict = {}
     if row_vm2:
-        terms[_MINUS_TWO] = coeff_from_table(row_vm2)
+        terms[-2] = coeff_from_table(row_vm2)
     if row_v0:
-        terms[_ZERO_ORDER] = coeff_from_table(row_v0)
+        terms[0] = coeff_from_table(row_v0)
     return GDual(coeff_from_table(row_v), Symbol(R, terms), coeff_from_table(row_a))

@@ -37,7 +37,6 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import itemgetter
 
-from .halfint import h
 from .kacmoody import GDual
 from .psido import R, Symbol
 from .ring import (
@@ -72,9 +71,6 @@ FIELD_VM2 = "V-2"
 FIELD_V0 = "V0"
 FIELD_V = "v"
 FIELD_A = "a"
-
-_H_M2 = h(-2)
-_H_0 = h(0)
 
 _PAIR_FIELDS = (FIELD_VM2, FIELD_V0)
 _LOOP_FIELDS = (FIELD_V, FIELD_A)
@@ -272,9 +268,9 @@ def variational_derivative(F: LocalFunctional, field: str) -> LocalFunctional:
 
 def _slot_data(mu: GDual, field: str) -> CoeffFn:
     if field == FIELD_VM2:
-        return mu.V.coeff(_H_M2)
+        return mu.slots()[0]
     if field == FIELD_V0:
-        return mu.V.coeff(_H_0)
+        return mu.slots()[1]
     if field == FIELD_V:
         return mu.v
     return mu.a
@@ -408,8 +404,7 @@ def bracket_at(df, dg, mu: GDual, c) -> CoeffFn:
     """
     Pf, Qf, phif, psif = df
     Pg, Qg, phig, psig = dg
-    vm2 = mu.V.coeff(_H_M2)
-    v0 = mu.V.coeff(_H_0)
+    vm2, v0 = mu.slots()
     v0_x = v0.deriv("X")
     pair = [
         (Pg.deriv("X"), Pf, vm2, 1),
@@ -464,8 +459,7 @@ def hamiltonian_vector(F: LocalFunctional, mu: GDual, c) -> GDual:
     constant folded into one factor; the residue of the v row is read from
     the term pairs that meet at x^-1 (ring.residue_into).
     """
-    vm2 = mu.V.coeff(_H_M2)
-    v0 = mu.V.coeff(_H_0)
+    vm2, v0 = mu.slots()
     v, a = mu.v, mu.a
     P, Q, phi, psi = derivatives_at(F, mu)
     P_x = P.deriv("X")
@@ -480,7 +474,7 @@ def hamiltonian_vector(F: LocalFunctional, mu: GDual, c) -> GDual:
                    (v0_x, -Q), (vm2.deriv("T"), phi), (vm2, phi_t))
     out_v0 = _row({}, (v0_x, P), (minus_ca, P_x), (v0.deriv("T"), phi), (v0, phi_t))
     out_a = _row({}, (a.deriv("T"), phi), (a, phi_t))
-    return GDual(v=out_v, V=Symbol(R, {_H_M2: out_vm2, _H_0: out_v0}), a=out_a)
+    return GDual(v=out_v, V=Symbol(R, {-2: out_vm2, 0: out_v0}), a=out_a)
 
 
 def _row(acc: dict, *products) -> CoeffFn:
@@ -518,10 +512,10 @@ def n_preservation_check(F: LocalFunctional) -> bool:
                 CoeffFn.mono(0, -1)):
         for v0 in (CoeffFn.one(), CoeffFn.t_pow(1)):
             probes.append(GDual(v=None,
-                                V=Symbol(R, {h(-2): vm2, h(0): v0}),
+                                V=Symbol(R, {-2: vm2, 0: v0}),
                                 a=CoeffFn.one()))
     for mu in probes:
-        row = hamiltonian_vector(F, mu, GaussRat(2)).V.coeff(h(0))
+        row = hamiltonian_vector(F, mu, GaussRat(2)).slots()[1]
         if not row.deriv("X").is_zero():
             return False
     return True

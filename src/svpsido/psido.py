@@ -17,14 +17,16 @@ kernels add into a fresh dict unreduced, and ``symbol_from_flat``, the
 one wrap of their results, reduces it once per entry (ring.reduce_flat,
 the reducer that ring.coeff_from_table runs on CoeffFn tables).  The
 triples are the format of CoeffFn.terms too, so the accessors hand them
-out as they are stored: ``terms``, a read-only view of the same terms as
-order -> CoeffFn, a regroup of the flat dict built on its first read and
-kept, for printing and for callers that want whole coefficients;
-``coeff``, which reads that view; and ``sole_term``.  The dual pairing
-files its points' dicts through ``file_symbol`` and walks an element's
-dict with ring's trace pairing kernel.  The extended bracket's symbol
-slot, ``bracket_transport_flat``, returns its dict unwrapped, as
-``compose_flat`` does, so the pairing can read it before any reduction.
+out as they are stored: ``rows()``, a read-only view of the same terms as
+twice the order -> CoeffFn, a regroup of the flat dict built on its first
+read and kept, for the printer and for callers that want whole
+coefficients; ``coeff``, which reads that view; ``terms``, the same view
+keyed by HalfInt, rebuilt on each read for callers outside the package;
+and ``sole_term``.  The dual pairing files its points' dicts through
+``file_symbol`` and walks an element's dict with ring's trace pairing
+kernel.  The extended bracket's symbol slot, ``bracket_transport_flat``,
+returns its dict unwrapped, as ``compose_flat`` does, so the pairing can
+read it before any reduction.
 
 Composition uses the generalized Leibniz rule
 
@@ -52,10 +54,11 @@ computed in full and are exact.  A zero operand counts with its floor in
 place of its top: only an EXACT zero annihilates the product.
 
 A symbol keeps its floor as twice its value, the int ``low`` (None for
-EXACT), and every floor above is worked out on such ints.  A public
+EXACT), and every floor above is worked out on such ints, as every order
+inside the package is read from ``flat``, ``low`` or ``rows()``.  A public
 function converts its requested floor or order once, where it enters;
 ``floor``, ``top()``, ``bottom()`` and the keys of ``terms`` build the
-HalfInts where orders leave.
+HalfInts where orders leave the public API.
 
 The variable tag is "R" (integer orders only) or "XI" (half-integer orders
 allowed).  Symbols are immutable; every operation is pure.
@@ -66,7 +69,7 @@ from __future__ import annotations
 from fractions import Fraction
 from types import MappingProxyType
 
-from .halfint import EXACT, HalfInt, floor_of, h, low_of, max_low
+from .halfint import EXACT, HalfInt, floor_of, h, low_of, max_low, order_str
 from .ring import (
     CoeffFn,
     GaussRat,
@@ -93,6 +96,7 @@ __all__ = [
     "adler_trace",
     "file_symbol",
     "differential_part",
+    "map_rows",
     "cap_order",
     "eq_trusted",
 ]
@@ -109,8 +113,8 @@ class Symbol:
     flat maps (twice the order, t, x, M) to the reduced int triple of a
     nonzero coefficient, as CoeffFn.terms does, and holds no order below
     the floor, which low holds as twice its value (None for EXACT).  A
-    fourth slot, _view, holds the terms property once it is first read,
-    and once quotient_slots has been called, the pair (terms view,
+    fourth slot, _view, holds the rows() view once it is first read,
+    and once quotient_slots has been called, the pair (rows view,
     quotient slots): the operands of the cocycles keep their slots there,
     since a fifth slot would move every symbol into a larger allocator
     size class.  The flat dict never changes after wrapping, so what
@@ -182,11 +186,10 @@ class Symbol:
         """The validity floor as a HalfInt, or EXACT."""
         return floor_of(self.low)
 
-    @property
-    def terms(self):
-        """Order -> CoeffFn, read-only, orders in the order flat first
-        meets them; built on the first read and kept.  The CoeffFns share
-        the flat dict's triples."""
+    def rows(self):
+        """Twice the order -> CoeffFn, read-only, orders in the order flat
+        first meets them; built on the first read and kept.  The CoeffFns
+        share the flat dict's triples."""
         view = self._view
         if view is None:
             groups: dict = {}
@@ -195,36 +198,31 @@ class Symbol:
                 if g is None:
                     g = groups[o] = {}
                 g[(p, q, m)] = v
-            view = MappingProxyType({HalfInt(o): _coeff_raw(g) for o, g in groups.items()})
+            view = MappingProxyType({o: _coeff_raw(g) for o, g in groups.items()})
             _set_view(self, view)
         elif view.__class__ is tuple:
             return view[0]
         return view
 
+    @property
+    def terms(self):
+        """Order -> CoeffFn, read-only, keyed by HalfInt: the rows() view
+        with its orders built as HalfInts on each read, for callers outside
+        the package."""
+        return MappingProxyType({HalfInt(o): c for o, c in self.rows().items()})
+
     def quotient_slots(self) -> tuple:
         """(up, mid, down, above): the term items of the coefficients of
         orders 1, 0 and -1, empty where the order is absent, and whether an
-        order above 1 is stored; one walk over the terms view on the first
-        call, kept for the next.  The cocycles read these slots of the same
-        operands again and again, and a lookup by HalfInt order costs more
-        than the walk, since a HalfInt hashes in Python."""
+        order above 1 is stored; read from the rows() view on the first
+        call and kept beside it for the next, since the cocycles read these
+        slots of the same operands again and again."""
         view = self._view
         if view.__class__ is tuple:
             return view[1]
-        view = self.terms
-        up = mid = down = ()
-        above = False
-        for k, c in view.items():
-            tw = k.twice
-            if tw == 2:
-                up = c.terms.items()
-            elif tw == 0:
-                mid = c.terms.items()
-            elif tw == -2:
-                down = c.terms.items()
-            elif tw > 2:
-                above = True
-        out = (up, mid, down, above)
+        view = self.rows()
+        up, mid, down = (view[o].terms.items() if o in view else () for o in (2, 0, -2))
+        out = (up, mid, down, any(o > 2 for o in view))
         _set_view(self, (view, out))
         return out
 
@@ -239,10 +237,8 @@ class Symbol:
         return HalfInt(min(self.flat)[0]) if self.flat else None
 
     def coeff(self, order) -> CoeffFn:
-        """The coefficient of d^order, read from the kept terms view: a
-        symbol asked for one order is often asked again, and the view
-        groups its terms once."""
-        return self.terms.get(h(order), _ZERO)
+        """The coefficient of d^order, read from the kept rows() view."""
+        return self.rows().get(h(order).twice, _ZERO)
 
     def sole_term(self):
         """(twice the order, t, x, M, triple) of an exact symbol with one
@@ -267,7 +263,7 @@ class Symbol:
         return symbol_str(self)
 
     def __repr__(self):
-        fl = "EXACT" if self.low is EXACT else str(self.floor)
+        fl = "EXACT" if self.low is EXACT else order_str(self.low)
         return f"<Symbol {self.var} {len({k[0] for k in self.flat})} terms floor={fl}>"
 
 
@@ -438,6 +434,16 @@ def differential_part(D: Symbol) -> Symbol:
     if D.low is not EXACT and D.low > 0:
         raise ValueError("differential part not determined: floor above 0")
     return Symbol._raw(D.var, {k: v for k, v in D.flat.items() if k[0] >= 0}, EXACT)
+
+
+def map_rows(D: Symbol, fn) -> Symbol:
+    """D with fn, a map of CoeffFns, applied to the coefficient of each
+    order, keeping D's floor."""
+    flat: dict = {}
+    for o, c in D.rows().items():
+        for (p, q, m), v in fn(c).terms.items():
+            flat[(o, p, q, m)] = v
+    return Symbol._raw(D.var, flat, D.low)
 
 
 def cap_order(D: Symbol, kappa) -> Symbol:

@@ -59,7 +59,7 @@ from .cocycles import (
     quotient_bracket,
 )
 from .diffop2 import DiffOp2, d_pi, dop_bracket, dop_from_r_symbol, dop_mul, free_evolution_op
-from .halfint import EXACT, HalfInt, h
+from .halfint import EXACT, HalfInt, h, order_str
 from .kacmoody import (
     DualFamily,
     GDual,
@@ -96,6 +96,7 @@ from .psido import (
     adler_trace,
     differential_part,
     eq_trusted,
+    map_rows,
     sym_add,
     sym_bracket,
     sym_mul,
@@ -321,8 +322,7 @@ def _normalized(cfg: VerifyConfig, value):
     if not cfg.normalize_mass:
         return value
     if isinstance(value, Symbol):
-        terms = {k: c.subs_m(_M_NORMALIZED) for k, c in value.terms.items()}
-        return Symbol(value.var, terms, value.floor)
+        return map_rows(value, lambda c: c.subs_m(_M_NORMALIZED))
     return value.subs_m(_M_NORMALIZED)
 
 
@@ -381,9 +381,9 @@ def _random_symbol(rng: random.Random, var: str, n: int) -> Symbol:
 def _npoint(v=None, vm2=None, v0=None, a=None) -> GDual:
     terms = {}
     if vm2 is not None:
-        terms[h(-2)] = vm2
+        terms[-2] = vm2
     if v0 is not None:
-        terms[h(0)] = v0
+        terms[0] = v0
     return GDual(v=v, V=Symbol(R, terms), a=a)
 
 
@@ -426,7 +426,6 @@ def _suite_psido_axioms(cfg: VerifyConfig) -> list:
         for k in range(-n, n + 1)
         for p in _degrees(n)
     ]
-    one = h(1)
 
     def traceless(A, B, low: bool):
         """Tr[A,B] = 0, and when low (A and B of order <= 1) so is [A,B]."""
@@ -434,9 +433,9 @@ def _suite_psido_axioms(cfg: VerifyConfig) -> list:
         t = adler_trace(br)
         if not t.is_zero():
             return (f"Tr[A,B] = {_fmt_coeff(cfg, t)}", "0")
-        top = br.top() if low else None
-        if top is not None and top > one:
-            return (f"[A,B] has order {top}", "order <= 1")
+        top = max(br.flat)[0] if low and br.flat else None
+        if top is not None and top > 2:
+            return (f"[A,B] has order {order_str(top)}", "order <= 1")
         return None
 
     _each(cases, ((A, B, ka <= 1 and kb <= 1) for (ka, A), (kb, B) in itertools.combinations(rbox, 2)),
@@ -517,7 +516,7 @@ def _suite_theta(cfg: VerifyConfig) -> list:
           lambda B: _equal(sym, tr.theta(tr.theta_inv(B)), B))
 
     zero_h = h(0)
-    double_floor = h(F.twice)  # image orders double, so the window does too
+    double_floor = 2 * F.twice  # image orders double, so the window does too
     power = {p: i for i, (k, p, _) in enumerate(xi_box) if k == zero_h}  # p -> index of xi^p
 
     def moved(S: Symbol, dt: int) -> Symbol:
@@ -563,8 +562,8 @@ def _suite_theta(cfg: VerifyConfig) -> list:
         if rhs is None:
             # a series: compare down to the doubled floor, or deeper when
             # some order of lhs sits below it
-            low = double_floor if lhs.is_zero() else min(double_floor, lhs.bottom())
-            return _equal_trusted(sym, lhs, sym_mul(image(a), image(b), low))
+            low = min(double_floor, min(lhs.flat)[0]) if lhs.flat else double_floor
+            return _equal_trusted(sym, lhs, sym_mul(image(a), image(b), HalfInt(low)))
         return _equal(sym, lhs, moved(rhs, dt))
 
     # a composition with neither a polynomial left factor nor a polynomial
@@ -580,9 +579,9 @@ def _suite_theta(cfg: VerifyConfig) -> list:
         k, p, A = xi_box[i]
         img = tr.theta(A, floor_arg, nu=nu)
         want = 2 * (Fraction(p) - k.as_fraction())
-        for kk, c in img.terms.items():
+        for o, c in img.rows().items():
             for (_, jx, _) in c.terms:
-                got = Fraction(jx) - kk.as_fraction()
+                got = Fraction(2 * jx - o, 2)
                 if got != want:
                     return (
                         f"a term of space weight {got} inside {_fmt_symbol(cfg, img)}",
@@ -631,9 +630,9 @@ def _suite_timeshift(cfg: VerifyConfig) -> list:
     D = Symbol(XI, {h("1/2"): CoeffFn.x_pow(1), h(-1): CoeffFn.x_pow(-1)})
 
     def slotwise():
-        got = tr.time_shift_symbol(D, depth)
-        for k, c in D.terms.items():
-            out = _equal(xi, got.coeff(k), tr.time_shift(c, depth))
+        got = tr.time_shift_symbol(D, depth).rows()
+        for o, c in D.rows().items():
+            out = _equal(xi, got.get(o, CoeffFn.zero()), tr.time_shift(c, depth))
             if out:
                 return out
         return None
@@ -740,15 +739,14 @@ def _suite_lemma26(cfg: VerifyConfig) -> list:
     n, F = cfg.index_range, h(cfg.floor)
     basis = _labeled_basis(n)
     images = [tr.j_map(X) for _, X in basis]
-    bound = h("-1/2")
     cases = []
 
     def homomorphic(i, j):
         d = sym_sub(sym_bracket(images[i], images[j], F), tr.j_map(sv_bracket(basis[i][1], basis[j][1])))
-        m = d.top()
-        if m is None or m <= bound:
+        m = max(d.flat)[0] if d.flat else None
+        if m is None or m <= -1:
             return None
-        return (f"defect of order {m}: {_fmt_symbol(cfg, d)}", "order <= -1/2")
+        return (f"defect of order {order_str(m)}: {_fmt_symbol(cfg, d)}", "order <= -1/2")
 
     pairs = itertools.combinations(range(len(basis)), 2)
     _each(cases, pairs, functools.partial(_xy, basis), homomorphic)
@@ -788,7 +786,8 @@ def _suite_lemma33(cfg: VerifyConfig) -> list:
 
     def weightless(k):
         f = CoeffFn.t_pow(k)
-        return _equal(functools.partial(_fmt_coeff, cfg), tr.x_generator(f, 0, F).coeff(h(0)), -f)
+        got = tr.x_generator(f, 0, F).rows().get(0, CoeffFn.zero())
+        return _equal(functools.partial(_fmt_coeff, cfg), got, -f)
 
     mu0 = CoeffFn.zero()
     evo = free_evolution_op()
@@ -841,7 +840,7 @@ def _suite_theorem51(cfg: VerifyConfig) -> list:
         if not d.alpha.is_zero():
             return (f"central component {_fmt_coeff(cfg, d.alpha)}", "0")
         dW = d.W
-        if (dW.floor is EXACT or dW.floor <= F) and dW.is_zero():
+        if (dW.low is EXACT or dW.low <= F.twice) and dW.is_zero():
             return None
         return (f"loop component {_fmt_symbol(cfg, dW)}", "0")
 
@@ -882,13 +881,12 @@ def _suite_theorem61(cfg: VerifyConfig) -> list:
 
     _each(cases, at_points, lambda i, m: f"slice stability: X = {basis[i][0]}, {points[m][0]}", in_slice)
 
-    minus_two = h(-2)
     zero_w = Fraction(0)
 
     def free_family(i, m):
         out, mu = adstar[i][m], points[m][1]
-        act = d_sigma_tilde(zero_w, basis[i][1], SchrodPoint(a=mu.a, V=mu.V.coeff(minus_two)))
-        return _equal(coeff, out.V.coeff(minus_two), act.V) or _equal(coeff, out.a, act.a)
+        act = d_sigma_tilde(zero_w, basis[i][1], SchrodPoint(a=mu.a, V=mu.slots()[0]))
+        return _equal(coeff, out.slots()[0], act.V) or _equal(coeff, out.a, act.a)
 
     _each(cases, at_points, lambda i, m: f"free family match: X = {basis[i][0]}, {points[m][0]}", free_family)
 
@@ -946,8 +944,8 @@ def _suite_theorem61(cfg: VerifyConfig) -> list:
         for _, X in basis:
             for mu in probe_pts:
                 out = coadjoint(X, mu, GaussRat(1))
-                act = d_sigma_tilde(zero_w, X, SchrodPoint(a=mu.a, V=mu.V.coeff(minus_two)))
-                if out.V.coeff(minus_two) != act.V or out.a != act.a:
+                act = d_sigma_tilde(zero_w, X, SchrodPoint(a=mu.a, V=mu.slots()[0]))
+                if out.slots()[0] != act.V or out.a != act.a:
                     seen += 1
         if seen > 0:
             return None

@@ -53,7 +53,7 @@ from fractions import Fraction
 from math import gcd, log10
 
 from . import transforms
-from .halfint import EXACT, h
+from .halfint import EXACT, h, order_str
 from .psido import (
     R,
     XI,
@@ -184,12 +184,12 @@ def symbol_str(D) -> str:
         body = "0"
     else:
         parts = []
-        for k, c in sorted(D.terms.items(), key=lambda kc: -kc[0].twice):
+        for k, c in sorted(D.rows().items(), key=lambda kc: -kc[0]):
             ctxt, monomials = _coeff_text(c, xname)
-            if k.twice == 0:
+            if k == 0:
                 parts.append(ctxt)
                 continue
-            dp = dname if k.twice == 2 else f"{dname}^{k}"
+            dp = dname if k == 2 else f"{dname}^{order_str(k)}"
             if ctxt == "1":
                 parts.append(dp)
             elif ctxt == "-1":
@@ -199,7 +199,7 @@ def symbol_str(D) -> str:
             else:
                 parts.append(f"{ctxt}*{dp}")
         body = " + ".join(parts).replace("+ -", "- ")
-    marker = "exact" if D.floor is EXACT else f"floor={D.floor}"
+    marker = "exact" if D.low is EXACT else f"floor={order_str(D.low)}"
     return f"{body} | {marker}"
 
 
@@ -437,7 +437,7 @@ class _Parser:
         # xi^-k shifts into an infinite ascending series; the x-degree at
         # which it would be cut is not a symbol order, so no floor could
         # say what the cut lost
-        if any((c.min_x_degree() or 0) < 0 for c in sym.terms.values()):
+        if any(k[2] < 0 for k in sym.flat):
             raise ValueError("tshift needs nonnegative momentum powers: "
                              "an inverse power shifts into an infinite series")
         return transforms.time_shift_symbol(sym, 0)  # the depth cuts nothing here

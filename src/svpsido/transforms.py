@@ -44,8 +44,8 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import TYPE_CHECKING
 
-from .halfint import EXACT, h, low_of, max_low
-from .psido import R, XI, Symbol, compose_flat, sym_mul, symbol_from_flat
+from .halfint import EXACT, floor_of, low_of, max_low
+from .psido import R, XI, Symbol, compose_flat, map_rows, sym_mul, symbol_from_flat
 from .ring import (
     CoeffFn,
     GR_ZERO,
@@ -95,13 +95,13 @@ def default_depth(req_floor) -> int:
 # deformed image of xi^q at floor f sums undeformed images down to power
 # 2q + f, past the power bound.  The default suites stay above -10.
 MAX_IMAGE_POWER = 64
-DEEPEST_IMAGE_FLOOR = h(-48)
+DEEPEST_IMAGE_FLOOR = floor_of(-96)  # order -48
 
 # Leibniz tails grow factorially with depth and transform images cost more
 # than linearly in it, so the front door refuses floors below the depth at
 # which the calculator references are checked.  `eval` and `verify` share
 # this one bound.
-DEEPEST_FLOOR = h(-16)
+DEEPEST_FLOOR = floor_of(-32)  # order -16
 
 
 def check_floor_depth(floor) -> None:
@@ -340,8 +340,7 @@ def time_shift_symbol(D: Symbol, depth: int) -> Symbol:
     """Apply the loop shift to every coefficient of a momentum symbol."""
     if D.var != XI:
         raise ValueError("the loop shift applies to momentum symbols")
-    shifted = Symbol(XI, {k: time_shift(c, depth) for k, c in D.terms.items()})
-    return Symbol._raw(XI, shifted.flat, D.low)
+    return map_rows(D, lambda c: time_shift(c, depth))
 
 
 # ---------------------------------------------------------------- composite
@@ -415,9 +414,9 @@ def j_map(X: SvElement) -> Symbol:
     """
     terms: dict = {}
     if not X.f.is_zero():
-        terms[h(1)] = X.f.t_to_x(MINUS_2I_M) * _MINUS_I_HALF_OVER_M
+        terms[1] = X.f.t_to_x(MINUS_2I_M) * _MINUS_I_HALF_OVER_M
     if not X.g.is_zero():
-        terms[h("1/2")] = -X.g.t_to_x(MINUS_2I_M)
+        terms[Fraction(1, 2)] = -X.g.t_to_x(MINUS_2I_M)
     if not X.h.is_zero():
-        terms[h(0)] = X.h.t_to_x(MINUS_2I_M) * I_M
+        terms[0] = X.h.t_to_x(MINUS_2I_M) * I_M
     return Symbol(XI, terms)

@@ -67,6 +67,15 @@ class TestEval:
             main(["eval", "xi", "--floor", "best-effort"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("floor", ["-1_6", "-7_0/2"])
+    def test_a_floor_with_underscores_is_a_usage_error(self, capsys, floor):
+        # int() would read '-1_6' as -16; the calculator's grammar refuses '1_0'
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "xi", f"--floor={floor}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"not a half-integer floor: {floor!r}")
+
     def test_floor_below_the_deepest_exits_2(self, capsys):
         code, out, err = run_cli(["eval", "mul(d_r^-1, r^-1)", "--floor", "-2000"], capsys)
         assert code == 2 and out == ""

@@ -1,5 +1,5 @@
-"""HalfInt hashing and interning: equal numbers hash alike across int,
-Fraction and HalfInt, and values within the interning bound are one object."""
+"""HalfInt hashing: equal numbers hash alike across int, Fraction and
+HalfInt, and a HalfInt finds the dict entry of an equal int."""
 
 import sys
 from fractions import Fraction as F
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from svpsido.halfint import INTERNED_TWICE, HalfInt, h
+from svpsido.halfint import HalfInt, h, order_str
 
 P = sys.hash_info.modulus
 
@@ -41,18 +41,13 @@ def test_dict_lookup_across_int_and_halfint():
     assert {HalfInt(5): "h"}[HalfInt(5)] == "h"
 
 
-# ---- interning -------------------------------------------------------------------
+# ---- small and large values ------------------------------------------------------
 
-BOUND = INTERNED_TWICE
+# values around twice order 256, past the highest order of a generator
+# image (powers up to 64, doubled by the transform), and far beyond it
+BOUND = 512
 EDGES = [0, 1, -1, BOUND - 1, BOUND, -BOUND + 1, -BOUND]
 OUTSIDE = [BOUND + 1, -BOUND - 1, BOUND + 2, -BOUND - 2, 10**6 + 1, -(10**30)]
-
-
-@pytest.mark.parametrize("t", EDGES)
-def test_values_inside_the_bound_are_one_object(t):
-    assert HalfInt(t) is HalfInt(t)
-    assert HalfInt(t) is HalfInt(t + 1) - HalfInt(1)
-    assert HalfInt(t) is h(F(t, 2))
 
 
 @pytest.mark.parametrize("t", OUTSIDE)
@@ -84,7 +79,7 @@ def test_dict_lookups_on_both_sides_of_the_bound(t):
 @pytest.mark.parametrize("t", [3, BOUND, BOUND + 1, -BOUND - 1])
 def test_slots_cannot_be_assigned(t):
     x = HalfInt(t)
-    for name in ("twice", "_hash", "other"):
+    for name in ("twice", "other"):
         with pytest.raises(AttributeError):
             setattr(x, name, 0)
     assert x.twice == t and HalfInt(t).twice == t
@@ -94,3 +89,9 @@ def test_non_int_twice_is_refused():
     for bad in (1.0, F(1), "2", None):
         with pytest.raises(TypeError):
             HalfInt(bad)
+
+
+@pytest.mark.parametrize("t", EDGES + OUTSIDE)
+def test_orders_print_from_their_twice_int(t):
+    assert order_str(t) == str(HalfInt(t)) == str(F(t, 2))
+    assert h(str(HalfInt(t))) == HalfInt(t)

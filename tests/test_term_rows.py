@@ -1,5 +1,5 @@
 """The flat term dict that each Symbol stores (psido.Symbol.flat), the
-terms view built from it, psido.symbol_from_flat, and the retired
+int-keyed view built from it (Symbol.rows), psido.symbol_from_flat, and the retired
 nested-table path (tests/reference.py) as an oracle for composition and
 the transform.
 
@@ -10,9 +10,11 @@ every symbol that the kernels wrap (every Symbol._raw call, watched by
 every_wrap_checked), each value in that dict must be such a triple
 (d > 0, gcd(a, b, d) = 1, a or b nonzero), low must be None or an int,
 no order may lie below it, the public floor must be the HalfInt of low
-(None exactly when low is None), and the terms view
-must equal a fresh grouping of it, be kept once built, and rebuild the
-same symbol through the public constructor.  Each operation must give the
+(None exactly when low is None), and the rows view
+must equal a fresh grouping of it by twice the order, be kept once built
+(also beside the quotient slots), share its triples, and agree with the
+public accessors: terms (its HalfInt-keyed copy, which rebuilds the same
+symbol through the public constructor), coeff, top and bottom.  Each operation must give the
 same answer on an operand whose view was read as on a fresh copy, and the
 same terms and floor as the per-order tables that composition and the
 transform used before the flat dict.  The triple helpers and the
@@ -103,10 +105,11 @@ def reduced(t) -> bool:
 
 
 def grouped(X: Symbol) -> dict:
-    """X's terms grouped afresh by order, as the view must give them."""
+    """X's terms grouped afresh by twice the order, as rows() must give
+    them."""
     out: dict = {}
     for (o, p, q, m), v in X.flat.items():
-        out.setdefault(HalfInt(o), {})[(p, q, m)] = value(v)
+        out.setdefault(o, {})[(p, q, m)] = value(v)
     return {k: CoeffFn(c) for k, c in out.items()}
 
 
@@ -136,8 +139,9 @@ def same(got, want) -> bool:
 def check_flat(*syms):
     """An int floor or None, the public floor its HalfInt, only reduced
     nonzero triples and nothing below the floor in the flat dict; a kept
-    view that equals a fresh grouping, shares the flat dict's triples and
-    rebuilds the same symbol."""
+    rows view that equals a fresh grouping, shares the flat dict's
+    triples, gives the quotient slots and agrees with terms, coeff, top
+    and bottom, and a terms view that rebuilds the same symbol."""
     for X in syms:
         if isinstance(X, GElement):
             X = X.W
@@ -151,11 +155,23 @@ def check_flat(*syms):
             assert reduced(v), v
             assert low is None or o >= low
             assert X.var == XI or o % 2 == 0
+        rows = X.rows()
+        assert dict(rows) == grouped(X)
+        assert list(rows) == list(grouped(X))
+        assert X.rows() is rows
+        assert all(rows[o].terms[(p, q, m)] is v for (o, p, q, m), v in X.flat.items())
+        up, mid, down, above = X.quotient_slots()
+        assert [dict(s) for s in (up, mid, down)] == [
+            rows[o].terms if o in rows else {} for o in (2, 0, -2)]
+        assert above == any(o > 2 for o in rows)
+        assert X.rows() is rows and X.quotient_slots()[0] is up
         view = X.terms
-        assert dict(view) == grouped(X)
-        assert list(view) == list(grouped(X))
-        assert X.terms is view
-        assert all(view[HalfInt(o)].terms[(p, q, m)] is v for (o, p, q, m), v in X.flat.items())
+        assert list(view.items()) == [(HalfInt(o), c) for o, c in rows.items()]
+        assert all(k.__class__ is HalfInt for k in view)
+        assert all(X.coeff(HalfInt(o)) is c for o, c in rows.items())
+        assert X.coeff(HalfInt(max(rows, default=0) + 1)) == CoeffFn.zero()
+        assert X.top() == (HalfInt(max(rows)) if rows else None)
+        assert X.bottom() == (HalfInt(min(rows)) if rows else None)
         assert Symbol(X.var, view, X.floor) == X
 
 
@@ -302,7 +318,6 @@ def test_an_order_past_the_interned_range_gets_an_equal_key():
     keys = list(X.terms)
     assert keys == [HalfInt(600), HalfInt(-600), HalfInt(2)]
     assert all(k.__class__ is HalfInt for k in keys)
-    assert keys[2] is HalfInt(2)  # interned
     assert X.coeff(h(300)) == CoeffFn.one() and X.coeff(h(-300)) == CoeffFn.one()
     assert X == Symbol(R, {h(300): 1, h(-300): 1, h(1): 1})
 

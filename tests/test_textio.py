@@ -40,6 +40,16 @@ class TestSmallParsers:
         with pytest.raises(ValueError):
             parse_floor("-1/3")
 
+    @pytest.mark.parametrize("text", ["-1_6", "-7_0/2", "1_0", "-7/2_0"])
+    def test_floor_refuses_underscores(self, text):
+        with pytest.raises(ValueError):
+            parse_floor(text)
+
+    def test_floor_keeps_unicode_decimal_digits(self):
+        # the calculator's grammar reads them as digits too
+        assert parse_floor("-\u0661\u0666") == h(-16)
+        assert parse_floor("-\u0667/2") == h("-7/2")
+
 
 class TestEvalExpr:
     """Each expected symbol is built directly from constructors."""
