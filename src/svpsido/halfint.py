@@ -41,6 +41,10 @@ class HalfInt:
     def __setattr__(self, name, value):
         raise AttributeError("HalfInt is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, past __setattr__
+        return (HalfInt, (self.twice,))
+
     # ---- constructors -------------------------------------------------
 
     @staticmethod
@@ -49,14 +53,16 @@ class HalfInt:
 
     @staticmethod
     def parse(text: str) -> "HalfInt":
-        """Accepts '3', '-2', '1/2', '-7/2'; not the underscores that
+        """Accepts '3', '-2', '1/2', '-7/2', in any decimal digits, as the
+        calculator's grammar reads exponents; not the underscores that
         int() would take between digits."""
         s = text.strip()
         if "_" in s:
             raise ValueError(f"not a half-integer: {text!r}")
         if "/" in s:
             num, den = s.split("/", 1)
-            if den.strip() != "2":
+            den = den.strip()
+            if not den.isdecimal() or int(den) != 2:
                 raise ValueError(f"not a half-integer: {text!r}")
             return HalfInt(int(num))
         return HalfInt(2 * int(s))

@@ -70,7 +70,6 @@ from .psido import (
     Symbol,
     bracket_transport_flat,
     cap_order,
-    file_symbol,
     sym_add,
     sym_sub,
     symbol_from_flat,
@@ -82,6 +81,7 @@ from .ring import (
     M,
     TWO_I_M,
     coeff_from_table,
+    file_flat,
     file_terms,
     mul_into,
     pair_terms_into,
@@ -275,7 +275,8 @@ class DualFamily:
 
     The monomials of every point are filed by slot (v, a, and each order
     of V) under their (t, x) exponents as (point, M-power, a, b, d) ints,
-    the reduced triple of the coefficient (a + i*b)/d.  add_tables_into
+    the reduced triple of the coefficient (a + i*b)/d, by ring.file_terms
+    and, from V's flat dict, ring.file_flat.  add_tables_into
     then walks the monomials of an element's slot tables once and looks
     up, for each, the point monomials it meets: the loop monomial t^p of w
     or alpha meets t^(-1-p) of v or a (ring.pair_terms_into), and the
@@ -314,7 +315,7 @@ class DualFamily:
         for n, mu in enumerate(points):
             file_terms(self._v, n, mu.v.terms.items())
             file_terms(self._a, n, mu.a.terms.items())
-            file_symbol(orders, n, mu.V)
+            file_flat(orders, n, mu.V.flat.items())
         self._orders = list(orders.items())
 
     def add_tables_into(self, sums: dict, w: dict, flat: dict, low, alpha: dict) -> None:

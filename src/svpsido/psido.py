@@ -23,7 +23,7 @@ read and kept, for the printer and for callers that want whole
 coefficients; ``coeff``, which reads that view; ``terms``, the same view
 keyed by HalfInt, rebuilt on each read for callers outside the package;
 and ``sole_term``.  The dual pairing files its points' dicts through
-``file_symbol`` and walks an element's dict with ring's trace pairing
+ring's ``file_flat`` and walks an element's dict with ring's trace pairing
 kernel.  The extended bracket's symbol slot, ``bracket_transport_flat``,
 returns its dict unwrapped, as ``compose_flat`` does, so the pairing can
 read it before any reduction.
@@ -74,7 +74,6 @@ from .ring import (
     CoeffFn,
     GaussRat,
     _coeff_raw,
-    file_flat,
     leibniz_rows,
     reduce_flat,
     scale_into,
@@ -94,7 +93,6 @@ __all__ = [
     "sym_bracket",
     "bracket_transport_flat",
     "adler_trace",
-    "file_symbol",
     "differential_part",
     "map_rows",
     "cap_order",
@@ -419,12 +417,6 @@ def adler_trace(D: Symbol) -> CoeffFn:
     if D.low is not EXACT and D.low > -2:
         raise ValueError("trace not determined at this truncation")
     return _coeff_raw({(p, 0, m): v for (o, p, q, m), v in D.flat.items() if o == -2 and q == -1})
-
-
-def file_symbol(orders: dict, n: int, V: Symbol) -> None:
-    """File the terms of point n's symbol V into a trace pairing index,
-    from V's flat dict (ring.file_flat)."""
-    file_flat(orders, n, V.flat.items())
 
 
 def differential_part(D: Symbol) -> Symbol:

@@ -1,0 +1,348 @@
+"""CI's pinned checks, as data, and one runner: `python tests/ci_checks.py`.
+
+Each check runs a command in a fresh interpreter from the repository root,
+with PYTHONPATH=src, masks the first "(N ms)" timing on each stdout line,
+and compares.  The runner takes no options; it prints each failure with its
+check's name, the value expected and the value found, and exits 1 if any
+check failed.  pytest does not collect this file; tests/test_ci_checks.py
+reads the list.
+"""
+
+import hashlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
+
+
+class Check(NamedTuple):
+    """One command and what its run must show.
+
+    argv is a demo's path, or "-c" and code, run by python as it is;
+    anything else is the arguments of svpsido.  With workers, the command
+    runs once per count with "--threads n" appended, and each masked
+    stdout must equal the first; every run must exit with exit, and the
+    other expectations read the first run.
+    """
+
+    name: str
+    argv: tuple
+    exit: int = 0
+    workers: tuple = ()
+    sha256: str = ""  # of the masked stdout
+    lines: tuple = ()  # stdout lines that must appear, exactly
+    stderr: str = ""  # the exact last line of stderr
+
+
+MOMENTS = """\
+from svpsido import suites
+from svpsido.halfint import h
+from svpsido.kacmoody import DualFamily, embed_I
+from svpsido.textio import scalar_str
+
+points = suites._slice_points(3)
+family = DualFamily(mu for _, mu in points)
+for label, X in suites._labeled_basis(3):
+    for (name, _), value in zip(points, family.pair(embed_I(X, h("-7/2")))):
+        print(f"{label}, {name}: {scalar_str(value)}")
+"""
+
+T61 = ("verify", "--suite", "theorem61")
+SUITE_CHOICES = (
+    "'psido-axioms', 'theta', 'timeshift', 'cocycles', 'lemma26', 'lemma33', 'theorem51', "
+    "'theorem61', 'dpi-rep', 'dsigma-rep', 'poisson-lemma71', 'nu-scan'")
+
+CHECKS = [
+    Check("verify-default", ("verify",), workers=(1, 2, 3)),
+    # floor -1 is the shallowest floor at which theorem61 pairs every
+    # slice point; its range-2 run must fail the same way at any count
+    Check("theorem61-floor-1-workers", (*T61, "--floor", "-1", "--range", "2"), exit=1,
+          workers=(1, 2)),
+    # sha256 of the masked text report, pinned from before the pairing
+    # sums were kept as unreduced int triples: at c = 1/3 the free
+    # family match fails, and at floor -1 some traces are not
+    # determined; all three runs must exit 1.  The third prints the
+    # failing values with the mass normalized, through 210
+    # CoeffFn.subs_m calls, pinned from before floors were stored as
+    # twice-ints
+    Check("theorem61-c-1/3", (*T61, "--c", "1/3"), exit=1,
+          sha256="cdf41739e592fb2049fe180f72ba67a3afbc27541d86adeb38a0956893e84761"),
+    Check("theorem61-floor-1", (*T61, "--floor", "-1", "--range", "2"), exit=1,
+          sha256="3ca80c7d8d14d6ba930f6aa7472a33deb5fd231f01573bf950a150b4f7e14251"),
+    Check("theorem61-normalized", (*T61, "--c", "1/3", "--normalize-mass"), exit=1,
+          sha256="a372cdcb8fd5f6bb8ec0a4753f5727c9a0c794a662adaf5db61a2ff88e464622"),
+    # the pairing of each of poisson-lemma71's default-box lifts against
+    # every slice point (DualFamily.pair, printed through scalar_str),
+    # pinned from before generators kept their loop factors; the pinned
+    # failure reports above print no pairing value
+    Check("moment-pairings", ("-c", MOMENTS),
+          sha256="141183ff09fe0a0d8d151a479deb4c9af46d95c54078db7b566122e2c55b4641"),
+    # nu != 0 is the only path where the transform sums series images
+    Check("deformed-transform", ("verify", "--nu", "1/2"), workers=(1, 2)),
+    # a Gaussian nu drives the binom(nu, j) weights of the deformed images
+    # through complex values
+    Check("gaussian-deformation", ("verify", "--nu", "2-i", "--suite", "theta", "--suite", "nu-scan"),
+          workers=(1, 2)),
+    # random symbols drive the coefficient sums through cancellations;
+    # the sha256 is pinned from before the coefficient tables of CoeffFn
+    # were stored as int triples.  A passing report prints no value, so
+    # this check runs no subs_m; theorem61-normalized does
+    Check("random-soak", ("verify", "--random", "30", "--seed", "7", "--normalize-mass"),
+          workers=(1, 2),
+          sha256="531616c06a4de75dc85adcaa7a08940fba7d8b2b3a04f2df3794adc739e9abf5"),
+    # the bracket and the Hamiltonian field carry c in three terms, and
+    # every other check runs the Poisson suite at the default c = 2 only
+    Check("poisson-c-1/3", ("verify", "--suite", "poisson-lemma71", "--c", "1/3"), workers=(1, 2)),
+    # the suites whose cases call sym_bracket and g_bracket; theorem61's
+    # free-family-match cases fail away from c = 2, so both runs exit 1
+    Check("brackets-c-1/3", ("verify", "--suite", "theorem51", "--suite", "theorem61",
+                             "--suite", "cocycles", "--c", "1/3"), exit=1, workers=(1, 2)),
+    # at floor -11/2 the composition tails in these suites are cut deeper
+    # than in the default run
+    Check("deeper-leibniz", ("verify", "--floor", "-11/2", "--range", "3", "--suite", "psido-axioms",
+                             "--suite", "theta", "--suite", "theorem51"), workers=(1, 2)),
+    # at range 4 the cocycle box reaches r-powers -4 and 4, on both sides
+    # of the zeros of the falling-factorial weights
+    Check("cocycle-residues", ("verify", "--suite", "cocycles", "--suite", "theorem61",
+                               "--range", "4", "--floor", "-9/2"), workers=(1, 2)),
+    # nu-scan solves mu = (1 + i lead)/4, so a Gaussian nu fits its own
+    # weight; the three suites of poisson-layer run g_bracket, coadjoint,
+    # the Poisson bracket and the Hamiltonian field through their
+    # one-table rows on a deeper window
+    Check("nu-scan-i", ("verify", "--nu", "i", "--suite", "nu-scan"), lines=("    i -> i",)),
+    Check("nu-scan-2-i", ("verify", "--nu", "2-i", "--suite", "nu-scan"),
+          lines=("    (2 - i) -> (2 - i)",)),
+    Check("poisson-layer", ("verify", "--suite", "theorem51", "--suite", "theorem61",
+                            "--suite", "poisson-lemma71", "--floor", "-9/2", "--range", "4"),
+          workers=(1, 2)),
+    # floors and windows deeper than the default, at two worker processes
+    Check("wider-window", ("verify", "--floor", "-9/2", "--range", "4", "--threads", "2"),
+          sha256="2f6aab4235f4060e638fcea603e057a4b58b837ef03c9917943b909c8a3e5044"),
+    # the deepest floor and the widest range that verify accepts, so the
+    # composition and transform loops run at depth (140,948 cases)
+    Check("admitted-box", ("verify", "--floor", "-16", "--range", "5", "--threads", "2"),
+          sha256="c18facb00ef574741eb06316b195af52921bad1dea241fcfa590029f28776781"),
+    # the command line imports the suites only when verify runs, so an
+    # import that breaks shows only in a cold process, never in the
+    # in-process main() tests; each usage error exits 2 with its exact
+    # last stderr line, and each help page exits 0
+    Check("eval-floor-too-deep", ("eval", "xi", "--floor", "-33/2"), exit=2,
+          stderr="svpsido: the floor must sit at or above -16"),
+    # the first factor is refused, before the product of the two
+    Check("eval-half-order-in-r", ("eval", "d_r^1/2*d_r^1/2"), exit=2,
+          stderr="svpsido: half-integer order in an R-variable symbol"),
+    # a zero power keeps its base's algebra
+    Check("eval-zero-power-algebra", ("eval", "(2*d_xi)^0 + r"), exit=2,
+          stderr="svpsido: expression mixes the r and xi algebras"),
+    Check("verify-floor-too-deep", ("verify", "--floor", "-33/2"), exit=2,
+          stderr="svpsido: the floor must sit at or above -16"),
+    Check("verify-floor-too-shallow", ("verify", "--floor", "-1/2"), exit=2,
+          stderr="svpsido: the floor must sit at or below -1 so traces stay trusted"),
+    # refused before any worker is forked
+    Check("verify-threads-65", ("verify", "--threads", "65"), exit=2,
+          stderr="svpsido: thread count out of bounds (want 1 <= n <= 64)"),
+    Check("verify-unknown-suite", ("verify", "--suite", "nope"), exit=2,
+          stderr="svpsido verify: error: argument --suite: invalid choice: 'nope' "
+                 f"(choose from {SUITE_CHOICES})"),
+    Check("help", ("--help",)),
+    Check("verify-help", ("verify", "--help")),
+    Check("eval-help", ("eval", "--help")),
+    # trailing whitespace ends an expression
+    Check("eval-trailing-space", ("eval", "xi "), lines=("xi | exact",)),
+    # sha256 of the whole eval output, pinned from before symbol terms were
+    # stored as int triples: an exact product with large integers, a
+    # series at the deepest admitted floor, and a floored product with
+    # Gaussian coefficients and denominators; the benchmark's pinned
+    # calculator outputs reach floor -6 only
+    Check("eval-large-product", ("eval", "mul((xi+d_xi)^32,(xi+d_xi)^32)"),
+          sha256="8853589794bbf8e736090351e31ea61a8d663889bcda7348a72b78a9e9c491e0"),
+    Check("eval-deepest-series", ("eval", "theta_inv(r^-3)", "--floor", "-16"),
+          sha256="b8540acb1d89228537085dbb76e088515903ec1221ea3e9a3e0bfd07b270fd44"),
+    Check("eval-gaussian-product",
+          ("eval", "mul((1/2 + i)*xi^-1*d_xi^1/2, (2/3 - i)*xi^-2*d_xi^-1/2 + 1/3*i*t*xi^-3)",
+           "--floor", "-16"),
+          sha256="4628ea94e4b336f55aa3f88af88a587e367b5a241dd5885791b608cda3980838"),
+]
+
+# each demo prints symbols, floors and orders through the public API; the
+# sha256 of its masked stdout (demo 07 prints timings) is pinned from
+# before the printer read orders as twice-ints
+DEMOS = {
+    "01_symbol_arithmetic": "ea7b73272628ac4a4bf3b0c47599044fd6921034602ec989f05aa9760e4d8f84",
+    "02_nonlocal_transform": "af2c9a3661bdbc8e89a3d4a7f23b7efcd9cddc42583f18669e9c4e9bdd2c0acf",
+    "03_schrodinger_symmetries": "181a9e72ea369178785aacca5f51abae4a66d190c9e97d397851a93ff8d4a69b",
+    "04_central_terms": "7e47248bd593eb3b34358c396caf9eebc5ce87d1257e92737ad29529b4fba411",
+    "05_coadjoint_action": "e63adfcae8d32cbd2d29acf89537a78087fa86393b89a60485b3f4c68a819d3c",
+    "06_hamiltonian_flows": "b2694ddffe79910728b564297c877ffed8fecfec34a43c45cc66e3c030cff5d1",
+    "07_deformation_scan": "997b44da32428a0cb9fe2394c8bf982c93f096c96599932d94e2ff0294a75309",
+}
+CHECKS += [Check(f"demo-{name}", (f"demos/{name}.py",), sha256=pin) for name, pin in DEMOS.items()]
+
+# (expression, floor): the body of every printed result, evaluated again,
+# prints the same body, and a finite sum is exact; series cuts, Gaussian
+# coefficients and half orders; products of a derivative with an
+# x-dependent and with x-free factors after it, a power that composes, and
+# a power of an x-free monomial past the cap on composed powers
+PARSE_BACK = [
+    ("theta(xi*d_xi)", "-4"),
+    ("mul(d_r^-1, r^-1)", "-3"),
+    ("mul(d_xi^-1/2, (1/2 - i)*xi^-1)", "-3"),
+    ("theta_inv(theta(1/2*xi^-3*d_xi^5/2 - 2*xi^2*d_xi^-1))", "-3"),
+    ("theta((1+i)*t^2*xi^-3 - 3*i*t^2*xi^-1*d_xi^5/2 + -1*t*xi^-2*d_xi^-3/2)", "-2"),
+    ("(1/2 + 1/2*i)^3*M^-2*t*xi^-1*d_xi^-3/2", "-4"),
+    ("bracket(d_xi^1/2, xi^2)", "-5/2"),
+    ("theta_inv(-3/4*M*r*d_r^-3 + 3*i*t*r^2 + 1/2*r^3*d_r^2)", "-4"),
+    ("tshift(xi^2*d_xi^3/2 - i*M*xi)", "-4"),
+    ("(2 + M^2)*t*d_r + M*r + (2 + M^2)*t", "-4"),
+    ("d_xi^1/2*xi^-1", "-4"),
+    ("xi^3*d_xi^5/2*t^-1*2", "-4"),
+    ("(xi*d_xi)^3", "-4"),
+    ("(2*d_xi)^65", "-4"),
+]
+
+# The duality suites at charge 1/3, run in one process after a
+# default-charge run; argv[1] is the worker count
+RERUN = """\
+import sys
+from fractions import Fraction
+
+from svpsido.ring import GaussRat
+from svpsido.suites import VerifyConfig, report_text, run_suites
+
+names = ["theorem61", "poisson-lemma71"]
+cfg = VerifyConfig(threads=int(sys.argv[1]))
+run_suites(names, cfg)
+print(report_text(run_suites(names, cfg._replace(c=GaussRat(Fraction(1, 3))))))
+"""
+
+
+# ---------------------------------------------------------------- runner
+
+ROOT = Path(__file__).resolve().parent.parent
+# sed's s/\([0-9]+ ms\)/(N ms)/: the first timing of each line
+TIMING = re.compile(rb"^(.*?)\([0-9]+ ms\)", re.M)
+
+
+def python_args(argv: tuple) -> tuple:
+    """What python runs for argv: a demo or -c code as it is, else svpsido."""
+    if argv[0] == "-c" or argv[0].endswith(".py"):
+        return argv
+    return ("-m", "svpsido.cli", *argv)
+
+
+def run(argv: tuple) -> tuple:
+    """(exit code, masked stdout, stderr) of one fresh run of argv."""
+    proc = subprocess.run([sys.executable, *python_args(argv)], cwd=ROOT, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": "src"})
+    out = TIMING.sub(rb"\1(N ms)", proc.stdout).decode("utf-8", "surrogateescape")
+    return proc.returncode, out, proc.stderr.decode("utf-8", "replace")
+
+
+def digest(out: str) -> str:
+    return hashlib.sha256(out.encode("utf-8", "surrogateescape")).hexdigest()
+
+
+def differs(what: str, want: str, got: str) -> list:
+    """One failure at the first line where got and want part, or none."""
+    if got == want:
+        return []
+    a, b = want.splitlines(), got.splitlines()
+    k = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    line = lambda lines: repr(lines[k]) if k < len(lines) else "no line"
+    return [f"{what}, line {k + 1}: expected {line(a)}, got {line(b)}"]
+
+
+def last_line(err: str) -> str:
+    return (err.splitlines() or [""])[-1]
+
+
+def exited(argv: tuple, want: int, code: int, err: str) -> list:
+    if code == want:
+        return []
+    shown = " ".join(argv).splitlines()[0][:120]
+    return [f"{shown}: expected exit {want}, got {code} ({last_line(err)!r})"]
+
+
+def failures(check: Check) -> list:
+    """What the runs of one check show that they should not."""
+    found, first = [], None
+    for n in check.workers or (None,):
+        argv = check.argv if n is None else (*check.argv, "--threads", str(n))
+        code, out, err = run(argv)
+        found += exited(argv, check.exit, code, err)
+        if first:
+            found += differs(f"masked stdout at {n} workers against {check.workers[0]}", first[0], out)
+        first = first or (out, err)
+    out, err = first
+    if check.sha256 and digest(out) != check.sha256:
+        found.append(f"sha256 of the masked stdout: expected {check.sha256}, got {digest(out)}")
+    have = set(out.splitlines())
+    found += [f"stdout line: expected {want!r}, got none" for want in check.lines if want not in have]
+    if check.stderr and last_line(err) != check.stderr:
+        found.append(f"last stderr line: expected {check.stderr!r}, got {last_line(err)!r}")
+    return found
+
+
+def parse_back() -> list:
+    """Each PARSE_BACK result's body, evaluated again, prints itself exactly."""
+    found = []
+    for expr, floor in PARSE_BACK:
+        argv = ("eval", expr, "--floor", floor)
+        code, first, err = run(argv)
+        found += exited(argv, 0, code, err)
+        body = first.rstrip("\n").rsplit(" | ", 1)[0]
+        code, again, err = run(("eval", body))
+        found += exited(("eval", body), 0, code, err)
+        found += differs(f"eval {body!r}", f"{body} | exact", again.rstrip("\n"))
+    return found
+
+
+def alone_and_together() -> list:
+    """theorem61 and poisson-lemma71 read one basis, one list of slice
+    points and one table of coadjoint rows, built once per process for
+    each range and charge: each suite alone, both in one run, and both at
+    charge 1/3 after a default-charge run in the same process must print
+    the same masked per-suite reports, at one and two workers."""
+    found = []
+
+    def report(want: int, *argv) -> str:
+        code, out, err = run(argv)
+        found.extend(exited(argv, want, code, err))
+        return "".join(line for line in out.splitlines(True) if not line.startswith("overall: "))
+
+    both, third = {}, {}
+    for n in (1, 2):
+        threads = ("--threads", str(n))
+        alone = report(0, *T61, *threads) + report(0, "verify", "--suite", "poisson-lemma71", *threads)
+        both[n] = report(0, *T61, "--suite", "poisson-lemma71", *threads)
+        found += differs(f"both suites against each alone, at {n} workers", alone, both[n])
+        third[n] = report(1, *T61, "--suite", "poisson-lemma71", "--c", "1/3", *threads)
+        after = report(0, "-c", RERUN, str(n))
+        found += differs(f"charge 1/3 after charge 2 in one process, at {n} workers",
+                         third[n], after)
+    found += differs("both suites at 2 workers against 1", both[1], both[2])
+    found += differs("both suites at charge 1/3, at 2 workers against 1", third[1], third[2])
+    return found
+
+
+SPECIAL = {"calculator-parses-back": parse_back, "duality-alone-and-together": alone_and_together}
+
+
+def main() -> int:
+    jobs = [(c.name, lambda c=c: failures(c)) for c in CHECKS] + list(SPECIAL.items())
+    failed = 0
+    for name, job in jobs:
+        found = job()
+        print(f"{'FAIL' if found else 'ok  '} {name}")
+        for line in found:
+            print(f"     {name}: {line}")
+        failed += bool(found)
+        sys.stdout.flush()
+    print(f"{len(jobs) - failed} of {len(jobs)} checks passed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

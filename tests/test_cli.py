@@ -76,6 +76,11 @@ class TestEval:
         assert capsys.readouterr().err.splitlines()[-1].endswith(
             f"not a half-integer floor: {floor!r}")
 
+    def test_a_floor_in_other_decimal_digits_is_read(self, capsys):
+        # the denominator is read as the numerator is, in any decimal digits
+        code, out, _ = run_cli(["eval", "xi", "--floor=-\u0667/\u0662"], capsys)
+        assert code == 0 and out == "xi | exact\n"
+
     def test_floor_below_the_deepest_exits_2(self, capsys):
         code, out, err = run_cli(["eval", "mul(d_r^-1, r^-1)", "--floor", "-2000"], capsys)
         assert code == 2 and out == ""

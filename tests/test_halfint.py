@@ -1,6 +1,8 @@
 """HalfInt hashing: equal numbers hash alike across int, Fraction and
 HalfInt, and a HalfInt finds the dict entry of an equal int."""
 
+import copy
+import pickle
 import sys
 from fractions import Fraction as F
 
@@ -9,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from svpsido.halfint import HalfInt, h, order_str
+from svpsido.suites import VerifyConfig
 
 P = sys.hash_info.modulus
 
@@ -95,3 +98,35 @@ def test_non_int_twice_is_refused():
 def test_orders_print_from_their_twice_int(t):
     assert order_str(t) == str(HalfInt(t)) == str(F(t, 2))
     assert h(str(HalfInt(t))) == HalfInt(t)
+
+
+# ---- copies and parsing ----------------------------------------------------------
+
+
+def _pickled(x):
+    return pickle.loads(pickle.dumps(x))
+
+
+@pytest.mark.parametrize("t", [3, -7])
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, _pickled])
+def test_copies_and_pickles_rebuild_an_equal_value(t, clone):
+    # __setattr__ refuses, so a copy is built through __init__
+    x = clone(HalfInt(t))
+    assert type(x) is HalfInt and x == HalfInt(t) and x.twice == t
+
+
+def test_a_config_that_holds_a_floor_pickles():
+    cfg = VerifyConfig(floor=h("-9/2"))
+    assert _pickled(cfg) == cfg
+
+
+@pytest.mark.parametrize("text", ["-\u0667/\u0662", "-7/\u0662", "-\u0667/2", " -7 / 2 "])
+def test_parse_reads_a_denominator_in_any_decimal_digits(text):
+    # as the calculator's grammar reads d_xi^\u0667/\u0662
+    assert HalfInt.parse(text) == HalfInt(-7)
+
+
+@pytest.mark.parametrize("text", ["-7/3", "-7/\u0663", "-7/+2", "-7/2_0", "-7/", "-7/2/2"])
+def test_parse_refuses_other_denominators(text):
+    with pytest.raises(ValueError):
+        HalfInt.parse(text)
