@@ -15,17 +15,12 @@ terms is identically zero (written EXACT in text form).
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 __all__ = ["HalfInt", "EXACT", "h", "hmax", "low_of", "floor_of", "max_low", "order_str"]
 
 # Floor sentinel: all orders below the stored support are exactly zero.
 EXACT = None
-
-# Numeric hashes reduce modulo this prime; 1/2 hashes as its inverse of 2.
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_HALF = (_HASH_MODULUS + 1) // 2
 
 
 class HalfInt:
@@ -132,24 +127,15 @@ class HalfInt:
         return NotImplemented if k is None else self.twice >= k
 
     def __hash__(self):
-        return _half_hash(self.twice)
+        # an integral value hashes like its int, so a HalfInt key finds the
+        # entry of the equal int, matching __eq__
+        return hash(Fraction(self.twice, 2))
 
     def __str__(self):
         return order_str(self.twice)
 
     def __repr__(self):
         return f"HalfInt({self.twice})"
-
-
-def _half_hash(t: int) -> int:
-    """hash(Fraction(t, 2)): an integral value hashes like its int, so a
-    HalfInt key finds the entry of the equal int, matching __eq__."""
-    if not t & 1:
-        return hash(t >> 1)
-    if t > 0:
-        return t % _HASH_MODULUS * _HASH_HALF % _HASH_MODULUS
-    # hash() turns a -1 from __hash__ into -2, as Fraction does by hand
-    return -(-t % _HASH_MODULUS * _HASH_HALF % _HASH_MODULUS)
 
 
 def order_str(t: int) -> str:

@@ -85,7 +85,6 @@ from .ring import (
     file_terms,
     mul_into,
     pair_terms_into,
-    sum_is_zero,
     sum_value,
     trace_pairs_into,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "g_bracket",
     "bracket_tables",
     "DualFamily",
-    "pair_value",
     "pairing",
     "embed_I",
     "embed_momentum_symbol",
@@ -289,10 +287,10 @@ class DualFamily:
     own.  The M-powers of the two monomials add, and each product
     lands in a table point -> M-power -> (a, b, d) that the caller passes
     in, so several walks can sum into one table.  The sums are int
-    triples left unreduced: is_zero tests a row for zero as it stands,
-    and pair_value reduces each coefficient of a row once, when its value
-    is printed or returned.  pair is one walk into a fresh table plus
-    that conversion for every point.
+    triples left unreduced: ring.sum_is_zero tests a row for zero as it
+    stands, and ring.sum_value reduces each coefficient of a row once,
+    when its value is printed or returned.  pair is one walk into a fresh
+    table plus that conversion for every point.
 
     floor is -1 - max top(V) over the points, or EXACT when no point has
     a V: orders of W below it never reach a trace, so it is the shallowest
@@ -332,11 +330,6 @@ class DualFamily:
         """Add the pairing terms of every point against A into sums."""
         self.add_tables_into(sums, A.w.terms, A.W.flat, A.W.low, A.alpha.terms)
 
-    @staticmethod
-    def is_zero(row: dict) -> bool:
-        """Whether a row of a table (M-power -> sum) pairs to zero."""
-        return sum_is_zero(row)
-
     def undetermined_at(self, low) -> list:
         """The points, in order, whose trace is not determined when W is
         known down to twice-int floor low: orders of W below it are
@@ -357,16 +350,10 @@ class DualFamily:
         self.add_into(A, sums)
         out = [CoeffFn.zero()] * len(self._tops)
         for n, row in sums.items():
-            out[n] = pair_value(row)
+            out[n] = sum_value(row)
         for n in self.undetermined(A):
             out[n] = None
         return out
-
-
-def pair_value(row: dict) -> CoeffFn:
-    """The pairing value summed in one row (M-power -> sum) of a
-    DualFamily table, each coefficient reduced once."""
-    return sum_value(row)
 
 
 def pairing(mu: GDual, A: GElement) -> CoeffFn:

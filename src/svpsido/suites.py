@@ -7,13 +7,16 @@ runs with the same configuration produce identical reports apart from the
 wall clock field.  Cases are pure functions of prebuilt immutable inputs,
 so several processes may each run a strided share of them: the verify
 process runs the first share and forked children the others, and the
-outcomes are put back in case order before aggregating.
+outcomes are put back in case order before aggregating; with one worker
+nothing is forked, and every worker count takes that one path.
 
-A builder declares each family of cases once, through _each: the family's
-items, a label and a check, both called with one item's fields.  A check
-returns None when its case holds and the (lhs, rhs) texts of the report
-when it does not; _equal, _zero and _equal_trusted give that outcome for
-the common rules, rendered with the mass normalised when the config asks.
+A builder adds cases only through _each, one family at a time: a case is
+(label, check, item), where the family's label and check are shared by
+all its cases and called with the item's fields.  A check returns None
+when its case holds and the (lhs, rhs) texts of the report when it does
+not; _equal, _zero and _equal_trusted give that outcome for the common
+rules, rendered with the mass normalised when the config asks.  A label
+is rendered only for a failure that the report lists.
 
 The build runs before the cases and apart from them; perfbench times the
 two apart (setup_s and run_s), so moving work across that line shows up
@@ -23,21 +26,20 @@ of lemma26 and theorem51, and the lifts of theorem51, theorem61 and
 poisson-lemma71.  The labeled basis, the slice points and the coadjoint
 rows that theorem61 and poisson-lemma71 both read are built once per
 process for each value of the config fields they read, and shared across
-suites and runs.  Only the tables of
-sub-results keyed by box indices (a product or bracket of two box
-elements, an action on a basis element, theta's images, and theta's
-products of one left operand's image with each power's image, held for
-the current left operand only) are lazy: an entry is computed by the
-first case that asks for it, so each process fills its own copy and
-nothing is pickled.  A failed entry is not stored, so every case that
-reads it fails the same way.
+suites and runs.  Only the tables of sub-results keyed by box indices (a
+product or bracket of two box elements, an action on a basis element,
+theta's images, and theta's products of one left operand's image with
+each power's image, held for the current left operand only) are lazy: an
+entry is computed by the first case that asks for it, so each process
+fills its own copy and nothing is pickled.  A failed entry is not stored,
+so every case that reads it fails the same way.
 
 Importing the module loads the calculus it checks and nothing heavier:
 the config and report records are NamedTuples, not dataclasses, workers
 are forked with os.fork, not multiprocessing, and pickle is imported by
-the first run that forks.  The
-command line imports this module only when `svpsido verify` runs; the
-floor bound that `verify` and `eval` share lives in transforms.
+the first run that forks.  The command line imports this module only
+when `svpsido verify` runs; the floor bound that `verify` and `eval`
+share lives in transforms.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from .kacmoody import (
     embed_momentum_symbol,
     g_bracket,
     in_invariant_slice,
-    pair_value,
     pairing,
 )
 from .poisson import (
@@ -113,6 +114,8 @@ from .ring import (
     TWO_I_M,
     coeff_from_table,
     scale_into,
+    sum_is_zero,
+    sum_value,
 )
 from .svaction import SchrodPoint, d_sigma_affine, d_sigma_tilde
 from .svalgebra import SvElement, phase_mode, shift_mode, sv_basis, sv_bracket, time_mode
@@ -188,6 +191,8 @@ _FAILURE_CAP = 50
 
 
 def _worker_count(cfg: VerifyConfig) -> int:
+    if not hasattr(os, "fork"):
+        return 1
     if cfg.threads:
         return cfg.threads
     # one process per CPU this process may run on; more only oversubscribe
@@ -196,8 +201,9 @@ def _worker_count(cfg: VerifyConfig) -> int:
 
 
 def _call(case):
+    _, check, item = case
     try:
-        return case[1]()
+        return check(*item)
     except Exception as exc:  # a crashed case is a failure, not a crashed run
         return (f"raised {type(exc).__name__}: {exc}", "a finished check")
 
@@ -207,18 +213,19 @@ def _run_shards(cases: list, n: int) -> list:
     k + 2n, ...
 
     Shard 0 runs in this process, after it has forked one child for each
-    other shard.  A child inherits the built cases and the tables they
-    share, so no case is pickled and no child rebuilds its suite; it writes
-    its pickled outcome list to its own pipe and leaves through os._exit
-    on every path, so it never returns into the caller.  After its own
-    shard this process reads each pipe to its end and then reaps that
-    child, so a child that dies before it has written its list (killed by
-    a signal, or a case calling os._exit) ends the run.  Whatever raises,
-    every child not yet reaped is killed and reaped on the way out.
+    other shard, none when n is 1.  A child inherits the built cases and
+    the tables they share, so no case is pickled and no child rebuilds its
+    suite; it writes its pickled outcome list to its own pipe and leaves
+    through os._exit on every path, so it never returns into the caller.
+    After its own shard this process reads each pipe to its end and then
+    reaps that child, so a child that dies before it has written its list
+    (killed by a signal, or a case calling os._exit) ends the run.
+    Whatever raises, every child not yet reaped is killed and reaped on
+    the way out.
     """
-    import pickle  # only runs that fork pay its import
-    from signal import SIGKILL
-
+    if n > 1:  # only runs that fork pay these imports
+        import pickle
+        from signal import SIGKILL
     pids, pipes = [], []  # the children not yet reaped; the read end of each pipe
     try:
         for k in range(1, n):
@@ -266,21 +273,16 @@ def _run_shards(cases: list, n: int) -> list:
 
 def _run_cases(name: str, cases: list, cfg: VerifyConfig, notes=None) -> SuiteReport:
     start = time.monotonic()
-    workers = min(_worker_count(cfg), len(cases))
-    if workers > 1 and hasattr(os, "fork"):
-        shards = _run_shards(cases, workers)
-        outcomes = [shards[i % workers][i // workers] for i in range(len(cases))]
-    else:
-        outcomes = [_call(c) for c in cases]
-
-    failures = []
-    bad = 0
-    for (inputs, _), out in zip(cases, outcomes):
+    workers = max(1, min(_worker_count(cfg), len(cases)))
+    shards = _run_shards(cases, workers)
+    failures, bad = [], 0
+    for i, (label, _, item) in enumerate(cases):
+        out = shards[i % workers][i // workers]
         if out is None:
             continue
         bad += 1
         if len(failures) < _FAILURE_CAP:
-            failures.append(CaseFailure(inputs, out[0], out[1]))
+            failures.append(CaseFailure(label(*item), out[0], out[1]))
     millis = int((time.monotonic() - start) * 1000)
     return SuiteReport(name, len(cases), len(cases) - bad, failures, millis, list(notes or ()))
 
@@ -288,9 +290,8 @@ def _run_cases(name: str, cases: list, cfg: VerifyConfig, notes=None) -> SuiteRe
 # ---------------------------------------------------------- case families
 
 def _each(cases: list, items, label, check) -> None:
-    """Append the cases of one family, one per item, in item order."""
-    for item in items:
-        cases.append((label(*item), functools.partial(check, *item)))
+    """Append the cases of one family, one per item tuple, in item order."""
+    cases.extend((label, check, item) for item in items)
 
 
 def _equal(show, lhs, rhs):
@@ -310,6 +311,10 @@ def _equal_trusted(show, lhs, rhs):
 
 def _xy(basis, i: int, j: int) -> str:
     return f"X = {basis[i][0]}, Y = {basis[j][0]}"
+
+
+def _abc(*symbols) -> str:
+    return ", ".join(f"{name} = {symbol_str(S)}" for name, S in zip("ABC", symbols))
 
 
 # ------------------------------------------------------------- value output
@@ -439,14 +444,13 @@ def _suite_psido_axioms(cfg: VerifyConfig) -> list:
         return None
 
     _each(cases, ((A, B, ka <= 1 and kb <= 1) for (ka, A), (kb, B) in itertools.combinations(rbox, 2)),
-          lambda A, B, low: f"A = {symbol_str(A)}, B = {symbol_str(B)}", traceless)
+          lambda A, B, low: _abc(A, B), traceless)
 
     spot = [
         Symbol(XI, {k: CoeffFn.x_pow(p)})
         for k in (h("-3/2"), h(-1), h(0), h(2))
         for p in (-2, 0, 1)
     ]
-    spot_names = [symbol_str(D) for D in spot]
 
     @functools.cache
     def product(i: int, j: int) -> Symbol:
@@ -467,12 +471,11 @@ def _suite_psido_axioms(cfg: VerifyConfig) -> list:
         )
         return None if total.is_zero() else (sym(total), "0")
 
-    def abc(i, j, k):
-        return f"A = {spot_names[i]}, B = {spot_names[j]}, C = {spot_names[k]}"
-
     idx = range(len(spot))
-    _each(cases, itertools.product(idx, repeat=3), lambda *t: f"assoc {abc(*t)}", associative)
-    _each(cases, itertools.combinations(idx, 3), lambda *t: f"jacobi {abc(*t)}", jacobi)
+    _each(cases, itertools.product(idx, repeat=3),
+          lambda i, j, k: f"assoc {_abc(spot[i], spot[j], spot[k])}", associative)
+    _each(cases, itertools.combinations(idx, 3),
+          lambda i, j, k: f"jacobi {_abc(spot[i], spot[j], spot[k])}", jacobi)
 
     def soak(i, A, B, C):
         lhs = sym_mul(sym_mul(A, B, deep), C, F)
@@ -481,9 +484,7 @@ def _suite_psido_axioms(cfg: VerifyConfig) -> list:
 
     rng = random.Random(f"psido:{cfg.seed}")
     soaked = [(i, *(_random_symbol(rng, XI, n) for _ in range(3))) for i in range(cfg.random_cases)]
-    _each(cases, soaked,
-          lambda i, A, B, C: f"soak #{i}: A = {symbol_str(A)}, B = {symbol_str(B)}, C = {symbol_str(C)}",
-          soak)
+    _each(cases, soaked, lambda i, A, B, C: f"soak #{i}: {_abc(A, B, C)}", soak)
     return cases
 
 
@@ -494,6 +495,7 @@ def _suite_theta(cfg: VerifyConfig) -> list:
     nu = cfg.nu
     floor_arg = None if nu.is_zero() else F
     sym = functools.partial(_fmt_symbol, cfg)
+    coeff = functools.partial(_fmt_coeff, cfg)
     cases = []
 
     xi_box = [
@@ -501,14 +503,16 @@ def _suite_theta(cfg: VerifyConfig) -> list:
         for k in _half_orders(n)
         for p in _degrees(n)
     ]
-    names = [symbol_str(A) for _, _, A in xi_box]
     box = [(i,) for i in range(len(xi_box))]
+
+    def name(i: int) -> str:
+        return symbol_str(xi_box[i][2])
 
     @functools.cache
     def image(i: int) -> Symbol:
         return tr.theta(xi_box[i][2])
 
-    _each(cases, box, lambda i: f"round trip of {names[i]}",
+    _each(cases, box, lambda i: f"round trip of {name(i)}",
           lambda i: _equal_trusted(sym, tr.theta_inv(image(i), F), xi_box[i][2]))
 
     r_box = [(Symbol(R, {h(m): CoeffFn.x_pow(q)}),) for q in range(0, n + 1) for m in _degrees(n)]
@@ -534,7 +538,7 @@ def _suite_theta(cfg: VerifyConfig) -> list:
         k, p, _ = xi_box[b]
         i, dt = power[p], 2 * k.twice
         if image(b) != moved(image(i), dt):
-            raise ArithmeticError(f"theta({names[b]}) is not theta({names[i]}) o d_r^{dt // 2}")
+            raise ArithmeticError(f"theta({name(b)}) is not theta({name(i)}) o d_r^{dt // 2}")
         return i, dt
 
     # held for the current left operand only: products run a-major in
@@ -573,7 +577,7 @@ def _suite_theta(cfg: VerifyConfig) -> list:
     for a, (ka, _, _) in enumerate(xi_box):
         polynomial = ka.is_integer and ka >= zero_h
         products += [(a, b) for b, (_, pb, _) in enumerate(xi_box) if polynomial or pb >= 0]
-    _each(cases, products, lambda a, b: f"image of {names[a]} o {names[b]}", image_of_product)
+    _each(cases, products, lambda a, b: f"image of {name(a)} o {name(b)}", image_of_product)
 
     def graded(i):
         k, p, A = xi_box[i]
@@ -589,7 +593,7 @@ def _suite_theta(cfg: VerifyConfig) -> list:
                     )
         return None
 
-    _each(cases, box, lambda i: f"grading of {names[i]}", graded)
+    _each(cases, box, lambda i: f"grading of {name(i)}", graded)
 
     two = CoeffFn.const(2)
     minus_one = h(-1)
@@ -597,9 +601,9 @@ def _suite_theta(cfg: VerifyConfig) -> list:
     def trace_pullback(i):
         k, p, _ = xi_box[i]
         want = two if (k == minus_one and p == -1) else CoeffFn.zero()
-        return _equal(functools.partial(_fmt_coeff, cfg), adler_trace(image(i)), want)
+        return _equal(coeff, adler_trace(image(i)), want)
 
-    _each(cases, box, lambda i: f"trace pullback of {names[i]}", trace_pullback)
+    _each(cases, box, lambda i: f"trace pullback of {name(i)}", trace_pullback)
 
     rng = random.Random(f"theta:{cfg.seed}")
     soaked = [(i, _random_symbol(rng, XI, n)) for i in range(cfg.random_cases)]
@@ -614,6 +618,7 @@ def _suite_timeshift(cfg: VerifyConfig) -> list:
     n = cfg.index_range
     depth = tr.default_depth(cfg.floor)
     xi = functools.partial(_fmt_coeff, cfg, xname="xi")
+    sym = functools.partial(_fmt_symbol, cfg)
     cases = []
 
     _each(cases, [(CoeffFn.x_pow(q, Fraction(7, 2)),) for q in _degrees(n)],
@@ -627,9 +632,7 @@ def _suite_timeshift(cfg: VerifyConfig) -> list:
     _each(cases, [(1,), (2,)], lambda q: f"inverse pair at power {q} multiplies to 1 below the cut",
           inverse_pair)
 
-    D = Symbol(XI, {h("1/2"): CoeffFn.x_pow(1), h(-1): CoeffFn.x_pow(-1)})
-
-    def slotwise():
+    def slotwise(D):
         got = tr.time_shift_symbol(D, depth).rows()
         for o, c in D.rows().items():
             out = _equal(xi, got.get(o, CoeffFn.zero()), tr.time_shift(c, depth))
@@ -637,7 +640,8 @@ def _suite_timeshift(cfg: VerifyConfig) -> list:
                 return out
         return None
 
-    cases.append((f"slotwise action on {symbol_str(D)}", slotwise))
+    _each(cases, [(Symbol(XI, {h("1/2"): CoeffFn.x_pow(1), h(-1): CoeffFn.x_pow(-1)}),)],
+          lambda D: f"slotwise action on {symbol_str(D)}", slotwise)
 
     poly = [
         Symbol(XI, {k: CoeffFn.x_pow(p)})
@@ -648,7 +652,7 @@ def _suite_timeshift(cfg: VerifyConfig) -> list:
     def conjugation(A, B):
         lhs = tr.time_shift_symbol(sym_mul(A, B), depth)
         rhs = sym_mul(tr.time_shift_symbol(A, depth), tr.time_shift_symbol(B, depth))
-        return _equal(functools.partial(_fmt_symbol, cfg), lhs, rhs)
+        return _equal(sym, lhs, rhs)
 
     _each(cases, itertools.product(poly, repeat=2),
           lambda A, B: f"conjugation respects {symbol_str(A)} o {symbol_str(B)}", conjugation)
@@ -666,7 +670,6 @@ def _suite_cocycles(cfg: VerifyConfig) -> list:
         for k in (-1, 0, 1)
         for p in _degrees(n)
     ]
-    names = [symbol_str(D) for D in box]
     ids = list(CocycleId)
     idx = range(len(box))
 
@@ -674,7 +677,7 @@ def _suite_cocycles(cfg: VerifyConfig) -> list:
         return _zero(coeff, eval_cocycle(cid, box[i], box[j]) + eval_cocycle(cid, box[j], box[i]))
 
     _each(cases, ((cid, i, j) for cid in ids for i, j in itertools.combinations_with_replacement(idx, 2)),
-          lambda cid, i, j: f"{cid.name} antisymmetry on A = {names[i]}, B = {names[j]}", antisymmetric)
+          lambda cid, i, j: f"{cid.name} antisymmetry on {_abc(box[i], box[j])}", antisymmetric)
 
     @functools.cache
     def bracket(i: int, j: int) -> Symbol:
@@ -685,7 +688,7 @@ def _suite_cocycles(cfg: VerifyConfig) -> list:
         return _zero(coeff, d)
 
     _each(cases, ((cid, i, j, k) for cid in ids for i, j, k in itertools.combinations(idx, 3)),
-          lambda cid, i, j, k: f"{cid.name} identity on A = {names[i]}, B = {names[j]}, C = {names[k]}",
+          lambda cid, i, j, k: f"{cid.name} identity on {_abc(box[i], box[j], box[k])}",
           cocycle_identity)
 
     loop_triples = [
@@ -758,6 +761,7 @@ def _suite_lemma26(cfg: VerifyConfig) -> list:
 def _suite_lemma33(cfg: VerifyConfig) -> list:
     n, F = cfg.index_range, h(cfg.floor)
     sym = functools.partial(_fmt_symbol, cfg)
+    coeff = functools.partial(_fmt_coeff, cfg)
     cases = []
 
     _each(cases, itertools.product(_degrees(n), (0, "1/2", 1)), lambda k, jv: f"f = t^{k}, weight {jv}",
@@ -787,7 +791,7 @@ def _suite_lemma33(cfg: VerifyConfig) -> list:
     def weightless(k):
         f = CoeffFn.t_pow(k)
         got = tr.x_generator(f, 0, F).rows().get(0, CoeffFn.zero())
-        return _equal(functools.partial(_fmt_coeff, cfg), got, -f)
+        return _equal(coeff, got, -f)
 
     mu0 = CoeffFn.zero()
     evo = free_evolution_op()
@@ -914,8 +918,8 @@ def _suite_theorem61(cfg: VerifyConfig) -> list:
         for m in sorted(sums):
             if m >= stop:
                 break
-            if not ptab.is_zero(sums[m]):
-                return (f"{word} {_fmt_scalar(cfg, pair_value(sums[m]))} at {points[m][0]}", "0")
+            if not sum_is_zero(sums[m]):
+                return (f"{word} {_fmt_scalar(cfg, sum_value(sums[m]))} at {points[m][0]}", "0")
         if stop < len(points):
             raise ValueError("trace not determined at this truncation")
         return None
@@ -951,7 +955,8 @@ def _suite_theorem61(cfg: VerifyConfig) -> list:
             return None
         return ("no mismatch anywhere at central charge 1", "at least one mismatch")
 
-    cases.append(("negative control: charge 1 must break the free family match", negative_control))
+    _each(cases, [()], lambda: "negative control: charge 1 must break the free family match",
+          negative_control)
     return cases
 
 
@@ -1064,6 +1069,7 @@ def _lemma71_defect(X: SvElement, Y: SvElement) -> LocalFunctional:
 def _suite_poisson_lemma71(cfg: VerifyConfig) -> list:
     n, F, c = cfg.index_range, h(cfg.floor), CoeffFn.const(cfg.c)
     basis = _labeled_basis(n)
+    scalar = functools.partial(_fmt_scalar, cfg)
     cases = []
 
     def monomials(coeff, jets):
@@ -1110,7 +1116,6 @@ def _suite_poisson_lemma71(cfg: VerifyConfig) -> list:
         return family.pair(lifts[i])
 
     def moment_pairing(i, m):
-        scalar = functools.partial(_fmt_scalar, cfg)
         value = evaluate(functionals[i], points[m][1])
         paired = lift_pairing(i)[m]
         if paired is None:
@@ -1165,7 +1170,7 @@ def _suite_poisson_lemma71(cfg: VerifyConfig) -> list:
                         "a visibly nonzero defect")
         return None
 
-    cases.append(("the two exceptional defects are visible on the box", defect_visibility))
+    _each(cases, [()], lambda: "the two exceptional defects are visible on the box", defect_visibility)
 
     curated = [
         ("quadratic tail coefficient", LocalFunctional.monomial(CoeffFn.x_pow(2), jet(FIELD_VM2)), False),
@@ -1242,15 +1247,14 @@ def _scan_at(cfg: VerifyConfig, nu: GaussRat):
     return mu_val
 
 
-def nu_scan(cfg: VerifyConfig, grid=None) -> SuiteReport:
+def nu_scan(cfg: VerifyConfig) -> SuiteReport:
     """Scan deformations, solving for the matching weight at each one."""
     validate_config(cfg)
     start = time.monotonic()
-    if grid is None:
-        grid = [GaussRat(Fraction(k, 2)) for k in (-2, -1, 0, 1, 2)]
-        if cfg.nu not in grid:
-            grid.append(cfg.nu)
-            grid.sort(key=lambda g: (g.re, g.im))
+    grid = [GaussRat(Fraction(k, 2)) for k in (-2, -1, 0, 1, 2)]
+    if cfg.nu not in grid:
+        grid.append(cfg.nu)
+        grid.sort(key=lambda g: (g.re, g.im))
 
     table = [(nu, _scan_at(cfg, nu)) for nu in grid]
 
@@ -1306,13 +1310,8 @@ def run_suites(names, cfg: VerifyConfig) -> list:
             raise ValueError(f"unknown suite {name!r} (choose from {', '.join(SUITE_NAMES)})")
         if name not in seen:
             seen.append(name)
-    reports = []
-    for name in seen:
-        if name == "nu-scan":
-            reports.append(nu_scan(cfg))
-        else:
-            reports.append(_run_cases(name, _SUITE_BUILDERS[name](cfg), cfg))
-    return reports
+    return [nu_scan(cfg) if name == "nu-scan" else _run_cases(name, _SUITE_BUILDERS[name](cfg), cfg)
+            for name in seen]
 
 
 # ------------------------------------------------------------------ reports

@@ -49,6 +49,21 @@ for label, X in suites._labeled_basis(3):
         print(f"{label}, {name}: {scalar_str(value)}")
 """
 
+JMAP = """\
+from fractions import Fraction
+
+from svpsido import transforms
+from svpsido.psido import map_rows
+from svpsido.ring import GaussRat
+from svpsido.svalgebra import sv_basis
+from svpsido.textio import symbol_str
+
+half_i = GaussRat(0, Fraction(1, 2))
+for kind, idx, X in sv_basis(2):
+    image = map_rows(transforms.j_map(X), lambda c: c.subs_m(half_i))
+    print(f"{kind}[{idx}]: {symbol_str(image)}")
+"""
+
 T61 = ("verify", "--suite", "theorem61")
 SUITE_CHOICES = (
     "'psido-axioms', 'theta', 'timeshift', 'cocycles', 'lemma26', 'lemma33', 'theorem51', "
@@ -79,6 +94,11 @@ CHECKS = [
     # failure reports above print no pairing value
     Check("moment-pairings", ("-c", MOMENTS),
           sha256="141183ff09fe0a0d8d151a479deb4c9af46d95c54078db7b566122e2c55b4641"),
+    # the j_map images of the range-2 basis with M set to i/2, as
+    # --normalize-mass prints values: the time family carries M^-2 and
+    # M^-1, a negative M power that no pinned verify report prints
+    Check("j-map-normalized-mass", ("-c", JMAP),
+          sha256="b2830054f0e9d0adb5209eca1e0a2e8eeae66fe29dd43248423dbb6582fd80af"),
     # nu != 0 is the only path where the transform sums series images
     Check("deformed-transform", ("verify", "--nu", "1/2"), workers=(1, 2)),
     # a Gaussian nu drives the binom(nu, j) weights of the deformed images

@@ -31,6 +31,7 @@ from svpsido.suites import (
     SUITE_NAMES,
     VerifyConfig,
     _call,
+    _each,
     _run_cases,
     _worker_count,
     nu_scan,
@@ -63,6 +64,12 @@ def strip_millis(text: str) -> str:
     import re
 
     return re.sub(r'"millis": \d+', '"millis": 0', text)
+
+
+def _label(case) -> str:
+    """The label a report prints for case when it fails."""
+    label, _, item = case
+    return label(*item)
 
 
 class TestConfig:
@@ -98,32 +105,64 @@ class TestConfig:
             run_suites(["lemma27"], VerifyConfig())
 
 
+def _numbered(n: int, check) -> list:
+    """n synthetic cases, labeled "case k", that run check(k)."""
+    cases = []
+    _each(cases, [(k,) for k in range(n)], "case {}".format, check)
+    return cases
+
+
 class TestRunner:
-    """Drive _run_cases with synthetic thunks to pin the bookkeeping."""
+    """Drive _run_cases with synthetic cases to pin the bookkeeping."""
 
     def test_failure_listing_is_capped_but_counts_are_not(self):
-        cases = [(f"case {k}", lambda k=k: ("left", "right")) for k in range(60)]
+        cases = _numbered(60, lambda k: ("left", "right"))
         rep = _run_cases("synthetic", cases, VerifyConfig())
         assert rep.cases == 60
         assert rep.passed == 0
         assert len(rep.failures) == 50
         assert not rep.ok
 
-    def test_exceptions_become_failures(self):
-        def boom():
-            raise ZeroDivisionError("1/0")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_only_the_listed_failures_render_a_label(self, threads):
+        rendered = []
 
-        rep = _run_cases("synthetic", [("ok", lambda: None), ("bad", boom)], VerifyConfig())
+        def label(k):
+            rendered.append(k)
+            return f"case {k}"
+
+        cases = []
+        _each(cases, [(k,) for k in range(60)], label, lambda k: ("left", "right"))
+        rep = _run_cases("synthetic", cases, VerifyConfig(threads=threads))
+        assert rendered == list(range(50))
+        assert [f.inputs for f in rep.failures] == [f"case {k}" for k in range(50)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_family_whose_label_raises_still_passes(self, threads):
+        def label(k):
+            raise AssertionError(f"case {k} passed but rendered its label")
+
+        cases = []
+        _each(cases, [(k,) for k in range(5)], label, lambda k: None)
+        rep = _run_cases("synthetic", cases, VerifyConfig(threads=threads))
+        assert (rep.cases, rep.passed, rep.failures) == (5, 5, [])
+
+    def test_exceptions_become_failures(self):
+        def boom(name):
+            if name == "bad":
+                raise ZeroDivisionError("1/0")
+
+        cases = []
+        _each(cases, [("ok",), ("bad",)], lambda name: name, boom)
+        rep = _run_cases("synthetic", cases, VerifyConfig())
         assert rep.cases == 2 and rep.passed == 1
         assert rep.failures[0].inputs == "bad"
         assert "ZeroDivisionError" in rep.failures[0].lhs
 
     def test_failures_keep_case_order(self):
-        cases = [
-            ("first", lambda: ("a", "b")),
-            ("mid", lambda: None),
-            ("last", lambda: ("c", "d")),
-        ]
+        outcomes = {"first": ("a", "b"), "mid": None, "last": ("c", "d")}
+        cases = []
+        _each(cases, [(name,) for name in outcomes], lambda name: name, outcomes.get)
         rep = _run_cases("synthetic", cases, VerifyConfig())
         assert [f.inputs for f in rep.failures] == ["first", "last"]
 
@@ -131,18 +170,14 @@ class TestRunner:
     def mixed_cases():
         """107 cases: 36 pass, 57 fail and 14 raise; 107 is not a multiple of 2 or 3."""
 
-        def boom(k):
-            raise ValueError(f"case {k} blew up")
-
-        cases = []
-        for k in range(107):
+        def outcome(k):
             if k % 3 == 0:
-                cases.append((f"case {k}", lambda: None))
-            elif k % 5 == 0:
-                cases.append((f"case {k}", lambda k=k: boom(k)))
-            else:
-                cases.append((f"case {k}", lambda k=k: (f"lhs {k}", f"rhs {k}")))
-        return cases
+                return None
+            if k % 5 == 0:
+                raise ValueError(f"case {k} blew up")
+            return (f"lhs {k}", f"rhs {k}")
+
+        return _numbered(107, outcome)
 
     def test_sharded_runs_aggregate_like_the_in_process_run(self):
         cases = self.mixed_cases()
@@ -169,7 +204,7 @@ class TestRunner:
     def test_cases_run_in_forked_workers(self):
         # the first shard runs in this process, each other shard in a child
         here = str(os.getpid())
-        cases = [(f"case {k}", lambda: (str(os.getpid()), "")) for k in range(6)]
+        cases = _numbered(6, lambda k: (str(os.getpid()), ""))
         two = [f.lhs for f in _run_cases("synthetic", cases, VerifyConfig(threads=2)).failures]
         assert [pid == here for pid in two] == [k % 2 == 0 for k in range(6)]
         assert len(set(two[1::2])) == 1
@@ -187,11 +222,14 @@ class TestRunner:
         script = (
             "import os, sys\n"
             "from svpsido import cli, suites\n"
-            "ok = lambda: None\n"
             "def interrupt():\n"
             "    raise KeyboardInterrupt\n"
-            "suites._SUITE_BUILDERS['lemma33'] = lambda cfg: "
-            f"[('a', ok), ('b', lambda: {case}), ('c', ok)]\n"
+            "def build(cfg):\n"
+            "    cases = []\n"
+            "    suites._each(cases, [('a',), ('b',), ('c',)], str, "
+            f"lambda name: {case} if name == 'b' else None)\n"
+            "    return cases\n"
+            "suites._SUITE_BUILDERS['lemma33'] = build\n"
             "sys.exit(cli.main(['verify', '--suite', 'lemma33', '--threads', '2']))\n"
         )
         return subprocess.run(
@@ -224,11 +262,13 @@ class TestRunner:
         class Escape(BaseException):
             pass
 
-        def escape():
-            raise Escape
+        def escape_or_sleep(k):
+            if k == 0:
+                raise Escape
+            time.sleep(60)
 
         # the workers' cases sleep, so they are still running when it escapes
-        cases = [("here", escape), *((f"case {k}", lambda: time.sleep(60)) for k in range(1, 3))]
+        cases = _numbered(3, escape_or_sleep)
         began = time.monotonic()
         with pytest.raises(Escape):
             _run_cases("synthetic", cases, VerifyConfig(threads=3))
@@ -247,7 +287,7 @@ class TestRunner:
             return forks[-1]
 
         monkeypatch.setattr(os, "fork", fork_once)
-        cases = [(f"case {k}", lambda: time.sleep(60)) for k in range(3)]
+        cases = _numbered(3, lambda k: time.sleep(60))
         with pytest.raises(RuntimeError, match="could not fork verify worker 3 of 3"):
             _run_cases("synthetic", cases, VerifyConfig(threads=3))
         assert len(forks) == 1
@@ -273,7 +313,7 @@ class TestRunner:
     def test_outcome_lists_larger_than_a_pipe_buffer(self):
         # each worker sends far more than the 64 KiB a pipe holds
         big = "x" * 4096
-        cases = [(f"case {k}", lambda k=k: (f"{k} {big}", "")) for k in range(120)]
+        cases = _numbered(120, lambda k: (f"{k} {big}", ""))
         one = _run_cases("synthetic", cases, VerifyConfig(threads=1))
         two = _run_cases("synthetic", cases, VerifyConfig(threads=2))
         assert (two.cases, two.passed, two.failures) == (one.cases, one.passed, one.failures)
@@ -284,6 +324,9 @@ class TestRunner:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         assert _worker_count(VerifyConfig()) == 8
         assert _worker_count(VerifyConfig(threads=5)) == 5
+        # with no fork every run takes one worker
+        monkeypatch.delattr(os, "fork")
+        assert _worker_count(VerifyConfig(threads=5)) == 1
 
     def test_selection_dedupes_and_keeps_first_appearance_order(self):
         reports = run_suites(["lemma33", "lemma26", "lemma33"], VerifyConfig())
@@ -365,7 +408,7 @@ def tabled_runs():
             calls.clear()
             outcomes = []
             for case in cases:
-                current[0] = case[0]
+                current[0] = _label(case)
                 outcomes.append(_call(case))
             runs[name] = (built, Counter(calls), outcomes)
     return runs, compared
@@ -475,7 +518,7 @@ class TestSharedTables:
     def _moment_cases(cfg):
         """((lift, point) index pair, case) of each moment pairing case."""
         cases = [case for case in _SUITE_BUILDERS["poisson-lemma71"](cfg)
-                 if case[0].startswith("moment pairing: ")]
+                 if _label(case).startswith("moment pairing: ")]
         n_points = len(suites._slice_points(cfg.index_range))
         assert len(cases) == len(suites._labeled_basis(cfg.index_range)) * n_points
         return [(divmod(k, n_points), case) for k, case in enumerate(cases)]
@@ -492,7 +535,7 @@ class TestSharedTables:
         lifts = [embed_I(X, cfg.floor) for _, X in suites._labeled_basis(2)]
         for (i, m), case in self._moment_cases(cfg):
             want = suites._fmt_scalar(cfg, pairing(points[m][1], lifts[i]))
-            assert _call(case) == (suites._fmt_scalar(cfg, far), want), case[0]
+            assert _call(case) == (suites._fmt_scalar(cfg, far), want), _label(case)
 
     def test_a_lift_too_shallow_for_a_point_fails_as_the_one_point_pairing_does(self, monkeypatch):
         # lifts built at floor 0 leave the trace against every point with
@@ -516,7 +559,7 @@ class TestSharedTables:
             else:
                 value_at = evaluate(lemma71_functional(basis[i][1]), mu)
                 want = None if value_at == value else (scalar(value_at), scalar(value))
-            assert _call(case) == want, case[0]
+            assert _call(case) == want, _label(case)
         # lifts whose W stays exact pair every point
         assert 0 < raised < len(basis) * len(points)
         (rep,) = run_suites(["poisson-lemma71"], cfg)
@@ -615,7 +658,7 @@ class TestSharedTables:
         cases = _SUITE_BUILDERS["cocycles"](cfg)
         rep = _run_cases("cocycles", cases, cfg)
         pair = f"A = {symbol_str(first)}, B = {symbol_str(second)}, C = "
-        readers = [label for label, _ in cases if " identity on " in label and pair in label]
+        readers = [label for label in map(_label, cases) if " identity on " in label and pair in label]
         # C runs over the 7 later box elements, for each of the 6 cocycles
         assert len(readers) == 42
         assert [f.inputs for f in rep.failures] == readers
@@ -640,10 +683,12 @@ class TestSharedTables:
         names = [symbol_str(A) for A in box]
         pairs = {f"image of {names[a]} o {names[b]}": (box[a], box[b])
                  for a in range(len(box)) for b in range(len(box))}
-        for label, check in _SUITE_BUILDERS["theta"](cfg):
+        for case in _SUITE_BUILDERS["theta"](cfg):
+            label = _label(case)
             if label.startswith("image of "):
                 current[0] = label
-                assert check() is None, label
+                _, check, item = case
+                assert check(*item) is None, label
                 A, B = pairs[label]
                 if label in rights:
                     assert rights[label] == theta_product_by_pairs(A, B), label
@@ -671,7 +716,7 @@ class TestSharedTables:
         rep = _run_cases("theta", cases, cfg)
         assert rep.cases - rep.passed == len(rep.failures)  # none past the cap
         failed = {f.inputs: f.lhs for f in rep.failures}
-        readers = [label for label, _ in cases
+        readers = [label for label in map(_label, cases)
                    if label.startswith("image of ") and label.endswith(f" o {symbol_str(mixed)}")]
         assert len(readers) == 15
         for label in readers:
@@ -740,7 +785,7 @@ class TestCasePins:
                 rows = [(f.inputs, (f.lhs, f.rhs)) for f in rep.failures] + [(n, None) for n in rep.notes[1:]]
                 cases, failing = rep.cases, rep.cases - rep.passed
             else:
-                rows = [(label, _call((label, thunk))) for label, thunk in build(cfg)]
+                rows = [(_label(case), _call(case)) for case in build(cfg)]
                 cases, failing = len(rows), sum(out is not None for _, out in rows)
             digest = hashlib.sha256("".join(f"{row!r}\n" for row in rows).encode())
             pins[name] = (cases, failing, digest.hexdigest()[:16])
@@ -821,11 +866,6 @@ def test_duality_suites_alone_and_together_print_the_same_reports(threads):
 
 
 class TestNuScan:
-    def test_zero_deformation_matches_the_flat_weight(self):
-        rep = nu_scan(VerifyConfig(), grid=[GaussRat(0)])
-        assert rep.ok and rep.cases == 1
-        assert rep.notes == ["nu -> mu", "  0 -> 0"]
-
     def test_weight_tracks_the_deformation(self):
         # measured law on the half-integer grid: the fitted weight is nu itself
         rep = nu_scan(VerifyConfig())
