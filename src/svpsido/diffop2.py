@@ -10,10 +10,9 @@ through the symbol machinery.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
-from .ring import CoeffFn, GaussRat, I_M, M, MINUS_2I_M
+from .ring import CoeffFn, HALF, I_M, I_M_QUARTER, MINUS_2I_M, coeff_of
 from .svalgebra import SvElement
 
 __all__ = [
@@ -39,8 +38,7 @@ class DiffOp2:
         for (i, j), c in terms.items():
             if i < 0 or j < 0:
                 raise ValueError("derivative powers must be nonnegative")
-            if not isinstance(c, CoeffFn):
-                c = CoeffFn.const(c)
+            c = coeff_of(c)
             if not c.is_zero():
                 clean[(i, j)] = c
         object.__setattr__(self, "terms", clean)
@@ -186,8 +184,7 @@ def d_pi(mu, X: SvElement) -> DiffOp2:
     From the shift part g:  -g d_r + iM g' r
     From the phase part h:  iM h
     """
-    if not isinstance(mu, CoeffFn):
-        mu = CoeffFn.const(mu)
+    mu = coeff_of(mu)
     f, g, hh = X.f, X.g, X.h
     out = DiffOp2.zero()
     if not f.is_zero():
@@ -197,8 +194,8 @@ def d_pi(mu, X: SvElement) -> DiffOp2:
         out = out + DiffOp2(
             {
                 (1, 0): -f,
-                (0, 1): -(df * CoeffFn.x_pow(1) * _HALF),
-                (0, 0): ddf * r2 * _QUART_I_M - df * mu,
+                (0, 1): -(df * CoeffFn.x_pow(1) * HALF),
+                (0, 0): ddf * r2 * I_M_QUARTER - df * mu,
             }
         )
     if not g.is_zero():
@@ -219,7 +216,3 @@ def dop_from_r_symbol(D) -> DiffOp2:
             raise ValueError("only differential-part symbols embed")
         out[(0, o // 2)] = c
     return DiffOp2(out)
-
-
-_HALF = CoeffFn.const(Fraction(1, 2))
-_QUART_I_M = GaussRat(0, Fraction(1, 4)) * M  # iM/4

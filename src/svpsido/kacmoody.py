@@ -77,12 +77,16 @@ from .psido import (
 from .ring import (
     CoeffFn,
     GaussRat,
+    HALF,
     I_HALF_OVER_M,
-    M,
+    I_M_QUARTER,
+    M2,
     TWO_I_M,
     coeff_from_table,
+    coeff_of,
     file_flat,
     file_terms,
+    loop_of,
     mul_into,
     pair_terms_into,
     sum_value,
@@ -108,16 +112,6 @@ __all__ = [
 ]
 
 
-def _as_loop(c, what: str) -> CoeffFn:
-    if c is None:
-        return CoeffFn.zero()
-    if not isinstance(c, CoeffFn):
-        c = CoeffFn.const(c)
-    if not c.is_t_only():
-        raise ValueError(f"{what} must not depend on r")
-    return c
-
-
 class GElement:
     """Triple (w, W, alpha): reparametrization, capped symbol loop, center."""
 
@@ -130,9 +124,9 @@ class GElement:
             raise ValueError("the symbol component lives on the space side")
         if W.flat and max(W.flat)[0] > 2:
             raise ValueError("the symbol component must have order <= 1")
-        object.__setattr__(self, "w", _as_loop(w, "the d_t component"))
+        object.__setattr__(self, "w", loop_of(w, "the d_t component"))
         object.__setattr__(self, "W", W)
-        object.__setattr__(self, "alpha", _as_loop(alpha, "the central coordinate"))
+        object.__setattr__(self, "alpha", loop_of(alpha, "the central coordinate"))
 
     def __setattr__(self, *_):
         raise AttributeError("GElement is immutable")
@@ -187,9 +181,9 @@ class GDual:
             raise ValueError("dual points carry exact symbol data")
         if V.flat and min(V.flat)[0] < -4:
             raise ValueError("dual symbol orders reach down to -2 only")
-        object.__setattr__(self, "v", _as_loop(v, "the dt^2 component"))
+        object.__setattr__(self, "v", loop_of(v, "the dt^2 component"))
         object.__setattr__(self, "V", V)
-        object.__setattr__(self, "a", _as_loop(a, "the central dual component"))
+        object.__setattr__(self, "a", loop_of(a, "the central dual component"))
 
     def __setattr__(self, *_):
         raise AttributeError("GDual is immutable")
@@ -249,7 +243,7 @@ def bracket_tables(A: GElement, B: GElement, c, req_floor) -> tuple:
         mul_into(alpha, minus_bw, A.alpha.deriv("T").terms.items())
     central = eval_cocycle(CocycleId.C3, A.W, B.W)
     if central.terms:
-        mul_into(alpha, central.terms.items(), _as_scalar(c).terms.items())
+        mul_into(alpha, central.terms.items(), coeff_of(c).terms.items())
     return w, flat, low, alpha
 
 
@@ -261,11 +255,6 @@ def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
     w, flat, low, alpha = bracket_tables(A, B, c, req_floor)
     return GElement._raw(coeff_from_table(w), symbol_from_flat(R, flat, low),
                          coeff_from_table(alpha))
-
-
-def _as_scalar(c) -> CoeffFn:
-    """A central charge as a CoeffFn, from a constant or a CoeffFn."""
-    return c if isinstance(c, CoeffFn) else CoeffFn.const(c)
 
 
 class DualFamily:
@@ -410,12 +399,9 @@ def embed_I(X: SvElement, req_floor, nu=None) -> GElement:
 
 # ----------------------------------------------------------------- coadjoint
 
-_I_M_QUARTER = GaussRat(0, Fraction(1, 4)) * M
-_M2_R2_QUARTER = CoeffFn.x_pow(2) * (Fraction(1, 4) * M ** 2)
-_M2 = M ** 2
-_M2_R = CoeffFn.x_pow(1) * _M2
-_HALF = CoeffFn.const(Fraction(1, 2))
-_MINUS_HALF = CoeffFn.const(Fraction(-1, 2))
+_M2_R2_QUARTER = CoeffFn.x_pow(2, Fraction(1, 4)) * M2
+_M2_R = CoeffFn.x_pow(1) * M2
+_MINUS_HALF = -HALF
 _MINUS_HALF_R = CoeffFn.x_pow(1) * _MINUS_HALF
 
 
@@ -435,14 +421,14 @@ def _coadjoint_factors(X: SvElement) -> tuple:
     if not f.is_zero():
         fd = f.deriv("T")
         fdd = fd.deriv("T")
-        f_part = (fdd * _MINUS_HALF, -f, fd * -2, fd * _MINUS_HALF_R, -fd, fd * _HALF)
-        a_vm2 = fdd * _I_M_QUARTER - fdd.deriv("T") * _M2_R2_QUARTER
+        f_part = (fdd * _MINUS_HALF, -f, fd * -2, fd * _MINUS_HALF_R, -fd, fd * HALF)
+        a_vm2 = fdd * I_M_QUARTER - fdd.deriv("T") * _M2_R2_QUARTER
     if not g.is_zero():
         gd = g.deriv("T")
         g_part = (-gd, -g)
         a_vm2 = a_vm2 - gd.deriv("T") * _M2_R
     if not hh.is_zero():
-        a_vm2 = a_vm2 - hh.deriv("T") * _M2
+        a_vm2 = a_vm2 - hh.deriv("T") * M2
     return f_part, g_part, a_vm2
 
 
@@ -462,7 +448,7 @@ def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
     """
     if not in_invariant_slice(mu):
         raise ValueError("coadjoint is defined on the invariant slice only")
-    c = _as_scalar(c)
+    c = coeff_of(c)
     f_part, g_part, a_vm2 = X.kept(_coadjoint_factors)
     v, a = mu.v, mu.a
     vm2, v0 = mu.slots()

@@ -42,8 +42,12 @@ from .psido import R, Symbol
 from .ring import (
     CoeffFn,
     GaussRat,
-    M,
+    HALF,
+    I_M_QUARTER,
+    M2,
+    M2_HALF,
     coeff_from_table,
+    coeff_of,
     mul_into,
     residue_into,
     triple_into,
@@ -124,12 +128,6 @@ def _monomial_class(jets) -> str:
                      "the symbol slots or with each other")
 
 
-def _as_coeff(c) -> CoeffFn:
-    if isinstance(c, CoeffFn):
-        return c
-    return CoeffFn.const(c)
-
-
 class LocalFunctional:
     """Finite sum of coefficient-times-jet-product monomials.
 
@@ -145,7 +143,7 @@ class LocalFunctional:
             terms = terms.items()
         for jets, coeff in terms:
             jets = tuple(sorted(jets))
-            coeff = _as_coeff(coeff)
+            coeff = coeff_of(coeff)
             if coeff.is_zero():
                 continue
             cls = _monomial_class(jets)
@@ -327,10 +325,7 @@ def evaluate(F: LocalFunctional, mu: GDual) -> CoeffFn:
 
 # ------------------------------------------------------------- generators
 
-_I_M_QUARTER = GaussRat(0, Fraction(1, 4)) * M
-_M2_TWELFTH = Fraction(1, 12) * M ** 2
-_M2_HALF = Fraction(1, 2) * M ** 2
-_M2 = M ** 2
+_M2_TWELFTH = Fraction(1, 12) * M2
 _R = CoeffFn.mono(0, 1)
 _R3 = CoeffFn.mono(0, 3)
 
@@ -353,14 +348,14 @@ def lemma71_functional(X: SvElement) -> LocalFunctional:
         fdd = fd.deriv("T")
         fddd = fdd.deriv("T")
         out.append(((jet(FIELD_V),), -f))
-        out.append(((jet(FIELD_VM2),), -(_R * fd * Fraction(1, 2))))
-        out.append(((jet(FIELD_V0),), -(_R * fdd * _I_M_QUARTER - _R3 * fddd * _M2_TWELFTH)))
+        out.append(((jet(FIELD_VM2),), -(_R * fd * HALF)))
+        out.append(((jet(FIELD_V0),), -(_R * fdd * I_M_QUARTER - _R3 * fddd * _M2_TWELFTH)))
     if not g.is_zero():
         gdd = g.deriv("T").deriv("T")
         out.append(((jet(FIELD_VM2),), -g))
-        out.append(((jet(FIELD_V0),), CoeffFn.mono(0, 2) * gdd * _M2_HALF))
+        out.append(((jet(FIELD_V0),), CoeffFn.mono(0, 2) * gdd * M2_HALF))
     if not u.is_zero():
-        out.append(((jet(FIELD_V0),), _R * u.deriv("T") * _M2))
+        out.append(((jet(FIELD_V0),), _R * u.deriv("T") * M2))
     return LocalFunctional(out)
 
 
@@ -427,7 +422,7 @@ def bracket_at(df, dg, mu: GDual, c) -> CoeffFn:
     central: dict = {}
     _triples(central, -1, -1, ((Qf.deriv("X"), Pg, mu.a, 1), (Pf.deriv("X"), Qg, mu.a, 1)))
     if central:
-        mul_into(acc, central.items(), _as_coeff(c).terms.items())
+        mul_into(acc, central.items(), coeff_of(c).terms.items())
     return coeff_from_table(acc)
 
 
@@ -465,7 +460,7 @@ def hamiltonian_vector(F: LocalFunctional, mu: GDual, c) -> GDual:
     P_x = P.deriv("X")
     phi_t = phi.deriv("T")
     v0_x = v0.deriv("X")
-    minus_ca = a * -_as_coeff(c)
+    minus_ca = a * -coeff_of(c)
     row_v: dict = {}
     residue_into(row_v, vm2.terms.items(), P.deriv("T").terms.items(), 0, 1)
     residue_into(row_v, v0.terms.items(), Q.deriv("T").terms.items(), 0, 1)

@@ -28,7 +28,13 @@ the constructor (GaussRat values), ``const``, ``mono``, ``__pow__``,
 ``x_to_t``/``t_to_x``, ``subs_m``, and printing in textio.  ``triple_of``
 and ``gauss_of`` convert one value each way.  Binary operations test the
 operand's class first and coerce ints, Fractions and GaussRats only when
-it differs.
+it differs.  Every constructor coerces its inputs through one of two
+functions: ``coeff_of`` (a CoeffFn or a constant, else TypeError) and
+``loop_of`` (None for zero, or what coeff_of takes, else ValueError
+naming the slot when the value depends on the space variable).  The
+constants of M that the formulas share (iM, 2iM, -2iM, i/(2M), iM/4,
+M^2, M^2/2) and the CoeffFn 1/2 are the structural constants block at
+the end of this module.
 
 Every kernel adds into a mutable table over a common denominator and
 builds no GaussRat: it takes no gcd and keeps an entry that cancels, so
@@ -85,7 +91,7 @@ from fractions import Fraction
 from math import gcd
 
 __all__ = [
-    "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M",
+    "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M", "coeff_of", "loop_of",
     "mul_into", "scale_into", "transport_into", "leibniz_rows", "residue_into", "triple_into",
     "coeff_from_table", "triple_of", "gauss_of", "reduce_flat", "file_terms", "file_flat",
     "pair_terms_into", "trace_pairs_into", "sum_value", "sum_is_zero",
@@ -331,9 +337,7 @@ class CoeffFn:
     @staticmethod
     def mono(tpow: int, xpow: int, coeff=1) -> "CoeffFn":
         """coeff * t^tpow * x^xpow, for a constant or CoeffFn coeff."""
-        c = _as_coeff(coeff)
-        if c is None:
-            raise TypeError(f"bad coefficient {coeff!r}")
+        c = coeff_of(coeff)
         return _coeff_raw({(p + tpow, q + xpow, m): v for (p, q, m), v in c.terms.items()})
 
     @staticmethod
@@ -461,24 +465,12 @@ class CoeffFn:
     def x_to_t(self, c) -> "CoeffFn":
         """x -> c*t on a t-free value, for a unit c = g*M^e; error if t
         occurs already."""
-        e, g = _mass_unit(c)
-        out: dict = {}
-        for (p, q, m), v in self.terms.items():
-            if p:
-                raise ValueError("x_to_t requires a t-free value")
-            out[(q, 0, m + e * q)] = triple_of(gauss_of(v) * g ** q)
-        return _coeff_raw(out)
+        return _substituted(self.terms, c, True)
 
     def t_to_x(self, c) -> "CoeffFn":
         """t -> c*x on an x-free value, for a unit c = g*M^e; error if x
         occurs already."""
-        e, g = _mass_unit(c)
-        out: dict = {}
-        for (p, q, m), v in self.terms.items():
-            if q:
-                raise ValueError("t_to_x requires an x-free value")
-            out[(0, p, m + e * p)] = triple_of(gauss_of(v) * g ** p)
-        return _coeff_raw(out)
+        return _substituted(self.terms, c, False)
 
     def x_slice(self, q: int) -> "CoeffFn":
         """Coefficient of x^q, as an x-free value."""
@@ -531,6 +523,21 @@ def _derivative(terms: dict, var: str) -> CoeffFn:
                                  for (p, q, m), (a, b, d) in terms.items() if p})
     return coeff_from_table({(p, q - 1, m): (a * q, b * q, d)
                              for (p, q, m), (a, b, d) in terms.items() if q})
+
+
+def _substituted(terms: dict, c, to_t: bool) -> CoeffFn:
+    """The one loop of x_to_t (to_t) and t_to_x: each power k of the
+    replaced variable becomes the same power of the other, times
+    g^k M^(e*k) for the unit c = g*M^e."""
+    e, g = _mass_unit(c)
+    out: dict = {}
+    for (p, q, m), v in terms.items():
+        k, other = (q, p) if to_t else (p, q)
+        if other:
+            raise ValueError("x_to_t requires a t-free value" if to_t
+                             else "t_to_x requires an x-free value")
+        out[(k, 0, m + e * k) if to_t else (0, k, m + e * k)] = triple_of(gauss_of(v) * g ** k)
+    return _coeff_raw(out)
 
 
 def _coeff_raw(terms: dict) -> CoeffFn:
@@ -936,12 +943,35 @@ def coeff_from_table(table: dict) -> CoeffFn:
 
 
 def _as_coeff(v):
+    """v as a CoeffFn, or None for a type that is no coefficient: the
+    binary operators' probe before they return NotImplemented."""
     if v.__class__ is CoeffFn:
         return v
     g = _as_gauss(v)
     if g is None:
         return None
     return _C_ZERO if g.is_zero() else _coeff_raw({(0, 0, 0): triple_of(g)})
+
+
+def coeff_of(value) -> CoeffFn:
+    """value as a CoeffFn: a CoeffFn itself, or the constant of an int,
+    Fraction or GaussRat; TypeError for anything else."""
+    c = _as_coeff(value)
+    if c is None:
+        raise TypeError(f"bad coefficient {value!r}")
+    return c
+
+
+def loop_of(value, slot: str) -> CoeffFn:
+    """value as a loop function of t: zero for None, else coeff_of(value);
+    ValueError naming the slot when the value depends on the space
+    variable."""
+    if value is None:
+        return _C_ZERO
+    c = coeff_of(value)
+    if not c.is_t_only():
+        raise ValueError(f"{slot} must not depend on r")
+    return c
 
 
 def _mass_unit(c) -> tuple:
@@ -968,3 +998,7 @@ I_HALF_OVER_M = GaussRat(0, Fraction(1, 2)) * M ** -1   # i/(2M)
 MINUS_2I_M = GaussRat(0, -2) * M                        # -2iM
 TWO_I_M = GaussRat(0, 2) * M                            # 2iM
 I_M = GR_I * M                                          # iM
+I_M_QUARTER = GaussRat(0, Fraction(1, 4)) * M           # iM/4
+M2 = M ** 2                                             # M^2
+M2_HALF = Fraction(1, 2) * M2                           # M^2/2
+HALF = CoeffFn.const(Fraction(1, 2))                    # 1/2

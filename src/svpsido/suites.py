@@ -109,7 +109,9 @@ from .ring import (
     CoeffFn,
     GaussRat,
     I_M,
-    M,
+    I_M_QUARTER,
+    M2,
+    M2_HALF,
     MINUS_2I_M,
     TWO_I_M,
     coeff_from_table,
@@ -323,11 +325,20 @@ _M_NORMALIZED = GaussRat(0, Fraction(1, 2))  # M -> i/2, so -2iM becomes 1
 
 
 def _normalized(cfg: VerifyConfig, value):
-    """A CoeffFn or Symbol at M = i/2 when the config normalises the mass."""
+    """value at M = i/2, coefficient by coefficient, when the config
+    normalises the mass: a CoeffFn, Symbol, DiffOp2, GDual or
+    LocalFunctional."""
     if not cfg.normalize_mass:
         return value
+    at = functools.partial(_normalized, cfg)
     if isinstance(value, Symbol):
-        return map_rows(value, lambda c: c.subs_m(_M_NORMALIZED))
+        return map_rows(value, at)
+    if isinstance(value, DiffOp2):
+        return DiffOp2({k: at(c) for k, c in value.terms.items()})
+    if isinstance(value, GDual):
+        return GDual(at(value.v), at(value.V), at(value.a))
+    if isinstance(value, LocalFunctional):
+        return LocalFunctional({jets: at(c) for jets, c in value.terms.items()})
     return value.subs_m(_M_NORMALIZED)
 
 
@@ -339,8 +350,9 @@ def _fmt_scalar(cfg: VerifyConfig, s: CoeffFn) -> str:
     return scalar_str(_normalized(cfg, s))
 
 
-def _fmt_symbol(cfg: VerifyConfig, D: Symbol) -> str:
-    return symbol_str(_normalized(cfg, D))
+def _fmt_value(cfg: VerifyConfig, value) -> str:
+    """str of a value that _normalized takes, normalised as the config asks."""
+    return str(_normalized(cfg, value))
 
 
 # ------------------------------------------------------------- shared boxes
@@ -423,7 +435,7 @@ def _coadjoint_rows(n: int, c: GaussRat) -> tuple:
 def _suite_psido_axioms(cfg: VerifyConfig) -> list:
     n, F = cfg.index_range, h(cfg.floor)
     deep = F - h(2)
-    sym = functools.partial(_fmt_symbol, cfg)
+    sym = functools.partial(_fmt_value, cfg)
     cases = []
 
     rbox = [
@@ -494,7 +506,7 @@ def _suite_theta(cfg: VerifyConfig) -> list:
     n, F = cfg.index_range, h(cfg.floor)
     nu = cfg.nu
     floor_arg = None if nu.is_zero() else F
-    sym = functools.partial(_fmt_symbol, cfg)
+    sym = functools.partial(_fmt_value, cfg)
     coeff = functools.partial(_fmt_coeff, cfg)
     cases = []
 
@@ -588,7 +600,7 @@ def _suite_theta(cfg: VerifyConfig) -> list:
                 got = Fraction(2 * jx - o, 2)
                 if got != want:
                     return (
-                        f"a term of space weight {got} inside {_fmt_symbol(cfg, img)}",
+                        f"a term of space weight {got} inside {_fmt_value(cfg, img)}",
                         f"homogeneous of weight {want}",
                     )
         return None
@@ -618,7 +630,7 @@ def _suite_timeshift(cfg: VerifyConfig) -> list:
     n = cfg.index_range
     depth = tr.default_depth(cfg.floor)
     xi = functools.partial(_fmt_coeff, cfg, xname="xi")
-    sym = functools.partial(_fmt_symbol, cfg)
+    sym = functools.partial(_fmt_value, cfg)
     cases = []
 
     _each(cases, [(CoeffFn.x_pow(q, Fraction(7, 2)),) for q in _degrees(n)],
@@ -749,7 +761,7 @@ def _suite_lemma26(cfg: VerifyConfig) -> list:
         m = max(d.flat)[0] if d.flat else None
         if m is None or m <= -1:
             return None
-        return (f"defect of order {order_str(m)}: {_fmt_symbol(cfg, d)}", "order <= -1/2")
+        return (f"defect of order {order_str(m)}: {_fmt_value(cfg, d)}", "order <= -1/2")
 
     pairs = itertools.combinations(range(len(basis)), 2)
     _each(cases, pairs, functools.partial(_xy, basis), homomorphic)
@@ -760,15 +772,14 @@ def _suite_lemma26(cfg: VerifyConfig) -> list:
 
 def _suite_lemma33(cfg: VerifyConfig) -> list:
     n, F = cfg.index_range, h(cfg.floor)
-    sym = functools.partial(_fmt_symbol, cfg)
+    show = functools.partial(_fmt_value, cfg)
     coeff = functools.partial(_fmt_coeff, cfg)
     cases = []
 
     _each(cases, itertools.product(_degrees(n), (0, "1/2", 1)), lambda k, jv: f"f = t^{k}, weight {jv}",
-          lambda k, jv: _zero(sym, tr.schrodinger_invariance_defect(CoeffFn.t_pow(k), jv, F)))
+          lambda k, jv: _zero(show, tr.schrodinger_invariance_defect(CoeffFn.t_pow(k), jv, F)))
 
-    m2h = Fraction(1, 2) * M ** 2
-    i6m3 = GaussRat(0, Fraction(1, 6)) * M ** 3
+    i6m3 = Fraction(1, 6) * I_M * M2
 
     def frozen(weight, k):
         """x_generator at f = t^k against its expansion down to order -1:
@@ -782,11 +793,11 @@ def _suite_lemma33(cfg: VerifyConfig) -> list:
         terms = {
             h(top): -f,
             h(top - 1): fd * CoeffFn.x_pow(1) * I_M,
-            h(top - 2): fdd * CoeffFn.x_pow(2) * m2h,
+            h(top - 2): fdd * CoeffFn.x_pow(2) * M2_HALF,
         }
         if top == 2:
-            terms[h(-1)] = -(fdd * CoeffFn.x_pow(1) * m2h + fdd.deriv("T") * CoeffFn.x_pow(3) * i6m3)
-        return _equal_trusted(sym, tr.x_generator(f, weight, F), Symbol(R, terms, h(-1)))
+            terms[h(-1)] = -(fdd * CoeffFn.x_pow(1) * M2_HALF + fdd.deriv("T") * CoeffFn.x_pow(3) * i6m3)
+        return _equal_trusted(show, tr.x_generator(f, weight, F), Symbol(R, terms, h(-1)))
 
     def weightless(k):
         f = CoeffFn.t_pow(k)
@@ -803,15 +814,15 @@ def _suite_lemma33(cfg: VerifyConfig) -> list:
     def time_bridge(k):
         f = CoeffFn.t_pow(k)
         lhs = d_pi(mu0, SvElement(f=f)).scale(TWO_I_M)
-        return _equal(str, lhs, dop_mul(DiffOp2.function(f), evo) - generated(f, 1))
+        return _equal(show, lhs, dop_mul(DiffOp2.function(f), evo) - generated(f, 1))
 
     def shift_bridge(k):
         g = CoeffFn.t_pow(k)
-        return _equal(str, d_pi(mu0, SvElement(g=g)), generated(g, "1/2"))
+        return _equal(show, d_pi(mu0, SvElement(g=g)), generated(g, "1/2"))
 
     def phase_bridge(k):
         u = CoeffFn.t_pow(k)
-        return _equal(str, d_pi(mu0, SvElement(h=u)), generated(u, 0).scale(-I_M))
+        return _equal(show, d_pi(mu0, SvElement(h=u)), generated(u, 0).scale(-I_M))
 
     for ks, label, check in (
         ((0, 1, 2, 3), "frozen full-weight expansion at f = t^{}", functools.partial(frozen, 1)),
@@ -846,7 +857,7 @@ def _suite_theorem51(cfg: VerifyConfig) -> list:
         dW = d.W
         if (dW.low is EXACT or dW.low <= F.twice) and dW.is_zero():
             return None
-        return (f"loop component {_fmt_symbol(cfg, dW)}", "0")
+        return (f"loop component {_fmt_value(cfg, dW)}", "0")
 
     pairs = itertools.combinations(range(len(basis)), 2)
     _each(cases, pairs, functools.partial(_xy, basis), embedded_bracket)
@@ -855,18 +866,26 @@ def _suite_theorem51(cfg: VerifyConfig) -> list:
 
 # -------------------------------------------------------- suite: theorem61
 
-def _duality_probes(n: int):
-    probes = []
-    for k in (-2, -1, 0, 1):
-        for qt in _degrees(n):
-            for qr in _degrees(n):
-                W = Symbol(R, {h(k): CoeffFn.mono(qt, qr)})
-                probes.append((f"W = {symbol_str(W)}", GElement(W=W)))
-    for p in _degrees(n):
-        probes.append((f"w = t^{p}", GElement(w=CoeffFn.t_pow(p))))
-    for p in _degrees(n):
-        probes.append((f"central t^{p}", GElement(alpha=CoeffFn.t_pow(p))))
+def _duality_probes(n: int) -> list:
+    """theorem61's probes: monomial symbols W of orders -2 to 1, then
+    monomial loops w, then monomial central parts."""
+    probes = [GElement(W=Symbol(R, {h(k): CoeffFn.mono(qt, qr)}))
+              for k in (-2, -1, 0, 1) for qt in _degrees(n) for qr in _degrees(n)]
+    probes += [GElement(w=CoeffFn.t_pow(p)) for p in _degrees(n)]
+    probes += [GElement(alpha=CoeffFn.t_pow(p)) for p in _degrees(n)]
     return probes
+
+
+def _probe_name(Y: GElement) -> str:
+    """A duality probe's name in failure reports, read off its one
+    nonzero slot."""
+    if Y.W.flat:
+        return f"W = {symbol_str(Y.W)}"
+    if Y.w.terms:
+        ((p, _, _),) = Y.w.terms
+        return f"w = t^{p}"
+    ((p, _, _),) = Y.alpha.terms
+    return f"central t^{p}"
 
 
 def _suite_theorem61(cfg: VerifyConfig) -> list:
@@ -881,7 +900,7 @@ def _suite_theorem61(cfg: VerifyConfig) -> list:
 
     def in_slice(i, m):
         out = adstar[i][m]
-        return None if in_invariant_slice(out) else (str(out), "a point of the invariant slice")
+        return None if in_invariant_slice(out) else (_fmt_value(cfg, out), "a point of the invariant slice")
 
     _each(cases, at_points, lambda i, m: f"slice stability: X = {basis[i][0]}, {points[m][0]}", in_slice)
 
@@ -927,8 +946,8 @@ def _suite_theorem61(cfg: VerifyConfig) -> list:
     probes = _duality_probes(n)
     lifts = [embed_I(X, F) for _, X in basis]
     _each(cases, itertools.product(range(len(basis)), range(len(probes))),
-          lambda i, p: f"duality: X = {basis[i][0]}, probe {probes[p][0]}",
-          lambda i, p: vanishes("defect", lifts[i], probes[p][1], atab[i]))
+          lambda i, p: f"duality: X = {basis[i][0]}, probe {_probe_name(probes[p])}",
+          lambda i, p: vanishes("defect", lifts[i], probes[p], atab[i]))
 
     null = [
         (f"f = t^{k}", kap, embed_momentum_symbol(Symbol(XI, {kap: CoeffFn.t_pow(k).t_to_x(MINUS_2I_M)}), F))
@@ -936,8 +955,8 @@ def _suite_theorem61(cfg: VerifyConfig) -> list:
         for kap in (h("-1/2"), h(-1), h("-3/2"))
     ]
     _each(cases, itertools.product(range(len(null)), range(len(probes))),
-          lambda e, p: f"quotient nullity: {null[e][0]}, order {null[e][1]}, probe {probes[p][0]}",
-          lambda e, p: vanishes("pairing", null[e][2], probes[p][1]))
+          lambda e, p: f"quotient nullity: {null[e][0]}, order {null[e][1]}, probe {_probe_name(probes[p])}",
+          lambda e, p: vanishes("pairing", null[e][2], probes[p]))
 
     def negative_control():
         probe_pts = [
@@ -975,11 +994,12 @@ def _suite_dpi_rep(cfg: VerifyConfig) -> list:
     weights = _weights(cfg)
     scal = {w: CoeffFn.const(w) for w in weights}
     ops = {w: [d_pi(scal[w], X) for _, X in basis] for w in weights}
+    show = functools.partial(_fmt_value, cfg)
     cases = []
 
     def represents(w, i, j):
         lhs = dop_bracket(ops[w][i], ops[w][j])
-        return _equal(str, lhs, d_pi(scal[w], sv_bracket(basis[i][1], basis[j][1])))
+        return _equal(show, lhs, d_pi(scal[w], sv_bracket(basis[i][1], basis[j][1])))
 
     _each(cases, ((w, i, j) for w in weights for i, j in itertools.combinations(range(len(basis)), 2)),
           lambda w, i, j: f"weight {w}: {_xy(basis, i, j)}", represents)
@@ -1039,8 +1059,7 @@ def _suite_dsigma_rep(cfg: VerifyConfig) -> list:
             dt = d_sigma_tilde(w, X, P0)
             da = d_sigma_affine(w, X, P0)
             if dt.a != da.a or dt.V != da.V:
-                return (str((coeff_str(dt.a, 'r'), coeff_str(dt.V, 'r'))),
-                        str((coeff_str(da.a, 'r'), coeff_str(da.V, 'r'))))
+                return str((coeff(dt.a), coeff(dt.V))), str((coeff(da.a), coeff(da.V)))
         return None
 
     _each(cases, (("shift[1/2]", shift_mode(h("1/2"))), ("phase[-1]", phase_mode(-1))),
@@ -1052,15 +1071,13 @@ def _suite_dsigma_rep(cfg: VerifyConfig) -> list:
 
 def _lemma71_defect(X: SvElement, Y: SvElement) -> LocalFunctional:
     """The two measured exceptional terms of the bracket homomorphism."""
-    iq = GaussRat(0, Fraction(1, 4)) * M
-    m2 = M ** 2
     if not X.f.is_zero() and not Y.g.is_zero():
         fdd = X.f.deriv("T").deriv("T")
-        return LocalFunctional.monomial(-(Y.g * fdd * iq), jet(FIELD_V0))
+        return LocalFunctional.monomial(-(Y.g * fdd * I_M_QUARTER), jet(FIELD_V0))
     if not X.g.is_zero() and not Y.f.is_zero():
         return _lemma71_defect(Y, X).neg()
     if not X.g.is_zero() and not Y.h.is_zero():
-        return LocalFunctional.monomial(-(Y.h.deriv("T") * X.g * m2), jet(FIELD_V0))
+        return LocalFunctional.monomial(-(Y.h.deriv("T") * X.g * M2), jet(FIELD_V0))
     if not X.h.is_zero() and not Y.g.is_zero():
         return _lemma71_defect(Y, X).neg()
     return LocalFunctional.zero()
@@ -1070,6 +1087,7 @@ def _suite_poisson_lemma71(cfg: VerifyConfig) -> list:
     n, F, c = cfg.index_range, h(cfg.floor), CoeffFn.const(cfg.c)
     basis = _labeled_basis(n)
     scalar = functools.partial(_fmt_scalar, cfg)
+    show = functools.partial(_fmt_value, cfg)
     cases = []
 
     def monomials(coeff, jets):
@@ -1086,7 +1104,7 @@ def _suite_poisson_lemma71(cfg: VerifyConfig) -> list:
         for fld in all_fields:
             d = variational_derivative(FF, fld)
             if not d.is_zero():
-                return (f"derivative along {fld}: {d}", "0")
+                return (f"derivative along {fld}: {show(d)}", "0")
         return None
 
     # the loop classes live under a time integral alone
@@ -1106,7 +1124,7 @@ def _suite_poisson_lemma71(cfg: VerifyConfig) -> list:
     adstar = _coadjoint_rows(n, cfg.c)
 
     def generated_flow(i, m):
-        return _equal(str, hamiltonian_vector(functionals[i], points[m][1], c), adstar[i][m])
+        return _equal(show, hamiltonian_vector(functionals[i], points[m][1], c), adstar[i][m])
 
     # each lift is paired against every point at once, on its first case
     family = DualFamily(mu for _, mu in points)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import CoeffFn, I_M, M, coeff_from_table, mul_into
+from .ring import CoeffFn, I_M, M2, M2_HALF, coeff_from_table, coeff_of, loop_of, mul_into
 from .svalgebra import SvElement
 
 __all__ = ["SchrodPoint", "d_sigma_tilde", "d_sigma_affine"]
@@ -30,18 +30,8 @@ class SchrodPoint:
     __slots__ = ("a", "V")
 
     def __init__(self, a=None, V=None):
-        if a is None:
-            a = CoeffFn.zero()
-        if V is None:
-            V = CoeffFn.zero()
-        if not isinstance(a, CoeffFn):
-            a = CoeffFn.const(a)
-        if not isinstance(V, CoeffFn):
-            V = CoeffFn.const(V)
-        if not a.is_t_only():
-            raise ValueError("the evolution coefficient depends on t only")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "a", loop_of(a, "the evolution coefficient"))
+        object.__setattr__(self, "V", CoeffFn.zero() if V is None else coeff_of(V))
 
     def __setattr__(self, *_):
         raise AttributeError("SchrodPoint is immutable")
@@ -63,9 +53,9 @@ class SchrodPoint:
 _MINUS_ONE = CoeffFn.const(-1).terms.items()
 _MINUS_TWO = CoeffFn.const(-2).terms.items()
 _MINUS_HALF_X = CoeffFn.x_pow(1, Fraction(-1, 2)).terms.items()
-_MINUS_HALF_M2_X2 = (Fraction(-1, 2) * M ** 2 * CoeffFn.x_pow(2)).terms.items()
-_MINUS_TWO_M2_X = (-2 * M ** 2 * CoeffFn.x_pow(1)).terms.items()
-_MINUS_TWO_M2 = (-2 * M ** 2).terms.items()
+_MINUS_HALF_M2_X2 = (-M2_HALF * CoeffFn.x_pow(2)).terms.items()
+_MINUS_TWO_M2_X = (-2 * M2 * CoeffFn.x_pow(1)).terms.items()
+_MINUS_TWO_M2 = (-2 * M2).terms.items()
 
 
 # variant -> (factor of the f'V transport term, whether f' drags a)

@@ -27,12 +27,8 @@ coadjoint action and of the weighted actions on operator points.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .halfint import HalfInt, h
-from .ring import CoeffFn
-
-_HALF = CoeffFn.const(Fraction(1, 2))
+from .ring import CoeffFn, HALF, loop_of
 
 __all__ = [
     "SvElement",
@@ -57,12 +53,9 @@ class SvElement:
     __slots__ = ("f", "g", "h", "_kept")
 
     def __init__(self, f=None, g=None, h=None):
-        f = _as_loop(f)
-        g = _as_loop(g)
-        hh = _as_loop(h)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", hh)
+        object.__setattr__(self, "f", loop_of(f, "the time loop f"))
+        object.__setattr__(self, "g", loop_of(g, "the shift loop g"))
+        object.__setattr__(self, "h", loop_of(h, "the phase loop h"))
 
     def __setattr__(self, name, value):
         raise AttributeError("SvElement is immutable")
@@ -115,16 +108,6 @@ class SvElement:
 _set_kept = SvElement.__dict__["_kept"].__set__
 
 
-def _as_loop(value) -> CoeffFn:
-    if value is None:
-        return CoeffFn.zero()
-    if isinstance(value, CoeffFn):
-        if not value.is_t_only():
-            raise ValueError("symmetry data must depend on t alone")
-        return value
-    raise TypeError(f"expected a CoeffFn in t, got {value!r}")
-
-
 def time_mode(n: int) -> SvElement:
     """Time reparametrization mode of index n: f = t^(n+1)."""
     return SvElement(f=CoeffFn.t_pow(n + 1))
@@ -163,6 +146,6 @@ def sv_bracket(X: SvElement, Y: SvElement) -> SvElement:
     df1, dg1, dh1 = f1.deriv("T"), g1.deriv("T"), h1.deriv("T")
     df2, dg2, dh2 = f2.deriv("T"), g2.deriv("T"), h2.deriv("T")
     f_out = df1 * f2 - f1 * df2
-    g_out = df1 * g2 * _HALF - f1 * dg2 - df2 * g1 * _HALF + f2 * dg1
+    g_out = df1 * g2 * HALF - f1 * dg2 - df2 * g1 * HALF + f2 * dg1
     h_out = dg1 * g2 - g1 * dg2 - f1 * dh2 + f2 * dh1
     return SvElement(f_out, g_out, h_out)

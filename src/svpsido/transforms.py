@@ -50,8 +50,9 @@ from .ring import (
     CoeffFn,
     GR_ZERO,
     GaussRat,
+    HALF,
+    I_HALF_OVER_M,
     I_M,
-    M,
     MINUS_2I_M,
     coeff_from_table,
     mul_into,
@@ -256,7 +257,7 @@ def theta(D: Symbol, req_floor=None, nu: GaussRat = GR_ZERO) -> Symbol:
 
 _inv_memo: dict = {}
 _TWO_XI_HALF = Symbol.monomial(XI, "1/2", CoeffFn.x_pow(1, 2))  # 2 xi d^(1/2)
-_HALF_D_MINUS_HALF = Symbol.monomial(XI, "-1/2", CoeffFn.const(Fraction(1, 2)))
+_HALF_D_MINUS_HALF = Symbol.monomial(XI, "-1/2", HALF)
 _XI_INVERSE = Symbol.function(XI, CoeffFn.x_pow(-1))
 
 
@@ -402,9 +403,6 @@ def schrodinger_invariance_defect(f: CoeffFn, j, req_floor) -> Symbol:
 
 # ---------------------------------------------------------------- momentum embed
 
-_MINUS_I_HALF_OVER_M = GaussRat(0, Fraction(-1, 2)) * M ** -1
-
-
 def j_map(X: SvElement) -> Symbol:
     """Embed a symmetry element as an exact momentum symbol.
 
@@ -414,7 +412,7 @@ def j_map(X: SvElement) -> Symbol:
     """
     terms: dict = {}
     if not X.f.is_zero():
-        terms[1] = X.f.t_to_x(MINUS_2I_M) * _MINUS_I_HALF_OVER_M
+        terms[1] = -(X.f.t_to_x(MINUS_2I_M) * I_HALF_OVER_M)
     if not X.g.is_zero():
         terms[Fraction(1, 2)] = -X.g.t_to_x(MINUS_2I_M)
     if not X.h.is_zero():

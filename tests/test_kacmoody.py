@@ -376,7 +376,7 @@ def test_brackets_at_the_family_floor_pair_like_brackets_at_the_suite_floor(floo
             E = Symbol(XI, {kap: CoeffFn.t_pow(k).t_to_x(MINUS_2I_M)})
             lifts.append(embed_momentum_symbol(E, floor))
     for X in lifts:
-        for _, Y in suites._duality_probes(n):
+        for Y in suites._duality_probes(n):
             got = ptab.pair(g_bracket(X, Y, C2, demand))
             assert got == ptab.pair(g_bracket(X, Y, C2, floor)), (str(X), str(Y))
 
@@ -409,7 +409,7 @@ def _lift_pool(moving: bool):
 
 
 def _probe_pool(order):
-    probes = [Y for _, Y in suites._duality_probes(2)]
+    probes = suites._duality_probes(2)
     return st.sampled_from([Y for Y in probes if order is None or Y.W.top() == h(order)])
 
 
@@ -502,7 +502,7 @@ def test_theorem61_reports_the_defect_of_the_first_point_it_fails_at(monkeypatch
     failures = [f for f in rep.failures if f.inputs.startswith("duality")]
     assert failures and len(failures) == len(rep.failures)
     basis = dict(suites._labeled_basis(n))
-    probes = dict(suites._duality_probes(n))
+    probes = {suites._probe_name(Y): Y for Y in suites._duality_probes(n)}
     points = suites._slice_points(n)
     for failure in failures:
         lx, ly = failure.inputs[len("duality: X = "):].split(", probe ")

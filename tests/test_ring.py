@@ -8,7 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from svpsido import ring
+from svpsido.diffop2 import DiffOp2, d_pi
+from svpsido.kacmoody import GDual, GElement
+from svpsido.poisson import FIELD_V0, LocalFunctional, jet
 from svpsido.ring import CoeffFn, GR_I, GR_ONE, GR_ZERO, GaussRat, M
+from svpsido.svaction import SchrodPoint
+from svpsido.svalgebra import SvElement, time_mode
 from svpsido.textio import scalar_str
 
 F = Fraction
@@ -346,6 +351,61 @@ def test_x_slice_and_drop():
 def test_coeff_subs_m():
     c = CoeffFn.mono(1, 1, M ** 2)
     assert c.subs_m(GaussRat(0, 1)) == CoeffFn.mono(1, 1, -1)
+
+
+# ---- the coercions of every constructor -----------------------------------
+
+# constructor.slot -> (build a value with the slot set, read the slot back);
+# each loop slot goes through ring.loop_of
+_LOOP_SLOTS = {
+    "GElement.w": (lambda v: GElement(w=v), lambda g: g.w),
+    "GElement.alpha": (lambda v: GElement(alpha=v), lambda g: g.alpha),
+    "GDual.v": (lambda v: GDual(v=v), lambda g: g.v),
+    "GDual.a": (lambda v: GDual(a=v), lambda g: g.a),
+    "SvElement.f": (lambda v: SvElement(f=v), lambda X: X.f),
+    "SvElement.g": (lambda v: SvElement(g=v), lambda X: X.g),
+    "SvElement.h": (lambda v: SvElement(h=v), lambda X: X.h),
+    "SchrodPoint.a": (lambda v: SchrodPoint(a=v), lambda P: P.a),
+}
+# and each other coefficient through ring.coeff_of; d_pi's weight is read
+# back from the order-0 term of the time mode f = t, which is -mu
+_COEFF_SLOTS = {
+    **_LOOP_SLOTS,
+    "SchrodPoint.V": (lambda v: SchrodPoint(V=v), lambda P: P.V),
+    "DiffOp2": (lambda v: DiffOp2({(0, 1): v}), lambda D: D.terms.get((0, 1), CoeffFn.zero())),
+    "LocalFunctional": (lambda v: LocalFunctional.monomial(v, jet(FIELD_V0)),
+                        lambda F0: F0.terms.get((jet(FIELD_V0),), CoeffFn.zero())),
+    "d_pi": (lambda v: d_pi(v, time_mode(0)), lambda D: -D.terms.get((0, 0), CoeffFn.zero())),
+}
+
+
+@pytest.mark.parametrize("slot", [*_LOOP_SLOTS, "SchrodPoint.V"])
+def test_none_gives_zero(slot):
+    build, read = _COEFF_SLOTS[slot]
+    assert read(build(None)) == CoeffFn.zero()
+
+
+@pytest.mark.parametrize("value", [2, F(-1, 3), GaussRat(1, 2)])
+@pytest.mark.parametrize("slot", list(_COEFF_SLOTS))
+def test_a_constant_gives_its_coeff_fn(slot, value):
+    # SvElement's loops took only CoeffFns until they shared loop_of
+    build, read = _COEFF_SLOTS[slot]
+    assert read(build(value)) == CoeffFn.const(value)
+    assert read(build(CoeffFn.const(value))) == CoeffFn.const(value)
+
+
+@pytest.mark.parametrize("slot", list(_LOOP_SLOTS))
+def test_an_r_dependent_loop_is_refused(slot):
+    build, _ = _LOOP_SLOTS[slot]
+    with pytest.raises(ValueError, match="must not depend on r$"):
+        build(CoeffFn.mono(1, 1))
+
+
+@pytest.mark.parametrize("slot", list(_COEFF_SLOTS))
+def test_a_str_is_no_coefficient(slot):
+    build, _ = _COEFF_SLOTS[slot]
+    with pytest.raises(TypeError, match="^bad coefficient 't'$"):
+        build("t")
 
 
 # ---- canonical printing ----------------------------------------------------

@@ -20,10 +20,13 @@ import pytest
 
 import svpsido
 from reference import theta_product_by_pairs
-from svpsido import cocycles, kacmoody, poisson, psido, ring, suites, svaction, transforms
+from svpsido import cocycles, kacmoody, poisson, psido, ring, suites, svaction, textio, transforms
 from svpsido.halfint import EXACT, h, hmax
 from svpsido.psido import R, XI, Symbol
-from svpsido.ring import CoeffFn, GaussRat
+from svpsido.diffop2 import DiffOp2
+from svpsido.kacmoody import GDual
+from svpsido.poisson import FIELD_V0, LocalFunctional, jet
+from svpsido.ring import CoeffFn, GaussRat, M
 from svpsido.svalgebra import shift_mode, time_mode
 from svpsido.textio import symbol_str
 from svpsido.suites import (
@@ -465,6 +468,15 @@ class TestSharedTables:
         assert all(out is None for out in outcomes)
         assert 0 < calls["computed"] <= 100
 
+    def test_a_theorem61_build_renders_no_probe_name(self):
+        # a probe's name is rendered only for a listed failure: 196 symbol
+        # renders per build when the probe table held the names
+        calls = Counter()
+        with pytest.MonkeyPatch.context() as mp:
+            _wrap_everywhere(mp, textio, "symbol_str", _counted(calls, "symbol_str"))
+            _SUITE_BUILDERS["theorem61"](VerifyConfig())
+        assert calls["symbol_str"] == 0
+
     def test_no_caller_changes_a_table_after_wrapping_it(self):
         # a wrapped table is the value's terms and must not change after
         # coeff_from_table, which reduces it in place, or after the raw
@@ -823,6 +835,43 @@ class TestReports:
         )
         assert one == two
         assert "suite psido-axioms: 3124/3124 passed (N ms)" in one
+
+
+def _plus_mass(d_pi):
+    """d_pi with M t added to every operator."""
+    return lambda mu, X: d_pi(mu, X) + DiffOp2.function(M * CoeffFn.t_pow(1))
+
+
+# a family (the prefix of its failure inputs), its suite, and a patch of a
+# name in suites that makes some of the family's cases fail on values
+# that carry M
+_MASS_FAILURES = {
+    "time bridge": ("lemma33", "d_pi", _plus_mass),
+    "shift bridge": ("lemma33", "d_pi", _plus_mass),
+    "phase bridge": ("lemma33", "d_pi", _plus_mass),
+    "weight 0": ("dpi-rep", "d_pi", _plus_mass),
+    "slice stability": ("theorem61", "in_invariant_slice", lambda _: lambda mu: "M" not in str(mu)),
+    "generated flow": ("poisson-lemma71", "hamiltonian_vector", lambda _: lambda F, mu, c: GDual(v=M)),
+    "variational derivative kills": ("poisson-lemma71", "variational_derivative",
+                                     lambda _: lambda F, field: LocalFunctional.monomial(M, jet(FIELD_V0))),
+    # the time family is the one on which the two actions differ
+    "variants agree": ("dsigma-rep", "phase_mode", lambda _: lambda p: time_mode(1)),
+}
+
+
+@pytest.mark.parametrize("family", list(_MASS_FAILURES))
+def test_normalize_mass_renders_the_listed_failures_without_m(monkeypatch, family):
+    suite, name, patch = _MASS_FAILURES[family]
+    monkeypatch.setattr(suites, name, patch(getattr(suites, name)))
+
+    def listed(normalize: bool) -> list:
+        cfg = VerifyConfig(index_range=1, normalize_mass=normalize, threads=1)
+        (rep,) = run_suites([suite], cfg)
+        return [side for f in rep.failures if f.inputs.startswith(family) for side in (f.lhs, f.rhs)]
+
+    assert any("M" in side for side in listed(False))
+    normalized = listed(True)
+    assert normalized and not any("M" in side for side in normalized)
 
 
 _DUALITY = ["theorem61", "poisson-lemma71"]
