@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .ring import CoeffFn, HALF, I_M, I_M_QUARTER, MINUS_2I_M, coeff_of
+from .ring import CoeffFn, HALF, I_M, I_M_QUARTER, MINUS_2I_M, Value, coeff_of
 from .svalgebra import SvElement
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-class DiffOp2:
+class DiffOp2(Value):
     """Operator sum of c(t, r) * d_t^i * d_r^j terms.
 
     ``terms`` maps (i, j) with i, j >= 0 to a nonzero CoeffFn.
@@ -42,9 +42,6 @@ class DiffOp2:
             if not c.is_zero():
                 clean[(i, j)] = c
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffOp2 is immutable")
 
     # ---- constructors ------------------------------------------------------
 
@@ -97,13 +94,6 @@ class DiffOp2:
 
     def scale(self, s) -> "DiffOp2":
         return DiffOp2({k: c * s for k, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp2):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
 
     def __repr__(self):
         return f"DiffOp2({self.terms!r})"

@@ -82,6 +82,7 @@ from .ring import (
     I_M_QUARTER,
     M2,
     TWO_I_M,
+    Value,
     coeff_from_table,
     coeff_of,
     file_flat,
@@ -93,7 +94,6 @@ from .ring import (
     trace_pairs_into,
 )
 from .svalgebra import SvElement, sv_bracket
-from .textio import coeff_str, symbol_str
 from . import transforms
 
 __all__ = [
@@ -112,7 +112,7 @@ __all__ = [
 ]
 
 
-class GElement:
+class GElement(Value):
     """Triple (w, W, alpha): reparametrization, capped symbol loop, center."""
 
     __slots__ = ("w", "W", "alpha")
@@ -128,9 +128,6 @@ class GElement:
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "alpha", loop_of(alpha, "the central coordinate"))
 
-    def __setattr__(self, *_):
-        raise AttributeError("GElement is immutable")
-
     @classmethod
     def _raw(cls, w: CoeffFn, W: Symbol, alpha: CoeffFn) -> "GElement":
         """Wrap parts that already pass the checks of __init__: t-only
@@ -140,19 +137,6 @@ class GElement:
         _set_W(out, W)
         _set_alpha(out, alpha)
         return out
-
-    def is_zero(self) -> bool:
-        return self.w.is_zero() and self.W.is_zero() and self.alpha.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, GElement):
-            return NotImplemented
-        return self.w == other.w and self.W == other.W and self.alpha == other.alpha
-
-    def __str__(self):
-        return f"({coeff_str(self.w)} | {symbol_str(self.W)} | {coeff_str(self.alpha)})"
-
-    __repr__ = __str__
 
     def add(self, other: "GElement") -> "GElement":
         return GElement(self.w + other.w, sym_add(self.W, other.W), self.alpha + other.alpha)
@@ -167,7 +151,7 @@ _set_W = GElement.__dict__["W"].__set__
 _set_alpha = GElement.__dict__["alpha"].__set__
 
 
-class GDual:
+class GDual(Value):
     """Dual triple (v, V, a); V is exact with orders down to -2 at most."""
 
     __slots__ = ("v", "V", "a")
@@ -184,22 +168,6 @@ class GDual:
         object.__setattr__(self, "v", loop_of(v, "the dt^2 component"))
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "a", loop_of(a, "the central dual component"))
-
-    def __setattr__(self, *_):
-        raise AttributeError("GDual is immutable")
-
-    def is_zero(self) -> bool:
-        return self.v.is_zero() and self.V.is_zero() and self.a.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, GDual):
-            return NotImplemented
-        return self.v == other.v and self.V == other.V and self.a == other.a
-
-    def __str__(self):
-        return f"({coeff_str(self.v)} | {symbol_str(self.V)} | {coeff_str(self.a)})"
-
-    __repr__ = __str__
 
     def slots(self) -> tuple:
         """(V_-2, V_0): V's coefficients of orders -2 and 0, zero where

@@ -46,6 +46,7 @@ from .ring import (
     I_M_QUARTER,
     M2,
     M2_HALF,
+    Value,
     coeff_from_table,
     coeff_of,
     mul_into,
@@ -128,14 +129,16 @@ def _monomial_class(jets) -> str:
                      "the symbol slots or with each other")
 
 
-class LocalFunctional:
+class LocalFunctional(Value):
     """Finite sum of coefficient-times-jet-product monomials.
 
-    The private slot ``_derivs`` holds the four variational derivatives once
-    derivatives_at has taken them; it takes no part in equality or printing.
+    The private slot ``_kept`` holds what Value.kept has computed from the
+    functional alone: the four variational derivatives, once
+    derivatives_at has taken them.  It takes no part in equality or
+    printing.
     """
 
-    __slots__ = ("terms", "_derivs")
+    __slots__ = ("terms", "_kept")
 
     def __init__(self, terms=()):
         merged: dict = {}
@@ -155,10 +158,6 @@ class LocalFunctional:
             merged[jets] = coeff if acc is None else acc + coeff
         object.__setattr__(self, "terms",
                            {k: v for k, v in merged.items() if not v.is_zero()})
-        object.__setattr__(self, "_derivs", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("LocalFunctional is immutable")
 
     @staticmethod
     def zero() -> "LocalFunctional":
@@ -188,11 +187,6 @@ class LocalFunctional:
 
     def scale(self, s) -> "LocalFunctional":
         return LocalFunctional([(jets, c * s) for jets, c in self.terms.items()])
-
-    def __eq__(self, other):
-        if not isinstance(other, LocalFunctional):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __str__(self):
         if not self.terms:
@@ -365,13 +359,14 @@ def derivatives_at(F: LocalFunctional, mu: GDual) -> tuple:
     """F's variational derivatives along V-2, V0, v and a, substituted at
     mu.  Each reads one class of F and is zero when F has none of it.
 
-    They depend on F alone, so they are taken on first use and kept in F's
-    private slot; every later point only substitutes them."""
-    derivs = F._derivs
-    if derivs is None:
-        derivs = tuple(variational_derivative(F, fld) for fld in _ALL_FIELDS)
-        object.__setattr__(F, "_derivs", derivs)
-    return tuple(substitute(d, mu) for d in derivs)
+    They depend on F alone, so they are taken on first use and kept on F
+    (Value.kept); every later point only substitutes them."""
+    return tuple(substitute(d, mu) for d in F.kept(_derivatives))
+
+
+def _derivatives(F: LocalFunctional) -> tuple:
+    """F's variational derivatives along V-2, V0, v and a."""
+    return tuple(variational_derivative(F, fld) for fld in _ALL_FIELDS)
 
 
 def bracket_at(df, dg, mu: GDual, c) -> CoeffFn:

@@ -66,14 +66,14 @@ allowed).  Symbols are immutable; every operation is pure.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 
 from .halfint import EXACT, HalfInt, floor_of, h, low_of, max_low, order_str
 from .ring import (
     CoeffFn,
-    GaussRat,
+    Value,
     _coeff_raw,
+    coeff_of,
     leibniz_rows,
     reduce_flat,
     scale_into,
@@ -105,7 +105,7 @@ XI = "XI"
 _ZERO = CoeffFn.zero()
 
 
-class Symbol:
+class Symbol(Value):
     """Truncated symbol: variable tag, flat term dict, floor.
 
     flat maps (twice the order, t, x, M) to the reduced int triple of a
@@ -132,17 +132,12 @@ class Symbol:
                 raise ValueError("half-integer order in an R-variable symbol")
             if low is not EXACT and kt < low:
                 continue
-            if isinstance(c, (int, Fraction, GaussRat)):
-                c = CoeffFn.const(c)
-            for (p, q, m), v in c.terms.items():
+            for (p, q, m), v in coeff_of(c).terms.items():
                 flat[(kt, p, q, m)] = v
         _set_var(self, var)
         _set_flat(self, flat)
         _set_low(self, low)
         _set_view(self, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Symbol is immutable")
 
     @classmethod
     def _raw(cls, var: str, flat: dict, low) -> "Symbol":
@@ -252,8 +247,6 @@ class Symbol:
         if not isinstance(other, Symbol):
             return NotImplemented
         return self.var == other.var and self.flat == other.flat and self.low == other.low
-
-    __hash__ = None
 
     def __str__(self):
         from .textio import symbol_str

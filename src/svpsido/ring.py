@@ -20,6 +20,13 @@ and tables of them compare as plain int data.
                        t and x plays the part of a scalar (a structural
                        constant, a central charge, a pairing value).  Only
                        monomials have inverses.
+* ``Value``         -- the base of the package's immutable values, from
+                       CoeffFn and psido.Symbol to the algebra elements,
+                       dual points and operator data: the guard that
+                       refuses assignment, and by default equality and
+                       the zero test over the public slots, the text
+                       ``(name: value; name: value)`` and ``kept``, one
+                       memo of what is built from the value alone.
 
 A symbol keeps its terms in the same triples, in one flat dict from (twice
 the order, t, x, M) (psido.Symbol.flat), so a symbol's terms view shares
@@ -91,7 +98,7 @@ from fractions import Fraction
 from math import gcd
 
 __all__ = [
-    "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M", "coeff_of", "loop_of",
+    "Value", "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M", "coeff_of", "loop_of",
     "mul_into", "scale_into", "transport_into", "leibniz_rows", "residue_into", "triple_into",
     "coeff_from_table", "triple_of", "gauss_of", "reduce_flat", "file_terms", "file_flat",
     "pair_terms_into", "trace_pairs_into", "sum_value", "sum_is_zero",
@@ -284,7 +291,60 @@ def gauss_of(t: tuple) -> GaussRat:
     return out
 
 
-class CoeffFn:
+class Value:
+    """The base of the package's immutable values.
+
+    A subclass declares its parts as __slots__; its public slots (names
+    without a leading underscore), in declaration order, are the value.
+    Value gives every subclass the guard that refuses assignment, and
+    gives those that do not define their own: equality of the public
+    slots within one class, the zero test of every public slot, the text
+    ``(name: value; name: value)`` as both str and repr, and kept(), the
+    memo of a subclass that declares a private ``_kept`` slot.  A
+    subclass writes its own slots with object.__setattr__ or the slot's
+    own setter, past the guard.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._parts = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in self._parts)
+
+    __hash__ = None
+
+    def is_zero(self) -> bool:
+        return all(getattr(self, n).is_zero() for n in self._parts)
+
+    def __str__(self):
+        return "(" + "; ".join(f"{n}: {getattr(self, n)}" for n in self._parts) + ")"
+
+    __repr__ = __str__
+
+    def kept(self, make, *args):
+        """make(self, *args), computed on the first call with make and args
+        and kept in the private _kept slot: make must read nothing but the
+        value and its hashable args, since values never change."""
+        try:
+            memo = self._kept
+        except AttributeError:
+            memo = {}
+            object.__setattr__(self, "_kept", memo)
+        key = (make, args)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = make(self, *args)
+        return out
+
+
+class CoeffFn(Value):
     """Laurent polynomial in (t, x, M) over the Gaussian rationals.
 
     ``terms`` maps (t-power, x-power, M-power) to the reduced int triple
@@ -312,9 +372,6 @@ class CoeffFn:
             if not v.is_zero():
                 out[k] = triple_of(v)
         _set_coeff_terms(self, out)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoeffFn is immutable")
 
     # ---- constructors ------------------------------------------------------
 
@@ -497,8 +554,6 @@ class CoeffFn:
             if other is None:
                 return NotImplemented
         return self.terms == other.terms
-
-    __hash__ = None
 
     def __str__(self):
         from .textio import coeff_str

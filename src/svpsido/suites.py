@@ -115,6 +115,7 @@ from .ring import (
     MINUS_2I_M,
     TWO_I_M,
     coeff_from_table,
+    gauss_of,
     scale_into,
     sum_is_zero,
     sum_value,
@@ -1211,12 +1212,12 @@ _SCAN_PROBES = (
     ("shift[3/2]", shift_mode(h("3/2"))),
     ("phase[1]", phase_mode(1)),
 )
+_SCAN_POINT = GDual(a=CoeffFn.one())
 
 
 def _scan_read(cfg: VerifyConfig, lifted: GElement, probe: GElement) -> CoeffFn:
     """One coadjoint coefficient at the unit point, read through the pairing."""
-    mu = GDual(a=CoeffFn.one())
-    return -pairing(mu, g_bracket(lifted, probe, cfg.c, h(cfg.floor)))
+    return -pairing(_SCAN_POINT, g_bracket(lifted, probe, cfg.c, h(cfg.floor)))
 
 
 def _tx_coeff(c: CoeffFn, p: int, q: int) -> CoeffFn:
@@ -1246,8 +1247,8 @@ def _scan_at(cfg: VerifyConfig, nu: GaussRat):
     extra = {k: v for k, v in s.terms.items() if k != (0, 0, 1)}
     if extra:
         return None
-    a, b, d = s.terms.get((0, 0, 1), (0, 0, 1))  # the triple of the coefficient of M
-    mu_val = (1 + GR_I * GaussRat(Fraction(a, d), Fraction(b, d))) / 4
+    lead = gauss_of(s.terms.get((0, 0, 1), (0, 0, 1)))  # the coefficient of M
+    mu_val = (1 + GR_I * lead) / 4
     if mu_val.im == 0:
         mu_val = mu_val.re
 

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import CoeffFn, I_M, M2, M2_HALF, coeff_from_table, coeff_of, loop_of, mul_into
+from .ring import CoeffFn, I_M, M2, M2_HALF, Value, coeff_from_table, coeff_of, loop_of, mul_into
 from .svalgebra import SvElement
 
 __all__ = ["SchrodPoint", "d_sigma_tilde", "d_sigma_affine"]
 
 
-class SchrodPoint:
+class SchrodPoint(Value):
     """Operator datum (a, V): evolution coefficient and potential."""
 
     __slots__ = ("a", "V")
@@ -32,22 +32,6 @@ class SchrodPoint:
     def __init__(self, a=None, V=None):
         object.__setattr__(self, "a", loop_of(a, "the evolution coefficient"))
         object.__setattr__(self, "V", CoeffFn.zero() if V is None else coeff_of(V))
-
-    def __setattr__(self, *_):
-        raise AttributeError("SchrodPoint is immutable")
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.V.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, SchrodPoint):
-            return NotImplemented
-        return self.a == other.a and self.V == other.V
-
-    def __str__(self):
-        return f"(a: {self.a} | V: {self.V})"
-
-    __repr__ = __str__
 
 
 _MINUS_ONE = CoeffFn.const(-1).terms.items()

@@ -28,7 +28,7 @@ coadjoint action and of the weighted actions on operator points.
 from __future__ import annotations
 
 from .halfint import HalfInt, h
-from .ring import CoeffFn, HALF, loop_of
+from .ring import CoeffFn, HALF, Value, loop_of
 
 __all__ = [
     "SvElement",
@@ -40,11 +40,11 @@ __all__ = [
 ]
 
 
-class SvElement:
+class SvElement(Value):
     """Triple (f, g, h) of t-Laurent polynomials.
 
-    A fourth private slot, _kept, holds what kept() has computed from the
-    element alone: the loop factors that kacmoody.coadjoint and
+    A fourth private slot, _kept, holds what Value.kept has computed from
+    the element alone: the loop factors that kacmoody.coadjoint and
     svaction._action build from a generator, which the suites apply at
     many points.  It is left unset at construction and equality ignores
     it.
@@ -57,27 +57,6 @@ class SvElement:
         object.__setattr__(self, "g", loop_of(g, "the shift loop g"))
         object.__setattr__(self, "h", loop_of(h, "the phase loop h"))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SvElement is immutable")
-
-    def kept(self, make, *args):
-        """make(self, *args), computed on the first call with make and args
-        and kept: make must read nothing but the element and its hashable
-        args, since the elements never change."""
-        try:
-            memo = self._kept
-        except AttributeError:
-            memo = {}
-            _set_kept(self, memo)
-        key = (make, args)
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = make(self, *args)
-        return out
-
-    def is_zero(self) -> bool:
-        return self.f.is_zero() and self.g.is_zero() and self.h.is_zero()
-
     def __add__(self, other):
         return SvElement(self.f + other.f, self.g + other.g, self.h + other.h)
 
@@ -89,23 +68,6 @@ class SvElement:
 
     def scale(self, c) -> "SvElement":
         return SvElement(self.f * c, self.g * c, self.h * c)
-
-    def __eq__(self, other):
-        if not isinstance(other, SvElement):
-            return NotImplemented
-        return self.f == other.f and self.g == other.g and self.h == other.h
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"SvElement(f={self.f!r}, g={self.g!r}, h={self.h!r})"
-
-    def __str__(self):
-        return f"(f: {self.f} | g: {self.g} | h: {self.h})"
-
-
-# The slot's own setter: it skips the guard in __setattr__.
-_set_kept = SvElement.__dict__["_kept"].__set__
 
 
 def time_mode(n: int) -> SvElement:

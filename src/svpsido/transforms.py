@@ -45,7 +45,7 @@ from math import comb, gcd
 from typing import TYPE_CHECKING
 
 from .halfint import EXACT, floor_of, low_of, max_low
-from .psido import R, XI, Symbol, compose_flat, map_rows, sym_mul, symbol_from_flat
+from .psido import R, XI, Symbol, map_rows, sym_mul, symbol_from_flat
 from .ring import (
     CoeffFn,
     GR_ZERO,
@@ -268,18 +268,13 @@ def _inv_image(n: int, want) -> Symbol:
     return _fill(_inv_memo, n, want, 1, _inv_build)
 
 
-def _composed(A: Symbol, B: Symbol, low) -> Symbol:
-    """A o B trusted down to twice-int low, as sym_mul composes."""
-    flat, low = compose_flat(A, B, ((A, B, 1),), low)
-    return symbol_from_flat(A.var, flat, low)
-
-
 def _inv_build(n: int, want, prev: Symbol) -> Symbol:
     if n == 0:
         return Symbol.function(XI, CoeffFn.one())
     if n > 0:
         return sym_mul(prev, _TWO_XI_HALF)
-    return _composed(prev, _composed(_HALF_D_MINUS_HALF, _XI_INVERSE, want - 1), want)
+    step = sym_mul(_HALF_D_MINUS_HALF, _XI_INVERSE, floor_of(want - 1))
+    return sym_mul(prev, step, floor_of(want))
 
 
 def theta_inv(D: Symbol, req_floor=None) -> Symbol:

@@ -188,13 +188,14 @@ CHECKS = [
 
 # each demo prints symbols, floors and orders through the public API; the
 # sha256 of its masked stdout (demo 07 prints timings) is pinned from
-# before the printer read orders as twice-ints
+# before the printer read orders as twice-ints; demos 03 and 05 print
+# records, and are pinned from since records print named slots
 DEMOS = {
     "01_symbol_arithmetic": "ea7b73272628ac4a4bf3b0c47599044fd6921034602ec989f05aa9760e4d8f84",
     "02_nonlocal_transform": "af2c9a3661bdbc8e89a3d4a7f23b7efcd9cddc42583f18669e9c4e9bdd2c0acf",
-    "03_schrodinger_symmetries": "181a9e72ea369178785aacca5f51abae4a66d190c9e97d397851a93ff8d4a69b",
+    "03_schrodinger_symmetries": "2439d219ee5190f8c2a8b1f0107bb251978f9f0e4fe957f7fc4ac3e6a3e75dc4",
     "04_central_terms": "7e47248bd593eb3b34358c396caf9eebc5ce87d1257e92737ad29529b4fba411",
-    "05_coadjoint_action": "e63adfcae8d32cbd2d29acf89537a78087fa86393b89a60485b3f4c68a819d3c",
+    "05_coadjoint_action": "49972b8244bd077ddcaa0165b9f6ed07720f99190f02252cf96c11ee0f05f9df",
     "06_hamiltonian_flows": "b2694ddffe79910728b564297c877ffed8fecfec34a43c45cc66e3c030cff5d1",
     "07_deformation_scan": "997b44da32428a0cb9fe2394c8bf982c93f096c96599932d94e2ff0294a75309",
 }

@@ -760,7 +760,8 @@ class TestDuality:
            npoint(v=CoeffFn.t_pow(-2), vm2=CoeffFn.mono(1, -1),
                   v0=CoeffFn.t_pow(-1), a=CoeffFn.t_pow(2))]
 
-    @pytest.mark.parametrize("X", Xs, ids=str)
+    # the case ids keep the names these cases have always been reported by
+    @pytest.mark.parametrize("X", Xs, ids=lambda X: f"(f: {X.f} | g: {X.g} | h: {X.h})")
     def test_defect_vanishes(self, X):
         for mu in self.mus:
             for Y in duality_probes():

@@ -11,6 +11,7 @@ from svpsido import ring
 from svpsido.diffop2 import DiffOp2, d_pi
 from svpsido.kacmoody import GDual, GElement
 from svpsido.poisson import FIELD_V0, LocalFunctional, jet
+from svpsido.psido import R, Symbol
 from svpsido.ring import CoeffFn, GR_I, GR_ONE, GR_ZERO, GaussRat, M
 from svpsido.svaction import SchrodPoint
 from svpsido.svalgebra import SvElement, time_mode
@@ -376,6 +377,7 @@ _COEFF_SLOTS = {
     "LocalFunctional": (lambda v: LocalFunctional.monomial(v, jet(FIELD_V0)),
                         lambda F0: F0.terms.get((jet(FIELD_V0),), CoeffFn.zero())),
     "d_pi": (lambda v: d_pi(v, time_mode(0)), lambda D: -D.terms.get((0, 0), CoeffFn.zero())),
+    "Symbol": (lambda v: Symbol(R, {0: v}), lambda S: S.coeff(0)),
 }
 
 
@@ -406,6 +408,40 @@ def test_a_str_is_no_coefficient(slot):
     build, _ = _COEFF_SLOTS[slot]
     with pytest.raises(TypeError, match="^bad coefficient 't'$"):
         build("t")
+
+
+# ---- the records' shared base ---------------------------------------------
+
+# class -> (nonzero parts in slot order, the text they print); a symbol part
+# prints its own trust tag, and GElement's W is floored
+_RECORDS = {
+    GElement: (dict(w=CoeffFn.t_pow(2), W=Symbol(R, {1: CoeffFn.x_pow(2)}, "-2"), alpha=GR_I),
+               "(w: t^2; W: r^2*d_r | floor=-2; alpha: i)"),
+    GDual: (dict(v=1, V=Symbol(R, {-2: CoeffFn.x_pow(1)}), a=CoeffFn.t_pow(-1)),
+            "(v: 1; V: r*d_r^-2 | exact; a: t^-1)"),
+    SvElement: (dict(f=CoeffFn.t_pow(2), g=F(1, 2), h=CoeffFn.t_pow(-1, GR_I)),
+                "(f: t^2; g: 1/2; h: i*t^-1)"),
+    SchrodPoint: (dict(a=CoeffFn.t_pow(1), V=CoeffFn.x_pow(2, M)), "(a: t; V: M*x^2)"),
+}
+
+
+@pytest.mark.parametrize("cls", list(_RECORDS), ids=lambda cls: cls.__name__)
+def test_a_record_is_its_named_slots(cls):
+    parts, text = _RECORDS[cls]
+    value = cls(**parts)
+    assert str(value) == repr(value) == text
+    assert value == cls(**parts) and not value.is_zero() and cls().is_zero()
+    for name in parts:
+        assert value != cls(**{**parts, name: None})
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            setattr(value, name, None)
+
+
+def test_records_of_two_classes_never_compare_equal():
+    w, S, alpha = CoeffFn.t_pow(1), Symbol(R, {-1: CoeffFn.x_pow(1)}), 2
+    assert GElement(w, S, alpha) != GDual(w, S, alpha)
+    assert GDual(w, S, alpha) != GElement(w, S, alpha)
+    assert GElement() != GDual()
 
 
 # ---- canonical printing ----------------------------------------------------
