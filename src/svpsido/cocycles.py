@@ -6,7 +6,8 @@ d_r^0 and d_r^-1.  Each cocycle is one or two residues res(f^(n) g) of
 slot coefficients; the value keeps its loop dependence, so evaluators
 return a function of t.  ring.residue_into reads each residue from the
 term pairs of f and g whose r-powers meet at -1, weighed by the falling
-factorial (q)_n, so no derivative, product or residue is ever built.
+factorial (q)_n, so no derivative, product or residue is ever built,
+and a residue with an empty slot is not read at all.
 
 Slot convention, fixed once: with A = A1 d + A0 + Am d^-1 and primes for
 d/dr,
@@ -96,8 +97,9 @@ def _cocycle_into(acc: dict, cid: CocycleId, A: Symbol, B: Symbol) -> None:
     if form is None:
         raise ValueError(f"unknown cocycle {cid!r}")
     n, i, j, signs = form
-    residue_into(acc, a[i], b[j], n, signs[0])
-    if len(signs) > 1:
+    if a[i] and b[j]:
+        residue_into(acc, a[i], b[j], n, signs[0])
+    if len(signs) > 1 and b[i] and a[j]:
         residue_into(acc, b[i], a[j], n, signs[1])
 
 

@@ -205,9 +205,9 @@ def bracket_tables(A: GElement, B: GElement, c, req_floor) -> tuple:
     if aw and bw:
         mul_into(w, aw, B.w.deriv("T").terms.items())
         mul_into(w, (-A.w.deriv("T")).terms.items(), bw)
-    if aw:
+    if aw and B.alpha.terms:
         mul_into(alpha, aw, B.alpha.deriv("T").terms.items())
-    if minus_bw:
+    if minus_bw and A.alpha.terms:
         mul_into(alpha, minus_bw, A.alpha.deriv("T").terms.items())
     central = eval_cocycle(CocycleId.C3, A.W, B.W)
     if central.terms:
@@ -278,10 +278,14 @@ class DualFamily:
         by its slot tables into sums, in the form bracket_tables returns:
         w and alpha as (t, x, M) tables, W as a flat symbol dict with twice
         its floor, low.  The tables need not be reduced; W's terms below
-        low are skipped, as the wrap of the dict would drop them."""
-        pair_terms_into(sums, w.items(), self._v)
-        pair_terms_into(sums, alpha.items(), self._a)
-        trace_pairs_into(sums, flat.items(), self._orders, low)
+        low are skipped, as the wrap of the dict would drop them.  An
+        empty table, or one whose slot no point fills, is not walked."""
+        if w and self._v:
+            pair_terms_into(sums, w.items(), self._v)
+        if alpha and self._a:
+            pair_terms_into(sums, alpha.items(), self._a)
+        if flat and self._orders:
+            trace_pairs_into(sums, flat.items(), self._orders, low)
 
     def add_into(self, A: GElement, sums: dict) -> None:
         """Add the pairing terms of every point against A into sums."""
@@ -374,8 +378,9 @@ _MINUS_HALF_R = CoeffFn.x_pow(1) * _MINUS_HALF
 
 
 def _add(row: dict, f: CoeffFn, g: CoeffFn) -> None:
-    """Add f*g into the row table."""
-    mul_into(row, f.terms.items(), g.terms.items())
+    """Add f*g into the row table, unless a factor is zero."""
+    if f.terms and g.terms:
+        mul_into(row, f.terms.items(), g.terms.items())
 
 
 def _coadjoint_factors(X: SvElement) -> tuple:
@@ -413,6 +418,11 @@ def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
     factor first, so a meets them in one product.  The loop factors
     depend on X alone, so they are built once (_coadjoint_factors) and
     kept on X (SvElement.kept); the charge meets them on every call.
+
+    The rows are read by point slot: the products of each slot of mu
+    (v, V_-2, V_0, a) are formed only when that slot is nonzero, and the
+    charge meets its factors only when a is, so a slice point that fills
+    one slot costs the products of that slot alone.
     """
     if not in_invariant_slice(mu):
         raise ValueError("coadjoint is defined on the invariant slice only")
@@ -420,33 +430,43 @@ def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
     f_part, g_part, a_vm2 = X.kept(_coadjoint_factors)
     v, a = mu.v, mu.a
     vm2, v0 = mu.slots()
-    vm2_x = vm2.deriv("X")
     row_v: dict = {}
     row_vm2: dict = {}
     row_v0: dict = {}
     row_a: dict = {}
-
     if f_part is not None:
         fdd_minus_half, minus_f, two_fd, fd_minus_half_r, minus_fd, fd_half = f_part
-        # res_x(r V_-2) is the r^-2 slice of V_-2
-        _add(row_v, fdd_minus_half, vm2.x_slice(-2))
-        _add(row_v, minus_f, v.deriv("T"))
-        _add(row_v, two_fd, v)
-        _add(row_vm2, minus_f, vm2.deriv("T"))
-        _add(row_vm2, fd_minus_half_r, vm2_x)
-        _add(row_vm2, two_fd, vm2)
-        _add(row_v0, minus_f, v0.deriv("T"))
-        _add(row_v0, minus_fd, v0)
-        _add(row_v0, a, fd_half * c)
-        _add(row_a, minus_fd, a)
-        _add(row_a, minus_f, a.deriv("T"))
-
     if g_part is not None:
         minus_gd, minus_g = g_part
-        _add(row_v, minus_gd, vm2.residue("X"))
-        _add(row_vm2, minus_g, vm2_x)
 
-    _add(row_vm2, a, a_vm2 * c)
+    if v.terms and f_part is not None:
+        _add(row_v, minus_f, v.deriv("T"))
+        _add(row_v, two_fd, v)
+
+    if vm2.terms:
+        vm2_x = vm2.deriv("X")
+        if f_part is not None:
+            # res_x(r V_-2) is the r^-2 slice of V_-2
+            _add(row_v, fdd_minus_half, vm2.x_slice(-2))
+            _add(row_vm2, minus_f, vm2.deriv("T"))
+            _add(row_vm2, fd_minus_half_r, vm2_x)
+            _add(row_vm2, two_fd, vm2)
+        if g_part is not None:
+            _add(row_v, minus_gd, vm2.residue("X"))
+            _add(row_vm2, minus_g, vm2_x)
+
+    if v0.terms and f_part is not None:
+        _add(row_v0, minus_f, v0.deriv("T"))
+        _add(row_v0, minus_fd, v0)
+
+    if a.terms:
+        if f_part is not None:
+            _add(row_v0, a, fd_half * c)
+            _add(row_a, minus_fd, a)
+            _add(row_a, minus_f, a.deriv("T"))
+        if a_vm2.terms:
+            _add(row_vm2, a, a_vm2 * c)
+
     terms: dict = {}
     if row_vm2:
         terms[-2] = coeff_from_table(row_vm2)

@@ -98,6 +98,10 @@ class JetVar(tuple):
             raise ValueError(f"{field} is a loop function, it has no r-jets")
         return tuple.__new__(cls, (field, i, j))
 
+    def __getnewargs__(self):
+        # copy and pickle call __new__ with these, not with the tuple
+        return tuple(self)
+
     field = property(itemgetter(0))
     i = property(itemgetter(1))
     j = property(itemgetter(2))
@@ -304,13 +308,17 @@ def evaluate(F: LocalFunctional, mu: GDual) -> CoeffFn:
 
     Each monomial's residue is read by ring.triple_into from its last two
     factors and the product of the leading ones, so only a monomial with
-    more than two jets builds a product."""
+    more than two jets builds a product, and a monomial with a zero jet
+    is skipped before any."""
     acc: dict = {}
     for jets, coeff in F.terms.items():
+        data = [_jet_data(mu, J) for J in jets]
+        if not all(d.terms for d in data):
+            continue
         lead = coeff
-        for J in jets[:-2]:
-            lead = lead * _jet_data(mu, J)
-        factors = [lead.terms.items()] + [_jet_data(mu, J).terms.items() for J in jets[-2:]]
+        for d in data[:-2]:
+            lead = lead * d
+        factors = [lead.terms.items()] + [d.terms.items() for d in data[-2:]]
         factors += [_ONE_ITEMS] * (3 - len(factors))
         q = -1 if _monomial_class(jets) == "pair" else 0
         triple_into(acc, *factors, -1, q, 1)
@@ -422,9 +430,11 @@ def bracket_at(df, dg, mu: GDual, c) -> CoeffFn:
 
 
 def _triples(acc: dict, p: int, q: int, terms) -> None:
-    """Add sign * [t^p x^q](f g h) into acc for every (f, g, h, sign)."""
+    """Add sign * [t^p x^q](f g h) into acc for every (f, g, h, sign)
+    whose three factors are nonzero."""
     for f, g, h3, sign in terms:
-        triple_into(acc, f.terms.items(), g.terms.items(), h3.terms.items(), p, q, sign)
+        if f.terms and g.terms and h3.terms:
+            triple_into(acc, f.terms.items(), g.terms.items(), h3.terms.items(), p, q, sign)
 
 
 def poisson_bracket(F: LocalFunctional, G: LocalFunctional,
@@ -448,30 +458,54 @@ def hamiltonian_vector(F: LocalFunctional, mu: GDual, c) -> GDual:
     Each row is one table that every product adds into, with its sign and
     constant folded into one factor; the residue of the v row is read from
     the term pairs that meet at x^-1 (ring.residue_into).
+
+    The rows are read by point slot: the products of each slot of mu
+    (v, V-2, V0, a) are formed only when that slot is nonzero, and so are
+    the factors that fold in their constants (2 phi_t, -Q, -c a), so a
+    slice point that fills one slot costs the products of that slot alone.
     """
     vm2, v0 = mu.slots()
     v, a = mu.v, mu.a
     P, Q, phi, psi = derivatives_at(F, mu)
-    P_x = P.deriv("X")
     phi_t = phi.deriv("T")
-    v0_x = v0.deriv("X")
-    minus_ca = a * -coeff_of(c)
     row_v: dict = {}
-    residue_into(row_v, vm2.terms.items(), P.deriv("T").terms.items(), 0, 1)
-    residue_into(row_v, v0.terms.items(), Q.deriv("T").terms.items(), 0, 1)
-    out_v = _row(row_v, (v, phi_t * 2), (v.deriv("T"), phi), (a, psi.deriv("T")))
-    out_vm2 = _row({}, (vm2, P_x * 2), (vm2.deriv("X"), P), (minus_ca, Q.deriv("X")),
-                   (v0_x, -Q), (vm2.deriv("T"), phi), (vm2, phi_t))
-    out_v0 = _row({}, (v0_x, P), (minus_ca, P_x), (v0.deriv("T"), phi), (v0, phi_t))
-    out_a = _row({}, (a.deriv("T"), phi), (a, phi_t))
-    return GDual(v=out_v, V=Symbol(R, {-2: out_vm2, 0: out_v0}), a=out_a)
+    row_vm2: dict = {}
+    row_v0: dict = {}
+    row_a: dict = {}
+    if v.terms:
+        _products(row_v, (v, phi_t * 2), (v.deriv("T"), phi))
+    if vm2.terms:
+        _residue(row_v, vm2, P.deriv("T"))
+        _products(row_vm2, (vm2, P.deriv("X") * 2), (vm2.deriv("X"), P),
+                  (vm2.deriv("T"), phi), (vm2, phi_t))
+    if v0.terms:
+        _residue(row_v, v0, Q.deriv("T"))
+        v0_x = v0.deriv("X")
+        if v0_x.terms:
+            _products(row_vm2, (v0_x, -Q))
+        _products(row_v0, (v0_x, P), (v0.deriv("T"), phi), (v0, phi_t))
+    if a.terms:
+        minus_ca = a * -coeff_of(c)
+        _products(row_v, (a, psi.deriv("T")))
+        _products(row_vm2, (minus_ca, Q.deriv("X")))
+        _products(row_v0, (minus_ca, P.deriv("X")))
+        _products(row_a, (a.deriv("T"), phi), (a, phi_t))
+    V = Symbol(R, {-2: coeff_from_table(row_vm2), 0: coeff_from_table(row_v0)})
+    return GDual(v=coeff_from_table(row_v), V=V, a=coeff_from_table(row_a))
 
 
-def _row(acc: dict, *products) -> CoeffFn:
-    """Add f*g into acc for every product (f, g), then wrap it."""
+def _residue(acc: dict, f: CoeffFn, g: CoeffFn) -> None:
+    """Add res_x(f g) into acc, unless a factor is zero."""
+    if f.terms and g.terms:
+        residue_into(acc, f.terms.items(), g.terms.items(), 0, 1)
+
+
+def _products(acc: dict, *products) -> None:
+    """Add f*g into acc for every product (f, g) whose factors are both
+    nonzero."""
     for f, g in products:
-        mul_into(acc, f.terms.items(), g.terms.items())
-    return coeff_from_table(acc)
+        if f.terms and g.terms:
+            mul_into(acc, f.terms.items(), g.terms.items())
 
 
 # ----------------------------------------------------- structural criterion

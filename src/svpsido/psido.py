@@ -116,10 +116,12 @@ class Symbol(Value):
     quotient slots): the operands of the cocycles keep their slots there,
     since a fifth slot would move every symbol into a larger allocator
     size class.  The flat dict never changes after wrapping, so what
-    _view holds never goes stale.  Equality ignores it.
+    _view holds never goes stale.  Equality ignores it, and a copy or a
+    pickle starts it at None, as every constructor does.
     """
 
     __slots__ = ("var", "flat", "low", "_view")
+    _fresh = (("_view", None),)
 
     def __init__(self, var: str, terms: dict, floor=EXACT):
         if var not in (R, XI):

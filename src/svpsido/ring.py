@@ -25,8 +25,9 @@ and tables of them compare as plain int data.
                        dual points and operator data: the guard that
                        refuses assignment, and by default equality and
                        the zero test over the public slots, the text
-                       ``(name: value; name: value)`` and ``kept``, one
-                       memo of what is built from the value alone.
+                       ``(name: value; name: value)``, ``kept``, one
+                       memo of what is built from the value alone, and
+                       copy and pickle by the public slots.
 
 A symbol keeps its terms in the same triples, in one flat dict from (twice
 the order, t, x, M) (psido.Symbol.flat), so a symbol's terms view shares
@@ -51,7 +52,11 @@ be reduced.  One reducer, ``reduce_flat``, then normalises a filled table
 once, where it is wrapped: one gcd per entry, zeros dropped, and for a
 symbol dict the orders below the floor.  ``coeff_from_table`` wraps a
 (t, x, M) table, as psido.symbol_from_flat wraps a symbol dict;
-``_coeff_raw`` wraps a table that is already clean.
+``_coeff_raw`` wraps a table that is already clean.  Both wrap an empty
+table as the one shared zero, ``CoeffFn.zero()``, so every empty result
+of the package (a product, residue, slice or negation with nothing in
+it) allocates nothing, and its derivatives are read from the slot that
+the shared zero keeps filled with itself.
 
 A product, sum, difference, derivative or residue with an operand that has
 no terms returns at once (values are immutable, so the operand itself may be
@@ -303,9 +308,15 @@ class Value:
     memo of a subclass that declares a private ``_kept`` slot.  A
     subclass writes its own slots with object.__setattr__ or the slot's
     own setter, past the guard.
+
+    A copy or a pickle carries the public slots only and is rebuilt from
+    them past the guard (_rebuilt): the private memos start unset, or at
+    the class's _fresh values, the (slot, value) pairs of a private slot
+    that its class reads with no fallback.
     """
 
     __slots__ = ()
+    _fresh: tuple = ()
 
     def __init_subclass__(cls):
         cls._parts = tuple(s for s in cls.__slots__ if not s.startswith("_"))
@@ -328,6 +339,10 @@ class Value:
 
     __repr__ = __str__
 
+    def __reduce__(self):
+        # the default restore would assign each slot through the guard
+        return _rebuilt, (self.__class__, tuple(getattr(self, n) for n in self._parts))
+
     def kept(self, make, *args):
         """make(self, *args), computed on the first call with make and args
         and kept in the private _kept slot: make must read nothing but the
@@ -344,6 +359,17 @@ class Value:
         return out
 
 
+def _rebuilt(cls, parts: tuple) -> Value:
+    """The value of class cls with public slots parts, set past the guard,
+    and its private slots at the class's _fresh values."""
+    out = _new(cls)
+    for name, value in zip(cls._parts, parts):
+        object.__setattr__(out, name, value)
+    for name, value in cls._fresh:
+        object.__setattr__(out, name, value)
+    return out
+
+
 class CoeffFn(Value):
     """Laurent polynomial in (t, x, M) over the Gaussian rationals.
 
@@ -352,6 +378,8 @@ class CoeffFn(Value):
     is the coefficient ring of every symbol order and of the two-variable
     differential operators; t is the loop variable, x the space variable.
     Kept canonical at construction; the terms are never changed afterwards.
+    Every wrap of an empty table (a kernel result, a residue, a slice, a
+    negation) is the shared zero, CoeffFn.zero().
 
     A second private slot, _derivs, keeps d/dt and d/dx by variable once
     deriv has first computed them, as Symbol keeps its terms view: the
@@ -597,7 +625,10 @@ def _substituted(terms: dict, c, to_t: bool) -> CoeffFn:
 
 def _coeff_raw(terms: dict) -> CoeffFn:
     """The CoeffFn of a table that is already clean (nonzero reduced
-    triples), without copying it; the table must not change afterwards."""
+    triples), without copying it; the table must not change afterwards.
+    An empty table is the shared zero."""
+    if not terms:
+        return _C_ZERO
     c = _new(CoeffFn)
     _set_coeff_terms(c, terms)
     return c
@@ -952,8 +983,10 @@ def triple_into(acc: dict, f_items, g_items, h_items, p: int, q: int, sign: int)
     term then costs one lookup, and only the pairs that meet a term of h
     go on.  Each hit multiplies three triples in ints and adds the product
     as in mul_into; no product of the three is built.  The sign is folded
-    into the terms of f.
+    into the terms of f.  With f or g empty, h is not indexed.
     """
+    if not (f_items and g_items):
+        return
     index: dict = {}
     for (p3, q3, m3), (a3, b3, d3) in h_items:
         index.setdefault((p - p3, q - q3), []).append((m3, a3, b3, d3))
@@ -992,7 +1025,10 @@ def coeff_from_table(table: dict) -> CoeffFn:
     CoeffFn, reducing it in place (reduce_flat): one gcd per entry and
     zeros dropped.  Every CoeffFn kernel result is wrapped here, as
     psido.symbol_from_flat wraps a symbol's; the table must not change
-    afterwards."""
+    afterwards.  An empty table, or one that cancels to nothing, is the
+    shared zero."""
+    if not table:
+        return _C_ZERO
     reduce_flat(table, None)
     return _coeff_raw(table)
 
@@ -1040,8 +1076,8 @@ def _mass_unit(c) -> tuple:
 
 
 _C_ZERO = CoeffFn({})
-# the shared zero, which most derivatives of zero are taken of, keeps
-# itself as both derivatives, so it never reaches the miss path of deriv
+# the shared zero, which every empty wrap returns, keeps itself as both
+# derivatives, so deriv on a zero never reaches its miss path
 _set_derivs(_C_ZERO, {"T": _C_ZERO, "X": _C_ZERO})
 _C_ONE = CoeffFn({(0, 0, 0): GR_ONE})
 _UNIT = tuple(_C_ONE.terms.items())

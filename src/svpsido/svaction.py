@@ -84,21 +84,27 @@ def _action(mu, X: SvElement, P: SchrodPoint, variant: str) -> SchrodPoint:
     Each row is a sum of products of a loop factor made from X alone
     (_factors, kept on X per weight and variant) and one of a, V and
     their derivatives; every product is added into the one table of its
-    row, which is wrapped once.
+    row, which is wrapped once.  A zero a or V, or a zero loop factor,
+    forms no product.
     """
     minus_f, minus_fd, of_v, of_vx, of_a = X.kept(_factors, mu, variant)
     a, V = P.a.terms.items(), P.V.terms.items()
     a_row: dict = {}
     v_row: dict = {}
-    if minus_f:
-        mul_into(a_row, minus_f, P.a.deriv("T").terms.items())
-        if minus_fd:
-            mul_into(a_row, minus_fd, a)
-        mul_into(v_row, minus_f, P.V.deriv("T").terms.items())
-    mul_into(v_row, of_v, V)
-    if of_vx:
-        mul_into(v_row, of_vx, P.V.deriv("X").terms.items())
-    mul_into(v_row, of_a, a)
+    if V:
+        if minus_f:
+            mul_into(v_row, minus_f, P.V.deriv("T").terms.items())
+        if of_v:
+            mul_into(v_row, of_v, V)
+        if of_vx:
+            mul_into(v_row, of_vx, P.V.deriv("X").terms.items())
+    if a:
+        if minus_f:
+            mul_into(a_row, minus_f, P.a.deriv("T").terms.items())
+            if minus_fd:
+                mul_into(a_row, minus_fd, a)
+        if of_a:
+            mul_into(v_row, of_a, a)
     return SchrodPoint(coeff_from_table(a_row), coeff_from_table(v_row))
 
 

@@ -64,6 +64,31 @@ for kind, idx, X in sv_basis(2):
     print(f"{kind}[{idx}]: {symbol_str(image)}")
 """
 
+MIXED_SLOTS = """\
+from fractions import Fraction
+from itertools import product
+
+from svpsido.kacmoody import GDual, coadjoint
+from svpsido.poisson import hamiltonian_vector, lemma71_functional, poisson_bracket
+from svpsido.psido import R, Symbol
+from svpsido.ring import CoeffFn, GaussRat
+from svpsido.svalgebra import sv_basis
+
+slots = (CoeffFn.t_pow(-2), CoeffFn.mono(-1, -1, GaussRat(Fraction(1, 2), 1)),
+         CoeffFn.t_pow(-2, -3), CoeffFn.t_pow(-2, GaussRat(0, 2)))
+basis = [(f"{kind}[{idx}]", X, lemma71_functional(X)) for kind, idx, X in sv_basis(1)]
+for c in (GaussRat(2), GaussRat(Fraction(1, 3))):
+    for filled in product((False, True), repeat=4):
+        v, vm2, v0, a = (s if on else None for s, on in zip(slots, filled))
+        V = {o: s for o, s in ((-2, vm2), (0, v0)) if s is not None}
+        mu = GDual(v=v, V=Symbol(R, V), a=a)
+        for label, X, F in basis:
+            print(f"c = {c}, mu = {mu}, ad*_{label}: {coadjoint(X, mu, c)}")
+            print(f"c = {c}, mu = {mu}, H_{label}: {hamiltonian_vector(F, mu, c)}")
+            for other, _, G in basis:
+                print(f"c = {c}, mu = {mu}, {{{label}, {other}}}: {poisson_bracket(F, G, mu, c)}")
+"""
+
 T61 = ("verify", "--suite", "theorem61")
 SUITE_CHOICES = (
     "'psido-axioms', 'theta', 'timeshift', 'cocycles', 'lemma26', 'lemma33', 'theorem51', "
@@ -94,6 +119,15 @@ CHECKS = [
     # failure reports above print no pairing value
     Check("moment-pairings", ("-c", MOMENTS),
           sha256="141183ff09fe0a0d8d151a479deb4c9af46d95c54078db7b566122e2c55b4641"),
+    # coadjoint, the Hamiltonian field of each generator functional and
+    # the bracket of each pair, over the range-1 basis, at the 16 points
+    # whose slots v, V_-2, V_0 (t-only) and a take every subset of four
+    # fixed monomials, at c = 2 and 1/3; pinned from before the formulas
+    # skipped the products of a zero slot.  The suites' slice points fill
+    # one slot each, and their mixed points reach only the bracket, so a
+    # skip that drops a product of a filled slot shows here first
+    Check("mixed-slot-points", ("-c", MIXED_SLOTS),
+          sha256="7f770896c88cec4fab3d8477ad8bda4ed5bce3a0b49c7d834b37be247d182194"),
     # the j_map images of the range-2 basis with M set to i/2, as
     # --normalize-mass prints values: the time family carries M^-2 and
     # M^-1, a negative M power that no pinned verify report prints

@@ -654,9 +654,14 @@ def ref_coadjoint_v(X: SvElement, mu: GDual) -> CoeffFn:
     return out
 
 
+# a V_-2 slot that is zero or dense, as the loop slots may be, so that
+# each slot's products meet the references both formed and skipped
+vm2_or_zero = st.one_of(st.none(), coeff_fns((-2, 2), (-4, 3), min_size=1))
+
+
 @given(
     st.builds(SvElement, loops, loops, loops),
-    st.builds(npoint, v=loops, vm2=coeff_fns((-2, 2), (-4, 3), min_size=1), v0=loops, a=loops),
+    st.builds(npoint, v=loops, vm2=vm2_or_zero, v0=loops, a=loops),
     gauss,
 )
 @settings(max_examples=100, deadline=None)
@@ -721,7 +726,7 @@ def test_g_bracket_pinned_examples_cover_both_floor_kinds():
 
 @given(
     st.builds(SvElement, loops_or_zero, loops_or_zero, loops_or_zero),
-    st.builds(npoint, v=loops, vm2=coeff_fns((-2, 2), (-4, 3), min_size=1), v0=loops, a=loops),
+    st.builds(npoint, v=loops, vm2=vm2_or_zero, v0=loops, a=loops),
     charges,
 )
 @settings(max_examples=150, deadline=None)

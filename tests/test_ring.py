@@ -1,6 +1,8 @@
 """Ground-ring arithmetic: Gaussian rationals and the (t, x, M) Laurent
 coefficient functions, including the scalars free of t and x."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -435,6 +437,54 @@ def test_a_record_is_its_named_slots(cls):
         assert value != cls(**{**parts, name: None})
         with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
             setattr(value, name, None)
+
+
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+def _value_classes(cls=ring.Value) -> set:
+    return {sub for direct in cls.__subclasses__() for sub in {direct} | _value_classes(direct)}
+
+
+# one value of every Value subclass, with its private memo filled where it
+# has one, and the shared zero
+_VALUES = {
+    "CoeffFn": CoeffFn.t_pow(2, GR_I) + M,
+    "zero": CoeffFn.zero(),
+    "Symbol": Symbol(R, {1: CoeffFn.x_pow(2), -1: CoeffFn.mono(-1, -1)}, "-2"),
+    "DiffOp2": DiffOp2({(0, 1): CoeffFn.x_pow(1), (2, 0): 3}),
+    "LocalFunctional": LocalFunctional.monomial(CoeffFn.x_pow(1), jet(FIELD_V0)),
+    **{cls.__name__: cls(**parts) for cls, (parts, _) in _RECORDS.items()},
+}
+
+
+def test_every_value_class_has_a_copied_value():
+    assert {v.__class__ for v in _VALUES.values()} == _value_classes()
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, _pickled])
+@pytest.mark.parametrize("name", list(_VALUES))
+def test_copies_and_pickles_rebuild_an_equal_value(name, clone):
+    # the default slot restore assigned through the guard and raised
+    # "... is immutable" for every value of the package
+    value = _VALUES[name]
+    if hasattr(value.__class__, "_kept"):
+        value.kept(str)
+    if isinstance(value, CoeffFn):
+        value.deriv("T")
+    if isinstance(value, Symbol):
+        value.quotient_slots()
+    out = clone(value)
+    # the private memos are not carried: they start unset, and a symbol's
+    # view at None, as every constructor leaves it
+    assert not hasattr(out, "_kept") and not hasattr(out, "_derivs")
+    assert getattr(out, "_view", None) is None
+    assert out.__class__ is value.__class__ and out == value and str(out) == str(value)
+    if isinstance(out, Symbol):
+        assert out.rows() == value.rows() and out.quotient_slots() == value.quotient_slots()
+    if isinstance(out, CoeffFn):
+        assert out.deriv("T") == value.deriv("T")
 
 
 def test_records_of_two_classes_never_compare_equal():

@@ -9,6 +9,7 @@ on real algebra.
 """
 
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -611,6 +612,60 @@ class TestSharedTables:
 
         assert 0 < self._case_calls("theorem61", wrap_in) <= 40000
 
+    # the kernels that form a product, by the positions of their operands
+    _PRODUCT_KERNELS = {"mul_into": (1, 2), "triple_into": (1, 2, 3),
+                        "residue_into": (1, 2), "pair_terms_into": (1, 2)}
+
+    @staticmethod
+    def _empty_operand_calls(names) -> dict:
+        """Run the suites at the default config and one worker, with each
+        product kernel wrapped in every module that holds it; the number
+        of calls, per kernel, that find an operand empty on entry."""
+        calls = Counter()
+
+        def empty_counted(key, operands):
+            def wrap(fn):
+                def counted(*args):
+                    calls[key] += not all(args[k] for k in operands)
+                    return fn(*args)
+
+                return counted
+
+            return wrap
+
+        with pytest.MonkeyPatch.context() as mp:
+            for key, operands in TestSharedTables._PRODUCT_KERNELS.items():
+                _wrap_everywhere(mp, ring, key, empty_counted(key, operands))
+            reports = run_suites(names, VerifyConfig(threads=1))
+        assert all(rep.passed == rep.cases > 0 for rep in reports)
+        return {key: calls[key] for key in TestSharedTables._PRODUCT_KERNELS}
+
+    def test_duality_suites_form_no_product_with_an_empty_factor(self):
+        # the slice points fill one slot each, and an element's loop
+        # factors are often zero.  Counts at the parent, with every row of
+        # coadjoint and hamiltonian_vector formed whatever the point's
+        # slots: mul_into 31,180, triple_into 21,430, residue_into 17,812,
+        # pair_terms_into 25,255.  The mul_into calls left come from
+        # d_sigma and from the bracket's loop slots, whose derivatives
+        # are zero for a constant loop.  Taken in a fresh interpreter,
+        # since the duality tables, the kept loop factors and the image
+        # caches of a warm process would leave work out of the count
+        script = (
+            f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+            "from test_suites import TestSharedTables\n"
+            "import json\n"
+            "print(json.dumps(TestSharedTables._empty_operand_calls(['theorem61', 'poisson-lemma71'])))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        counts = json.loads(done.stdout)
+        ceilings = {"mul_into": 178, "triple_into": 0, "residue_into": 0, "pair_terms_into": 0}
+        assert all(counts[key] <= ceiling for key, ceiling in ceilings.items()), counts
+        assert ring.coeff_from_table({}) is CoeffFn.zero()
+
     def test_kept_derivatives_are_invisible(self):
         mu = suites._npoint(v=CoeffFn.t_pow(1), vm2=CoeffFn.mono(1, -1),
                             v0=CoeffFn.t_pow(-1), a=CoeffFn.t_pow(2))
@@ -811,8 +866,6 @@ class TestCasePins:
 
 class TestReports:
     def test_json_schema(self):
-        import json
-
         reports = run_suites(["lemma33"], VerifyConfig())
         parsed = json.loads(report_json(reports))
         assert isinstance(parsed, list) and len(parsed) == 1
