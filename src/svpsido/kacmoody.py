@@ -152,9 +152,14 @@ _set_alpha = GElement.__dict__["alpha"].__set__
 
 
 class GDual(Value):
-    """Dual triple (v, V, a); V is exact with orders down to -2 at most."""
+    """Dual triple (v, V, a); V is exact with orders down to -2 at most.
 
-    __slots__ = ("v", "V", "a")
+    A fourth private slot, _kept, holds what Value.kept has computed from
+    the point, its slots (V_-2, V_0) among them; equality and printing
+    ignore it.
+    """
+
+    __slots__ = ("v", "V", "a", "_kept")
 
     def __init__(self, v=None, V: Symbol | None = None, a=None):
         if V is None:
@@ -171,14 +176,24 @@ class GDual(Value):
 
     def slots(self) -> tuple:
         """(V_-2, V_0): V's coefficients of orders -2 and 0, zero where
-        absent, read from V.rows() by twice the order."""
-        rows, zero = self.V.rows(), CoeffFn.zero()
-        return rows.get(-4, zero), rows.get(0, zero)
+        absent, read from V.rows() on the first call and kept."""
+        return self.kept(_slots)
+
+
+def _slots(mu: GDual) -> tuple:
+    rows, zero = mu.V.rows(), CoeffFn.zero()
+    return rows.get(-4, zero), rows.get(0, zero)
 
 
 def in_invariant_slice(mu: GDual) -> bool:
     """True when V = V_-2 d^-2 + V_0(t) with a spatially constant V_0."""
     return all(o == -4 or (o == 0 and c.is_t_only()) for o, c in mu.V.rows().items())
+
+
+def _add(row: dict, f: CoeffFn, g: CoeffFn) -> None:
+    """Add f*g into the row table, unless a factor is zero."""
+    if f.terms and g.terms:
+        mul_into(row, f.terms.items(), g.terms.items())
 
 
 def bracket_tables(A: GElement, B: GElement, c, req_floor) -> tuple:
@@ -198,20 +213,22 @@ def bracket_tables(A: GElement, B: GElement, c, req_floor) -> tuple:
     DualFamily.add_tables_into pairs them as they stand.
     """
     aw, bw = A.w.terms.items(), B.w.terms.items()
-    minus_bw = (-B.w).terms.items() if bw else ()
-    flat, low = bracket_transport_flat(A.W, B.W, aw, minus_bw, low_of(req_floor))
+    minus_bw = -B.w if bw else B.w
+    flat, low = bracket_transport_flat(A.W, B.W, aw, minus_bw.terms.items(), low_of(req_floor))
     w: dict = {}
     alpha: dict = {}
+    # a loop's derivative is taken only where its factor is nonzero, and
+    # _add forms no product with a zero derivative (a constant loop)
     if aw and bw:
-        mul_into(w, aw, B.w.deriv("T").terms.items())
-        mul_into(w, (-A.w.deriv("T")).terms.items(), bw)
+        _add(w, A.w, B.w.deriv("T"))
+        _add(w, -A.w.deriv("T"), B.w)
     if aw and B.alpha.terms:
-        mul_into(alpha, aw, B.alpha.deriv("T").terms.items())
-    if minus_bw and A.alpha.terms:
-        mul_into(alpha, minus_bw, A.alpha.deriv("T").terms.items())
+        _add(alpha, A.w, B.alpha.deriv("T"))
+    if bw and A.alpha.terms:
+        _add(alpha, minus_bw, A.alpha.deriv("T"))
     central = eval_cocycle(CocycleId.C3, A.W, B.W)
     if central.terms:
-        mul_into(alpha, central.terms.items(), coeff_of(c).terms.items())
+        _add(alpha, central, coeff_of(c))
     return w, flat, low, alpha
 
 
@@ -375,12 +392,6 @@ _M2_R2_QUARTER = CoeffFn.x_pow(2, Fraction(1, 4)) * M2
 _M2_R = CoeffFn.x_pow(1) * M2
 _MINUS_HALF = -HALF
 _MINUS_HALF_R = CoeffFn.x_pow(1) * _MINUS_HALF
-
-
-def _add(row: dict, f: CoeffFn, g: CoeffFn) -> None:
-    """Add f*g into the row table, unless a factor is zero."""
-    if f.terms and g.terms:
-        mul_into(row, f.terms.items(), g.terms.items())
 
 
 def _coadjoint_factors(X: SvElement) -> tuple:

@@ -38,7 +38,10 @@ On a monomial g = v x^q the j-th derivative is (q)_j v x^(q-j), with
 ring.leibniz_rows runs one loop over pairs of a left and a right term,
 reads the weight binom(a, j) (q)_j from a cache of reduced int pairs, and
 adds every term, unreduced, into the one flat dict of the result, which
-symbol_from_flat reduces once per entry when it wraps it.
+symbol_from_flat reduces once per entry when it wraps it.  A bracket
+[A, B] runs ring.bracket_rows, one loop over the same pairs: the j = 0
+terms f g d^(a+b) of A o B and B o A cancel and are never added, and the
+j >= 1 terms of both products of a pair share their keys.
 For nonnegative integer a, or for g polynomial in x, the sum terminates by
 itself; otherwise it is an honest infinite tail and must be cut, which the
 floor records.
@@ -73,6 +76,7 @@ from .ring import (
     CoeffFn,
     Value,
     _coeff_raw,
+    bracket_rows,
     coeff_of,
     leibniz_rows,
     reduce_flat,
@@ -317,30 +321,26 @@ def sym_mul(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
     req_floor bounds how deep the result is computed.  It may be EXACT
     (None) only when every Leibniz tail terminates by itself; an honest
     infinite tail with no req_floor raises instead of silently cutting.
-
-    One pass over the signed products of A and B (see compose_flat), here
-    the single product (A, B, +1).
+    One pass of ring.leibniz_rows (see compose_flat).
     """
-    flat, low = compose_flat(A, B, ((A, B, 1),), low_of(req_floor))
+    flat, low = compose_flat(A, B, leibniz_rows, low_of(req_floor))
     return symbol_from_flat(A.var, flat, low)
 
 
-def compose_flat(A: Symbol, B: Symbol, products, low):
-    """The flat dict and the floor of the sum of sign * (left o right) over
-    (left, right, sign) products of the operands A and B, e.g. A o B and
-    -(B o A), so a caller can add terms of its own before wrapping; both
-    floors, low asked and returned, are twice-ints.  The dict's values are
-    unreduced; symbol_from_flat reduces them.
+def compose_flat(A: Symbol, B: Symbol, kernel, low):
+    """The flat dict and the floor of A o B (kernel ring.leibniz_rows) or
+    of [A, B] (ring.bracket_rows), so a caller can add terms of its own
+    before wrapping; both floors, low asked and returned, are twice-ints.
+    The dict's values are unreduced; symbol_from_flat reduces them.
 
-    The floor bound is symmetric in A and B, so one bound serves every
-    product.  One ring.leibniz_rows call per product adds every Leibniz
-    term sign * binom(a, j) * f * g^(j) of every pair of a left and a right
-    term straight into one output dict, reading both operands' flat dicts.
-    The kernel fixes each pair's number of terms before the first one,
-    from a, q and the floor, so no term below the floor is ever added; with
-    no floor it raises on the first pair whose tail does not terminate.
-    The floor is EXACT only when both operands are exact and no term was
-    cut.
+    The floor bound is symmetric in A and B, so it serves both kernels.
+    One kernel call adds the Leibniz terms binom(a, j) * f * g^(j) of every
+    pair of a left and a right term straight into one output dict, reading
+    both operands' flat dicts.  The kernel fixes each pair's number of
+    terms before the first one, from a, q and the floor, so no term below
+    the floor is ever added; with no floor it raises on the first pair
+    whose tail does not terminate.  The floor is EXACT only when both
+    operands are exact and no term was cut.
     """
     _check_var(A, B)
     if (not A.flat and A.low is EXACT) or (not B.flat and B.low is EXACT):
@@ -358,21 +358,19 @@ def compose_flat(A: Symbol, B: Symbol, products, low):
         low = bound
 
     out: dict = {}
-    cut = False
-    for left, right, sign in products:
-        cut |= leibniz_rows(out, left.flat, right.flat, low, sign)
-
+    cut = kernel(out, A.flat, B.flat, low)
     # EXACT when both inputs are exact and every tail ended by itself
     return out, EXACT if bound is None and not cut else low
 
 
 def sym_bracket(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
-    """[A, B] = A o B - B o A, in one pass over the signed products
-    (A, B, +1) and (B, A, -1) into one flat dict.  The floor bound is
-    symmetric in A and B; the result is EXACT only when both operands are
-    exact and neither product was cut, and a tail that does not terminate
-    in either order raises as in sym_mul."""
-    flat, low = compose_flat(A, B, ((A, B, 1), (B, A, -1)), low_of(req_floor))
+    """[A, B] = A o B - B o A, in one pass of ring.bracket_rows over the
+    pairs of a term of A and a term of B: the leading terms of the two
+    products cancel and are never formed.  The floor bound is symmetric
+    in A and B; the result is EXACT only when both operands are exact and
+    neither product was cut, and a tail that does not terminate in either
+    order raises as in sym_mul."""
+    flat, low = compose_flat(A, B, bracket_rows, low_of(req_floor))
     return symbol_from_flat(A.var, flat, low)
 
 
@@ -385,15 +383,15 @@ def bracket_transport_flat(A: Symbol, B: Symbol, f_items, g_items, low):
     wraps the dict, and the dual pairing skips them where it reads the
     dict unwrapped.
 
-    The bracket's flat dict (compose_flat) takes the transport terms
-    (ring.transport_into), which are never cut.  The floor is the
-    bracket's (EXACT only when nothing was cut) raised to the floor of
-    each operand: a term scaled by a zero loop is a zero that keeps its
-    floor.  The bracket is asked for that raised floor, so its kernel adds
-    nothing below it.
+    The bracket's flat dict (compose_flat with ring.bracket_rows) takes
+    the transport terms (ring.transport_into), which are never cut.  The
+    floor is the bracket's (EXACT only when nothing was cut) raised to the
+    floor of each operand: a term scaled by a zero loop is a zero that
+    keeps its floor.  The bracket is asked for that raised floor, so its
+    kernel adds nothing below it.
     """
     raised = max_low(A.low, B.low)
-    flat, low = compose_flat(A, B, ((A, B, 1), (B, A, -1)), max_low(low, raised))
+    flat, low = compose_flat(A, B, bracket_rows, max_low(low, raised))
     for loop, other in ((f_items, B), (g_items, A)):
         if loop:
             transport_into(flat, loop, other.flat.items())

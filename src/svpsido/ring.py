@@ -68,10 +68,15 @@ multiplies by the unit, a difference by minus the unit.
 The Leibniz composition of symbols runs one loop, ``leibniz_rows``, over
 every pair of a left and a right term.  It weighs each pair of a left term
 and a right monomial x^q by binom(a, j) (q)_j, read in place from a module
-cache of reduced int pairs keyed by (2a, q), with the product's sign folded
-into the left term, so composition takes no derivative.  Each pair's
-number of terms is fixed before its first term, from a, q and the floor;
-each term is added straight into the output dict.  The transform's
+cache of reduced int pairs keyed by (2a, q), so composition takes no
+derivative.  Each pair's number of terms is fixed before its first term,
+from a, q and the floor; each term is added straight into the output
+dict.  The commutator f o g - g o f runs one loop too, ``bracket_rows``:
+it walks each pair once and forms its product once.  The pair's two
+leading terms (j = 0) cancel exactly and are never added; for j >= 1 the
+two directions land at one key, so their weights meet first and the key
+takes one addition.  Each direction keeps the term count, the cut and the
+error of its own leibniz_rows call.  The transform's
 monomial map and its deformed images shift a symbol's terms in order and
 scale them by an x-free monomial with ``scale_into``; the transport terms
 of the extended bracket, loop * d_t W, are added by ``transport_into``.
@@ -104,9 +109,9 @@ from math import gcd
 
 __all__ = [
     "Value", "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M", "coeff_of", "loop_of",
-    "mul_into", "scale_into", "transport_into", "leibniz_rows", "residue_into", "triple_into",
-    "coeff_from_table", "triple_of", "gauss_of", "reduce_flat", "file_terms", "file_flat",
-    "pair_terms_into", "trace_pairs_into", "sum_value", "sum_is_zero",
+    "mul_into", "scale_into", "transport_into", "leibniz_rows", "bracket_rows", "residue_into",
+    "triple_into", "coeff_from_table", "triple_of", "gauss_of", "reduce_flat", "file_terms",
+    "file_flat", "pair_terms_into", "trace_pairs_into", "sum_value", "sum_is_zero",
 ]
 
 _new = object.__new__
@@ -751,9 +756,12 @@ def _weights(at: int, q: int, n: int) -> list:
     return ws
 
 
-def leibniz_rows(acc: dict, f: dict, g: dict, low, sign: int = 1) -> bool:
-    """Add sign * sum_j binom(a, j) f g^(j) d^(a+b-j) over every pair of a
-    left and a right term into acc, a flat symbol dict.
+_TAIL = "exact product requested but the Leibniz tail does not terminate"
+
+
+def leibniz_rows(acc: dict, f: dict, g: dict, low) -> bool:
+    """Add sum_j binom(a, j) f g^(j) d^(a+b-j) over every pair of a left
+    and a right term into acc, a flat symbol dict.
 
     f, g and acc are flat symbol dicts {(twice the order, t, x, M):
     (a, b, d)}.  On a right monomial v x^q the j-th Leibniz term is
@@ -762,8 +770,7 @@ def leibniz_rows(acc: dict, f: dict, g: dict, low, sign: int = 1) -> bool:
     int pairs keyed by (2a, q), with no copy of the pair's entries, and
     scales the product of the two terms, which is then added as in
     scale_into, with no gcd and a cancelled monomial kept as a zero for
-    reduce_flat.  The sign is folded into each left term once, so the
-    right operand is read as it is stored.
+    reduce_flat.
 
     The number of terms of a pair is fixed before its first term: they
     end at the first zero weight (a nonnegative integer a, or q, runs out)
@@ -777,9 +784,6 @@ def leibniz_rows(acc: dict, f: dict, g: dict, low, sign: int = 1) -> bool:
     get = acc.get
     right = g.items()
     for (at, p1, q1, m1), (a1, b1, d1) in f.items():
-        if sign < 0:
-            a1 = -a1
-            b1 = -b1
         # binom(a, j) vanishes from j = a + 1 on for a nonnegative integer a
         n_a = at // 2 + 1 if at >= 0 and not at & 1 else None
         for (bt, p2, q, m2), (a2, b2, d2) in right:
@@ -795,9 +799,7 @@ def leibniz_rows(acc: dict, f: dict, g: dict, low, sign: int = 1) -> bool:
                     cut = True
                     n = above
             elif n is None:
-                raise ValueError(
-                    "exact product requested but the Leibniz tail does not terminate"
-                )
+                raise ValueError(_TAIL)
             ws = _WEIGHTS.get((at, q))
             if ws is None or len(ws) < n:
                 ws = _weights(at, q, n)
@@ -817,6 +819,95 @@ def leibniz_rows(acc: dict, f: dict, g: dict, low, sign: int = 1) -> bool:
                 if x == stop:
                     break
                 order -= 2
+                k = (order, p, x, m)
+                a = pa * num
+                b = pb * num
+                d = pd * den
+                s = get(k)
+                if s is None:
+                    acc[k] = (a, b, d)
+                    continue
+                sa, sb, e = s
+                if e == d:
+                    acc[k] = (a + sa, b + sb, d)
+                else:
+                    acc[k] = (a * e + sa * d, b * e + sb * d, d * e)
+    return cut
+
+
+def bracket_rows(acc: dict, f: dict, g: dict, low) -> bool:
+    """Add the commutator f o g - g o f into acc, a flat symbol dict, as
+    leibniz_rows(acc, f, g, low) and then leibniz_rows with g and f
+    swapped and negated would, walking each pair of a left and a right
+    term once.
+
+    Both directions of a pair share its product and the key of their
+    j-th term: order at + bt - 2j, x-power q1 + q2 - j.  Their j = 0 terms
+    cancel exactly and are never added.  For j >= 1 the two weights,
+    binom(a, j) (q2)_j and binom(b, j) (q1)_j, meet over one denominator,
+    and each key takes one addition; a key whose weights cancel takes
+    none.  Each direction's number of terms, its cut and its raise are
+    fixed as leibniz_rows fixes them, so the floor, the returned cut (the
+    OR of both directions) and the error are those of the two calls.
+    """
+    cut = False
+    get = acc.get
+    right = g.items()
+    for (at, p1, q1, m1), (a1, b1, d1) in f.items():
+        n_a = at // 2 + 1 if at >= 0 and not at & 1 else None
+        for (bt, p2, q2, m2), (a2, b2, d2) in right:
+            order = at + bt
+            if low is not None and order < low:
+                cut = True
+                continue
+            # n terms of f o g, weighed by (at, q2); r of g o f, by (bt, q1)
+            n = n_a if q2 < 0 or (n_a is not None and n_a <= q2) else q2 + 1
+            n_b = bt // 2 + 1 if bt >= 0 and not bt & 1 else None
+            r = n_b if q1 < 0 or (n_b is not None and n_b <= q1) else q1 + 1
+            if low is not None:
+                above = (order - low) // 2 + 1
+                if n is None or above < n:
+                    cut = True
+                    n = above
+                if r is None or above < r:
+                    cut = True
+                    r = above
+            elif n is None or r is None:
+                raise ValueError(_TAIL)
+            if n == 1 and r == 1:
+                continue  # the j = 0 terms only, which cancel
+            # the weights from j = 1 on; a direction with one term reads none
+            if n > 1:
+                ws = _WEIGHTS.get((at, q2))
+                if ws is None or len(ws) < n:
+                    ws = _weights(at, q2, n)
+            if r > 1:
+                vs = _WEIGHTS.get((bt, q1))
+                if vs is None or len(vs) < r:
+                    vs = _weights(bt, q1, r)
+            p = p1 + p2
+            m = m1 + m2
+            pa = a1 * a2 - b1 * b2
+            pb = a1 * b2 + b1 * a2
+            pd = d1 * d2
+            x = q1 + q2
+            for j in range(1, n if n > r else r):
+                order -= 2
+                x -= 1
+                if j < n:
+                    num, den = ws[j]
+                    if j < r:
+                        vn, vd = vs[j]
+                        if den == vd:
+                            num -= vn
+                        else:
+                            num = num * vd - vn * den
+                            den *= vd
+                        if not num:
+                            continue
+                else:
+                    num, den = vs[j]
+                    num = -num
                 k = (order, p, x, m)
                 a = pa * num
                 b = pb * num

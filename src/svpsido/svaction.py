@@ -46,6 +46,13 @@ _MINUS_TWO_M2 = (-2 * M2).terms.items()
 _VARIANTS = {"tilde": (_MINUS_TWO, True), "affine": (_MINUS_ONE, False)}
 
 
+def _into(row: dict, f: CoeffFn, items) -> None:
+    """Add f times the term items into the row table, unless either is
+    empty."""
+    if f.terms and items:
+        mul_into(row, f.terms.items(), items)
+
+
 def _factors(X: SvElement, mu, variant: str) -> tuple:
     """The loop factors of one action of X at weight mu, as term items:
     those of a_t and V_t, of a, and, on the potential row, of V, V_x and
@@ -60,20 +67,15 @@ def _factors(X: SvElement, mu, variant: str) -> tuple:
     of_v: dict = {}
     of_vx: dict = {}
     of_a: dict = {}
-    minus_f = minus_fd = ()
-    if f.terms:
-        mul_into(of_v, fd.terms.items(), minus_v_transport)
-        mul_into(of_vx, fd.terms.items(), _MINUS_HALF_X)
-        mul_into(of_a, fdd.terms.items(), (I_M * (Fraction(1, 2) - 2 * mu)).terms.items())
-        mul_into(of_a, fdd.deriv("T").terms.items(), _MINUS_HALF_M2_X2)
-        minus_f = (-f).terms.items()
-        if a_transport:
-            minus_fd = (-fd).terms.items()
-    if g.terms:
-        mul_into(of_vx, g.terms.items(), _MINUS_ONE)
-        mul_into(of_a, g.deriv("T").deriv("T").terms.items(), _MINUS_TWO_M2_X)
-    if X.h.terms:
-        mul_into(of_a, X.h.deriv("T").terms.items(), _MINUS_TWO_M2)
+    _into(of_v, fd, minus_v_transport)
+    _into(of_vx, fd, _MINUS_HALF_X)
+    _into(of_a, fdd, (I_M * (Fraction(1, 2) - 2 * mu)).terms.items())
+    _into(of_a, fdd.deriv("T"), _MINUS_HALF_M2_X2)
+    _into(of_vx, g, _MINUS_ONE)
+    _into(of_a, g.deriv("T").deriv("T"), _MINUS_TWO_M2_X)
+    _into(of_a, X.h.deriv("T"), _MINUS_TWO_M2)
+    minus_f = (-f).terms.items()
+    minus_fd = (-fd).terms.items() if a_transport else ()
     return minus_f, minus_fd, of_v.items(), of_vx.items(), of_a.items()
 
 
@@ -84,23 +86,24 @@ def _action(mu, X: SvElement, P: SchrodPoint, variant: str) -> SchrodPoint:
     Each row is a sum of products of a loop factor made from X alone
     (_factors, kept on X per weight and variant) and one of a, V and
     their derivatives; every product is added into the one table of its
-    row, which is wrapped once.  A zero a or V, or a zero loop factor,
-    forms no product.
+    row, which is wrapped once.  A zero a or V, a zero derivative of one,
+    or a zero loop factor, forms no product.
     """
     minus_f, minus_fd, of_v, of_vx, of_a = X.kept(_factors, mu, variant)
     a, V = P.a.terms.items(), P.V.terms.items()
     a_row: dict = {}
     v_row: dict = {}
     if V:
-        if minus_f:
-            mul_into(v_row, minus_f, P.V.deriv("T").terms.items())
+        if minus_f and (vt := P.V.deriv("T").terms):
+            mul_into(v_row, minus_f, vt.items())
         if of_v:
             mul_into(v_row, of_v, V)
-        if of_vx:
-            mul_into(v_row, of_vx, P.V.deriv("X").terms.items())
+        if of_vx and (vx := P.V.deriv("X").terms):
+            mul_into(v_row, of_vx, vx.items())
     if a:
         if minus_f:
-            mul_into(a_row, minus_f, P.a.deriv("T").terms.items())
+            if at := P.a.deriv("T").terms:
+                mul_into(a_row, minus_f, at.items())
             if minus_fd:
                 mul_into(a_row, minus_fd, a)
         if of_a:

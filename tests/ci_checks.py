@@ -212,6 +212,10 @@ CHECKS = [
     # calculator outputs reach floor -6 only
     Check("eval-large-product", ("eval", "mul((xi+d_xi)^32,(xi+d_xi)^32)"),
           sha256="8853589794bbf8e736090351e31ea61a8d663889bcda7348a72b78a9e9c491e0"),
+    # a bracket of two large exact sums cut at the deepest admitted floor,
+    # pinned from before the bracket skipped its products' leading terms
+    Check("eval-large-bracket", ("eval", "bracket((xi+d_xi)^32,(xi+2*d_xi)^32)", "--floor", "-16"),
+          sha256="2d6a9546c42a16bb9cd12ced84bbc0076c92bb5a186fa94a13773b43482a8333"),
     Check("eval-deepest-series", ("eval", "theta_inv(r^-3)", "--floor", "-16"),
           sha256="b8540acb1d89228537085dbb76e088515903ec1221ea3e9a3e0bfd07b270fd44"),
     Check("eval-gaussian-product",

@@ -92,6 +92,17 @@ class TestContainers:
         with pytest.raises(AttributeError):
             A.w = CoeffFn.zero()
 
+    def test_kept_slots_are_invisible(self):
+        def point():
+            return npoint(v=CoeffFn.t_pow(1), vm2=CoeffFn.mono(1, -1), v0=CoeffFn.t_pow(-1))
+
+        mu, fresh = point(), point()
+        slots = mu.slots()
+        assert slots == (CoeffFn.mono(1, -1), CoeffFn.t_pow(-1)) and mu.slots() is slots
+        assert hasattr(mu, "_kept") and not hasattr(fresh, "_kept")
+        assert mu == fresh and str(mu) == str(fresh) and repr(mu) == repr(fresh)
+        assert npoint(vm2=CoeffFn.mono(1, -1)).slots() == (CoeffFn.mono(1, -1), CoeffFn.zero())
+
     def test_invariant_slice_membership(self):
         assert in_invariant_slice(npoint(vm2=CoeffFn.mono(2, 3), v0=CoeffFn.t_pow(1)))
         # an order -1 slot falls outside

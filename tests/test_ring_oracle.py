@@ -665,32 +665,77 @@ def _negated(flat: dict) -> dict:
     return {k: (-a, -b, d) for k, (a, b, d) in flat.items()}
 
 
+def _two_leibniz_calls(f: dict, g: dict, low):
+    """(dict, cut) of f o g - g o f as two leibniz_rows calls into one
+    dict, the second with its left operand negated, reduced; or the
+    ValueError that either call raised."""
+    want = {}
+    try:
+        cut = ring.leibniz_rows(want, f, g, low)
+        cut |= ring.leibniz_rows(want, _negated(g), f, low)
+    except ValueError as exc:
+        return exc
+    return _reduced(want), cut
+
+
 @settings(max_examples=80, deadline=None)
 @given(kernel_side, kernel_side, st.one_of(st.none(), st.integers(-24, 8)))
-def test_leibniz_rows_with_sign_minus_one_negates_the_plus_one_sum(left, right, low):
+@example({HalfInt(1): CoeffFn.x_pow(2)}, {HalfInt(1): CoeffFn.x_pow(2)}, None)  # weights cancel
+@example({HalfInt(-1): CoeffFn.one()}, {HalfInt(0): CoeffFn.x_pow(-1)}, None)  # raises one way
+@example({HalfInt(0): CoeffFn.x_pow(-1)}, {HalfInt(-1): CoeffFn.one()}, None)  # and the other
+@example({HalfInt(2): CoeffFn.x_pow(-2)}, {HalfInt(-1): CoeffFn.x_pow(3)}, -6)  # both cut
+def test_bracket_rows_matches_the_two_leibniz_calls(left, right, low):
     f, g = Symbol(XI, left).flat, Symbol(XI, right).flat
-    plus, minus = {}, {}
-    try:
-        cut = ring.leibniz_rows(plus, f, g, low)
-    except ValueError as exc:
-        assert low is None and str(exc) == TAIL_MESSAGE
-        with pytest.raises(ValueError) as again:
-            ring.leibniz_rows(minus, f, g, low, -1)
-        assert str(again.value) == TAIL_MESSAGE
+    want = _two_leibniz_calls(f, g, low)
+    got = {}
+    if isinstance(want, ValueError):
+        assert low is None and str(want) == TAIL_MESSAGE
+        with pytest.raises(ValueError) as exc:
+            ring.bracket_rows(got, f, g, low)
+        assert str(exc.value) == TAIL_MESSAGE
         return
-    assert ring.leibniz_rows(minus, f, g, low, -1) == cut
-    assert list(minus.items()) == list(_negated(plus).items())
+    cut = ring.bracket_rows(got, f, g, low)
+    assert (_reduced(got), cut) == want
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-def test_a_tail_that_does_not_end_raises_before_any_term_is_added(sign):
+@pytest.mark.parametrize("at", [4, 2, 0, 3, -1, -4])
+@pytest.mark.parametrize("bt", [2, 0, -3])
+@pytest.mark.parametrize("q1, q2", [(0, 0), (2, -1), (-2, 3), (1, 1)])
+def test_a_bracket_adds_nothing_at_a_pairs_leading_order(at, bt, q1, q2):
+    # one term each side, so one pair: its j = 0 terms cancel and are never
+    # added, and every term it adds lies below its leading order
+    f = {(at, 1, q1, 0): (1, 2, 3)}
+    g = {(bt, 0, q2, 1): (-5, 1, 2)}
+    acc = {}
+    ring.bracket_rows(acc, f, g, at + bt - 8)
+    assert all(k[0] < at + bt for k in acc)
+    # a term bracketed with itself: the two weights of every j cancel
+    acc = {}
+    ring.bracket_rows(acc, f, f, at + at - 8)
+    assert acc == {}
+
+
+def test_the_bracket_of_two_order_zero_symbols_adds_nothing():
+    f = Symbol(R, {0: CoeffFn.x_pow(2) + CoeffFn.mono(1, -1, 3)}).flat
+    g = Symbol(R, {0: CoeffFn.x_pow(-3, GaussRat(1, 2)) + CoeffFn.t_pow(2)}).flat
+    acc = {}
+    assert not ring.bracket_rows(acc, f, g, None)
+    assert acc == {}
+
+
+@pytest.mark.parametrize("kernel, swapped", [(ring.leibniz_rows, False), (ring.bracket_rows, False),
+                                             (ring.bracket_rows, True)],
+                         ids=["leibniz_rows", "bracket_rows", "bracket_rows swapped"])
+def test_a_tail_that_does_not_end_raises_before_any_term_is_added(kernel, swapped):
     # order -1 against x^-1 never ends; the terminating pair after it in
-    # the right dict must not be reached, and acc keeps what it held
+    # the right dict must not be reached, and acc keeps what it held.  With
+    # the operands swapped, the pair's own direction ends and the bracket's
+    # other one, f o g, does not
     f = {(-2, 0, 1, 0): (1, 0, 1)}
     g = {(0, 1, -1, 0): (2, 1, 3), (0, 0, 2, 0): (1, 0, 1)}
     acc = {(0, 1, 0, 0): (5, 0, 7)}
     with pytest.raises(ValueError) as exc:
-        ring.leibniz_rows(acc, f, g, None, sign)
+        kernel(acc, g, f, None) if swapped else kernel(acc, f, g, None)
     assert str(exc.value) == TAIL_MESSAGE
     assert acc == {(0, 1, 0, 0): (5, 0, 7)}
 

@@ -662,7 +662,7 @@ class TestSharedTables:
         )
         assert done.returncode == 0, done.stderr
         counts = json.loads(done.stdout)
-        ceilings = {"mul_into": 178, "triple_into": 0, "residue_into": 0, "pair_terms_into": 0}
+        ceilings = {"mul_into": 0, "triple_into": 0, "residue_into": 0, "pair_terms_into": 0}
         assert all(counts[key] <= ceiling for key, ceiling in ceilings.items()), counts
         assert ring.coeff_from_table({}) is CoeffFn.zero()
 
@@ -735,15 +735,18 @@ class TestSharedTables:
     @pytest.mark.parametrize("floor, n, exact", [("-7/2", 3, 5590), ("-9/2", 4, 15385)])
     def test_shared_theta_products_are_the_per_pair_products(self, monkeypatch, floor, n, exact):
         # an exact image case compares theta(A o B) with theta(A) o theta(xi^p)
-        # moved by B's order; that right side must be theta(A) o theta(B)
+        # moved by B's order; that right side must be theta(A) o theta(B),
+        # and the comparison read in place must be the plain one
         current, rights = [None], {}
-        equal = suites._equal
+        equal_moved = suites._equal_moved
 
-        def recorded(show, lhs, rhs):
-            rights[current[0]] = rhs
-            return equal(show, lhs, rhs)
+        def recorded(show, lhs, rhs, dt):
+            moved = rights[current[0]] = suites._moved(rhs, dt)
+            got = equal_moved(show, lhs, rhs, dt)
+            assert got == suites._equal(show, lhs, moved)
+            return got
 
-        monkeypatch.setattr(suites, "_equal", recorded)
+        monkeypatch.setattr(suites, "_equal_moved", recorded)
         cfg = VerifyConfig(floor=h(floor), index_range=n, threads=1)
         box = [Symbol(XI, {k: CoeffFn.x_pow(p)})
                for k in suites._half_orders(n) for p in suites._degrees(n)]
@@ -763,6 +766,17 @@ class TestSharedTables:
                     with pytest.raises(ValueError):
                         theta_product_by_pairs(A, B)
         assert len(rights) == exact
+
+    def test_a_moved_comparison_reads_and_prints_as_the_plain_one(self):
+        rhs = Symbol(R, {1: CoeffFn.x_pow(2), -1: CoeffFn.mono(1, -1, GaussRat(3, 1))})
+        moved = suites._moved(rhs, 4)
+        off = dict(moved.flat)
+        off[(6, 0, 2, 0)] = (2, 0, 1)
+        for lhs in (moved, Symbol._raw(R, off, EXACT), Symbol._raw(R, {(6, 0, 2, 0): (1, 0, 1)}, EXACT),
+                    Symbol._raw(R, dict(moved.flat), -10), Symbol._raw(XI, dict(moved.flat), EXACT),
+                    rhs):
+            assert suites._equal_moved(str, lhs, rhs, 4) == suites._equal(str, lhs, moved)
+        assert suites._equal_moved(str, moved, rhs, 4) is None
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_an_image_off_its_moved_power_fails_every_product_that_reads_it(self, monkeypatch,
