@@ -75,8 +75,8 @@ _FORMS = {
 def _slots(D: Symbol):
     """The term items of the three quotient slots of a capped symbol
     (orders 1, 0, -1), trust-checked.  The symbol reads them from its
-    int-keyed rows view and keeps them beside it (Symbol.quotient_slots),
-    since the same operands are read again and again: the lifts and probes
+    int-keyed rows view and keeps them (Symbol.quotient_slots), since the
+    same operands are read again and again: the lifts and probes
     of every theorem61 bracket, and the box elements and quotient brackets
     of the cocycles suite."""
     if D.var != R:

@@ -152,14 +152,9 @@ _set_alpha = GElement.__dict__["alpha"].__set__
 
 
 class GDual(Value):
-    """Dual triple (v, V, a); V is exact with orders down to -2 at most.
+    """Dual triple (v, V, a); V is exact with orders down to -2 at most."""
 
-    A fourth private slot, _kept, holds what Value.kept has computed from
-    the point, its slots (V_-2, V_0) among them; equality and printing
-    ignore it.
-    """
-
-    __slots__ = ("v", "V", "a", "_kept")
+    __slots__ = ("v", "V", "a")
 
     def __init__(self, v=None, V: Symbol | None = None, a=None):
         if V is None:
@@ -176,13 +171,9 @@ class GDual(Value):
 
     def slots(self) -> tuple:
         """(V_-2, V_0): V's coefficients of orders -2 and 0, zero where
-        absent, read from V.rows() on the first call and kept."""
-        return self.kept(_slots)
-
-
-def _slots(mu: GDual) -> tuple:
-    rows, zero = mu.V.rows(), CoeffFn.zero()
-    return rows.get(-4, zero), rows.get(0, zero)
+        absent, read from the rows() view that V keeps."""
+        rows, zero = self.V.rows(), CoeffFn.zero()
+        return rows.get(-4, zero), rows.get(0, zero)
 
 
 def in_invariant_slice(mu: GDual) -> bool:
@@ -428,7 +419,7 @@ def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
     X; the a-sourced terms of the V_-2 row are summed into one loop
     factor first, so a meets them in one product.  The loop factors
     depend on X alone, so they are built once (_coadjoint_factors) and
-    kept on X (SvElement.kept); the charge meets them on every call.
+    kept on X (Value.kept); the charge meets them on every call.
 
     The rows are read by point slot: the products of each slot of mu
     (v, V_-2, V_0, a) are formed only when that slot is nonzero, and the

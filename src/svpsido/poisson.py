@@ -134,15 +134,9 @@ def _monomial_class(jets) -> str:
 
 
 class LocalFunctional(Value):
-    """Finite sum of coefficient-times-jet-product monomials.
+    """Finite sum of coefficient-times-jet-product monomials."""
 
-    The private slot ``_kept`` holds what Value.kept has computed from the
-    functional alone: the four variational derivatives, once
-    derivatives_at has taken them.  It takes no part in equality or
-    printing.
-    """
-
-    __slots__ = ("terms", "_kept")
+    __slots__ = ("terms",)
 
     def __init__(self, terms=()):
         merged: dict = {}

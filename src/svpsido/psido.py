@@ -114,18 +114,10 @@ class Symbol(Value):
 
     flat maps (twice the order, t, x, M) to the reduced int triple of a
     nonzero coefficient, as CoeffFn.terms does, and holds no order below
-    the floor, which low holds as twice its value (None for EXACT).  A
-    fourth slot, _view, holds the rows() view once it is first read,
-    and once quotient_slots has been called, the pair (rows view,
-    quotient slots): the operands of the cocycles keep their slots there,
-    since a fifth slot would move every symbol into a larger allocator
-    size class.  The flat dict never changes after wrapping, so what
-    _view holds never goes stale.  Equality ignores it, and a copy or a
-    pickle starts it at None, as every constructor does.
+    the floor, which low holds as twice its value (None for EXACT).
     """
 
-    __slots__ = ("var", "flat", "low", "_view")
-    _fresh = (("_view", None),)
+    __slots__ = ("var", "flat", "low")
 
     def __init__(self, var: str, terms: dict, floor=EXACT):
         if var not in (R, XI):
@@ -143,7 +135,6 @@ class Symbol(Value):
         _set_var(self, var)
         _set_flat(self, flat)
         _set_low(self, low)
-        _set_view(self, None)
 
     @classmethod
     def _raw(cls, var: str, flat: dict, low) -> "Symbol":
@@ -153,7 +144,6 @@ class Symbol(Value):
         _set_var(sym, var)
         _set_flat(sym, flat)
         _set_low(sym, low)
-        _set_view(sym, None)
         return sym
 
     # ---- constructors ----------------------------------------------------
@@ -189,19 +179,7 @@ class Symbol(Value):
         """Twice the order -> CoeffFn, read-only, orders in the order flat
         first meets them; built on the first read and kept.  The CoeffFns
         share the flat dict's triples."""
-        view = self._view
-        if view is None:
-            groups: dict = {}
-            for (o, p, q, m), v in self.flat.items():
-                g = groups.get(o)
-                if g is None:
-                    g = groups[o] = {}
-                g[(p, q, m)] = v
-            view = MappingProxyType({o: _coeff_raw(g) for o, g in groups.items()})
-            _set_view(self, view)
-        elif view.__class__ is tuple:
-            return view[0]
-        return view
+        return self.kept(_rows)
 
     @property
     def terms(self):
@@ -214,16 +192,9 @@ class Symbol(Value):
         """(up, mid, down, above): the term items of the coefficients of
         orders 1, 0 and -1, empty where the order is absent, and whether an
         order above 1 is stored; read from the rows() view on the first
-        call and kept beside it for the next, since the cocycles read these
-        slots of the same operands again and again."""
-        view = self._view
-        if view.__class__ is tuple:
-            return view[1]
-        view = self.rows()
-        up, mid, down = (view[o].terms.items() if o in view else () for o in (2, 0, -2))
-        out = (up, mid, down, any(o > 2 for o in view))
-        _set_view(self, (view, out))
-        return out
+        call and kept, since the cocycles read these slots of the same
+        operands again and again."""
+        return self.kept(_quotient_slots)
 
     def is_zero(self) -> bool:
         return not self.flat
@@ -269,7 +240,22 @@ class Symbol(Value):
 _set_var = Symbol.__dict__["var"].__set__
 _set_flat = Symbol.__dict__["flat"].__set__
 _set_low = Symbol.__dict__["low"].__set__
-_set_view = Symbol.__dict__["_view"].__set__
+
+
+def _rows(sym: Symbol) -> MappingProxyType:
+    groups: dict = {}
+    for (o, p, q, m), v in sym.flat.items():
+        g = groups.get(o)
+        if g is None:
+            g = groups[o] = {}
+        g[(p, q, m)] = v
+    return MappingProxyType({o: _coeff_raw(g) for o, g in groups.items()})
+
+
+def _quotient_slots(sym: Symbol) -> tuple:
+    view = sym.rows()
+    up, mid, down = (view[o].terms.items() if o in view else () for o in (2, 0, -2))
+    return up, mid, down, any(o > 2 for o in view)
 
 
 def symbol_from_flat(var: str, flat: dict, low) -> Symbol:

@@ -310,18 +310,18 @@ class Value:
     gives those that do not define their own: equality of the public
     slots within one class, the zero test of every public slot, the text
     ``(name: value; name: value)`` as both str and repr, and kept(), the
-    memo of a subclass that declares a private ``_kept`` slot.  A
-    subclass writes its own slots with object.__setattr__ or the slot's
-    own setter, past the guard.
+    memo of what is built from a value alone.  A subclass writes its own
+    slots with object.__setattr__ or the slot's own setter, past the
+    guard.
 
-    A copy or a pickle carries the public slots only and is rebuilt from
-    them past the guard (_rebuilt): the private memos start unset, or at
-    the class's _fresh values, the (slot, value) pairs of a private slot
-    that its class reads with no fallback.
+    Value declares the package's one private slot, _kept: the memo dict,
+    left unset until something is first kept, so a value that keeps
+    nothing costs one slot and no dict.  Equality and printing ignore it,
+    and a copy or a pickle carries the public slots only and is rebuilt
+    from them past the guard (_rebuilt), with the memo unset.
     """
 
-    __slots__ = ()
-    _fresh: tuple = ()
+    __slots__ = ("_kept",)
 
     def __init_subclass__(cls):
         cls._parts = tuple(s for s in cls.__slots__ if not s.startswith("_"))
@@ -350,27 +350,30 @@ class Value:
 
     def kept(self, make, *args):
         """make(self, *args), computed on the first call with make and args
-        and kept in the private _kept slot: make must read nothing but the
-        value and its hashable args, since values never change."""
+        and kept in the memo under make, or under (make, args) when args
+        are given: make must read nothing but the value and its hashable
+        args, since values never change."""
+        key = (make, args) if args else make
         try:
-            memo = self._kept
+            return self._kept[key]
         except AttributeError:
             memo = {}
-            object.__setattr__(self, "_kept", memo)
-        key = (make, args)
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = make(self, *args)
+            _set_kept(self, memo)
+        except KeyError:
+            memo = self._kept
+        out = memo[key] = make(self, *args)
         return out
+
+
+# The memo slot's own setter: it skips the guard in __setattr__.
+_set_kept = Value.__dict__["_kept"].__set__
 
 
 def _rebuilt(cls, parts: tuple) -> Value:
     """The value of class cls with public slots parts, set past the guard,
-    and its private slots at the class's _fresh values."""
+    and its memo unset."""
     out = _new(cls)
     for name, value in zip(cls._parts, parts):
-        object.__setattr__(out, name, value)
-    for name, value in cls._fresh:
         object.__setattr__(out, name, value)
     return out
 
@@ -385,16 +388,9 @@ class CoeffFn(Value):
     Kept canonical at construction; the terms are never changed afterwards.
     Every wrap of an empty table (a kernel result, a residue, a slice, a
     negation) is the shared zero, CoeffFn.zero().
-
-    A second private slot, _derivs, keeps d/dt and d/dx by variable once
-    deriv has first computed them, as Symbol keeps its terms view: the
-    same generator and point values are differentiated again and again.
-    It is left unset at construction, so a value that is never
-    differentiated costs nothing more (one slot leaves an instance in the
-    same allocator size class); equality and printing ignore it.
     """
 
-    __slots__ = ("terms", "_derivs")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
         """From a dict (t, x, M) -> GaussRat; zero values are dropped."""
@@ -521,9 +517,11 @@ class CoeffFn(Value):
 
     def deriv(self, var: str) -> "CoeffFn":
         """Monomial derivative d/dt (var='T') or d/dx (var='X'), computed
-        on first use and kept in the value's own slot."""
+        on first use and kept in the memo under var, which deriv reads
+        directly rather than through Value.kept: the same generator and
+        point values are differentiated again and again."""
         try:
-            return self._derivs[var]
+            return self._kept[var]
         except (AttributeError, KeyError):
             pass
         if var != "T" and var != "X":
@@ -532,9 +530,9 @@ class CoeffFn(Value):
             return self
         out = _derivative(self.terms, var)
         try:
-            self._derivs[var] = out
+            self._kept[var] = out
         except AttributeError:
-            _set_derivs(self, {var: out})
+            _set_kept(self, {var: out})
         return out
 
     def residue(self, var: str) -> "CoeffFn":
@@ -600,7 +598,6 @@ class CoeffFn(Value):
 # The slots' own setters: they skip the guard in __setattr__, and cost far
 # less per call than object.__setattr__.
 _set_coeff_terms = CoeffFn.__dict__["terms"].__set__
-_set_derivs = CoeffFn.__dict__["_derivs"].__set__
 
 
 def _derivative(terms: dict, var: str) -> CoeffFn:
@@ -1169,7 +1166,7 @@ def _mass_unit(c) -> tuple:
 _C_ZERO = CoeffFn({})
 # the shared zero, which every empty wrap returns, keeps itself as both
 # derivatives, so deriv on a zero never reaches its miss path
-_set_derivs(_C_ZERO, {"T": _C_ZERO, "X": _C_ZERO})
+_set_kept(_C_ZERO, {"T": _C_ZERO, "X": _C_ZERO})
 _C_ONE = CoeffFn({(0, 0, 0): GR_ONE})
 _UNIT = tuple(_C_ONE.terms.items())
 _MINUS_UNIT = (((0, 0, 0), (-1, 0, 1)),)

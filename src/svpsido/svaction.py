@@ -57,7 +57,7 @@ def _factors(X: SvElement, mu, variant: str) -> tuple:
     """The loop factors of one action of X at weight mu, as term items:
     those of a_t and V_t, of a, and, on the potential row, of V, V_x and
     a.  They depend on X, mu and the variant alone, so _action keeps them
-    on X (SvElement.kept) and every later point only multiplies."""
+    on X (Value.kept) and every later point only multiplies."""
     minus_v_transport, a_transport = _VARIANTS[variant]
     f, g = X.f, X.g
     fd = f.deriv("T")

@@ -21,7 +21,7 @@ These reproduce the mode relations
 with shifts commuting with phases and phases central.
 
 An element never changes, so what other modules build from it alone is
-built once and kept on it (SvElement.kept): the loop factors of the
+built once and kept on it (Value.kept): the loop factors of the
 coadjoint action and of the weighted actions on operator points.
 """
 
@@ -41,16 +41,9 @@ __all__ = [
 
 
 class SvElement(Value):
-    """Triple (f, g, h) of t-Laurent polynomials.
+    """Triple (f, g, h) of t-Laurent polynomials."""
 
-    A fourth private slot, _kept, holds what Value.kept has computed from
-    the element alone: the loop factors that kacmoody.coadjoint and
-    svaction._action build from a generator, which the suites apply at
-    many points.  It is left unset at construction and equality ignores
-    it.
-    """
-
-    __slots__ = ("f", "g", "h", "_kept")
+    __slots__ = ("f", "g", "h")
 
     def __init__(self, f=None, g=None, h=None):
         object.__setattr__(self, "f", loop_of(f, "the time loop f"))

@@ -351,6 +351,10 @@ class _Parser:
                 fn = _FUNCTIONS.get(tok)
                 if fn is None:
                     raise ValueError(f"unknown function {tok!r}")
+                count = fn.__code__.co_argcount - 1  # past self
+                if len(args) != count:
+                    plural = "s" if count > 1 else ""
+                    raise ValueError(f"{tok} takes {count} argument{plural}, not {len(args)}")
                 return fn(self, *map(_built, args))
             atom = _ATOMS.get(tok)
             if atom is None:
@@ -440,6 +444,10 @@ class _Parser:
         if any(k[2] < 0 for k in sym.flat):
             raise ValueError("tshift needs nonnegative momentum powers: "
                              "an inverse power shifts into an infinite series")
+        # xi^q shifts into the power (xi + i t/2M)^q, multiplied out as the
+        # parser multiplies out (xi+t)^q, so the same bound holds
+        if any(k[2] > transforms.MAX_IMAGE_POWER for k in sym.flat):
+            raise ValueError(f"tshift takes momentum powers up to {transforms.MAX_IMAGE_POWER}")
         return transforms.time_shift_symbol(sym, 0)  # the depth cuts nothing here
 
     def fn_bracket(self, a, b):

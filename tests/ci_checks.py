@@ -190,6 +190,11 @@ CHECKS = [
     # a zero power keeps its base's algebra
     Check("eval-zero-power-algebra", ("eval", "(2*d_xi)^0 + r"), exit=2,
           stderr="svpsido: expression mixes the r and xi algebras"),
+    Check("eval-wrong-arity", ("eval", "theta(xi,xi)"), exit=2,
+          stderr="svpsido: theta takes 1 argument, not 2"),
+    # xi^q shifts into a power of a sum, bounded as (xi+1)^q is
+    Check("eval-tshift-power-bound", ("eval", "tshift(xi^65)"), exit=2,
+          stderr="svpsido: tshift takes momentum powers up to 64"),
     Check("verify-floor-too-deep", ("verify", "--floor", "-33/2"), exit=2,
           stderr="svpsido: the floor must sit at or above -16"),
     Check("verify-floor-too-shallow", ("verify", "--floor", "-1/2"), exit=2,

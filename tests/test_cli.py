@@ -6,6 +6,7 @@ or expressions.  argparse rejects bad flag values by raising
 SystemExit(2); errors detected later return 2; both paths appear here.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -19,6 +20,11 @@ import pytest
 import svpsido
 from svpsido.cli import _build_parser, main
 from svpsido.ring import GaussRat
+from svpsido.textio import _FUNCTIONS
+
+
+# the number of arguments each calculator function takes
+ARITY = {"theta": 1, "theta_inv": 1, "tshift": 1, "trace": 1, "dpart": 1, "bracket": 2, "mul": 2}
 
 
 def run_cli(argv, capsys):
@@ -191,6 +197,33 @@ class TestEval:
         assert code == 0
         shifted = "(xi^2 + i*M^-1*t*xi - 1/4*M^-2*t^2)*d_xi + 3*xi + 3/2*i*M^-1*t"
         assert out.strip() == shifted + " | exact"
+
+    @pytest.mark.parametrize("expr", ["tshift(xi^65)", "tshift(xi^100000)"])
+    def test_shift_of_a_momentum_power_above_the_bound_exits_2_quickly(self, capsys, expr):
+        # xi^q shifts into a power of a sum, bounded as (xi+1)^q is
+        start = time.monotonic()
+        code, out, err = run_cli(["eval", expr], capsys)
+        assert time.monotonic() - start < 2
+        assert code == 2 and out == ""
+        assert err == "svpsido: tshift takes momentum powers up to 64\n"
+
+    def test_shift_of_the_largest_momentum_power_prints_as_before(self, capsys):
+        # sha256 of the output pinned from before the bound
+        code, out, _ = run_cli(["eval", "tshift(xi^64)"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d33bbe6e1494676c34d34dcc2c52763be3d1731cfb59f818c7206ca2eddeb449")
+
+    @pytest.mark.parametrize("name, given", [
+        (name, given) for name, count in ARITY.items() for given in (count + 1, count - 1) if given])
+    def test_a_function_given_the_wrong_number_of_arguments_exits_2(self, capsys, name, given):
+        # a call used to raise TypeError out of the parser, with a traceback
+        assert set(ARITY) == set(_FUNCTIONS)
+        count = ARITY[name]
+        code, out, err = run_cli(["eval", f"{name}({','.join(['xi'] * given)})"], capsys)
+        assert code == 2 and out == ""
+        plural = "s" if count > 1 else ""
+        assert err == f"svpsido: {name} takes {count} argument{plural}, not {given}\n"
 
     @pytest.mark.parametrize("expr", ["xi^1/2", "t^1/2", "M^-1/2", "(xi+d_xi)^1/2", "(2*d_xi)^3/2"])
     def test_half_exponents_of_anything_but_a_derivative_exit_2(self, capsys, expr):

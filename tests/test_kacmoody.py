@@ -98,8 +98,7 @@ class TestContainers:
 
         mu, fresh = point(), point()
         slots = mu.slots()
-        assert slots == (CoeffFn.mono(1, -1), CoeffFn.t_pow(-1)) and mu.slots() is slots
-        assert hasattr(mu, "_kept") and not hasattr(fresh, "_kept")
+        assert slots == (CoeffFn.mono(1, -1), CoeffFn.t_pow(-1))
         assert mu == fresh and str(mu) == str(fresh) and repr(mu) == repr(fresh)
         assert npoint(vm2=CoeffFn.mono(1, -1)).slots() == (CoeffFn.mono(1, -1), CoeffFn.zero())
 

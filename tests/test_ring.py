@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from svpsido import ring
 from svpsido.diffop2 import DiffOp2, d_pi
-from svpsido.kacmoody import GDual, GElement
-from svpsido.poisson import FIELD_V0, LocalFunctional, jet
+from svpsido.kacmoody import GDual, GElement, coadjoint
+from svpsido.poisson import FIELD_V0, LocalFunctional, derivatives_at, jet
 from svpsido.psido import R, Symbol
 from svpsido.ring import CoeffFn, GR_I, GR_ONE, GR_ZERO, GaussRat, M
-from svpsido.svaction import SchrodPoint
+from svpsido.svaction import SchrodPoint, d_sigma_affine, d_sigma_tilde
 from svpsido.svalgebra import SvElement, time_mode
 from svpsido.textio import scalar_str
 
@@ -247,11 +247,11 @@ def test_kept_derivatives_stay_out_of_equality_and_printing():
 def test_a_wrapped_table_holds_no_derivative_until_one_is_asked_for():
     table = {(2, 1, 0): (3, 0, 1), (0, 2, 1): (0, 1, 1)}
     c = ring.coeff_from_table(table)
-    assert not hasattr(c, "_derivs")
+    assert not hasattr(c, "_kept")
     dt = c.deriv("T")
-    assert c._derivs == {"T": dt}
+    assert c._kept == {"T": dt}
     assert dt == CoeffFn.mono(1, 1, 6)
-    assert not hasattr(dt, "_derivs")
+    assert not hasattr(dt, "_kept")
 
 
 def test_residue_extracts_inverse_power():
@@ -469,22 +469,58 @@ def test_copies_and_pickles_rebuild_an_equal_value(name, clone):
     # the default slot restore assigned through the guard and raised
     # "... is immutable" for every value of the package
     value = _VALUES[name]
-    if hasattr(value.__class__, "_kept"):
-        value.kept(str)
+    value.kept(str)
     if isinstance(value, CoeffFn):
         value.deriv("T")
     if isinstance(value, Symbol):
         value.quotient_slots()
     out = clone(value)
-    # the private memos are not carried: they start unset, and a symbol's
-    # view at None, as every constructor leaves it
-    assert not hasattr(out, "_kept") and not hasattr(out, "_derivs")
-    assert getattr(out, "_view", None) is None
+    # the memo is not carried: it starts unset, as every constructor leaves it
+    assert not hasattr(out, "_kept")
     assert out.__class__ is value.__class__ and out == value and str(out) == str(value)
     if isinstance(out, Symbol):
         assert out.rows() == value.rows() and out.quotient_slots() == value.quotient_slots()
     if isinstance(out, CoeffFn):
         assert out.deriv("T") == value.deriv("T")
+
+
+def _both_derivatives(c):
+    return c.deriv("T"), c.deriv("X")
+
+
+# each class's memos, warmed through the calls that keep them; a class
+# that keeps nothing of its own is warmed through Value.kept itself, and a
+# dual point keeps nothing: its slots are read from the rows its V keeps
+_WARM = {
+    "CoeffFn": _both_derivatives,
+    "zero": _both_derivatives,
+    "Symbol": lambda s: (s.rows(), s.quotient_slots()),
+    "DiffOp2": lambda d: d.kept(str),
+    "LocalFunctional": lambda F: derivatives_at(F, _VALUES["GDual"]),
+    "GElement": lambda A: A.kept(str),
+    "GDual": lambda mu: mu.slots(),
+    "SvElement": lambda X: (coadjoint(X, _VALUES["GDual"], GaussRat(2)),
+                            d_sigma_tilde(F(1, 4), X, _VALUES["SchrodPoint"]),
+                            d_sigma_affine(F(0), X, _VALUES["SchrodPoint"])),
+    "SchrodPoint": lambda P: P.kept(str),
+}
+
+
+@pytest.mark.parametrize("name", list(_VALUES))
+def test_a_warmed_memo_is_invisible_and_never_copied(name):
+    assert set(_WARM) == set(_VALUES)
+    # the shared zero keeps its derivatives from the start; a copy of
+    # every other value starts with nothing kept
+    value = _VALUES[name] if name == "zero" else copy.copy(_VALUES[name])
+    plain = _pickled(value)
+    text, shown = str(value), repr(value)
+    _WARM[name](value)
+    assert hasattr(value, "_kept") == (name != "GDual")
+    assert value == plain and plain == value
+    assert str(value) == text == str(plain) and repr(value) == shown == repr(plain)
+    for clone in (copy.copy, copy.deepcopy, _pickled):
+        out = clone(value)
+        assert not hasattr(out, "_kept") and out == value and str(out) == text
 
 
 def test_records_of_two_classes_never_compare_equal():
