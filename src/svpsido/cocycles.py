@@ -51,25 +51,25 @@ __all__ = [
 
 
 class CocycleId(enum.Enum):
-    C0 = "c0"
-    C1 = "c1"
-    C2 = "c2"
-    C3 = "c3"
-    C4 = "c4"
-    C5 = "c5"
+    """A central cocycle.  Each member keeps its form (n, i, j, signs) as
+    _form: the value is signs[0] * res(A_i^(n) B_j) plus, when a second
+    sign is given, signs[1] * res(B_i^(n) A_j), with the slots of orders
+    1, 0, -1 indexed 0, 1, 2.  Reading the attribute hashes nothing; a
+    dict keyed by the members would hash each one through Enum's
+    Python-level __hash__ on every evaluation."""
 
+    def __new__(cls, value, form):
+        member = object.__new__(cls)
+        member._value_ = value
+        member._form = form
+        return member
 
-# cocycle -> (n, i, j, signs): the value is signs[0] * res(A_i^(n) B_j) plus,
-# when a second sign is given, signs[1] * res(B_i^(n) A_j), with the slots
-# of orders 1, 0, -1 indexed 0, 1, 2
-_FORMS = {
-    CocycleId.C0: (3, 0, 0, (1,)),
-    CocycleId.C1: (2, 0, 1, (1, -1)),
-    CocycleId.C2: (0, 0, 2, (1, -1)),
-    CocycleId.C3: (1, 0, 2, (1, -1)),
-    CocycleId.C4: (1, 1, 1, (-1, 1)),
-    CocycleId.C5: (0, 1, 2, (1, -1)),
-}
+    C0 = "c0", (3, 0, 0, (1,))
+    C1 = "c1", (2, 0, 1, (1, -1))
+    C2 = "c2", (0, 0, 2, (1, -1))
+    C3 = "c3", (1, 0, 2, (1, -1))
+    C4 = "c4", (1, 1, 1, (-1, 1))
+    C5 = "c5", (0, 1, 2, (1, -1))
 
 
 def _slots(D: Symbol):
@@ -93,10 +93,9 @@ def _cocycle_into(acc: dict, cid: CocycleId, A: Symbol, B: Symbol) -> None:
     """Add c(A, B) into acc, a mutable {(t, 0, M): (a, b, d)} table."""
     a = _slots(A)
     b = _slots(B)
-    form = _FORMS.get(cid)
-    if form is None:
+    if cid.__class__ is not CocycleId:
         raise ValueError(f"unknown cocycle {cid!r}")
-    n, i, j, signs = form
+    n, i, j, signs = cid._form
     if a[i] and b[j]:
         residue_into(acc, a[i], b[j], n, signs[0])
     if len(signs) > 1 and b[i] and a[j]:

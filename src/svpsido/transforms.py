@@ -23,7 +23,12 @@ Conventions fixed here once:
 The composite theta_t (shift, then transform) therefore accepts floored
 inputs: a missing momentum order kappa' only pollutes space orders
 <= 2*kappa' - 1, because after the shift all momentum coefficients are
-polynomial.
+polynomial.  A result with a floor (a floored input or a cut series) has
+it fixed before the shift, and the image of xi^q d_xi^kappa lies at space
+orders 2*kappa - q and below, so each order is shifted only up to the
+x-degree whose image still reaches that floor: a term left out could
+land only below it, where the result is cut anyway.  An exact result
+shifts and maps every term.
 
 The monomial map works on the flat term dicts of psido.Symbol: each term
 of the input, keyed by twice its order, reads the memoised image of its
@@ -293,13 +298,17 @@ def theta_inv(D: Symbol, req_floor=None) -> Symbol:
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _shift_series(q: int, depth: int) -> list:
+def _shift_series(q: int, depth: int, reach: int | None = None) -> list:
     """The (t, x, M) items of (xi + (i/2M) t)^q as reduced int triples:
     binom(q, m) (i/2)^(q - m) t^(q - m) xi^m M^(m - q) for m = 0 to q, or
-    to depth for q < 0.  binom(q, m) is comb(q, m), or (-1)^m
-    comb(m - q - 1, m) for q < 0, and (i/2)^e is i^e over 2^e."""
+    to depth for q < 0, and to reach at most when reach is given.
+    binom(q, m) is comb(q, m), or (-1)^m comb(m - q - 1, m) for q < 0,
+    and (i/2)^e is i^e over 2^e."""
+    top = q if q >= 0 else depth
+    if reach is not None and reach < top:
+        top = reach
     items = []
-    for m in range((q if q >= 0 else depth) + 1):
+    for m in range(top + 1):
         e = q - m
         if e >= 0:
             c, d = comb(q, m), 1 << e
@@ -309,6 +318,16 @@ def _shift_series(q: int, depth: int) -> list:
         re, im = _I_POWERS[e % 4]
         items.append(((e, m, -e), (c // r * re, c // r * im, d // r)))
     return items
+
+
+def _shifted(slices: dict, depth: int, reach: int | None = None) -> CoeffFn:
+    """The loop shift of the sum over q of xi^q times slices[q], the term
+    items of an x-free value: each inverse-power series cut after x-degree
+    depth, and every term above x-degree reach left out."""
+    out: dict = {}
+    for q, items in slices.items():
+        mul_into(out, _shift_series(q, depth, reach), items)
+    return coeff_from_table(out)
 
 
 def time_shift(f: CoeffFn, depth: int) -> CoeffFn:
@@ -321,10 +340,10 @@ def time_shift(f: CoeffFn, depth: int) -> CoeffFn:
         raise ValueError("depth must be nonnegative")
     if not f.is_x_only():
         raise ValueError("the loop shift applies to momentum-only values")
-    out: dict = {}
-    for q in dict.fromkeys(k[1] for k in f.terms):
-        mul_into(out, _shift_series(q, depth), f.x_slice(q).terms.items())
-    return coeff_from_table(out)
+    slices: dict = {}
+    for (p, q, m), v in f.terms.items():
+        slices.setdefault(q, []).append(((p, 0, m), v))
+    return _shifted(slices, depth)
 
 
 def time_shift_inverse(g: CoeffFn) -> CoeffFn:
@@ -345,24 +364,44 @@ def time_shift_symbol(D: Symbol, depth: int) -> Symbol:
 def theta_t(E: Symbol, req_floor, nu: GaussRat = GR_ZERO) -> Symbol:
     """Loop shift followed by the transform, with honest floor tracking.
 
-    Every order is shifted, then one theta call maps the exact result.
     Floored inputs are accepted: after the shift all coefficients are
     polynomial in xi, so a missing order kappa' only reaches space orders
     <= 2*kappa' - 1, and a series cut at the shift depth only orders
-    <= 2*kappa - depth - 1.
+    <= 2*kappa - depth - 1.  Such a result is cut at its floor, which is
+    known before the shift.  The image of xi^q d_xi^kappa tops out at
+    space order 2*kappa - q, so each order is shifted only up to the
+    x-degree whose image still reaches the floor; a term left out would
+    land wholly below it.  An exact result shifts and maps every term.
+    One theta call maps the shifted terms.
     """
     depth = default_depth(req_floor)
+    if E.var != XI:
+        raise ValueError("the loop shift applies to momentum symbols")
     low = low_of(req_floor)
-    cut = False
-    for kt, _, q, _ in E.flat:
+    cut = E.low is not EXACT
+    if cut:
+        low = max_low(low, 2 * E.low)
+    # the checks run on every term, also one that the floor never reads
+    top = 0  # the highest x-degree after the shift
+    rows: dict = {}
+    for (kt, p, q, m), v in E.flat.items():
+        if p:
+            raise ValueError("the loop shift applies to momentum-only values")
         if q < 0:
             cut = True
             low = max_low(low, 2 * (kt - depth))
-    shifted = time_shift_symbol(E, depth)
-    total = theta(Symbol._raw(XI, shifted.flat, EXACT), req_floor, nu=nu)
-    if E.low is not EXACT:
-        low = max_low(low, 2 * E.low)
-    if cut or E.low is not EXACT:
+        top = max(top, q if q >= 0 else depth)
+        rows.setdefault(kt, {}).setdefault(q, []).append(((0, 0, m), v))
+    if top > MAX_IMAGE_POWER:
+        raise ValueError(f"generator powers are bounded by {MAX_IMAGE_POWER} in absolute value")
+    flat: dict = {}
+    for kt, slices in rows.items():
+        # xi^q at twice-order kt maps to twice-orders 2*kt - 2*q and below
+        reach = (2 * kt - low) // 2 if cut else None
+        for (p, q, m), v in _shifted(slices, depth, reach).terms.items():
+            flat[(kt, p, q, m)] = v
+    total = theta(Symbol._raw(XI, flat, EXACT), req_floor, nu=nu)
+    if cut:
         # total is already reduced: cut it without a gcd per term
         low = max_low(total.low, low)
         total = Symbol._raw(R, {k: v for k, v in total.flat.items() if k[0] >= low}, low)

@@ -89,6 +89,29 @@ for c in (GaussRat(2), GaussRat(Fraction(1, 3))):
                 print(f"c = {c}, mu = {mu}, {{{label}, {other}}}: {poisson_bracket(F, G, mu, c)}")
 """
 
+THETA_T_CUT = """\
+from fractions import Fraction
+
+from svpsido.halfint import h
+from svpsido.psido import XI, Symbol
+from svpsido.ring import CoeffFn, GaussRat, M
+from svpsido.textio import symbol_str
+from svpsido.transforms import theta_t
+
+x = CoeffFn.x_pow
+inputs = [
+    Symbol(XI, {h(1): x(-1)}),
+    Symbol(XI, {h("1/2"): x(-2, GaussRat(1, 2)), h(-1): x(3)}),
+    Symbol(XI, {h(2): x(2) + x(-3, M), h("-3/2"): x(-1, GaussRat(0, Fraction(1, 3)))}),
+    Symbol(XI, {h(1): x(2), h("1/2"): x(1, M), h(0): x(0)}, h(-3)),
+    Symbol(XI, {h(3): x(4) + x(1), h(0): x(-1), h("-5/2"): x(-2)}, h("-9/2")),
+]
+for nu in (GaussRat(0), GaussRat(Fraction(1, 2)), GaussRat(2, -1)):
+    for floor in (h(-1), h("-7/2"), h(-16)):
+        for k, E in enumerate(inputs):
+            print(f"nu = {nu}, floor = {floor}, E{k}: {symbol_str(theta_t(E, floor, nu=nu))}")
+"""
+
 T61 = ("verify", "--suite", "theorem61")
 SUITE_CHOICES = (
     "'psido-axioms', 'theta', 'timeshift', 'cocycles', 'lemma26', 'lemma33', 'theorem51', "
@@ -133,6 +156,12 @@ CHECKS = [
     # M^-1, a negative M power that no pinned verify report prints
     Check("j-map-normalized-mass", ("-c", JMAP),
           sha256="b2830054f0e9d0adb5209eca1e0a2e8eeae66fe29dd43248423dbb6582fd80af"),
+    # theta_t of inverse powers and floored inputs, at nu 0, 1/2 and 2 - i
+    # and floors -1, -7/2 and -16, pinned from before a floored result
+    # shifted only the terms its floor reads; nu-scan's probes are
+    # polynomial, so no verify run here takes that path
+    Check("theta-t-cut", ("-c", THETA_T_CUT),
+          sha256="c14367488c0cdf0fb56a51057efb33b2794083fcbcca94c77534d9f50a8ba870"),
     # nu != 0 is the only path where the transform sums series images
     Check("deformed-transform", ("verify", "--nu", "1/2"), workers=(1, 2)),
     # a Gaussian nu drives the binom(nu, j) weights of the deformed images

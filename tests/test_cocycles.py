@@ -238,6 +238,20 @@ class TestDomainGuards:
         with pytest.raises(ValueError):
             eval_cocycle(CocycleId.C2, A, B)
 
+    @pytest.mark.parametrize("cid", ["c3", 3, None, CocycleId], ids=repr)
+    def test_refuses_a_value_that_is_no_cocycle(self, cid):
+        # a member's value, or anything else that is not a member
+        A = slot_symbol(up=(0, 1), down=(0, -2))
+        with pytest.raises(ValueError, match=f"^unknown cocycle {re.escape(repr(cid))}$"):
+            eval_cocycle(cid, A, A)
+        with pytest.raises(ValueError, match=f"^unknown cocycle {re.escape(repr(cid))}$"):
+            cyclic_defect(cid, A, A, A, A, A, A)
+
+    def test_members_keep_their_values(self):
+        assert [c.value for c in CocycleId] == ["c0", "c1", "c2", "c3", "c4", "c5"]
+        assert CocycleId("c3") is CocycleId.C3
+        assert repr(CocycleId.C3) == "<CocycleId.C3: 'c3'>"
+
     def test_accepts_floor_minus_one(self):
         A = Symbol(R, {h(1): CoeffFn.mono(0, 1)}, floor=h(-1))
         B = slot_symbol(down=(0, -2))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import gauss_shift_series, sym_scale
-from svpsido.halfint import EXACT, HalfInt, h
+from svpsido.halfint import EXACT, HalfInt, h, hmax
 from svpsido.psido import (
     R,
     XI,
@@ -455,6 +455,118 @@ class TestThetaT:
         deep = tr.theta_t(E, h(-7))
         shallow = tr.theta_t(E, h(-4))
         assert eq_trusted(deep, shallow)
+
+
+def whole_shift_then_cut(E, req, nu):
+    """theta_t as it was first written: every term shifted and mapped,
+    and the result cut at its floor afterwards."""
+    depth = tr.default_depth(req)
+    full = tr.theta(Symbol(XI, tr.time_shift_symbol(E, depth).terms), req, nu=nu)
+    floor, cut = req, E.floor is not EXACT
+    if cut:
+        floor = hmax(floor, E.floor + E.floor)
+    for kappa, c in E.terms.items():
+        if (c.min_x_degree() or 0) < 0:
+            cut = True
+            floor = hmax(floor, kappa + kappa - depth)
+    return Symbol(R, full.terms, floor) if cut else full
+
+
+x_pow = CoeffFn.x_pow
+# inverse powers, floored inputs, and orders that no term of a floored
+# result reaches (order -6 sits below floor -1 whatever its x-powers)
+CUT_INPUTS = [
+    Symbol(XI, {h(1): x_pow(-1)}),
+    Symbol(XI, {h("1/2"): x_pow(-2, Fraction(1, 2)), h(-1): x_pow(3)}),
+    Symbol(XI, {h(2): x_pow(2) + x_pow(-3, M), h("-3/2"): x_pow(-1, GaussRat(0, Fraction(1, 3)))}),
+    Symbol(XI, {h(1): x_pow(2), h("1/2"): x_pow(1, M), h(0): x_pow(0)}, h(-3)),
+    Symbol(XI, {h(3): x_pow(4) + x_pow(1), h(0): x_pow(-1), h("-5/2"): x_pow(-2)}, h("-9/2")),
+    Symbol(XI, {h(1): x_pow(-1), h(-6): x_pow(2) + x_pow(5, M)}),
+    Symbol(XI, {h("1/2"): x_pow(3), h(-8): x_pow(6)}, h(-1)),
+]
+CUT_NUS = [GaussRat(0), GaussRat(Fraction(1, 2)), GaussRat(2, -1)]
+CUT_FLOORS = [h(-1), h("-3/2"), h("-7/2"), h(-5), h(-9), h(-16)]
+
+
+class TestThetaTCut:
+    """A floored theta_t shifts each order only as far as its floor reads,
+    and must equal the whole shift cut at the same floor."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("nu", CUT_NUS, ids=str)
+    @pytest.mark.parametrize("k", range(len(CUT_INPUTS)))
+    def test_floored_result_equals_the_whole_shift_cut(self, k, nu, warm, monkeypatch):
+        E = CUT_INPUTS[k]
+        monkeypatch.setattr(tr, "_theta_images", tr.ThetaImageCache())
+        if warm:
+            # images filled first, deeper than any floor asked below
+            tr.theta_t(E, h(-16), nu=nu)
+            tr.theta(Symbol(XI, {h(0): x_pow(24)}), nu=nu)
+        for req in CUT_FLOORS:
+            got = tr.theta_t(E, req, nu=nu)
+            want = whole_shift_then_cut(E, req, nu)
+            assert got == want, (req, k)
+            assert got.floor == want.floor
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.integers(-12, 8).map(HalfInt),
+            st.dictionaries(st.integers(-4, 7), st.integers(-3, 3).filter(bool), min_size=1,
+                            max_size=3).map(lambda d: sum((x_pow(q, v) for q, v in d.items()),
+                                                          CoeffFn.zero())),
+            min_size=1, max_size=4,
+        ),
+        st.one_of(st.none(), st.integers(-20, 0).map(HalfInt)),
+        st.sampled_from(CUT_NUS),
+        st.integers(-32, -2).map(HalfInt),
+    )
+    def test_random_inputs_equal_the_whole_shift_cut(self, terms, floor, nu, req):
+        E = Symbol(XI, terms, floor)
+        got = tr.theta_t(E, req, nu=nu)
+        want = whole_shift_then_cut(E, req, nu)
+        assert got == want
+        assert got.floor == want.floor
+
+    def test_a_term_whose_image_tops_out_at_the_floor_is_kept(self):
+        # xi^3 d_xi maps to r^3/8 d_r^-1 and below: its top term sits on
+        # floor -1, the floor that the input's own floor -3 leaves standing
+        E = Symbol(XI, {h(1): x_pow(3)}, h(-3))
+        got = tr.theta_t(E, h(-1))
+        assert got.floor == h(-1)
+        assert got.coeff(h(-1)).x_slice(3) == CoeffFn.const(Fraction(1, 8))
+        assert got == whole_shift_then_cut(E, h(-1), GaussRat(0))
+        # space orders are integers: xi^4 d_xi^(1/2) tops out at order -3,
+        # the lowest one above floor -7/2
+        E = Symbol(XI, {h("1/2"): x_pow(4)}, h(-4))
+        got = tr.theta_t(E, h("-7/2"))
+        assert got.coeff(h(-3)).x_slice(4) == CoeffFn.const(Fraction(1, 16))
+        assert got == whole_shift_then_cut(E, h("-7/2"), GaussRat(0))
+
+    @pytest.mark.parametrize("nu", [GaussRat(0), GaussRat(Fraction(1, 2))], ids=str)
+    def test_refusals_read_every_order(self, nu):
+        bound = "^generator powers are bounded by 64 in absolute value$"
+        # order -20 lies below floor -1 whatever its x-powers, and is still checked
+        t_row = Symbol(XI, {h(1): x_pow(-1), h(-20): CoeffFn.mono(1, 2)})
+        with pytest.raises(ValueError, match="^the loop shift applies to momentum-only values$"):
+            tr.theta_t(t_row, h(-1), nu=nu)
+        power = Symbol(XI, {h(1): x_pow(-1), h(-20): x_pow(tr.MAX_IMAGE_POWER + 1)})
+        with pytest.raises(ValueError, match=bound):
+            tr.theta_t(power, h(-1), nu=nu)
+        floored = Symbol(XI, {h(1): x_pow(2), h(-20): x_pow(tr.MAX_IMAGE_POWER + 1)}, h(-21))
+        with pytest.raises(ValueError, match=bound):
+            tr.theta_t(floored, h(-1), nu=nu)
+        # a t-dependent order is reported before a power past the bound
+        both = Symbol(XI, {h(-20): x_pow(tr.MAX_IMAGE_POWER + 1), h(-21): CoeffFn.mono(1, 2)})
+        with pytest.raises(ValueError, match="^the loop shift applies to momentum-only values$"):
+            tr.theta_t(both, h(-1), nu=nu)
+        # below floor -30 an inverse power shifts past the bound
+        with pytest.raises(ValueError, match=bound):
+            tr.theta_t(Symbol(XI, {h(1): x_pow(-1)}), h(-31), nu=nu)
+        top = Symbol(XI, {h(1): x_pow(tr.MAX_IMAGE_POWER)})
+        assert tr.theta_t(top, h(-1), nu=nu).floor is EXACT
+        with pytest.raises(ValueError, match="^the loop shift applies to momentum symbols$"):
+            tr.theta_t(Symbol(R, {h(1): x_pow(-1)}), h(-1), nu=nu)
 
 
 class TestMomentumEmbedding:
