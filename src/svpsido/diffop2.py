@@ -54,10 +54,6 @@ class DiffOp2(Value):
         return DiffOp2({(0, 0): c})
 
     @staticmethod
-    def monomial(i: int, j: int, c=1) -> "DiffOp2":
-        return DiffOp2({(i, j): c})
-
-    @staticmethod
     def d_t() -> "DiffOp2":
         return DiffOp2({(1, 0): CoeffFn.one()})
 

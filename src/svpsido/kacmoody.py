@@ -88,8 +88,8 @@ from .ring import (
     file_flat,
     file_terms,
     loop_of,
-    mul_into,
     pair_terms_into,
+    product_into,
     sum_value,
     trace_pairs_into,
 )
@@ -181,12 +181,6 @@ def in_invariant_slice(mu: GDual) -> bool:
     return all(o == -4 or (o == 0 and c.is_t_only()) for o, c in mu.V.rows().items())
 
 
-def _add(row: dict, f: CoeffFn, g: CoeffFn) -> None:
-    """Add f*g into the row table, unless a factor is zero."""
-    if f.terms and g.terms:
-        mul_into(row, f.terms.items(), g.terms.items())
-
-
 def bracket_tables(A: GElement, B: GElement, c, req_floor) -> tuple:
     """The slot tables (w, flat, low, alpha) of the bracket at central
     charge c, none of them reduced:
@@ -208,18 +202,15 @@ def bracket_tables(A: GElement, B: GElement, c, req_floor) -> tuple:
     flat, low = bracket_transport_flat(A.W, B.W, aw, minus_bw.terms.items(), low_of(req_floor))
     w: dict = {}
     alpha: dict = {}
-    # a loop's derivative is taken only where its factor is nonzero, and
-    # _add forms no product with a zero derivative (a constant loop)
+    # a loop's derivative is taken only where its factor is nonzero
     if aw and bw:
-        _add(w, A.w, B.w.deriv("T"))
-        _add(w, -A.w.deriv("T"), B.w)
+        product_into(w, A.w, B.w.deriv("T"))
+        product_into(w, -A.w.deriv("T"), B.w)
     if aw and B.alpha.terms:
-        _add(alpha, A.w, B.alpha.deriv("T"))
+        product_into(alpha, A.w, B.alpha.deriv("T"))
     if bw and A.alpha.terms:
-        _add(alpha, minus_bw, A.alpha.deriv("T"))
-    central = eval_cocycle(CocycleId.C3, A.W, B.W)
-    if central.terms:
-        _add(alpha, central, coeff_of(c))
+        product_into(alpha, minus_bw, A.alpha.deriv("T"))
+    product_into(alpha, eval_cocycle(CocycleId.C3, A.W, B.W), coeff_of(c))
     return w, flat, low, alpha
 
 
@@ -387,24 +378,15 @@ _MINUS_HALF_R = CoeffFn.x_pow(1) * _MINUS_HALF
 
 def _coadjoint_factors(X: SvElement) -> tuple:
     """The loop factors of coadjoint that X alone fixes, with their signs
-    and constants folded in, and the a-sourced factors before the charge
-    meets them: (factors of the f family, or None; factors of the g
-    family, or None; the a-sourced factor of the V_-2 row over c)."""
-    f, g, hh = X.f, X.g, X.h
-    f_part = g_part = None
-    a_vm2 = CoeffFn.zero()
-    if not f.is_zero():
-        fd = f.deriv("T")
-        fdd = fd.deriv("T")
-        f_part = (fdd * _MINUS_HALF, -f, fd * -2, fd * _MINUS_HALF_R, -fd, fd * HALF)
-        a_vm2 = fdd * I_M_QUARTER - fdd.deriv("T") * _M2_R2_QUARTER
-    if not g.is_zero():
-        gd = g.deriv("T")
-        g_part = (-gd, -g)
-        a_vm2 = a_vm2 - gd.deriv("T") * _M2_R
-    if not hh.is_zero():
-        a_vm2 = a_vm2 - hh.deriv("T") * M2
-    return f_part, g_part, a_vm2
+    and constants folded in, zero where X lacks a family: six of the f
+    family, two of the g family, and the a-sourced factor of the V_-2 row
+    over c, before the charge meets it."""
+    f, g = X.f, X.g
+    fd, gd = f.deriv("T"), g.deriv("T")
+    fdd = fd.deriv("T")
+    a_vm2 = (fdd * I_M_QUARTER - fdd.deriv("T") * _M2_R2_QUARTER - gd.deriv("T") * _M2_R
+             - X.h.deriv("T") * M2)
+    return (fdd * _MINUS_HALF, -f, fd * -2, fd * _MINUS_HALF_R, -fd, fd * HALF, -gd, -g, a_vm2)
 
 
 def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
@@ -415,59 +397,54 @@ def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
     which the caller can recheck via in_invariant_slice.
 
     Each output row (v, V_-2, V_0, a) is one table that every product
-    adds into, with its sign and constant folded into the loop factor of
-    X; the a-sourced terms of the V_-2 row are summed into one loop
-    factor first, so a meets them in one product.  The loop factors
-    depend on X alone, so they are built once (_coadjoint_factors) and
-    kept on X (Value.kept); the charge meets them on every call.
-
-    The rows are read by point slot: the products of each slot of mu
-    (v, V_-2, V_0, a) are formed only when that slot is nonzero, and the
-    charge meets its factors only when a is, so a slice point that fills
-    one slot costs the products of that slot alone.
+    adds into (ring.product_into), with its sign and constant folded into
+    the loop factor of X; the a-sourced terms of the V_-2 row are summed
+    into one loop factor first, so a meets them in one product.  The loop
+    factors depend on X alone, so they are built once (_coadjoint_factors)
+    and kept on X (Value.kept); the charge meets them on every call.  A
+    derivative, slice or residue of a slot of mu, and a factor that folds
+    in the charge, is taken only where a product will read it.
     """
     if not in_invariant_slice(mu):
         raise ValueError("coadjoint is defined on the invariant slice only")
     c = coeff_of(c)
-    f_part, g_part, a_vm2 = X.kept(_coadjoint_factors)
+    (fdd_minus_half, minus_f, two_fd, fd_minus_half_r, minus_fd, fd_half, minus_gd, minus_g,
+     a_vm2) = X.kept(_coadjoint_factors)
     v, a = mu.v, mu.a
     vm2, v0 = mu.slots()
     row_v: dict = {}
     row_vm2: dict = {}
     row_v0: dict = {}
     row_a: dict = {}
-    if f_part is not None:
-        fdd_minus_half, minus_f, two_fd, fd_minus_half_r, minus_fd, fd_half = f_part
-    if g_part is not None:
-        minus_gd, minus_g = g_part
+    has_f, has_g = minus_f.terms, minus_g.terms
 
-    if v.terms and f_part is not None:
-        _add(row_v, minus_f, v.deriv("T"))
-        _add(row_v, two_fd, v)
+    if v.terms and has_f:
+        product_into(row_v, minus_f, v.deriv("T"))
+        product_into(row_v, two_fd, v)
 
     if vm2.terms:
         vm2_x = vm2.deriv("X")
-        if f_part is not None:
+        if has_f:
             # res_x(r V_-2) is the r^-2 slice of V_-2
-            _add(row_v, fdd_minus_half, vm2.x_slice(-2))
-            _add(row_vm2, minus_f, vm2.deriv("T"))
-            _add(row_vm2, fd_minus_half_r, vm2_x)
-            _add(row_vm2, two_fd, vm2)
-        if g_part is not None:
-            _add(row_v, minus_gd, vm2.residue("X"))
-            _add(row_vm2, minus_g, vm2_x)
+            product_into(row_v, fdd_minus_half, vm2.x_slice(-2))
+            product_into(row_vm2, minus_f, vm2.deriv("T"))
+            product_into(row_vm2, fd_minus_half_r, vm2_x)
+            product_into(row_vm2, two_fd, vm2)
+        if has_g:
+            product_into(row_v, minus_gd, vm2.residue("X"))
+            product_into(row_vm2, minus_g, vm2_x)
 
-    if v0.terms and f_part is not None:
-        _add(row_v0, minus_f, v0.deriv("T"))
-        _add(row_v0, minus_fd, v0)
+    if v0.terms and has_f:
+        product_into(row_v0, minus_f, v0.deriv("T"))
+        product_into(row_v0, minus_fd, v0)
 
     if a.terms:
-        if f_part is not None:
-            _add(row_v0, a, fd_half * c)
-            _add(row_a, minus_fd, a)
-            _add(row_a, minus_f, a.deriv("T"))
+        if has_f:
+            product_into(row_v0, a, fd_half * c)
+            product_into(row_a, minus_fd, a)
+            product_into(row_a, minus_f, a.deriv("T"))
         if a_vm2.terms:
-            _add(row_vm2, a, a_vm2 * c)
+            product_into(row_vm2, a, a_vm2 * c)
 
     terms: dict = {}
     if row_vm2:

@@ -50,6 +50,7 @@ from .ring import (
     coeff_from_table,
     coeff_of,
     mul_into,
+    product_into,
     residue_into,
     triple_into,
 )
@@ -449,14 +450,12 @@ def hamiltonian_vector(F: LocalFunctional, mu: GDual, c) -> GDual:
         V0:   V0' P - c a P' + (V0 phi)_t
         a:    (a phi)_t
 
-    Each row is one table that every product adds into, with its sign and
-    constant folded into one factor; the residue of the v row is read from
-    the term pairs that meet at x^-1 (ring.residue_into).
-
-    The rows are read by point slot: the products of each slot of mu
-    (v, V-2, V0, a) are formed only when that slot is nonzero, and so are
-    the factors that fold in their constants (2 phi_t, -Q, -c a), so a
-    slice point that fills one slot costs the products of that slot alone.
+    Each row is one table that every product adds into (ring.product_into),
+    with its sign and constant folded into one factor; the residue of the
+    v row is read from the term pairs that meet at x^-1 (ring.residue_into).
+    The products of each slot of mu (v, V-2, V0, a), and the factors that
+    fold in their constants (2 phi_t, -Q, -c a), are formed only when that
+    slot is nonzero.
     """
     vm2, v0 = mu.slots()
     v, a = mu.v, mu.a
@@ -467,23 +466,29 @@ def hamiltonian_vector(F: LocalFunctional, mu: GDual, c) -> GDual:
     row_v0: dict = {}
     row_a: dict = {}
     if v.terms:
-        _products(row_v, (v, phi_t * 2), (v.deriv("T"), phi))
+        product_into(row_v, v, phi_t * 2)
+        product_into(row_v, v.deriv("T"), phi)
     if vm2.terms:
         _residue(row_v, vm2, P.deriv("T"))
-        _products(row_vm2, (vm2, P.deriv("X") * 2), (vm2.deriv("X"), P),
-                  (vm2.deriv("T"), phi), (vm2, phi_t))
+        product_into(row_vm2, vm2, P.deriv("X") * 2)
+        product_into(row_vm2, vm2.deriv("X"), P)
+        product_into(row_vm2, vm2.deriv("T"), phi)
+        product_into(row_vm2, vm2, phi_t)
     if v0.terms:
         _residue(row_v, v0, Q.deriv("T"))
         v0_x = v0.deriv("X")
         if v0_x.terms:
-            _products(row_vm2, (v0_x, -Q))
-        _products(row_v0, (v0_x, P), (v0.deriv("T"), phi), (v0, phi_t))
+            product_into(row_vm2, v0_x, -Q)
+        product_into(row_v0, v0_x, P)
+        product_into(row_v0, v0.deriv("T"), phi)
+        product_into(row_v0, v0, phi_t)
     if a.terms:
         minus_ca = a * -coeff_of(c)
-        _products(row_v, (a, psi.deriv("T")))
-        _products(row_vm2, (minus_ca, Q.deriv("X")))
-        _products(row_v0, (minus_ca, P.deriv("X")))
-        _products(row_a, (a.deriv("T"), phi), (a, phi_t))
+        product_into(row_v, a, psi.deriv("T"))
+        product_into(row_vm2, minus_ca, Q.deriv("X"))
+        product_into(row_v0, minus_ca, P.deriv("X"))
+        product_into(row_a, a.deriv("T"), phi)
+        product_into(row_a, a, phi_t)
     V = Symbol(R, {-2: coeff_from_table(row_vm2), 0: coeff_from_table(row_v0)})
     return GDual(v=coeff_from_table(row_v), V=V, a=coeff_from_table(row_a))
 
@@ -492,14 +497,6 @@ def _residue(acc: dict, f: CoeffFn, g: CoeffFn) -> None:
     """Add res_x(f g) into acc, unless a factor is zero."""
     if f.terms and g.terms:
         residue_into(acc, f.terms.items(), g.terms.items(), 0, 1)
-
-
-def _products(acc: dict, *products) -> None:
-    """Add f*g into acc for every product (f, g) whose factors are both
-    nonzero."""
-    for f, g in products:
-        if f.terms and g.terms:
-            mul_into(acc, f.terms.items(), g.terms.items())
 
 
 # ----------------------------------------------------- structural criterion

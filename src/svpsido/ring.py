@@ -63,7 +63,11 @@ no terms returns at once (values are immutable, so the operand itself may be
 the result), after the same type coercion as any other call.  Every other
 product and sum of CoeffFns runs through one loop, ``mul_into``, after
 sympy's ``PolyElement.__mul__``: it adds f*g term pair by term pair.  A sum
-multiplies by the unit, a difference by minus the unit.
+multiplies by the unit, a difference by minus the unit.  The closed-form
+rows of the coadjoint action, the Hamiltonian field and the actions on
+Schrödinger operators add each product of two values into their row's
+table through ``product_into``, the one place where a product with a zero
+factor is skipped before ``mul_into`` runs.
 
 The Leibniz composition of symbols runs one loop, ``leibniz_rows``, over
 every pair of a left and a right term.  It weighs each pair of a left term
@@ -109,9 +113,9 @@ from math import gcd
 
 __all__ = [
     "Value", "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M", "coeff_of", "loop_of",
-    "mul_into", "scale_into", "transport_into", "leibniz_rows", "bracket_rows", "residue_into",
-    "triple_into", "coeff_from_table", "triple_of", "gauss_of", "reduce_flat", "file_terms",
-    "file_flat", "pair_terms_into", "trace_pairs_into", "sum_value", "sum_is_zero",
+    "mul_into", "product_into", "scale_into", "transport_into", "leibniz_rows", "bracket_rows",
+    "residue_into", "triple_into", "coeff_from_table", "triple_of", "gauss_of", "reduce_flat",
+    "file_terms", "file_flat", "pair_terms_into", "trace_pairs_into", "sum_value", "sum_is_zero",
 ]
 
 _new = object.__new__
@@ -522,17 +526,19 @@ class CoeffFn(Value):
         point values are differentiated again and again."""
         try:
             return self._kept[var]
-        except (AttributeError, KeyError):
-            pass
+        except AttributeError:
+            memo = None
+        except KeyError:
+            memo = self._kept
         if var != "T" and var != "X":
             raise ValueError(f"unknown variable {var!r}")
         if not self.terms:
             return self
         out = _derivative(self.terms, var)
-        try:
-            self._kept[var] = out
-        except AttributeError:
+        if memo is None:
             _set_kept(self, {var: out})
+        else:
+            memo[var] = out
         return out
 
     def residue(self, var: str) -> "CoeffFn":
@@ -661,6 +667,13 @@ def mul_into(acc: dict, f_items, g_items) -> None:
                 acc[k] = (a + sa, b + sb, d)
             else:
                 acc[k] = (a * e + sa * d, b * e + sb * d, d * e)
+
+
+def product_into(acc: dict, f: CoeffFn, g: CoeffFn) -> None:
+    """Add f*g into acc through mul_into, unless a factor is zero: the
+    package's one place where a product with a zero factor is skipped."""
+    if f.terms and g.terms:
+        mul_into(acc, f.terms.items(), g.terms.items())
 
 
 def scale_into(acc: dict, items, dt: int, p2: int, m2: int, g: tuple) -> None:

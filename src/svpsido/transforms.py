@@ -370,9 +370,10 @@ def theta_t(E: Symbol, req_floor, nu: GaussRat = GR_ZERO) -> Symbol:
     <= 2*kappa - depth - 1.  Such a result is cut at its floor, which is
     known before the shift.  The image of xi^q d_xi^kappa tops out at
     space order 2*kappa - q, so each order is shifted only up to the
-    x-degree whose image still reaches the floor; a term left out would
-    land wholly below it.  An exact result shifts and maps every term.
-    One theta call maps the shifted terms.
+    x-degree whose image still reaches the floor, and an order whose xi^0
+    image already tops out below it is skipped; a term left out would
+    land wholly below the floor.  An exact result shifts and maps every
+    term.  One theta call maps the shifted terms.
     """
     depth = default_depth(req_floor)
     if E.var != XI:
@@ -398,6 +399,8 @@ def theta_t(E: Symbol, req_floor, nu: GaussRat = GR_ZERO) -> Symbol:
     for kt, slices in rows.items():
         # xi^q at twice-order kt maps to twice-orders 2*kt - 2*q and below
         reach = (2 * kt - low) // 2 if cut else None
+        if cut and reach < 0:
+            continue
         for (p, q, m), v in _shifted(slices, depth, reach).terms.items():
             flat[(kt, p, q, m)] = v
     total = theta(Symbol._raw(XI, flat, EXACT), req_floor, nu=nu)

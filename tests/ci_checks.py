@@ -112,6 +112,20 @@ for nu in (GaussRat(0), GaussRat(Fraction(1, 2)), GaussRat(2, -1)):
             print(f"nu = {nu}, floor = {floor}, E{k}: {symbol_str(theta_t(E, floor, nu=nu))}")
 """
 
+EMPTY_PRODUCTS = """\
+import sys
+
+sys.path.insert(0, "tests")
+from test_suites import TestSharedTables
+
+from svpsido.halfint import h
+from svpsido.suites import SUITE_NAMES, VerifyConfig
+
+box = VerifyConfig(floor=h(-16), index_range=5, threads=1)
+for key, count in TestSharedTables._empty_operand_calls(SUITE_NAMES, box).items():
+    print(f"{key} with an empty operand: {count}")
+"""
+
 T61 = ("verify", "--suite", "theorem61")
 SUITE_CHOICES = (
     "'psido-axioms', 'theta', 'timeshift', 'cocycles', 'lemma26', 'lemma33', 'theorem51', "
@@ -207,6 +221,12 @@ CHECKS = [
     # composition and transform loops run at depth (140,948 cases)
     Check("admitted-box", ("verify", "--floor", "-16", "--range", "5", "--threads", "2"),
           sha256="c18facb00ef574741eb06316b195af52921bad1dea241fcfa590029f28776781"),
+    # every suite passes on the admitted box at one worker, with each
+    # product kernel wrapped in every module that holds it, and no call
+    # finds an operand empty, so no product with a zero factor is formed
+    Check("no-empty-products-box", ("-c", EMPTY_PRODUCTS),
+          lines=tuple(f"{key} with an empty operand: 0" for key in
+                      ("mul_into", "triple_into", "residue_into", "pair_terms_into"))),
     # the command line imports the suites only when verify runs, so an
     # import that breaks shows only in a cold process, never in the
     # in-process main() tests; each usage error exits 2 with its exact

@@ -329,6 +329,24 @@ def test_zero_operands_still_coerce_and_check_first():
         Z - object()
 
 
+@given(coeffs, coeffs, scalars)
+def test_product_into_adds_what_mul_into_adds_unless_a_factor_is_zero(f, g, start):
+    # the table already holds a sum; a zero factor on either side, the
+    # shared zero or a fresh empty value, leaves it as it was and calls no
+    # kernel, and any other pair adds what mul_into adds on the term views
+    acc, want = dict(start.terms), dict(start.terms)
+    ring.mul_into(want, f.terms.items(), g.terms.items())
+    ring.product_into(acc, f, g)
+    assert acc == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring, "mul_into", _no_table)
+        for zero in (CoeffFn.zero(), CoeffFn({})):
+            for pair in ((zero, f), (f, zero), (zero, zero)):
+                acc = dict(start.terms)
+                ring.product_into(acc, *pair)
+                assert acc == start.terms
+
+
 def test_x_to_t_requires_t_free():
     ok = CoeffFn.x_pow(3)
     assert ok.x_to_t(2) == CoeffFn.t_pow(3, 8)

@@ -617,10 +617,10 @@ class TestSharedTables:
                         "residue_into": (1, 2), "pair_terms_into": (1, 2)}
 
     @staticmethod
-    def _empty_operand_calls(names) -> dict:
-        """Run the suites at the default config and one worker, with each
-        product kernel wrapped in every module that holds it; the number
-        of calls, per kernel, that find an operand empty on entry."""
+    def _empty_operand_calls(names, config=VerifyConfig(threads=1)) -> dict:
+        """Run the suites at config (the default, at one worker), with
+        each product kernel wrapped in every module that holds it; the
+        number of calls, per kernel, that find an operand empty on entry."""
         calls = Counter()
 
         def empty_counted(key, operands):
@@ -636,25 +636,23 @@ class TestSharedTables:
         with pytest.MonkeyPatch.context() as mp:
             for key, operands in TestSharedTables._PRODUCT_KERNELS.items():
                 _wrap_everywhere(mp, ring, key, empty_counted(key, operands))
-            reports = run_suites(names, VerifyConfig(threads=1))
+            reports = run_suites(names, config)
         assert all(rep.passed == rep.cases > 0 for rep in reports)
         return {key: calls[key] for key in TestSharedTables._PRODUCT_KERNELS}
 
     def test_duality_suites_form_no_product_with_an_empty_factor(self):
-        # the slice points fill one slot each, and an element's loop
-        # factors are often zero.  Counts at the parent, with every row of
-        # coadjoint and hamiltonian_vector formed whatever the point's
-        # slots: mul_into 31,180, triple_into 21,430, residue_into 17,812,
-        # pair_terms_into 25,255.  The mul_into calls left come from
-        # d_sigma and from the bracket's loop slots, whose derivatives
-        # are zero for a constant loop.  Taken in a fresh interpreter,
-        # since the duality tables, the kept loop factors and the image
-        # caches of a warm process would leave work out of the count
+        # every suite, not only the duality ones: the slice points fill one
+        # slot each, an element's loop factors are often zero, and a
+        # floored theta_t meets orders whose images lie wholly below its
+        # floor.  Taken in a fresh interpreter, since the duality tables,
+        # the kept loop factors and the image caches of a warm process
+        # would leave work out of the count
         script = (
             f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
             "from test_suites import TestSharedTables\n"
+            "from svpsido.suites import SUITE_NAMES\n"
             "import json\n"
-            "print(json.dumps(TestSharedTables._empty_operand_calls(['theorem61', 'poisson-lemma71'])))\n"
+            "print(json.dumps(TestSharedTables._empty_operand_calls(list(SUITE_NAMES))))\n"
         )
         env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=SRC)
         done = subprocess.run(
