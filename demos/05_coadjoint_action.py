@@ -31,7 +31,7 @@ from svpsido.textio import scalar_str
 
 # A point of the invariant slice: potential t*r^2 in the visible slot,
 # unit evolution coefficient.
-mu = GDual(V=Symbol(R, {h(-2): CoeffFn.mono(1, 2)}), a=CoeffFn.one())
+mu = GDual.of_slots(vm2=CoeffFn.mono(1, 2), a=CoeffFn.one())
 X = time_mode(1)
 charge = GaussRat(2)
 

@@ -13,7 +13,6 @@ slice.
 
 from fractions import Fraction
 
-from svpsido.halfint import h
 from svpsido.kacmoody import GDual, coadjoint
 from svpsido.poisson import (
     FIELD_V0,
@@ -28,21 +27,11 @@ from svpsido.poisson import (
     total_derivative,
     variational_derivative,
 )
-from svpsido.psido import R, Symbol
 from svpsido.ring import CoeffFn, GaussRat, M
 from svpsido.svalgebra import SvElement, sv_bracket
 from svpsido.textio import scalar_str
 
 C2 = GaussRat(2)
-
-
-def npoint(v=None, vm2=None, v0=None, a=None):
-    terms = {}
-    if vm2 is not None:
-        terms[h(-2)] = vm2
-    if v0 is not None:
-        terms[h(0)] = v0
-    return GDual(v=v, V=Symbol(R, terms), a=a)
 
 
 # Variational calculus: the Euler operator annihilates anything that
@@ -56,8 +45,8 @@ print()
 # is the momentum pairing against the lift of X, so its Hamiltonian
 # vector at mu is exactly ad*_X mu.
 X = SvElement(f=CoeffFn.t_pow(2))
-mu = npoint(v=CoeffFn.t_pow(1), vm2=CoeffFn.mono(1, -1),
-            v0=CoeffFn.t_pow(-1), a=CoeffFn.t_pow(-2))
+mu = GDual.of_slots(v=CoeffFn.t_pow(1), vm2=CoeffFn.mono(1, -1),
+                    v0=CoeffFn.t_pow(-1), a=CoeffFn.t_pow(-2))
 H = hamiltonian_vector(lemma71_functional(X), mu, C2)
 assert H == coadjoint(X, mu, C2)
 print("H_{F_X}(mu) == ad*_X mu:", H == coadjoint(X, mu, C2))
@@ -73,7 +62,7 @@ print("on the slice:   {F_X, F_Y} == F_[X,Y]")
 
 # Off the slice (space dependence in the shallow potential slot) the
 # (time, shift) pair picks up its exceptional integral of g f'' V0.
-loose = npoint(v0=CoeffFn.mono(-2, -1))
+loose = GDual.of_slots(v0=CoeffFn.mono(-2, -1))
 lhs = poisson_bracket(lemma71_functional(X), lemma71_functional(Y), mu=loose, c=C2)
 rhs = evaluate(lemma71_functional(sv_bracket(X, Y)), loose)
 iq = GaussRat(0, Fraction(1, 4)) * M

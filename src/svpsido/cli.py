@@ -125,21 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_verify(args) -> int:
     from .suites import VerifyConfig, report_json, report_text, run_suites
 
-    kwargs = dict(
-        index_range=args.index_range,
-        mu=args.mu,
-        normalize_mass=args.normalize_mass,
-        random_cases=args.random_cases,
-        seed=args.seed,
-        threads=args.threads,
-    )
-    if args.floor is not None:
-        kwargs["floor"] = args.floor
-    if args.c is not None:
-        kwargs["c"] = args.c
-    if args.nu is not None:
-        kwargs["nu"] = args.nu
-    cfg = VerifyConfig(**kwargs)
+    # every config field is a parsed option; one left out (None) keeps its default
+    cfg = VerifyConfig(**{name: value for name in VerifyConfig._fields
+                          if (value := getattr(args, name)) is not None})
     try:
         reports = run_suites(args.suite, cfg)
     except ValueError as exc:

@@ -75,11 +75,7 @@ class DiffOp2(Value):
         out = dict(self.terms)
         for k, c in other.terms.items():
             s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            out[k] = c if s is None else s + c
         return DiffOp2(out)
 
     def __neg__(self):
@@ -97,12 +93,11 @@ class DiffOp2(Value):
     def __str__(self):
         if not self.terms:
             return "0"
+        from .textio import _coeff_text
+
         parts = []
         for (i, j) in sorted(self.terms, key=lambda k: (-(k[0] + k[1]), -k[0])):
-            c = self.terms[(i, j)]
-            from .textio import coeff_str
-
-            ctxt = coeff_str(c, "r")
+            ctxt, monomials = _coeff_text(self.terms[(i, j)], "r")
             ds = []
             if i:
                 ds.append("d_t" if i == 1 else f"d_t^{i}")
@@ -115,7 +110,8 @@ class DiffOp2(Value):
             elif ctxt == "-1":
                 parts.append("-" + "*".join(ds))
             else:
-                body = f"({ctxt})" if " " in ctxt else ctxt
+                # wrapped as symbol_str wraps it: only a sum of (t, r) monomials
+                body = f"({ctxt})" if monomials > 1 else ctxt
                 parts.append(body + "*" + "*".join(ds))
         return " + ".join(parts).replace("+ -", "- ")
 
@@ -144,11 +140,7 @@ def dop_mul(A: DiffOp2, B: DiffOp2) -> DiffOp2:
                         term = term * coeff
                     key = (i + k - p, j + l - q)
                     s = out.get(key)
-                    s = term if s is None else s + term
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    out[key] = term if s is None else s + term
     return DiffOp2(out)
 
 

@@ -16,6 +16,7 @@ terms is identically zero (written EXACT in text form).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 
 __all__ = ["HalfInt", "EXACT", "h", "hmax", "low_of", "floor_of", "max_low", "order_str"]
 
@@ -23,6 +24,7 @@ __all__ = ["HalfInt", "EXACT", "h", "hmax", "low_of", "floor_of", "max_low", "or
 EXACT = None
 
 
+@total_ordering
 class HalfInt:
     """An element of (1/2)Z, stored as twice its value."""
 
@@ -113,18 +115,6 @@ class HalfInt:
     def __lt__(self, other):
         k = self._cmp_key(other)
         return NotImplemented if k is None else self.twice < k
-
-    def __le__(self, other):
-        k = self._cmp_key(other)
-        return NotImplemented if k is None else self.twice <= k
-
-    def __gt__(self, other):
-        k = self._cmp_key(other)
-        return NotImplemented if k is None else self.twice > k
-
-    def __ge__(self, other):
-        k = self._cmp_key(other)
-        return NotImplemented if k is None else self.twice >= k
 
     def __hash__(self):
         # an integral value hashes like its int, so a HalfInt key finds the

@@ -43,7 +43,9 @@ pairs an element through the same tables, its slots' own dicts.
 
 The invariant slice kept by the coadjoint action consists of points with
 V = V_-2(t,r) d^-2 + V_0(t): free-evolution multiples plus a potential,
-with the d^0 part spatially constant.
+with the d^0 part spatially constant.  GDual.of_slots, which builds such
+a point from its slot values (v, V_-2, V_0, a), is the one place that
+knows this layout; GDual.slots reads it back.
 
 The embedding of the symmetry algebra composes the momentum realization
 with the shifted transform and caps the result at order 1; the order-2
@@ -83,6 +85,7 @@ from .ring import (
     M2,
     TWO_I_M,
     Value,
+    _rebuilt,
     coeff_from_table,
     coeff_of,
     file_flat,
@@ -128,27 +131,11 @@ class GElement(Value):
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "alpha", loop_of(alpha, "the central coordinate"))
 
-    @classmethod
-    def _raw(cls, w: CoeffFn, W: Symbol, alpha: CoeffFn) -> "GElement":
-        """Wrap parts that already pass the checks of __init__: t-only
-        loops and a space symbol of order at most 1."""
-        out = object.__new__(cls)
-        _set_w(out, w)
-        _set_W(out, W)
-        _set_alpha(out, alpha)
-        return out
-
     def add(self, other: "GElement") -> "GElement":
         return GElement(self.w + other.w, sym_add(self.W, other.W), self.alpha + other.alpha)
 
     def sub(self, other: "GElement") -> "GElement":
         return GElement(self.w - other.w, sym_sub(self.W, other.W), self.alpha - other.alpha)
-
-
-# The slots' own setters, as for Symbol: they skip the guard in __setattr__.
-_set_w = GElement.__dict__["w"].__set__
-_set_W = GElement.__dict__["W"].__set__
-_set_alpha = GElement.__dict__["alpha"].__set__
 
 
 class GDual(Value):
@@ -168,6 +155,23 @@ class GDual(Value):
         object.__setattr__(self, "v", loop_of(v, "the dt^2 component"))
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "a", loop_of(a, "the central dual component"))
+
+    @classmethod
+    def of_slots(cls, v=None, vm2=None, v0=None, a=None) -> "GDual":
+        """The slice point (v, V_-2 d^-2 + V_0, a) from its slot values,
+        None for zero: the one place that puts V_-2 and V_0 at V's orders
+        -2 and 0, in that order.  V_-2 and V_0 are coerced as Symbol's
+        constructor coerces a coefficient, and v and a are checked with
+        the texts of __init__; V is exact with orders -2 and 0 only, so it
+        is wrapped, and the point rebuilt, past the checks (ring._rebuilt)."""
+        flat: dict = {}
+        for ot, c in ((-4, vm2), (0, v0)):
+            if c is not None:
+                for (p, q, m), val in coeff_of(c).terms.items():
+                    flat[(ot, p, q, m)] = val
+        V = Symbol._raw(R, flat, EXACT)
+        return _rebuilt(cls, (loop_of(v, "the dt^2 component"), V,
+                              loop_of(a, "the central dual component")))
 
     def slots(self) -> tuple:
         """(V_-2, V_0): V's coefficients of orders -2 and 0, zero where
@@ -217,11 +221,12 @@ def bracket_tables(A: GElement, B: GElement, c, req_floor) -> tuple:
 def g_bracket(A: GElement, B: GElement, c, req_floor) -> GElement:
     """Bracket of the extended algebra at central charge c: the slot
     tables of bracket_tables, each wrapped once.  The parts are t-only and
-    W has order at most 1 by construction, so the result skips the checks
-    of GElement."""
+    W has order at most 1 by construction, so the result is rebuilt from
+    them past the checks of GElement (ring._rebuilt), as GDual.of_slots,
+    the one place that knows the slice layout, builds a dual point."""
     w, flat, low, alpha = bracket_tables(A, B, c, req_floor)
-    return GElement._raw(coeff_from_table(w), symbol_from_flat(R, flat, low),
-                         coeff_from_table(alpha))
+    return _rebuilt(GElement, (coeff_from_table(w), symbol_from_flat(R, flat, low),
+                               coeff_from_table(alpha)))
 
 
 class DualFamily:
@@ -446,9 +451,5 @@ def coadjoint(X: SvElement, mu: GDual, c) -> GDual:
         if a_vm2.terms:
             product_into(row_vm2, a, a_vm2 * c)
 
-    terms: dict = {}
-    if row_vm2:
-        terms[-2] = coeff_from_table(row_vm2)
-    if row_v0:
-        terms[0] = coeff_from_table(row_v0)
-    return GDual(coeff_from_table(row_v), Symbol(R, terms), coeff_from_table(row_a))
+    return GDual.of_slots(coeff_from_table(row_v), coeff_from_table(row_vm2),
+                          coeff_from_table(row_v0), coeff_from_table(row_a))

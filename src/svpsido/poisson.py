@@ -38,7 +38,6 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .kacmoody import GDual
-from .psido import R, Symbol
 from .ring import (
     CoeffFn,
     GaussRat,
@@ -489,8 +488,8 @@ def hamiltonian_vector(F: LocalFunctional, mu: GDual, c) -> GDual:
         product_into(row_v0, minus_ca, P.deriv("X"))
         product_into(row_a, a.deriv("T"), phi)
         product_into(row_a, a, phi_t)
-    V = Symbol(R, {-2: coeff_from_table(row_vm2), 0: coeff_from_table(row_v0)})
-    return GDual(v=coeff_from_table(row_v), V=V, a=coeff_from_table(row_a))
+    return GDual.of_slots(coeff_from_table(row_v), coeff_from_table(row_vm2),
+                          coeff_from_table(row_v0), coeff_from_table(row_a))
 
 
 def _residue(acc: dict, f: CoeffFn, g: CoeffFn) -> None:
@@ -522,13 +521,10 @@ def n_preservation_check(F: LocalFunctional) -> bool:
         if any(K.field == FIELD_V0 and (K.i or K.j) for K in jets):
             return False
 
-    probes = []
-    for vm2 in (CoeffFn.mono(0, 2), CoeffFn.mono(1, 1), CoeffFn.mono(2, 0),
-                CoeffFn.mono(0, -1)):
-        for v0 in (CoeffFn.one(), CoeffFn.t_pow(1)):
-            probes.append(GDual(v=None,
-                                V=Symbol(R, {-2: vm2, 0: v0}),
-                                a=CoeffFn.one()))
+    probes = [GDual.of_slots(vm2=vm2, v0=v0, a=CoeffFn.one())
+              for vm2 in (CoeffFn.mono(0, 2), CoeffFn.mono(1, 1), CoeffFn.mono(2, 0),
+                          CoeffFn.mono(0, -1))
+              for v0 in (CoeffFn.one(), CoeffFn.t_pow(1))]
     for mu in probes:
         row = hamiltonian_vector(F, mu, GaussRat(2)).slots()[1]
         if not row.deriv("X").is_zero():

@@ -315,14 +315,17 @@ class Value:
     slots within one class, the zero test of every public slot, the text
     ``(name: value; name: value)`` as both str and repr, and kept(), the
     memo of what is built from a value alone.  A subclass writes its own
-    slots with object.__setattr__ or the slot's own setter, past the
-    guard.
+    slots past the guard: with object.__setattr__ in its constructor, or,
+    where a kernel result is wrapped (Symbol, CoeffFn), with the slot's
+    own setter, the cheapest write.
 
     Value declares the package's one private slot, _kept: the memo dict,
     left unset until something is first kept, so a value that keeps
     nothing costs one slot and no dict.  Equality and printing ignore it,
     and a copy or a pickle carries the public slots only and is rebuilt
-    from them past the guard (_rebuilt), with the memo unset.
+    from them past the guard (_rebuilt), with the memo unset.  _rebuilt
+    also builds a value from parts that are clean by construction, with
+    no constructor checks (kacmoody.g_bracket, GDual.of_slots).
     """
 
     __slots__ = ("_kept",)
@@ -375,7 +378,12 @@ _set_kept = Value.__dict__["_kept"].__set__
 
 def _rebuilt(cls, parts: tuple) -> Value:
     """The value of class cls with public slots parts, set past the guard,
-    and its memo unset."""
+    and its memo unset: the one wrap of clean parts that serves copy,
+    pickle and the values built from parts that pass their class's checks
+    by construction (kacmoody.g_bracket, GDual.of_slots).  Symbol and
+    CoeffFn keep their own slot setters (psido.Symbol._raw, _coeff_raw),
+    because they wrap every kernel result, and a wrap through the slots'
+    own setters takes less than half the time of this loop."""
     out = _new(cls)
     for name, value in zip(cls._parts, parts):
         object.__setattr__(out, name, value)

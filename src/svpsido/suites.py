@@ -415,29 +415,21 @@ def _random_symbol(rng: random.Random, var: str, n: int) -> Symbol:
     return Symbol(var, terms)
 
 
-def _npoint(v=None, vm2=None, v0=None, a=None) -> GDual:
-    terms = {}
-    if vm2 is not None:
-        terms[-2] = vm2
-    if v0 is not None:
-        terms[0] = v0
-    return GDual(v=v, V=Symbol(R, terms), a=a)
-
-
 @functools.cache
 def _slice_points(n: int) -> tuple:
     """Single-slot monomial points of the invariant slice, fixed order."""
+    point = GDual.of_slots
     pts = []
     for p in _degrees(n):
-        pts.append((f"v = {coeff_str(CoeffFn.t_pow(p), 'r')}", _npoint(v=CoeffFn.t_pow(p))))
+        pts.append((f"v = {coeff_str(CoeffFn.t_pow(p), 'r')}", point(v=CoeffFn.t_pow(p))))
     for p in _degrees(n):
         for q in _degrees(n):
             c = CoeffFn.mono(p, q)
-            pts.append((f"V[-2] = {coeff_str(c, 'r')}", _npoint(vm2=c)))
+            pts.append((f"V[-2] = {coeff_str(c, 'r')}", point(vm2=c)))
     for p in _degrees(n):
-        pts.append((f"V[0] = {coeff_str(CoeffFn.t_pow(p), 'r')}", _npoint(v0=CoeffFn.t_pow(p))))
+        pts.append((f"V[0] = {coeff_str(CoeffFn.t_pow(p), 'r')}", point(v0=CoeffFn.t_pow(p))))
     for p in _degrees(n):
-        pts.append((f"a = {coeff_str(CoeffFn.t_pow(p), 'r')}", _npoint(a=CoeffFn.t_pow(p))))
+        pts.append((f"a = {coeff_str(CoeffFn.t_pow(p), 'r')}", point(a=CoeffFn.t_pow(p))))
     return tuple(pts)
 
 
@@ -920,10 +912,14 @@ def _suite_theorem61(cfg: VerifyConfig) -> list:
 
     zero_w = Fraction(0)
 
-    def free_family(i, m):
-        out, mu = adstar[i][m], points[m][1]
-        act = d_sigma_tilde(zero_w, basis[i][1], SchrodPoint(a=mu.a, V=mu.slots()[0]))
+    def free_mismatch(X, mu, out):
+        """None when out = ad*_X mu matches the free action of X on mu's
+        (a, V_-2) in both slots, else the first mismatch."""
+        act = d_sigma_tilde(zero_w, X, SchrodPoint(a=mu.a, V=mu.slots()[0]))
         return _equal(coeff, out.slots()[0], act.V) or _equal(coeff, out.a, act.a)
+
+    def free_family(i, m):
+        return free_mismatch(basis[i][1], points[m][1], adstar[i][m])
 
     _each(cases, at_points, lambda i, m: f"free family match: X = {basis[i][0]}, {points[m][0]}", free_family)
 
@@ -974,17 +970,11 @@ def _suite_theorem61(cfg: VerifyConfig) -> list:
 
     def negative_control():
         probe_pts = [
-            _npoint(vm2=CoeffFn.mono(1, 1), a=CoeffFn.t_pow(1)),
-            _npoint(a=CoeffFn.one()),
+            GDual.of_slots(vm2=CoeffFn.mono(1, 1), a=CoeffFn.t_pow(1)),
+            GDual.of_slots(a=CoeffFn.one()),
         ]
-        seen = 0
-        for _, X in basis:
-            for mu in probe_pts:
-                out = coadjoint(X, mu, GaussRat(1))
-                act = d_sigma_tilde(zero_w, X, SchrodPoint(a=mu.a, V=mu.slots()[0]))
-                if out.slots()[0] != act.V or out.a != act.a:
-                    seen += 1
-        if seen > 0:
+        if any(free_mismatch(X, mu, coadjoint(X, mu, GaussRat(1)))
+               for _, X in basis for mu in probe_pts):
             return None
         return ("no mismatch anywhere at central charge 1", "at least one mismatch")
 
@@ -1158,17 +1148,18 @@ def _suite_poisson_lemma71(cfg: VerifyConfig) -> list:
     _each(cases, at_points, lambda i, m: f"moment pairing: X = {basis[i][0]}, {points[m][0]}", moment_pairing)
 
     strict_pts = [
-        ("mixed strict #0", _npoint(v=CoeffFn.t_pow(1), vm2=CoeffFn.mono(1, -1),
-                                    v0=CoeffFn.t_pow(-1), a=CoeffFn.t_pow(-2))),
-        ("mixed strict #1", _npoint(vm2=CoeffFn.mono(-2, 2), v0=CoeffFn.one(), a=CoeffFn.t_pow(1))),
-        ("v only", _npoint(v=CoeffFn.t_pow(2))),
-        ("free slot only", _npoint(vm2=CoeffFn.mono(2, 1))),
-        ("potential only", _npoint(v0=CoeffFn.t_pow(-2))),
-        ("a only", _npoint(a=CoeffFn.t_pow(3))),
+        ("mixed strict #0", GDual.of_slots(v=CoeffFn.t_pow(1), vm2=CoeffFn.mono(1, -1),
+                                           v0=CoeffFn.t_pow(-1), a=CoeffFn.t_pow(-2))),
+        ("mixed strict #1", GDual.of_slots(vm2=CoeffFn.mono(-2, 2), v0=CoeffFn.one(),
+                                           a=CoeffFn.t_pow(1))),
+        ("v only", GDual.of_slots(v=CoeffFn.t_pow(2))),
+        ("free slot only", GDual.of_slots(vm2=CoeffFn.mono(2, 1))),
+        ("potential only", GDual.of_slots(v0=CoeffFn.t_pow(-2))),
+        ("a only", GDual.of_slots(a=CoeffFn.t_pow(3))),
     ]
-    loose_pts = [(f"loose #{p}", _npoint(v0=CoeffFn.mono(p, -1))) for p in range(-4, 2)]
-    loose_pts.append(("loose mixed", _npoint(v=CoeffFn.t_pow(1), vm2=CoeffFn.mono(1, -1),
-                                             v0=CoeffFn.mono(-2, -1), a=CoeffFn.t_pow(-1))))
+    loose_pts = [(f"loose #{p}", GDual.of_slots(v0=CoeffFn.mono(p, -1))) for p in range(-4, 2)]
+    loose_pts.append(("loose mixed", GDual.of_slots(v=CoeffFn.t_pow(1), vm2=CoeffFn.mono(1, -1),
+                                                    v0=CoeffFn.mono(-2, -1), a=CoeffFn.t_pow(-1))))
     homo_pts = strict_pts + loose_pts
 
     @functools.cache

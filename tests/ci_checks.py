@@ -211,6 +211,15 @@ CHECKS = [
     Check("nu-scan-i", ("verify", "--nu", "i", "--suite", "nu-scan"), lines=("    i -> i",)),
     Check("nu-scan-2-i", ("verify", "--nu", "2-i", "--suite", "nu-scan"),
           lines=("    (2 - i) -> (2 - i)",)),
+    # --mu adds a fourth weight to the representation suites, whose
+    # DiffOp2 sums cancel to zero on every passing case, and nu = 3/2
+    # fits a weight off the scan's grid; pinned from before DiffOp2 sums
+    # left their zero entries to the constructor
+    Check("dual-weight-and-off-grid-nu",
+          ("verify", "--suite", "dpi-rep", "--suite", "dsigma-rep", "--suite", "nu-scan",
+           "--mu", "3/7", "--nu", "3/2", "--floor", "-9/2", "--range", "2"), workers=(1, 2),
+          sha256="482af2136d90452d8541409f85abcd4d145f4af47a2a01b968d84f775ec44500",
+          lines=("    3/2 -> 3/2",)),
     Check("poisson-layer", ("verify", "--suite", "theorem51", "--suite", "theorem61",
                             "--suite", "poisson-lemma71", "--floor", "-9/2", "--range", "4"),
           workers=(1, 2)),

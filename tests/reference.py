@@ -993,14 +993,8 @@ def leibniz_into(out: dict, f_terms, g_terms, low) -> bool:
     return leibniz_rows(out, f, g, low)
 
 
-def npoint(v=None, vm2=None, v0=None, a=None):
-    """The dual point (v, V_-2 d^-2 + V_0, a) from its slot values."""
-    terms = {}
-    if vm2 is not None:
-        terms[h(-2)] = vm2
-    if v0 is not None:
-        terms[h(0)] = v0
-    return kacmoody.GDual(v=v, V=Symbol(R, terms), a=a)
+# the dual point (v, V_-2 d^-2 + V_0, a) from its slot values
+npoint = kacmoody.GDual.of_slots
 
 
 def raise_floor(D: Symbol, new_floor) -> Symbol:

@@ -18,7 +18,9 @@ from fractions import Fraction
 import pytest
 
 import svpsido
+from svpsido import suites
 from svpsido.cli import _build_parser, main
+from svpsido.halfint import h
 from svpsido.ring import GaussRat
 from svpsido.textio import _FUNCTIONS
 
@@ -430,6 +432,20 @@ class TestVerify:
         code, out, _ = run_cli(argv + ["--mu", "3/7"], capsys)
         assert code == 0
         assert [r["cases"] for r in json.loads(out)] == [760, 1529]
+
+    @pytest.mark.parametrize("argv, cfg", [
+        ([], {}),
+        (["--floor", "-9/2", "--range", "4", "--c", "1/3", "--nu", "2-i", "--mu", "3/7",
+          "--normalize-mass", "--random", "5", "--seed", "7", "--threads", "2"],
+         dict(floor=h("-9/2"), index_range=4, c=GaussRat(Fraction(1, 3)), nu=GaussRat(2, -1),
+              mu=Fraction(3, 7), normalize_mass=True, random_cases=5, seed=7, threads=2)),
+    ])
+    def test_each_option_lands_in_its_config_field(self, capsys, monkeypatch, argv, cfg):
+        seen = []
+        monkeypatch.setattr(suites, "run_suites", lambda names, config: seen.append(config) or [])
+        code, _, _ = run_cli(["verify", *argv], capsys)
+        assert code == 0
+        assert seen == [suites.VerifyConfig(**cfg)]
 
     def test_reports_are_stable_across_runs(self, capsys):
         import re

@@ -17,6 +17,7 @@ from svpsido.diffop2 import (
     free_evolution_op,
 )
 from svpsido.svalgebra import SvElement, phase_mode, shift_mode, sv_bracket, time_mode
+from svpsido.textio import symbol_str
 
 
 def test_leibniz_single_step():
@@ -79,6 +80,40 @@ def test_bracket_jacobi(a, b, c):
         + dop_bracket(c, dop_bracket(a, b))
     )
     assert total.is_zero()
+
+
+def test_sums_that_cancel_leave_no_entry():
+    A = DiffOp2({(1, 0): CoeffFn.t_pow(2), (0, 1): CoeffFn.mono(1, 1), (0, 0): CoeffFn.one()})
+    assert (A + (-A)).terms == {}
+    assert (A - A).terms == {}
+    assert dop_bracket(A, A).terms == {}
+
+
+def test_a_product_whose_contributions_to_one_key_cancel_leaves_no_entry():
+    # (r d_r - 1) o r = r^2 d_r + r - r: the two order-0 terms cancel
+    r = CoeffFn.x_pow(1)
+    got = dop_mul(DiffOp2({(0, 1): r, (0, 0): CoeffFn.const(-1)}), DiffOp2.function(r))
+    assert got.terms == {(0, 1): r * r}
+
+
+_t, _r = CoeffFn.t_pow(1), CoeffFn.x_pow(1)
+
+
+@pytest.mark.parametrize("c, shown", [
+    ((2 + M * M) * _t, "(2 + M^2)*t*d_r"),
+    (CoeffFn.const(GaussRat(1, 1)), "(1 + i)*d_r"),
+    (GaussRat(1, 1) * _t * _r, "(1 + i)*t*r*d_r"),
+    ((1 + M) * _r * _r, "(1 + M)*r^2*d_r"),
+    (1 + M, "(1 + M)*d_r"),
+    (_t + _r, "(r + t)*d_r"),
+    (-_t, "-t*d_r"),
+    (M * _t, "M*t*d_r"),
+])
+def test_a_coefficient_is_wrapped_only_when_it_has_two_monomials(c, shown):
+    # as symbol_str prints the same coefficient at d_r
+    assert str(DiffOp2({(0, 1): c})) == shown
+    assert symbol_str(Symbol(R, {h(1): c})) == f"{shown} | exact"
+    assert str(DiffOp2({(1, 1): c})) == shown.replace("d_r", "d_t*d_r")
 
 
 class TestOperatorAction:

@@ -2,6 +2,7 @@
 HalfInt, and a HalfInt finds the dict entry of an equal int."""
 
 import copy
+import operator
 import pickle
 import sys
 from fractions import Fraction as F
@@ -130,3 +131,25 @@ def test_parse_reads_a_denominator_in_any_decimal_digits(text):
 def test_parse_refuses_other_denominators(text):
     with pytest.raises(ValueError):
         HalfInt.parse(text)
+
+
+# ---- ordering ---------------------------------------------------------------------
+
+ORDERS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+@given(st.integers(min_value=-9, max_value=9), st.integers(min_value=-9, max_value=9))
+def test_order_comparisons_agree_with_the_fraction(t, u):
+    x, fx = HalfInt(t), F(t, 2)
+    for other, value in ((HalfInt(u), F(u, 2)), (u, F(u))):
+        for op in ORDERS:
+            assert op(x, other) == op(fx, value) and op(other, x) == op(value, fx)
+
+
+@pytest.mark.parametrize("other", [F(1, 2), 0.5, "1/2"])
+@pytest.mark.parametrize("op", ORDERS)
+def test_order_comparisons_with_other_types_raise(other, op):
+    with pytest.raises(TypeError):
+        op(HalfInt(1), other)
+    with pytest.raises(TypeError):
+        op(other, HalfInt(1))

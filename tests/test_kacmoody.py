@@ -243,6 +243,38 @@ dual_points = st.one_of(
     st.builds(npoint, v=loops, vm2=space_coeffs, v0=loops, a=loops),
     st.builds(GDual, loops, dual_symbols.map(lambda d: Symbol(R, d)), loops),
 )
+
+
+def _built_or_refused(build):
+    """What build returns, or the type and text of its TypeError or
+    ValueError."""
+    try:
+        return build()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _slot(coeffs):
+    return st.one_of(st.none(), st.integers(-2, 2), coeffs)
+
+
+@given(_slot(loops | space_coeffs), _slot(space_coeffs) | st.sampled_from(["1", 0.5]),
+       _slot(space_coeffs), _slot(loops | space_coeffs))
+@example(CoeffFn.mono(1, 1), None, None, None)
+@example(None, CoeffFn.one(), None, CoeffFn.x_pow(-1))
+@example(CoeffFn.mono(1, 1), "1", None, None)
+@example(CoeffFn.t_pow(1), CoeffFn.mono(1, -1), CoeffFn.t_pow(-1), CoeffFn.t_pow(2))
+def test_of_slots_builds_what_the_constructor_builds(v, vm2, v0, a):
+    # the constructor's point, or its refusal, with V's terms in one order
+    V = lambda: Symbol(R, {k: c for k, c in ((-2, vm2), (0, v0)) if c is not None})
+    got = _built_or_refused(lambda: GDual.of_slots(v, vm2, v0, a))
+    assert got == _built_or_refused(lambda: GDual(v, V(), a))
+    if isinstance(got, GDual):
+        assert list(got.V.flat) == list(V().flat) and got.V.low is EXACT
+        assert got.slots() == tuple(CoeffFn.zero() if c is None else CoeffFn.zero() + c
+                                    for c in (vm2, v0))
+
+
 elements = st.builds(
     lambda w, terms, floor, alpha: GElement(w, Symbol(R, terms, floor), alpha),
     loops,

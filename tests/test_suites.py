@@ -665,7 +665,7 @@ class TestSharedTables:
         assert ring.coeff_from_table({}) is CoeffFn.zero()
 
     def test_kept_derivatives_are_invisible(self):
-        mu = suites._npoint(v=CoeffFn.t_pow(1), vm2=CoeffFn.mono(1, -1),
+        mu = GDual.of_slots(v=CoeffFn.t_pow(1), vm2=CoeffFn.mono(1, -1),
                             v0=CoeffFn.t_pow(-1), a=CoeffFn.t_pow(2))
         c = GaussRat(Fraction(1, 3))
         X, Y = time_mode(2), shift_mode(h("1/2"))
