@@ -77,6 +77,11 @@ def _floor(text: str):
 # the fractional and Gaussian ones so "--floor -7/2" and "--nu -1-i" work
 # without the = form
 _NEGATIVE_VALUE = re.compile(r"^-[\di][\d/*+i-]*$")
+# an EXPR may start with a minus sign, as the printed "-t" does: argparse
+# matches -h, --help and --floor (or a prefix of it) first, and reads any
+# other argument that starts with a single minus sign as a value, so eval
+# can take no short option but -h
+_NEGATIVE_EXPR = re.compile(r"^-[^-]")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(at most 8)")
 
     ev = sub.add_parser("eval", help="evaluate a calculator expression")
-    ev._negative_number_matcher = _NEGATIVE_VALUE
+    ev._negative_number_matcher = _NEGATIVE_EXPR
     ev.add_argument("expr", metavar="EXPR")
     ev.add_argument("--floor", type=_floor, default=None, help="truncation floor, default -4")
     return parser

@@ -93,11 +93,11 @@ class DiffOp2(Value):
     def __str__(self):
         if not self.terms:
             return "0"
-        from .textio import _coeff_text
+        from .textio import _terms_text
 
         parts = []
         for (i, j) in sorted(self.terms, key=lambda k: (-(k[0] + k[1]), -k[0])):
-            ctxt, monomials = _coeff_text(self.terms[(i, j)], "r")
+            ctxt, monomials = _terms_text(sorted(self.terms[(i, j)].terms.items()), "r", 0)
             ds = []
             if i:
                 ds.append("d_t" if i == 1 else f"d_t^{i}")

@@ -122,12 +122,13 @@ _new = object.__new__
 
 
 def _gauss(a: int, b: int, d: int) -> "GaussRat":
-    """(a + i*b)/d for d > 0, reduced by the common gcd."""
-    g = gcd(a, b, d)
-    if g != 1:
-        a //= g
-        b //= g
-        d //= g
+    """(a + i*b)/d for d > 0, reduced by the common gcd; d = 1 needs none."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
     out = _new(GaussRat)
     out._a = a
     out._b = b

@@ -17,9 +17,13 @@ Printing rules, fixed so that reports are reproducible byte-for-byte:
 Printing reads the reduced int triple (a + i*b)/d that a CoeffFn holds
 for each coefficient, and a GaussRat's own triple: a part whose partner
 is zero is already in lowest terms, and each part of a complex value
-costs one gcd, so no Fraction is built.  A coefficient is sorted
-once and grouped by (t, x) monomial; ``symbol_str`` takes the number of
-groups, which decides its parentheses, from the same pass.
+costs one gcd, so no Fraction is built.  ``coeff_str`` sorts a
+coefficient's terms once; ``symbol_str`` sorts the symbol's flat dict
+once, which puts each order's terms together, in the order coeff_str
+prints them, and walks the orders from the highest down.  One helper
+groups either run of terms by (t, x) monomial and formats it, and gives
+symbol_str the number of groups, which decides its parentheses.  No
+per-order CoeffFn is built and nothing is kept in the symbol's memo.
 
 The parser accepts sums/differences/products/powers over the atoms
 ``i  M  t  xi  r  d_xi  d_r`` and rational literals, plus the function
@@ -31,18 +35,22 @@ longest prefix made of tokens, and an error names the text after it; one
 ``findall`` then splits the expression into token strings.  The parser
 compares those strings with operators directly.  A literal ``p`` becomes
 a GaussRat from its int, ``p/q`` one reduced by a single gcd, and an
-exponent is read as twice its value, an int.
+exponent is read as twice its value, an int.  A name, or the literal
+``1``, is one table lookup unless a ``(`` after it makes it a call.
 
 Every atom and nonzero literal is one monomial c*t^p*x^q*M^m*d^k, and the
 parser keeps such a value as a tuple of its algebra tag, 2k, p, q, m and
 the GaussRat c until an operation needs a CoeffFn or a Symbol, where c
-becomes its triple.  In the
-normal-ordered products the calculator reads, most factors multiply as
-monomials: when the left factor has order 0 or the right one is free of
-x, every Leibniz term past the first vanishes, so the product is one
-monomial again and costs one Gaussian product.  Powers of a monomial are
-taken on the tuple too.  Sums, function calls and every other product
-build their operands and compose them as symbols.
+becomes its triple.  In the normal-ordered products the calculator reads,
+most factors multiply as monomials: when the left factor has order 0 or
+the right one is free of x, every Leibniz term past the first vanishes,
+so the product is one monomial again and costs one Gaussian product.
+Powers of a monomial are taken on the tuple too.  A unit coefficient
+costs no arithmetic: the literal 1 and every atom but i hold the one
+GR_ONE, a product with a GR_ONE factor takes the other factor's
+coefficient, and a power of GR_ONE is GR_ONE, with no digit check.  Sums,
+function calls and every other product build their operands and compose
+them as symbols.
 """
 
 from __future__ import annotations
@@ -142,64 +150,81 @@ def scalar_str(s: CoeffFn) -> str:
 
 
 def coeff_str(c: CoeffFn, xname: str = "x") -> str:
-    return _coeff_text(c, xname)[0]
-
-
-def _coeff_text(c: CoeffFn, xname: str) -> tuple:
-    """coeff_str's text and its number of (t-power, x-power) monomials."""
     if c.is_zero():
-        return "0", 0
-    groups: dict = {}  # (t-power, x-power) -> its (M-power, coefficient) pairs
-    for (p, q, m), g in sorted(c.terms.items()):
-        groups.setdefault((p, q), []).append((m, g))
+        return "0"
+    return _terms_text(sorted(c.terms.items()), xname, 0)[0]
+
+
+def _terms_text(items, xname: str, at: int) -> tuple:
+    """The text of a sum of g*t^p*x^q*M^m and its number of (t, x)
+    monomials, from its (key, triple of g) items sorted by key, nonempty;
+    p, q and m are the key's entries from index at on.  The M-terms of one
+    (t, x) monomial are adjacent in that order, and form its scalar."""
     parts = []
-    for (p, q), terms in groups.items():
-        if p:
-            body = "t" if p == 1 else f"t^{p}"
-            if q:
-                body += f"*{xname}" if q == 1 else f"*{xname}^{q}"
-        elif q:
-            body = xname if q == 1 else f"{xname}^{q}"
-        else:
-            body = ""
-        if body and len(terms) == 1 and terms[0][0] == 0:
-            g = terms[0][1]
-            if g == _ONE:
-                parts.append(body)
-                continue
-            if g == _MINUS_ONE:
-                parts.append(f"-{body}")
-                continue
-        stxt = _mass_str(terms)
-        if len(terms) > 1:
-            stxt = f"({stxt})"
-        parts.append(f"{stxt}*{body}" if body else stxt)
+    p0 = q0 = None
+    masses: list = []  # (M-power, triple) pairs of the monomial (p0, q0)
+    for k, g in items:
+        p, q = k[at], k[at + 1]
+        if p != p0 or q != q0:
+            if masses:
+                parts.append(_monomial_text(p0, q0, masses, xname))
+            p0, q0, masses = p, q, []
+        masses.append((k[at + 2], g))
+    parts.append(_monomial_text(p0, q0, masses, xname))
     return " + ".join(parts).replace("+ -", "- "), len(parts)
 
 
-def symbol_str(D) -> str:
-    xname = "xi" if D.var == XI else "r"
-    dname = "d_xi" if D.var == XI else "d_r"
-    if D.is_zero():
-        body = "0"
+def _monomial_text(p: int, q: int, masses: list, xname: str) -> str:
+    """The text of (sum of g*M^m)*t^p*x^q, given the (m, triple of g) pairs."""
+    if p:
+        body = "t" if p == 1 else f"t^{p}"
+        if q:
+            body += f"*{xname}" if q == 1 else f"*{xname}^{q}"
+    elif q:
+        body = xname if q == 1 else f"{xname}^{q}"
     else:
-        parts = []
-        for k, c in sorted(D.rows().items(), key=lambda kc: -kc[0]):
-            ctxt, monomials = _coeff_text(c, xname)
-            if k == 0:
-                parts.append(ctxt)
-                continue
-            dp = dname if k == 2 else f"{dname}^{order_str(k)}"
-            if ctxt == "1":
-                parts.append(dp)
-            elif ctxt == "-1":
-                parts.append(f"-{dp}")
-            elif monomials > 1:
-                parts.append(f"({ctxt})*{dp}")
-            else:
-                parts.append(f"{ctxt}*{dp}")
-        body = " + ".join(parts).replace("+ -", "- ")
+        body = ""
+    if body and len(masses) == 1 and not masses[0][0]:
+        g = masses[0][1]
+        if g == _ONE:
+            return body
+        if g == _MINUS_ONE:
+            return f"-{body}"
+    stxt = _mass_str(masses)
+    if len(masses) > 1:
+        stxt = f"({stxt})"
+    return f"{stxt}*{body}" if body else stxt
+
+
+def symbol_str(D) -> str:
     marker = "exact" if D.low is EXACT else f"floor={order_str(D.low)}"
+    if not D.flat:
+        return f"0 | {marker}"
+    xname, dname = ("xi", "d_xi") if D.var == XI else ("r", "d_r")
+    # one sort puts each order's terms together, in coeff_str's order
+    items = sorted(D.flat.items())
+    parts = []
+    end = len(items)
+    while end:  # from the highest order down
+        ot = items[end - 1][0][0]
+        start = end - 1
+        while start and items[start - 1][0][0] == ot:
+            start -= 1
+        ctxt, monomials = _terms_text(items[start:end], xname, 1)
+        end = start
+        if not ot:
+            parts.append(ctxt)
+            continue
+        dp = dname if ot == 2 else f"{dname}^{order_str(ot)}"
+        if ctxt == "1":
+            parts.append(dp)
+        elif ctxt == "-1":
+            parts.append(f"-{dp}")
+        elif monomials > 1:
+            parts.append(f"({ctxt})*{dp}")
+        else:
+            parts.append(f"{ctxt}*{dp}")
+    body = " + ".join(parts).replace("+ -", "- ")
     return f"{body} | {marker}"
 
 
@@ -309,33 +334,40 @@ class _Parser:
         return neg
 
     def signed_factor(self):
-        neg = self.signs()
-        v = self.factor()
-        return _neg(v) if neg else v
-
-    def factor(self):
-        v = self.atom()
-        if self.toks[self.i] == "^":
-            self.i += 1
+        """Unary signs, then factor := atom ['^' signed-rational]; the
+        signs apply to the power.  Signs are rare, so the common factor
+        costs one frame here and one in atom."""
+        toks, neg, eneg = self.toks, False, False
+        if (tok := toks[self.i]) == "-" or tok == "+":
             neg = self.signs()
-            tok = self.take()
+        v = self.atom()
+        if toks[self.i] == "^":
+            self.i += 1
+            if (tok := toks[self.i]) == "-" or tok == "+":
+                eneg = self.signs()
+                tok = toks[self.i]
+            self.i += 1
             if not tok[:1].isdecimal():
                 raise ValueError("exponent must be a rational literal")
             p, q = _ratio(tok)
             twice, rest = divmod(2 * p, q)
             if rest:
                 raise ValueError("exponents must lie in (1/2)Z")
-            v = self.power(v, -twice if neg else twice)
-        return v
+            v = self.power(v, -twice if eneg else twice)
+        return _neg(v) if neg else v
 
     def atom(self):
-        tok = self.take()
+        tok = self.toks[self.i]
+        self.i += 1
+        atom = _ATOMS.get(tok)
+        if atom is not None and self.toks[self.i] != "(":
+            return atom
         head = tok[:1]
         if head.isdecimal():
             p, q = _ratio(tok)
             if not p:
                 return CoeffFn.zero()
-            return None, 0, 0, 0, 0, GaussRat(p) if q == 1 else _gauss(p, 0, q)
+            return None, 0, 0, 0, 0, _gauss(p, 0, q)
         if tok == "(":
             v = self.expr()
             self.expect(")")
@@ -356,10 +388,7 @@ class _Parser:
                     plural = "s" if count > 1 else ""
                     raise ValueError(f"{tok} takes {count} argument{plural}, not {len(args)}")
                 return fn(self, *map(_built, args))
-            atom = _ATOMS.get(tok)
-            if atom is None:
-                raise ValueError(f"unknown name {tok!r}")
-            return atom
+            raise ValueError(f"unknown name {tok!r}")
         raise ValueError(f"unexpected token {tok!r}")
 
     def mul(self, a, b):
@@ -374,7 +403,9 @@ class _Parser:
             # order a = 0, and a derivative of the right coefficient, zero
             # when it is free of x
             if not ot or not q2:
-                return var, ot + ot2, p + p2, q + q2, m + m2, c * c2
+                # a unit factor costs no Gaussian product
+                c = c2 if c is GR_ONE else c if c2 is GR_ONE else c * c2
+                return var, ot + ot2, p + p2, q + q2, m + m2, c
         a, b = _same_algebra(_built(a), _built(b))
         if isinstance(a, CoeffFn):
             return a * b
@@ -404,8 +435,10 @@ class _Parser:
                 # a monomial function with an integer exponent, or a
                 # nonnegative power of an x-free monomial, whose products
                 # have no Leibniz terms past j = 0
-                _check_power_digits(c, k)
-                return var, ot * k, p * k, q * k, m * k, c ** k
+                if c is not GR_ONE:
+                    _check_power_digits(c, k)
+                    c **= k
+                return var, ot * k, p * k, q * k, m * k, c
             v = mono
         if not half and k >= 0:
             # k successive products, each larger than the last
@@ -425,6 +458,9 @@ class _Parser:
             return out
         if half:
             raise ValueError("only a pure derivative takes a half-integer exponent")
+        sym = _as_symbol(_built(v), R)
+        if sym.is_zero() and sym.low is EXACT:  # a floored zero is unknown below its floor
+            raise ValueError("zero has no negative power")
         raise ValueError("only a monomial function or a pure derivative takes a negative exponent")
 
     # ---- calculator functions; a CoeffFn argument is a multiplication
@@ -504,7 +540,9 @@ _FUNCTIONS = {
     "dpart": _Parser.fn_dpart,
 }
 
+# the names, and the literal 1, so that a unit coefficient is GR_ONE
 _ATOMS = {
+    "1": (None, 0, 0, 0, 0, GR_ONE),
     "i": (None, 0, 0, 0, 0, GR_I),
     "M": (None, 0, 0, 0, 1, GR_ONE),
     "t": (None, 0, 1, 0, 0, GR_ONE),

@@ -126,6 +126,49 @@ for key, count in TestSharedTables._empty_operand_calls(SUITE_NAMES, box).items(
     print(f"{key} with an empty operand: {count}")
 """
 
+PRINTER_EDGES = """\
+from fractions import Fraction
+
+from svpsido.halfint import h
+from svpsido.psido import R, XI, Symbol
+from svpsido.ring import CoeffFn, GaussRat
+from svpsido.textio import coeff_str, symbol_str
+
+g, half = GaussRat, Fraction(1, 2)
+
+
+def c(*terms):
+    return CoeffFn({(p, q, m): v for p, q, m, v in terms})
+
+
+one, minus = g(1), g(-1)
+symbols = [
+    Symbol(XI, {1: c((0, 0, 0, one))}),
+    Symbol(R, {1: c((0, 0, 0, minus)), 0: c((0, 0, 0, minus))}),
+    Symbol(R, {0: c((0, 0, 0, one))}),
+    Symbol(R, {1: c((1, 0, 0, g(2)), (1, 0, 2, one)), 0: c((0, 1, 1, one))}),
+    Symbol(XI, {2: c((1, -1, 0, g(2)), (1, -1, 1, minus)), -1: c((-2, 3, 0, g(0, -1)))}),
+    Symbol(XI, {h("1/2"): c((0, 1, 0, g(half, Fraction(1, 3))))}),
+    Symbol(XI, {1: c((0, 0, 0, g(0, 1))), 0: c((1, 0, 0, g(0, -1)))}),
+    Symbol(XI, {h("-1/2"): c((0, 0, 0, one)), h("3/2"): c((0, 2, 0, g(-3, 4)))}),
+    Symbol(XI, {}, h(-3)),
+    Symbol(R, {}, h("-7/2")),
+    Symbol(R, {1: c((1, 1, 0, minus)), -1: c((0, 2, 0, minus))}),
+    Symbol(R, {1: c((0, 1, 0, one), (1, 0, 0, one))}, h(-2)),
+    Symbol(R, {2: c((0, 0, 1, one)), -2: c((0, 0, 1, minus)), 0: c((0, 0, -1, g(half)))}),
+    Symbol(R, {1: c((0, 0, 0, minus), (0, 0, 1, one))}),
+    Symbol(XI, {0: c((0, 0, 0, g(0, 2)), (2, 0, 0, g(half, -1)), (0, -1, 3, g(-7, 1)))},
+           h("-5/2")),
+    Symbol(XI, {h("-5/2"): c((-1, 0, 0, g(Fraction(-3, 4), -half)))}),
+    Symbol(R, {3: c((0, 0, 0, g(10**12))), 2: c((0, 0, 0, g(Fraction(1, 10**12))))}),
+]
+for sym in symbols:
+    print(symbol_str(sym))
+for fn in (c((0, 0, 0, one), (0, 0, 1, minus), (1, 0, 0, g(0, 1))),
+           c((1, 2, 0, minus), (1, 2, 1, g(2))), c((0, 1, 0, g(half)))):
+    print(coeff_str(fn), "|", coeff_str(fn, "r"))
+"""
+
 T61 = ("verify", "--suite", "theorem61")
 SUITE_CHOICES = (
     "'psido-axioms', 'theta', 'timeshift', 'cocycles', 'lemma26', 'lemma33', 'theorem51', "
@@ -236,6 +279,12 @@ CHECKS = [
     Check("no-empty-products-box", ("-c", EMPTY_PRODUCTS),
           lines=tuple(f"{key} with an empty operand: 0" for key in
                       ("mul_into", "triple_into", "residue_into", "pair_terms_into"))),
+    # symbol_str and coeff_str on the printer's edge cases: unit and sign
+    # coefficients, several M-powers on one (t, x) monomial, Gaussian
+    # values, half orders, zeros with a floor and a leading negative term;
+    # pinned from before symbols printed from their flat terms
+    Check("printer-edge-cases", ("-c", PRINTER_EDGES),
+          sha256="6ddf2967c722fd2fb7a2ae3300174aded6e0c87b3b66380f616a0293717140a2"),
     # the command line imports the suites only when verify runs, so an
     # import that breaks shows only in a cold process, never in the
     # in-process main() tests; each usage error exits 2 with its exact
@@ -322,6 +371,8 @@ PARSE_BACK = [
     ("xi^3*d_xi^5/2*t^-1*2", "-4"),
     ("(xi*d_xi)^3", "-4"),
     ("(2*d_xi)^65", "-4"),
+    # a printed body that starts with a minus sign is an EXPR, not an option
+    ("0 - t*xi", "-4"),
 ]
 
 # The duality suites at charge 1/3, run in one process after a

@@ -192,6 +192,8 @@ class ComposingParser(textio._Parser):
             return out
         if half:
             raise ValueError("only a pure derivative takes a half-integer exponent")
+        if v.is_zero() and (isinstance(v, CoeffFn) or v.floor is EXACT):
+            raise ValueError("zero has no negative power")
         raise ValueError("only a monomial function or a pure derivative takes a negative exponent")
 
 

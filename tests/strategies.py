@@ -7,6 +7,8 @@ oracle needs.
 
 from hypothesis import strategies as st
 
+from svpsido.halfint import EXACT, HalfInt
+from svpsido.psido import R, XI, Symbol
 from svpsido.ring import CoeffFn
 
 
@@ -26,3 +28,17 @@ def coeff_rows(tpows, xpows, masses, min_size=0, max_size=3):
     drawn from masses, so that one (t, x) monomial often carries several M-powers."""
     keys = st.tuples(st.integers(*tpows), st.integers(*xpows))
     return st.dictionaries(keys, masses, min_size=min_size, max_size=max_size).map(_from_rows)
+
+
+@st.composite
+def symbols(draw, coeffs, twice_orders=(-5, 5), max_orders=3):
+    """Symbols in both algebras, exact or floored: up to max_orders orders,
+    each twice an int in twice_orders (even in the R algebra) with a
+    coefficient from coeffs, and no floor or one in that range, which drops
+    the orders below it."""
+    var = draw(st.sampled_from((R, XI)))
+    twice = st.integers(*twice_orders)
+    if var == R:
+        twice = twice.map(lambda k: k - k % 2)
+    rows = draw(st.dictionaries(twice.map(HalfInt), coeffs, max_size=max_orders))
+    return Symbol(var, rows, draw(st.one_of(st.just(EXACT), twice.map(HalfInt))))

@@ -241,6 +241,35 @@ class TestEval:
             "svpsido: only a monomial function or a pure derivative takes a negative exponent\n"
         )
 
+    @pytest.mark.parametrize("expr", ["0^-1", "0^-2*xi", "(xi - xi)^-1"])
+    def test_a_negative_power_of_zero_exits_2(self, capsys, expr):
+        code, out, err = run_cli(["eval", expr], capsys)
+        assert code == 2 and out == ""
+        assert err == "svpsido: zero has no negative power\n"
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["-t"], "-t | exact"),
+            (["-1/2*xi", "--floor", "-3"], "-1/2*xi | exact"),
+            (["--floor", "-7/2", "-M*t*d_xi^1/2"], "-M*t*d_xi^1/2 | exact"),
+            (["-d_r^-1", "--floor=-2"], "-d_r^-1 | exact"),
+            (["--", "-t"], "-t | exact"),
+            (["-i"], "-i | exact"),
+        ],
+    )
+    def test_an_expression_may_start_with_a_minus_sign(self, capsys, argv, shown):
+        # every printed body evaluates to itself, "-t" among them
+        code, out, _ = run_cli(["eval", *argv], capsys)
+        assert code == 0 and out == f"{shown}\n"
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_is_still_a_flag(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: svpsido eval [-h] [--floor FLOOR] EXPR")
+
     def test_fractional_negative_flag_values_parse(self, capsys):
         # argparse must accept "-7/2" as a value, not read it as a flag
         code, out, _ = run_cli(["eval", "xi", "--floor", "-7/2"], capsys)

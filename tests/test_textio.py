@@ -14,11 +14,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from strategies import coeff_rows, symbols
 from svpsido import transforms
-from svpsido.halfint import EXACT, HalfInt, h
+from svpsido.halfint import EXACT, HalfInt, h, order_str
 from svpsido.psido import R, XI, Symbol
 from svpsido.ring import CoeffFn, GaussRat, I_M, M
-from svpsido.textio import _tokenize, eval_expr, gauss_str, parse_floor, parse_rational, symbol_str
+from svpsido.textio import (
+    _tokenize,
+    coeff_str,
+    eval_expr,
+    gauss_str,
+    parse_floor,
+    parse_rational,
+    symbol_str,
+)
 
 
 class TestSmallParsers:
@@ -238,6 +247,90 @@ class TestRendering:
             assert eval_expr(body) == sym
 
 
+def _by_rows(S) -> str:
+    """S's text rendered order by order from S.rows() and coeff_str, the
+    way symbol_str read a symbol before it printed the flat terms."""
+    xname, dname = ("xi", "d_xi") if S.var == XI else ("r", "d_r")
+    parts = []
+    for twice, c in sorted(S.rows().items(), reverse=True):
+        ctxt = coeff_str(c, xname)
+        dp = dname if twice == 2 else f"{dname}^{order_str(twice)}"
+        if not twice:
+            parts.append(ctxt)
+        elif ctxt in ("1", "-1"):
+            parts.append(ctxt[:-1] + dp)
+        elif len({(p, q) for p, q, _ in c.terms}) > 1:
+            parts.append(f"({ctxt})*{dp}")
+        else:
+            parts.append(f"{ctxt}*{dp}")
+    body = " + ".join(parts).replace("+ -", "- ") or "0"
+    return f"{body} | {'exact' if S.floor is EXACT else f'floor={S.floor}'}"
+
+
+# unit and sign coefficients, which print elided, and general ones
+_PRINTED = st.one_of(st.sampled_from((GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1))),
+                     st.builds(lambda a, b, d: GaussRat(Fraction(a, d), Fraction(b, d)),
+                               st.integers(-9, 9), st.integers(-3, 3), st.integers(1, 4)))
+_MASSES = st.dictionaries(st.integers(-2, 2), _PRINTED, min_size=1, max_size=3)
+
+
+class TestFlatPrinter:
+    """symbol_str prints from the flat terms in one sort."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(symbols(coeff_rows((-2, 2), (-3, 3), _MASSES, max_size=4)))
+    def test_the_flat_printer_matches_the_rendering_by_rows(self, S):
+        assert symbol_str(S) == _by_rows(S)
+
+    def test_printing_keeps_nothing(self):
+        S = Symbol(R, {1: CoeffFn.t_pow(1) + M, h(-1): CoeffFn.x_pow(2, -1)}, h(-2))
+        assert symbol_str(S) == "(M + t)*d_r - r^2*d_r^-1 | floor=-2"
+        with pytest.raises(AttributeError):
+            S._kept  # the memo slot is left unset
+
+    @pytest.mark.parametrize(
+        "src, text",
+        [
+            ("1*xi", "xi | exact"),
+            ("xi*1", "xi | exact"),
+            ("1*d_xi^1/2", "d_xi^1/2 | exact"),
+            ("d_xi^1/2*1", "d_xi^1/2 | exact"),
+            ("1*(1+i)*M*t^-1*r^2", "(1 + i)*M*t^-1*r^2 | exact"),
+            ("(1+i)*M*t^-1*r^2*1", "(1 + i)*M*t^-1*r^2 | exact"),
+            ("1^5", "1 | exact"),
+            ("1^-3", "1 | exact"),
+            ("1^0", "1 | exact"),
+            ("1^5*d_r", "d_r | exact"),
+            ("1/1*xi", "xi | exact"),
+            ("2/2*r", "r | exact"),
+            ("(1)^-3*r", "r | exact"),
+            ("-1*1*t", "-t | exact"),
+            ("1*(xi+d_xi)", "d_xi + xi | exact"),
+            ("1*mul(d_r^-1, r^-1)", "r^-1*d_r^-1 + r^-2*d_r^-2 | floor=-2"),
+        ],
+    )
+    def test_unit_factors_and_powers_keep_their_values_and_texts(self, src, text):
+        got = eval_expr(src, h(-2))
+        assert symbol_str(got) == text
+        if got.floor is EXACT:  # the printed body evaluates to the same value
+            assert got == eval_expr(text.removesuffix(" | exact"))
+
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("t(1)", "unknown function 't'"),
+            ("xi(1)", "unknown function 'xi'"),
+            ("d_r(r)", "unknown function 'd_r'"),
+            ("1*t(1)", "unknown function 't'"),
+            ("1(2)", "trailing input at '('"),
+        ],
+    )
+    def test_an_atom_followed_by_a_parenthesis_keeps_its_error(self, src, message):
+        with pytest.raises(ValueError) as exc:
+            eval_expr(src)
+        assert str(exc.value) == message
+
+
 def _outcome(fn, *args):
     """fn's result, or the type and text of the exception it raised."""
     try:
@@ -372,7 +465,7 @@ class TestMonomialProducts:
             ("(d_r^1/2)^2", "half-integer order in an R-variable symbol"),
             ("xi^1/2", "only a pure derivative takes a half-integer exponent"),
             ("xi*r", "expression mixes the r and xi algebras"),
-            ("0^-1", "only a monomial function or a pure derivative takes a negative exponent"),
+            ("0^-1", "zero has no negative power"),
         ],
     )
     def test_refusals_fire_at_the_factor_that_causes_them(self, src, message):
