@@ -260,8 +260,9 @@ def _quotient_slots(sym: Symbol) -> tuple:
 
 def symbol_from_flat(var: str, flat: dict, low) -> Symbol:
     """Wrap a flat dict that the kernels filled as a Symbol, reducing it in
-    place (ring.reduce_flat): one gcd per entry, zeros and the orders
-    below low dropped.  Every kernel result is wrapped here."""
+    place (ring.reduce_flat): one gcd per entry whose denominator is not
+    1, zeros and the orders below low dropped.  Every kernel result is
+    wrapped here."""
     reduce_flat(flat, low)
     return Symbol._raw(var, flat, low)
 
@@ -309,7 +310,7 @@ def sym_mul(A: Symbol, B: Symbol, req_floor=None) -> Symbol:
     infinite tail with no req_floor raises instead of silently cutting.
     One pass of ring.leibniz_rows (see compose_flat).
     """
-    flat, low = compose_flat(A, B, leibniz_rows, low_of(req_floor))
+    flat, low = compose_flat(A, B, leibniz_rows, EXACT if req_floor is None else low_of(req_floor))
     return symbol_from_flat(A.var, flat, low)
 
 
@@ -319,18 +320,25 @@ def compose_flat(A: Symbol, B: Symbol, kernel, low):
     before wrapping; both floors, low asked and returned, are twice-ints.
     The dict's values are unreduced; symbol_from_flat reduces them.
 
-    The floor bound is symmetric in A and B, so it serves both kernels.
-    One kernel call adds the Leibniz terms binom(a, j) * f * g^(j) of every
-    pair of a left and a right term straight into one output dict, reading
-    both operands' flat dicts.  The kernel fixes each pair's number of
+    The floor bound is symmetric in A and B, so it serves both kernels;
+    it is worked out only when an operand carries a floor.  One kernel
+    call adds the Leibniz terms binom(a, j) * f * g^(j) of every pair of
+    a left and a right term straight into one output dict, reading both
+    operands' flat dicts.  The kernel fixes each pair's number of
     terms before the first one, from a, q and the floor, so no term below
     the floor is ever added; with no floor it raises on the first pair
     whose tail does not terminate.  The floor is EXACT only when both
     operands are exact and no term was cut.
     """
-    _check_var(A, B)
-    if (not A.flat and A.low is EXACT) or (not B.flat and B.low is EXACT):
+    if A.var != B.var:
+        _check_var(A, B)
+    f, g = A.flat, B.flat
+    if (not f and A.low is EXACT) or (not g and B.low is EXACT):
         return {}, EXACT
+    out: dict = {}
+    if A.low is EXACT and B.low is EXACT:
+        # no floor bound: EXACT unless the kernel cut a tail
+        return out, low if kernel(out, f, g, low) else EXACT
 
     # floor + top of the other operand; a zero operand with a floor still
     # stands for unknown orders below it, so its floor stands in for its top
@@ -340,13 +348,10 @@ def compose_flat(A: Symbol, B: Symbol, kernel, low):
             b = X.low + (max(Y.flat)[0] if Y.flat else Y.low)
             if bound is None or b > bound:
                 bound = b
-    if bound is not None and (low is EXACT or bound > low):
+    if low is EXACT or bound > low:
         low = bound
-
-    out: dict = {}
-    cut = kernel(out, A.flat, B.flat, low)
-    # EXACT when both inputs are exact and every tail ended by itself
-    return out, EXACT if bound is None and not cut else low
+    kernel(out, f, g, low)
+    return out, low
 
 
 def sym_bracket(A: Symbol, B: Symbol, req_floor=None) -> Symbol:

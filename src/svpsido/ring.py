@@ -49,9 +49,10 @@ builds no GaussRat: it takes no gcd and keeps an entry that cancels, so
 every sum is accumulated first and normalised late, after Monagan and
 Pearce and sympy's ``PolyElement`` over ``ZZ_I``.  Kernel inputs need not
 be reduced.  One reducer, ``reduce_flat``, then normalises a filled table
-once, where it is wrapped: one gcd per entry, zeros dropped, and for a
-symbol dict the orders below the floor.  ``coeff_from_table`` wraps a
-(t, x, M) table, as psido.symbol_from_flat wraps a symbol dict;
+once, where it is wrapped: one gcd per entry whose denominator is not 1
+(gcd(a, b, 1) = 1, so a triple over 1 is reduced already), zeros
+dropped, and for a symbol dict the orders below the floor.
+``coeff_from_table`` wraps a (t, x, M) table, as psido.symbol_from_flat wraps a symbol dict;
 ``_coeff_raw`` wraps a table that is already clean.  Both wrap an empty
 table as the one shared zero, ``CoeffFn.zero()``, so every empty result
 of the package (a product, residue, slice or negation with nothing in
@@ -80,10 +81,13 @@ it walks each pair once and forms its product once.  The pair's two
 leading terms (j = 0) cancel exactly and are never added; for j >= 1 the
 two directions land at one key, so their weights meet first and the key
 takes one addition.  Each direction keeps the term count, the cut and the
-error of its own leibniz_rows call.  The transform's
-monomial map and its deformed images shift a symbol's terms in order and
-scale them by an x-free monomial with ``scale_into``; the transport terms
-of the extended bracket, loop * d_t W, are added by ``transport_into``.
+error of its own leibniz_rows call.  The sums of symbols and the
+transform's deformed images shift a symbol's terms in order and scale
+them by an x-free monomial with ``scale_into``; the transform's monomial
+map adds its image terms in the same way in its own loop
+(transforms._map_monomials), with no call per input term.  The transport
+terms of the extended bracket, loop * d_t W, are added by
+``transport_into``.
 The dual pairing files its points' monomials as ints (``file_terms``,
 ``file_flat``) and sums the trace terms of an element into a table of
 triples per point (``pair_terms_into``, ``trace_pairs_into``, which reads
@@ -730,18 +734,20 @@ def transport_into(acc: dict, loop, items) -> None:
 
 def reduce_flat(flat: dict, low) -> None:
     """Reduce a table of triples that the kernels filled, in place: each
-    value by one gcd, each zero dropped, the insertion order of the rest
-    kept.  A flat symbol dict, keyed (twice the order, t, x, M), also drops
-    each order below low (twice the floor, None for none); a CoeffFn table,
-    keyed (t, x, M), is reduced with low None."""
+    value by one gcd, except a value over 1, which is reduced already;
+    each zero dropped, the insertion order of the rest kept.  A flat
+    symbol dict, keyed (twice the order, t, x, M), also drops each order
+    below low (twice the floor, None for none); a CoeffFn table, keyed
+    (t, x, M), is reduced with low None."""
     dead = []
     for k, (a, b, d) in flat.items():
         if not (a or b) or (low is not None and k[0] < low):
             dead.append(k)
             continue
-        r = gcd(a, b, d)
-        if r != 1:
-            flat[k] = (a // r, b // r, d // r)
+        if d != 1:
+            r = gcd(a, b, d)
+            if r != 1:
+                flat[k] = (a // r, b // r, d // r)
     for k in dead:
         del flat[k]
 
@@ -1132,10 +1138,10 @@ def triple_into(acc: dict, f_items, g_items, h_items, p: int, q: int, sign: int)
 
 def coeff_from_table(table: dict) -> CoeffFn:
     """Wrap a {(t, x, M): (a, b, d)} table that the kernels filled as a
-    CoeffFn, reducing it in place (reduce_flat): one gcd per entry and
-    zeros dropped.  Every CoeffFn kernel result is wrapped here, as
-    psido.symbol_from_flat wraps a symbol's; the table must not change
-    afterwards.  An empty table, or one that cancels to nothing, is the
+    CoeffFn, reducing it in place (reduce_flat): one gcd per entry whose
+    denominator is not 1, and zeros dropped.  Every CoeffFn kernel result
+    is wrapped here, as psido.symbol_from_flat wraps a symbol's; the table
+    must not change afterwards.  An empty table, or one that cancels to nothing, is the
     shared zero."""
     if not table:
         return _C_ZERO

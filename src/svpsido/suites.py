@@ -319,10 +319,13 @@ def _equal_moved(show, lhs: Symbol, rhs: Symbol, dt: int):
     """_equal(show, lhs, _moved(rhs, dt)), with the terms of rhs read in
     place at their moved orders: the moved copy is built for a failure's
     text only."""
-    get = lhs.flat.get
-    if (lhs.var == R and lhs.low is EXACT and len(lhs.flat) == len(rhs.flat)
-            and all(get((o + dt, p, q, m)) == v for (o, p, q, m), v in rhs.flat.items())):
-        return None
+    if lhs.var == R and lhs.low is EXACT and len(lhs.flat) == len(rhs.flat):
+        get = lhs.flat.get
+        for (o, p, q, m), v in rhs.flat.items():
+            if get((o + dt, p, q, m)) != v:
+                break
+        else:
+            return None
     return show(lhs), show(_moved(rhs, dt))
 
 

@@ -32,15 +32,17 @@ shifts and maps every term.
 
 The monomial map works on the flat term dicts of psido.Symbol: each term
 of the input, keyed by twice its order, reads the memoised image of its
-generator power and adds the image's terms, shifted in order and scaled
-by the term's x-free rest, straight into the output's dict
-(ring.scale_into), which psido.symbol_from_flat reduces once it is
-filled.  The term's value is already the int triple that the kernel
-scales by, and a deformed image's conjugation weights are turned into
-triples once each.  Orders and floors are twice-ints on this path, as in
-psido, image memos included; a public function converts its requested
-floor once, where it enters.  The loop shift writes its series as int
-triples (_shift_series).
+generator power, and the loop that walks the input's terms adds the
+image's terms, shifted in order and scaled by the term's x-free rest,
+straight into the output's dict, over a common denominator with no gcd
+(_map_monomials, one loop for theta, theta_inv and theta_t);
+psido.symbol_from_flat reduces the dict once it is filled.  The term's
+value is already the int triple that the map scales by.  A deformed
+image sums its undeformed images with ring.scale_into, its conjugation
+weights turned into triples once each.  Orders and floors are twice-ints
+on this path, as in psido, image memos included; a public function
+converts its requested floor once, where it enters.  The loop shift
+writes its series as int triples (_shift_series).
 """
 
 from __future__ import annotations
@@ -211,30 +213,48 @@ def _conjugated_image(nu: GaussRat, q: int, want) -> Symbol:
 # ---------------------------------------------------------------- forward map
 
 
-def _map_monomials(D: Symbol, low, var: str, shift, image) -> Symbol:
+def _map_monomials(D: Symbol, low, var: str, image) -> Symbol:
     """Sum the images of the monomials of D in the algebra of var.
 
-    A term of D at twice-order kt shifts its image by shift(kt)
-    twice-orders; image(q, want) gives the image of the q-th generator
-    power trusted down to want, twice the wanted floor as an int (EXACT
-    for none), which the undeformed images ignore.  Each term of D scales
-    its image's flat dict by its x-free rest and adds it in place into one
-    output dict (ring.scale_into).
+    A term of D at twice-order kt shifts its image by 2*kt twice-orders
+    when var is R (theta doubles orders) and by kt // 2 when var is XI
+    (theta_inv halves them); image(q, want) gives the image of the q-th
+    generator power trusted down to want, twice the wanted floor as an int
+    (EXACT for none), which the undeformed images ignore.  The loop that
+    walks D's terms adds each image term, shifted and scaled by the D
+    term's x-free rest, straight into one output dict, over a common
+    denominator with no gcd, as ring.scale_into adds; symbol_from_flat
+    reduces the dict once it is filled.
 
     Cached images may be deeper than asked; answers must not depend on
     what earlier calls warmed, so a floored result is cut back to low.
     """
+    double = var == R
     out = EXACT
     flat: dict = {}
-    for (kt, p, q, m), v in D.flat.items():
-        dt = shift(kt)
+    get = flat.get
+    for (kt, p2, q, m2), (a2, b2, d2) in D.flat.items():
+        dt = kt + kt if double else kt // 2
         if abs(q) > MAX_IMAGE_POWER:
             raise ValueError(f"generator powers are bounded by {MAX_IMAGE_POWER} in absolute value")
         # the shift moves the image's floor by dt, so ask that much deeper
         img = image(q, low if low is EXACT else low - dt)
         if img.low is not EXACT:
             out = max_low(out, img.low + dt)
-        scale_into(flat, img.flat.items(), dt, p, m, v)
+        for (o, p1, q1, m1), (a1, b1, d1) in img.flat.items():
+            k = (o + dt, p1 + p2, q1, m1 + m2)
+            a = a1 * a2 - b1 * b2
+            b = a1 * b2 + b1 * a2
+            d = d1 * d2
+            s = get(k)
+            if s is None:
+                flat[k] = (a, b, d)
+                continue
+            sa, sb, e = s
+            if e == d:
+                flat[k] = (a + sa, b + sb, d)
+            else:
+                flat[k] = (a * e + sa * d, b * e + sb * d, d * e)
     if out is not EXACT:
         out = max_low(out, low)
     return symbol_from_flat(var, flat, out)
@@ -255,7 +275,7 @@ def theta(D: Symbol, req_floor=None, nu: GaussRat = GR_ZERO) -> Symbol:
     images = (_theta_images.image if nu.is_zero()
               else lambda q, want: _conjugated_image(nu, q, want))
     # order doubling, which lands on the integer grid
-    return _map_monomials(D, low_of(req_floor), R, lambda kt: kt + kt, images)
+    return _map_monomials(D, EXACT if req_floor is None else low_of(req_floor), R, images)
 
 
 # ---------------------------------------------------------------- inverse map
@@ -289,7 +309,7 @@ def theta_inv(D: Symbol, req_floor=None) -> Symbol:
     if D.low is not EXACT:
         raise ValueError("theta_inv needs an exact input")
     # order halving: space orders are integers, so the image orders are in (1/2)Z
-    return _map_monomials(D, low_of(req_floor), XI, lambda kt: kt // 2, _inv_image)
+    return _map_monomials(D, low_of(req_floor), XI, _inv_image)
 
 
 # ---------------------------------------------------------------- loop shift

@@ -112,6 +112,48 @@ for nu in (GaussRat(0), GaussRat(Fraction(1, 2)), GaussRat(2, -1)):
             print(f"nu = {nu}, floor = {floor}, E{k}: {symbol_str(theta_t(E, floor, nu=nu))}")
 """
 
+TRANSFORM_MAP = """\
+from fractions import Fraction
+
+from svpsido import suites
+from svpsido.halfint import h
+from svpsido.psido import XI, Symbol, sym_mul
+from svpsido.ring import CoeffFn, GaussRat
+from svpsido.transforms import theta, theta_inv, theta_t
+
+box = [Symbol(XI, {k: CoeffFn.x_pow(p)}) for k in suites._half_orders(2) for p in suites._degrees(2)]
+products = []
+for A in box:
+    for B in box:
+        try:
+            products.append(sym_mul(A, B))
+        except ValueError:
+            pass
+
+
+def show(name, call):
+    try:
+        S = call()
+    except ValueError as exc:
+        print(f"{name}: {exc}")
+    else:
+        print(f"{name}: {S.floor} {list(S.flat.items())}")
+
+
+for rnd in ("cold", "warm"):
+    for nu in (GaussRat(0), GaussRat(Fraction(1, 2))):
+        for floor in (None, h("-7/2"), h(-16)):
+            for k, P in enumerate(products):
+                show(f"{rnd}, nu = {nu}, floor = {floor}, theta P{k}", lambda: theta(P, floor, nu=nu))
+                show(f"{rnd}, nu = {nu}, floor = {floor}, theta_t P{k}", lambda: theta_t(P, floor, nu=nu))
+    # the images of the products, read once the image memo is warm; the
+    # inverse memo is still cold on the first pass
+    images = [theta(P) for P in products]
+    for floor in (None, h("-7/2"), h(-16)):
+        for k, S in enumerate(images):
+            show(f"{rnd}, floor = {floor}, theta_inv I{k}", lambda: theta_inv(S, floor))
+"""
+
 EMPTY_PRODUCTS = """\
 import sys
 
@@ -219,6 +261,14 @@ CHECKS = [
     # polynomial, so no verify run here takes that path
     Check("theta-t-cut", ("-c", THETA_T_CUT),
           sha256="c14367488c0cdf0fb56a51057efb33b2794083fcbcca94c77534d9f50a8ba870"),
+    # theta, theta_t and theta_inv of the range-2 momentum-box products
+    # and of their images, at nu 0 and 1/2 and floors exact, -7/2 and -16,
+    # a cold pass and then a warm pass in one process; each result prints
+    # its floor and its flat terms in insertion order, which the pinned
+    # reports sort away.  Pinned from before the monomial map added its
+    # image terms in its own loop
+    Check("transform-map", ("-c", TRANSFORM_MAP),
+          sha256="75d7543edc5cd6e305fc6dc030f20b6cdea02b7cab34655f31ed30c210f58caf"),
     # nu != 0 is the only path where the transform sums series images
     Check("deformed-transform", ("verify", "--nu", "1/2"), workers=(1, 2)),
     # a Gaussian nu drives the binom(nu, j) weights of the deformed images

@@ -211,6 +211,41 @@ def test_product_with_a_truncated_zero_keeps_its_floor():
     assert sym_mul(z, Symbol.zero(R)).floor is EXACT
 
 
+# compose_flat reads no floor bound when both operands are exact; a floored
+# operand or a zero with a floor on either side still sets the floor
+# max(req, floor_A + top_B, floor_B + top_A), and an exact zero still
+# annihilates a floored operand
+
+
+@pytest.mark.parametrize("product", [sym_mul, sym_bracket], ids=["mul", "bracket"])
+def test_a_floored_operand_on_either_side_sets_the_floor(product):
+    A = Symbol(XI, {h(1): CoeffFn.x_pow(1), h(-1): CoeffFn.x_pow(-1)}, h(-3))
+    B = Symbol(XI, {h(2): CoeffFn.x_pow(2), h(0): CoeffFn.x_pow(-2)})
+    zero = Symbol(XI, {}, h("-5/2"))
+    for req, want in ((EXACT, h(-1)), (h(-10), h(-1)), (h(0), h(0))):
+        assert product(A, B, req).floor == want  # -3 + 2
+        assert product(B, A, req).floor == want
+    assert product(zero, B).floor == h("-1/2")  # -5/2 + 2
+    assert product(B, zero, h(-10)).floor == h("-1/2")
+    assert product(zero, A).floor == h("-3/2")  # max(-5/2 + 1, -3 - 5/2)
+    assert product(A, zero, h(-1)).floor == h(-1)
+    for other in (A, zero):
+        assert product(Symbol.zero(XI), other) == Symbol.zero(XI)
+        assert product(other, Symbol.zero(XI)) == Symbol.zero(XI)
+
+
+@pytest.mark.parametrize("product", [sym_mul, sym_bracket], ids=["mul", "bracket"])
+@pytest.mark.parametrize("r_floor, xi_floor", [(EXACT, EXACT), (h(-2), EXACT),
+                                               (EXACT, h(-2)), (h(-2), h(-3))])
+def test_mixed_variables_raise_whether_exact_or_floored(product, r_floor, xi_floor):
+    for r, xi in ((Symbol(R, {h(1): CoeffFn.x_pow(1)}, r_floor), mono(0, xpow=1, floor=xi_floor)),
+                  (Symbol(R, {}, r_floor), Symbol(XI, {}, xi_floor))):
+        with pytest.raises(ValueError, match="mixed symbol variables R and XI"):
+            product(r, xi, h(-4))
+        with pytest.raises(ValueError, match="mixed symbol variables XI and R"):
+            product(xi, r)
+
+
 # ---- scaling, projections, trace -----------------------------------------------
 
 

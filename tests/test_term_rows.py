@@ -426,3 +426,38 @@ def test_the_reducer_drops_zeros_and_low_orders_and_keeps_the_order():
     reduce_flat(acc, None)
     assert list(acc.items()) == [((-3, 1, 0), (3, -2, 4)), ((1, -2, -1), (1, 2, 3)),
                                  ((-1, 0, 0), (0, 3, 1))]
+
+
+def test_the_reducer_keeps_unit_denominators_as_they_are():
+    # gcd(a, b, 1) = 1, so a triple over 1 is reduced already
+    acc = {
+        (4, 0, 1, 0): (6, -4, 1),   # kept as it is
+        (2, 0, 0, 0): (0, 0, 1),    # a cancelled sum over 1
+        (0, 1, 0, 0): (4, 0, 2),    # gcd 2, down to a unit denominator
+        (-2, 0, 2, 0): (0, 5, 1),   # a zero real part, kept as it is
+        (-4, 0, 0, 0): (3, 0, 1),   # one order below the floor
+    }
+    reduce_flat(acc, -2)
+    assert list(acc.items()) == [
+        ((4, 0, 1, 0), (6, -4, 1)),
+        ((0, 1, 0, 0), (2, 0, 1)),
+        ((-2, 0, 2, 0), (0, 5, 1)),
+    ]
+
+
+triples = st.tuples(st.integers(-12, 12), st.integers(-12, 12),
+                    st.one_of(st.just(1), st.integers(1, 12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-1, 1), st.integers(-2, 2),
+                                 st.integers(-1, 1)), triples, max_size=8),
+       st.one_of(st.none(), st.integers(-6, 6)))
+def test_each_entry_the_reducer_keeps_is_its_input_reduced(acc, low):
+    given_items = list(acc.items())
+    reduce_flat(acc, low)
+    assert list(acc) == [k for k, (a, b, _) in given_items
+                         if (a or b) and (low is None or k[0] >= low)]
+    for k, t in given_items:
+        if k in acc:
+            assert reduced(acc[k]) and value(acc[k]) == value(t)

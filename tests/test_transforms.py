@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strategies
 from reference import gauss_shift_series, sym_scale
-from svpsido.halfint import EXACT, HalfInt, h, hmax
+from svpsido.halfint import EXACT, HalfInt, h, hmax, max_low
 from svpsido.psido import (
     R,
     XI,
@@ -26,8 +27,18 @@ from svpsido.psido import (
     sym_bracket,
     sym_mul,
     sym_sub,
+    symbol_from_flat,
 )
-from svpsido.ring import CoeffFn, GaussRat, I_M, M, MINUS_2I_M, TWO_I_M, coeff_from_table
+from svpsido.ring import (
+    CoeffFn,
+    GaussRat,
+    I_M,
+    M,
+    MINUS_2I_M,
+    TWO_I_M,
+    coeff_from_table,
+    scale_into,
+)
 from svpsido.diffop2 import DiffOp2, d_pi, dop_from_r_symbol, dop_mul, free_evolution_op
 from svpsido.svalgebra import SvElement, shift_mode, sv_basis, sv_bracket, time_mode
 from svpsido import transforms as tr
@@ -271,6 +282,64 @@ class TestUndeformedImagesIgnoreTheCache:
             tr.theta(D)
             assert tr.theta(D, req) == cold
             assert cold.floor is EXACT
+
+
+def scaled_map(D, low, var, image):
+    """The monomial map as one ring.scale_into per term of D into one dict,
+    wrapped by symbol_from_flat: the construction that the map's own loop
+    must match term for term, in insertion order."""
+    out = EXACT
+    flat: dict = {}
+    for (kt, p, q, m), v in D.flat.items():
+        dt = kt + kt if var == R else kt // 2
+        img = image(q, low if low is EXACT else low - dt)
+        if img.low is not EXACT:
+            out = max_low(out, img.low + dt)
+        scale_into(flat, img.flat.items(), dt, p, m, v)
+    if out is not EXACT:
+        out = max_low(out, low)
+    return symbol_from_flat(var, flat, out)
+
+
+def exact_symbols(var, tpows):
+    """Exact symbols of var: tests/strategies.symbols with the floor dropped."""
+    values = st.sampled_from([GaussRat(1), GaussRat(-1), GaussRat(Fraction(1, 2)), GaussRat(0, 1),
+                              GaussRat(2, Fraction(-1, 3))])
+    drawn = strategies.symbols(strategies.coeff_fns(tpows, (-3, 3), (-1, 1), values, 1, 3))
+    return drawn.filter(lambda S: S.var == var).map(lambda S: Symbol(var, S.terms))
+
+
+class TestMapMatchesScaledSums:
+    """theta, theta_t and theta_inv give the values, floor and insertion
+    order of scaled_map, on cold caches and then on warm ones."""
+
+    @staticmethod
+    def outcomes(D, E, S, req, nu):
+        calls = (lambda: tr.theta(D, req, nu=nu), lambda: tr.theta_t(E, req, nu=nu),
+                 lambda: tr.theta_inv(S, req))
+        found = []
+        for call in calls:
+            try:
+                got = call()
+            except ValueError as exc:
+                found.append(str(exc))
+            else:
+                found.append((got.var, got.floor, list(got.flat.items())))
+        return found
+
+    @settings(max_examples=40, deadline=None)
+    @given(exact_symbols(XI, (-1, 1)), exact_symbols(XI, (0, 0)), exact_symbols(R, (-1, 1)),
+           st.sampled_from([EXACT, h(-1), h("-7/2"), h(-6)]),
+           st.sampled_from([GaussRat(0), GaussRat(Fraction(1, 2))]))
+    def test_drawn_exact_symbols(self, D, E, S, req, nu):
+        passes = {}
+        for form in ("loop", "scaled"):
+            with pytest.MonkeyPatch.context() as mp:
+                TestRequestedFloor._fresh_caches(mp)
+                if form == "scaled":
+                    mp.setattr(tr, "_map_monomials", scaled_map)
+                passes[form] = [self.outcomes(D, E, S, req, nu) for _ in ("cold", "warm")]
+        assert passes["loop"] == passes["scaled"]
 
 
 class TestImageBounds:
