@@ -72,8 +72,6 @@ from .psido import (
     Symbol,
     bracket_transport_flat,
     cap_order,
-    sym_add,
-    sym_sub,
     symbol_from_flat,
 )
 from .ring import (
@@ -130,12 +128,6 @@ class GElement(Value):
         object.__setattr__(self, "w", loop_of(w, "the d_t component"))
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "alpha", loop_of(alpha, "the central coordinate"))
-
-    def add(self, other: "GElement") -> "GElement":
-        return GElement(self.w + other.w, sym_add(self.W, other.W), self.alpha + other.alpha)
-
-    def sub(self, other: "GElement") -> "GElement":
-        return GElement(self.w - other.w, sym_sub(self.W, other.W), self.alpha - other.alpha)
 
 
 class GDual(Value):

@@ -171,20 +171,16 @@ class LocalFunctional(Value):
     def classes(self) -> set:
         return {_monomial_class(jets) for jets in self.terms}
 
-    def add(self, other: "LocalFunctional") -> "LocalFunctional":
-        out = list(self.terms.items()) + list(other.terms.items())
-        return LocalFunctional(out)
+    def __add__(self, other):
+        if other.__class__ is not LocalFunctional:
+            return NotImplemented
+        return LocalFunctional(list(self.terms.items()) + list(other.terms.items()))
 
-    def neg(self) -> "LocalFunctional":
+    def __neg__(self):
         return LocalFunctional([(jets, -c) for jets, c in self.terms.items()])
 
-    def sub(self, other: "LocalFunctional") -> "LocalFunctional":
-        out = list(self.terms.items())
-        out += [(jets, -c) for jets, c in other.terms.items()]
-        return LocalFunctional(out)
-
-    def scale(self, s) -> "LocalFunctional":
-        return LocalFunctional([(jets, c * s) for jets, c in self.terms.items()])
+    def __sub__(self, other):
+        return self + (-other)
 
     def __str__(self):
         if not self.terms:

@@ -12,7 +12,8 @@ A symbol stores its terms in one flat dict, ``flat``, from an int monomial
 gcd(a, b, d) = 1, and nothing below the floor, after sympy's
 ``PolyElement`` over ``ZZ_I`` and the packed exponent vectors of Monagan
 and Pearce.  Composition, the transform, equality and the linear
-operations read and write that dict directly, as plain int data: the
+operators +, - and unary - (Symbol's own, since its part is a table, not
+a value) read and write that dict directly, as plain int data: the
 kernels add into a fresh dict unreduced, and ``symbol_from_flat``, the
 one wrap of their results, reduces it once per entry (ring.reduce_flat,
 the reducer that ring.coeff_from_table runs on CoeffFn tables).  The
@@ -88,9 +89,6 @@ __all__ = [
     "R",
     "XI",
     "Symbol",
-    "sym_add",
-    "sym_sub",
-    "sym_neg",
     "sym_mul",
     "compose_flat",
     "symbol_from_flat",
@@ -218,6 +216,27 @@ class Symbol(Value):
         (((ot, p, q, m), v),) = self.flat.items()
         return ot, p, q, m, v
 
+    # ---- linear structure --------------------------------------------------------
+
+    def __add__(self, other):
+        return self._linear(other, (1, 0, 1)) if isinstance(other, Symbol) else NotImplemented
+
+    def __sub__(self, other):
+        """self - other, subtracting term by term without a negated copy."""
+        return self._linear(other, (-1, 0, 1)) if isinstance(other, Symbol) else NotImplemented
+
+    def _linear(self, other: "Symbol", unit: tuple) -> "Symbol":
+        """self + unit * other, term by term into a copy of self's dict
+        (ring.scale_into); orders below the larger floor are dropped and a
+        zero symbol's floor still counts."""
+        _check_var(self, other)
+        out = dict(self.flat)
+        scale_into(out, other.flat.items(), 0, 0, 0, unit)
+        return symbol_from_flat(self.var, out, max_low(self.low, other.low))
+
+    def __neg__(self):
+        return Symbol._raw(self.var, {k: (-a, -b, d) for k, (a, b, d) in self.flat.items()}, self.low)
+
     # ---- identity --------------------------------------------------------------
 
     def __eq__(self, other):
@@ -265,32 +284,6 @@ def symbol_from_flat(var: str, flat: dict, low) -> Symbol:
     wrapped here."""
     reduce_flat(flat, low)
     return Symbol._raw(var, flat, low)
-
-
-# ---- linear structure ------------------------------------------------------------
-
-
-def _linear(A: Symbol, B: Symbol, negate: bool) -> Symbol:
-    """A + B, or A - B when negate, term by term into a copy of A's dict
-    (ring.scale_into); orders below the larger floor are dropped and a zero
-    symbol's floor still counts."""
-    _check_var(A, B)
-    out = dict(A.flat)
-    scale_into(out, B.flat.items(), 0, 0, 0, (-1, 0, 1) if negate else (1, 0, 1))
-    return symbol_from_flat(A.var, out, max_low(A.low, B.low))
-
-
-def sym_add(A: Symbol, B: Symbol) -> Symbol:
-    return _linear(A, B, False)
-
-
-def sym_neg(A: Symbol) -> Symbol:
-    return Symbol._raw(A.var, {k: (-a, -b, d) for k, (a, b, d) in A.flat.items()}, A.low)
-
-
-def sym_sub(A: Symbol, B: Symbol) -> Symbol:
-    """A - B, subtracting term by term without a negated copy of B."""
-    return _linear(A, B, True)
 
 
 def _check_var(A: Symbol, B: Symbol):

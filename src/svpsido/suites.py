@@ -98,10 +98,8 @@ from .psido import (
     differential_part,
     eq_trusted,
     map_rows,
-    sym_add,
     sym_bracket,
     sym_mul,
-    sym_sub,
     symbol_from_flat,
 )
 from .ring import (
@@ -492,10 +490,8 @@ def _suite_psido_axioms(cfg: VerifyConfig) -> list:
 
     def jacobi(i, j, k):
         A, B, C = spot[i], spot[j], spot[k]
-        total = sym_add(
-            sym_add(sym_bracket(A, bracket(j, k), F), sym_bracket(B, bracket(k, i), F)),
-            sym_bracket(C, bracket(i, j), F),
-        )
+        total = (sym_bracket(A, bracket(j, k), F) + sym_bracket(B, bracket(k, i), F)
+                 + sym_bracket(C, bracket(i, j), F))
         return None if total.is_zero() else (sym(total), "0")
 
     idx = range(len(spot))
@@ -766,7 +762,7 @@ def _suite_lemma26(cfg: VerifyConfig) -> list:
     cases = []
 
     def homomorphic(i, j):
-        d = sym_sub(sym_bracket(images[i], images[j], F), tr.j_map(sv_bracket(basis[i][1], basis[j][1])))
+        d = sym_bracket(images[i], images[j], F) - tr.j_map(sv_bracket(basis[i][1], basis[j][1]))
         m = max(d.flat)[0] if d.flat else None
         if m is None or m <= -1:
             return None
@@ -858,7 +854,7 @@ def _suite_theorem51(cfg: VerifyConfig) -> list:
     def embedded_bracket(i, j):
         lhs = g_bracket(lifted[i], lifted[j], c, F)
         rhs = embed_momentum_symbol(sym_bracket(images[i], images[j], F), F)
-        d = lhs.sub(rhs)
+        d = lhs - rhs
         if not d.w.is_zero():
             return (f"d_t component {_fmt_coeff(cfg, d.w)}", "0")
         if not d.alpha.is_zero():
@@ -1082,11 +1078,11 @@ def _lemma71_defect(X: SvElement, Y: SvElement) -> LocalFunctional:
         fdd = X.f.deriv("T").deriv("T")
         return LocalFunctional.monomial(-(Y.g * fdd * I_M_QUARTER), jet(FIELD_V0))
     if not X.g.is_zero() and not Y.f.is_zero():
-        return _lemma71_defect(Y, X).neg()
+        return -_lemma71_defect(Y, X)
     if not X.g.is_zero() and not Y.h.is_zero():
         return LocalFunctional.monomial(-(Y.h.deriv("T") * X.g * M2), jet(FIELD_V0))
     if not X.h.is_zero() and not Y.g.is_zero():
-        return _lemma71_defect(Y, X).neg()
+        return -_lemma71_defect(Y, X)
     return LocalFunctional.zero()
 
 

@@ -50,15 +50,6 @@ class SvElement(Value):
         object.__setattr__(self, "g", loop_of(g, "the shift loop g"))
         object.__setattr__(self, "h", loop_of(h, "the phase loop h"))
 
-    def __add__(self, other):
-        return SvElement(self.f + other.f, self.g + other.g, self.h + other.h)
-
-    def __sub__(self, other):
-        return SvElement(self.f - other.f, self.g - other.g, self.h - other.h)
-
-    def __neg__(self):
-        return SvElement(-self.f, -self.g, -self.h)
-
     def scale(self, c) -> "SvElement":
         return SvElement(self.f * c, self.g * c, self.h * c)
 

@@ -68,10 +68,8 @@ from .psido import (
     Symbol,
     adler_trace,
     differential_part,
-    sym_add,
     sym_bracket,
     sym_mul,
-    sym_neg,
 )
 from .ring import GR_I, GR_ONE, CoeffFn, GaussRat, _gauss, coeff_from_table, gauss_of, triple_of
 
@@ -596,13 +594,13 @@ def _same_algebra(a, b):
 
 def _add(a, b):
     a, b = _same_algebra(_built(a), _built(b))
-    return a + b if isinstance(a, CoeffFn) else sym_add(a, b)
+    return a + b
 
 
 def _neg(v):
     if v.__class__ is tuple:
         return (*v[:5], -v[5])
-    return -v if isinstance(v, CoeffFn) else sym_neg(v)
+    return -v
 
 
 def eval_expr(src: str, floor=None) -> Symbol:

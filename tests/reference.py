@@ -31,10 +31,8 @@ from svpsido.psido import (
     XI,
     Symbol,
     _check_var,
-    sym_add,
     sym_bracket,
     sym_mul,
-    sym_sub,
 )
 from svpsido.ring import (
     I_HALF_OVER_M,
@@ -223,7 +221,7 @@ def summed_images(D: Symbol, req, var: str, delta_of, image) -> Symbol:
     Retired when the transform's map began to add its images in place
     into shared per-order tables: this form builds one Symbol per monomial,
     the image shifted by delta_of(k) and scaled by its x-slice, sums them
-    with sym_add and cuts the sum back to req when floored.
+    with + and cuts the sum back to req when floored.
     """
     total = Symbol.zero(var)
     for k, c in D.terms.items():
@@ -233,7 +231,7 @@ def summed_images(D: Symbol, req, var: str, delta_of, image) -> Symbol:
             img = image(q, want)
             floor = img.floor if img.floor is EXACT else img.floor + delta
             shifted = Symbol(var, {o + delta: v for o, v in img.terms.items()}, floor)
-            total = sym_add(total, sym_scale(shifted, c.x_slice(q)))
+            total = total + sym_scale(shifted, c.x_slice(q))
     if req is EXACT or total.floor is EXACT or total.floor >= req:
         return total
     return Symbol(var, {k: v for k, v in total.terms.items() if k >= req}, req)
@@ -263,7 +261,7 @@ def series_neg_base(nu: GaussRat, req) -> Symbol:
         scaled = sym_scale(power, (GaussRat(-2) * nu) ** k)
         if scaled.is_zero() or (scaled.top() is not None and scaled.top() < req - 1):
             break
-        total = sym_add(total, scaled)
+        total = total + scaled
         k += 1
     return sym_mul(d, sym_mul(total, r_inv, req - 1), req)
 
@@ -662,7 +660,7 @@ def theta_t_by_orders(E: Symbol, req: HalfInt, nu: GaussRat) -> Symbol:
         if (c.min_x_degree() or 0) < 0:
             cut = True
             floor = hmax(floor, kappa + kappa - depth)
-        total = sym_add(total, tr.theta(Symbol(XI, {kappa: shift_by_terms(c, depth)}), req, nu=nu))
+        total = total + tr.theta(Symbol(XI, {kappa: shift_by_terms(c, depth)}), req, nu=nu)
     if E.floor is not EXACT:
         floor = hmax(floor, E.floor + E.floor)
     if cut or E.floor is not EXACT:
@@ -724,11 +722,11 @@ def reference_g_bracket(A, B, c, req_floor):
     w = A.w * B.w.deriv("T") - A.w.deriv("T") * B.w
     W = sym_bracket(A.W, B.W, floor)
     if not A.w.is_zero():
-        W = sym_add(W, sym_scale(time_deriv(B.W), A.w))
+        W = W + sym_scale(time_deriv(B.W), A.w)
     elif B.W.floor is not EXACT:
         W = raise_floor(W, B.W.floor)
     if not B.w.is_zero():
-        W = sym_sub(W, sym_scale(time_deriv(A.W), B.w))
+        W = W - sym_scale(time_deriv(A.W), B.w)
     elif A.W.floor is not EXACT:
         W = raise_floor(W, A.W.floor)
     alpha = A.w * B.alpha.deriv("T") - B.w * A.alpha.deriv("T")

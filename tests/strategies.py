@@ -31,14 +31,15 @@ def coeff_rows(tpows, xpows, masses, min_size=0, max_size=3):
 
 
 @st.composite
-def symbols(draw, coeffs, twice_orders=(-5, 5), max_orders=3):
-    """Symbols in both algebras, exact or floored: up to max_orders orders,
-    each twice an int in twice_orders (even in the R algebra) with a
-    coefficient from coeffs, and no floor or one in that range, which drops
-    the orders below it."""
-    var = draw(st.sampled_from((R, XI)))
+def symbols(draw, coeffs, twice_orders=(-5, 5), max_orders=3, var=None, exact=False):
+    """Symbols in both algebras, or in var alone when given, exact or
+    floored: up to max_orders orders, each twice an int in twice_orders
+    (even in the R algebra) with a coefficient from coeffs, and no floor
+    or, unless exact, one in that range, which drops the orders below it."""
+    if var is None:
+        var = draw(st.sampled_from((R, XI)))
     twice = st.integers(*twice_orders)
     if var == R:
         twice = twice.map(lambda k: k - k % 2)
     rows = draw(st.dictionaries(twice.map(HalfInt), coeffs, max_size=max_orders))
-    return Symbol(var, rows, draw(st.one_of(st.just(EXACT), twice.map(HalfInt))))
+    return Symbol(var, rows, EXACT if exact else draw(st.one_of(st.just(EXACT), twice.map(HalfInt))))

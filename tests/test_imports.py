@@ -94,3 +94,46 @@ def test_the_boundary_guard_sees_halfint_uses():
         "y = X.h.terms\n"
     )
     assert halfint_uses(source) == ["HalfInt", "hmax", "h", "halfint", "svpsido.halfint", "hmin"]
+
+
+# ---- one spelling of linear structure ---------------------------------------------------------
+
+# +, - and unary - are the package's only spelling of sums: ring.Value
+# writes them once, and the classes whose parts are tables override them.
+LINEAR_METHODS = {"add", "sub", "neg"}
+LINEAR_FUNCTIONS = {"sym_add", "sym_sub", "sym_neg"}
+
+
+def linear_spellings(source: str) -> list:
+    """The methods named add, sub or neg defined in a class of source, as
+    Class.name, and the module-level functions sym_add, sym_sub and
+    sym_neg."""
+    tree = ast.parse(source)
+    found = [f"{node.name}.{item.name}" for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for item in node.body
+             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name in LINEAR_METHODS]
+    found += [node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in LINEAR_FUNCTIONS]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_linear_structure_is_spelled_with_operators(path):
+    assert linear_spellings(path.read_text()) == []
+
+
+def test_the_linear_guard_sees_other_spellings():
+    source = (
+        "class A:\n"
+        "    def add(self, other): pass\n"
+        "    def __add__(self, other): pass\n"
+        "    def neg(self): pass\n"
+        "class B:\n"
+        "    def sub(self, other): pass\n"
+        "    def scale(self, c): pass\n"
+        "def sym_add(a, b): pass\n"
+        "def sym_neg(a): pass\n"
+        "def sym_mul(a, b): pass\n"
+        "def add(a, b): pass\n"
+    )
+    assert linear_spellings(source) == ["A.add", "A.neg", "B.sub", "sym_add", "sym_neg"]

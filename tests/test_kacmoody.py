@@ -43,10 +43,8 @@ from svpsido.psido import (
     XI,
     Symbol,
     adler_trace,
-    sym_add,
     sym_bracket,
     sym_mul,
-    sym_sub,
 )
 from svpsido.ring import CoeffFn, GaussRat, I_M, M, MINUS_2I_M, sum_is_zero, sum_value
 from svpsido.suites import VerifyConfig, run_suites
@@ -148,8 +146,8 @@ class TestBracket:
         # the transport terms as written before the zero ones were skipped
         def transported(A, B):
             out = sym_bracket(A.W, B.W, REQ)
-            out = sym_add(out, sym_scale(time_deriv(B.W), A.w))
-            return sym_sub(out, sym_scale(time_deriv(A.W), B.w))
+            out = out + sym_scale(time_deriv(B.W), A.w)
+            return out - sym_scale(time_deriv(A.W), B.w)
 
         A = GElement(W=Symbol(R, {h(-2): CoeffFn.mono(2, 2)}))
         B = GElement(w=CoeffFn.t_pow(3), W=W)
@@ -172,7 +170,7 @@ class TestBracket:
             lhs = g_bracket(A, B, C2, REQ)
             rhs = g_bracket(B, A, C2, REQ)
             assert lhs.w == -rhs.w and lhs.alpha == -rhs.alpha
-            dW = sym_sub(lhs.W, sym_sub(Symbol.zero(R), rhs.W))
+            dW = lhs.W - (Symbol.zero(R) - rhs.W)
             assert dW.top() is None
 
     def test_center_is_central(self):
@@ -196,7 +194,7 @@ class TestBracket:
             for X, Y, Z in ((A, B, C), (B, C, A), (C, A, B)):
                 inner = g_bracket(Y, Z, C2, deep)
                 term = g_bracket(X, inner, C2, REQ)
-                total = term if total is None else total.add(term)
+                total = term if total is None else total + term
             assert total.w.is_zero() and total.alpha.is_zero()
             assert total.W.top() is None
 
@@ -607,7 +605,7 @@ def test_bracket_homomorphism():
         rhs = embed_momentum_symbol(sym_bracket(jm[i], jm[j], REQ), REQ)
         assert lhs.w == rhs.w, (str(els[i]), str(els[j]))
         assert lhs.alpha.is_zero() and rhs.alpha.is_zero()
-        dW = sym_sub(lhs.W, rhs.W)
+        dW = lhs.W - rhs.W
         if dW.floor is EXACT:
             assert dW.is_zero(), (str(els[i]), str(els[j]), str(dW))
         else:

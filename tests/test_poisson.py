@@ -110,8 +110,8 @@ class TestFunctionalContainer:
             LocalFunctional.monomial(CoeffFn.mono(0, 1), jet(FIELD_V))
 
     def test_sum_of_pure_classes_is_fine(self):
-        F = LocalFunctional.monomial(1, jet(FIELD_V)).add(
-            LocalFunctional.monomial(CoeffFn.mono(0, 1), jet(FIELD_VM2)))
+        F = LocalFunctional.monomial(1, jet(FIELD_V)) + LocalFunctional.monomial(
+            CoeffFn.mono(0, 1), jet(FIELD_VM2))
         assert F.classes() == {"v", "pair"}
 
     def test_immutable(self):
@@ -123,9 +123,9 @@ class TestFunctionalContainer:
         F = LocalFunctional([((jet(FIELD_V0, 1), jet(FIELD_VM2)), CoeffFn.mono(1, 1)),
                              ((jet(FIELD_A),), CoeffFn.t_pow(2))])
         G = LocalFunctional.monomial(CoeffFn.t_pow(2), jet(FIELD_A))
-        assert F.sub(G) == LocalFunctional.monomial(CoeffFn.mono(1, 1),
-                                                    jet(FIELD_VM2), jet(FIELD_V0, 1))
-        assert F.sub(F).is_zero()
+        assert F - G == LocalFunctional.monomial(CoeffFn.mono(1, 1),
+                                                 jet(FIELD_VM2), jet(FIELD_V0, 1))
+        assert (F - F).is_zero()
 
     def test_multi_jet_rendering(self):
         F = LocalFunctional([
@@ -197,7 +197,7 @@ class TestEvaluation:
         G = LocalFunctional.monomial(CoeffFn.mono(1, 2),
                                      jet(FIELD_VM2, 1, 0), jet(FIELD_V0))
         for var in ("T", "X"):
-            shifted = base.add(total_derivative(G, var))
+            shifted = base + total_derivative(G, var)
             assert evaluate(shifted, self.mu) == evaluate(base, self.mu)
 
     def test_many_jet_monomials_match_the_residue_of_the_product(self):
@@ -356,9 +356,9 @@ def mixed_functionals(draw):
     F = LocalFunctional(draw(st.lists(st.one_of(_pair_monomials, _loop_monomials),
                                       min_size=1, max_size=4)))
     for js, coeff in draw(st.lists(_pair_monomials, max_size=1)):
-        F = F.add(total_derivative(LocalFunctional([(js, coeff)]), draw(st.sampled_from("TX"))))
+        F = F + total_derivative(LocalFunctional([(js, coeff)]), draw(st.sampled_from("TX")))
     for js, coeff in draw(st.lists(_loop_monomials, max_size=1)):
-        F = F.add(total_derivative(LocalFunctional([(js, coeff)]), "T"))
+        F = F + total_derivative(LocalFunctional([(js, coeff)]), "T")
     return F
 
 
@@ -420,8 +420,8 @@ def test_bracket_and_field_match_the_whole_product_references(F, G, mu, c):
 def test_bracket_at_builds_no_product_once_the_derivatives_are_taken(monkeypatch):
     F = lemma71_functional(SvElement(f=CoeffFn.t_pow(2), g=CoeffFn.t_pow(1)))
     G = lemma71_functional(SvElement(f=CoeffFn.t_pow(-1), h=CoeffFn.t_pow(2)))
-    F = F.add(LocalFunctional.monomial(CoeffFn.t_pow(1), jet(FIELD_V), jet(FIELD_V, 1)))
-    G = G.add(LocalFunctional.monomial(CoeffFn.t_pow(-2), jet(FIELD_A)))
+    F = F + LocalFunctional.monomial(CoeffFn.t_pow(1), jet(FIELD_V), jet(FIELD_V, 1))
+    G = G + LocalFunctional.monomial(CoeffFn.t_pow(-2), jet(FIELD_A))
     warm = [(poisson.derivatives_at(F, mu), poisson.derivatives_at(G, mu), mu)
             for mu in SLICE_POINTS + LOOSE_POINTS]
     want = [reference_poisson_bracket(F, G, mu, C2) for _, _, mu in warm]
@@ -456,7 +456,7 @@ def _bracket_mismatches():
     els = [e for (_, _, e) in sv_basis(2)]
     loop = LocalFunctional.monomial(CoeffFn.t_pow(2), jet(FIELD_V), jet(FIELD_V, 1))
     central = LocalFunctional.monomial(CoeffFn.t_pow(2), jet(FIELD_A))
-    funcs = [lemma71_functional(X) for X in els[::3]] + [loop, central.add(loop)]
+    funcs = [lemma71_functional(X) for X in els[::3]] + [loop, central + loop]
     out = []
     for F, G in itertools.combinations(funcs, 2):
         for mu in SLICE_POINTS + LOOSE_POINTS:
@@ -496,11 +496,11 @@ def _defect(X, Y):
         fdd = X.f.deriv("T").deriv("T")
         return LocalFunctional.monomial(-(Y.g * fdd * I_M_QUARTER), jet(FIELD_V0))
     if not X.g.is_zero() and not Y.f.is_zero():
-        return _defect(Y, X).neg()
+        return -_defect(Y, X)
     if not X.g.is_zero() and not Y.h.is_zero():
         return LocalFunctional.monomial(-(Y.h.deriv("T") * X.g * M2), jet(FIELD_V0))
     if not X.h.is_zero() and not Y.g.is_zero():
-        return _defect(Y, X).neg()
+        return -_defect(Y, X)
     return LocalFunctional.zero()
 
 

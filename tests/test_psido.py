@@ -28,10 +28,8 @@ from svpsido.psido import (
     cap_order,
     differential_part,
     eq_trusted,
-    sym_add,
     sym_bracket,
     sym_mul,
-    sym_sub,
 )
 
 F = Fraction
@@ -125,9 +123,7 @@ def test_half_order_composed_with_x_terminates():
 def test_inverse_derivative_against_x():
     # d^-1 o x = x*d^-1 - d^-2, again a finite series
     out = sym_mul(D_INV, X)
-    assert out == sym_sub(
-        mono(-1, xpow=1), mono(-2)
-    )
+    assert out == mono(-1, xpow=1) - mono(-2)
     # left-composing with d undoes it
     assert sym_mul(D, out) == X
 
@@ -136,7 +132,7 @@ def test_exact_request_with_infinite_tail_is_refused():
     # d o x^-1 still terminates (the integer binomial runs out), but the
     # half-order series against x^-1 never does
     xinv = mono(0, xpow=-1)
-    assert sym_mul(D, xinv) == sym_sub(mono(1, xpow=-1), mono(0, xpow=-2))
+    assert sym_mul(D, xinv) == mono(1, xpow=-1) - mono(0, xpow=-2)
     with pytest.raises(ValueError):
         sym_mul(D_HALF, xinv)
 
@@ -190,9 +186,9 @@ def test_floor_propagation_through_products():
 
 def test_zero_with_floor_keeps_floor_through_sums():
     A = Symbol(XI, {h(1): CoeffFn.x_pow(1)}, h(-3))
-    z = sym_sub(A, A)
+    z = A - A
     assert z.floor == h(-3)
-    s = sym_add(z, mono(0, xpow=2))
+    s = z + mono(0, xpow=2)
     assert s.floor == h(-3)
 
 
@@ -260,7 +256,7 @@ def test_scale_rejects_space_dependence():
 
 
 def test_differential_part_projects_to_nonnegative_orders():
-    A = sym_add(mono(1, xpow=1), mono(-1, xpow=2))
+    A = mono(1, xpow=1) + mono(-1, xpow=2)
     out = differential_part(A)
     assert out == mono(1, xpow=1)
     assert out.floor is EXACT
@@ -305,7 +301,7 @@ def test_trace_kills_brackets():
 
 
 def test_projection_helpers():
-    A = sym_add(mono(2, xpow=1), mono(-1, xpow=1))
+    A = mono(2, xpow=1) + mono(-1, xpow=1)
     assert cap_order(A, 0) == mono(-1, xpow=1)
     assert raise_floor(A, -1).floor == h(-1)
     assert time_deriv(mono(1, tpow=3)).coeff(h(1)) == CoeffFn.t_pow(2, 3)
@@ -348,8 +344,8 @@ def test_composition_is_associative(A, B, C):
 def test_bracket_satisfies_jacobi(A, B, C):
     fl = h(-5)
     s = sym_bracket(sym_bracket(A, B, fl), C, fl)
-    s = sym_add(s, sym_bracket(sym_bracket(B, C, fl), A, fl))
-    s = sym_add(s, sym_bracket(sym_bracket(C, A, fl), B, fl))
+    s = s + sym_bracket(sym_bracket(B, C, fl), A, fl)
+    s = s + sym_bracket(sym_bracket(C, A, fl), B, fl)
     assert eq_trusted(s, Symbol.zero(XI))
 
 
@@ -373,8 +369,8 @@ def test_trace_of_bracket_vanishes_randomly(A, B):
 @settings(max_examples=40, deadline=None)
 def test_product_distributes_over_sums(A, B, C):
     fl = h(-6)
-    lhs = sym_mul(A, sym_add(B, C), fl)
-    rhs = sym_add(sym_mul(A, B, fl), sym_mul(A, C, fl))
+    lhs = sym_mul(A, B + C, fl)
+    rhs = sym_mul(A, B, fl) + sym_mul(A, C, fl)
     assert eq_trusted(lhs, rhs)
 
 
@@ -382,7 +378,7 @@ def test_product_distributes_over_sums(A, B, C):
 
 
 def test_symbol_printing():
-    A = sym_add(mono(1, xpow=1), mono("-1/2", coeff=F(1, 2)))
+    A = mono(1, xpow=1) + mono("-1/2", coeff=F(1, 2))
     assert str(A) == "xi*d_xi + 1/2*d_xi^-1/2 | exact"
     B = Symbol(R, {h(0): CoeffFn.x_pow(1)}, h("-7/2"))
     assert str(B) == "r | floor=-7/2"

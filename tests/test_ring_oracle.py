@@ -41,11 +41,8 @@ from svpsido.psido import (
     R,
     XI,
     Symbol,
-    sym_add,
     sym_bracket,
     sym_mul,
-    sym_neg,
-    sym_sub,
 )
 from svpsido.ring import CoeffFn, GaussRat, M
 
@@ -428,7 +425,7 @@ def _two_products(A: Symbol, B: Symbol, req):
     """A o B - B o A as two products and a difference, or the ValueError
     that one of the products raises."""
     try:
-        return sym_sub(sym_mul(A, B, req), sym_mul(B, A, req))
+        return sym_mul(A, B, req) - sym_mul(B, A, req)
     except ValueError as exc:
         return exc
 
@@ -488,10 +485,10 @@ def test_the_tail_example_terminates_one_way_only():
     Symbol(XI, {}, HalfInt(-2)),
 )
 def test_sym_sub_builds_no_negated_copy(A, B):
-    want = sym_add(A, sym_neg(B))
+    want = A + (-B)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CoeffFn, "__neg__", _no_negation)
-        got = sym_sub(A, B)
+        got = A - B
     assert got == want  # values and floor
     assert clean(got)
 

@@ -28,7 +28,7 @@ loops = coeff_fns((-2, 3), (0, 0), (-1, 1), gauss)
 def commutator(action, mu, X, Y, P):
     xy = action(mu, X, action(mu, Y, P))
     yx = action(mu, Y, action(mu, X, P))
-    return SchrodPoint(a=xy.a - yx.a, V=xy.V - yx.V)
+    return xy - yx
 
 
 class TestPoint:
@@ -154,9 +154,9 @@ def test_action_is_linear_in_the_point():
     X = SvElement(f=CoeffFn.t_pow(2), g=CoeffFn.t_pow(1), h=CoeffFn.one())
     P = SchrodPoint(a=CoeffFn.t_pow(1), V=CoeffFn.mono(1, 2))
     Q = SchrodPoint(a=CoeffFn.t_pow(-1), V=CoeffFn.mono(0, -1))
-    both = SchrodPoint(a=P.a + Q.a, V=P.V + Q.V)
+    both = P + Q
     for mu in WEIGHTS:
         lhs = d_sigma_tilde(mu, X, both)
         rp = d_sigma_tilde(mu, X, P)
         rq = d_sigma_tilde(mu, X, Q)
-        assert lhs == SchrodPoint(a=rp.a + rq.a, V=rp.V + rq.V)
+        assert lhs == rp + rq

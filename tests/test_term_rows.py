@@ -40,11 +40,8 @@ from svpsido.psido import (
     XI,
     Symbol,
     cap_order,
-    sym_add,
     sym_bracket,
     sym_mul,
-    sym_neg,
-    sym_sub,
     symbol_from_flat,
 )
 from svpsido.ring import (
@@ -221,7 +218,7 @@ def test_warmed_and_fresh_operands_agree(A, B, P, Q, f, g):
             assert same(got, want), name
             check_flat(got, want)
         # results that keep some of an operand's terms
-        check_flat(sym_add(A, B), sym_sub(A, B), sym_sub(A, A), sym_neg(A), cap_order(A, 0),
+        check_flat(A + B, A - B, A - A, -A, cap_order(A, 0),
                    ref.raise_floor(A, -1))
 
 
@@ -232,7 +229,7 @@ def test_the_bracket_is_the_difference_of_its_products(A, B):
     check_flat(A)  # a built view must not change the result
     with every_wrap_checked():
         got = sym_bracket(A, B, REQ)
-        assert got == sym_sub(sym_mul(A, B, REQ), sym_mul(B, A, REQ))
+        assert got == sym_mul(A, B, REQ) - sym_mul(B, A, REQ)
     check_flat(got)
 
 
@@ -333,7 +330,7 @@ def test_empty_tables_and_orders_below_the_floor_are_dropped():
     empty = symbol_from_flat(XI, {(-6, 0, 1, 0): one}, -5)
     assert empty.is_zero() and empty.floor == HalfInt(-5)
     # an order whose terms all cancel leaves no entry in the view
-    assert sym_sub(X, X).terms == {} and sym_sub(X, X).floor == HalfInt(-2)
+    assert (X - X).terms == {} and (X - X).floor == HalfInt(-2)
 
 
 # ---- the triple helpers, the kernels' sums and the reducer against GaussRat ------------------

@@ -23,10 +23,8 @@ from svpsido.psido import (
     adler_trace,
     differential_part,
     eq_trusted,
-    sym_add,
     sym_bracket,
     sym_mul,
-    sym_sub,
     symbol_from_flat,
 )
 from svpsido.ring import (
@@ -655,7 +653,7 @@ class TestMomentumEmbedding:
         for A, B in itertools.combinations(els, 2):
             lhs = sym_bracket(tr.j_map(A), tr.j_map(B), h(-3))
             rhs = tr.j_map(sv_bracket(A, B))
-            top = sym_sub(lhs, rhs).top()
+            top = (lhs - rhs).top()
             if top is not None:
                 assert top <= h("-1/2"), (str(A), str(B))
                 if worst is None or top > worst:
@@ -712,9 +710,7 @@ def test_euler_intertwining():
         for k, c in D.terms.items():
             for (p, q, m), s in c.terms.items():
                 w = Fraction(q) - k.as_fraction()
-                out = sym_add(
-                    out, Symbol(D.var, {k: coeff_from_table({(p, q, m): s}) * w}, D.floor)
-                )
+                out = out + Symbol(D.var, {k: coeff_from_table({(p, q, m): s}) * w}, D.floor)
         return Symbol(D.var, out.terms, D.floor)
 
     floor = h(-5)
