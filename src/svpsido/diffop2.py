@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .ring import CoeffFn, HALF, I_M, I_M_QUARTER, MINUS_2I_M, Value, coeff_of
+from .ring import CoeffFn, CoeffTable, HALF, I_M, I_M_QUARTER, MINUS_2I_M, coeff_of
 from .svalgebra import SvElement
 
 __all__ = [
@@ -25,29 +25,21 @@ __all__ = [
 ]
 
 
-class DiffOp2(Value):
+class DiffOp2(CoeffTable):
     """Operator sum of c(t, r) * d_t^i * d_r^j terms.
 
-    ``terms`` maps (i, j) with i, j >= 0 to a nonzero CoeffFn.
+    ``terms`` maps (i, j) with i, j >= 0 to a nonzero CoeffFn: a
+    ring.CoeffTable whose key check refuses a negative power.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        clean = {}
-        for (i, j), c in terms.items():
-            if i < 0 or j < 0:
-                raise ValueError("derivative powers must be nonnegative")
-            c = coeff_of(c)
-            if not c.is_zero():
-                clean[(i, j)] = c
-        object.__setattr__(self, "terms", clean)
-
-    # ---- constructors ------------------------------------------------------
+    __slots__ = ()
 
     @staticmethod
-    def zero() -> "DiffOp2":
-        return DiffOp2({})
+    def _key(key, c):
+        i, j = key
+        if i < 0 or j < 0:
+            raise ValueError("derivative powers must be nonnegative")
+        return key
 
     @staticmethod
     def function(c) -> "DiffOp2":
@@ -61,28 +53,8 @@ class DiffOp2(Value):
     def d_r() -> "DiffOp2":
         return DiffOp2({(0, 1): CoeffFn.one()})
 
-    # ---- predicates and access ----------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, i: int, j: int) -> CoeffFn:
         return self.terms.get((i, j), CoeffFn.zero())
-
-    # ---- linear structure -----------------------------------------------------
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
-        return DiffOp2(out)
-
-    def __neg__(self):
-        return DiffOp2({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, s) -> "DiffOp2":
         return DiffOp2({k: c * s for k, c in self.terms.items()})
@@ -118,7 +90,7 @@ class DiffOp2(Value):
 
 def dop_mul(A: DiffOp2, B: DiffOp2) -> DiffOp2:
     """Compose A o B by the double Leibniz rule; always exact."""
-    out: dict = {}
+    out = []
     for (i, j), c in A.terms.items():
         for (k, l), d in B.terms.items():
             # move d_t^i d_r^j across d: pick how many of each act on it
@@ -138,9 +110,7 @@ def dop_mul(A: DiffOp2, B: DiffOp2) -> DiffOp2:
                     term = c * dq
                     if coeff != 1:
                         term = term * coeff
-                    key = (i + k - p, j + l - q)
-                    s = out.get(key)
-                    out[key] = term if s is None else s + term
+                    out.append(((i + k - p, j + l - q), term))
     return DiffOp2(out)
 
 
@@ -164,26 +134,15 @@ def d_pi(mu, X: SvElement) -> DiffOp2:
     """
     mu = coeff_of(mu)
     f, g, hh = X.f, X.g, X.h
-    out = DiffOp2.zero()
-    if not f.is_zero():
-        df = f.deriv("T")
-        ddf = df.deriv("T")
-        r2 = CoeffFn.x_pow(2)
-        out = out + DiffOp2(
-            {
-                (1, 0): -f,
-                (0, 1): -(df * CoeffFn.x_pow(1) * HALF),
-                (0, 0): ddf * r2 * I_M_QUARTER - df * mu,
-            }
-        )
-    if not g.is_zero():
-        dg = g.deriv("T")
-        out = out + DiffOp2(
-            {(0, 1): -g, (0, 0): dg * CoeffFn.x_pow(1) * I_M}
-        )
-    if not hh.is_zero():
-        out = out + DiffOp2({(0, 0): hh * I_M})
-    return out
+    df, dg = f.deriv("T"), g.deriv("T")
+    return DiffOp2([
+        ((1, 0), -f),
+        ((0, 1), -(df * CoeffFn.x_pow(1) * HALF)),
+        ((0, 0), df.deriv("T") * CoeffFn.x_pow(2) * I_M_QUARTER - df * mu),
+        ((0, 1), -g),
+        ((0, 0), dg * CoeffFn.x_pow(1) * I_M),
+        ((0, 0), hh * I_M),
+    ])
 
 
 def dop_from_r_symbol(D) -> DiffOp2:

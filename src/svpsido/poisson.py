@@ -40,12 +40,12 @@ from operator import itemgetter
 from .kacmoody import GDual
 from .ring import (
     CoeffFn,
+    CoeffTable,
     GaussRat,
     HALF,
     I_M_QUARTER,
     M2,
     M2_HALF,
-    Value,
     coeff_from_table,
     coeff_of,
     mul_into,
@@ -133,54 +133,29 @@ def _monomial_class(jets) -> str:
                      "the symbol slots or with each other")
 
 
-class LocalFunctional(Value):
-    """Finite sum of coefficient-times-jet-product monomials."""
+class LocalFunctional(CoeffTable):
+    """Finite sum of coefficient-times-jet-product monomials: a
+    ring.CoeffTable from a sorted tuple of jets to a nonzero CoeffFn, whose
+    key check refuses a nonzero monomial that mixes classes, or a loop-class
+    one whose coefficient depends on r."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        merged: dict = {}
-        if isinstance(terms, dict):
-            terms = terms.items()
-        for jets, coeff in terms:
-            jets = tuple(sorted(jets))
-            coeff = coeff_of(coeff)
-            if coeff.is_zero():
-                continue
-            cls = _monomial_class(jets)
-            if cls in ("v", "a") and not coeff.is_t_only():
-                raise ValueError("loop-class monomials sit under a single "
-                                 "time integral, their coefficient must be "
-                                 "space-free")
-            acc = merged.get(jets)
-            merged[jets] = coeff if acc is None else acc + coeff
-        object.__setattr__(self, "terms",
-                           {k: v for k, v in merged.items() if not v.is_zero()})
+    __slots__ = ()
 
     @staticmethod
-    def zero() -> "LocalFunctional":
-        return LocalFunctional()
+    def _key(jets, coeff):
+        jets = tuple(sorted(jets))
+        if coeff.terms and _monomial_class(jets) in ("v", "a") and not coeff.is_t_only():
+            raise ValueError("loop-class monomials sit under a single "
+                             "time integral, their coefficient must be "
+                             "space-free")
+        return jets
 
     @staticmethod
     def monomial(coeff, *jets) -> "LocalFunctional":
         return LocalFunctional([(jets, coeff)])
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def classes(self) -> set:
         return {_monomial_class(jets) for jets in self.terms}
-
-    def __add__(self, other):
-        if other.__class__ is not LocalFunctional:
-            return NotImplemented
-        return LocalFunctional(list(self.terms.items()) + list(other.terms.items()))
-
-    def __neg__(self):
-        return LocalFunctional([(jets, -c) for jets, c in self.terms.items()])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __str__(self):
         if not self.terms:

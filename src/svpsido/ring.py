@@ -29,6 +29,9 @@ and tables of them compare as plain int data.
                        ``kept``, one memo of what is built from the
                        value alone, and copy and pickle by the public
                        slots.
+* ``CoeffTable``    -- the base of diffop2.DiffOp2 and poisson.LocalFunctional,
+                       tables from a key to a CoeffFn: one constructor and
+                       +, - and unary - key by key.
 
 A symbol keeps its terms in the same triples, in one flat dict from (twice
 the order, t, x, M) (psido.Symbol.flat), so a symbol's terms view shares
@@ -117,7 +120,7 @@ from fractions import Fraction
 from math import gcd
 
 __all__ = [
-    "Value", "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M", "coeff_of", "loop_of",
+    "Value", "CoeffTable", "GaussRat", "CoeffFn", "GR_ZERO", "GR_ONE", "GR_I", "M", "coeff_of", "loop_of",
     "mul_into", "product_into", "scale_into", "transport_into", "leibniz_rows", "bracket_rows",
     "residue_into", "triple_into", "coeff_from_table", "triple_of", "gauss_of", "reduce_flat",
     "file_terms", "file_flat", "pair_terms_into", "trace_pairs_into", "sum_value", "sum_is_zero",
@@ -323,11 +326,13 @@ class Value:
     for an operand of another class), the text ``(name: value; name:
     value)`` as both str and repr, and kept(), the memo of what is built
     from a value alone.  A sum is built past the constructor's checks,
-    since sums of valid slots are valid; CoeffFn, Symbol, DiffOp2 and
-    LocalFunctional, whose parts are tables, write their own.  A
-    subclass writes its own slots past the guard: with object.__setattr__
-    in its constructor, or, where a kernel result is wrapped (Symbol,
-    CoeffFn), with the slot's own setter, the cheapest write.
+    since sums of valid slots are valid.  CoeffFn and Symbol, flat int
+    tables on the hot path, write their own; CoeffTable writes them for
+    DiffOp2 and LocalFunctional.  A subclass adds its public slots to its
+    base's.  A subclass writes its own slots past the guard: with
+    object.__setattr__ in its constructor, or, where a kernel result is
+    wrapped (Symbol, CoeffFn), with the slot's own setter, the cheapest
+    write.
 
     Value declares the package's one private slot, _kept: the memo dict,
     left unset until something is first kept, so a value that keeps
@@ -341,7 +346,8 @@ class Value:
     __slots__ = ("_kept",)
 
     def __init_subclass__(cls):
-        cls._parts = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+        own = tuple(s for s in cls.__dict__.get("__slots__", ()) if not s.startswith("_"))
+        cls._parts = getattr(cls, "_parts", ()) + own
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -425,6 +431,58 @@ def _rebuilt(cls, parts: tuple) -> Value:
     for name, value in zip(cls._parts, parts):
         _set_slot(out, name, value)
     return out
+
+
+class CoeffTable(Value):
+    """A table ``terms`` from a key to a nonzero CoeffFn.
+
+    Built from a dict or (key, coefficient) pairs: coeff_of coerces each
+    coefficient, the class's hook _key(key, coefficient) returns the
+    canonical key or raises, and equal keys are summed in first-seen
+    order, zeros dropped.  +, - and unary - merge key by key, the left
+    operand's keys first, dropping what cancels, past the constructor:
+    valid tables have a valid sum.  Another class's operand gets
+    NotImplemented."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=()):
+        acc: dict = {}
+        for key, c in terms.items() if isinstance(terms, dict) else terms:
+            c = coeff_of(c)
+            key = self._key(key, c)
+            if c.terms:
+                s = acc.get(key)
+                acc[key] = c if s is None else s + c
+        _set_slot(self, "terms", {k: c for k, c in acc.items() if c.terms})
+
+    @classmethod
+    def zero(cls):
+        return _rebuilt(cls, ({},))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _merged(self, other, op):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = op(out.get(k, _C_ZERO), c)
+            if s.terms:
+                out[k] = s
+            else:
+                del out[k]
+        return _rebuilt(self.__class__, (out,))
+
+    def __add__(self, other):
+        return self._merged(other, CoeffFn.__add__)
+
+    def __sub__(self, other):
+        return self._merged(other, CoeffFn.__sub__)
+
+    def __neg__(self):
+        return _rebuilt(self.__class__, ({k: -c for k, c in self.terms.items()},))
 
 
 class CoeffFn(Value):

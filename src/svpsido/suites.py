@@ -105,6 +105,7 @@ from .psido import (
 from .ring import (
     GR_I,
     CoeffFn,
+    CoeffTable,
     GaussRat,
     I_M,
     I_M_QUARTER,
@@ -354,12 +355,10 @@ def _normalized(cfg: VerifyConfig, value):
     at = functools.partial(_normalized, cfg)
     if isinstance(value, Symbol):
         return map_rows(value, at)
-    if isinstance(value, DiffOp2):
-        return DiffOp2({k: at(c) for k, c in value.terms.items()})
+    if isinstance(value, CoeffTable):
+        return value.__class__({k: at(c) for k, c in value.terms.items()})
     if isinstance(value, GDual):
         return GDual(at(value.v), at(value.V), at(value.a))
-    if isinstance(value, LocalFunctional):
-        return LocalFunctional({jets: at(c) for jets, c in value.terms.items()})
     return value.subs_m(_M_NORMALIZED)
 
 

@@ -211,6 +211,50 @@ for fn in (c((0, 0, 0, one), (0, 0, 1, minus), (1, 0, 0, g(0, 1))),
     print(coeff_str(fn), "|", coeff_str(fn, "r"))
 """
 
+TABLE_VALUES = """\
+import itertools
+from fractions import Fraction
+
+from svpsido import suites
+from svpsido.diffop2 import d_pi, dop_bracket
+from svpsido.poisson import (FIELD_VM2, FIELD_V0, FIELD_V, FIELD_A, LocalFunctional, jet,
+                             lemma71_functional, total_derivative, variational_derivative)
+from svpsido.ring import CoeffFn
+from svpsido.svalgebra import sv_basis
+
+normalized = suites.VerifyConfig(normalize_mass=True)
+shown = []
+
+
+def show(label, value):
+    print(f"{label}: {value} | {list(value.terms)}")
+    shown.append((label, value))
+
+
+for w in (0, Fraction(1, 4), 1, Fraction(3, 7)):
+    for kind, idx, X in sv_basis(2):
+        show(f"d_pi({w}, {kind}[{idx}])", d_pi(w, X))
+basis = [(f"{kind}[{idx}]", X) for kind, idx, X in sv_basis(1)]
+for (a, X), (b, Y) in itertools.product(basis, repeat=2):
+    show(f"[d_pi(1/4, {a}), d_pi(1/4, {b})]",
+         dop_bracket(d_pi(Fraction(1, 4), X), d_pi(Fraction(1, 4), Y)))
+fields = (FIELD_VM2, FIELD_V0, FIELD_V, FIELD_A)
+for a, X in basis:
+    F = lemma71_functional(X)
+    show(f"F_{a}", F)
+    for field in fields:
+        show(f"delta F_{a} / delta {field}", variational_derivative(F, field))
+pair_jets = [jet(f, i, j) for f in (FIELD_VM2, FIELD_V0) for i in (0, 1) for j in (0, 1)]
+monomials = [(f"{J}", (J,)) for J in pair_jets]
+monomials += [(f"{J} {K}", (J, K)) for J, K in itertools.combinations_with_replacement(pair_jets, 2)]
+for label, jets in monomials:
+    for var in "TX":
+        F = total_derivative(LocalFunctional.monomial(CoeffFn.mono(1, 1), *jets), var)
+        show(f"D_{var.lower()} {label}", F)
+for label, value in shown[::7]:
+    print(f"normalized {label}: {suites._normalized(normalized, value)}")
+"""
+
 T61 = ("verify", "--suite", "theorem61")
 SUITE_CHOICES = (
     "'psido-axioms', 'theta', 'timeshift', 'cocycles', 'lemma26', 'lemma33', 'theorem51', "
@@ -269,6 +313,15 @@ CHECKS = [
     # image terms in its own loop
     Check("transform-map", ("-c", TRANSFORM_MAP),
           sha256="75d7543edc5cd6e305fc6dc030f20b6cdea02b7cab34655f31ed30c210f58caf"),
+    # the two coefficient tables, printed with their keys in insertion
+    # order: d_pi of the range-2 basis at weights 0, 1/4, 1 and 3/7, the
+    # brackets of the range-1 images at 1/4, the lemma71 functionals with
+    # their variational derivatives, the total derivatives of
+    # poisson-lemma71's pair monomials, and every seventh of these with
+    # the mass normalised.  Pinned from before DiffOp2 and LocalFunctional
+    # shared one base; a passing report prints no table value
+    Check("table-values", ("-c", TABLE_VALUES),
+          sha256="e6976df539c2fdbdae7414706e218fa1c77b6614a9b2c38be1944ee7557f477d"),
     # nu != 0 is the only path where the transform sums series images
     Check("deformed-transform", ("verify", "--nu", "1/2"), workers=(1, 2)),
     # a Gaussian nu drives the binom(nu, j) weights of the deformed images

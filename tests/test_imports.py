@@ -137,3 +137,43 @@ def test_the_linear_guard_sees_other_spellings():
         "def add(a, b): pass\n"
     )
     assert linear_spellings(source) == ["A.add", "A.neg", "B.sub", "sym_add", "sym_neg"]
+
+
+# ---- one base for the coefficient tables -------------------------------------------------------
+
+# DiffOp2 and LocalFunctional take their constructor and linear structure
+# from ring.CoeffTable, and name their key check in _key alone.
+TABLE_CLASSES = {"DiffOp2": "diffop2", "LocalFunctional": "poisson"}
+TABLE_METHODS = {"__init__", "__add__", "__sub__", "__neg__", "is_zero", "zero"}
+
+
+def own_methods(source: str, name: str) -> set:
+    """The names that the body of class name in source defines, or binds
+    by assignment."""
+    cls = next(node for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef) and node.name == name)
+    found = {item.name for item in cls.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    found |= {t.id for item in cls.body if isinstance(item, ast.Assign)
+              for t in item.targets if isinstance(t, ast.Name)}
+    return found
+
+
+@pytest.mark.parametrize("name", list(TABLE_CLASSES))
+def test_tables_inherit_their_constructor_and_sums(name):
+    path = pathlib.Path(svpsido.__file__).parent / f"{TABLE_CLASSES[name]}.py"
+    assert own_methods(path.read_text(), name) & TABLE_METHODS == set()
+
+
+def test_the_table_guard_sees_own_methods():
+    source = (
+        "class DiffOp2(Base):\n"
+        "    __slots__ = ()\n"
+        "    def __init__(self, terms): pass\n"
+        "    @staticmethod\n"
+        "    def zero(): pass\n"
+        "    __sub__ = lambda self, other: None\n"
+        "    def scale(self, s): pass\n"
+        "class Other:\n"
+        "    def __add__(self, other): pass\n"
+    )
+    assert own_methods(source, "DiffOp2") & TABLE_METHODS == {"__init__", "zero", "__sub__"}

@@ -7,6 +7,9 @@ the result must equal what the constructor builds from the slot-wise sums
 hold.  Symbol writes its own over its flat dict: the floor of a sum is the
 larger floor, a zero keeps its floor, and the terms stay in the order of
 the left operand's dict with the right operand's new terms after them.
+ring.CoeffTable writes them once for the two coefficient tables, DiffOp2
+and LocalFunctional, with the same order, and its constructor merges
+equal keys in that order too.
 """
 
 import operator
@@ -19,7 +22,7 @@ from strategies import coeff_fns, symbols
 from svpsido.diffop2 import DiffOp2
 from svpsido.halfint import EXACT, HalfInt, h
 from svpsido.kacmoody import GDual, GElement
-from svpsido.poisson import FIELD_A, FIELD_V, LocalFunctional, jet
+from svpsido.poisson import FIELD_A, FIELD_V, FIELD_V0, FIELD_VM2, LocalFunctional, jet
 from svpsido.psido import R, XI, Symbol
 from svpsido.ring import CoeffFn, GaussRat, gauss_of, triple_of
 from svpsido.svaction import SchrodPoint
@@ -94,12 +97,26 @@ def test_the_laws_hold_for_floored_symbol_slots():
     (Symbol.zero(R), SvElement()),
     (LocalFunctional(), SvElement()),
     (LocalFunctional(), DiffOp2({})),
+    (DiffOp2.d_r(), CoeffFn.x_pow(1)),
+    (DiffOp2.d_r(), 1),
+    (DiffOp2.d_r(), LocalFunctional()),
+    (DiffOp2.d_r(), LocalFunctional.monomial(CoeffFn.x_pow(1), jet(FIELD_V0))),
+    (LocalFunctional.monomial(CoeffFn.x_pow(1), jet(FIELD_V0)), 1),
+    (LocalFunctional.monomial(CoeffFn.x_pow(1), jet(FIELD_V0)), DiffOp2.d_r()),
 ], ids=lambda v: type(v).__name__)
 def test_sums_across_classes_raise(left, right):
     with pytest.raises(TypeError):
         left + right
     with pytest.raises(TypeError):
         left - right
+
+
+@pytest.mark.parametrize("table", [DiffOp2.d_r(), LocalFunctional.monomial(CoeffFn.x_pow(1), jet(FIELD_V0))],
+                         ids=lambda v: type(v).__name__)
+def test_a_table_difference_with_another_class_names_minus(table):
+    # the refusal names the operator written, not + of a negated operand
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -: "):
+        table - 1
 
 
 # ---- Symbol --------------------------------------------------------------------------------
@@ -171,3 +188,74 @@ def test_local_functional_difference_keeps_the_term_order():
     assert D == F + (-G)
     assert list(D.terms) == [(jet(FIELD_A),), (jet(FIELD_A, 1),)]
     assert (F - F).is_zero() and -(-F) == F
+
+
+# ---- the coefficient tables -----------------------------------------------------------------
+
+# small key sets, so that sums meet equal keys; a loop-class monomial takes
+# a t-only coefficient, and one pair key is given unsorted
+PAIR_KEYS = [(jet(FIELD_VM2),), (jet(FIELD_V0, 1),), (jet(FIELD_V0), jet(FIELD_VM2, 0, 1))]
+LOOP_KEYS = [(jet(FIELD_V),), (jet(FIELD_A, 1), jet(FIELD_A))]
+TABLES = {
+    DiffOp2: st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)), space),
+                      max_size=4).map(DiffOp2),
+    LocalFunctional: st.lists(st.one_of(st.tuples(st.sampled_from(PAIR_KEYS), space),
+                                        st.tuples(st.sampled_from(LOOP_KEYS), loops)),
+                              max_size=4).map(LocalFunctional),
+}
+
+
+def merged_items(A, B, sign: int) -> list:
+    """The items of A + sign * B in the order the sum keeps them: A's keys
+    in A's order, then B's new keys in B's order, what cancels dropped."""
+    acc = dict(A.terms)
+    for k, c in B.terms.items():
+        acc[k] = acc[k] + c * sign if k in acc else c * sign
+    return [(k, c) for k, c in acc.items() if not c.is_zero()]
+
+
+@pytest.mark.parametrize("cls", list(TABLES), ids=lambda c: c.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_table_laws(cls, data):
+    a, b, c = (data.draw(TABLES[cls]) for _ in range(3))
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a - b == a + (-b)
+    assert -(-a) == a
+    assert (a - a).is_zero() and (a - a).__class__ is cls
+    assert a + cls.zero() == a and cls.zero().is_zero() and cls.zero().__class__ is cls
+
+
+@pytest.mark.parametrize("cls", list(TABLES), ids=lambda c: c.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_table_sums_keep_the_term_order(cls, data):
+    a, b = data.draw(TABLES[cls]), data.draw(TABLES[cls])
+    if data.draw(st.booleans()):
+        b = b - a  # so that the sum cancels keys of a
+    for got, sign in ((a + b, 1), (a - b, -1)):
+        assert got.__class__ is cls
+        assert list(got.terms.items()) == merged_items(a, b, sign)
+        built = cls(list(a.terms.items()) + [(k, c * sign) for k, c in b.terms.items()])
+        assert list(got.terms.items()) == list(built.terms.items())
+    assert list((-a).terms.items()) == [(k, -c) for k, c in a.terms.items()]
+
+
+def test_table_constructors_merge_keys_and_keep_their_checks():
+    J, K = jet(FIELD_V0), jet(FIELD_VM2, 0, 1)
+    F = LocalFunctional([((J, K), 1), ((K, J), CoeffFn.x_pow(1)), ((J,), 2), ((K, J), -1)])
+    assert list(F.terms.items()) == [((K, J), CoeffFn.x_pow(1)), ((J,), CoeffFn.const(2))]
+    assert F == LocalFunctional({(K, J): CoeffFn.x_pow(1), (J,): 2})
+    # a zero monomial is dropped before its class is read
+    assert LocalFunctional([((J, jet(FIELD_V)), 0)]).is_zero()
+    with pytest.raises(ValueError, match="may not mix the loop coordinates"):
+        LocalFunctional([((J, jet(FIELD_V)), 1)])
+    with pytest.raises(ValueError, match="coefficient must be space-free"):
+        LocalFunctional.monomial(CoeffFn.x_pow(1), jet(FIELD_V))
+    D = DiffOp2([((0, 1), 1), ((1, 0), 2), ((0, 1), -1)])
+    assert list(D.terms.items()) == [((1, 0), CoeffFn.const(2))]
+    with pytest.raises(ValueError, match="derivative powers must be nonnegative"):
+        DiffOp2({(-1, 0): 0})
+    with pytest.raises(TypeError, match="bad coefficient"):
+        DiffOp2({(0, 0): "x"})
