@@ -100,9 +100,11 @@ def test_the_laws_hold_for_floored_symbol_slots():
     (DiffOp2.d_r(), CoeffFn.x_pow(1)),
     (DiffOp2.d_r(), 1),
     (DiffOp2.d_r(), LocalFunctional()),
-    (DiffOp2.d_r(), LocalFunctional.monomial(CoeffFn.x_pow(1), jet(FIELD_V0))),
+    pytest.param(DiffOp2.d_r(), LocalFunctional.monomial(CoeffFn.x_pow(1), jet(FIELD_V0)),
+                 id="DiffOp2-LocalFunctional-monomial"),
     (LocalFunctional.monomial(CoeffFn.x_pow(1), jet(FIELD_V0)), 1),
-    (LocalFunctional.monomial(CoeffFn.x_pow(1), jet(FIELD_V0)), DiffOp2.d_r()),
+    pytest.param(LocalFunctional.monomial(CoeffFn.x_pow(1), jet(FIELD_V0)), DiffOp2.d_r(),
+                 id="LocalFunctional-monomial-DiffOp2"),
 ], ids=lambda v: type(v).__name__)
 def test_sums_across_classes_raise(left, right):
     with pytest.raises(TypeError):
