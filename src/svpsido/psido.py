@@ -21,10 +21,10 @@ triples are the format of CoeffFn.terms too, so the accessors hand them
 out as they are stored: ``rows()``, a read-only view of the same terms as
 twice the order -> CoeffFn, a regroup of the flat dict built on its first
 read and kept, for the printer and for callers that want whole
-coefficients; ``coeff``, which reads that view; ``terms``, the same view
-keyed by HalfInt, rebuilt on each read for callers outside the package;
-and ``sole_term``.  The dual pairing files its points' dicts through
-ring's ``file_flat`` and walks an element's dict with ring's trace pairing
+coefficients; ``coeff``, which reads that view; and ``terms``, the same
+view keyed by HalfInt, rebuilt on each read for callers outside the
+package.  The dual pairing files its points' dicts through ring's
+``file_flat`` and walks an element's dict with ring's trace pairing
 kernel.  The extended bracket's symbol slot, ``bracket_transport_flat``,
 returns its dict unwrapped, as ``compose_flat`` does, so the pairing can
 read it before any reduction.
@@ -134,11 +134,11 @@ class Symbol(Value):
         _set_flat(self, flat)
         _set_low(self, low)
 
-    @classmethod
-    def _raw(cls, var: str, flat: dict, low) -> "Symbol":
+    @staticmethod
+    def _raw(var: str, flat: dict, low) -> "Symbol":
         """Wrap a flat dict that is already clean, without copying it:
         orders fit for var, nonzero reduced triples, no order below low."""
-        sym = object.__new__(cls)
+        sym = object.__new__(Symbol)
         _set_var(sym, var)
         _set_flat(sym, flat)
         _set_low(sym, low)
@@ -159,12 +159,6 @@ class Symbol(Value):
     def function(var: str, coeff) -> "Symbol":
         """A multiplication operator: coeff * d^0."""
         return Symbol(var, {0: coeff})
-
-    @staticmethod
-    def one_term(var: str, ot: int, p: int, q: int, m: int, v: tuple) -> "Symbol":
-        """The exact symbol v t^p x^q M^m d^(ot/2), from twice its order
-        (fit for var) and the reduced triple of a nonzero coefficient."""
-        return Symbol._raw(var, {(ot, p, q, m): v}, EXACT)
 
     # ---- queries ------------------------------------------------------------
 
@@ -207,14 +201,6 @@ class Symbol(Value):
     def coeff(self, order) -> CoeffFn:
         """The coefficient of d^order, read from the kept rows() view."""
         return self.rows().get(h(order).twice, _ZERO)
-
-    def sole_term(self):
-        """(twice the order, t, x, M, triple) of an exact symbol with one
-        term, else None."""
-        if self.low is not EXACT or len(self.flat) != 1:
-            return None
-        (((ot, p, q, m), v),) = self.flat.items()
-        return ot, p, q, m, v
 
     # ---- linear structure --------------------------------------------------------
 

@@ -559,7 +559,7 @@ def _built(v):
     var, ot, p, q, m, c = v
     if var is None:
         return coeff_from_table({(p, q, m): triple_of(c)})
-    return Symbol.one_term(var, ot, p, q, m, triple_of(c))
+    return Symbol._raw(var, {(ot, p, q, m): triple_of(c)}, EXACT)
 
 
 def _as_monomial(v):
@@ -570,10 +570,9 @@ def _as_monomial(v):
             return None
         (((p, q, m), g),) = v.terms.items()
         return None, 0, p, q, m, gauss_of(g)
-    term = v.sole_term()
-    if term is None:
+    if v.low is not EXACT or len(v.flat) != 1:
         return None
-    ot, p, q, m, g = term
+    (((ot, p, q, m), g),) = v.flat.items()
     return v.var, ot, p, q, m, gauss_of(g)
 
 

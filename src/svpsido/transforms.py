@@ -39,10 +39,14 @@ straight into the output's dict, over a common denominator with no gcd
 psido.symbol_from_flat reduces the dict once it is filled.  The term's
 value is already the int triple that the map scales by.  A deformed
 image sums its undeformed images with ring.scale_into, its conjugation
-weights turned into triples once each.  Orders and floors are twice-ints
-on this path, as in psido, image memos included; a public function
-converts its requested floor once, where it enters.  The loop shift
-writes its series as int triples (_shift_series).
+weights turned into triples once each.  One memo class,
+ThetaImageCache, keeps the images of generator powers in two module
+instances, xi^k under theta and r^n under theta_inv; each entry is the
+image itself, exact under theta and floored for a negative power under
+theta_inv.  Orders and floors are twice-ints on this path, as in psido,
+image memos included; a public function converts its requested floor
+once, where it enters.  The loop shift writes its series as int triples
+(_shift_series).
 """
 
 from __future__ import annotations
@@ -118,69 +122,60 @@ def check_floor_depth(floor) -> None:
         raise ValueError(f"the floor must sit at or above {DEEPEST_FLOOR}")
 
 
-def _fill(memo: dict, k: int, want, deepen: int, build) -> Symbol:
-    """Image of the k-th power, trusted at least down to want.
-
-    Floors are twice-ints.  Walks from k towards 0 until a memo entry
-    (floor, image) covers the floor wanted at that power (a negative power
-    wants its neighbour `deepen` deeper), then builds back out to k one
-    power at a time with build(power, floor, image of the neighbour),
-    storing every step.  Images of nonnegative powers are finite
-    compositions and always exact.
-    """
-    if k >= 0:
-        want = EXACT
-    chain = []
-    sym = None
-    while True:
-        entry = memo.get(k)
-        if entry is not None and (entry[0] is EXACT or (want is not EXACT and entry[0] <= want)):
-            sym = entry[1]
-            break
-        if want is not EXACT and want < DEEPEST_IMAGE_FLOOR.twice:
-            raise ValueError(f"generator images are built down to order {DEEPEST_IMAGE_FLOOR} at most")
-        chain.append((k, want))
-        if k == 0:
-            break
-        if k > 0:
-            k -= 1
-        else:
-            k += 1
-            if want is not EXACT:
-                want = want - deepen
-    for k, want in reversed(chain):
-        sym = build(k, want, sym)
-        memo[k] = (sym.low, sym)
-    return sym
-
-
 class ThetaImageCache:
-    """Memoized images of xi^k (k in Z) under the undeformed transform.
+    """Memoized images of the powers of one generator under one direction
+    of the transform: xi^k under theta, r^n under theta_inv (k, n in Z).
 
-    Every entry is a finite composition, hence exact whatever floor was
-    asked; deformed images are sums of entries (_conjugated_image)."""
+    build(k, want, prev) gives the image of the k-th power trusted down to
+    the twice-int want from prev, the image of its neighbour towards 0.
+    Each entry is the image itself, and its floor is its own low.  theta's
+    images are finite compositions, hence exact, so a floor asked is
+    ignored; theta_inv floors the image of a negative power, whose
+    neighbour is asked half an order deeper."""
 
-    def __init__(self):
+    def __init__(self, build):
         self._memo: dict = {}
-        self._pos_base = Symbol(R, {-1: CoeffFn.x_pow(1, Fraction(1, 2))})
-        # xi^-1 -> 2 d_r o r^-1 = 2 r^-1 d_r - 2 r^-2
-        self._neg_base = Symbol(R, {1: CoeffFn.x_pow(-1, 2), 0: CoeffFn.x_pow(-2, -2)})
+        self._build = build
 
-    def image(self, k: int, req_floor=EXACT) -> Symbol:
-        """Image of xi^k, exact at any req_floor, so no request deepens
-        and a memo hit is returned as it is."""
-        entry = self._memo.get(k)
-        if entry is not None:
-            return entry[1]
-        return _fill(self._memo, k, EXACT, 0, self._build)
+    def image(self, k: int, want=EXACT) -> Symbol:
+        """Image of the k-th power, trusted at least down to want.
 
-    def _build(self, k: int, want, prev: Symbol) -> Symbol:
-        if k == 0:
-            return Symbol.function(R, CoeffFn.one())
-        return sym_mul(prev, self._pos_base if k > 0 else self._neg_base)
+        Walks from k towards 0 until an entry covers the floor wanted at
+        that power, then builds back out to k one power at a time,
+        storing every step."""
+        sym = self._memo.get(k)
+        if sym is not None and sym.low is EXACT:
+            return sym
+        chain = []
+        while sym is None or sym.low is not EXACT and (want is EXACT or sym.low > want):
+            chain.append((k, want))
+            if k == 0:
+                break
+            if k > 0:
+                k -= 1
+            else:
+                k += 1
+                if want is not EXACT:
+                    want -= 1
+            sym = self._memo.get(k)
+        for k, want in reversed(chain):
+            sym = self._build(k, want, sym)
+            self._memo[k] = sym
+        return sym
 
 
-_theta_images = ThetaImageCache()
+_XI_IMAGE = Symbol(R, {-1: CoeffFn.x_pow(1, Fraction(1, 2))})  # 1/2 r d_r^-1
+# xi^-1 -> 2 d_r o r^-1 = 2 r^-1 d_r - 2 r^-2
+_XI_INVERSE_IMAGE = Symbol(R, {1: CoeffFn.x_pow(-1, 2), 0: CoeffFn.x_pow(-2, -2)})
+
+
+def _theta_build(k: int, want, prev: Symbol) -> Symbol:
+    if k == 0:
+        return Symbol.function(R, CoeffFn.one())
+    return sym_mul(prev, _XI_IMAGE if k > 0 else _XI_INVERSE_IMAGE)
+
+
+_theta_images = ThetaImageCache(_theta_build)
 
 
 def _conjugation_weights(nu, q: int):
@@ -280,17 +275,9 @@ def theta(D: Symbol, req_floor=None, nu: GaussRat = GR_ZERO) -> Symbol:
 
 # ---------------------------------------------------------------- inverse map
 
-_inv_memo: dict = {}
 _TWO_XI_HALF = Symbol.monomial(XI, "1/2", CoeffFn.x_pow(1, 2))  # 2 xi d^(1/2)
 _HALF_D_MINUS_HALF = Symbol.monomial(XI, "-1/2", HALF)
 _XI_INVERSE = Symbol.function(XI, CoeffFn.x_pow(-1))
-
-
-def _inv_image(n: int, want) -> Symbol:
-    """Image of r^n under the inverse map, trusted down to twice-int want."""
-    if n < 0 and want is EXACT:
-        raise ValueError("inverse image of r^-1 is a series; give a floor")
-    return _fill(_inv_memo, n, want, 1, _inv_build)
 
 
 def _inv_build(n: int, want, prev: Symbol) -> Symbol:
@@ -298,8 +285,15 @@ def _inv_build(n: int, want, prev: Symbol) -> Symbol:
         return Symbol.function(XI, CoeffFn.one())
     if n > 0:
         return sym_mul(prev, _TWO_XI_HALF)
+    if want is EXACT:
+        raise ValueError("inverse image of r^-1 is a series; give a floor")
+    if want < DEEPEST_IMAGE_FLOOR.twice:
+        raise ValueError(f"generator images are built down to order {DEEPEST_IMAGE_FLOOR} at most")
     step = sym_mul(_HALF_D_MINUS_HALF, _XI_INVERSE, floor_of(want - 1))
     return sym_mul(prev, step, floor_of(want))
+
+
+_inv_images = ThetaImageCache(_inv_build)
 
 
 def theta_inv(D: Symbol, req_floor=None) -> Symbol:
@@ -309,7 +303,7 @@ def theta_inv(D: Symbol, req_floor=None) -> Symbol:
     if D.low is not EXACT:
         raise ValueError("theta_inv needs an exact input")
     # order halving: space orders are integers, so the image orders are in (1/2)Z
-    return _map_monomials(D, low_of(req_floor), XI, _inv_image)
+    return _map_monomials(D, low_of(req_floor), XI, _inv_images.image)
 
 
 # ---------------------------------------------------------------- loop shift
@@ -451,9 +445,10 @@ def schrodinger_invariance_defect(f: CoeffFn, j, req_floor) -> Symbol:
     if not f.is_t_only():
         raise ValueError("the generator datum is a loop function")
     depth = default_depth(req_floor)
-    c = time_shift(f.t_to_x(MINUS_2I_M), depth)
+    g = f.t_to_x(MINUS_2I_M)
+    c = time_shift(g, depth)
     defect = c.deriv("T") * MINUS_2I_M - c.deriv("X")
-    if (f.t_to_x(MINUS_2I_M).min_x_degree() or 0) < 0:
+    if (g.min_x_degree() or 0) < 0:
         defect = defect.drop_x_from(depth)
     return Symbol(XI, {j: defect})
 

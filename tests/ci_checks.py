@@ -154,6 +154,21 @@ for rnd in ("cold", "warm"):
             show(f"{rnd}, floor = {floor}, theta_inv I{k}", lambda: theta_inv(S, floor))
 """
 
+INVERSE_FLOORS = """\
+import sys
+
+from svpsido.halfint import h
+from svpsido.psido import R, Symbol
+from svpsido.ring import CoeffFn
+from svpsido.transforms import theta_inv
+
+for floor in sys.argv[1].split():
+    for k in range(1, 7):
+        for j in (-1, 0, 2):
+            S = theta_inv(Symbol(R, {j: CoeffFn.x_pow(-k)}), h(floor))
+            print(f"floor {floor}, r^-{k} d_r^{j}: {S.floor} {list(S.flat.items())}")
+"""
+
 EMPTY_PRODUCTS = """\
 import sys
 
@@ -313,6 +328,15 @@ CHECKS = [
     # image terms in its own loop
     Check("transform-map", ("-c", TRANSFORM_MAP),
           sha256="75d7543edc5cd6e305fc6dc030f20b6cdea02b7cab34655f31ed30c210f58caf"),
+    # theta_inv of r^-k d_r^j for k = 1 to 6 and j = -1, 0 and 2, at floors
+    # -16, -7/2 and -1 in one process, deep first and then shallow first:
+    # a floored inverse image asks its neighbour half an order deeper, so
+    # what the first floor leaves in the memo must not show in the
+    # later ones.  Pinned from before both directions shared one memo class
+    Check("inverse-floors-deep-first", ("-c", INVERSE_FLOORS, "-16 -7/2 -1"),
+          sha256="78bbf641733d40b7f6181a99498e5766fc13d01f4393a545c3d5070fd204dc5d"),
+    Check("inverse-floors-shallow-first", ("-c", INVERSE_FLOORS, "-1 -7/2 -16"),
+          sha256="f92d8d4eeccd64fb4e0906fca3b2e71451a9f221d5b5c8c7285175f6e6fcb165"),
     # the two coefficient tables, printed with their keys in insertion
     # order: d_pi of the range-2 basis at weights 0, 1/4, 1 and 3/7, the
     # brackets of the range-1 images at 1/4, the lemma71 functionals with

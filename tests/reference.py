@@ -460,7 +460,7 @@ _NEG_BASE = Symbol(R, {h(1): CoeffFn.x_pow(-1, 2), h(0): CoeffFn.x_pow(-2, -2)})
 
 @functools.cache
 def nested_image(k: int) -> Symbol:
-    """Reference for ThetaImageCache.image: xi^k's image, one nested product per power."""
+    """Reference for transforms._theta_images: xi^k's image, one nested product per power."""
     if k == 0:
         return Symbol.function(R, CoeffFn.one())
     if k > 0:
@@ -504,7 +504,7 @@ _HALF = h("1/2")
 
 @functools.cache
 def nested_inv_image(n: int, want) -> Symbol:
-    """Reference for transforms._inv_image: r^n's inverse image, built afresh per floor."""
+    """Reference for transforms._inv_images: r^n's inverse image, built afresh per floor."""
     if n == 0:
         return Symbol.function(XI, CoeffFn.one())
     if n > 0:

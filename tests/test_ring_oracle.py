@@ -886,7 +886,7 @@ def test_conjugating_by_the_inverse_power_fails_the_series_reference(monkeypatch
 def test_theta_inv_matches_the_sum_of_scaled_images(D, req):
     got = tr.theta_inv(D, req)
     # the reference asks for HalfInt floors, the image memo for twice-ints
-    image = lambda n, want: tr._inv_image(n, want if want is EXACT else want.twice)
+    image = lambda n, want: tr._inv_images.image(n, want if want is EXACT else want.twice)
     want = summed_images(D, req, XI, lambda k: HalfInt(k.as_int()), image)
     assert got == want
     assert clean(got)

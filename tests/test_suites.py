@@ -697,7 +697,7 @@ class TestSharedTables:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(transforms.ThetaImageCache, "__init__", counted)
-        monkeypatch.setattr(transforms, "_theta_images", transforms.ThetaImageCache())
+        monkeypatch.setattr(transforms, "_theta_images", transforms.ThetaImageCache(transforms._theta_build))
         cache = transforms._theta_images
         # the deformed images too are sums of the one cache's entries
         for nu in (GaussRat(0), GaussRat(Fraction(1, 2))):

@@ -180,13 +180,13 @@ def every_wrap_checked():
     raw = Symbol.__dict__["_raw"].__func__
     wrapped = []
 
-    def watched(cls, var, flat, low):
-        out = raw(cls, var, flat, low)
+    def watched(var, flat, low):
+        out = raw(var, flat, low)
         wrapped.append(out)
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Symbol, "_raw", classmethod(watched))
+        mp.setattr(Symbol, "_raw", staticmethod(watched))
         yield
     check_flat(*wrapped)
 
@@ -237,7 +237,7 @@ def test_image_rows_match_their_terms():
     for q in range(-6, 7):
         check_flat(tr._theta_images.image(q))
     for n in range(-3, 4):
-        check_flat(tr._inv_image(n, REQ.twice))
+        check_flat(tr._inv_images.image(n, REQ.twice))
 
 
 # ---- the flat path against the nested tables ------------------------------------------------

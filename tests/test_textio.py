@@ -104,8 +104,8 @@ class TestEvalExpr:
     def test_deeper_round_trip_after_shallow_ones(self, monkeypatch):
         # a deeper request refills the inverse-image cache on top of
         # shallow entries; no wrong term may enter the trusted window
-        monkeypatch.setattr(transforms, "_inv_memo", {})
-        monkeypatch.setattr(transforms, "_theta_images", transforms.ThetaImageCache())
+        monkeypatch.setattr(transforms, "_inv_images", transforms.ThetaImageCache(transforms._inv_build))
+        monkeypatch.setattr(transforms, "_theta_images", transforms.ThetaImageCache(transforms._theta_build))
         src = "theta_inv(theta(1/2*xi^-3))"
         for floor in ("-1", "-3/2", "-2", "-5/2", "-3"):
             eval_expr(src, floor=h(floor))

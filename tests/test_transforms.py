@@ -210,8 +210,8 @@ class TestRequestedFloor:
 
     @staticmethod
     def _fresh_caches(monkeypatch):
-        monkeypatch.setattr(tr, "_inv_memo", {})
-        monkeypatch.setattr(tr, "_theta_images", tr.ThetaImageCache())
+        monkeypatch.setattr(tr, "_inv_images", tr.ThetaImageCache(tr._inv_build))
+        monkeypatch.setattr(tr, "_theta_images", tr.ThetaImageCache(tr._theta_build))
 
     @pytest.mark.parametrize(
         "compute, req",
@@ -342,7 +342,7 @@ class TestMapMatchesScaledSums:
 
 class TestImageBounds:
     def test_largest_power_is_built_without_recursion(self, monkeypatch):
-        monkeypatch.setattr(tr, "_theta_images", tr.ThetaImageCache())
+        monkeypatch.setattr(tr, "_theta_images", tr.ThetaImageCache(tr._theta_build))
         img = tr.theta(xi_mono(tr.MAX_IMAGE_POWER))
         assert img.floor is EXACT
         assert img.top() == h(-tr.MAX_IMAGE_POWER)
@@ -360,6 +360,13 @@ class TestImageBounds:
         floor = tr.DEEPEST_IMAGE_FLOOR + 1
         with pytest.raises(ValueError, match="built down to"):
             tr.theta_inv(Symbol(R, {h(0): CoeffFn.x_pow(-4)}), floor)
+
+    def test_the_deepest_inverse_floor_is_served_cold(self, monkeypatch):
+        # r^-1 at the bound asks r^0 half an order deeper, but r^0's image
+        # is exact, so no floor is built past the bound
+        monkeypatch.setattr(tr, "_inv_images", tr.ThetaImageCache(tr._inv_build))
+        S = tr.theta_inv(Symbol(R, {h(0): CoeffFn.x_pow(-1)}), tr.DEEPEST_IMAGE_FLOOR)
+        assert S.floor == tr.DEEPEST_IMAGE_FLOOR
 
     @pytest.mark.parametrize("nu", [GaussRat(Fraction(1, 2)), GaussRat(2, -1), GaussRat(1)])
     def test_deformed_inverse_images_need_a_floor_above_the_bound(self, nu):
@@ -564,7 +571,7 @@ class TestThetaTCut:
     @pytest.mark.parametrize("k", range(len(CUT_INPUTS)))
     def test_floored_result_equals_the_whole_shift_cut(self, k, nu, warm, monkeypatch):
         E = CUT_INPUTS[k]
-        monkeypatch.setattr(tr, "_theta_images", tr.ThetaImageCache())
+        monkeypatch.setattr(tr, "_theta_images", tr.ThetaImageCache(tr._theta_build))
         if warm:
             # images filled first, deeper than any floor asked below
             tr.theta_t(E, h(-16), nu=nu)
@@ -723,12 +730,48 @@ def test_euler_intertwining():
                 assert eq_trusted(left, sym_scale(right, Fraction(1, 2)))
 
 
+def test_both_directions_share_one_memo_class():
+    assert isinstance(tr._theta_images, tr.ThetaImageCache)
+    assert isinstance(tr._inv_images, tr.ThetaImageCache)
+    assert [name for name in ("_fill", "_inv_memo", "_inv_image") if hasattr(tr, name)] == []
+
+
+# probes that read the forward memo (theta, deformed theta, theta_t) and
+# the inverse memo (theta_inv), at a deep and a shallow floor
+FORWARD_PROBES = (
+    lambda floor: tr.theta(Symbol(XI, {h(1): CoeffFn.x_pow(-3), h("-1/2"): CoeffFn.x_pow(2)}), floor),
+    lambda floor: tr.theta(xi_mono(-2, kappa=2), floor, nu=GaussRat(Fraction(1, 2))),
+    lambda floor: tr.theta_t(Symbol(XI, {h(1): CoeffFn.x_pow(-2), h(0): CoeffFn.x_pow(1)}), floor),
+)
+INVERSE_PROBES = (
+    lambda floor: tr.theta_inv(Symbol(R, {h(-1): CoeffFn.x_pow(-4), h(2): CoeffFn.x_pow(-1)}), floor),
+    lambda floor: tr.theta_inv(Symbol(R, {h(0): CoeffFn.x_pow(3), h(1): CoeffFn.x_pow(-2)}), floor),
+)
+MEMO_FLOORS = (h(-9), h("-5/2"))
+
+
+@pytest.mark.parametrize("inverse_first", [False, True], ids=["forward-first", "inverse-first"])
+@pytest.mark.parametrize("floors", [MEMO_FLOORS, MEMO_FLOORS[::-1]], ids=["deep-first", "shallow-first"])
+def test_warmed_memos_give_the_cold_results(monkeypatch, inverse_first, floors):
+    probes = INVERSE_PROBES + FORWARD_PROBES if inverse_first else FORWARD_PROBES + INVERSE_PROBES
+    shown = lambda S: (S.floor, list(S.flat.items()))
+    cold = {}
+    for floor in floors:
+        for k, probe in enumerate(probes):
+            TestRequestedFloor._fresh_caches(monkeypatch)
+            cold[floor, k] = shown(probe(floor))
+    TestRequestedFloor._fresh_caches(monkeypatch)
+    for floor in floors:
+        for k, probe in enumerate(probes):
+            assert shown(probe(floor)) == cold[floor, k], (floor, k)
+
+
 def test_image_cache_serves_deeper_floors(monkeypatch):
     # the inverse memo is the one cache that stores floored entries
-    monkeypatch.setattr(tr, "_inv_memo", {})
+    monkeypatch.setattr(tr, "_inv_images", tr.ThetaImageCache(tr._inv_build))
     # the image memos take twice the wanted floor
-    deep = tr._inv_image(-1, -14)
-    shallow = tr._inv_image(-1, -6)
+    deep = tr._inv_images.image(-1, -14)
+    shallow = tr._inv_images.image(-1, -6)
     # the second request reuses the deeper fill
     assert shallow is deep
     assert shallow.floor == h(-7)
