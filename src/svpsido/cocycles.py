@@ -43,6 +43,7 @@ from .ring import CoeffFn, coeff_from_table, residue_into
 
 __all__ = [
     "CocycleId",
+    "cocycle_into",
     "eval_cocycle",
     "quotient_bracket",
     "cyclic_defect",
@@ -72,27 +73,29 @@ class CocycleId(enum.Enum):
     C5 = "c5", (0, 1, 2, (1, -1))
 
 
-def _slots(D: Symbol):
+def _slots(D: Symbol) -> tuple:
     """The term items of the three quotient slots of a capped symbol
-    (orders 1, 0, -1), trust-checked.  The symbol reads them from its
-    int-keyed rows view and keeps them (Symbol.quotient_slots), since the
-    same operands are read again and again: the lifts and probes
-    of every theorem61 bracket, and the box elements and quotient brackets
-    of the cocycles suite."""
+    (orders 1, 0, -1), empty where the order is absent, read from its
+    rows view once the symbol passes the checks.  Callers read them as
+    D.kept(_slots), one lookup, since the same operands are read again
+    and again: the lifts and probes of every theorem61 bracket, and the
+    box elements and quotient brackets of the cocycles suite.  A symbol
+    that fails a check keeps nothing, so every read raises."""
     if D.var != R:
         raise ValueError("cocycles are defined on space symbols")
-    up, mid, down, above = D.quotient_slots()
-    if above:
+    rows = D.rows()
+    if any(o > 2 for o in rows):
         raise ValueError("cocycles live on symbols of order <= 1")
     if D.low is not EXACT and D.low > -2:
         raise ValueError("slot at order -1 is untrusted; deepen the floor")
-    return up, mid, down
+    return tuple(rows[o].terms.items() if o in rows else () for o in (2, 0, -2))
 
 
-def _cocycle_into(acc: dict, cid: CocycleId, A: Symbol, B: Symbol) -> None:
-    """Add c(A, B) into acc, a mutable {(t, 0, M): (a, b, d)} table."""
-    a = _slots(A)
-    b = _slots(B)
+def cocycle_into(acc: dict, cid: CocycleId, A: Symbol, B: Symbol) -> None:
+    """Add c(A, B) into acc, a mutable {(t, 0, M): (a, b, d)} table that
+    ring.coeff_from_table reduces once it is filled."""
+    a = A.kept(_slots)
+    b = B.kept(_slots)
     if cid.__class__ is not CocycleId:
         raise ValueError(f"unknown cocycle {cid!r}")
     n, i, j, signs = cid._form
@@ -105,7 +108,7 @@ def _cocycle_into(acc: dict, cid: CocycleId, A: Symbol, B: Symbol) -> None:
 def eval_cocycle(cid: CocycleId, A: Symbol, B: Symbol) -> CoeffFn:
     """Evaluate one central cocycle; the result is a loop function."""
     acc: dict = {}
-    _cocycle_into(acc, cid, A, B)
+    cocycle_into(acc, cid, A, B)
     return coeff_from_table(acc)
 
 
@@ -125,9 +128,9 @@ def cyclic_defect(
     ab = [A,B], bc = [B,C] and ca = [C,A]; zero for a genuine 2-cocycle.
     The three values are summed in one table."""
     acc: dict = {}
-    _cocycle_into(acc, cid, ab, C)
-    _cocycle_into(acc, cid, bc, A)
-    _cocycle_into(acc, cid, ca, B)
+    cocycle_into(acc, cid, ab, C)
+    cocycle_into(acc, cid, bc, A)
+    cocycle_into(acc, cid, ca, B)
     return coeff_from_table(acc)
 
 

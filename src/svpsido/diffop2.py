@@ -12,7 +12,18 @@ from __future__ import annotations
 
 from math import comb
 
-from .ring import CoeffFn, CoeffTable, HALF, I_M, I_M_QUARTER, MINUS_2I_M, coeff_of
+from .ring import (
+    CoeffFn,
+    CoeffTable,
+    HALF,
+    I_M,
+    I_M_QUARTER,
+    MINUS_2I_M,
+    _rebuilt,
+    coeff_from_table,
+    coeff_of,
+    mul_into,
+)
 from .svalgebra import SvElement
 
 __all__ = [
@@ -89,29 +100,44 @@ class DiffOp2(CoeffTable):
 
 
 def dop_mul(A: DiffOp2, B: DiffOp2) -> DiffOp2:
-    """Compose A o B by the double Leibniz rule; always exact."""
-    out = []
+    """Compose A o B by the double Leibniz rule; always exact.
+
+    c d_t^i d_r^j o d d_t^k d_r^l is the sum over p <= i and q <= j of
+    binom(i, p) binom(j, q) c (d_t^p d_r^q d) d_t^(i+k-p) d_r^(j+l-q).
+    Each term is added as int triples into the one table of its powers
+    (ring.mul_into), its binomial weight folded into the terms of c, and
+    each table is wrapped once; the derivatives of d are those it keeps.
+    Powers come out nonnegative, so the operator is rebuilt past
+    DiffOp2's checks, with its powers in the order they first appear."""
+    tables: dict = {}
     for (i, j), c in A.terms.items():
+        c_items = c.terms.items()
         for (k, l), d in B.terms.items():
-            # move d_t^i d_r^j across d: pick how many of each act on it
+            dp = d
             for p in range(i + 1):
-                dp = d
-                for _ in range(p):
+                if p:
                     dp = dp.deriv("T")
-                if dp.is_zero():
+                if not dp.terms:
                     break
+                dq = dp
                 for q in range(j + 1):
-                    dq = dp
-                    for _ in range(q):
+                    if q:
                         dq = dq.deriv("X")
-                    if dq.is_zero():
+                    if not dq.terms:
                         break
-                    coeff = comb(i, p) * comb(j, q)
-                    term = c * dq
-                    if coeff != 1:
-                        term = term * coeff
-                    out.append(((i + k - p, j + l - q), term))
-    return DiffOp2(out)
+                    key = (i + k - p, j + l - q)
+                    table = tables.get(key)
+                    if table is None:
+                        table = tables[key] = {}
+                    w = comb(i, p) * comb(j, q)
+                    weighted = c_items if w == 1 else [(m, (a * w, b * w, e)) for m, (a, b, e) in c_items]
+                    mul_into(table, weighted, dq.terms.items())
+    out: dict = {}
+    for key, table in tables.items():
+        coeff = coeff_from_table(table)
+        if coeff.terms:
+            out[key] = coeff
+    return _rebuilt(DiffOp2, (out,))
 
 
 def dop_bracket(A: DiffOp2, B: DiffOp2) -> DiffOp2:

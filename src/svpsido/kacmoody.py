@@ -36,10 +36,12 @@ into a factor, and that is wrapped once.  The bracket has one path in
 two layers: bracket_tables fills its three slot tables, unreduced, and
 g_bracket wraps them.  The bracket's W is the symbol bracket with its
 transport terms added into the same dict (psido.bracket_transport_flat);
-its central term is read by cocycles.eval_cocycle.  A family pairs the
-tables as they stand (DualFamily.add_tables_into), so a caller that only
-pairs a bracket, as theorem61 does, never reduces or wraps one; add_into
-pairs an element through the same tables, its slots' own dicts.
+its central term is c3's residue table (cocycles.cocycle_into), which
+meets the charge in alpha's table.  A family pairs the tables as they
+stand (DualFamily.add_tables_into), so a caller that only pairs a
+bracket, as theorem61 and nu-scan do, never reduces or wraps one;
+add_into pairs an element through the same tables, its slots' own
+dicts.
 
 The invariant slice kept by the coadjoint action consists of points with
 V = V_-2(t,r) d^-2 + V_0(t): free-evolution multiples plus a potential,
@@ -64,7 +66,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cocycles import CocycleId, eval_cocycle
+from .cocycles import CocycleId, cocycle_into
 from .halfint import EXACT, floor_of, low_of
 from .psido import (
     R,
@@ -84,11 +86,13 @@ from .ring import (
     TWO_I_M,
     Value,
     _rebuilt,
+    _set_kept,
     coeff_from_table,
     coeff_of,
     file_flat,
     file_terms,
     loop_of,
+    mul_into,
     pair_terms_into,
     product_into,
     sum_value,
@@ -162,6 +166,7 @@ class GDual(Value):
                 for (p, q, m), val in coeff_of(c).terms.items():
                     flat[(ot, p, q, m)] = val
         V = Symbol._raw(R, flat, EXACT)
+        _set_kept(V, {})  # built to be read back (slots): see ring.Value
         return _rebuilt(cls, (loop_of(v, "the dt^2 component"), V,
                               loop_of(a, "the central dual component")))
 
@@ -206,7 +211,12 @@ def bracket_tables(A: GElement, B: GElement, c, req_floor) -> tuple:
         product_into(alpha, A.w, B.alpha.deriv("T"))
     if bw and A.alpha.terms:
         product_into(alpha, minus_bw, A.alpha.deriv("T"))
-    product_into(alpha, eval_cocycle(CocycleId.C3, A.W, B.W), coeff_of(c))
+    # c3's residue table, unreduced, meets the charge in alpha's table
+    c3: dict = {}
+    cocycle_into(c3, CocycleId.C3, A.W, B.W)
+    charge = coeff_of(c).terms
+    if c3 and charge:
+        mul_into(alpha, charge.items(), c3.items())
     return w, flat, low, alpha
 
 

@@ -77,6 +77,7 @@ from .ring import (
     CoeffFn,
     Value,
     _coeff_raw,
+    _set_kept,
     bracket_rows,
     coeff_of,
     leibniz_rows,
@@ -133,6 +134,7 @@ class Symbol(Value):
         _set_var(self, var)
         _set_flat(self, flat)
         _set_low(self, low)
+        _set_kept(self, {})  # built to be read back: see ring.Value
 
     @staticmethod
     def _raw(var: str, flat: dict, low) -> "Symbol":
@@ -179,14 +181,6 @@ class Symbol(Value):
         with its orders built as HalfInts on each read, for callers outside
         the package."""
         return MappingProxyType({HalfInt(o): c for o, c in self.rows().items()})
-
-    def quotient_slots(self) -> tuple:
-        """(up, mid, down, above): the term items of the coefficients of
-        orders 1, 0 and -1, empty where the order is absent, and whether an
-        order above 1 is stored; read from the rows() view on the first
-        call and kept, since the cocycles read these slots of the same
-        operands again and again."""
-        return self.kept(_quotient_slots)
 
     def is_zero(self) -> bool:
         return not self.flat
@@ -255,12 +249,6 @@ def _rows(sym: Symbol) -> MappingProxyType:
             g = groups[o] = {}
         g[(p, q, m)] = v
     return MappingProxyType({o: _coeff_raw(g) for o, g in groups.items()})
-
-
-def _quotient_slots(sym: Symbol) -> tuple:
-    view = sym.rows()
-    up, mid, down = (view[o].terms.items() if o in view else () for o in (2, 0, -2))
-    return up, mid, down, any(o > 2 for o in view)
 
 
 def symbol_from_flat(var: str, flat: dict, low) -> Symbol:

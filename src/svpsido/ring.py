@@ -336,11 +336,18 @@ class Value:
 
     Value declares the package's one private slot, _kept: the memo dict,
     left unset until something is first kept, so a value that keeps
-    nothing costs one slot and no dict.  Equality and printing ignore it,
-    and a copy or a pickle carries the public slots only and is rebuilt
-    from them past the guard (_rebuilt), with the memo unset.  _rebuilt
-    also builds a value from parts that are clean by construction, with
-    no constructor checks (kacmoody.g_bracket, GDual.of_slots).
+    nothing costs one slot and no dict.  The values that are built to be
+    read back at once, those of Symbol's and SvElement's constructors and
+    the V of a slice point (kacmoody.GDual.of_slots), are given an empty
+    memo as they are built: a first call that raises and catches the
+    AttributeError of an unset slot costs about 0.5 us more than one that
+    misses a key.  A hit is the same dict lookup either way.  Equality
+    and printing ignore the memo, and a copy or a pickle carries the
+    public slots only and is rebuilt from them past the guard (_rebuilt),
+    with the memo unset.  _rebuilt also builds a value from parts that
+    are clean by construction, with no constructor checks
+    (kacmoody.g_bracket, GDual.of_slots, svalgebra.sv_bracket,
+    svaction's actions, diffop2.dop_mul).
     """
 
     __slots__ = ("_kept",)
@@ -423,7 +430,8 @@ def _rebuilt(cls, parts: tuple) -> Value:
     """The value of class cls with public slots parts, set past the guard,
     and its memo unset: the one wrap of clean parts that serves copy,
     pickle and the values built from parts that pass their class's checks
-    by construction (kacmoody.g_bracket, GDual.of_slots).  Symbol and
+    by construction (kacmoody.g_bracket, GDual.of_slots, sv_bracket, the
+    actions of svaction, diffop2.dop_mul).  Symbol and
     CoeffFn keep their own slot setters (psido.Symbol._raw, _coeff_raw),
     because they wrap every kernel result, and a wrap through the slots'
     own setters takes less than half the time of this loop."""

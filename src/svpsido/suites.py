@@ -72,7 +72,6 @@ from .kacmoody import (
     embed_momentum_symbol,
     g_bracket,
     in_invariant_slice,
-    pairing,
 )
 from .poisson import (
     FIELD_A,
@@ -908,7 +907,7 @@ def _suite_theorem61(cfg: VerifyConfig) -> list:
 
     _each(cases, at_points, lambda i, m: f"slice stability: X = {basis[i][0]}, {points[m][0]}", in_slice)
 
-    zero_w = Fraction(0)
+    zero_w = CoeffFn.zero()
 
     def free_mismatch(X, mu, out):
         """None when out = ad*_X mu matches the free action of X on mu's
@@ -994,17 +993,23 @@ def _suite_dpi_rep(cfg: VerifyConfig) -> list:
     n = cfg.index_range
     basis = _labeled_basis(n)
     weights = _weights(cfg)
-    scal = {w: CoeffFn.const(w) for w in weights}
-    ops = {w: [d_pi(scal[w], X) for _, X in basis] for w in weights}
+    scal = [CoeffFn.const(w) for w in weights]
+    ops = [[d_pi(mu, X) for _, X in basis] for mu in scal]
     show = functools.partial(_fmt_value, cfg)
     cases = []
 
-    def represents(w, i, j):
-        lhs = dop_bracket(ops[w][i], ops[w][j])
-        return _equal(show, lhs, d_pi(scal[w], sv_bracket(basis[i][1], basis[j][1])))
+    # each bracket is computed by the first case that reads it, at any weight
+    @functools.cache
+    def bracket(i: int, j: int) -> SvElement:
+        return sv_bracket(basis[i][1], basis[j][1])
 
-    _each(cases, ((w, i, j) for w in weights for i, j in itertools.combinations(range(len(basis)), 2)),
-          lambda w, i, j: f"weight {w}: {_xy(basis, i, j)}", represents)
+    def represents(k, i, j):
+        lhs = dop_bracket(ops[k][i], ops[k][j])
+        return _equal(show, lhs, d_pi(scal[k], bracket(i, j)))
+
+    _each(cases, ((k, i, j) for k in range(len(weights))
+                  for i, j in itertools.combinations(range(len(basis)), 2)),
+          lambda k, i, j: f"weight {weights[k]}: {_xy(basis, i, j)}", represents)
     return cases
 
 
@@ -1019,36 +1024,43 @@ def _suite_dsigma_rep(cfg: VerifyConfig) -> list:
         SchrodPoint(a=CoeffFn.one() + CoeffFn.t_pow(2), V=CoeffFn.mono(0, 2) + CoeffFn.mono(1, 1)),
         SchrodPoint(a=CoeffFn.t_pow(-1), V=CoeffFn.mono(-2, 3) + CoeffFn.t_pow(3)),
     ]
-    variants = {"shifted": d_sigma_tilde, "affine": d_sigma_affine}
+    variants = (("shifted", d_sigma_tilde), ("affine", d_sigma_affine))
+    weights = _weights(cfg)
+    scal = [CoeffFn.const(w) for w in weights]
+
+    # the tables are keyed by indices, so no key hashes a weight
+    @functools.cache
+    def acted(v: int, k: int, i: int, p: int) -> SchrodPoint:
+        return variants[v][1](scal[k], basis[i][1], pts[p])
 
     @functools.cache
-    def acted(act, w: Fraction, i: int, p: int) -> SchrodPoint:
-        return act(w, basis[i][1], pts[p])
+    def bracket(i: int, j: int) -> SvElement:
+        return sv_bracket(basis[i][1], basis[j][1])
 
-    def represents(vname, w, i, j):
-        act, Xa, Xb = variants[vname], basis[i][1], basis[j][1]
-        bracket = sv_bracket(Xa, Xb)
+    def represents(v, k, i, j):
+        act, mu, Xa, Xb = variants[v][1], scal[k], basis[i][1], basis[j][1]
+        Xab = bracket(i, j)
         for p, P in enumerate(pts):
-            first = act(w, Xa, acted(act, w, j, p))
-            second = act(w, Xb, acted(act, w, i, p))
-            want = act(w, bracket, P)
+            first = act(mu, Xa, acted(v, k, j, p))
+            second = act(mu, Xb, acted(v, k, i, p))
+            want = act(mu, Xab, P)
             out = _equal(coeff, first.a - second.a, want.a) or _equal(coeff, first.V - second.V, want.V)
             if out:
                 return out
         return None
 
     pairs = list(itertools.combinations(range(len(basis)), 2))
-    _each(cases, ((v, w, i, j) for v in variants for w in _weights(cfg) for i, j in pairs),
-          lambda v, w, i, j: f"{v} rep at weight {w}: {_xy(basis, i, j)}", represents)
+    _each(cases, ((v, k, i, j) for v in range(len(variants)) for k in range(len(weights)) for i, j in pairs),
+          lambda v, k, i, j: f"{variants[v][0]} rep at weight {weights[k]}: {_xy(basis, i, j)}", represents)
 
     P0 = SchrodPoint(a=CoeffFn.t_pow(1), V=CoeffFn.mono(2, 1))
 
     def discrepancy(k):
-        f = CoeffFn.t_pow(k)
-        fd = f.deriv("T")
-        for w in _weights(cfg):
-            dt = d_sigma_tilde(w, SvElement(f=f), P0)
-            da = d_sigma_affine(w, SvElement(f=f), P0)
+        X = SvElement(f=CoeffFn.t_pow(k))
+        fd = X.f.deriv("T")
+        for mu in scal:
+            dt = d_sigma_tilde(mu, X, P0)
+            da = d_sigma_affine(mu, X, P0)
             out = _equal(coeff, dt.a - da.a, -(P0.a * fd)) or _equal(coeff, dt.V - da.V, -(fd * P0.V))
             if out:
                 return out
@@ -1057,9 +1069,9 @@ def _suite_dsigma_rep(cfg: VerifyConfig) -> list:
     _each(cases, [(k,) for k in _degrees(n)], lambda k: f"variant discrepancy at f = t^{k}", discrepancy)
 
     def agree(label, X):
-        for w in _weights(cfg):
-            dt = d_sigma_tilde(w, X, P0)
-            da = d_sigma_affine(w, X, P0)
+        for mu in scal:
+            dt = d_sigma_tilde(mu, X, P0)
+            da = d_sigma_affine(mu, X, P0)
             if dt.a != da.a or dt.V != da.V:
                 return str((coeff(dt.a), coeff(dt.V))), str((coeff(da.a), coeff(da.V)))
         return None
@@ -1214,12 +1226,18 @@ _SCAN_PROBES = (
     ("shift[3/2]", shift_mode(h("3/2"))),
     ("phase[1]", phase_mode(1)),
 )
-_SCAN_POINT = GDual(a=CoeffFn.one())
+# the unit point a = 1, filed once; it has no V, so its trace is
+# determined at every floor
+_SCAN_FAMILY = DualFamily((GDual(a=CoeffFn.one()),))
 
 
-def _scan_read(cfg: VerifyConfig, lifted: GElement, probe: GElement) -> CoeffFn:
-    """One coadjoint coefficient at the unit point, read through the pairing."""
-    return -pairing(_SCAN_POINT, g_bracket(lifted, probe, cfg.c, h(cfg.floor)))
+def _scan_read(lifted: GElement, probe: GElement, c: CoeffFn, F) -> CoeffFn:
+    """One coadjoint coefficient at the unit point: minus its pairing with
+    the bracket at charge c and floor F, read off the bracket's slot
+    tables as they stand."""
+    sums: dict = {}
+    _SCAN_FAMILY.add_tables_into(sums, *bracket_tables(lifted, probe, c, F))
+    return -sum_value(sums.get(0, {}))
 
 
 def _tx_coeff(c: CoeffFn, p: int, q: int) -> CoeffFn:
@@ -1229,18 +1247,18 @@ def _tx_coeff(c: CoeffFn, p: int, q: int) -> CoeffFn:
 
 def _scan_at(cfg: VerifyConfig, nu: GaussRat):
     """Solve for the weight matching the deformed coadjoint action, if any."""
-    F = h(cfg.floor)
+    F, c = h(cfg.floor), CoeffFn.const(cfg.c)
     lifted = {name: embed_I(X, F, nu=nu) for name, X in _SCAN_PROBES}
 
     def vrow(name, alpha, beta):
         W = Symbol(R, {h(1): CoeffFn.mono(-1 - alpha, -1 - beta)})
-        return _scan_read(cfg, lifted[name], GElement(W=W))
+        return _scan_read(lifted[name], GElement(W=W), c, F)
 
     def arow(name, gamma):
-        return _scan_read(cfg, lifted[name], GElement(alpha=CoeffFn.t_pow(-1 - gamma)))
+        return _scan_read(lifted[name], GElement(alpha=CoeffFn.t_pow(-1 - gamma)), c, F)
 
     def wrow(name, gamma):
-        return _scan_read(cfg, lifted[name], GElement(w=CoeffFn.t_pow(-1 - gamma)))
+        return _scan_read(lifted[name], GElement(w=CoeffFn.t_pow(-1 - gamma)), c, F)
 
     # the quadratic family exposes the weight through its constant
     # curvature term, i(1 - 4 mu) M, so mu = (1 + i lead)/4; a real weight

@@ -20,15 +20,16 @@ These reproduce the mode relations
     [shift_m, shift_m'] = (m - m') phase_{m+m'}
 with shifts commuting with phases and phases central.
 
-An element never changes, so what other modules build from it alone is
-built once and kept on it (Value.kept): the loop factors of the
-coadjoint action and of the weighted actions on operator points.
+An element never changes, so what is built from it alone is built once
+and kept on it (Value.kept): its signed loops and derivatives that the
+bracket multiplies, and the loop factors of the coadjoint action and of
+the actions on operator points.
 """
 
 from __future__ import annotations
 
 from .halfint import HalfInt, h
-from .ring import CoeffFn, HALF, Value, loop_of
+from .ring import CoeffFn, HALF, Value, _rebuilt, _set_kept, coeff_from_table, loop_of, product_into
 
 __all__ = [
     "SvElement",
@@ -49,6 +50,7 @@ class SvElement(Value):
         object.__setattr__(self, "f", loop_of(f, "the time loop f"))
         object.__setattr__(self, "g", loop_of(g, "the shift loop g"))
         object.__setattr__(self, "h", loop_of(h, "the phase loop h"))
+        _set_kept(self, {})  # built to be read back: see ring.Value
 
     def scale(self, c) -> "SvElement":
         return SvElement(self.f * c, self.g * c, self.h * c)
@@ -86,12 +88,41 @@ def sv_basis(index_bound: int):
     return out
 
 
+def _loops(X: SvElement) -> tuple:
+    """The loops of X that the bracket multiplies, signs and halves
+    folded in: f, f', f'/2, -f, g, g', -g and h'."""
+    f, g = X.f, X.g
+    fd = f.deriv("T")
+    return f, fd, fd * HALF, -f, g, g.deriv("T"), -g, X.h.deriv("T")
+
+
 def sv_bracket(X: SvElement, Y: SvElement) -> SvElement:
-    f1, g1, h1 = X.f, X.g, X.h
-    f2, g2, h2 = Y.f, Y.g, Y.h
-    df1, dg1, dh1 = f1.deriv("T"), g1.deriv("T"), h1.deriv("T")
-    df2, dg2, dh2 = f2.deriv("T"), g2.deriv("T"), h2.deriv("T")
-    f_out = df1 * f2 - f1 * df2
-    g_out = df1 * g2 * HALF - f1 * dg2 - df2 * g1 * HALF + f2 * dg1
-    h_out = dg1 * g2 - g1 * dg2 - f1 * dh2 + f2 * dh1
-    return SvElement(f_out, g_out, h_out)
+    """[X, Y] by the three slot formulas above.  Each output loop is one
+    table that its products are added into (ring.product_into), and a
+    pair of families is multiplied only where both operands fill it; the
+    signed loops of each operand are kept on it (_loops).  The products
+    are t-only, so the result is rebuilt past SvElement's checks."""
+    f1, fd1, half_fd1, minus_f1, g1, gd1, minus_g1, hd1 = X.kept(_loops)
+    f2, fd2, half_fd2, minus_f2, g2, gd2, minus_g2, hd2 = Y.kept(_loops)
+    f_row: dict = {}
+    g_row: dict = {}
+    h_row: dict = {}
+    if f1.terms:
+        if f2.terms:
+            product_into(f_row, fd1, f2)
+            product_into(f_row, minus_f1, fd2)
+        if g2.terms:
+            product_into(g_row, half_fd1, g2)
+            product_into(g_row, minus_f1, gd2)
+        product_into(h_row, minus_f1, hd2)
+    if g1.terms:
+        if f2.terms:
+            product_into(g_row, half_fd2, minus_g1)
+            product_into(g_row, f2, gd1)
+        if g2.terms:
+            product_into(h_row, gd1, g2)
+            product_into(h_row, minus_g1, gd2)
+    if f2.terms:
+        product_into(h_row, f2, hd1)
+    return _rebuilt(SvElement, (coeff_from_table(f_row), coeff_from_table(g_row),
+                                coeff_from_table(h_row)))

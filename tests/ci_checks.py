@@ -270,6 +270,54 @@ for label, value in shown[::7]:
     print(f"normalized {label}: {suites._normalized(normalized, value)}")
 """
 
+ALGEBRA_VALUES = """\
+import itertools
+from fractions import Fraction
+
+from svpsido.cocycles import CocycleId, eval_cocycle
+from svpsido.diffop2 import d_pi, dop_bracket
+from svpsido.halfint import h
+from svpsido.psido import R, Symbol
+from svpsido.ring import CoeffFn
+from svpsido.svaction import SchrodPoint, d_sigma_affine, d_sigma_tilde
+from svpsido.svalgebra import sv_basis, sv_bracket
+
+lines = []
+basis = [(f"{kind}[{idx}]", X) for kind, idx, X in sv_basis(2)]
+# loops with two or three families filled, so a family skip meets a filled one
+mixed = [(f"{a} + {b}", X + Y) for (a, X), (b, Y) in zip(basis, basis[5:] + basis[:5])]
+mixed += [(f"{a} + {b} + {c}", X + Y + Z)
+          for (a, X), (b, Y), (c, Z) in zip(basis, basis[5:] + basis[:5], basis[9:] + basis[:9])]
+for (a, X), (b, Y) in itertools.product(basis + mixed, repeat=2):
+    lines.append(f"[{a}, {b}] = {sv_bracket(X, Y)}")
+weights = (Fraction(0), Fraction(1, 4), Fraction(1))
+for w in weights:
+    for (a, X), (b, Y) in itertools.combinations(basis, 2):
+        lines.append(f"weight {w}: [d_pi {a}, d_pi {b}] = {dop_bracket(d_pi(w, X), d_pi(w, Y))}")
+        lines.append(f"weight {w}: d_pi [{a}, {b}] = {d_pi(w, sv_bracket(X, Y))}")
+points = [
+    SchrodPoint(a=CoeffFn.one() + CoeffFn.t_pow(2), V=CoeffFn.mono(0, 2) + CoeffFn.mono(1, 1)),
+    SchrodPoint(a=CoeffFn.t_pow(-1), V=CoeffFn.mono(-2, 3) + CoeffFn.t_pow(3)),
+    SchrodPoint(a=CoeffFn.t_pow(1), V=CoeffFn.mono(2, 1)),
+    SchrodPoint(V=CoeffFn.mono(1, -1)),
+    SchrodPoint(a=CoeffFn.t_pow(2)),
+]
+for name, act in (("tilde", d_sigma_tilde), ("affine", d_sigma_affine)):
+    for w in weights:
+        for p, P in enumerate(points):
+            for a, X in basis + mixed:
+                once = act(w, X, P)
+                lines.append(f"{name} {w} P{p} {a}: {once}")
+                for b, Y in basis:
+                    lines.append(f"{name} {w} P{p} {b} after {a}: {act(w, Y, once)}")
+box = [Symbol(R, {h(k): CoeffFn.mono(s, p)}) for k in (-1, 0, 1) for p in range(-2, 3) for s in (0, 1)]
+box.append(Symbol(R, {h(1): CoeffFn.mono(2, 1), h(0): CoeffFn.t_pow(-1), h(-1): CoeffFn.mono(1, -1)}))
+for cid in CocycleId:
+    for (i, A), (j, B) in itertools.product(enumerate(box), repeat=2):
+        lines.append(f"{cid.name}(#{i}, #{j}) = {eval_cocycle(cid, A, B)}")
+print("\\n".join(sorted(lines)))
+"""
+
 T61 = ("verify", "--suite", "theorem61")
 SUITE_CHOICES = (
     "'psido-axioms', 'theta', 'timeshift', 'cocycles', 'lemma26', 'lemma33', 'theorem51', "
@@ -346,6 +394,17 @@ CHECKS = [
     # shared one base; a passing report prints no table value
     Check("table-values", ("-c", TABLE_VALUES),
           sha256="e6976df539c2fdbdae7414706e218fa1c77b6614a9b2c38be1944ee7557f477d"),
+    # the values the representation suites compare, printed sorted, so a
+    # change of term or case order does not show: sv_bracket over the
+    # range-2 basis and over loops with two or three families filled,
+    # dop_bracket of the d_pi images and d_pi of the brackets at weights
+    # 0, 1/4 and 1, both actions of every such loop at five operator
+    # points and of each basis element after it, and c0-c5 on a box of
+    # capped symbols.  Pinned from before the brackets were tabled once
+    # per suite and dop_mul added its terms as int triples; a passing
+    # report prints no value
+    Check("algebra-values", ("-c", ALGEBRA_VALUES),
+          sha256="2321043f29ec98a76bac97f2acfe44db98e9467c6baf8978582c597f2b222cdf"),
     # nu != 0 is the only path where the transform sums series images
     Check("deformed-transform", ("verify", "--nu", "1/2"), workers=(1, 2)),
     # a Gaussian nu drives the binom(nu, j) weights of the deformed images

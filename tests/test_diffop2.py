@@ -1,10 +1,13 @@
 """Two-variable differential operators and the projective operator action."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
+from strategies import coeff_fns
+from svpsido import diffop2
 from svpsido.halfint import h
 from svpsido.psido import R, Symbol
 from svpsido.ring import CoeffFn, GaussRat, I_M, M
@@ -80,6 +83,53 @@ def test_bracket_jacobi(a, b, c):
         + dop_bracket(c, dop_bracket(a, b))
     )
     assert total.is_zero()
+
+
+# ---- an oracle that applies operators to functions --------------------------
+
+_gauss = st.builds(GaussRat, st.integers(-3, 3), st.integers(-2, 2))
+_coeffs = coeff_fns((-2, 2), (-2, 2), (-1, 1), _gauss, max_size=2)
+_powers = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_operators = st.dictionaries(_powers, _coeffs, max_size=3).map(DiffOp2)
+# test functions f(t, r): Laurent polynomials, so every derivative is exact
+_functions = coeff_fns((-3, 3), (-3, 3), (-1, 1), _gauss, min_size=1, max_size=3)
+
+
+def applied(A: DiffOp2, f: CoeffFn) -> CoeffFn:
+    """A f: each coefficient times its derivative of f, with CoeffFn's own
+    derivatives, products and sums; no composition is formed."""
+    out = CoeffFn.zero()
+    for (i, j), c in A.terms.items():
+        d = f
+        for _ in range(i):
+            d = d.deriv("T")
+        for _ in range(j):
+            d = d.deriv("X")
+        out = out + c * d
+    return out
+
+
+def composes(A: DiffOp2, B: DiffOp2, f: CoeffFn) -> bool:
+    return applied(dop_mul(A, B), f) == applied(A, applied(B, f))
+
+
+@given(_operators, _operators, _functions)
+@settings(max_examples=150, deadline=None)
+def test_the_product_acts_as_the_composition(A, B, f):
+    assert composes(A, B, f)
+
+
+def test_the_oracle_kills_a_product_that_drops_a_leibniz_weight(monkeypatch):
+    # the mutant weighs the terms with one derivative out of two by 1, not 2
+    monkeypatch.setattr(diffop2, "comb", lambda n, k: 1 if (n, k) == (2, 1) else comb(n, k))
+    r = CoeffFn.x_pow(1)
+    A, B = DiffOp2({(0, 2): CoeffFn.one()}), DiffOp2.function(r * r)
+    # d_r^2 o r^2 = r^2 d_r^2 + 4 r d_r + 2 sends r to 6 r; the mutant's 2 r d_r gives 4 r
+    assert applied(dop_mul(A, B), r) == r * 4
+    assert not composes(A, B, r)
+    A, B, f = find(st.tuples(_operators, _operators, _functions), lambda abf: not composes(*abf),
+                   settings=settings(max_examples=2000, database=None))
+    assert not composes(A, B, f)
 
 
 def test_sums_that_cancel_leave_no_entry():

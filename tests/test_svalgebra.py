@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from strategies import coeff_fns
 from svpsido.halfint import h
-from svpsido.ring import CoeffFn
+from svpsido.ring import CoeffFn, GaussRat
 from svpsido.svalgebra import (
     SvElement,
     phase_mode,
@@ -116,3 +117,46 @@ def test_jacobi(x, y, z):
 @given(elements(), elements(), elements())
 def test_bilinearity_in_first_slot(x, y, z):
     assert sv_bracket(x + y, z) == sv_bracket(x, z) + sv_bracket(y, z)
+
+
+# sv_bracket multiplies a pair of families only where both operands fill
+# it, so these loops leave a family empty about half the time
+_gauss = st.builds(GaussRat, st.integers(-3, 3), st.integers(-2, 2))
+_loops = st.one_of(st.just(CoeffFn.zero()),
+                   coeff_fns((-2, 3), (0, 0), (-1, 1), _gauss, min_size=1, max_size=3))
+_sparse = st.builds(SvElement, _loops, _loops, _loops)
+
+
+@given(_sparse, _sparse, _sparse)
+@settings(max_examples=200, deadline=None)
+def test_antisymmetry_and_jacobi_where_families_are_empty(x, y, z):
+    assert sv_bracket(x, y) == -sv_bracket(y, x)
+    assert sv_bracket(x, x).is_zero()
+    total = (
+        sv_bracket(x, sv_bracket(y, z))
+        + sv_bracket(y, sv_bracket(z, x))
+        + sv_bracket(z, sv_bracket(x, y))
+    )
+    assert total.is_zero()
+
+
+def _mode_bracket(kind_a, a, kind_b, b) -> SvElement:
+    """[a, b] of two modes by the relations in the svalgebra docstring."""
+    if kind_a == "time" and kind_b == "time":
+        return time_mode((a + b).as_int()).scale((a - b).as_fraction())
+    if kind_a == "time" and kind_b == "shift":
+        return shift_mode(a + b).scale(a.as_fraction() / 2 - b.as_fraction())
+    if kind_a == "time" and kind_b == "phase":
+        return phase_mode((a + b).as_int()).scale(-b.as_fraction())
+    if kind_a == "shift" and kind_b == "shift":
+        return phase_mode((a + b).as_int()).scale((a - b).as_fraction())
+    if kind_b == "time" or (kind_a, kind_b) == ("phase", "shift"):
+        return -_mode_bracket(kind_b, b, kind_a, a)
+    return SvElement()  # shifts commute with phases, and phases are central
+
+
+def test_the_range_3_basis_obeys_the_mode_relations():
+    basis = sv_basis(3)
+    for kind_a, a, X in basis:
+        for kind_b, b, Y in basis:
+            assert sv_bracket(X, Y) == _mode_bracket(kind_a, a, kind_b, b), (kind_a, a, kind_b, b)

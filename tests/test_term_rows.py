@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 import reference as ref
 from strategies import coeff_fns
 from svpsido import transforms as tr
+from svpsido.cocycles import _slots
 from svpsido.halfint import EXACT, HalfInt, h
 from svpsido.kacmoody import GElement, g_bracket
 from svpsido.psido import (
@@ -137,7 +138,8 @@ def check_flat(*syms):
     """An int floor or None, the public floor its HalfInt, only reduced
     nonzero triples and nothing below the floor in the flat dict; a kept
     rows view that equals a fresh grouping, shares the flat dict's
-    triples, gives the quotient slots and agrees with terms, coeff, top
+    triples, gives the cocycles' quotient slots where they are defined
+    (and is refused where not), and agrees with terms, coeff, top
     and bottom, and a terms view that rebuilds the same symbol."""
     for X in syms:
         if isinstance(X, GElement):
@@ -157,11 +159,15 @@ def check_flat(*syms):
         assert list(rows) == list(grouped(X))
         assert X.rows() is rows
         assert all(rows[o].terms[(p, q, m)] is v for (o, p, q, m), v in X.flat.items())
-        up, mid, down, above = X.quotient_slots()
-        assert [dict(s) for s in (up, mid, down)] == [
-            rows[o].terms if o in rows else {} for o in (2, 0, -2)]
-        assert above == any(o > 2 for o in rows)
-        assert X.rows() is rows and X.quotient_slots()[0] is up
+        if X.var == R and all(o <= 2 for o in rows) and (low is None or low <= -2):
+            up, mid, down = X.kept(_slots)
+            assert [dict(s) for s in (up, mid, down)] == [
+                rows[o].terms if o in rows else {} for o in (2, 0, -2)]
+            assert X.kept(_slots)[0] is up
+        else:
+            with pytest.raises(ValueError):
+                X.kept(_slots)
+        assert X.rows() is rows
         view = X.terms
         assert list(view.items()) == [(HalfInt(o), c) for o, c in rows.items()]
         assert all(k.__class__ is HalfInt for k in view)
