@@ -192,11 +192,14 @@ _FAILURE_CAP = 50
 
 
 def _worker_count(cfg: VerifyConfig) -> int:
+    """The number of shards a suite's cases are split into: cfg.threads
+    when set, else one per CPU this process may run on, at most 8, since
+    more only oversubscribe and _run_shards puts shard k on the k-th of
+    those CPUs (wrapping round); 1 where processes cannot be forked."""
     if not hasattr(os, "fork"):
         return 1
     if cfg.threads:
         return cfg.threads
-    # one process per CPU this process may run on; more only oversubscribe
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(8, cpus or 1)
 
@@ -207,6 +210,25 @@ def _call(case):
         return check(*item)
     except Exception as exc:  # a crashed case is a failure, not a crashed run
         return (f"raised {type(exc).__name__}: {exc}", "a finished check")
+
+
+def _allowed_cpus() -> list:
+    """The sorted CPUs this process may run on, when there are several
+    and it may pin itself to one of them; else []."""
+    if not hasattr(os, "sched_setaffinity"):
+        return []
+    cpus = sorted(os.sched_getaffinity(0))
+    return cpus if len(cpus) > 1 else []
+
+
+def _pin(cpus) -> bool:
+    """Restrict this process to the CPUs cpus; False, and nothing changed,
+    where the system refuses."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        return False
+    return True
 
 
 def _run_shards(cases: list, n: int) -> list:
@@ -223,11 +245,23 @@ def _run_shards(cases: list, n: int) -> list:
     (killed by a signal, or a case calling os._exit) ends the run.
     Whatever raises, every child not yet reaped is killed and reaped on
     the way out.
+
+    When n > 1 and this process may run on several CPUs, shard k runs on
+    the (k mod m)-th of its m allowed CPUs: a Linux kernel may leave a
+    forked child on its parent's CPU, so that unpinned shards run one
+    after the other.  Each child pins itself as it starts, this process
+    pins itself for shard 0 and gets its allowed set back on the way out,
+    whatever raises.  Pinning is best effort: a shard whose CPU the
+    system refuses runs unpinned.
     """
+    cpus = []
     if n > 1:  # only runs that fork pay these imports
         import pickle
         from signal import SIGKILL
+
+        cpus = _allowed_cpus()
     pids, pipes = [], []  # the children not yet reaped; the read end of each pipe
+    pinned = False  # whether this process must get its allowed set back
     try:
         for k in range(1, n):
             read, write = os.pipe()
@@ -240,6 +274,8 @@ def _run_shards(cases: list, n: int) -> list:
             if pid == 0:
                 code = 1
                 try:
+                    if cpus:
+                        _pin({cpus[k % len(cpus)]})
                     os.close(read)
                     with open(write, "wb") as out:
                         pickle.dump([_call(case) for case in cases[k::n]], out)
@@ -249,6 +285,8 @@ def _run_shards(cases: list, n: int) -> list:
             os.close(write)  # the child holds the only write end
             pids.append(pid)
             pipes.append(open(read, "rb"))
+        if cpus:
+            pinned = _pin({cpus[0]})
         shards = [[_call(case) for case in cases[::n]]]
         for k, pipe in enumerate(pipes, 1):
             # read to the end before reaping: an outcome list can outgrow
@@ -265,6 +303,8 @@ def _run_shards(cases: list, n: int) -> list:
             shards.append(pickle.loads(data))
         return shards
     finally:
+        if pinned:
+            _pin(cpus)
         for pipe in pipes:
             pipe.close()
         for pid in pids:

@@ -318,6 +318,26 @@ for cid in CocycleId:
 print("\\n".join(sorted(lines)))
 """
 
+POOLED_SHARDS = """\
+import os
+
+from svpsido import suites
+
+before = os.sched_getaffinity(0)
+cases = []
+suites._each(cases, [(k,) for k in range(8)], str, lambda k: (sorted(os.sched_getaffinity(0)), ""))
+report = suites._run_cases("synthetic", cases, suites.VerifyConfig(threads=2))
+# every CPU that a case of shard k was allowed to run on
+seen = [{cpu for f in report.failures[k::2] for cpu in f.lhs} for k in (0, 1)]
+print("restored:", os.sched_getaffinity(0) == before)
+if len(before) < 2:
+    print("distinct: n/a")
+else:
+    print("distinct:", len(seen[0]) == len(seen[1]) == 1 and seen[0] != seen[1])
+"""
+# what POOLED_SHARDS prints on the CPUs this runner, and so its child, may use
+SPREAD = "True" if len(os.sched_getaffinity(0)) > 1 else "n/a"
+
 T61 = ("verify", "--suite", "theorem61")
 SUITE_CHOICES = (
     "'psido-axioms', 'theta', 'timeshift', 'cocycles', 'lemma26', 'lemma33', 'theorem51', "
@@ -459,6 +479,11 @@ CHECKS = [
     # composition and transform loops run at depth (140,948 cases)
     Check("admitted-box", ("verify", "--floor", "-16", "--range", "5", "--threads", "2"),
           sha256="c18facb00ef574741eb06316b195af52921bad1dea241fcfa590029f28776781"),
+    # the two shards of a 2-worker run each read one CPU, a different one
+    # where the run may use several, and the caller's CPU set is the same
+    # after the run as before
+    Check("pooled-shards-spread", ("-c", POOLED_SHARDS),
+          lines=("restored: True", f"distinct: {SPREAD}")),
     # every suite passes on the admitted box at one worker, with each
     # product kernel wrapped in every module that holds it, and no call
     # finds an operand empty, so no product with a zero factor is formed

@@ -47,6 +47,7 @@ from svpsido.suites import (
 
 SRC = os.path.dirname(os.path.dirname(svpsido.__file__))
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 
 CANONICAL_NAMES = (
     "psido-axioms",
@@ -116,8 +117,21 @@ def _numbered(n: int, check) -> list:
     return cases
 
 
+def allowed_cpus():
+    """The CPUs this process may run on, None where that cannot be read."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
 class TestRunner:
     """Drive _run_cases with synthetic cases to pin the bookkeeping."""
+
+    @pytest.fixture(autouse=True)
+    def keeps_the_cpus(self):
+        # a pooled run that left this process pinned would also turn the
+        # later tests here into runs on one CPU, where nothing is pinned
+        before = allowed_cpus()
+        yield
+        assert allowed_cpus() == before
 
     def test_failure_listing_is_capped_but_counts_are_not(self):
         cases = _numbered(60, lambda k: ("left", "right"))
@@ -273,10 +287,12 @@ class TestRunner:
 
         # the workers' cases sleep, so they are still running when it escapes
         cases = _numbered(3, escape_or_sleep)
+        before = allowed_cpus()
         began = time.monotonic()
         with pytest.raises(Escape):
             _run_cases("synthetic", cases, VerifyConfig(threads=3))
         assert time.monotonic() - began < 30
+        assert allowed_cpus() == before
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -292,11 +308,97 @@ class TestRunner:
 
         monkeypatch.setattr(os, "fork", fork_once)
         cases = _numbered(3, lambda k: time.sleep(60))
+        before = allowed_cpus()
         with pytest.raises(RuntimeError, match="could not fork verify worker 3 of 3"):
             _run_cases("synthetic", cases, VerifyConfig(threads=3))
         assert len(forks) == 1
+        assert allowed_cpus() == before
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @needs_fork
+    def test_a_dead_worker_leaves_the_callers_cpus_as_they_were(self):
+        cases = _numbered(3, lambda k: os._exit(3) if k == 1 else None)
+        before = allowed_cpus()
+        with pytest.raises(RuntimeError, match="verify worker 2 of 2 exited with code 3"):
+            _run_cases("synthetic", cases, VerifyConfig(threads=2))
+        assert allowed_cpus() == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @needs_fork
+    @needs_affinity
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_each_shard_runs_on_its_own_cpu(self, threads):
+        before = os.sched_getaffinity(0)
+        cpus = sorted(before)
+        cases = _numbered(2 * threads, lambda k: (sorted(os.sched_getaffinity(0)), ""))
+        rep = _run_cases("synthetic", cases, VerifyConfig(threads=threads))
+        read = [f.lhs for f in rep.failures]
+        assert os.sched_getaffinity(0) == before
+        if len(cpus) < 2:  # nothing to spread over, so nothing is pinned
+            assert read == [cpus] * len(read)
+            return
+        # case i is in shard i mod threads
+        assert read == [[cpus[i % threads % len(cpus)]] for i in range(2 * threads)]
+        if threads == 3 and len(cpus) == 2:
+            assert read[0] == read[2] != read[1]
+
+    @needs_fork
+    @needs_affinity
+    def test_a_process_on_one_cpu_runs_every_shard_there(self):
+        # the child narrows its own set; every shard inherits it unpinned
+        script = (
+            "import os\n"
+            "from svpsido import suites\n"
+            "os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})\n"
+            "cases = []\n"
+            "suites._each(cases, [(k,) for k in range(6)], str, "
+            "lambda k: (sorted(os.sched_getaffinity(0)), ''))\n"
+            "rep = suites._run_cases('synthetic', cases, suites.VerifyConfig(threads=3))\n"
+            "print({tuple(f.lhs) for f in rep.failures}, tuple(os.sched_getaffinity(0)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert done.returncode == 0, done.stderr
+        cpu = max(os.sched_getaffinity(0))
+        assert done.stdout == f"{{({cpu},)}} ({cpu},)\n"
+
+    def test_a_one_worker_run_leaves_the_affinity_alone(self, monkeypatch):
+        calls = []
+        for name in ("sched_getaffinity", "sched_setaffinity"):
+            monkeypatch.setattr(os, name, lambda *args, name=name: calls.append(name), raising=False)
+        rep = _run_cases("synthetic", self.mixed_cases(), VerifyConfig(threads=1))
+        assert (rep.cases, rep.passed, calls) == (107, 36, [])
+
+    @staticmethod
+    def refuse(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    @needs_fork
+    @needs_affinity
+    @pytest.mark.parametrize("patch", ["refused", "missing", "64 cpus"])
+    def test_pinning_is_best_effort(self, monkeypatch, patch):
+        # forked workers inherit the patch
+        real, restore = os.sched_getaffinity(0), os.sched_setaffinity
+        if patch == "refused":
+            monkeypatch.setattr(os, "sched_setaffinity", self.refuse, raising=False)
+        elif patch == "missing":
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        else:  # the real call refuses the CPU ids this host lacks
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        cases = self.mixed_cases()
+        try:
+            one = _run_cases("synthetic", cases, VerifyConfig(threads=1))
+            for n in (2, 3):
+                rep = _run_cases("synthetic", cases, VerifyConfig(threads=n))
+                assert (rep.cases, rep.passed, rep.failures) == (one.cases, one.passed, one.failures)
+        finally:
+            # a run restores the faked set of 64 as every CPU the host
+            # allows, which may be more than this process had
+            restore(0, real)
 
     def test_a_pooled_run_leaves_multiprocessing_unloaded(self):
         # only a fresh interpreter shows what a run imports
